@@ -1,15 +1,14 @@
 //! Figure 8 — dual-GPU SpMV on the Tesla K10 (§VIII).
 //!
-//! Each bin is split half-and-half across the two GK104 devices; ACSR
-//! runs its static long-tail configuration (the K10 lacks dynamic
-//! parallelism). Shape targets: ~1.6-1.7x average speedup, near-perfect
+//! Each bin is split half-and-half across the two GK104 devices of a
+//! replicated-`x` [`Fleet`]; ACSR runs its static long-tail
+//! configuration (the K10 lacks dynamic parallelism). Shape targets: ~1.6-1.7x average speedup, near-perfect
 //! scaling on the big matrices, and *no* benefit (or a slowdown) on the
 //! small ones (ENR, INT, ...) whose work can't saturate one GPU.
 
 use crate::common::{selected_specs, Options, Table};
-use acsr::AcsrConfig;
 use gpu_sim::presets;
-use multi_gpu::MultiGpuAcsr;
+use multi_gpu::{Fleet, FleetConfig};
 use serde::Serialize;
 use sparse_formats::Scalar;
 
@@ -30,9 +29,9 @@ fn measure<T: Scalar>(abbrev: &str, m: &sparse_formats::CsrMatrix<T>) -> Fig8Row
         .collect();
     let mut y = vec![T::ZERO; m.rows()];
     let k10 = presets::tesla_k10_single();
-    let single = MultiGpuAcsr::new(m, &k10, 1, AcsrConfig::static_long_tail());
+    let single = Fleet::new(m, &k10, &FleetConfig::replicated(1));
     let t1 = single.spmv(&x, &mut y).seconds();
-    let dual = MultiGpuAcsr::new(m, &k10, 2, AcsrConfig::static_long_tail());
+    let dual = Fleet::new(m, &k10, &FleetConfig::replicated(2));
     let t2 = dual.spmv(&x, &mut y).seconds();
     Fig8Row {
         abbrev: abbrev.to_string(),

@@ -1,15 +1,25 @@
-//! The N-device sharded fleet executor.
+//! The N-device sharded fleet executor — the crate's one multi-device
+//! executor, with two ways of placing `x` ([`Placement`]).
 //!
-//! Where [`crate::MultiGpuAcsr`] mirrors the paper's §VIII setup — every
-//! device holds a full copy of `x` — a [`Fleet`] models the resident
-//! configuration a larger machine actually runs: each device holds only
-//! its shard (owned rows plus replicated hot rows), and between
-//! iterations the shards exchange exactly the remote `x` entries their
-//! peers computed. The exchange is explicit and event-scheduled
-//! ([`crate::halo`]): each `(owner → shard)` halo edge becomes one
-//! interconnect transfer, ready the instant its producer's compute
-//! finishes, FIFO per egress/ingress engine — so transfers from
-//! early-finishing devices hide under the slowest device's compute.
+//! - [`Placement::Resident`]: each device holds only its shard (owned
+//!   rows plus replicated hot rows), and between iterations the shards
+//!   exchange exactly the remote `x` entries their peers computed. The
+//!   exchange is explicit and event-scheduled ([`crate::halo`]): each
+//!   `(owner → shard)` halo edge becomes one interconnect transfer, ready
+//!   the instant its producer's compute finishes, FIFO per
+//!   egress/ingress engine — so transfers from early-finishing devices
+//!   hide under the slowest device's compute.
+//! - [`Placement::Replicated`]: the paper's §VIII setup. Every device
+//!   reads a full copy of `x`, so no replicas and no halo sets exist;
+//!   the closing exchange is one zero-byte completion signal per
+//!   participating device to the host sink, serialized on the host's
+//!   ingress — the synchronization the paper's small matrices cannot
+//!   amortize.
+//!
+//! Every phase runs through one per-shard driver ([`Fleet::drive`]): it
+//! skips empty shards, collects one report per device, and closes with
+//! the placement's exchange. [`Fleet::spmv`] and the serving engine's
+//! batched RWR waves are both steps handed to that driver.
 //!
 //! Each shard plans its own format: binned sharding reshapes every
 //! shard's row-length distribution, so a dense shard may plan ELL/HYB
@@ -21,7 +31,7 @@
 //! writes the global result (replicas feed local reuse only).
 
 use crate::halo::{ns, schedule_exchange, EdgeSpec, ExchangeReport, LinkModel};
-use crate::partition::{partition_fleet, FleetPartition, ReplicationPolicy};
+use crate::partition::{partition_fleet, partition_replicated, FleetPartition, ReplicationPolicy};
 use crate::record_device_gauges;
 use acsr::AcsrConfig;
 use acsr_telemetry::MetricsRegistry;
@@ -33,6 +43,12 @@ use spmv_pipeline::{
     AcsrPlanner, AdaptiveSelector, FormatRegistry, PlanBudget, SpmvPlan, SpmvPlanner,
 };
 use std::sync::Arc;
+
+/// Per-device completion hand-off of a [`Placement::Replicated`] phase
+/// (the device's end-of-phase barrier signal, processed serially by the
+/// host), seconds. Two balanced devices reproduce a flat 20 µs sync; an
+/// early finisher's hand-off overlaps the slow device's compute instead.
+const HANDOFF_S: f64 = 10e-6;
 
 /// How each shard's executable format is chosen.
 #[derive(Clone, Debug)]
@@ -51,26 +67,76 @@ pub enum ShardFormat {
     },
 }
 
+impl ShardFormat {
+    /// Plan `m` on `dev` per this choice; returns the plan and the
+    /// name of the format it executes. Panics when the plan does not
+    /// fit the device.
+    pub fn plan<T: Scalar>(&self, dev: &Device, m: &CsrMatrix<T>) -> (SpmvPlan<T>, String) {
+        let budget = PlanBudget::for_device(dev.config());
+        match self {
+            ShardFormat::Acsr(acsr_cfg) => {
+                let plan = AcsrPlanner::with_config(*acsr_cfg)
+                    .plan(dev, m, &budget)
+                    .expect("shard ACSR plan must fit the device");
+                (plan, "ACSR".to_string())
+            }
+            ShardFormat::Fixed(name) => {
+                let plan = FormatRegistry::<T>::with_all()
+                    .plan(name, dev, m, &budget)
+                    .expect("shard plan must fit the device");
+                (plan, name.to_string())
+            }
+            ShardFormat::Adaptive { horizon } => {
+                let mut reg = FormatRegistry::<T>::with_all();
+                reg.register(Box::new(AcsrPlanner::with_config(
+                    AcsrConfig::static_long_tail(),
+                )));
+                let budget = budget.with_iterations(*horizon);
+                let sel = AdaptiveSelector.select(&reg, dev, m, &budget);
+                (sel.plan, sel.winner)
+            }
+        }
+    }
+}
+
+/// Where the input vector `x` lives, and so what closes each phase.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Placement {
+    /// Each device holds its shard of `x`; remote entries ride an
+    /// event-scheduled halo exchange over `link`, minus the hot rows
+    /// `replication` recomputes locally.
+    Resident {
+        /// Interconnect class the halo exchange rides.
+        link: LinkModel,
+        /// Hot-row replication policy.
+        replication: ReplicationPolicy,
+    },
+    /// Every device reads the full `x` (paper §VIII); each phase closes
+    /// with one completion hand-off per participating device.
+    Replicated,
+}
+
 /// Fleet construction knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Simulated devices.
     pub n_devices: usize,
-    /// Interconnect class the halo exchange rides.
-    pub link: LinkModel,
-    /// Hot-row replication policy.
-    pub replication: ReplicationPolicy,
+    /// Placement of `x` and the exchange it implies.
+    pub placement: Placement,
     /// Per-shard format choice.
     pub format: ShardFormat,
 }
 
 impl FleetConfig {
-    /// ACSR on every shard, PCIe-class links, default replication.
+    /// ACSR on every shard, resident `x` over PCIe-class links, default
+    /// replication.
     pub fn new(n_devices: usize) -> FleetConfig {
         FleetConfig {
             n_devices,
-            link: LinkModel::pcie(),
-            replication: ReplicationPolicy::default(),
+            placement: Placement::Resident {
+                link: LinkModel::pcie(),
+                replication: ReplicationPolicy::default(),
+            },
             format: ShardFormat::Acsr(AcsrConfig::static_long_tail()),
         }
     }
@@ -78,13 +144,24 @@ impl FleetConfig {
     /// Same, with the NVLink-class interconnect.
     pub fn nvlink(n_devices: usize) -> FleetConfig {
         FleetConfig {
-            link: LinkModel::nvlink(),
+            placement: Placement::Resident {
+                link: LinkModel::nvlink(),
+                replication: ReplicationPolicy::default(),
+            },
+            ..FleetConfig::new(n_devices)
+        }
+    }
+
+    /// The paper's §VIII setup: ACSR on every shard, `x` replicated.
+    pub fn replicated(n_devices: usize) -> FleetConfig {
+        FleetConfig {
+            placement: Placement::Replicated,
             ..FleetConfig::new(n_devices)
         }
     }
 }
 
-/// One fleet SpMV's timing: per-device accounting, the compute phase,
+/// One fleet phase's timing: per-device accounting, the compute phase,
 /// and the scheduled exchange.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
@@ -92,7 +169,7 @@ pub struct FleetReport {
     pub per_device: Vec<RunReport>,
     /// Per-device compute seconds (before any exchange transfer).
     pub compute: Vec<f64>,
-    /// The scheduled halo exchange.
+    /// The scheduled exchange: halo transfers, or completion hand-offs.
     pub exchange: ExchangeReport,
     /// Format each shard executed ("-" for an empty shard).
     pub formats: Vec<String>,
@@ -118,7 +195,7 @@ impl FleetReport {
         self.exchange.tail_s(self.compute_s())
     }
 
-    /// Total halo payload bytes this SpMV moved.
+    /// Total halo payload bytes this phase moved.
     pub fn halo_bytes(&self) -> u64 {
         self.exchange.total_bytes()
     }
@@ -129,8 +206,7 @@ impl FleetReport {
     }
 }
 
-/// An N-device sharded SpMV executor with event-scheduled halo
-/// exchange (see the module docs).
+/// An N-device sharded SpMV executor (see the module docs).
 pub struct Fleet<T: Scalar> {
     devices: Vec<Device>,
     /// `None` for empty shards (more devices than rows can feed).
@@ -139,7 +215,7 @@ pub struct Fleet<T: Scalar> {
     /// `compute_rows[d][local] = global` for every computed row.
     compute_rows: Vec<Vec<u32>>,
     formats: Vec<String>,
-    link: LinkModel,
+    placement: Placement,
     rows: usize,
     cols: usize,
     nnz: usize,
@@ -150,7 +226,12 @@ impl<T: Scalar> Fleet<T> {
     /// every shard per `cfg.format`.
     pub fn new(m: &CsrMatrix<T>, device_cfg: &DeviceConfig, cfg: &FleetConfig) -> Fleet<T> {
         assert!(cfg.n_devices >= 1, "need at least one device");
-        let partition = partition_fleet(m, cfg.n_devices, &cfg.replication);
+        let partition = match &cfg.placement {
+            Placement::Resident { replication, .. } => {
+                partition_fleet(m, cfg.n_devices, replication)
+            }
+            Placement::Replicated => partition_replicated(m, cfg.n_devices),
+        };
         let mut devices = Vec::with_capacity(cfg.n_devices);
         let mut plans = Vec::with_capacity(cfg.n_devices);
         let mut compute_rows = Vec::with_capacity(cfg.n_devices);
@@ -166,34 +247,7 @@ impl<T: Scalar> Fleet<T> {
                 plans.push(None);
                 formats.push("-".to_string());
             } else {
-                let sub = crate::extract_rows(m, &rows);
-                let budget = PlanBudget::for_device(dev.config());
-                let (plan, format) = match &cfg.format {
-                    ShardFormat::Acsr(acsr_cfg) => {
-                        let planner = AcsrPlanner::with_config(*acsr_cfg);
-                        let plan = planner
-                            .plan(&dev, &sub, &budget)
-                            .expect("shard ACSR plan must fit the device");
-                        (plan, "ACSR".to_string())
-                    }
-                    ShardFormat::Fixed(name) => {
-                        let reg = FormatRegistry::<T>::with_all();
-                        let plan = reg
-                            .plan(name, &dev, &sub, &budget)
-                            .expect("shard plan must fit the device");
-                        (plan, name.to_string())
-                    }
-                    ShardFormat::Adaptive { horizon } => {
-                        let mut reg = FormatRegistry::<T>::with_all();
-                        reg.register(Box::new(AcsrPlanner::with_config(
-                            AcsrConfig::static_long_tail(),
-                        )));
-                        let budget = budget.with_iterations(*horizon);
-                        let sel = AdaptiveSelector.select(&reg, &dev, &sub, &budget);
-                        let winner = sel.winner.clone();
-                        (sel.plan, winner)
-                    }
-                };
+                let (plan, format) = cfg.format.plan(&dev, &crate::extract_rows(m, &rows));
                 plans.push(Some(plan));
                 formats.push(format);
             }
@@ -206,7 +260,7 @@ impl<T: Scalar> Fleet<T> {
             partition,
             compute_rows,
             formats,
-            link: cfg.link,
+            placement: cfg.placement,
             rows: m.rows(),
             cols: m.cols(),
             nnz: m.nnz(),
@@ -248,15 +302,15 @@ impl<T: Scalar> Fleet<T> {
         self.partition.shards.iter().map(|s| s.nnz).collect()
     }
 
-    /// Device `d`.
-    pub fn device(&self, d: usize) -> &Device {
-        &self.devices[d]
+    /// The fleet's devices, in shard order.
+    pub fn devices(&self) -> &[Device] {
+        &self.devices
     }
 
     /// Attach one shared trace ledger to every device and return it:
-    /// subsequent [`Self::spmv`] calls record per-device kernel spans
-    /// *and* per-edge halo transfer spans (on the receiving device's
-    /// lane), so the chrome-trace export shows the exchange.
+    /// subsequent phases record per-device kernel spans *and* per-edge
+    /// halo transfer spans (on the receiving device's lane), so the
+    /// chrome-trace export shows the exchange.
     pub fn enable_tracing(&mut self) -> Arc<TraceLedger> {
         let ledger = Arc::new(TraceLedger::new());
         for dev in &mut self.devices {
@@ -267,51 +321,63 @@ impl<T: Scalar> Fleet<T> {
 
     /// Run `y = A * x` across the fleet; `y` must have `rows` slots.
     ///
-    /// Phase 1 (compute): every shard runs its plan over the full-value
-    /// `x`; the owner's result is written to `y` bit-identically to the
-    /// single-device plan. Phase 2 (exchange): each halo edge ships the
-    /// next iterate's remote entries, ready at its producer's finish,
-    /// scheduled on the interconnect ([`crate::halo`]).
+    /// Every non-empty shard runs its plan over the full-value `x`; the
+    /// owner's result is written to `y` bit-identically to the
+    /// single-device plan. The placement's exchange then closes the
+    /// phase ([`Self::drive`]).
     pub fn spmv(&self, x: &[T], y: &mut [T]) -> FleetReport {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         assert_eq!(y.len(), self.rows, "y length mismatch");
-        let n = self.devices.len();
-        let mut per_device = vec![RunReport::default(); n];
-        let mut compute = vec![0.0f64; n];
-        for d in 0..n {
-            let Some(plan) = &self.plans[d] else { continue };
-            let dev = &self.devices[d];
+        let owner = &self.partition.owner;
+        self.drive(|d, dev, plan, rows| {
             let xd = dev.alloc(x.to_vec());
             let yd = dev.alloc_zeroed::<T>(plan.rows());
             let rep = plan.spmv(dev, &xd, &yd);
-            let shard = &self.partition.shards[d];
             let local = yd.as_slice();
-            for (l, &g) in self.compute_rows[d].iter().enumerate() {
-                if self.partition.owner[g as usize] as usize == d {
+            for (l, &g) in rows.iter().enumerate() {
+                if owner[g as usize] as usize == d {
                     y[g as usize] = local[l];
                 }
             }
-            debug_assert_eq!(shard.device, d);
-            compute[d] = rep.time_s;
-            per_device[d] = rep;
-        }
+            rep
+        })
+    }
 
-        // Halo edges: owner → shard, ready at the owner's finish.
-        let elt = std::mem::size_of::<T>() as u64;
-        let mut edges = Vec::new();
-        for shard in &self.partition.shards {
-            for (src, rows) in &shard.halo_in {
-                edges.push(EdgeSpec {
-                    src: *src,
-                    dst: shard.device,
-                    entries: rows.len(),
-                    bytes: rows.len() as u64 * elt,
-                    ready_ns: ns(compute[*src]),
-                });
-            }
-        }
-        let exchange = schedule_exchange(n, &edges, &self.link);
-        for t in &exchange.transfers {
+    /// The per-shard driver: run `step(d, device, plan, rows)` on every
+    /// non-empty shard in device order (`rows[local] = global` row of
+    /// the shard's plan), then close the phase with the placement's
+    /// exchange ([`Self::finish`]).
+    pub fn drive(
+        &self,
+        mut step: impl FnMut(usize, &Device, &SpmvPlan<T>, &[u32]) -> RunReport,
+    ) -> FleetReport {
+        let ran = self
+            .plans
+            .iter()
+            .enumerate()
+            .map(|(d, plan)| {
+                let plan = plan.as_ref()?;
+                Some(step(d, &self.devices[d], plan, &self.compute_rows[d]))
+            })
+            .collect();
+        self.finish(ran)
+    }
+
+    /// Close a compute phase in which device `d` ran `ran[d]` (`None`
+    /// when it sat out): schedule the placement's exchange, charge each
+    /// device-bound transfer to its receiver (recording a trace span),
+    /// and assemble the phase report.
+    pub fn finish(&self, ran: Vec<Option<RunReport>>) -> FleetReport {
+        assert_eq!(ran.len(), self.devices.len(), "one entry per device");
+        let finishes: Vec<Option<f64>> = ran.iter().map(|r| r.as_ref().map(|r| r.time_s)).collect();
+        let exchange = self.exchange(&finishes);
+        let mut per_device: Vec<RunReport> =
+            ran.into_iter().map(Option::unwrap_or_default).collect();
+        for t in exchange
+            .transfers
+            .iter()
+            .filter(|t| t.dst < self.devices.len())
+        {
             let rep = self.devices[t.dst].record_peer_recv(
                 &format!("halo_{}to{}", t.src, t.dst),
                 t.bytes,
@@ -321,10 +387,63 @@ impl<T: Scalar> Fleet<T> {
         }
         FleetReport {
             per_device,
-            compute,
+            compute: finishes.iter().map(|f| f.unwrap_or(0.0)).collect(),
             exchange,
             formats: self.formats.clone(),
             replicated_rows: self.partition.hot_rows.len(),
+        }
+    }
+
+    /// The placement's closing exchange for a phase whose devices
+    /// finished computing at `finishes[d]` seconds (`None` = sat out),
+    /// scheduled on the interconnect ([`crate::halo`]) without charging
+    /// any device — so a caller can also price a phase it has not run.
+    ///
+    /// - `Resident`: one halo edge per `(owner → shard)` pair carrying
+    ///   one iterate's entries, ready at the owner's finish.
+    /// - `Replicated`: one zero-byte hand-off per participating device
+    ///   to the host sink, ready at its finish; a phase on a single
+    ///   device needs no barrier at all.
+    pub fn exchange(&self, finishes: &[Option<f64>]) -> ExchangeReport {
+        let n = self.devices.len();
+        match &self.placement {
+            Placement::Resident { link, .. } => {
+                let elt = std::mem::size_of::<T>() as u64;
+                let edges: Vec<EdgeSpec> = self
+                    .partition
+                    .shards
+                    .iter()
+                    .flat_map(|shard| {
+                        shard.halo_in.iter().map(|(src, rows)| EdgeSpec {
+                            src: *src,
+                            dst: shard.device,
+                            entries: rows.len(),
+                            bytes: rows.len() as u64 * elt,
+                            ready_ns: ns(finishes[*src].unwrap_or(0.0)),
+                        })
+                    })
+                    .collect();
+                schedule_exchange(n, &edges, link)
+            }
+            Placement::Replicated => {
+                let edges: Vec<EdgeSpec> = finishes
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(d, f)| {
+                        f.map(|t| EdgeSpec {
+                            src: d,
+                            dst: n,
+                            entries: 0,
+                            bytes: 0,
+                            ready_ns: ns(t),
+                        })
+                    })
+                    .collect();
+                if edges.len() < 2 {
+                    return ExchangeReport::empty(n);
+                }
+                schedule_exchange(n, &edges, &LinkModel::signal(HANDOFF_S))
+            }
         }
     }
 }
@@ -361,6 +480,7 @@ pub fn record_fleet_metrics(metrics: &MetricsRegistry, prefix: &str, report: &Fl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::halo;
     use gpu_sim::presets;
     use graphgen::{generate_power_law, PowerLawConfig};
 
@@ -377,26 +497,210 @@ mod tests {
         })
     }
 
+    /// Both placements answer exactly at every width (1 through 8, which
+    /// covers the paper's dual split and a four-way replicated split);
+    /// only the resident placement moves halo bytes, and the replicated
+    /// one ships exactly one zero-byte hand-off per device to the host.
     #[test]
     fn fleet_matches_reference_at_many_widths() {
         let m = matrix(4000, 301);
         let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
         let want = m.spmv(&x);
-        for n in [1usize, 2, 3, 5, 8] {
-            let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(n));
+        for n in [1usize, 2, 3, 4, 5, 8] {
+            for cfg in [FleetConfig::new(n), FleetConfig::replicated(n)] {
+                let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
+                let mut y = vec![0.0; m.rows()];
+                let rep = fleet.spmv(&x, &mut y);
+                let what = format!("{n} devices, {:?}", cfg.placement);
+                let d = sparse_formats::scalar::rel_l2_distance(&y, &want);
+                assert!(d < 1e-12, "{what}: rel distance {d}");
+                assert_eq!(rep.per_device.len(), n);
+                assert!(rep.seconds() > 0.0);
+                if n == 1 {
+                    assert!(
+                        rep.exchange.transfers.is_empty(),
+                        "{what}: no self-exchange"
+                    );
+                } else if cfg.placement == Placement::Replicated {
+                    assert_eq!(rep.exchange.transfers.len(), n, "{what}");
+                    assert!(rep
+                        .exchange
+                        .transfers
+                        .iter()
+                        .all(|t| t.dst == n && t.bytes == 0));
+                    assert_eq!(rep.replicated_rows, 0);
+                } else {
+                    assert!(rep.halo_bytes() > 0, "{what}: must exchange");
+                }
+                if n == 1 || cfg.placement == Placement::Replicated {
+                    assert_eq!(rep.halo_bytes(), 0, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_split_is_roughly_half_the_nnz() {
+        let m = matrix(6000, 172);
+        let fleet = Fleet::new(
+            &m,
+            &presets::tesla_k10_single(),
+            &FleetConfig::replicated(2),
+        );
+        let shares = fleet.device_nnz();
+        assert_eq!(shares.iter().sum::<usize>(), m.nnz(), "no replicas");
+        let ratio = shares[0] as f64 / shares[1] as f64;
+        assert!(
+            (0.8..1.25).contains(&ratio),
+            "nnz split {shares:?} (ratio {ratio})"
+        );
+        assert!(fleet
+            .partition()
+            .shards
+            .iter()
+            .all(|s| s.halo_in.is_empty()));
+    }
+
+    #[test]
+    fn replicated_large_matrix_scales_small_matrix_does_not() {
+        let big = matrix(60_000, 173);
+        let small = matrix(2048, 174);
+        let speedup = |m: &CsrMatrix<f64>| {
+            let x: Vec<f64> = (0..m.cols()).map(|_| 1.0).collect();
+            let mut y = vec![0.0; m.rows()];
+            let k10 = presets::tesla_k10_single();
+            let t1 = Fleet::new(m, &k10, &FleetConfig::replicated(1))
+                .spmv(&x, &mut y)
+                .seconds();
+            let t2 = Fleet::new(m, &k10, &FleetConfig::replicated(2))
+                .spmv(&x, &mut y)
+                .seconds();
+            t1 / t2
+        };
+        let s_big = speedup(&big);
+        let s_small = speedup(&small);
+        assert!(s_big > 1.4, "big-matrix speedup {s_big}");
+        assert!(
+            s_small < s_big,
+            "small {s_small} should scale worse than big {s_big}"
+        );
+    }
+
+    #[test]
+    fn replicated_fleet_runs_any_registry_format() {
+        let m = matrix(3000, 177);
+        let x: Vec<f64> = (0..m.cols()).map(|i| 0.5 + (i % 5) as f64).collect();
+        let want = m.spmv(&x);
+        for name in ["HYB", "CSR-vector"] {
+            let cfg = FleetConfig {
+                format: ShardFormat::Fixed(name),
+                ..FleetConfig::replicated(2)
+            };
+            let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
             let mut y = vec![0.0; m.rows()];
             let rep = fleet.spmv(&x, &mut y);
             let d = sparse_formats::scalar::rel_l2_distance(&y, &want);
-            assert!(d < 1e-12, "{n} devices: rel distance {d}");
-            assert_eq!(rep.per_device.len(), n);
-            assert!(rep.seconds() > 0.0);
-            if n == 1 {
-                assert!(rep.exchange.transfers.is_empty(), "no self-halo");
-                assert_eq!(rep.halo_bytes(), 0);
-            } else {
-                assert!(rep.halo_bytes() > 0, "{n} devices must exchange");
-            }
+            assert!(d < 1e-12, "{name}: rel distance {d}");
+            assert_eq!(rep.formats, vec![name, name], "{name}");
         }
+    }
+
+    #[test]
+    fn single_replicated_device_has_no_handoff() {
+        let m = matrix(2048, 176);
+        let fleet = Fleet::new(
+            &m,
+            &presets::tesla_k10_single(),
+            &FleetConfig::replicated(1),
+        );
+        let x = vec![1.0f64; m.cols()];
+        let mut y = vec![0.0; m.rows()];
+        let rep = fleet.spmv(&x, &mut y);
+        assert!(rep.exchange.transfers.is_empty());
+        assert_eq!(rep.exchange_tail_s(), 0.0);
+        assert_eq!(rep.seconds(), rep.compute_s());
+    }
+
+    /// The §VIII hand-off schedule: an early finisher's hand-off
+    /// overlaps the slow device's compute instead of being re-charged
+    /// after it (110 µs, where a flat `max + 20 µs` sync says 120 µs),
+    /// and balanced finishes serialize both hand-offs on the host.
+    #[test]
+    fn replicated_handoff_overlaps_slow_device_compute() {
+        let m = matrix(2048, 178);
+        let mut fleet = Fleet::new(
+            &m,
+            &presets::tesla_k10_single(),
+            &FleetConfig::replicated(2),
+        );
+        let phase = |t0: f64, t1: f64| {
+            let ran = [t0, t1]
+                .map(|time_s| {
+                    Some(RunReport {
+                        time_s,
+                        ..Default::default()
+                    })
+                })
+                .to_vec();
+            fleet.finish(ran)
+        };
+        // Skewed finishes: device 1 (40 µs) hands off at 40→50 µs,
+        // entirely under device 0's 100 µs of compute. Only device 0's
+        // own hand-off extends the phase: 110 µs, not 120 µs.
+        let skewed = phase(100e-6, 40e-6);
+        assert_eq!(skewed.compute_s(), 100e-6);
+        assert!(
+            (skewed.seconds() - 110e-6).abs() < 1e-12,
+            "{}",
+            skewed.seconds()
+        );
+        assert!((skewed.exchange_tail_s() - HANDOFF_S).abs() < 1e-12);
+        // Balanced finishes serialize both hand-offs on the host: the
+        // flat 20 µs charge is reproduced exactly.
+        let balanced = phase(100e-6, 100e-6);
+        assert!(
+            (balanced.seconds() - 120e-6).abs() < 1e-12,
+            "{}",
+            balanced.seconds()
+        );
+        assert!((balanced.exchange_tail_s() - 2.0 * HANDOFF_S).abs() < 1e-12);
+        // A device that sat out sends nothing; one participant alone
+        // needs no barrier.
+        let alone = fleet.finish(vec![Some(RunReport::default()), None]);
+        assert!(alone.exchange.transfers.is_empty());
+        // End to end: a dual-device SpMV ships exactly one hand-off per
+        // device to the host sink, charged to no device.
+        let ledger = fleet.enable_tracing();
+        let x = vec![1.0f64; m.cols()];
+        let mut y = vec![0.0; m.rows()];
+        let rep = fleet.spmv(&x, &mut y);
+        assert_eq!(rep.exchange.transfers.len(), 2);
+        assert!(rep
+            .exchange
+            .transfers
+            .iter()
+            .all(|t| t.dst == 2 && t.bytes == 0));
+        assert!(
+            rep.exchange_tail_s() > 0.0,
+            "hand-offs ready at finish expose a tail"
+        );
+        assert_eq!(rep.per_device[0].time_s, rep.compute[0]);
+        assert!(ledger.spans().iter().all(|s| !s.name.starts_with("halo_")));
+        let sched = halo::schedule_exchange(
+            2,
+            &[0, 1].map(|d| halo::EdgeSpec {
+                src: d,
+                dst: 2,
+                entries: 0,
+                bytes: 0,
+                ready_ns: halo::ns(rep.compute[d]),
+            }),
+            &LinkModel::signal(HANDOFF_S),
+        );
+        assert_eq!(
+            rep.exchange, sched,
+            "the same scheduler prices the hand-off"
+        );
     }
 
     #[test]
@@ -431,14 +735,19 @@ mod tests {
     fn replication_reduces_halo_traffic() {
         let m = matrix(6000, 303);
         let dev = presets::tesla_k10_single();
-        let mut with = FleetConfig::new(4);
-        with.replication = ReplicationPolicy {
+        let resident = |replication| FleetConfig {
+            placement: Placement::Resident {
+                link: LinkModel::pcie(),
+                replication,
+            },
+            ..FleetConfig::new(4)
+        };
+        let with = resident(ReplicationPolicy {
             min_referencing_shards: 2,
             max_row_len: 64,
             max_fraction: 0.10,
-        };
-        let mut without = FleetConfig::new(4);
-        without.replication = ReplicationPolicy::disabled();
+        });
+        let without = resident(ReplicationPolicy::disabled());
         let x = vec![1.0f64; m.cols()];
         let mut y = vec![0.0; m.rows()];
         let rep_with = Fleet::new(&m, &dev, &with).spmv(&x, &mut y);
@@ -457,19 +766,28 @@ mod tests {
 
     #[test]
     fn empty_shards_are_tolerated() {
-        // 3 rows over 8 devices: five shards compute nothing.
+        // 3 rows over 8 devices: five shards compute nothing, and under
+        // either placement they neither compute nor exchange.
         let mut t = sparse_formats::TripletMatrix::<f64>::new(3, 3);
         t.push(0, 1, 1.0).unwrap();
         t.push(1, 2, 2.0).unwrap();
         t.push(2, 0, 3.0).unwrap();
         let m = t.to_csr();
-        let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(8));
-        let x = vec![2.0f64; 3];
-        let mut y = vec![0.0; 3];
-        let rep = fleet.spmv(&x, &mut y);
-        assert_eq!(y, vec![2.0, 4.0, 6.0]);
-        assert_eq!(rep.formats.iter().filter(|f| *f == "-").count(), 5);
-        assert_eq!(rep.per_device.len(), 8);
+        for cfg in [FleetConfig::new(8), FleetConfig::replicated(8)] {
+            let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
+            let x = vec![2.0f64; 3];
+            let mut y = vec![0.0; 3];
+            let rep = fleet.spmv(&x, &mut y);
+            assert_eq!(y, vec![2.0, 4.0, 6.0]);
+            assert_eq!(rep.formats.iter().filter(|f| *f == "-").count(), 5);
+            assert_eq!(rep.per_device.len(), 8);
+            for (d, f) in rep.formats.iter().enumerate() {
+                if f == "-" {
+                    assert_eq!(rep.per_device[d].launches, 0, "empty shard {d} computed");
+                    assert!(rep.exchange.transfers.iter().all(|t| t.src != d));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Modeled interconnect links and the event-scheduled exchange phase.
 //!
-//! A fleet SpMV ends with an **exchange**: every shard ships the `x`
-//! entries its peers will need for the next iterate (owner-computes
-//! halo exchange), and the legacy replicated-`x` executor ships each
-//! device's completion hand-off to the host. Both are expressed as a
-//! set of directed [`EdgeSpec`]s — `src` device, `dst` device (or the
-//! host sink), payload bytes, and the instant the payload is *ready*
-//! (the producing device's compute finish) — and scheduled on the
-//! shared [`EventQueue`] from `gpu-sim`'s discrete-event core.
+//! A fleet SpMV ends with an **exchange**: under resident placement
+//! every shard ships the `x` entries its peers will need for the next
+//! iterate (owner-computes halo exchange); under replicated placement
+//! each device ships its completion hand-off to the host. Both are
+//! expressed as a set of directed [`EdgeSpec`]s — `src` device, `dst`
+//! device (or the host sink), payload bytes, and the instant the payload
+//! is *ready* (the producing device's compute finish) — and scheduled on
+//! the shared [`EventQueue`] from `gpu-sim`'s discrete-event core.
 //!
 //! The link discipline matches a DMA-engine interconnect: each node has
 //! one egress engine and one ingress engine, both FIFO, so transfers
 //! from one source serialize, fan-in to one destination serializes, and
 //! everything else overlaps. An edge whose payload is ready while the
 //! slowest device still computes therefore *hides* under compute — the
-//! overlap the flat `sync_overhead_s` model could not express.
+//! overlap a flat per-phase sync charge could not express.
 //!
 //! Determinism: edges are assigned FIFO priorities by `(ready, src,
 //! dst, index)` before scheduling, and each frontier is re-sorted into

@@ -5,256 +5,44 @@
 //! to each device... Such a partitioning approach can be used with any
 //! number of GPUs."
 //!
-//! Each device receives the row *slice* it owns (re-packed as a local CSR
-//! with a row map back to global indices) plus the full `x` vector; after
-//! both devices finish, their disjoint halves of `y` are concatenated.
-//! Total SpMV time is the slowest device plus a synchronization cost —
-//! which is why the paper's small matrices (ENR, INT, ...) fail to scale:
-//! their per-device work no longer covers launch/sync floors.
+//! [`Fleet`] is the one multi-device executor. It deals each bin's rows
+//! across the devices ([`partition_rows_by_bins`]), plans every device's
+//! row slice as a local sub-matrix ([`extract_rows`]), runs each phase
+//! through one per-shard driver, and closes the phase with an
+//! event-scheduled exchange ([`halo`]). What the exchange carries
+//! depends on where `x` lives ([`Placement`]):
 //!
-//! The K10 lacks dynamic parallelism, so (as in the paper) the per-device
-//! engines run ACSR's §VIII static long-tail configuration.
-//!
-//! Beyond the paper's replicated-`x` setup, [`Fleet`] scales the same
-//! sharding to N devices with resident shards: explicit event-scheduled
-//! halo exchange over modeled interconnect links ([`halo`]), hot-row
-//! replication ([`ReplicationPolicy`]), and per-shard format selection
-//! ([`ShardFormat::Adaptive`]).
+//! - [`Placement::Replicated`] is the paper's setup: every device holds
+//!   the full `x`, their disjoint slices of `y` are concatenated, and
+//!   the phase ends with one completion hand-off per device to the host.
+//!   Total time is the slowest device or the last hand-off, whichever
+//!   lands later — which is why the paper's small matrices (ENR, INT,
+//!   ...) fail to scale: their per-device work no longer covers
+//!   launch/sync floors. The K10 lacks dynamic parallelism, so (as in
+//!   the paper) the shards run ACSR's §VIII static long-tail
+//!   configuration by default.
+//! - [`Placement::Resident`] scales the sharding to N devices holding
+//!   only their shards: an explicit halo exchange over modeled
+//!   interconnect links, hot-row replication ([`ReplicationPolicy`]),
+//!   and per-shard format selection ([`ShardFormat::Adaptive`]).
 
 pub mod fleet;
 pub mod halo;
 mod partition;
 
-pub use fleet::{record_fleet_metrics, Fleet, FleetConfig, FleetReport, ShardFormat};
+pub use fleet::{record_fleet_metrics, Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
 pub use halo::{schedule_exchange, EdgeSpec, EdgeTransfer, ExchangeReport, LinkModel};
 pub use partition::{
     partition_fleet, partition_rows_by_bins, BinPartition, FleetPartition, ReplicationPolicy,
     ShardPlan,
 };
 
-use acsr::AcsrConfig;
-use gpu_sim::trace::TraceLedger;
-use gpu_sim::{Device, DeviceConfig, RunReport};
+use gpu_sim::RunReport;
 use sparse_formats::{CsrMatrix, Scalar};
-use spmv_kernels::GpuSpmv;
-use spmv_pipeline::{AcsrPlanner, PlanBudget, SpmvPlan, SpmvPlanner};
-use std::sync::Arc;
-
-/// A multi-device SpMV executor: one [`SpmvPlan`] per device, built
-/// from a single row partition by any registry planner (ACSR by
-/// default, per the paper's §VIII setup).
-pub struct MultiGpuAcsr<T: Scalar> {
-    devices: Vec<Device>,
-    plans: Vec<SpmvPlan<T>>,
-    /// `row_maps[d][local_row] = global_row`.
-    row_maps: Vec<Vec<u32>>,
-    rows: usize,
-    cols: usize,
-    nnz: usize,
-    /// Per-device completion hand-off cost (the device's end-of-SpMV
-    /// barrier signal, processed serially by the host), seconds. The
-    /// old model charged one flat `sync_overhead_s = 20 µs` after the
-    /// slowest device; two balanced devices at 10 µs each reproduce it,
-    /// but an early finisher's hand-off now *overlaps* the slow
-    /// device's compute instead of being re-charged after it.
-    pub handshake_s: f64,
-}
-
-/// Per-device and combined timing of one multi-GPU SpMV: the concurrent
-/// compute phase plus the event-scheduled sync/hand-off exchange.
-#[derive(Clone, Debug)]
-pub struct MultiReport {
-    /// One report per device (they run concurrently).
-    pub per_device: Vec<RunReport>,
-    /// The scheduled end-of-SpMV hand-off phase: one zero-byte signal
-    /// per device to the host sink, ready at that device's own finish,
-    /// serialized on the host ingress engine ([`halo`]).
-    pub exchange: ExchangeReport,
-}
-
-impl MultiReport {
-    /// Compute-phase makespan (slowest device, no sync).
-    pub fn compute_s(&self) -> f64 {
-        self.per_device.iter().map(|r| r.time_s).fold(0.0, f64::max)
-    }
-
-    /// Modeled wall time: the compute makespan or the last hand-off's
-    /// completion, whichever lands later. A device that finished early
-    /// completes its hand-off under the slowest device's compute — the
-    /// overlap the old flat `max + sync` model double-charged.
-    pub fn seconds(&self) -> f64 {
-        self.compute_s().max(self.exchange.end_s())
-    }
-
-    /// Seconds of sync/hand-off exposed past compute (0.0 when hidden).
-    pub fn sync_tail_s(&self) -> f64 {
-        self.exchange.tail_s(self.compute_s())
-    }
-
-    /// GFLOP/s for `flops` useful operations.
-    pub fn gflops(&self, flops: u64) -> f64 {
-        flops as f64 / self.seconds() / 1e9
-    }
-}
-
-impl<T: Scalar> MultiGpuAcsr<T> {
-    /// Partition `m` across `n_devices` copies of `device_cfg`, using the
-    /// given per-device ACSR configuration (§VIII uses
-    /// [`AcsrConfig::static_long_tail`] on the K10).
-    pub fn new(
-        m: &CsrMatrix<T>,
-        device_cfg: &DeviceConfig,
-        n_devices: usize,
-        acsr_cfg: AcsrConfig,
-    ) -> Self {
-        Self::with_planner(
-            m,
-            device_cfg,
-            n_devices,
-            &AcsrPlanner::with_config(acsr_cfg),
-        )
-    }
-
-    /// Same partitioning, any registry format: the single analysis pass
-    /// ([`partition_rows_by_bins`]) feeds `planner` once per device, so
-    /// every device gets a plan for exactly the row slice it owns.
-    pub fn with_planner(
-        m: &CsrMatrix<T>,
-        device_cfg: &DeviceConfig,
-        n_devices: usize,
-        planner: &dyn SpmvPlanner<T>,
-    ) -> Self {
-        assert!(n_devices >= 1, "need at least one device");
-        let parts = partition_rows_by_bins(m, n_devices);
-        let mut devices = Vec::with_capacity(n_devices);
-        let mut plans = Vec::with_capacity(n_devices);
-        let mut row_maps = Vec::with_capacity(n_devices);
-        for part in parts {
-            // Tag each device with its index so trace spans (and the
-            // chrome exporter's process lanes) distinguish the devices.
-            let mut cfg = device_cfg.clone();
-            if n_devices > 1 {
-                cfg.name = format!("{} #{}", cfg.name, part.device);
-            }
-            let dev = Device::new(cfg);
-            let sub = extract_rows(m, &part.rows);
-            let budget = PlanBudget::for_device(dev.config());
-            plans.push(
-                planner
-                    .plan(&dev, &sub, &budget)
-                    .expect("per-device plan must fit the device"),
-            );
-            devices.push(dev);
-            row_maps.push(part.rows);
-        }
-        MultiGpuAcsr {
-            devices,
-            plans,
-            row_maps,
-            rows: m.rows(),
-            cols: m.cols(),
-            nnz: m.nnz(),
-            handshake_s: 10e-6,
-        }
-    }
-
-    /// Number of devices.
-    pub fn n_devices(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Global rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Global columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Per-device nnz share (load-balance diagnostics).
-    pub fn device_nnz(&self) -> Vec<usize> {
-        self.plans.iter().map(|p| p.nnz()).collect()
-    }
-
-    /// Device `d`.
-    pub fn device(&self, d: usize) -> &Device {
-        &self.devices[d]
-    }
-
-    /// The plan on device `d` (holds that device's row slice).
-    pub fn plan(&self, d: usize) -> &SpmvPlan<T> {
-        &self.plans[d]
-    }
-
-    /// `row_map(d)[local_row] = global_row` for device `d`.
-    pub fn row_map(&self, d: usize) -> &[u32] {
-        &self.row_maps[d]
-    }
-
-    /// Attach one shared trace ledger to every device and return it, so
-    /// a subsequent [`Self::spmv`] records a device-tagged span timeline
-    /// (one chrome-trace process lane per device).
-    pub fn enable_tracing(&mut self) -> Arc<TraceLedger> {
-        let ledger = Arc::new(TraceLedger::new());
-        for dev in &mut self.devices {
-            dev.attach_ledger(ledger.clone());
-        }
-        ledger
-    }
-
-    /// Run `y = A * x` across all devices; `y` must have `rows` slots.
-    pub fn spmv(&self, x: &[T], y: &mut [T]) -> MultiReport {
-        assert_eq!(x.len(), self.cols, "x length mismatch");
-        assert_eq!(y.len(), self.rows, "y length mismatch");
-        let n = self.devices.len();
-        let mut per_device = Vec::with_capacity(n);
-        for (d, plan) in self.plans.iter().enumerate() {
-            let dev = &self.devices[d];
-            // each device holds a full copy of x (as on the K10)
-            let xd = dev.alloc(x.to_vec());
-            let yd = dev.alloc_zeroed::<T>(plan.rows());
-            per_device.push(plan.spmv(dev, &xd, &yd));
-            for (local, &global) in self.row_maps[d].iter().enumerate() {
-                y[global as usize] = yd.as_slice()[local];
-            }
-        }
-        // End-of-SpMV synchronization as an exchange: each device's
-        // zero-byte completion signal, ready at its own finish, lands on
-        // the host sink (node `n`) whose ingress serializes them. A
-        // single device needs no barrier at all.
-        let exchange = if n > 1 {
-            let edges: Vec<halo::EdgeSpec> = per_device
-                .iter()
-                .enumerate()
-                .map(|(d, rep)| halo::EdgeSpec {
-                    src: d,
-                    dst: n,
-                    entries: 0,
-                    bytes: 0,
-                    ready_ns: halo::ns(rep.time_s),
-                })
-                .collect();
-            schedule_exchange(n, &edges, &LinkModel::signal(self.handshake_s))
-        } else {
-            ExchangeReport::empty(n)
-        };
-        MultiReport {
-            per_device,
-            exchange,
-        }
-    }
-}
 
 /// Record per-device utilization gauges into `metrics` from a set of
 /// accumulated device reports and the run's wall time (the makespan or
-/// [`MultiReport::seconds`]): `<prefix>.<d>.busy_s` (modeled device
+/// [`FleetReport::seconds`]): `<prefix>.<d>.busy_s` (modeled device
 /// time), `<prefix>.<d>.idle_s` (wall minus busy, clamped at 0), and
 /// `<prefix>.<d>.utilization` (busy over wall; 0 when the wall is
 /// empty). One shared helper so serve and the multi-GPU experiments
@@ -275,9 +63,7 @@ pub fn record_device_gauges(
 }
 
 /// Extract the listed rows of `m` into a compact sub-matrix (row order
-/// preserved; columns untouched). Public so other multi-device executors
-/// (the serving scheduler) can build per-device sub-matrices from a
-/// [`partition_rows_by_bins`] split.
+/// preserved; columns untouched): the local matrix a shard plans.
 pub fn extract_rows<T: Scalar>(m: &CsrMatrix<T>, rows: &[u32]) -> CsrMatrix<T> {
     let mut offsets = Vec::with_capacity(rows.len() + 1);
     offsets.push(0u32);
@@ -296,124 +82,6 @@ pub fn extract_rows<T: Scalar>(m: &CsrMatrix<T>, rows: &[u32]) -> CsrMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::presets;
-    use graphgen::{generate_power_law, PowerLawConfig};
-
-    fn matrix(rows: usize, seed: u64) -> CsrMatrix<f64> {
-        generate_power_law(&PowerLawConfig {
-            rows,
-            cols: rows,
-            mean_degree: 10.0,
-            max_degree: 1500,
-            pinned_max_rows: 2,
-            col_skew: 0.4,
-            seed,
-            ..Default::default()
-        })
-    }
-
-    #[test]
-    fn dual_gpu_result_matches_reference() {
-        let m = matrix(4000, 171);
-        let mg = MultiGpuAcsr::new(
-            &m,
-            &presets::tesla_k10_single(),
-            2,
-            AcsrConfig::static_long_tail(),
-        );
-        let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
-        let mut y = vec![0.0; m.rows()];
-        let rep = mg.spmv(&x, &mut y);
-        let d = sparse_formats::scalar::rel_l2_distance(&y, &m.spmv(&x));
-        assert!(d < 1e-12, "rel distance {d}");
-        assert_eq!(rep.per_device.len(), 2);
-        assert!(rep.seconds() > 0.0);
-    }
-
-    #[test]
-    fn work_is_split_roughly_in_half() {
-        let m = matrix(6000, 172);
-        let mg = MultiGpuAcsr::new(
-            &m,
-            &presets::tesla_k10_single(),
-            2,
-            AcsrConfig::static_long_tail(),
-        );
-        let shares = mg.device_nnz();
-        let ratio = shares[0] as f64 / shares[1] as f64;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "nnz split {shares:?} (ratio {ratio})"
-        );
-    }
-
-    #[test]
-    fn large_matrix_scales_small_matrix_does_not() {
-        let big = matrix(60_000, 173);
-        let small = matrix(2048, 174);
-        let speedup = |m: &CsrMatrix<f64>| {
-            let x: Vec<f64> = (0..m.cols()).map(|_| 1.0).collect();
-            let mut y = vec![0.0; m.rows()];
-            let one = MultiGpuAcsr::new(
-                m,
-                &presets::tesla_k10_single(),
-                1,
-                AcsrConfig::static_long_tail(),
-            );
-            let t1 = one.spmv(&x, &mut y).seconds();
-            let two = MultiGpuAcsr::new(
-                m,
-                &presets::tesla_k10_single(),
-                2,
-                AcsrConfig::static_long_tail(),
-            );
-            let t2 = two.spmv(&x, &mut y).seconds();
-            t1 / t2
-        };
-        let s_big = speedup(&big);
-        let s_small = speedup(&small);
-        assert!(s_big > 1.4, "big-matrix speedup {s_big}");
-        assert!(
-            s_small < s_big,
-            "small {s_small} should scale worse than big {s_big}"
-        );
-    }
-
-    #[test]
-    fn any_planner_splits_and_matches_reference() {
-        let m = matrix(3000, 177);
-        let x: Vec<f64> = (0..m.cols()).map(|i| 0.5 + (i % 5) as f64).collect();
-        let want = m.spmv(&x);
-        for planner in [
-            &spmv_pipeline::HybPlanner as &dyn SpmvPlanner<f64>,
-            &spmv_pipeline::CsrVectorPlanner,
-        ] {
-            let mg = MultiGpuAcsr::with_planner(&m, &presets::tesla_k10_single(), 2, planner);
-            let mut y = vec![0.0; m.rows()];
-            let rep = mg.spmv(&x, &mut y);
-            let name = <dyn SpmvPlanner<f64>>::name(planner);
-            let d = sparse_formats::scalar::rel_l2_distance(&y, &want);
-            assert!(d < 1e-12, "{name}: rel distance {d}");
-            assert_eq!(rep.per_device.len(), 2, "{name}");
-        }
-    }
-
-    #[test]
-    fn four_devices_partition_correctly() {
-        let m = matrix(3000, 175);
-        let mg = MultiGpuAcsr::new(
-            &m,
-            &presets::tesla_k10_single(),
-            4,
-            AcsrConfig::static_long_tail(),
-        );
-        assert_eq!(mg.n_devices(), 4);
-        let x: Vec<f64> = (0..m.cols()).map(|i| (i % 3) as f64 + 0.5).collect();
-        let mut y = vec![0.0; m.rows()];
-        mg.spmv(&x, &mut y);
-        let d = sparse_formats::scalar::rel_l2_distance(&y, &m.spmv(&x));
-        assert!(d < 1e-12);
-    }
 
     #[test]
     fn device_gauges_report_busy_idle_utilization() {
@@ -438,103 +106,6 @@ mod tests {
         assert_eq!(
             metrics.snapshot().gauge("mg.device.0.utilization"),
             Some(0.0)
-        );
-    }
-
-    #[test]
-    fn single_device_has_no_sync_cost() {
-        let m = matrix(2048, 176);
-        let mg = MultiGpuAcsr::new(
-            &m,
-            &presets::tesla_k10_single(),
-            1,
-            AcsrConfig::static_long_tail(),
-        );
-        let x = vec![1.0f64; m.cols()];
-        let mut y = vec![0.0; m.rows()];
-        let rep = mg.spmv(&x, &mut y);
-        assert!(rep.exchange.transfers.is_empty());
-        assert_eq!(rep.sync_tail_s(), 0.0);
-        assert_eq!(rep.seconds(), rep.compute_s());
-    }
-
-    /// The satellite regression: the per-phase breakdown of
-    /// [`MultiReport::seconds`]. The old model charged the full sync
-    /// after the *slowest* device even when a device had finished long
-    /// before; now an early finisher's hand-off overlaps the slow
-    /// device's compute.
-    #[test]
-    fn handoff_overlaps_slow_device_compute() {
-        let handshake = 10e-6;
-        let report = |t0: f64, t1: f64| {
-            let per_device = vec![
-                RunReport {
-                    time_s: t0,
-                    ..Default::default()
-                },
-                RunReport {
-                    time_s: t1,
-                    ..Default::default()
-                },
-            ];
-            let edges: Vec<halo::EdgeSpec> = per_device
-                .iter()
-                .enumerate()
-                .map(|(d, r)| halo::EdgeSpec {
-                    src: d,
-                    dst: 2,
-                    entries: 0,
-                    bytes: 0,
-                    ready_ns: halo::ns(r.time_s),
-                })
-                .collect();
-            MultiReport {
-                per_device,
-                exchange: schedule_exchange(2, &edges, &LinkModel::signal(handshake)),
-            }
-        };
-        // Skewed finishes: device 1 (40 µs) hands off at 40→50 µs,
-        // entirely under device 0's 100 µs of compute. Only device 0's
-        // own hand-off extends the run: 110 µs, not the old 120 µs.
-        let skewed = report(100e-6, 40e-6);
-        assert_eq!(skewed.compute_s(), 100e-6);
-        assert!(
-            (skewed.seconds() - 110e-6).abs() < 1e-12,
-            "{}",
-            skewed.seconds()
-        );
-        assert!((skewed.sync_tail_s() - handshake).abs() < 1e-12);
-        // Balanced finishes serialize both hand-offs on the host: the
-        // old flat 20 µs charge is reproduced exactly.
-        let balanced = report(100e-6, 100e-6);
-        assert!(
-            (balanced.seconds() - 120e-6).abs() < 1e-12,
-            "{}",
-            balanced.seconds()
-        );
-        assert!((balanced.sync_tail_s() - 2.0 * handshake).abs() < 1e-12);
-        // And end to end: a dual-device run ships exactly one hand-off
-        // per device to the host sink.
-        let m = matrix(2048, 178);
-        let mg = MultiGpuAcsr::new(
-            &m,
-            &presets::tesla_k10_single(),
-            2,
-            AcsrConfig::static_long_tail(),
-        );
-        let x = vec![1.0f64; m.cols()];
-        let mut y = vec![0.0; m.rows()];
-        let rep = mg.spmv(&x, &mut y);
-        assert_eq!(rep.exchange.transfers.len(), 2);
-        assert!(rep
-            .exchange
-            .transfers
-            .iter()
-            .all(|t| t.dst == 2 && t.bytes == 0));
-        assert!(rep.seconds() >= rep.compute_s());
-        assert!(
-            rep.sync_tail_s() > 0.0,
-            "hand-offs ready at finish always expose a tail"
         );
     }
 }

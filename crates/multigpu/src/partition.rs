@@ -149,6 +149,37 @@ pub struct FleetPartition {
 }
 
 /// Shard `m`'s rows across `n_devices` by bins (via
+/// [`partition_rows_by_bins`]) for a fleet whose every device reads the
+/// full `x` (the paper's §VIII setup): shards own rows only, with no
+/// replicas and no halo.
+pub(crate) fn partition_replicated<T: Scalar>(
+    m: &CsrMatrix<T>,
+    n_devices: usize,
+) -> FleetPartition {
+    let mut owner = vec![0u32; m.rows()];
+    let shards = partition_rows_by_bins(m, n_devices)
+        .into_iter()
+        .map(|p| {
+            for &r in &p.rows {
+                owner[r as usize] = p.device as u32;
+            }
+            ShardPlan {
+                device: p.device,
+                owned: p.rows,
+                replicas: Vec::new(),
+                halo_in: Vec::new(),
+                nnz: p.nnz,
+            }
+        })
+        .collect();
+    FleetPartition {
+        shards,
+        hot_rows: Vec::new(),
+        owner,
+    }
+}
+
+/// Shard `m`'s rows across `n_devices` by bins (via
 /// [`partition_rows_by_bins`]), then derive each shard's halo needs for
 /// the iterated-SpMV dataflow `x ← y` — shard `d` needs row `c`'s value
 /// whenever a row it computes has a non-zero in column `c` — and
@@ -159,20 +190,18 @@ pub fn partition_fleet<T: Scalar>(
     n_devices: usize,
     policy: &ReplicationPolicy,
 ) -> FleetPartition {
-    let parts = partition_rows_by_bins(m, n_devices);
+    let FleetPartition {
+        shards: parts,
+        owner,
+        ..
+    } = partition_replicated(m, n_devices);
     let rows = m.rows();
-    let mut owner = vec![0u32; rows];
-    for p in &parts {
-        for &r in &p.rows {
-            owner[r as usize] = p.device as u32;
-        }
-    }
     // Per shard: the set of remote producer rows its owned rows read.
     let refs: Vec<Vec<u32>> = parts
         .iter()
         .map(|p| {
             let mut cols: Vec<u32> = p
-                .rows
+                .owned
                 .iter()
                 .flat_map(|&r| m.row(r as usize).0.iter().copied())
                 .filter(|&c| (c as usize) < rows && owner[c as usize] != p.device as u32)
@@ -214,7 +243,7 @@ pub fn partition_fleet<T: Scalar>(
     };
 
     let shards = parts
-        .iter()
+        .into_iter()
         .zip(&refs)
         .map(|(p, shard_refs)| {
             // First-level replication: hot rows this shard reads are
@@ -235,7 +264,7 @@ pub fn partition_fleet<T: Scalar>(
             // neither owned nor replicated here — including the inputs
             // the replicas themselves consume.
             let mut halo: Vec<u32> = p
-                .rows
+                .owned
                 .iter()
                 .chain(replicas.iter())
                 .flat_map(|&r| m.row(r as usize).0.iter().copied())
@@ -260,11 +289,10 @@ pub fn partition_fleet<T: Scalar>(
                     .map(|&r| m.row_nnz(r as usize))
                     .sum::<usize>();
             ShardPlan {
-                device: p.device,
-                owned: p.rows.clone(),
                 replicas,
                 halo_in: by_owner.into_iter().collect(),
                 nnz,
+                ..p
             }
         })
         .collect();

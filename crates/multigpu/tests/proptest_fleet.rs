@@ -1,9 +1,9 @@
-//! Fleet determinism properties: a sharded SpMV's *values* are
-//! bit-identical to the single-device ACSR plan (sharding changes
-//! where a row runs, never its arithmetic), and the full observable
-//! result — values, per-device counters, modeled times, and the
-//! scheduled exchange — is bit-identical across host worker widths
-//! (`ACSR_SIM_THREADS` ∈ {1, 2, 4}).
+//! Fleet determinism properties, under both placements of `x`: a
+//! sharded SpMV's *values* are bit-identical to the single-device ACSR
+//! plan (sharding changes where a row runs, never its arithmetic), and
+//! the full observable result — values, per-device counters, modeled
+//! times, and the scheduled exchange — is bit-identical across host
+//! worker widths (`ACSR_SIM_THREADS` ∈ {1, 2, 4}).
 
 use acsr::AcsrConfig;
 use gpu_sim::{presets, set_sim_threads, RunReport};
@@ -57,8 +57,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fleet values equal the single-device ACSR plan bit-for-bit at
-    /// every device count, and the whole report is invariant across
-    /// host worker widths.
+    /// every device count and placement, and the whole report is
+    /// invariant across host worker widths.
     #[test]
     fn fleet_is_bit_identical_to_reference_and_across_widths(
         rows in 300usize..900,
@@ -84,27 +84,29 @@ proptest! {
         set_sim_threads(0);
 
         for n in [2usize, 3, 5] {
-            let mut base = None;
-            for width in [1usize, 2, 4] {
-                set_sim_threads(width);
-                let fleet = Fleet::new(&m, &dev_cfg, &FleetConfig::new(n));
-                let mut y = vec![0.0f64; m.rows()];
-                let rep = fleet.spmv(&x, &mut y);
-                set_sim_threads(0);
-                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &got, &want,
-                    "{} devices, width {}: values drifted from the single-device plan",
-                    n, width
-                );
-                let sig = signature(&rep, &y);
-                match &base {
-                    None => base = Some(sig),
-                    Some(b) => prop_assert_eq!(
-                        b, &sig,
-                        "{} devices: width {} report differs from width 1",
-                        n, width
-                    ),
+            for cfg in [FleetConfig::new(n), FleetConfig::replicated(n)] {
+                let mut base = None;
+                for width in [1usize, 2, 4] {
+                    set_sim_threads(width);
+                    let fleet = Fleet::new(&m, &dev_cfg, &cfg);
+                    let mut y = vec![0.0f64; m.rows()];
+                    let rep = fleet.spmv(&x, &mut y);
+                    set_sim_threads(0);
+                    let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{} devices {:?}, width {}: values drifted from the single-device plan",
+                        n, cfg.placement, width
+                    );
+                    let sig = signature(&rep, &y);
+                    match &base {
+                        None => base = Some(sig),
+                        Some(b) => prop_assert_eq!(
+                            b, &sig,
+                            "{} devices {:?}: width {} report differs from width 1",
+                            n, cfg.placement, width
+                        ),
+                    }
                 }
             }
         }

@@ -1,18 +1,17 @@
 //! Golden-file tests for the multi-GPU trace timeline: a dual-device
-//! SpMV recorded into one shared [`TraceLedger`] must export a
-//! byte-identical chrome-trace JSON with one process lane per device
-//! (`Tesla K10 ... #0` / `#1`) — the device-tagged view `repro fig8
-//! --trace` produces — and a 4-device [`multi_gpu::Fleet`] must export
-//! four lanes carrying the per-edge `halo_<src>to<dst>` transfer spans
-//! on each receiving device.
+//! replicated-`x` [`multi_gpu::Fleet`] SpMV (paper §VIII) recorded into
+//! one shared [`TraceLedger`] must export a byte-identical chrome-trace
+//! JSON with one process lane per device (`Tesla K10 ... #0` / `#1`) —
+//! the device-tagged view `repro fig8 --trace` produces — and a 4-device
+//! resident fleet must export four lanes carrying the per-edge
+//! `halo_<src>to<dst>` transfer spans on each receiving device.
 //!
 //! Regenerate after an intentional format change with
 //! `ACSR_REGEN_GOLDEN=1 cargo test -p multi-gpu --test trace_multigpu`.
 
-use acsr::AcsrConfig;
 use gpu_sim::{presets, set_sim_threads};
 use graphgen::{generate_power_law, PowerLawConfig};
-use multi_gpu::{Fleet, FleetConfig, MultiGpuAcsr};
+use multi_gpu::{Fleet, FleetConfig};
 
 const GOLDEN: &str = include_str!("golden/trace_dual_k10.json");
 const GOLDEN_FLEET: &str = include_str!("golden/trace_fleet_quad.json");
@@ -29,11 +28,10 @@ fn scenario_json() -> String {
         seed: 191,
         ..Default::default()
     });
-    let mut mg = MultiGpuAcsr::new(
+    let mut mg = Fleet::new(
         &m,
         &presets::tesla_k10_single(),
-        2,
-        AcsrConfig::static_long_tail(),
+        &FleetConfig::replicated(2),
     );
     let ledger = mg.enable_tracing();
     let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect();

@@ -29,15 +29,20 @@
 //!    matter which queries it is co-batched with or what the batch
 //!    policy picks. Batching changes *when* a query runs, never *what*
 //!    it computes.
-//! 2. **Device-count independence** — rows are partitioned with
-//!    [`multi_gpu::partition_rows_by_bins`]; a row keeps its bin (and
-//!    its per-row accumulation order) in the device-local sub-matrix,
-//!    so results are bit-identical across device counts too.
+//! 2. **Device-count independence** — the engine's devices are one
+//!    replicated-`x` [`multi_gpu::Fleet`], whose bin-dealt shards keep
+//!    each row's bin (and its per-row accumulation order) in the
+//!    device-local sub-matrix, so results are bit-identical across
+//!    device counts too.
 //!
 //! Both are pinned by proptests in `tests/proptest_serve.rs`; the
 //! open-loop shed/admission decisions are themselves deterministic
 //! functions of modeled time, pinned across host worker widths in
 //! `tests/slo_serving.rs`.
+//!
+//! Every multi-device wave — row-split or stolen — closes with the
+//! fleet's scheduled completion hand-off, the same exchange model the
+//! fleet charges a §VIII SpMV.
 
 use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
@@ -49,13 +54,13 @@ use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{presets, Device, DeviceConfig, RunReport};
+use gpu_sim::{presets, DeviceConfig, RunReport};
 use graph_apps::rwr::{rwr_operator, rwr_update_multi};
 use graph_apps::IterParams;
-use multi_gpu::{extract_rows, partition_rows_by_bins};
+use multi_gpu::{Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
 use spmv_kernels::GpuSpmvMulti;
-use spmv_pipeline::{AcsrPlanner, FormatRegistry, PlanBudget, SpmvPlan};
+use spmv_pipeline::SpmvPlan;
 use std::sync::{Arc, OnceLock};
 
 /// Serving-engine configuration.
@@ -71,14 +76,11 @@ pub struct ServeConfig {
     pub n_devices: usize,
     /// Per-query RWR iteration limits.
     pub iter: IterParams,
-    /// Registry format the per-device plans are built with. ACSR (the
-    /// default) is the only format with a *fused* multi-vector wave;
-    /// every other registry format is servable through the sequential
-    /// [`GpuSpmvMulti`] fallback.
-    pub format: &'static str,
-    /// ACSR configuration for the per-device engines (used when
-    /// `format` is "ACSR").
-    pub acsr: AcsrConfig,
+    /// Format the per-device plans are built with. ACSR (the default,
+    /// in its static long-tail configuration) is the only format with a
+    /// *fused* multi-vector wave; every other registry format is
+    /// servable through the sequential [`GpuSpmvMulti`] fallback.
+    pub format: ShardFormat,
     /// Simulated device model.
     pub device: DeviceConfig,
     /// Keep each query's final relevance vector in its outcome.
@@ -92,8 +94,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             n_devices: 1,
             iter: IterParams::default(),
-            format: "ACSR",
-            acsr: AcsrConfig::static_long_tail(),
+            format: ShardFormat::Acsr(AcsrConfig::static_long_tail()),
             device: presets::gtx_titan(),
             keep_scores: false,
         }
@@ -122,10 +123,11 @@ pub enum DispatchMode {
 
 /// Probe-calibrated linear wave-cost model: `rs1 + rs_marg·(k-1)` for a
 /// row-split wave of width `k`, and per-device `qs1 + qs_marg·(w-1)`
-/// for a device running `w` whole queries on its replicated full plan.
-/// Calibrated once per engine from four probe waves (widths 1 and 2,
-/// both modes) on the real simulator — every term is a modeled time, so
-/// the choice is deterministic across host worker widths.
+/// for a device running `w` whole queries on its replicated full plan,
+/// closed by the fleet's scheduled hand-off. Calibrated once per engine
+/// from four probe waves (widths 1 and 2, both modes) on the real
+/// simulator — every term is a modeled time, so the choice is
+/// deterministic across host worker widths.
 #[derive(Clone, Copy, Debug)]
 struct DispatchCost {
     rs1: f64,
@@ -139,11 +141,20 @@ impl DispatchCost {
         self.rs1 + self.rs_marg * (k.saturating_sub(1)) as f64
     }
 
-    fn query_split_s(&self, k: usize, devices: usize, sync_s: f64) -> f64 {
-        let d_active = k.min(devices).max(1);
-        let widest = k.div_ceil(d_active);
-        let sync = if d_active > 1 { sync_s } else { 0.0 };
-        self.qs1 + self.qs_marg * (widest - 1) as f64 + sync
+    /// Query `i` runs on device `i % d_active`; the per-device estimates
+    /// are priced through `fleet`'s own hand-off schedule.
+    fn query_split_s<T: Scalar>(&self, k: usize, fleet: &Fleet<T>) -> f64 {
+        let d_active = k.min(fleet.n_devices()).max(1);
+        let finishes: Vec<Option<f64>> = (0..fleet.n_devices())
+            .map(|d| {
+                (d < d_active).then(|| {
+                    let width = (k - d).div_ceil(d_active);
+                    self.qs1 + self.qs_marg * (width - 1) as f64
+                })
+            })
+            .collect();
+        let compute = finishes.iter().flatten().fold(0.0, |a: f64, &b| a.max(b));
+        compute.max(fleet.exchange(&finishes).end_s())
     }
 }
 
@@ -266,15 +277,10 @@ impl<T> ServeReport<T> {
 
 /// A multi-device RWR/PPR serving engine over one graph.
 pub struct ServeEngine<T: Scalar> {
-    devices: Vec<Device>,
-    plans: Vec<SpmvPlan<T>>,
-    /// `row_maps[d][local] = global`.
-    row_maps: Vec<Vec<u32>>,
-    /// `local_of[d][global] = local`, `u32::MAX` when `d` does not own
-    /// the row.
-    local_of: Vec<Vec<u32>>,
-    rows: usize,
-    nnz: usize,
+    /// The serving devices and their row shards of the operator: a
+    /// replicated-`x` fleet, since every device reads each active
+    /// iterate in full.
+    fleet: Fleet<T>,
     config: ServeConfig,
     /// The full serving operator, kept for building replicated
     /// whole-graph plans when a wave steals queries.
@@ -288,85 +294,54 @@ pub struct ServeEngine<T: Scalar> {
     /// Serving-plane telemetry (metrics + request tracing); `None`
     /// means every record site is a single skipped branch.
     telemetry: Option<Arc<Telemetry>>,
-    /// Device barrier + hand-off cost charged once per multi-device
-    /// wave, seconds.
-    pub sync_overhead_s: f64,
 }
 
 impl<T: Scalar> ServeEngine<T> {
     /// Build a serving engine for `adjacency` (square, unnormalized).
-    /// The RWR operator (column-normalized adjacency) is partitioned
-    /// across `config.n_devices` simulated devices by bin.
+    /// The RWR operator (column-normalized adjacency) is sharded by bin
+    /// across `config.n_devices` simulated devices of one
+    /// replicated-`x` [`Fleet`].
     pub fn new(adjacency: &CsrMatrix<T>, config: ServeConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.n_devices >= 1, "need at least one device");
         let w = rwr_operator(adjacency);
-        let parts = partition_rows_by_bins(&w, config.n_devices);
-        let mut reg = FormatRegistry::<T>::with_all();
-        reg.register(Box::new(AcsrPlanner::with_config(config.acsr)));
-        let mut devices = Vec::with_capacity(parts.len());
-        let mut plans = Vec::with_capacity(parts.len());
-        let mut row_maps = Vec::with_capacity(parts.len());
-        let mut local_of = Vec::with_capacity(parts.len());
-        for part in parts {
-            let mut cfg = config.device.clone();
-            if config.n_devices > 1 {
-                cfg.name = format!("{} #{}", cfg.name, part.device);
-            }
-            let dev = Device::new(cfg);
-            let sub = extract_rows(&w, &part.rows);
-            let budget = PlanBudget::for_device(dev.config());
-            plans.push(
-                reg.plan(config.format, &dev, &sub, &budget)
-                    .expect("serving plan must fit the device"),
-            );
-            devices.push(dev);
-            let mut lookup = vec![u32::MAX; w.rows()];
-            for (local, &global) in part.rows.iter().enumerate() {
-                lookup[global as usize] = local as u32;
-            }
-            local_of.push(lookup);
-            row_maps.push(part.rows);
-        }
+        let fleet = Fleet::new(
+            &w,
+            &config.device,
+            &FleetConfig {
+                n_devices: config.n_devices,
+                placement: Placement::Replicated,
+                format: config.format.clone(),
+            },
+        );
         ServeEngine {
-            devices,
-            plans,
-            row_maps,
-            local_of,
-            rows: w.rows(),
-            nnz: w.nnz(),
+            fleet,
             config,
             operator: w,
             full_plans: OnceLock::new(),
             dispatch_cost: OnceLock::new(),
             telemetry: acsr_telemetry::active(),
-            sync_overhead_s: 20e-6,
         }
     }
 
     /// Graph nodes (rows of the serving operator).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.fleet.rows()
     }
 
     /// Non-zeros of the serving operator.
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.fleet.nnz()
     }
 
     /// Devices serving waves.
     pub fn n_devices(&self) -> usize {
-        self.devices.len()
+        self.fleet.n_devices()
     }
 
     /// Attach one shared trace ledger to every device and return it, so
     /// the next [`Self::serve`] records a device-tagged span timeline.
     pub fn enable_tracing(&mut self) -> Arc<TraceLedger> {
-        let ledger = Arc::new(TraceLedger::new());
-        for dev in &mut self.devices {
-            dev.attach_ledger(ledger.clone());
-        }
-        ledger
+        self.fleet.enable_tracing()
     }
 
     /// Attach serving-plane telemetry: subsequent serve runs record
@@ -410,7 +385,7 @@ impl<T: Scalar> ServeEngine<T> {
                 .then(a.id.cmp(&b.id))
         });
         for q in &stream {
-            assert!(q.seed < self.rows, "query {} seed out of range", q.id);
+            assert!(q.seed < self.rows(), "query {} seed out of range", q.id);
         }
 
         let mut queue = SubmissionQueue::new(policy.queue_capacity);
@@ -418,7 +393,7 @@ impl<T: Scalar> ServeEngine<T> {
         let mut active: Vec<Active<T>> = Vec::new();
         let mut outcomes: Vec<QueryOutcome<T>> = Vec::new();
         let mut deadline_shed: Vec<u64> = Vec::new();
-        let mut device_reports = vec![RunReport::default(); self.devices.len()];
+        let mut device_reports = vec![RunReport::default(); self.n_devices()];
         let mut wave_widths: Vec<usize> = Vec::new();
         let mut wave_modes: Vec<DispatchMode> = Vec::new();
         let mut next_arrival = 0usize;
@@ -502,7 +477,7 @@ impl<T: Scalar> ServeEngine<T> {
                         t_start_s: clock,
                         dur_s: wave_time,
                         width: active.len(),
-                        devices: self.devices.len(),
+                        devices: self.n_devices(),
                         queries: active.iter().map(|a| a.q.id).collect(),
                     },
                     mode == DispatchMode::QuerySplit,
@@ -538,7 +513,7 @@ impl<T: Scalar> ServeEngine<T> {
             wave_widths,
             wave_modes,
             device_reports,
-            nnz: self.nnz,
+            nnz: self.nnz(),
         };
         if let Some(s) = scope {
             // Hard accounting check, then publish into the shared
@@ -550,7 +525,7 @@ impl<T: Scalar> ServeEngine<T> {
 
     /// Set (or clear) the wave correlation id on every traced device.
     fn set_wave_context(&self, wave: Option<u64>) {
-        for dev in &self.devices {
+        for dev in self.fleet.devices() {
             if let Some(ledger) = dev.ledger() {
                 ledger.set_wave(wave);
             }
@@ -594,7 +569,7 @@ impl<T: Scalar> ServeEngine<T> {
             if let Some(s) = scope.as_mut() {
                 s.on_admitted(now, &q);
             }
-            let mut r = vec![T::ZERO; self.rows];
+            let mut r = vec![T::ZERO; self.rows()];
             r[q.seed] = T::ONE; // r⁰ = e_seed
             active.push(Active {
                 q,
@@ -605,59 +580,51 @@ impl<T: Scalar> ServeEngine<T> {
         }
     }
 
-    /// Execute one batched RWR iteration for `active` across all
-    /// devices; returns the next iterates and the wave's modeled time.
+    /// Execute one batched RWR iteration for `active` row-split across
+    /// the fleet's shards; returns the next iterates and the wave's
+    /// modeled time (slowest device or last hand-off, whichever lands
+    /// later).
     fn wave(&self, active: &[Active<T>], device_reports: &mut [RunReport]) -> (Vec<Vec<T>>, f64) {
         let k = active.len();
+        let rows = self.rows();
+        let elt = std::mem::size_of::<T>();
         let c: Vec<T> = active.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
         let restart: Vec<T> = active
             .iter()
             .map(|a| T::from_f64(1.0 - a.q.restart_c))
             .collect();
-        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows]; k];
-        let mut wave_time = 0.0f64;
-        for (d, dev) in self.devices.iter().enumerate() {
-            let local_n = self.row_maps[d].len();
-            if local_n == 0 {
-                continue; // more devices than this graph's bins can feed
-            }
-            let elt = std::mem::size_of::<T>();
+        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; rows]; k];
+        let report = self.fleet.drive(|_, dev, plan, shard_rows| {
+            let local_n = shard_rows.len();
             // each device gets every active iterate in full width
-            let mut rep = dev.record_htod("serve_x_upload", (k * self.rows * elt) as u64);
+            let mut rep = dev.record_htod("serve_x_upload", (k * rows * elt) as u64);
             let xs: Vec<_> = active.iter().map(|a| dev.alloc(a.r.clone())).collect();
             let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
             let xr: Vec<_> = xs.iter().collect();
             let tr: Vec<_> = tmps.iter().collect();
-            rep = rep.then(&self.plans[d].spmv_multi(dev, &xr, &tr));
+            rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
+            // A query restarts only on the shard that owns its seed row.
             let seeds: Vec<Option<usize>> = active
                 .iter()
-                .map(|a| match self.local_of[d][a.q.seed] {
-                    u32::MAX => None,
-                    local => Some(local as usize),
-                })
+                .map(|a| shard_rows.binary_search(&(a.q.seed as u32)).ok())
                 .collect();
             let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
             let nr: Vec<_> = nexts.iter().collect();
             rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
             rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
             for (v, next) in nexts.iter().enumerate() {
-                let local = next.as_slice();
-                for (l, &g) in self.row_maps[d].iter().enumerate() {
-                    new_r[v][g as usize] = local[l];
+                for (&g, &val) in shard_rows.iter().zip(next.as_slice()) {
+                    new_r[v][g as usize] = val;
                 }
             }
-            wave_time = wave_time.max(rep.time_s);
-            device_reports[d] = device_reports[d].clone().then(&rep);
-        }
-        if self.devices.len() > 1 {
-            wave_time += self.sync_overhead_s;
-        }
-        (new_r, wave_time)
+            rep
+        });
+        (new_r, charge(device_reports, &report))
     }
 
     /// Resolve the policy's dispatch for a wave of `k` queries.
     fn choose_mode(&self, policy: DispatchPolicy, k: usize) -> DispatchMode {
-        if self.devices.len() <= 1 {
+        if self.n_devices() <= 1 {
             // One device: stealing degenerates to the same single-plan
             // wave; keep the row-split path and build nothing extra.
             return DispatchMode::RowSplit;
@@ -667,8 +634,7 @@ impl<T: Scalar> ServeEngine<T> {
             DispatchPolicy::QuerySplit => DispatchMode::QuerySplit,
             DispatchPolicy::Auto => {
                 let cost = self.dispatch_cost();
-                let qs = cost.query_split_s(k, self.devices.len(), self.sync_overhead_s);
-                if qs < cost.row_split_s(k) {
+                if cost.query_split_s(k, &self.fleet) < cost.row_split_s(k) {
                     DispatchMode::QuerySplit
                 } else {
                     DispatchMode::RowSplit
@@ -686,14 +652,14 @@ impl<T: Scalar> ServeEngine<T> {
     /// reports, metrics, and wave correlation never see them.
     fn dispatch_cost(&self) -> DispatchCost {
         *self.dispatch_cost.get_or_init(|| {
-            let mut scratch = vec![RunReport::default(); self.devices.len()];
+            let mut scratch = vec![RunReport::default(); self.n_devices()];
             let (_, rs1) = self.wave(&self.probe_wave(1), &mut scratch);
             let (_, rs2) = self.wave(&self.probe_wave(2), &mut scratch);
             let probes = self.probe_wave(2);
             let one: Vec<&Active<T>> = probes[..1].iter().collect();
             let two: Vec<&Active<T>> = probes.iter().collect();
-            let qs1 = self.steal_on_device(0, &one, &mut scratch).1;
-            let qs2 = self.steal_on_device(0, &two, &mut scratch).1;
+            let qs1 = self.steal_on_device(0, &one).1.time_s;
+            let qs2 = self.steal_on_device(0, &two).1.time_s;
             DispatchCost {
                 rs1,
                 rs_marg: (rs2 - rs1).max(0.0),
@@ -708,8 +674,8 @@ impl<T: Scalar> ServeEngine<T> {
     fn probe_wave(&self, k: usize) -> Vec<Active<T>> {
         (0..k)
             .map(|i| {
-                let seed = i % self.rows;
-                let mut r = vec![T::ZERO; self.rows];
+                let seed = i % self.rows();
+                let mut r = vec![T::ZERO; self.rows()];
                 r[seed] = T::ONE;
                 Active {
                     q: Query {
@@ -727,35 +693,26 @@ impl<T: Scalar> ServeEngine<T> {
             .collect()
     }
 
-    /// Replicated whole-graph plans, one per device, built on the first
-    /// query-split wave (a row-split-only engine never pays for them).
+    /// Replicated whole-graph plans, one per fleet device, built on the
+    /// first query-split wave (a row-split-only engine never pays for
+    /// them).
     fn full_plans(&self) -> &[SpmvPlan<T>] {
         self.full_plans.get_or_init(|| {
-            let mut reg = FormatRegistry::<T>::with_all();
-            reg.register(Box::new(AcsrPlanner::with_config(self.config.acsr)));
-            self.devices
+            self.fleet
+                .devices()
                 .iter()
-                .map(|dev| {
-                    let budget = PlanBudget::for_device(dev.config());
-                    reg.plan(self.config.format, dev, &self.operator, &budget)
-                        .expect("replicated serving plan must fit the device")
-                })
+                .map(|dev| self.config.format.plan(dev, &self.operator).0)
                 .collect()
         })
     }
 
     /// Run `mine` whole queries end to end on device `d`'s replicated
     /// full-graph plan; returns their next iterates (parallel to `mine`)
-    /// and the device's modeled time, merging the kernel/transfer
-    /// accounting into `device_reports[d]`.
-    fn steal_on_device(
-        &self,
-        d: usize,
-        mine: &[&Active<T>],
-        device_reports: &mut [RunReport],
-    ) -> (Vec<Vec<T>>, f64) {
-        let dev = &self.devices[d];
+    /// and the device's kernel/transfer accounting.
+    fn steal_on_device(&self, d: usize, mine: &[&Active<T>]) -> (Vec<Vec<T>>, RunReport) {
+        let dev = &self.fleet.devices()[d];
         let plan = &self.full_plans()[d];
+        let rows = self.rows();
         let kd = mine.len();
         let elt = std::mem::size_of::<T>();
         let c: Vec<T> = mine.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
@@ -763,54 +720,53 @@ impl<T: Scalar> ServeEngine<T> {
             .iter()
             .map(|a| T::from_f64(1.0 - a.q.restart_c))
             .collect();
-        let mut rep = dev.record_htod("serve_x_upload", (kd * self.rows * elt) as u64);
+        let mut rep = dev.record_htod("serve_x_upload", (kd * rows * elt) as u64);
         let xs: Vec<_> = mine.iter().map(|a| dev.alloc(a.r.clone())).collect();
-        let tmps: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(self.rows)).collect();
+        let tmps: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(rows)).collect();
         let xr: Vec<_> = xs.iter().collect();
         let tr: Vec<_> = tmps.iter().collect();
         rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
         // The replicated plan covers every row, so seeds stay global.
         let seeds: Vec<Option<usize>> = mine.iter().map(|a| Some(a.q.seed)).collect();
-        let nexts: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(self.rows)).collect();
+        let nexts: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(rows)).collect();
         let nr: Vec<_> = nexts.iter().collect();
         rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
-        rep = rep.then(&dev.record_dtoh("serve_y_readback", (kd * self.rows * elt) as u64));
+        rep = rep.then(&dev.record_dtoh("serve_y_readback", (kd * rows * elt) as u64));
         let out: Vec<Vec<T>> = nexts.iter().map(|n| n.as_slice().to_vec()).collect();
-        let time = rep.time_s;
-        device_reports[d] = device_reports[d].clone().then(&rep);
-        (out, time)
+        (out, rep)
     }
 
     /// Execute one wave by whole-query stealing: query `i` runs end to
     /// end on device `i % d_active`'s replicated full-graph plan, so a
     /// wave narrower than the fleet leaves the surplus devices untouched
     /// instead of underfeeding all of them — and a single active device
-    /// skips the multi-device sync entirely. Per query the batched
-    /// kernels execute the exact single-vector float-op sequence (the
-    /// batch- and device-count-independence invariants), so the iterates
-    /// are bit-identical to a row-split wave's.
+    /// closes with no hand-off at all. Per query the batched kernels
+    /// execute the exact single-vector float-op sequence (the batch- and
+    /// device-count-independence invariants), so the iterates are
+    /// bit-identical to a row-split wave's.
     fn wave_steal(
         &self,
         active: &[Active<T>],
         device_reports: &mut [RunReport],
     ) -> (Vec<Vec<T>>, f64) {
         let k = active.len();
-        let d_active = k.min(self.devices.len()).max(1);
+        let d_active = k.min(self.n_devices()).max(1);
         let mut new_r: Vec<Vec<T>> = vec![Vec::new(); k];
-        let mut wave_time = 0.0f64;
-        for d in 0..d_active {
-            let idxs: Vec<usize> = (d..k).step_by(d_active).collect();
-            let mine: Vec<&Active<T>> = idxs.iter().map(|&i| &active[i]).collect();
-            let (outs, t) = self.steal_on_device(d, &mine, device_reports);
-            for (out, &i) in outs.into_iter().zip(&idxs) {
-                new_r[i] = out;
-            }
-            wave_time = wave_time.max(t);
-        }
-        if d_active > 1 {
-            wave_time += self.sync_overhead_s;
-        }
-        (new_r, wave_time)
+        let ran = (0..self.n_devices())
+            .map(|d| {
+                (d < d_active).then(|| {
+                    let idxs: Vec<usize> = (d..k).step_by(d_active).collect();
+                    let mine: Vec<&Active<T>> = idxs.iter().map(|&i| &active[i]).collect();
+                    let (outs, rep) = self.steal_on_device(d, &mine);
+                    for (out, &i) in outs.into_iter().zip(&idxs) {
+                        new_r[i] = out;
+                    }
+                    rep
+                })
+            })
+            .collect();
+        let report = self.fleet.finish(ran);
+        (new_r, charge(device_reports, &report))
     }
 
     /// Retire converged (or capped) queries at wave end `clock`;
@@ -874,9 +830,18 @@ impl<T: Scalar> ServeEngine<T> {
         restart_c: f64,
         rng_seed: u64,
     ) -> ServeReport<T> {
-        let queries = generate_queries(pattern, n_queries, self.rows, restart_c, rng_seed);
+        let queries = generate_queries(pattern, n_queries, self.rows(), restart_c, rng_seed);
         self.serve(&queries)
     }
+}
+
+/// Fold one wave's per-device accounting into the run totals and
+/// return the wave's modeled time.
+fn charge(device_reports: &mut [RunReport], wave: &FleetReport) -> f64 {
+    for (total, rep) in device_reports.iter_mut().zip(&wave.per_device) {
+        *total = total.clone().then(rep);
+    }
+    wave.seconds()
 }
 
 #[cfg(test)]
@@ -952,7 +917,7 @@ mod tests {
                 &g,
                 ServeConfig {
                     max_batch: 4,
-                    format,
+                    format: ShardFormat::Fixed(format),
                     keep_scores: true,
                     ..ServeConfig::default()
                 },
@@ -1138,6 +1103,103 @@ mod tests {
         let json = ledger.chrome_trace_json();
         assert!(json.contains("#0") && json.contains("#1"));
         assert!(json.contains("serve_x_upload"));
+    }
+
+    /// A two-device row-split wave ends when the slowest device or the
+    /// last scheduled hand-off does, whichever is later — the fleet's
+    /// exchange, not a flat sync charged after the slowest device.
+    #[test]
+    fn row_split_wave_closes_with_the_fleet_handoff() {
+        let g = graph(500, 215);
+        let engine = ServeEngine::new(
+            &g,
+            ServeConfig {
+                n_devices: 2,
+                ..ServeConfig::default()
+            },
+        );
+        let mut reports = vec![RunReport::default(); 2];
+        let (_, wave_s) = engine.wave(&engine.probe_wave(2), &mut reports);
+        let finishes: Vec<Option<f64>> = reports.iter().map(|r| Some(r.time_s)).collect();
+        let slowest = reports.iter().fold(0.0f64, |a, r| a.max(r.time_s));
+        let handoff = engine.fleet.exchange(&finishes);
+        assert_eq!(handoff.transfers.len(), 2, "one hand-off per device");
+        assert!(handoff.transfers.iter().all(|t| t.dst == 2 && t.bytes == 0));
+        assert_eq!(wave_s, slowest.max(handoff.end_s()));
+        assert!(wave_s > slowest, "the last hand-off lands after compute");
+        assert_ne!(reports[0].time_s, reports[1].time_s);
+        assert!(
+            wave_s < slowest + 20e-6,
+            "an early finisher's hand-off hides under the slow device: {wave_s} vs {slowest}"
+        );
+    }
+
+    /// A stolen width-1 wave runs on one device, so nothing needs a
+    /// barrier: the wave costs exactly that device's time.
+    #[test]
+    fn stolen_single_query_wave_pays_no_handoff() {
+        let g = graph(300, 216);
+        let engine = ServeEngine::new(
+            &g,
+            ServeConfig {
+                n_devices: 4,
+                ..ServeConfig::default()
+            },
+        );
+        let mut reports = vec![RunReport::default(); 4];
+        let (_, wave_s) = engine.wave_steal(&engine.probe_wave(1), &mut reports);
+        assert!(reports[0].launches > 0);
+        assert_eq!(wave_s, reports[0].time_s);
+        assert!(reports[1..]
+            .iter()
+            .all(|r| r.launches == 0 && r.time_s == 0.0));
+    }
+
+    /// More devices than rows: five of eight shards are empty. Every
+    /// query still matches the CPU reference, and the empty shards
+    /// neither compute nor join the hand-off.
+    #[test]
+    fn more_devices_than_rows_answers_every_query() {
+        let mut t = sparse_formats::TripletMatrix::<f64>::new(3, 3);
+        t.push(0, 1, 1.0).unwrap();
+        t.push(1, 2, 1.0).unwrap();
+        t.push(2, 0, 1.0).unwrap();
+        let g = t.to_csr();
+        let w = rwr_operator(&g);
+        let engine = ServeEngine::new(
+            &g,
+            ServeConfig {
+                max_batch: 3,
+                n_devices: 8,
+                keep_scores: true,
+                ..ServeConfig::default()
+            },
+        );
+        let queries: Vec<Query> = (0..3).map(|id| query(id, id as usize, 0.0)).collect();
+        let report = engine.serve(&queries);
+        assert_eq!(report.outcomes.len(), 3);
+        for o in &report.outcomes {
+            let (cpu, cpu_iters) = rwr_cpu(&w, o.seed, 0.85, &IterParams::default());
+            assert_eq!(o.iterations, cpu_iters, "query {}", o.id);
+            let d = sparse_formats::scalar::rel_l2_distance(o.scores.as_ref().unwrap(), &cpu);
+            assert!(d < 1e-9, "query {} rel distance {d}", o.id);
+        }
+        let busy: Vec<usize> = (0..8)
+            .filter(|&d| report.device_reports[d].launches > 0)
+            .collect();
+        assert_eq!(busy.len(), 3, "only the three row owners compute");
+        // One wave, re-priced with hand-offs from the busy shards only,
+        // reproduces the engine's wave time exactly.
+        let mut reports = vec![RunReport::default(); 8];
+        let (_, wave_s) = engine.wave(&engine.probe_wave(3), &mut reports);
+        let finishes: Vec<Option<f64>> = reports
+            .iter()
+            .map(|r| (r.launches > 0).then_some(r.time_s))
+            .collect();
+        let handoff = engine.fleet.exchange(&finishes);
+        assert_eq!(handoff.transfers.len(), 3);
+        let slowest = reports.iter().fold(0.0f64, |a, r| a.max(r.time_s));
+        assert_eq!(wave_s, slowest.max(handoff.end_s()));
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl BatchPolicy {
 /// launch floors) leaves devices nearly idle; those devices can instead
 /// *steal whole queries*: each device holds a replicated full-graph
 /// plan and runs its stolen queries end to end, trading per-query
-/// parallelism for query parallelism and skipping the per-wave
-/// multi-device sync entirely on the devices it idles.
+/// parallelism for query parallelism; the devices it idles send no
+/// completion hand-off, and a wave on one device needs none at all.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Always split rows across all devices (the PR 3 behavior).

@@ -1,14 +1,14 @@
 //! Multi-GPU SpMV on the dual-GPU Tesla K10 (paper §VIII): each ACSR bin
-//! is split half/half across the two simulated GK104 devices.
+//! is split half/half across the two simulated GK104 devices of a
+//! replicated-`x` fleet.
 //!
 //! ```text
 //! cargo run --release --example multi_gpu
 //! ```
 
-use acsr_repro::acsr::AcsrConfig;
 use acsr_repro::gpu_sim::presets;
 use acsr_repro::graphgen::MatrixSpec;
-use acsr_repro::multi_gpu::MultiGpuAcsr;
+use acsr_repro::multi_gpu::{Fleet, FleetConfig};
 
 fn main() {
     let k10 = presets::tesla_k10_single();
@@ -35,9 +35,9 @@ fn main() {
         let mut y = vec![0.0; m.rows()];
         let flops = 2 * m.nnz() as u64;
 
-        let single = MultiGpuAcsr::new(&m, &k10, 1, AcsrConfig::static_long_tail());
+        let single = Fleet::new(&m, &k10, &FleetConfig::replicated(1));
         let t1 = single.spmv(&x, &mut y).seconds();
-        let dual = MultiGpuAcsr::new(&m, &k10, 2, AcsrConfig::static_long_tail());
+        let dual = Fleet::new(&m, &k10, &FleetConfig::replicated(2));
         let rep = dual.spmv(&x, &mut y).seconds();
         println!(
             "{:<6} {:>10} {:>12.1} {:>12.1} {:>8.2}x",

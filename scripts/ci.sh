@@ -25,6 +25,11 @@ echo "==> trace export smoke (repro fig5 --trace)"
 test -s results/trace_fig5.json
 ./target/release/repro trace-check results/trace_fig5.json
 
+echo "==> dual-GPU smoke (repro fig8 --trace, replicated-x fleet)"
+./target/release/repro fig8 --trace --scale 512 --matrices ENR,LJ2 > /dev/null
+test -s results/trace_fig8.json
+./target/release/repro trace-check results/trace_fig8.json
+
 echo "==> serving smoke (repro serve --trace)"
 ./target/release/repro serve --trace --scale 512 --matrices INT > /dev/null
 test -s results/trace_serve.json

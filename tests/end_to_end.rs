@@ -8,7 +8,7 @@ use acsr_repro::graph_apps::IterParams;
 use acsr_repro::graphgen::{
     generate_rmat, generate_update_batch, MatrixSpec, RmatConfig, UpdateConfig,
 };
-use acsr_repro::multi_gpu::MultiGpuAcsr;
+use acsr_repro::multi_gpu::{Fleet, FleetConfig};
 use acsr_repro::sparse_formats::{CsrMatrix, HybMatrix};
 use acsr_repro::spmv_kernels::csr_vector::CsrVector;
 use acsr_repro::spmv_kernels::hyb_kernel::HybKernel;
@@ -145,8 +145,8 @@ fn multi_gpu_matches_single_gpu_results() {
     let k10 = presets::tesla_k10_single();
     let mut y1 = vec![0.0; m.rows()];
     let mut y2 = vec![0.0; m.rows()];
-    MultiGpuAcsr::new(&m, &k10, 1, AcsrConfig::static_long_tail()).spmv(&x, &mut y1);
-    MultiGpuAcsr::new(&m, &k10, 2, AcsrConfig::static_long_tail()).spmv(&x, &mut y2);
+    Fleet::new(&m, &k10, &FleetConfig::replicated(1)).spmv(&x, &mut y1);
+    Fleet::new(&m, &k10, &FleetConfig::replicated(2)).spmv(&x, &mut y2);
     let d = acsr_repro::sparse_formats::scalar::rel_l2_distance(&y1, &y2);
     assert!(d < 1e-12, "rel distance {d}");
 }
