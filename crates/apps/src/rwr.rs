@@ -21,48 +21,13 @@ pub fn rwr_operator<T: Scalar>(adjacency: &CsrMatrix<T>) -> CsrMatrix<T> {
     adjacency.column_normalize()
 }
 
-/// `out[j] = c * x[j] + (1-c) * [j == seed]` — the RWR update kernel.
-pub fn rwr_update<T: Scalar>(
-    dev: &Device,
-    x: &DeviceBuffer<T>,
-    c: T,
-    restart: T,
-    seed: usize,
-    out: &DeviceBuffer<T>,
-) -> RunReport {
-    let n = x.len();
-    let block = 256;
-    let grid = n.div_ceil(block).max(1);
-    dev.launch("rwr_update", grid, block, &|blk| {
-        blk.for_each_warp(&mut |warp| {
-            let base = warp.first_thread();
-            if base >= n {
-                return;
-            }
-            let mask = lane_mask(n - base);
-            let xs = warp.read_coalesced(x, base, mask);
-            let mut vals = [T::ZERO; WARP];
-            for lane in 0..WARP {
-                if mask >> lane & 1 == 1 {
-                    vals[lane] = c * xs[lane];
-                    if base + lane == seed {
-                        vals[lane] += restart;
-                    }
-                }
-            }
-            warp.charge_alu(2);
-            warp.charge_flops(2 * u64::from(mask.count_ones()));
-            warp.write_coalesced(out, base, &vals, mask);
-        });
-    })
-}
-
-/// Batched RWR update: one launch applies `outs[v] = c[v] * xs[v] +
-/// restart[v] * e_seed[v]` for every query of the batch. `seeds[v]` is
-/// the seed's index in these vectors, or `None` when the vectors are a
-/// device-local row slice that does not contain the seed (multi-device
-/// serving). Per vector the arithmetic is exactly [`rwr_update`]'s, so a
-/// query's trajectory is independent of the batch it rides in.
+/// The RWR update kernel, batched: one launch applies `outs[v] = c[v] *
+/// xs[v] + restart[v] * e_seed[v]` for every query of the batch (a
+/// single query is the k = 1 case). `seeds[v]` is the seed's index in
+/// these vectors, or `None` when the vectors are a device-local row
+/// slice that does not contain the seed (multi-device serving). Each
+/// vector's arithmetic is the same at any k, so a query's trajectory is
+/// independent of the batch it rides in.
 pub fn rwr_update_multi<T: Scalar>(
     dev: &Device,
     xs: &[&DeviceBuffer<T>],
@@ -134,7 +99,14 @@ pub fn rwr_gpu<T: Scalar>(
     loop {
         iterations += 1;
         report = report.then(&engine.spmv(dev, &r, &tmp));
-        report = report.then(&rwr_update(dev, &tmp, c, restart, seed, &next));
+        report = report.then(&rwr_update_multi(
+            dev,
+            &[&tmp],
+            &[c],
+            &[restart],
+            &[Some(seed)],
+            &[&next],
+        ));
         let (dist2, dr) = l2_distance_sq(dev, &next, &r);
         report = report.then(&dr);
         std::mem::swap(&mut r, &mut next);
@@ -258,8 +230,14 @@ mod tests {
         let singles: Vec<_> = (0..k)
             .map(|v| {
                 let out = dev.alloc_zeroed::<f64>(n);
-                // None = seed outside this slice; n is out of lane range
-                rwr_update(&dev, &xs[v], c[v], restart[v], seeds[v].unwrap_or(n), &out);
+                rwr_update_multi(
+                    &dev,
+                    &[&xs[v]],
+                    &[c[v]],
+                    &[restart[v]],
+                    &[seeds[v]],
+                    &[&out],
+                );
                 out
             })
             .collect();

@@ -167,9 +167,10 @@ impl Binning {
         cost
     }
 
-    /// Rows of bin `i`.
+    /// Rows of bin `i` (empty past the largest occupied bin, and for
+    /// every bin of a zero-row matrix).
     pub fn bin_rows(&self, i: usize) -> &[u32] {
-        &self.bins[i]
+        self.bins.get(i).map_or(&[], Vec::as_slice)
     }
 
     /// Number of bins (including empty ones up to the max index).

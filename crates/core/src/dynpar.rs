@@ -8,14 +8,20 @@
 //! pre-zeroed output) — Algorithm 4's two-level reduction. Parent threads
 //! "are only used for control purposes and do not perform any actual
 //! computations".
+//!
+//! Like the bin kernels, the pair is batched: one child grid per G1 row
+//! serves all k vectors of the batch (its shape does not depend on k, so
+//! a batch amortizes the device-side launch overhead k-fold), and
+//! single-vector SpMV is the k = 1 case.
 
+use crate::kernels::{accumulate, atomic_row_partials};
 use crate::matrix::AcsrMatrix;
 use gpu_sim::engine::ConcurrentGroup;
 use gpu_sim::{DeviceBuffer, WARP};
 use sparse_formats::Scalar;
 
-/// Launch the DP parent kernel over the G1 row list. `y` rows for G1 must
-/// be pre-zeroed (the engine's zero-scatter pass does this).
+/// Launch the DP parent kernel over the G1 row list. `ys` rows for G1
+/// must be pre-zeroed (the engine's zero-scatter pass does this).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dp_parent_kernel<T: Scalar>(
     group: &mut ConcurrentGroup,
@@ -23,8 +29,8 @@ pub(crate) fn dp_parent_kernel<T: Scalar>(
     g1_rows: &DeviceBuffer<u32>,
     thread_load: usize,
     texture_x: bool,
-    x: &DeviceBuffer<T>,
-    y: &DeviceBuffer<T>,
+    xs: &[&DeviceBuffer<T>],
+    ys: &[&DeviceBuffer<T>],
 ) {
     let n = g1_rows.len();
     if n == 0 {
@@ -57,58 +63,7 @@ pub(crate) fn dp_parent_kernel<T: Scalar>(
                 let child_blocks = b_size.div_ceil(256).max(1);
                 let total_threads = child_blocks * 256;
                 warp.launch_child(child_blocks, 256, move |child| {
-                    row_child_body(child, mat, row, start, len, total_threads, texture_x, x, y);
-                });
-            }
-        });
-    });
-}
-
-/// Multi-vector variant of [`dp_parent_kernel`]: one child grid per G1
-/// row serves the whole batch (the child's shape is that of the
-/// single-vector child, so the batch amortizes the device-side launch
-/// overhead k-fold). `ys` rows for G1 must be pre-zeroed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dp_parent_kernel_multi<T: Scalar>(
-    group: &mut ConcurrentGroup,
-    mat: &AcsrMatrix<T>,
-    g1_rows: &DeviceBuffer<u32>,
-    thread_load: usize,
-    texture_x: bool,
-    xs: &[&DeviceBuffer<T>],
-    ys: &[&DeviceBuffer<T>],
-) {
-    let n = g1_rows.len();
-    if n == 0 {
-        return;
-    }
-    let thread_load = thread_load.max(1);
-    let block = 256;
-    let grid = n.div_ceil(block).max(1);
-    group.add("acsr_dp_parent", grid, block, &|blk| {
-        blk.for_each_warp(&mut |warp| {
-            let base = warp.first_thread();
-            if base >= n {
-                return;
-            }
-            let live = (n - base).min(WARP);
-            let mask = gpu_sim::lane_mask(live);
-            let rows = warp.read_coalesced(g1_rows, base, mask);
-            let ridx: [usize; WARP] = std::array::from_fn(|i| rows[i] as usize);
-            let starts = warp.gather(&mat.row_start, &ridx, mask);
-            let lens = warp.gather(&mat.row_len, &ridx, mask);
-            for lane in 0..live {
-                let row = rows[lane] as usize;
-                let start = starts[lane] as usize;
-                let len = lens[lane] as usize;
-                if len == 0 {
-                    continue;
-                }
-                let b_size = len.div_ceil(thread_load);
-                let child_blocks = b_size.div_ceil(256).max(1);
-                let total_threads = child_blocks * 256;
-                warp.launch_child(child_blocks, 256, move |child| {
-                    row_child_body_multi(
+                    row_child_body(
                         child,
                         mat,
                         row,
@@ -137,71 +92,13 @@ fn row_child_body<T: Scalar>(
     len: usize,
     total_threads: usize,
     texture_x: bool,
-    x: &DeviceBuffer<T>,
-    y: &DeviceBuffer<T>,
-) {
-    let block_off = child.thread_offset();
-    child.for_each_warp(&mut |warp| {
-        let warp_off = block_off + warp.warp_in_block() * WARP;
-        let mut acc = [T::ZERO; WARP];
-        let mut iter = 0usize;
-        loop {
-            let base = iter * total_threads + warp_off;
-            if base >= len {
-                break;
-            }
-            let mut m = 0u32;
-            let mut idx = [0usize; WARP];
-            for (lane, slot) in idx.iter_mut().enumerate() {
-                if base + lane < len {
-                    m |= 1 << lane;
-                    *slot = start + base + lane;
-                }
-            }
-            let cols = warp.gather(&mat.col_indices, &idx, m);
-            let vals = warp.gather(&mat.values, &idx, m);
-            let xi: [usize; WARP] = std::array::from_fn(|i| cols[i] as usize);
-            let xs = if texture_x {
-                warp.gather_tex(x, &xi, m)
-            } else {
-                warp.gather(x, &xi, m)
-            };
-            for lane in 0..WARP {
-                if m >> lane & 1 == 1 {
-                    acc[lane] = vals[lane].mul_add(xs[lane], acc[lane]);
-                }
-            }
-            warp.charge_fma(m);
-            iter += 1;
-        }
-        // Intra-warp reduction...
-        let reduced = warp.segmented_reduce_sum(&acc, WARP);
-        // ...then the inter-warp reduction via one atomic per warp.
-        let idx = [row; WARP];
-        warp.atomic_rmw(y, &idx, &reduced, 1, |a, b| a + b);
-    });
-}
-
-/// Multi-vector Algorithm 4 body: the matrix strides are gathered once
-/// per iteration and reused for all k vectors; per vector the reduction
-/// and the per-warp atomic follow the single-vector order exactly.
-#[allow(clippy::too_many_arguments)]
-fn row_child_body_multi<T: Scalar>(
-    child: &mut gpu_sim::BlockCtx,
-    mat: &AcsrMatrix<T>,
-    row: usize,
-    start: usize,
-    len: usize,
-    total_threads: usize,
-    texture_x: bool,
     xs: &[&DeviceBuffer<T>],
     ys: &[&DeviceBuffer<T>],
 ) {
-    let k = xs.len();
     let block_off = child.thread_offset();
     child.for_each_warp(&mut |warp| {
         let warp_off = block_off + warp.warp_in_block() * WARP;
-        let mut accs = vec![[T::ZERO; WARP]; k];
+        let mut accs = vec![[T::ZERO; WARP]; xs.len()];
         let mut iter = 0usize;
         loop {
             let base = iter * total_threads + warp_off;
@@ -216,30 +113,12 @@ fn row_child_body_multi<T: Scalar>(
                     *slot = start + base + lane;
                 }
             }
-            let cols = warp.gather(&mat.col_indices, &idx, m);
-            let vals = warp.gather(&mat.values, &idx, m);
-            let xi: [usize; WARP] = std::array::from_fn(|i| cols[i] as usize);
-            for (v, x) in xs.iter().enumerate() {
-                let xv = if texture_x {
-                    warp.gather_tex(x, &xi, m)
-                } else {
-                    warp.gather(x, &xi, m)
-                };
-                let acc = &mut accs[v];
-                for lane in 0..WARP {
-                    if m >> lane & 1 == 1 {
-                        acc[lane] = vals[lane].mul_add(xv[lane], acc[lane]);
-                    }
-                }
-                warp.charge_fma(m);
-            }
+            accumulate(warp, mat, &idx, m, texture_x, xs, &mut accs);
             iter += 1;
         }
-        let idx = [row; WARP];
-        for (v, y) in ys.iter().enumerate() {
-            let reduced = warp.segmented_reduce_sum(&accs[v], WARP);
-            warp.atomic_rmw(y, &idx, &reduced, 1, |a, b| a + b);
-        }
+        // Intra-warp reduction, then the inter-warp reduction via one
+        // atomic per warp.
+        atomic_row_partials(warp, row, &accs, ys);
     });
 }
 
@@ -261,7 +140,7 @@ mod tests {
         y: &DeviceBuffer<f64>,
     ) -> RunReport {
         let mut group = dev.launch_group("dp_test");
-        dp_parent_kernel(&mut group, mat, list, thread_load, true, x, y);
+        dp_parent_kernel(&mut group, mat, list, thread_load, true, &[x], &[y]);
         group.finish()
     }
 

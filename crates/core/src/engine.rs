@@ -3,7 +3,9 @@
 //! On construction (the "first iteration" of Algorithm 1) the engine bins
 //! the rows, uploads per-bin row lists, and splits bins into G2
 //! (bin-specific kernels) and G1 (row-specific dynamic grids, `RowMax`-
-//! capped). Every `spmv` then launches:
+//! capped). Every SpMV then launches, in one launch group whose kernels
+//! each serve the whole batch (a single-vector `spmv` is the k = 1 case
+//! of `spmv_multi`):
 //!
 //! 1. a zero-scatter over empty rows and atomically-accumulated rows,
 //! 2. one bin-specific kernel per non-empty G2 bin,
@@ -16,15 +18,12 @@
 
 use crate::binning::{BinStats, Binning, RowMove};
 use crate::config::{AcsrConfig, AcsrMode};
-use crate::dynpar::{dp_parent_kernel, dp_parent_kernel_multi};
-use crate::kernels::{
-    bin_kernel, bin_kernel_multi, static_long_tail_kernel, static_long_tail_kernel_multi,
-    zero_rows_kernel, zero_rows_kernel_multi,
-};
+use crate::dynpar::dp_parent_kernel;
+use crate::kernels::{bin_kernel, static_long_tail_kernel, zero_rows_kernel};
 use crate::matrix::AcsrMatrix;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::{CsrMatrix, PreprocessCost, Scalar};
-use spmv_kernels::{GpuSpmv, GpuSpmvMulti};
+use spmv_kernels::GpuSpmv;
 
 /// ACSR SpMV engine.
 pub struct AcsrEngine<T> {
@@ -197,6 +196,92 @@ impl<T: Scalar> AcsrEngine<T> {
     pub fn config(&self) -> &AcsrConfig {
         &self.cfg
     }
+
+    /// The one launch sequence behind [`GpuSpmv::spmv`] (k = 1) and
+    /// [`GpuSpmv::spmv_multi`]: zero-scatter, one kernel per G2 bin,
+    /// overflow, long tail, each serving all k vectors. `group_name`
+    /// names the launch group in reports and traces.
+    fn launch(
+        &self,
+        dev: &Device,
+        group_name: &str,
+        xs: &[&DeviceBuffer<T>],
+        ys: &[&DeviceBuffer<T>],
+    ) -> RunReport {
+        assert_eq!(xs.len(), ys.len(), "batch size mismatch");
+        for x in xs {
+            assert_eq!(x.len(), self.mat.cols(), "x length mismatch");
+        }
+        for y in ys {
+            assert_eq!(y.len(), self.mat.rows(), "y length mismatch");
+        }
+        if xs.is_empty() || self.mat.rows() == 0 {
+            return RunReport::default();
+        }
+        // All of ACSR's per-SpMV kernels are independent (each writes a
+        // disjoint row set; the zero-scatter precedes the atomic
+        // accumulators via a stream event), so the driver launches them
+        // on separate streams — concurrent under Kepler's HyperQ,
+        // serialized on Fermi. `ConcurrentGroup` models exactly that.
+        let mut group = dev.launch_group(group_name);
+        if let Some(zl) = &self.zero_list {
+            zero_rows_kernel(&mut group, zl, ys, "acsr_zero");
+        }
+        // Bin-specific kernels (ascending bin id, as the driver launches
+        // them)
+        for &bin in self.binning.g2_bins() {
+            let list = self.bin_lists[bin]
+                .as_ref()
+                .expect("g2 bin must have an uploaded row list");
+            bin_kernel(
+                &mut group,
+                &self.mat,
+                list,
+                Binning::group_for_bin(bin),
+                self.cfg.texture_x,
+                xs,
+                ys,
+                &format!("acsr_bin{bin}"),
+            );
+        }
+        // RowMax-overflow rows: widest bin kernel (one warp per row).
+        if let Some(ol) = &self.overflow_list {
+            bin_kernel(
+                &mut group,
+                &self.mat,
+                ol,
+                32,
+                self.cfg.texture_x,
+                xs,
+                ys,
+                "acsr_overflow",
+            );
+        }
+        // Long tail.
+        if !self.g1_list.is_empty() {
+            match self.cfg.mode {
+                AcsrMode::DynamicParallelism => dp_parent_kernel(
+                    &mut group,
+                    &self.mat,
+                    &self.g1_list,
+                    self.cfg.thread_load,
+                    self.cfg.texture_x,
+                    xs,
+                    ys,
+                ),
+                AcsrMode::StaticLongTail => static_long_tail_kernel(
+                    &mut group,
+                    &self.mat,
+                    &self.g1_list,
+                    self.cfg.texture_x,
+                    xs,
+                    ys,
+                ),
+                AcsrMode::BinningOnly => unreachable!("binning-only has empty G1"),
+            };
+        }
+        group.finish()
+    }
 }
 
 impl<T: Scalar> GpuSpmv<T> for AcsrEngine<T> {
@@ -229,83 +314,16 @@ impl<T: Scalar> GpuSpmv<T> for AcsrEngine<T> {
     }
 
     fn spmv(&self, dev: &Device, x: &DeviceBuffer<T>, y: &DeviceBuffer<T>) -> RunReport {
-        assert_eq!(x.len(), self.mat.cols(), "x length mismatch");
-        assert_eq!(y.len(), self.mat.rows(), "y length mismatch");
-        // All of ACSR's per-SpMV kernels are independent (each writes a
-        // disjoint row set; the zero-scatter precedes the atomic
-        // accumulators via a stream event), so the driver launches them
-        // on separate streams — concurrent under Kepler's HyperQ,
-        // serialized on Fermi. `ConcurrentGroup` models exactly that.
-        let mut group = dev.launch_group("acsr_spmv");
-        if let Some(zl) = &self.zero_list {
-            zero_rows_kernel(&mut group, zl, y, "acsr_zero");
-        }
-        // Bin-specific kernels (ascending bin id, as the driver launches
-        // them)
-        for &bin in self.binning.g2_bins() {
-            let list = self.bin_lists[bin]
-                .as_ref()
-                .expect("g2 bin must have an uploaded row list");
-            bin_kernel(
-                &mut group,
-                &self.mat,
-                list,
-                Binning::group_for_bin(bin),
-                self.cfg.texture_x,
-                x,
-                y,
-                &format!("acsr_bin{bin}"),
-            );
-        }
-        // RowMax-overflow rows: widest bin kernel (one warp per row).
-        if let Some(ol) = &self.overflow_list {
-            bin_kernel(
-                &mut group,
-                &self.mat,
-                ol,
-                32,
-                self.cfg.texture_x,
-                x,
-                y,
-                "acsr_overflow",
-            );
-        }
-        // Long tail.
-        if !self.g1_list.is_empty() {
-            match self.cfg.mode {
-                AcsrMode::DynamicParallelism => dp_parent_kernel(
-                    &mut group,
-                    &self.mat,
-                    &self.g1_list,
-                    self.cfg.thread_load,
-                    self.cfg.texture_x,
-                    x,
-                    y,
-                ),
-                AcsrMode::StaticLongTail => static_long_tail_kernel(
-                    &mut group,
-                    &self.mat,
-                    &self.g1_list,
-                    self.cfg.texture_x,
-                    x,
-                    y,
-                ),
-                AcsrMode::BinningOnly => unreachable!("binning-only has empty G1"),
-            };
-        }
-        group.finish()
+        self.launch(dev, "acsr_spmv", &[x], &[y])
     }
-}
 
-impl<T: Scalar> GpuSpmvMulti<T> for AcsrEngine<T> {
-    /// Fused multi-vector SpMV: the same launch sequence as [`Self::spmv`]
-    /// (zero-scatter, one kernel per G2 bin, overflow, long tail) but each
-    /// kernel serves all k vectors — row lists, row bounds, columns and
-    /// values are read once per wave instead of once per vector, and the
-    /// group's launch floor is paid once. Per vector, every float
-    /// operation happens in the single-vector order, so `ys[v]` is
-    /// bit-identical to `spmv(dev, xs[v], ys[v])` (for the long-tail
-    /// atomics this holds at any `ACSR_SIM_THREADS` width in
+    /// Fused multi-vector SpMV: the launch sequence of [`Self::spmv`],
+    /// but each kernel serves all k vectors — row lists, row bounds,
+    /// columns and values are read once per wave instead of once per
+    /// vector, and the group's launch floor is paid once. Per vector,
+    /// every float operation happens in the single-vector order, so
+    /// `ys[v]` is bit-identical to `spmv(dev, xs[v], ys[v])` (for the
+    /// long-tail atomics this holds at any `ACSR_SIM_THREADS` width in
     /// `StaticLongTail` mode, where a row's atomics stay within one
     /// block/shard; `DynamicParallelism` spreads a row's child blocks
     /// across shards, so its accumulation order — for batched and
@@ -316,70 +334,7 @@ impl<T: Scalar> GpuSpmvMulti<T> for AcsrEngine<T> {
         xs: &[&DeviceBuffer<T>],
         ys: &[&DeviceBuffer<T>],
     ) -> RunReport {
-        assert_eq!(xs.len(), ys.len(), "batch size mismatch");
-        for x in xs {
-            assert_eq!(x.len(), self.mat.cols(), "x length mismatch");
-        }
-        for y in ys {
-            assert_eq!(y.len(), self.mat.rows(), "y length mismatch");
-        }
-        if xs.is_empty() {
-            return RunReport::default();
-        }
-        let mut group = dev.launch_group("acsr_spmm");
-        if let Some(zl) = &self.zero_list {
-            zero_rows_kernel_multi(&mut group, zl, ys, "acsr_zero");
-        }
-        for &bin in self.binning.g2_bins() {
-            let list = self.bin_lists[bin]
-                .as_ref()
-                .expect("g2 bin must have an uploaded row list");
-            bin_kernel_multi(
-                &mut group,
-                &self.mat,
-                list,
-                Binning::group_for_bin(bin),
-                self.cfg.texture_x,
-                xs,
-                ys,
-                &format!("acsr_bin{bin}"),
-            );
-        }
-        if let Some(ol) = &self.overflow_list {
-            bin_kernel_multi(
-                &mut group,
-                &self.mat,
-                ol,
-                32,
-                self.cfg.texture_x,
-                xs,
-                ys,
-                "acsr_overflow",
-            );
-        }
-        if !self.g1_list.is_empty() {
-            match self.cfg.mode {
-                AcsrMode::DynamicParallelism => dp_parent_kernel_multi(
-                    &mut group,
-                    &self.mat,
-                    &self.g1_list,
-                    self.cfg.thread_load,
-                    self.cfg.texture_x,
-                    xs,
-                    ys,
-                ),
-                AcsrMode::StaticLongTail => static_long_tail_kernel_multi(
-                    &mut group,
-                    &self.mat,
-                    &self.g1_list,
-                    self.cfg.texture_x,
-                    xs,
-                    ys,
-                ),
-                AcsrMode::BinningOnly => unreachable!("binning-only has empty G1"),
-            };
-        }
-        group.finish()
+        self.launch(dev, "acsr_spmm", xs, ys)
     }
 }
 

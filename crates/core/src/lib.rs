@@ -24,7 +24,8 @@
 //! * [`dynpar`] — Algorithms 3–4: the parent grid and row-specific child
 //!   kernels;
 //! * [`engine`] — [`engine::AcsrEngine`], the `GpuSpmv` driver tying it
-//!   together;
+//!   together. Every kernel is batched over k vectors, and a
+//!   single-vector SpMV is the k = 1 case;
 //! * [`update`] — the §VII device-side update kernel;
 //! * [`cpu`] — a multicore binned SpMV used by the wall-clock benches;
 //! * [`phases`] — folds a [`gpu_sim::trace`] span stream into per-phase

@@ -2,7 +2,7 @@
 //! for ANY matrix, batch size, mode and host worker width, `spmv_multi`
 //! over k vectors must produce outputs **bit-identical** to k sequential
 //! `spmv` calls — same bins, same kernels, same float-op order per
-//! vector (see `acsr::kernels`' multi variants).
+//! vector (`spmv` is the k = 1 case of the same batched kernels).
 //!
 //! Width coverage follows the simulator's determinism envelope: in
 //! `StaticLongTail` and `BinningOnly` modes every output value is
@@ -16,7 +16,7 @@ use acsr::{AcsrConfig, AcsrEngine, AcsrMode};
 use gpu_sim::{presets, set_sim_threads, Device, DeviceBuffer, RunReport};
 use graphgen::{generate_power_law, PowerLawConfig};
 use proptest::prelude::*;
-use spmv_kernels::{GpuSpmv, GpuSpmvMulti};
+use spmv_kernels::GpuSpmv;
 use std::sync::Mutex;
 
 /// `set_sim_threads` is process-global; hold this across width changes.

@@ -66,19 +66,19 @@ pub trait GpuSpmv<T: Scalar> {
     /// Device bytes occupied (for memory-capacity ∅ checks and upload
     /// modeling).
     fn device_bytes(&self) -> u64;
-}
 
-/// Multi-vector SpMV (SpMM with a tall-skinny dense side): `ys[v] = A *
-/// xs[v]` for a batch of k vectors over one matrix.
-///
-/// Contract: per-vector results are **bit-identical** to k independent
-/// [`GpuSpmv::spmv`] calls — batching is a pure throughput optimization
-/// (row metadata, columns and values are read once per wave instead of
-/// once per vector, and the launch floor is paid once), never a numeric
-/// one. The default implementation simply loops `spmv`; engines with a
-/// fused path (ACSR) override it.
-pub trait GpuSpmvMulti<T: Scalar>: GpuSpmv<T> {
-    /// Run the batch; returns the merged modeled report.
+    /// Multi-vector SpMV (SpMM with a tall-skinny dense side): `ys[v] =
+    /// A * xs[v]` for a batch of k vectors over one matrix; returns the
+    /// merged modeled report (the default report at k = 0).
+    ///
+    /// Contract: per-vector results are **bit-identical** to k
+    /// independent [`GpuSpmv::spmv`] calls — batching is a pure
+    /// throughput optimization (row metadata, columns and values are read
+    /// once per wave instead of once per vector, and the launch floor is
+    /// paid once), never a numeric one. The default runs `spmv` k times
+    /// in sequence, which is what every baseline format uses; engines
+    /// with a fused path (ACSR) override it, and wrappers around them
+    /// forward it.
     fn spmv_multi(
         &self,
         dev: &Device,
@@ -93,20 +93,6 @@ pub trait GpuSpmvMulti<T: Scalar>: GpuSpmv<T> {
         report
     }
 }
-
-// Every baseline format gets the unfused fallback (k sequential
-// launches): the plan/execute pipeline hands out `Box<dyn GpuSpmvMulti>`
-// for any registered format, and benches contrast batched ACSR against
-// the unbatched engines. Bit-identity of the fallback against k single
-// `spmv` calls is pinned per format by the pipeline crate's proptests.
-impl<T: Scalar> GpuSpmvMulti<T> for csr_vector::CsrVector<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for csr_scalar::CsrScalar<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for coo_kernel::CooKernel<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for ell_kernel::EllKernel<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for hyb_kernel::HybKernel<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for brc_kernel::BrcKernel<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for bccoo_kernel::BccooKernel<T> {}
-impl<T: Scalar> GpuSpmvMulti<T> for tcoo_kernel::TcooKernel<T> {}
 
 /// Launch a memset-style kernel writing `value` over all of `y`.
 /// Bandwidth-bound, like `cudaMemset`.

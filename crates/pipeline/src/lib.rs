@@ -12,10 +12,10 @@
 //! 2. **plan** — a [`SpmvPlanner`] folds conversion, auto-tuning and
 //!    upload into one [`SpmvPlan`] handle carrying the
 //!    [`PreprocessCost`], device bytes and a boxed
-//!    [`GpuSpmvMulti`] engine. The [`FormatRegistry`] enumerates every
+//!    [`GpuSpmv`] engine. The [`FormatRegistry`] enumerates every
 //!    planner (CSR-scalar, CSR-vector, COO, ELL, HYB, BRC, BCCOO, TCOO,
 //!    ACSR) behind one trait;
-//! 3. **execute** — the plan *is* a [`GpuSpmv`]/[`GpuSpmvMulti`], so
+//! 3. **execute** — the plan *is* a [`GpuSpmv`] (batched or not), so
 //!    every consumer (apps, serving, multi-GPU, benches) runs against
 //!    the handle without knowing the concrete format.
 //!
@@ -41,7 +41,7 @@ pub use selector::{record_selection, AdaptiveSelector, CandidateReport, Selectio
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, RunReport};
 use serde::{Deserialize, Serialize};
 use sparse_formats::{CsrMatrix, HostModel, PreprocessCost, Scalar, SparseError};
-use spmv_kernels::{GpuSpmv, GpuSpmvMulti};
+use spmv_kernels::GpuSpmv;
 
 /// How a format's preprocessing behaves — the rows of the paper's
 /// Table III, as a machine-readable class.
@@ -144,13 +144,13 @@ impl PlanBudget {
 ///
 /// A plan owns the uploaded engine and remembers what it cost to build
 /// (conversion + tuning in [`PreprocessCost`]; upload size in
-/// `device_bytes`). It implements [`GpuSpmv`] and [`GpuSpmvMulti`] by
-/// delegation, so anything that ran against a concrete engine runs
-/// against a plan unchanged.
+/// `device_bytes`). It implements [`GpuSpmv`] by delegation (fused
+/// `spmv_multi` included), so anything that ran against a concrete
+/// engine runs against a plan unchanged.
 pub struct SpmvPlan<T: Scalar> {
     format: &'static str,
     class: PreprocessClass,
-    engine: Box<dyn GpuSpmvMulti<T>>,
+    engine: Box<dyn GpuSpmv<T>>,
     preprocess: PreprocessCost,
     device_bytes: u64,
     upload_bytes: u64,
@@ -161,7 +161,7 @@ impl<T: Scalar> SpmvPlan<T> {
     pub fn new(
         format: &'static str,
         class: PreprocessClass,
-        engine: Box<dyn GpuSpmvMulti<T>>,
+        engine: Box<dyn GpuSpmv<T>>,
         preprocess: PreprocessCost,
     ) -> Self {
         let device_bytes = engine.device_bytes();
@@ -200,7 +200,7 @@ impl<T: Scalar> SpmvPlan<T> {
     }
 
     /// The executable engine (also reachable via the [`GpuSpmv`] impl).
-    pub fn engine(&self) -> &dyn GpuSpmvMulti<T> {
+    pub fn engine(&self) -> &dyn GpuSpmv<T> {
         self.engine.as_ref()
     }
 
@@ -239,9 +239,6 @@ impl<T: Scalar> GpuSpmv<T> for SpmvPlan<T> {
     fn device_bytes(&self) -> u64 {
         self.device_bytes
     }
-}
-
-impl<T: Scalar> GpuSpmvMulti<T> for SpmvPlan<T> {
     fn spmv_multi(
         &self,
         dev: &Device,

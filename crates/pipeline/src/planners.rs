@@ -17,7 +17,7 @@ use sparse_formats::{
 use spmv_kernels::{
     bccoo_kernel::BccooKernel, brc_kernel::BrcKernel, coo_kernel::CooKernel, csr_scalar::CsrScalar,
     csr_vector::CsrVector, ell_kernel::EllKernel, hyb_kernel::HybKernel, tcoo_kernel::TcooKernel,
-    tuning, DevBccoo, DevBrc, DevCoo, DevCsr, DevEll, DevHyb, DevTcoo, GpuSpmvMulti,
+    tuning, DevBccoo, DevBrc, DevCoo, DevCsr, DevEll, DevHyb, DevTcoo, GpuSpmv,
 };
 
 /// Enforce the budget's byte cap on an assembled plan. Converters
@@ -28,7 +28,6 @@ fn check_budget<T: Scalar>(
     plan: SpmvPlan<T>,
     budget: &PlanBudget,
 ) -> Result<SpmvPlan<T>, SparseError> {
-    use spmv_kernels::GpuSpmv;
     if plan.device_bytes() > budget.max_device_bytes {
         return Err(SparseError::CapacityExceeded {
             format: plan.format(),
@@ -58,7 +57,7 @@ impl<T: Scalar> SpmvPlanner<T> for CsrScalarPlanner {
         m: &CsrMatrix<T>,
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
-        let engine: Box<dyn GpuSpmvMulti<T>> = Box::new(CsrScalar::new(DevCsr::upload(dev, m)));
+        let engine: Box<dyn GpuSpmv<T>> = Box::new(CsrScalar::new(DevCsr::upload(dev, m)));
         check_budget(
             SpmvPlan::new(
                 "CSR-scalar",
@@ -87,7 +86,7 @@ impl<T: Scalar> SpmvPlanner<T> for CsrVectorPlanner {
         m: &CsrMatrix<T>,
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
-        let engine: Box<dyn GpuSpmvMulti<T>> = Box::new(CsrVector::new(DevCsr::upload(dev, m)));
+        let engine: Box<dyn GpuSpmv<T>> = Box::new(CsrVector::new(DevCsr::upload(dev, m)));
         check_budget(
             SpmvPlan::new(
                 "CSR-vector",
@@ -117,7 +116,7 @@ impl<T: Scalar> SpmvPlanner<T> for CooPlanner {
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
         let (coo, cost) = CooMatrix::from_csr(m);
-        let engine: Box<dyn GpuSpmvMulti<T>> = Box::new(CooKernel::new(DevCoo::upload(dev, &coo)));
+        let engine: Box<dyn GpuSpmv<T>> = Box::new(CooKernel::new(DevCoo::upload(dev, &coo)));
         check_budget(
             SpmvPlan::new("COO", PreprocessClass::Transform, engine, cost),
             budget,
@@ -142,7 +141,7 @@ impl<T: Scalar> SpmvPlanner<T> for EllPlanner {
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
         let (ell, cost) = EllMatrix::from_csr(m, budget.max_bytes_usize())?;
-        let engine: Box<dyn GpuSpmvMulti<T>> = Box::new(EllKernel::new(DevEll::upload(dev, &ell)));
+        let engine: Box<dyn GpuSpmv<T>> = Box::new(EllKernel::new(DevEll::upload(dev, &ell)));
         check_budget(
             SpmvPlan::new("ELL", PreprocessClass::Transform, engine, cost),
             budget,
@@ -167,7 +166,7 @@ impl<T: Scalar> SpmvPlanner<T> for HybPlanner {
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
         let (hyb, cost) = HybMatrix::from_csr(m, budget.max_bytes_usize())?;
-        let engine: Box<dyn GpuSpmvMulti<T>> = Box::new(HybKernel::new(DevHyb::upload(dev, &hyb)));
+        let engine: Box<dyn GpuSpmv<T>> = Box::new(HybKernel::new(DevHyb::upload(dev, &hyb)));
         check_budget(
             SpmvPlan::new("HYB", PreprocessClass::Transform, engine, cost),
             budget,
@@ -192,7 +191,7 @@ impl<T: Scalar> SpmvPlanner<T> for BrcPlanner {
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
         let (brc, cost) = BrcMatrix::from_csr(m, budget.max_bytes_usize())?;
-        let engine: Box<dyn GpuSpmvMulti<T>> = Box::new(BrcKernel::new(DevBrc::upload(dev, &brc)));
+        let engine: Box<dyn GpuSpmv<T>> = Box::new(BrcKernel::new(DevBrc::upload(dev, &brc)));
         check_budget(
             SpmvPlan::new("BRC", PreprocessClass::Transform, engine, cost),
             budget,
@@ -219,7 +218,7 @@ impl<T: Scalar> SpmvPlanner<T> for BccooPlanner {
     ) -> Result<SpmvPlan<T>, SparseError> {
         let tuned =
             tuning::autotune_bccoo(dev, m, budget.bccoo_sample_rows, budget.max_bytes_usize())?;
-        let engine: Box<dyn GpuSpmvMulti<T>> =
+        let engine: Box<dyn GpuSpmv<T>> =
             Box::new(BccooKernel::new(DevBccoo::upload(dev, &tuned.matrix)));
         check_budget(
             SpmvPlan::new("BCCOO", PreprocessClass::Autotune, engine, tuned.cost),
@@ -245,7 +244,7 @@ impl<T: Scalar> SpmvPlanner<T> for TcooPlanner {
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
         let tuned = tuning::tune_tcoo(dev, m, budget.max_bytes_usize())?;
-        let engine: Box<dyn GpuSpmvMulti<T>> =
+        let engine: Box<dyn GpuSpmv<T>> =
             Box::new(TcooKernel::new(DevTcoo::upload(dev, &tuned.matrix)));
         check_budget(
             SpmvPlan::new("TCOO", PreprocessClass::Autotune, engine, tuned.cost),
@@ -292,7 +291,7 @@ impl<T: Scalar> SpmvPlanner<T> for AcsrPlanner {
             .unwrap_or_else(|| AcsrConfig::for_device(dev.config()));
         let engine = AcsrEngine::from_csr(dev, m, cfg);
         let cost = *engine.preprocess_cost();
-        let boxed: Box<dyn GpuSpmvMulti<T>> = Box::new(engine);
+        let boxed: Box<dyn GpuSpmv<T>> = Box::new(engine);
         // Only the live entries and the three per-row u32 arrays are
         // staged over PCIe; the slack slots are reserved on the device
         // without a host copy (the footprint still counts them).

@@ -17,7 +17,7 @@ use crate::query::Query;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use graph_apps::rwr::rwr_update_multi;
 use sparse_formats::Scalar;
-use spmv_kernels::GpuSpmvMulti;
+use spmv_kernels::GpuSpmv;
 
 /// A live operator plus its maintenance timetable.
 ///
@@ -26,7 +26,7 @@ use spmv_kernels::GpuSpmvMulti;
 /// modeled seconds the maintenance occupied the device.
 pub trait ChurnSource<T: Scalar> {
     /// The operator queries run against (reflects all applied events).
-    fn operator(&self) -> &dyn GpuSpmvMulti<T>;
+    fn operator(&self) -> &dyn GpuSpmv<T>;
     /// Virtual time of the next pending maintenance event, if any.
     fn next_event_s(&self) -> Option<f64>;
     /// Apply the next pending event; returns modeled seconds spent.
@@ -37,17 +37,17 @@ pub trait ChurnSource<T: Scalar> {
 /// serving loop (same wave model, same clock accounting) produces the
 /// comparison run.
 pub struct SteadyOperator<'a, T: Scalar> {
-    op: &'a dyn GpuSpmvMulti<T>,
+    op: &'a dyn GpuSpmv<T>,
 }
 
 impl<'a, T: Scalar> SteadyOperator<'a, T> {
-    pub fn new(op: &'a dyn GpuSpmvMulti<T>) -> Self {
+    pub fn new(op: &'a dyn GpuSpmv<T>) -> Self {
         SteadyOperator { op }
     }
 }
 
 impl<T: Scalar> ChurnSource<T> for SteadyOperator<'_, T> {
-    fn operator(&self) -> &dyn GpuSpmvMulti<T> {
+    fn operator(&self) -> &dyn GpuSpmv<T> {
         self.op
     }
     fn next_event_s(&self) -> Option<f64> {

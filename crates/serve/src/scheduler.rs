@@ -54,12 +54,12 @@ use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{presets, DeviceConfig, RunReport};
+use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport};
 use graph_apps::rwr::{rwr_operator, rwr_update_multi};
 use graph_apps::IterParams;
 use multi_gpu::{Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
-use spmv_kernels::GpuSpmvMulti;
+use spmv_kernels::GpuSpmv;
 use spmv_pipeline::SpmvPlan;
 use std::sync::{Arc, OnceLock};
 
@@ -79,7 +79,7 @@ pub struct ServeConfig {
     /// Format the per-device plans are built with. ACSR (the default,
     /// in its static long-tail configuration) is the only format with a
     /// *fused* multi-vector wave; every other registry format is
-    /// servable through the sequential [`GpuSpmvMulti`] fallback.
+    /// servable through the sequential [`GpuSpmv::spmv_multi`] fallback.
     pub format: ShardFormat,
     /// Simulated device model.
     pub device: DeviceConfig,
@@ -585,36 +585,13 @@ impl<T: Scalar> ServeEngine<T> {
     /// modeled time (slowest device or last hand-off, whichever lands
     /// later).
     fn wave(&self, active: &[Active<T>], device_reports: &mut [RunReport]) -> (Vec<Vec<T>>, f64) {
-        let k = active.len();
-        let rows = self.rows();
-        let elt = std::mem::size_of::<T>();
-        let c: Vec<T> = active.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-        let restart: Vec<T> = active
-            .iter()
-            .map(|a| T::from_f64(1.0 - a.q.restart_c))
-            .collect();
-        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; rows]; k];
+        let queries: Vec<&Active<T>> = active.iter().collect();
+        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows()]; active.len()];
         let report = self.fleet.drive(|_, dev, plan, shard_rows| {
-            let local_n = shard_rows.len();
-            // each device gets every active iterate in full width
-            let mut rep = dev.record_htod("serve_x_upload", (k * rows * elt) as u64);
-            let xs: Vec<_> = active.iter().map(|a| dev.alloc(a.r.clone())).collect();
-            let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-            let xr: Vec<_> = xs.iter().collect();
-            let tr: Vec<_> = tmps.iter().collect();
-            rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
-            // A query restarts only on the shard that owns its seed row.
-            let seeds: Vec<Option<usize>> = active
-                .iter()
-                .map(|a| shard_rows.binary_search(&(a.q.seed as u32)).ok())
-                .collect();
-            let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-            let nr: Vec<_> = nexts.iter().collect();
-            rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
-            rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
-            for (v, next) in nexts.iter().enumerate() {
+            let (nexts, rep) = rwr_step(dev, plan, &queries, Some(shard_rows));
+            for (r, next) in new_r.iter_mut().zip(&nexts) {
                 for (&g, &val) in shard_rows.iter().zip(next.as_slice()) {
-                    new_r[v][g as usize] = val;
+                    r[g as usize] = val;
                 }
             }
             rep
@@ -710,30 +687,9 @@ impl<T: Scalar> ServeEngine<T> {
     /// full-graph plan; returns their next iterates (parallel to `mine`)
     /// and the device's kernel/transfer accounting.
     fn steal_on_device(&self, d: usize, mine: &[&Active<T>]) -> (Vec<Vec<T>>, RunReport) {
-        let dev = &self.fleet.devices()[d];
-        let plan = &self.full_plans()[d];
-        let rows = self.rows();
-        let kd = mine.len();
-        let elt = std::mem::size_of::<T>();
-        let c: Vec<T> = mine.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-        let restart: Vec<T> = mine
-            .iter()
-            .map(|a| T::from_f64(1.0 - a.q.restart_c))
-            .collect();
-        let mut rep = dev.record_htod("serve_x_upload", (kd * rows * elt) as u64);
-        let xs: Vec<_> = mine.iter().map(|a| dev.alloc(a.r.clone())).collect();
-        let tmps: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(rows)).collect();
-        let xr: Vec<_> = xs.iter().collect();
-        let tr: Vec<_> = tmps.iter().collect();
-        rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
-        // The replicated plan covers every row, so seeds stay global.
-        let seeds: Vec<Option<usize>> = mine.iter().map(|a| Some(a.q.seed)).collect();
-        let nexts: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(rows)).collect();
-        let nr: Vec<_> = nexts.iter().collect();
-        rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
-        rep = rep.then(&dev.record_dtoh("serve_y_readback", (kd * rows * elt) as u64));
-        let out: Vec<Vec<T>> = nexts.iter().map(|n| n.as_slice().to_vec()).collect();
-        (out, rep)
+        let (dev, plan) = (&self.fleet.devices()[d], &self.full_plans()[d]);
+        let (nexts, rep) = rwr_step(dev, plan, mine, None);
+        (nexts.into_iter().map(DeviceBuffer::into_vec).collect(), rep)
     }
 
     /// Execute one wave by whole-query stealing: query `i` runs end to
@@ -833,6 +789,47 @@ impl<T: Scalar> ServeEngine<T> {
         let queries = generate_queries(pattern, n_queries, self.rows(), restart_c, rng_seed);
         self.serve(&queries)
     }
+}
+
+/// One batched RWR iteration of `queries` on one device, the step both
+/// dispatch modes share: upload every iterate in full width, SpMM
+/// through `plan`, apply the restart update, and read back the plan's
+/// rows. `shard_rows` lists the global rows a shard plan computes, and a
+/// query restarts only on the shard that owns its seed row; `None` means
+/// `plan` covers the whole graph, so seeds stay global. Returns the next
+/// iterates over the plan's rows, parallel to `queries`.
+fn rwr_step<T: Scalar>(
+    dev: &Device,
+    plan: &SpmvPlan<T>,
+    queries: &[&Active<T>],
+    shard_rows: Option<&[u32]>,
+) -> (Vec<DeviceBuffer<T>>, RunReport) {
+    let k = queries.len();
+    let (width, local_n) = (plan.cols(), plan.rows());
+    let elt = std::mem::size_of::<T>();
+    let c: Vec<T> = queries.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
+    let restart: Vec<T> = queries
+        .iter()
+        .map(|a| T::from_f64(1.0 - a.q.restart_c))
+        .collect();
+    let mut rep = dev.record_htod("serve_x_upload", (k * width * elt) as u64);
+    let xs: Vec<_> = queries.iter().map(|a| dev.alloc(a.r.clone())).collect();
+    let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
+    let xr: Vec<_> = xs.iter().collect();
+    let tr: Vec<_> = tmps.iter().collect();
+    rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
+    let seeds: Vec<Option<usize>> = queries
+        .iter()
+        .map(|a| match shard_rows {
+            Some(rows) => rows.binary_search(&(a.q.seed as u32)).ok(),
+            None => Some(a.q.seed),
+        })
+        .collect();
+    let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
+    let nr: Vec<_> = nexts.iter().collect();
+    rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
+    rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
+    (nexts, rep)
 }
 
 /// Fold one wave's per-device accounting into the run totals and

@@ -10,7 +10,7 @@ use acsr_serve::ChurnSource;
 use gpu_sim::Device;
 use graphgen::TimedBatch;
 use sparse_formats::Scalar;
-use spmv_kernels::GpuSpmvMulti;
+use spmv_kernels::GpuSpmv;
 
 /// A streamed ACSR operator with a churn timetable.
 pub struct ChurnedStream<T> {
@@ -51,7 +51,7 @@ impl<T: Scalar> ChurnedStream<T> {
 }
 
 impl<T: Scalar> ChurnSource<T> for ChurnedStream<T> {
-    fn operator(&self) -> &dyn GpuSpmvMulti<T> {
+    fn operator(&self) -> &dyn GpuSpmv<T> {
         &self.engine
     }
 

@@ -32,7 +32,7 @@ use acsr_telemetry::Telemetry;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::stats::bin_index;
 use sparse_formats::{CsrMatrix, Scalar, UpdateBatch};
-use spmv_kernels::{GpuSpmv, GpuSpmvMulti};
+use spmv_kernels::GpuSpmv;
 use std::sync::Arc;
 
 /// Growth factor for the element buffers when the canonical layout
@@ -628,9 +628,6 @@ impl<T: Scalar> GpuSpmv<T> for StreamEngine<T> {
     fn spmv(&self, dev: &Device, x: &DeviceBuffer<T>, y: &DeviceBuffer<T>) -> RunReport {
         self.engine.spmv(dev, x, y)
     }
-}
-
-impl<T: Scalar> GpuSpmvMulti<T> for StreamEngine<T> {
     fn spmv_multi(
         &self,
         dev: &Device,

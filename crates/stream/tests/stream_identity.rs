@@ -6,7 +6,7 @@
 
 use acsr::AcsrConfig;
 use acsr_stream::{MaintainReason, StreamEngine};
-use gpu_sim::{presets, Device, DeviceBuffer};
+use gpu_sim::{presets, Device, DeviceBuffer, RunReport};
 use graphgen::{
     generate_edge_stream, generate_rmat, generate_update_batch, ChurnConfig, RmatConfig,
     UpdateConfig,
@@ -271,4 +271,20 @@ fn row_emptying_and_refilling_batches_stay_identical() {
     eng.apply_batch(&dev, &refill);
     assert_eq!(eng.to_csr(), host2);
     assert_bit_identical(&dev, &eng, &StreamEngine::build(&dev, &host2, cfg));
+}
+
+#[test]
+fn zero_row_matrix_builds_and_serves_as_a_no_op() {
+    let m = sparse_formats::TripletMatrix::<f64>::new(0, 0).to_csr();
+    let dev = Device::new(presets::gtx_titan());
+    let cfg = AcsrConfig::static_long_tail();
+    let mut eng = StreamEngine::build(&dev, &m, cfg);
+    assert_eq!(eng.to_csr(), m);
+    let x: DeviceBuffer<f64> = dev.alloc(Vec::new());
+    let y: DeviceBuffer<f64> = dev.alloc(Vec::new());
+    assert_eq!(eng.spmv(&dev, &x, &y), RunReport::default());
+    assert_eq!(eng.spmv_multi(&dev, &[&x], &[&y]), RunReport::default());
+    let report = eng.apply_batch(&dev, &sparse_formats::UpdateBatch::empty());
+    assert_eq!(report.touched_rows, 0);
+    assert_bit_identical(&dev, &eng, &StreamEngine::build(&dev, &m, cfg));
 }

@@ -84,14 +84,17 @@ echo "==> host-throughput gate (bench-diff vs committed floor)"
 ./target/release/repro bench-diff baselines/BENCH_sim_throughput_ci.json \
     results/BENCH_sim_throughput.json
 
-echo "==> slo-attainment gate (bench-diff vs committed baseline)"
+echo "==> slo-attainment gate (exact: bench-diff deltas, then cmp)"
 ./target/release/repro bench-diff baselines/BENCH_slo_ci.json results/BENCH_slo.json
+cmp baselines/BENCH_slo_ci.json results/BENCH_slo.json
 
-echo "==> streaming-maintenance gate (bench-diff vs committed baseline)"
+echo "==> streaming-maintenance gate (exact: bench-diff deltas, then cmp)"
 ./target/release/repro bench-diff baselines/BENCH_stream_ci.json results/BENCH_stream.json
+cmp baselines/BENCH_stream_ci.json results/BENCH_stream.json
 
-echo "==> fleet-scaling gate (bench-diff vs committed baseline)"
+echo "==> fleet-scaling gate (exact: bench-diff deltas, then cmp)"
 ./target/release/repro bench-diff baselines/BENCH_fleet_ci.json results/BENCH_fleet.json
+cmp baselines/BENCH_fleet_ci.json results/BENCH_fleet.json
 
 echo "==> perf-regression gate rejects an inflated baseline"
 if ./target/release/repro bench-diff baselines/PROFILE_fig5_ci_inflated.json \
