@@ -1189,6 +1189,31 @@ mod tests {
         });
     }
 
+    /// The warp reduction and the host function share one pairing: equal
+    /// bit for bit on values whose sum depends on association order.
+    #[test]
+    fn tree_reduce_sum_is_the_warp_pairing() {
+        let dev = titan();
+        let vals: [f64; WARP] =
+            std::array::from_fn(|i| 1.0 / (i as f64 + 3.0) * 1e-3f64.powi(i as i32 % 4));
+        for width in [1, 2, 8, 32] {
+            let host = crate::warp::tree_reduce_sum(&vals, width);
+            let r = dev.launch("reduce", 1, 32, &|blk| {
+                blk.for_each_warp(&mut |warp| {
+                    let red = warp.segmented_reduce_sum(&vals, width);
+                    assert!(red
+                        .iter()
+                        .zip(&host)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()));
+                });
+            });
+            assert_eq!(
+                r.counters.warp_instructions,
+                2 * u64::from(width.trailing_zeros())
+            );
+        }
+    }
+
     #[test]
     fn shfl_down_shifts_lanes() {
         let dev = titan();

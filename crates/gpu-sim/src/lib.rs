@@ -86,4 +86,4 @@ pub use engine::{
 pub use event::{set_tie_break, tie_break, TieBreak};
 pub use profile::{KernelMetrics, KernelRow, ProfileReport, Roofline, RowKind, Verdict};
 pub use trace::{Span, SpanKind, TraceLedger};
-pub use warp::{lane_mask, WarpCtx, FULL_MASK, WARP};
+pub use warp::{lane_mask, tree_reduce_sum, WarpCtx, FULL_MASK, WARP};

@@ -47,6 +47,41 @@ pub fn lane_mask(n: usize) -> u32 {
     }
 }
 
+/// The shuffle-tree pairing of [`WarpCtx::segmented_reduce_sum`] as a
+/// pure function, for host code that must reproduce a warp reduction
+/// bit for bit. Within each independent segment of `width` lanes
+/// (`width` a power of two ≤ 32), round `delta = width/2, …, 1` sets
+/// lane `i ← i + (i + delta)` for the segment's first `width - delta`
+/// lanes, so each segment's first lane ends holding its sum.
+pub fn tree_reduce_sum<T: Copy + std::ops::Add<Output = T>>(
+    vals: &[T; WARP],
+    width: usize,
+) -> [T; WARP] {
+    assert!(
+        width.is_power_of_two() && width <= WARP,
+        "segment width must be a power of two ≤ 32"
+    );
+    let mut cur = *vals;
+    let mut delta = width / 2;
+    while delta > 0 {
+        // Every combining lane reads `lane + delta`, a lane written
+        // *later* in ascending order — so all reads of a round see the
+        // round's input values, and the round is a pure map over the
+        // snapshot `prev`. Working from an explicit snapshot computes
+        // exactly what the shuffle-copy + masked add pair did, and frees
+        // the compiler from the in-place aliasing (the round
+        // vectorizes).
+        let prev = cur;
+        for seg in (0..WARP).step_by(width) {
+            for lane in seg..seg + width - delta {
+                cur[lane] = prev[lane] + prev[lane + delta];
+            }
+        }
+        delta /= 2;
+    }
+    cur
+}
+
 /// Execution context of one warp inside one block.
 pub struct WarpCtx<'r, 'd, 'k> {
     pub(crate) shard: &'r mut ShardState,
@@ -772,43 +807,20 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
     }
 
     /// Tree-reduce (+) within independent segments of `width` lanes
-    /// (`width` must be a power of two ≤ 32). After the call, the first
-    /// lane of each segment holds that segment's sum. Charges
-    /// `log2(width)` shuffle instructions plus the adds — the intra-warp
-    /// reduction of the paper's Algorithm 2.
+    /// (`width` must be a power of two ≤ 32) with the pairing of
+    /// [`tree_reduce_sum`]. After the call, the first lane of each
+    /// segment holds that segment's sum. Charges `log2(width)` shuffle
+    /// instructions plus the adds — the intra-warp reduction of the
+    /// paper's Algorithm 2.
     pub fn segmented_reduce_sum<T: DevCopy + std::ops::Add<Output = T>>(
         &mut self,
         vals: &[T; WARP],
         width: usize,
     ) -> [T; WARP] {
-        assert!(
-            width.is_power_of_two() && width <= WARP,
-            "segment width must be a power of two ≤ 32"
-        );
-        let mut cur = *vals;
-        let mut delta = width / 2;
-        let mut rounds = 0u64;
-        while delta > 0 {
-            // Every combining lane reads `lane + delta`, a lane written
-            // *later* in ascending order — so all reads of a round see
-            // the round's input values, and the round is a pure map over
-            // the snapshot `prev`. Working from an explicit snapshot
-            // computes exactly what the shuffle-copy + masked add pair
-            // did, and frees the compiler from the in-place aliasing
-            // (the round vectorizes). The combining lanes of each round
-            // are the first `width - delta` of every segment.
-            let prev = cur;
-            for seg in (0..WARP).step_by(width) {
-                for lane in seg..seg + width - delta {
-                    cur[lane] = prev[lane] + prev[lane + delta];
-                }
-            }
-            delta /= 2;
-            rounds += 1;
-        }
+        let cur = tree_reduce_sum(vals, width);
         // One shuffle + one add warp instruction per round, charged in a
         // single call (charge_alu(2) per round sums to the same counters).
-        self.charge_alu(2 * rounds);
+        self.charge_alu(2 * u64::from(width.trailing_zeros()));
         cur
     }
 

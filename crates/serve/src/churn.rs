@@ -196,7 +196,7 @@ pub fn serve_with_churn<T: Scalar>(
             .collect();
         let seeds: Vec<Option<usize>> = active.iter().map(|a| Some(a.q.seed)).collect();
         let next_ref: Vec<&DeviceBuffer<T>> = next_r.iter().collect();
-        let upd = rwr_update_multi(dev, &ys_ref, &c, &restart, &seeds, &next_ref);
+        let upd = rwr_update_multi(dev, &ys_ref, &c, &restart, &seeds, &next_ref, None);
         clock += spmv.time_s + upd.time_s;
         device_report = device_report.then(&spmv).then(&upd);
 

@@ -14,6 +14,8 @@
 //!   RWR iteration for every active query as a single multi-vector
 //!   ACSR SpMM (amortizing launch floors and row-structure reads across
 //!   the batch), retires converged queries, and refills their slots.
+//!   On one device the iterates stay on the device from admission to
+//!   retirement, and a wave reads back only convergence partials.
 //!   Admission is event-driven — arrivals are offered at their true
 //!   arrival times, never batch-admitted at wave boundaries;
 //! * [`slo`] — open-loop serving policy: SLO targets, deadline

@@ -31,7 +31,9 @@ pub struct QueryOutcome<T> {
     pub arrival_s: f64,
     /// Time the scheduler admitted it into a batch (>= arrival).
     pub admitted_s: f64,
-    /// Time its last wave finished (convergence or iteration cap).
+    /// Time its final scores reached the host: the end of its last wave
+    /// (convergence or iteration cap), including that wave's readback of
+    /// the final iterate.
     pub completed_s: f64,
     /// RWR iterations (== waves it rode in).
     pub iterations: usize,
@@ -42,7 +44,8 @@ pub struct QueryOutcome<T> {
 }
 
 impl<T> QueryOutcome<T> {
-    /// Admission-to-convergence latency (what the client observes).
+    /// Arrival-to-completion latency (what the client observes): queue
+    /// wait plus service, the latency every percentile reports.
     pub fn latency_s(&self) -> f64 {
         self.completed_s - self.arrival_s
     }

@@ -40,22 +40,31 @@
 //! functions of modeled time, pinned across host worker widths in
 //! `tests/slo_serving.rs`.
 //!
-//! Every multi-device wave — row-split or stolen — closes with the
-//! fleet's scheduled completion hand-off, the same exchange model the
-//! fleet charges a §VIII SpMV.
+//! On one device, each query's iterate stays in a device buffer from
+//! admission to retirement: a wave moves only the update kernel's
+//! per-warp convergence partials over PCIe, plus the final scores of the
+//! queries it retires. Multi-device waves gather every iterate through
+//! the host instead (a row-split wave must all-gather its shards, and a
+//! stolen query may run on another device next wave), and the host
+//! computes the same partials with the kernel's pairing, so convergence
+//! is one arithmetic everywhere. Every multi-device wave — row-split or
+//! stolen — closes with the fleet's scheduled completion hand-off, the
+//! same exchange model the fleet charges a §VIII SpMV.
 
 use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
 use crate::query::{Query, QueryOutcome};
 use crate::queue::SubmissionQueue;
-use crate::slo::{DispatchPolicy, SloPolicy};
+use crate::slo::{BatchPolicy, DispatchPolicy, SloPolicy};
 use crate::telemetry::ServeScope;
 use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport};
-use graph_apps::rwr::{rwr_operator, rwr_update_multi};
+use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport, WARP};
+use graph_apps::rwr::{
+    convergence_partials, rwr_init_multi, rwr_operator, rwr_update_multi, sum_partials, Convergence,
+};
 use graph_apps::IterParams;
 use multi_gpu::{Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
@@ -83,7 +92,9 @@ pub struct ServeConfig {
     pub format: ShardFormat,
     /// Simulated device model.
     pub device: DeviceConfig,
-    /// Keep each query's final relevance vector in its outcome.
+    /// Keep each query's final relevance vector in its outcome. The
+    /// readback that delivers it is charged either way: the answer has
+    /// to reach the host.
     pub keep_scores: bool,
 }
 
@@ -106,8 +117,11 @@ struct Active<T> {
     q: Query,
     admitted_s: f64,
     iterations: usize,
-    /// Current global relevance iterate (host copy between waves).
-    r: Vec<T>,
+    /// Current global relevance iterate. A one-device engine keeps it on
+    /// the device from admission to retirement (its first wave writes
+    /// r⁰); a multi-device engine gathers it through the host every
+    /// wave, and this is that host copy.
+    r: DeviceBuffer<T>,
 }
 
 /// How one executed wave was actually dispatched (the resolution of the
@@ -377,6 +391,12 @@ impl<T: Scalar> ServeEngine<T> {
             policy.batch.max_width() >= 1,
             "batch policy must allow at least one query per wave"
         );
+        if let BatchPolicy::Adaptive { min, max } = policy.batch {
+            assert!(
+                min <= max,
+                "BatchPolicy::Adaptive needs min <= max (min = {min}, max = {max})"
+            );
+        }
         let mut stream: Vec<Query> = queries.to_vec();
         stream.sort_by(|a, b| {
             a.arrival_s
@@ -462,10 +482,26 @@ impl<T: Scalar> ServeEngine<T> {
             if wave_id.is_some() {
                 self.set_wave_context(wave_id);
             }
-            let (new_r, wave_time) = match mode {
-                DispatchMode::RowSplit => self.wave(&active, &mut device_reports),
-                DispatchMode::QuerySplit => self.wave_steal(&active, &mut device_reports),
+            let (dist2, mut wave_time) = match mode {
+                DispatchMode::RowSplit => self.wave(&mut active, &mut device_reports),
+                DispatchMode::QuerySplit => self.wave_steal(&mut active, &mut device_reports),
             };
+            // Per query: `None` rides on, `Some(converged)` retires.
+            let verdicts: Vec<Option<bool>> = active
+                .iter()
+                .zip(&dist2)
+                .map(|(a, &d2)| {
+                    let converged = d2.sqrt() < self.config.iter.epsilon;
+                    (converged || a.iterations + 1 >= self.config.iter.max_iters)
+                        .then_some(converged)
+                })
+                .collect();
+            if self.resident() {
+                // The answers of the retiring queries are still on the
+                // device: one batched readback, part of this wave.
+                let retiring = verdicts.iter().flatten().count();
+                wave_time += self.read_back_scores(retiring, &mut device_reports);
+            }
             if wave_id.is_some() {
                 self.set_wave_context(None);
             }
@@ -500,7 +536,7 @@ impl<T: Scalar> ServeEngine<T> {
             clock = wave_end;
 
             // 4. retire converged queries, keep the rest
-            active = self.retire(active, new_r, clock, &mut outcomes, policy, &mut scope);
+            active = self.retire(active, &verdicts, clock, &mut outcomes, policy, &mut scope);
         }
 
         let report = ServeReport {
@@ -569,22 +605,50 @@ impl<T: Scalar> ServeEngine<T> {
             if let Some(s) = scope.as_mut() {
                 s.on_admitted(now, &q);
             }
-            let mut r = vec![T::ZERO; self.rows()];
-            r[q.seed] = T::ONE; // r⁰ = e_seed
             active.push(Active {
                 q,
                 admitted_s: now,
                 iterations: 0,
-                r,
+                r: self.first_iterate(q.seed),
             });
         }
     }
 
+    /// One-device engines keep every iterate on the device; see
+    /// [`resident_step`].
+    fn resident(&self) -> bool {
+        self.n_devices() == 1
+    }
+
+    /// A newly admitted query's iterate buffer. On a resident engine
+    /// the query's first wave writes r⁰ = e_seed on the device;
+    /// otherwise r⁰ is built here, as the host copy the first wave
+    /// uploads.
+    fn first_iterate(&self, seed: usize) -> DeviceBuffer<T> {
+        let mut r = DeviceBuffer::zeroed(self.rows());
+        if !self.resident() {
+            r.as_mut_slice()[seed] = T::ONE;
+        }
+        r
+    }
+
     /// Execute one batched RWR iteration for `active` row-split across
-    /// the fleet's shards; returns the next iterates and the wave's
-    /// modeled time (slowest device or last hand-off, whichever lands
-    /// later).
-    fn wave(&self, active: &[Active<T>], device_reports: &mut [RunReport]) -> (Vec<Vec<T>>, f64) {
+    /// the fleet's shards, replacing each query's iterate with the next;
+    /// returns each query's `‖next − r‖²` and the wave's modeled time
+    /// (slowest device or last hand-off, whichever lands later).
+    fn wave(&self, active: &mut [Active<T>], device_reports: &mut [RunReport]) -> (Vec<f64>, f64) {
+        if self.resident() {
+            let mut dist2 = Vec::new();
+            let report = self.fleet.drive(|_, dev, plan, rows| {
+                // the one shard is every row in order, so a warp's 32
+                // rows are 32 global rows
+                debug_assert_eq!(rows.len(), self.rows());
+                let (d2, rep) = resident_step(dev, plan, active);
+                dist2 = d2;
+                rep
+            });
+            return (dist2, charge(device_reports, &report));
+        }
         let queries: Vec<&Active<T>> = active.iter().collect();
         let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows()]; active.len()];
         let report = self.fleet.drive(|_, dev, plan, shard_rows| {
@@ -596,7 +660,19 @@ impl<T: Scalar> ServeEngine<T> {
             }
             rep
         });
-        (new_r, charge(device_reports, &report))
+        (swap_in(active, new_r), charge(device_reports, &report))
+    }
+
+    /// Charge a resident engine's batched readback of `retiring` final
+    /// iterates; returns its modeled time (0 when nothing retires).
+    fn read_back_scores(&self, retiring: usize, device_reports: &mut [RunReport]) -> f64 {
+        if retiring == 0 {
+            return 0.0;
+        }
+        let bytes = retiring * self.rows() * std::mem::size_of::<T>();
+        let rep = self.fleet.devices()[0].record_dtoh("serve_scores_d2h", bytes as u64);
+        device_reports[0] = device_reports[0].clone().then(&rep);
+        rep.time_s
     }
 
     /// Resolve the policy's dispatch for a wave of `k` queries.
@@ -630,8 +706,8 @@ impl<T: Scalar> ServeEngine<T> {
     fn dispatch_cost(&self) -> DispatchCost {
         *self.dispatch_cost.get_or_init(|| {
             let mut scratch = vec![RunReport::default(); self.n_devices()];
-            let (_, rs1) = self.wave(&self.probe_wave(1), &mut scratch);
-            let (_, rs2) = self.wave(&self.probe_wave(2), &mut scratch);
+            let (_, rs1) = self.wave(&mut self.probe_wave(1), &mut scratch);
+            let (_, rs2) = self.wave(&mut self.probe_wave(2), &mut scratch);
             let probes = self.probe_wave(2);
             let one: Vec<&Active<T>> = probes[..1].iter().collect();
             let two: Vec<&Active<T>> = probes.iter().collect();
@@ -652,8 +728,6 @@ impl<T: Scalar> ServeEngine<T> {
         (0..k)
             .map(|i| {
                 let seed = i % self.rows();
-                let mut r = vec![T::ZERO; self.rows()];
-                r[seed] = T::ONE;
                 Active {
                     q: Query {
                         id: u64::MAX - i as u64,
@@ -664,7 +738,7 @@ impl<T: Scalar> ServeEngine<T> {
                     },
                     admitted_s: 0.0,
                     iterations: 0,
-                    r,
+                    r: self.first_iterate(seed),
                 }
             })
             .collect()
@@ -699,12 +773,13 @@ impl<T: Scalar> ServeEngine<T> {
     /// closes with no hand-off at all. Per query the batched kernels
     /// execute the exact single-vector float-op sequence (the batch- and
     /// device-count-independence invariants), so the iterates are
-    /// bit-identical to a row-split wave's.
+    /// bit-identical to a row-split wave's. Returns what [`Self::wave`]
+    /// returns.
     fn wave_steal(
         &self,
-        active: &[Active<T>],
+        active: &mut [Active<T>],
         device_reports: &mut [RunReport],
-    ) -> (Vec<Vec<T>>, f64) {
+    ) -> (Vec<f64>, f64) {
         let k = active.len();
         let d_active = k.min(self.n_devices()).max(1);
         let mut new_r: Vec<Vec<T>> = vec![Vec::new(); k];
@@ -722,35 +797,24 @@ impl<T: Scalar> ServeEngine<T> {
             })
             .collect();
         let report = self.fleet.finish(ran);
-        (new_r, charge(device_reports, &report))
+        (swap_in(active, new_r), charge(device_reports, &report))
     }
 
-    /// Retire converged (or capped) queries at wave end `clock`;
-    /// returns the survivors with their swapped-in iterates.
+    /// Retire the queries whose `verdicts` entry is `Some(converged)`
+    /// at wave end `clock`; returns the survivors.
     fn retire(
         &self,
         active: Vec<Active<T>>,
-        mut new_r: Vec<Vec<T>>,
+        verdicts: &[Option<bool>],
         clock: f64,
         outcomes: &mut Vec<QueryOutcome<T>>,
         policy: &SloPolicy,
         scope: &mut Option<ServeScope>,
     ) -> Vec<Active<T>> {
         let mut survivors = Vec::with_capacity(active.len());
-        for (v, mut a) in active.into_iter().enumerate() {
+        for (mut a, &verdict) in active.into_iter().zip(verdicts) {
             a.iterations += 1;
-            // Euclidean distance of successive iterates, summed over
-            // global rows in ascending order — identical arithmetic
-            // whatever the batch or device split, so convergence is
-            // a per-query property.
-            let mut dist2 = 0.0f64;
-            for (old, new) in a.r.iter().zip(&new_r[v]) {
-                let d = new.to_f64() - old.to_f64();
-                dist2 += d * d;
-            }
-            std::mem::swap(&mut a.r, &mut new_r[v]);
-            let converged = dist2.sqrt() < self.config.iter.epsilon;
-            if converged || a.iterations >= self.config.iter.max_iters {
+            if let Some(converged) = verdict {
                 if let Some(s) = scope.as_mut() {
                     s.on_completed(
                         clock,
@@ -768,7 +832,7 @@ impl<T: Scalar> ServeEngine<T> {
                     completed_s: clock,
                     iterations: a.iterations,
                     converged,
-                    scores: self.config.keep_scores.then_some(a.r),
+                    scores: self.config.keep_scores.then(|| a.r.into_vec()),
                 });
             } else {
                 survivors.push(a);
@@ -791,13 +855,14 @@ impl<T: Scalar> ServeEngine<T> {
     }
 }
 
-/// One batched RWR iteration of `queries` on one device, the step both
-/// dispatch modes share: upload every iterate in full width, SpMM
-/// through `plan`, apply the restart update, and read back the plan's
-/// rows. `shard_rows` lists the global rows a shard plan computes, and a
-/// query restarts only on the shard that owns its seed row; `None` means
-/// `plan` covers the whole graph, so seeds stay global. Returns the next
-/// iterates over the plan's rows, parallel to `queries`.
+/// One batched RWR iteration of `queries` on one device of a
+/// multi-device engine, the step both dispatch modes share: upload every
+/// iterate in full width, SpMM through `plan`, apply the restart update,
+/// and read back the plan's rows for the host to gather. `shard_rows`
+/// lists the global rows a shard plan computes, and a query restarts
+/// only on the shard that owns its seed row; `None` means `plan` covers
+/// the whole graph, so seeds stay global. Returns the next iterates over
+/// the plan's rows, parallel to `queries`.
 fn rwr_step<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
@@ -805,19 +870,9 @@ fn rwr_step<T: Scalar>(
     shard_rows: Option<&[u32]>,
 ) -> (Vec<DeviceBuffer<T>>, RunReport) {
     let k = queries.len();
-    let (width, local_n) = (plan.cols(), plan.rows());
     let elt = std::mem::size_of::<T>();
-    let c: Vec<T> = queries.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-    let restart: Vec<T> = queries
-        .iter()
-        .map(|a| T::from_f64(1.0 - a.q.restart_c))
-        .collect();
-    let mut rep = dev.record_htod("serve_x_upload", (k * width * elt) as u64);
-    let xs: Vec<_> = queries.iter().map(|a| dev.alloc(a.r.clone())).collect();
-    let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-    let xr: Vec<_> = xs.iter().collect();
-    let tr: Vec<_> = tmps.iter().collect();
-    rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
+    let rep = dev.record_htod("serve_x_upload", (k * plan.cols() * elt) as u64);
+    let xs: Vec<_> = queries.iter().map(|a| a.r.clone()).collect();
     let seeds: Vec<Option<usize>> = queries
         .iter()
         .map(|a| match shard_rows {
@@ -825,11 +880,91 @@ fn rwr_step<T: Scalar>(
             None => Some(a.q.seed),
         })
         .collect();
+    let xr: Vec<_> = xs.iter().collect();
+    let (nexts, rep) = spmm_update(dev, plan, queries, &xr, &seeds, None, rep);
+    let readback = dev.record_dtoh("serve_y_readback", (k * plan.rows() * elt) as u64);
+    (nexts, rep.then(&readback))
+}
+
+/// One batched RWR iteration on a one-device engine, whose iterates stay
+/// on the device from admission to retirement: an init launch writes
+/// r⁰ = e_seed for the queries admitted this wave, the SpMM reads the
+/// resident iterates, the update also writes each query's convergence
+/// partials, and only those partials cross PCIe. Replaces each query's
+/// iterate with the next; returns each query's `‖next − r‖²`, summed on
+/// the host in ascending block order.
+fn resident_step<T: Scalar>(
+    dev: &Device,
+    plan: &SpmvPlan<T>,
+    active: &mut [Active<T>],
+) -> (Vec<f64>, RunReport) {
+    let (fresh_seeds, fresh): (Vec<usize>, Vec<&DeviceBuffer<T>>) = active
+        .iter()
+        .filter(|a| a.iterations == 0)
+        .map(|a| (a.q.seed, &a.r))
+        .unzip();
+    let init = rwr_init_multi(dev, &fresh_seeds, &fresh);
+    let queries: Vec<&Active<T>> = active.iter().collect();
+    let xs: Vec<&DeviceBuffer<T>> = queries.iter().map(|a| &a.r).collect();
+    let seeds: Vec<Option<usize>> = queries.iter().map(|a| Some(a.q.seed)).collect();
+    let blocks = plan.rows().div_ceil(WARP);
+    let partials = dev.alloc_zeroed::<f64>(queries.len() * blocks);
+    let conv = Convergence {
+        prev: &xs,
+        partials: &partials,
+    };
+    let (nexts, rep) = spmm_update(dev, plan, &queries, &xs, &seeds, Some(&conv), init);
+    let readback = dev.record_dtoh("serve_partials_d2h", partials.bytes());
+    let dist2 = (0..queries.len())
+        .map(|v| sum_partials(&partials.as_slice()[v * blocks..(v + 1) * blocks]))
+        .collect();
+    for (a, next) in active.iter_mut().zip(nexts) {
+        a.r = next;
+    }
+    (dist2, rep.then(&readback))
+}
+
+/// SpMM the iterates `xs` through `plan` and apply each query's restart
+/// update (with the convergence output when `conv` is set): the device
+/// work both steps share, charged after `rep`. Returns the next iterates
+/// over the plan's rows and the extended report.
+fn spmm_update<T: Scalar>(
+    dev: &Device,
+    plan: &SpmvPlan<T>,
+    queries: &[&Active<T>],
+    xs: &[&DeviceBuffer<T>],
+    seeds: &[Option<usize>],
+    conv: Option<&Convergence<'_, T>>,
+    rep: RunReport,
+) -> (Vec<DeviceBuffer<T>>, RunReport) {
+    let (k, local_n) = (queries.len(), plan.rows());
+    let c: Vec<T> = queries.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
+    let restart: Vec<T> = queries
+        .iter()
+        .map(|a| T::from_f64(1.0 - a.q.restart_c))
+        .collect();
+    let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
+    let tr: Vec<_> = tmps.iter().collect();
+    let rep = rep.then(&plan.spmv_multi(dev, xs, &tr));
     let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
     let nr: Vec<_> = nexts.iter().collect();
-    rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
-    rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
+    let rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, seeds, &nr, conv));
     (nexts, rep)
+}
+
+/// Swap each query's gathered next iterate into place; returns each
+/// query's `‖next − r‖²`, from partials computed on the host with the
+/// resident update kernel's pairing and summation order.
+fn swap_in<T: Scalar>(active: &mut [Active<T>], new_r: Vec<Vec<T>>) -> Vec<f64> {
+    active
+        .iter_mut()
+        .zip(new_r)
+        .map(|(a, next)| {
+            let d2 = sum_partials(&convergence_partials(&next, a.r.as_slice()));
+            a.r = DeviceBuffer::new(next);
+            d2
+        })
+        .collect()
 }
 
 /// Fold one wave's per-device accounting into the run totals and
@@ -1116,7 +1251,7 @@ mod tests {
             },
         );
         let mut reports = vec![RunReport::default(); 2];
-        let (_, wave_s) = engine.wave(&engine.probe_wave(2), &mut reports);
+        let (_, wave_s) = engine.wave(&mut engine.probe_wave(2), &mut reports);
         let finishes: Vec<Option<f64>> = reports.iter().map(|r| Some(r.time_s)).collect();
         let slowest = reports.iter().fold(0.0f64, |a, r| a.max(r.time_s));
         let handoff = engine.fleet.exchange(&finishes);
@@ -1144,7 +1279,7 @@ mod tests {
             },
         );
         let mut reports = vec![RunReport::default(); 4];
-        let (_, wave_s) = engine.wave_steal(&engine.probe_wave(1), &mut reports);
+        let (_, wave_s) = engine.wave_steal(&mut engine.probe_wave(1), &mut reports);
         assert!(reports[0].launches > 0);
         assert_eq!(wave_s, reports[0].time_s);
         assert!(reports[1..]
@@ -1188,7 +1323,7 @@ mod tests {
         // One wave, re-priced with hand-offs from the busy shards only,
         // reproduces the engine's wave time exactly.
         let mut reports = vec![RunReport::default(); 8];
-        let (_, wave_s) = engine.wave(&engine.probe_wave(3), &mut reports);
+        let (_, wave_s) = engine.wave(&mut engine.probe_wave(3), &mut reports);
         let finishes: Vec<Option<f64>> = reports
             .iter()
             .map(|r| (r.launches > 0).then_some(r.time_s))
@@ -1443,6 +1578,100 @@ mod tests {
             snap.counter("serve.waves.stolen"),
             Some(report.stolen_waves() as u64)
         );
+    }
+
+    /// A one-device engine keeps every iterate on the device: no
+    /// per-wave upload or readback, one partials readback per wave, and
+    /// one batched readback of the final iterates, charged whether or not
+    /// the engine keeps scores. A two-device engine still gathers every
+    /// wave through the host.
+    #[test]
+    fn one_device_waves_move_only_partials_and_final_scores() {
+        let g = graph(400, 217);
+        let transfers = |ledger: &TraceLedger, name: &str| -> Vec<gpu_sim::Span> {
+            ledger
+                .spans()
+                .into_iter()
+                .filter(|s| s.kind == gpu_sim::SpanKind::Transfer && s.name == name)
+                .collect()
+        };
+        for keep_scores in [false, true] {
+            let mut engine = ServeEngine::new(
+                &g,
+                ServeConfig {
+                    max_batch: 4,
+                    keep_scores,
+                    ..ServeConfig::default()
+                },
+            );
+            let ledger = engine.enable_tracing();
+            let report = engine.serve_generated(saturated(6), 6, 0.85, 29);
+            assert_eq!(report.outcomes.len(), 6);
+            ledger.reconcile().expect("resident trace must reconcile");
+            assert!(transfers(&ledger, "serve_x_upload").is_empty());
+            assert!(transfers(&ledger, "serve_y_readback").is_empty());
+            assert_eq!(
+                transfers(&ledger, "serve_partials_d2h").len(),
+                report.waves,
+                "one partials readback per wave"
+            );
+            let score_bytes: u64 = transfers(&ledger, "serve_scores_d2h")
+                .iter()
+                .map(|s| s.counters.dtoh_bytes)
+                .sum();
+            let elt = std::mem::size_of::<f64>();
+            assert_eq!(
+                score_bytes,
+                (report.outcomes.len() * engine.rows() * elt) as u64
+            );
+            assert_eq!(report.device_reports[0].counters.htod_bytes, 0);
+        }
+
+        let mut engine = ServeEngine::new(
+            &g,
+            ServeConfig {
+                max_batch: 4,
+                n_devices: 2,
+                ..ServeConfig::default()
+            },
+        );
+        let ledger = engine.enable_tracing();
+        let report = engine.serve_generated(saturated(6), 6, 0.85, 29);
+        ledger.reconcile().expect("two-device trace must reconcile");
+        assert_eq!(transfers(&ledger, "serve_x_upload").len(), 2 * report.waves);
+        assert_eq!(
+            transfers(&ledger, "serve_y_readback").len(),
+            2 * report.waves
+        );
+        assert!(transfers(&ledger, "serve_partials_d2h").is_empty());
+        assert!(transfers(&ledger, "serve_scores_d2h").is_empty());
+    }
+
+    /// The resident wave charges the retirement readback to the wave
+    /// that retires the query, so it is part of `completed_s`: a single
+    /// query's latency is its waves' device time, readback included.
+    #[test]
+    fn final_scores_readback_counts_in_the_retiring_wave() {
+        let g = graph(300, 218);
+        let engine = ServeEngine::new(&g, ServeConfig::default());
+        let report = engine.serve(&[query(0, 5, 0.0)]);
+        let o = &report.outcomes[0];
+        let dev = &report.device_reports[0];
+        assert_eq!(o.completed_s, report.makespan_s);
+        assert!((o.latency_s() - dev.time_s).abs() < 1e-15);
+        let elt = std::mem::size_of::<f64>();
+        let partials = o.iterations * 300usize.div_ceil(WARP) * 8;
+        assert_eq!(dev.counters.dtoh_bytes, (partials + 300 * elt) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "BatchPolicy::Adaptive needs min <= max (min = 8, max = 4)")]
+    fn inverted_adaptive_batch_policy_is_rejected_at_entry() {
+        let g = graph(100, 219);
+        let engine = ServeEngine::new(&g, ServeConfig::default());
+        let mut policy = SloPolicy::open_loop(1e-3, 4, 16);
+        policy.batch = BatchPolicy::Adaptive { min: 8, max: 4 };
+        engine.serve_slo(&[query(0, 1, 0.0)], &policy);
     }
 
     #[test]

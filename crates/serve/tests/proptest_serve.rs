@@ -5,15 +5,18 @@
 //!    or co-batched with arbitrary other queries. Continuous batching
 //!    changes scheduling, never answers.
 //! 2. **Device-count independence** — the same holds across the number
-//!    of simulated devices the wave is spread over: the per-bin row
-//!    partition preserves every row's bin and accumulation order.
+//!    of simulated devices the wave is spread over and how each wave is
+//!    dispatched: the per-bin row partition preserves every row's bin
+//!    and accumulation order, and the convergence norm one device
+//!    computes in its update kernel equals the one a multi-device engine
+//!    computes on the host from the gathered iterate.
 //!
 //! Both are exercised at host worker widths 1 and 2 (the default serve
 //! configuration is `StaticLongTail`, which the simulator pins at every
 //! width), guarded by a width lock since `set_sim_threads` is
 //! process-global.
 
-use acsr_serve::{Query, QueryOutcome, ServeConfig, ServeEngine};
+use acsr_serve::{DispatchPolicy, Query, QueryOutcome, ServeConfig, ServeEngine, SloPolicy};
 use gpu_sim::set_sim_threads;
 use graphgen::{generate_power_law, PowerLawConfig};
 use proptest::prelude::*;
@@ -53,8 +56,19 @@ fn stream(n_nodes: usize, n: usize) -> Vec<Query> {
 }
 
 fn serve_sorted(g: &CsrMatrix<f64>, cfg: ServeConfig, queries: &[Query]) -> Vec<QueryOutcome<f64>> {
+    serve_dispatched(g, cfg, queries, DispatchPolicy::RowSplit)
+}
+
+/// Closed-loop serving with every wave dispatched per `dispatch`.
+fn serve_dispatched(
+    g: &CsrMatrix<f64>,
+    cfg: ServeConfig,
+    queries: &[Query],
+    dispatch: DispatchPolicy,
+) -> Vec<QueryOutcome<f64>> {
+    let policy = SloPolicy::closed_loop(cfg.max_batch, cfg.queue_capacity).with_dispatch(dispatch);
     let engine = ServeEngine::new(g, cfg);
-    let mut outcomes = engine.serve(queries).outcomes;
+    let mut outcomes = engine.serve_slo(queries, &policy).outcomes;
     outcomes.sort_by_key(|o| o.id);
     outcomes
 }
@@ -105,7 +119,9 @@ proptest! {
         }
     }
 
-    /// 1 device vs 2 or 3: bit-identical scores and iteration counts.
+    /// 1 device vs 2 or 3, each row-split and query-split: bit-identical
+    /// scores and iteration counts, so the device-computed convergence
+    /// norm (one device) agrees with the host-computed one (several).
     #[test]
     fn device_count_never_changes_answers(g in arb_graph(), n_devices in 2usize..4) {
         let _guard = WIDTH_LOCK.lock().unwrap();
@@ -120,13 +136,15 @@ proptest! {
         for width in [1usize, 2] {
             set_sim_threads(width);
             let single = serve_sorted(&g, cfg(1), &queries);
-            let multi = serve_sorted(&g, cfg(n_devices), &queries);
+            for dispatch in [DispatchPolicy::RowSplit, DispatchPolicy::QuerySplit] {
+                let multi = serve_dispatched(&g, cfg(n_devices), &queries, dispatch);
+                assert_outcomes_bit_identical(
+                    &single,
+                    &multi,
+                    &format!("width {width}, {n_devices} devices, {dispatch:?}"),
+                );
+            }
             set_sim_threads(0);
-            assert_outcomes_bit_identical(
-                &single,
-                &multi,
-                &format!("width {width}, {n_devices} devices"),
-            );
         }
     }
 }

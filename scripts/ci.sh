@@ -20,6 +20,11 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> acsr-bench (build, unit tests, every workload --quick, traced and untraced)"
+# acsr-bench builds against crates/serve, apps and gpu-sim by path;
+# sharing the workspace target dir reuses their release builds.
+CARGO_TARGET_DIR=target acsr-bench/check.sh
+
 echo "==> trace export smoke (repro fig5 --trace)"
 ./target/release/repro fig5 --trace --scale 512 --matrices INT > /dev/null
 test -s results/trace_fig5.json
