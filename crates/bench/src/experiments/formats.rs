@@ -132,10 +132,8 @@ pub fn compare_matrix(
     let xd = dev.alloc(x);
 
     let reg = FormatRegistry::<f32>::with_all();
-    let budget = PlanBudget {
-        bccoo_sample_rows: BCCOO_TUNE_SAMPLE_ROWS,
-        ..PlanBudget::for_device(dev.config())
-    };
+    let mut budget = PlanBudget::for_device(dev.config());
+    budget.bccoo_sample_rows = BCCOO_TUNE_SAMPLE_ROWS;
     let cost_of = |name: &'static str| -> FormatCost {
         match reg.plan(name, &dev, m, &budget) {
             Ok(plan) => FormatCost {

@@ -41,6 +41,7 @@ pub use selector::{record_selection, AdaptiveSelector, CandidateReport, Selectio
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, RunReport};
 use serde::{Deserialize, Serialize};
 use sparse_formats::{CsrMatrix, HostModel, PreprocessCost, Scalar, SparseError};
+use spmv_kernels::tuning::{Incumbent, SweepBound};
 use spmv_kernels::GpuSpmv;
 
 /// How a format's preprocessing behaves — the rows of the paper's
@@ -81,6 +82,12 @@ pub struct PlanBudget {
     /// exceed it fail with [`SparseError::CapacityExceeded`] — the ∅
     /// cells of the paper's tables.
     pub max_device_bytes: u64,
+    /// The best candidate the [`AdaptiveSelector`] holds when it plans an
+    /// auto-tuned format: the tuning sweep stops once it can no longer
+    /// beat it ([`SweepBound`]). Set only by the selector and read only
+    /// by the auto-tune planners; `None` (the default) runs the full
+    /// sweep.
+    pub(crate) incumbent: Option<Incumbent>,
     /// Expected number of SpMV applications of the plan (the pagerank
     /// iteration count, the serve query volume, ...). The selector uses
     /// it as the amortization horizon of Eq. 4.
@@ -105,6 +112,7 @@ impl Default for PlanBudget {
     fn default() -> Self {
         PlanBudget {
             max_device_bytes: u64::MAX,
+            incumbent: None,
             expected_iterations: 1,
             host: HostModel::default(),
             bccoo_sample_rows: 8192,
@@ -137,6 +145,16 @@ impl PlanBudget {
     /// The device-bytes cap as a `usize` for format converters.
     pub(crate) fn max_bytes_usize(&self) -> usize {
         usize::try_from(self.max_device_bytes).unwrap_or(usize::MAX)
+    }
+
+    /// The auto-tune planners' early-exit bound: the incumbent, with the
+    /// charge priced as the selector prices a plan's preprocessing.
+    pub(crate) fn sweep_bound(&self) -> Option<SweepBound> {
+        self.incumbent.map(|incumbent| SweepBound {
+            incumbent,
+            host: self.host,
+            probe_scale: self.probe_scale.max(1) as u64,
+        })
     }
 }
 
@@ -480,6 +498,32 @@ mod tests {
             let res = reg.plan(name, &dev, &m, &budget);
             assert!(res.is_err(), "{name} accepted a 64-byte budget");
         }
+    }
+
+    #[test]
+    fn direct_plans_run_the_full_tuning_sweep() {
+        // Only the selector bounds a sweep: a plan requested by name
+        // charges every trial of the search space.
+        let m = tiny(300, 13);
+        let dev = Device::new(presets::gtx_titan());
+        let reg = FormatRegistry::<f64>::with_all();
+        let budget = PlanBudget::for_device(dev.config()).with_iterations(1_000);
+        assert!(budget.incumbent.is_none());
+        let trials = |name| {
+            reg.plan(name, &dev, &m, &budget)
+                .unwrap()
+                .preprocess_cost()
+                .autotune_trials as usize
+        };
+        assert_eq!(
+            trials("BCCOO"),
+            sparse_formats::BccooConfig::search_space().len()
+        );
+        let tiles = sparse_formats::TcooMatrix::<f64>::tile_search_space(
+            m.cols(),
+            dev.config().tex_cache_bytes,
+        );
+        assert_eq!(trials("TCOO"), tiles.len());
     }
 
     #[test]

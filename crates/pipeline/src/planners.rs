@@ -6,7 +6,9 @@
 //! raw-CSR uploads, the full tuning sweep for BCCOO/TCOO) plus the
 //! device upload, with the budget's byte cap threaded through to the
 //! converter so infeasible formats fail with `CapacityExceeded` — the
-//! paper's ∅ table cells.
+//! paper's ∅ table cells. The two auto-tune planners also pass on the
+//! selector's incumbent, if any, so their sweeps stop with `Pruned` once
+//! they cannot win.
 
 use crate::{PlanBudget, PreprocessClass, SpmvPlan, SpmvPlanner};
 use acsr::{AcsrConfig, AcsrEngine};
@@ -216,8 +218,13 @@ impl<T: Scalar> SpmvPlanner<T> for BccooPlanner {
         m: &CsrMatrix<T>,
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
-        let tuned =
-            tuning::autotune_bccoo(dev, m, budget.bccoo_sample_rows, budget.max_bytes_usize())?;
+        let tuned = tuning::autotune_bccoo(
+            dev,
+            m,
+            budget.bccoo_sample_rows,
+            budget.max_bytes_usize(),
+            budget.sweep_bound().as_ref(),
+        )?;
         let engine: Box<dyn GpuSpmv<T>> =
             Box::new(BccooKernel::new(DevBccoo::upload(dev, &tuned.matrix)));
         check_budget(
@@ -243,7 +250,12 @@ impl<T: Scalar> SpmvPlanner<T> for TcooPlanner {
         m: &CsrMatrix<T>,
         budget: &PlanBudget,
     ) -> Result<SpmvPlan<T>, SparseError> {
-        let tuned = tuning::tune_tcoo(dev, m, budget.max_bytes_usize())?;
+        let tuned = tuning::tune_tcoo(
+            dev,
+            m,
+            budget.max_bytes_usize(),
+            budget.sweep_bound().as_ref(),
+        )?;
         let engine: Box<dyn GpuSpmv<T>> =
             Box::new(TcooKernel::new(DevTcoo::upload(dev, &tuned.matrix)));
         check_budget(

@@ -9,7 +9,9 @@
 //!    auto-tuning BCCOO for a 10-iteration run, or padding ELL for a
 //!    power-law matrix;
 //! 2. **plans** each shortlisted format through the registry (charging
-//!    real conversion/tuning costs);
+//!    real conversion/tuning costs), the auto-tuned formats last: each
+//!    is told the best total so far, so its tuning sweep stops as soon
+//!    as it can no longer win;
 //! 3. **probes** one modeled SpMV per feasible plan on the target
 //!    device;
 //! 4. ranks candidates by modeled total time
@@ -22,11 +24,12 @@
 //! all independent of the host thread count — so selection is stable
 //! across `ACSR_SIM_THREADS` widths (pinned by a test).
 
-use crate::{break_even_iterations, FormatRegistry, PlanBudget, SpmvPlan};
+use crate::{break_even_iterations, FormatRegistry, PlanBudget, PreprocessClass, SpmvPlan};
 use acsr_telemetry::Telemetry;
 use gpu_sim::{Device, RunReport};
 use serde::{Deserialize, Serialize};
-use sparse_formats::{CsrMatrix, RowLengthStats, Scalar};
+use sparse_formats::{CsrMatrix, RowLengthStats, Scalar, SparseError};
+use spmv_kernels::tuning::Incumbent;
 use spmv_kernels::GpuSpmv;
 
 /// Horizon above which auto-tuned formats (BCCOO, TCOO) are worth
@@ -57,6 +60,11 @@ pub struct CandidateReport {
     pub feasible: bool,
     /// Why not, when `feasible` is false.
     pub reason: Option<String>,
+    /// Its tuning sweep stopped early because it could no longer beat
+    /// the best candidate so far (`feasible` is false, `reason` says
+    /// why). Not serialized: `reason` carries it into the artifact.
+    #[serde(skip)]
+    pub pruned: bool,
     /// Modeled host preprocessing seconds (conversion + tuning).
     pub preprocess_s: f64,
     /// Modeled PCIe upload seconds for the plan's device footprint.
@@ -89,9 +97,9 @@ pub struct Selection<T: Scalar> {
 
 /// Record one ranked selection into `tel`: the decision itself
 /// (`selector.decisions`, `selector.winner.<format>`), the candidate
-/// census (`selector.candidates_ranked`, `selector.infeasible`), and
-/// every feasible candidate's ranking key as a
-/// `selector.ranked_total_s` histogram sample. Callers that own a
+/// census (`selector.candidates_ranked`, `selector.pruned`,
+/// `selector.infeasible`), and every feasible candidate's ranking key
+/// as a `selector.ranked_total_s` histogram sample. Callers that own a
 /// [`Selection`] pass `(&sel.winner, &sel.candidates)`.
 pub fn record_selection(tel: &Telemetry, winner: &str, candidates: &[CandidateReport]) {
     let m = &tel.metrics;
@@ -101,6 +109,8 @@ pub fn record_selection(tel: &Telemetry, winner: &str, candidates: &[CandidateRe
     for c in candidates {
         if c.feasible {
             m.observe("selector.ranked_total_s", c.total_s);
+        } else if c.pruned {
+            m.add("selector.pruned", 1);
         } else {
             m.add("selector.infeasible", 1);
         }
@@ -150,7 +160,13 @@ impl AdaptiveSelector {
     /// full candidate report.
     ///
     /// Infeasible candidates (budget, capacity) are kept in the report
-    /// with `feasible = false`. Panics only if *no* registered candidate
+    /// with `feasible = false`, and so are auto-tuned candidates whose
+    /// sweep was pruned. An auto-tuned format is planned against the
+    /// best feasible total so far: its charged preprocessing only grows
+    /// with each trial and is a lower bound on its own total, so once it
+    /// is strictly above the incumbent the format cannot win and the
+    /// sweep stops. The winner is the one the full sweeps would pick.
+    /// Panics only if *no* registered candidate
     /// is feasible — CSR-vector plans whenever the operator itself fits,
     /// so this means the budget cannot hold the matrix at all.
     pub fn select<T: Scalar>(
@@ -177,20 +193,24 @@ impl AdaptiveSelector {
             shortlist.push("CSR-vector");
         }
         let fallback_only = stats.looks_power_law();
+        // The best feasible candidate so far, ties broken by name as in
+        // the ranking.
+        let mut incumbent: Option<Incumbent> = None;
         for name in shortlist {
-            if reg.get(name).is_none() {
+            let Some(planner) = reg.get(name) else {
                 continue; // custom registries may carry fewer formats
-            }
+            };
             // The fallback CSR entry only competes when nothing from the
             // structural shortlist planned successfully.
             if name == "CSR-vector" && fallback_only && !plans.is_empty() {
                 break;
             }
-            let mut infeasible = |reason: String| {
+            let mut infeasible = |reason: String, pruned: bool| {
                 reports.push(CandidateReport {
                     format: name.to_string(),
                     feasible: false,
                     reason: Some(reason),
+                    pruned,
                     preprocess_s: f64::INFINITY,
                     upload_s: f64::INFINITY,
                     spmv_s: f64::INFINITY,
@@ -199,16 +219,26 @@ impl AdaptiveSelector {
                     break_even_vs_winner: None,
                 });
             };
-            match reg.plan(name, dev, m, budget) {
+            // Only tuning sweeps are bounded; every other format keeps
+            // its full report.
+            let autotune = planner.class() == PreprocessClass::Autotune;
+            let plan_budget = PlanBudget {
+                incumbent: incumbent.filter(|_| autotune),
+                ..budget.clone()
+            };
+            match planner.plan(dev, m, &plan_budget) {
                 Ok(plan) => {
                     // Full-scale feasibility: a probe-scaled operator
                     // must still fit the byte budget (the ∅ cells).
                     let full_bytes = plan.device_bytes().saturating_mul(scale as u64);
                     if full_bytes > budget.max_device_bytes {
-                        infeasible(format!(
-                            "{} device bytes at probe scale {scale} exceed budget {}",
-                            full_bytes, budget.max_device_bytes
-                        ));
+                        infeasible(
+                            format!(
+                                "{} device bytes at probe scale {scale} exceed budget {}",
+                                full_bytes, budget.max_device_bytes
+                            ),
+                            false,
+                        );
                         continue;
                     }
                     let yd = dev.alloc_zeroed::<T>(m.rows());
@@ -220,20 +250,28 @@ impl AdaptiveSelector {
                     let upload_s = budget
                         .host
                         .copy_seconds(plan.upload_bytes().saturating_mul(scale as u64));
+                    let total_s = preprocess_s + upload_s + horizon as f64 * spmv_s;
+                    if incumbent.is_none_or(|b| (total_s, name) < (b.total_s, b.format)) {
+                        incumbent = Some(Incumbent {
+                            format: name,
+                            total_s,
+                        });
+                    }
                     reports.push(CandidateReport {
                         format: name.to_string(),
                         feasible: true,
                         reason: None,
+                        pruned: false,
                         preprocess_s,
                         upload_s,
                         spmv_s,
-                        total_s: preprocess_s + upload_s + horizon as f64 * spmv_s,
+                        total_s,
                         device_bytes: plan.device_bytes(),
                         break_even_vs_winner: None,
                     });
                     plans.push((name.to_string(), plan));
                 }
-                Err(e) => infeasible(e.to_string()),
+                Err(e) => infeasible(e.to_string(), matches!(e, SparseError::Pruned { .. })),
             }
         }
 
@@ -476,9 +514,11 @@ mod tests {
         let m = power_law(400, 11);
         let dev = Device::new(presets::gtx_titan());
         let reg = FormatRegistry::<f64>::with_all();
+        // A horizon long enough to shortlist the tuned formats, and a
+        // probe scale at which BCCOO's sweep is pruned.
         let budget = PlanBudget::for_device(dev.config())
-            .with_iterations(30)
-            .with_probe_scale(8);
+            .with_iterations(100)
+            .with_probe_scale(64);
         let sel = AdaptiveSelector.select(&reg, &dev, &m, &budget);
         let tel = Telemetry::new();
         record_selection(&tel, &sel.winner, &sel.candidates);
@@ -493,19 +533,48 @@ mod tests {
             snap.counter("selector.candidates_ranked"),
             Some(2 * sel.candidates.len() as u64)
         );
-        let feasible = sel.candidates.iter().filter(|c| c.feasible).count() as u64;
-        let infeasible = sel.candidates.len() as u64 - feasible;
+        let count = |f: fn(&CandidateReport) -> bool| {
+            let n = sel.candidates.iter().filter(|c| f(c)).count() as u64;
+            Some(2 * n).filter(|&n| n > 0)
+        };
+        assert_eq!(
+            snap.counter("selector.pruned"),
+            count(|c| !c.feasible && c.pruned)
+        );
+        assert!(snap.counter("selector.pruned").is_some());
         assert_eq!(
             snap.counter("selector.infeasible"),
-            if infeasible > 0 {
-                Some(2 * infeasible)
-            } else {
-                None
-            }
+            count(|c| !c.feasible && !c.pruned)
         );
         assert_eq!(
-            snap.histogram("selector.ranked_total_s").unwrap().count(),
-            2 * feasible
+            snap.histogram("selector.ranked_total_s").map(|h| h.count()),
+            count(|c| c.feasible)
+        );
+    }
+
+    #[test]
+    fn pruned_sweep_names_its_bound_and_the_incumbent() {
+        let _guard = lock();
+        let m = power_law(400, 11);
+        let dev = Device::new(presets::gtx_titan());
+        let reg = FormatRegistry::<f64>::with_all();
+        // At probe scale 64 one BCCOO trial already charges more than
+        // the cheap formats' whole 100-iteration total.
+        let budget = PlanBudget::for_device(dev.config())
+            .with_iterations(100)
+            .with_probe_scale(64);
+        let sel = AdaptiveSelector.select(&reg, &dev, &m, &budget);
+        let bccoo = sel.candidates.iter().find(|c| c.format == "BCCOO").unwrap();
+        assert!(bccoo.pruned && !bccoo.feasible, "{bccoo:#?}");
+        let winner = &sel.candidates[0];
+        let reason = bccoo.reason.as_deref().unwrap();
+        assert!(
+            reason.starts_with("BCCOO pruned after 1 of 320 tuning trials")
+                && reason.ends_with(&format!(
+                    "exceeds {}'s total {} s",
+                    winner.format, winner.total_s
+                )),
+            "{reason}"
         );
     }
 

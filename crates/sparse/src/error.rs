@@ -22,6 +22,19 @@ pub enum SparseError {
         format: &'static str,
         detail: String,
     },
+    /// A bounded auto-tuning sweep stopped early because the format can
+    /// no longer win: after `trials` of its `space` trials, the charged
+    /// preprocessing alone (`lower_bound_s`, a lower bound on the
+    /// format's total) already exceeds the incumbent format's modeled
+    /// total. The format may well represent the matrix.
+    Pruned {
+        format: &'static str,
+        trials: u32,
+        space: usize,
+        lower_bound_s: f64,
+        incumbent: &'static str,
+        incumbent_total_s: f64,
+    },
     /// Matrix Market parse failure at `line`.
     Parse { line: usize, detail: String },
     /// Underlying I/O failure.
@@ -41,6 +54,19 @@ impl fmt::Display for SparseError {
             SparseError::CapacityExceeded { format, detail } => {
                 write!(f, "{format} cannot represent this matrix: {detail}")
             }
+            SparseError::Pruned {
+                format,
+                trials,
+                space,
+                lower_bound_s,
+                incumbent,
+                incumbent_total_s,
+            } => write!(
+                f,
+                "{format} pruned after {trials} of {space} tuning trials: charged \
+                 preprocessing {lower_bound_s} s already exceeds {incumbent}'s total \
+                 {incumbent_total_s} s"
+            ),
             SparseError::Parse { line, detail } => {
                 write!(f, "matrix market parse error at line {line}: {detail}")
             }
@@ -84,6 +110,18 @@ mod tests {
             detail: "width 10000 over budget".into(),
         };
         assert!(e.to_string().contains("ELL"));
+
+        let e = SparseError::Pruned {
+            format: "BCCOO",
+            trials: 1,
+            space: 320,
+            lower_bound_s: 2.5,
+            incumbent: "ACSR",
+            incumbent_total_s: 1.25,
+        };
+        let msg = e.to_string();
+        assert!(msg.starts_with("BCCOO pruned after 1 of 320 tuning trials"));
+        assert!(msg.ends_with("preprocessing 2.5 s already exceeds ACSR's total 1.25 s"));
     }
 
     #[test]

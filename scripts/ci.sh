@@ -50,6 +50,8 @@ echo "==> selector smoke (repro selector + registry print)"
 ./target/release/repro selector --scale 1024 --matrices ENR > /dev/null
 test -s results/SELECTOR_report.json
 ./target/release/repro check-artifacts results/SELECTOR_report.json
+# Exact: a changed winner, ranking or pruned candidate fails.
+cmp baselines/SELECTOR_ci.json results/SELECTOR_report.json
 
 echo "==> sim-throughput smoke (repro simbench --quick)"
 ./target/release/repro simbench --quick > /dev/null
