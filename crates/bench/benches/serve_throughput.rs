@@ -84,13 +84,7 @@ fn write_results_json(g: &sparse_formats::CsrMatrix<f64>) {
          saturated Poisson, 4096-row power-law, GTX Titan\",\n  \"host_cores\": {host_cores},\n  \
          \"batch_widths\": [\n{entries}\n  ]\n}}\n"
     );
-    let path = std::path::Path::new("results").join("BENCH_serve.json");
-    // Bench may run from the crate dir or the workspace root.
-    let path = if std::path::Path::new("results").is_dir() {
-        path
-    } else {
-        std::path::Path::new("../../results").join("BENCH_serve.json")
-    };
+    let path = repro_bench::artifact::results_dir().join("BENCH_serve.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
     } else {

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::set_sim_threads;
-use repro_bench::simbench;
+use repro_bench::{artifact, simbench};
 
 fn bench_sim_throughput(c: &mut Criterion) {
     let workloads = simbench::workloads();
@@ -36,8 +36,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
     // Direct timing pass (independent of Criterion's reporting) that
     // records the machine-readable artifact the experiment log keeps.
     let report = simbench::run(false);
-    match simbench::write(&report) {
-        Ok(path) => println!("wrote {path}"),
+    let json = simbench::to_json(&report);
+    match artifact::write(&simbench::SCHEMA, "BENCH_sim_throughput.json", &json) {
+        Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_sim_throughput.json: {e}"),
     }
 }

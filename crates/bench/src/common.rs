@@ -14,19 +14,6 @@ pub struct Options {
     pub matrices: Vec<String>,
     /// Emit JSON instead of text tables.
     pub json: bool,
-    /// Capture a launch-level trace ledger per experiment and export it
-    /// as chrome://tracing JSON under `results/` (see [`crate::tracing`]).
-    pub trace: bool,
-    /// Profile the experiment: derive per-kernel SIMT metrics from the
-    /// trace ledger and write `results/PROFILE_<name>.json` (see
-    /// [`crate::profile`]).
-    pub profile: bool,
-    /// Capture the telemetry registry + request trace and write
-    /// `results/METRICS_<name>.json` (see [`crate::metrics`]).
-    pub metrics: bool,
-    /// With `metrics`: also export the correlated request/kernel
-    /// timeline as `results/TIMELINE_<name>.json`.
-    pub timeline: bool,
 }
 
 impl Default for Options {
@@ -36,10 +23,6 @@ impl Default for Options {
             seed: 1,
             matrices: Vec::new(),
             json: false,
-            trace: false,
-            profile: false,
-            metrics: false,
-            timeline: false,
         }
     }
 }

@@ -9,8 +9,9 @@
 //! whose name identifies a *direction* (higher-better throughput/
 //! efficiency metrics, lower-better times/imbalances) is compared under
 //! a relative tolerance; any metric moving the wrong way by more than
-//! the tolerance is a regression. Direction-less leaves (raw counters,
-//! ids) are informational only.
+//! the tolerance — or at all, from a baseline of exactly zero — is a
+//! regression. Direction-less leaves (raw counters, ids) are
+//! informational only.
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -87,12 +88,9 @@ fn flatten(value: &Value, prefix: &str, out: &mut BTreeMap<String, f64>) {
 /// Stable identity for an object inside an array: the concatenation of
 /// its well-known naming fields, if it has any.
 fn element_key(item: &Value) -> Option<String> {
-    let Value::Object(entries) = item else {
-        return None;
-    };
     let mut parts = Vec::new();
-    for field in ["device", "phase", "matrix", "kind", "name", "kernel"] {
-        if let Some(Value::Str(s)) = entries.iter().find(|(k, _)| k == field).map(|(_, v)| v) {
+    for key in ["device", "phase", "matrix", "kind", "name", "kernel"] {
+        if let Some(Value::Str(s)) = crate::artifact::field(item, key) {
             parts.push(s.clone());
         }
     }
@@ -105,7 +103,8 @@ pub struct Delta {
     pub path: String,
     pub baseline: f64,
     pub new: f64,
-    /// Signed relative change `(new - baseline) / |baseline|`.
+    /// Signed relative change `(new - baseline) / |baseline|`; ±∞ for a
+    /// move from a zero baseline.
     pub rel: f64,
     /// True when the move is in the *bad* direction.
     pub regression: bool,
@@ -187,12 +186,15 @@ pub fn diff_values(baseline: &Value, new: &Value, tolerance: f64) -> DiffReport 
             continue;
         };
         report.compared += 1;
-        if base == 0.0 {
-            // No relative scale; only a wrong-direction move from
-            // exactly zero counts (e.g. imbalance appearing from none).
+        // Zero has no relative scale: any move from it is beyond
+        // tolerance (e.g. transfer time appearing from none).
+        let rel = if base != 0.0 {
+            (new - base) / base.abs()
+        } else if new != 0.0 {
+            f64::INFINITY.copysign(new)
+        } else {
             continue;
-        }
-        let rel = (new - base) / base.abs();
+        };
         if rel.abs() <= tolerance {
             continue;
         }
@@ -287,6 +289,30 @@ mod tests {
         let r = diff_values(&a, &b, 0.05);
         assert!(!r.pass());
         assert_eq!(r.missing, vec!["time_s".to_string()]);
+    }
+
+    #[test]
+    fn wrong_direction_move_from_zero_is_a_regression() {
+        let base: Value =
+            serde_json::from_str("{\"transfer_s\":0,\"load_imbalance\":0.0}").unwrap();
+        let new: Value =
+            serde_json::from_str("{\"transfer_s\":0.004,\"load_imbalance\":0.9}").unwrap();
+        let r = diff_values(&base, &new, 0.05);
+        assert!(!r.pass());
+        assert_eq!(r.regressions().count(), 2, "{r:?}");
+        assert!(diff_values(&base, &base, 0.05).pass(), "0 -> 0 is no move");
+    }
+
+    #[test]
+    fn higher_better_rise_from_zero_is_an_improvement() {
+        let base: Value = serde_json::from_str("{\"achieved_gflops\":0}").unwrap();
+        let new: Value = serde_json::from_str("{\"achieved_gflops\":2.5}").unwrap();
+        let r = diff_values(&base, &new, 0.05);
+        assert!(r.pass(), "{r:?}");
+        assert_eq!(r.deltas.len(), 1);
+        assert!(!r.deltas[0].regression);
+        // ... and its fall back to zero is a regression.
+        assert!(!diff_values(&new, &base, 0.05).pass());
     }
 
     #[test]

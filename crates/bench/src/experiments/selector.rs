@@ -11,6 +11,7 @@
 //! iterations), cheap-to-build formats win one-shot runs, and only
 //! long horizons can flip to a faster-per-SpMV conversion.
 
+use crate::artifact::{self, Schema};
 use crate::common::{selected_specs, Options, Table};
 use acsr_telemetry::Telemetry;
 use gpu_sim::presets;
@@ -20,6 +21,16 @@ use serde::Serialize;
 use sparse_formats::CsrMatrix;
 use spmv_pipeline::{
     record_selection, AdaptiveSelector, CandidateReport, FormatRegistry, PlanBudget, PlanCache,
+};
+use std::path::PathBuf;
+
+/// The `acsr-selector-v1` contract of [`SelectorReport`].
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-selector-v1",
+    kind: "selector report",
+    fields: &["scale", "device"],
+    rows: &[("rows", 1, &["matrix", "horizon", "winner", "candidates"])],
+    invariants: |_| Ok(()),
 };
 
 /// Amortization horizons swept per matrix: one-shot, app-like
@@ -56,7 +67,7 @@ impl SelectorRow {
 /// The JSON artifact (`results/SELECTOR_report.json`).
 #[derive(Clone, Debug, Serialize)]
 pub struct SelectorReport {
-    /// Artifact schema tag checked by `repro check-artifacts`.
+    /// [`SCHEMA`]'s tag.
     pub schema: &'static str,
     /// Suite scale divisor the probes were projected from.
     pub scale: usize,
@@ -145,17 +156,15 @@ pub fn run(opts: &Options) -> Vec<SelectorRow> {
 }
 
 /// Write the JSON artifact; returns its path.
-pub fn write_report(rows: &[SelectorRow], opts: &Options) -> std::io::Result<String> {
+pub fn write_report(rows: &[SelectorRow], opts: &Options) -> Result<PathBuf, String> {
     let report = SelectorReport {
-        schema: "acsr-selector-v1",
+        schema: SCHEMA.tag,
         scale: opts.scale,
         device: presets::gtx_titan().name,
         rows: rows.to_vec(),
     };
-    std::fs::create_dir_all("results")?;
-    let path = "results/SELECTOR_report.json".to_string();
-    std::fs::write(&path, serde_json::to_string_pretty(&report).unwrap())?;
-    Ok(path)
+    let json = serde_json::to_string_pretty(&report).expect("render selector JSON");
+    artifact::write(&SCHEMA, "SELECTOR_report.json", &json)
 }
 
 /// Render as text, one block per horizon.
@@ -252,14 +261,20 @@ mod tests {
             matrices: vec!["ENR".into()],
             ..Default::default()
         });
+        let n = rows.len();
         let report = SelectorReport {
-            schema: "acsr-selector-v1",
+            schema: SCHEMA.tag,
             scale: 1024,
             device: "GTX Titan".into(),
             rows,
         };
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("\"schema\":\"acsr-selector-v1\""));
-        assert!(json.contains("\"winner\""));
+        assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
+        let doc = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            artifact::field(&doc, "schema"),
+            Some(&serde::Value::Str(SCHEMA.tag.into()))
+        );
+        assert_eq!(artifact::rows(&doc, "rows").len(), n);
     }
 }

@@ -32,17 +32,63 @@
 //!    improves its attainment, and loses no attainment on the
 //!    saturated trace.
 //!
-//! Results go to `results/BENCH_fleet.json` (`acsr-fleet-v1` schema),
-//! validated by `repro check-artifacts` and gated by `repro bench-diff`
-//! against `baselines/BENCH_fleet_ci.json`.
+//! Results go to `results/BENCH_fleet.json` under [`SCHEMA`], which the
+//! write and `repro check-artifacts` both enforce; `repro bench-diff`
+//! gates them against `baselines/BENCH_fleet_ci.json`.
 
+use crate::artifact::{self, Schema};
 use acsr_serve::{DispatchPolicy, Query, ServeConfig, ServeEngine, ServeReport, SloPolicy};
 use gpu_sim::presets;
 use graphgen::{generate_power_law, MatrixSpec, PowerLawConfig};
 use multi_gpu::{Fleet, FleetConfig, FleetReport, ShardFormat};
+use serde::Value;
 
-/// Schema tag of the emitted artifact.
-pub const SCHEMA: &str = "acsr-fleet-v1";
+/// The `acsr-fleet-v1` contract. The ledger reconciliation is part of
+/// it: every scaling row's `halo_bytes` equals its `ledger_halo_bytes`
+/// as integers, and the formats section names its shards.
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-fleet-v1",
+    kind: "fleet report",
+    fields: &["scale", "device_counts", "formats", "p99_target_ms"],
+    rows: &[
+        (
+            "scaling",
+            1,
+            &[
+                "name",
+                "devices",
+                "seconds",
+                "speedup",
+                "efficiency",
+                "halo_bytes",
+                "ledger_halo_bytes",
+                "exchange_ms",
+                "replicated_rows",
+            ],
+        ),
+        (
+            "stealing",
+            1,
+            &["name", "waves", "stolen_waves", "attainment", "p99_ms"],
+        ),
+    ],
+    invariants: halo_reconciled,
+};
+
+fn halo_reconciled(doc: &Value) -> Result<(), String> {
+    for row in artifact::rows(doc, "scaling") {
+        let halo = artifact::field(row, "halo_bytes").and_then(artifact::as_u64);
+        let ledger = artifact::field(row, "ledger_halo_bytes").and_then(artifact::as_u64);
+        if halo.is_none() || halo != ledger {
+            return Err(format!(
+                "scaling row has halo_bytes {halo:?} but ledger_halo_bytes {ledger:?} \
+                 (must be integer-equal)"
+            ));
+        }
+    }
+    let formats = artifact::field(doc, "formats").unwrap_or(&Value::Null);
+    artifact::check_rows(formats, &("shards", 1, &[])).map_err(|e| format!("formats: {e}"))
+}
 
 /// Device counts of the scaling sweep (1 is the speedup baseline).
 pub const DEVICE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -412,12 +458,13 @@ pub fn to_json(report: &Report) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"bench\": \"fleet_scaling\",\n  \
+        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"fleet_scaling\",\n  \
          \"scale\": {},\n  \"link\": \"nvlink\",\n  \"device_counts\": [{counts}],\n  \
          \"scaling\": [\n{}\n  ],\n  \
          \"formats\": {{\"matrix\": \"{}\", \"devices\": {}, \"horizon\": {}, \
          \"distinct\": {}, \"shards\": [{shards}]}},\n  \
          \"p99_target_ms\": {:.6},\n  \"stealing\": [\n{}\n  ]\n}}\n",
+        SCHEMA.tag,
         report.scale,
         scaling_json(&report.scaling),
         report.formats.matrix,
@@ -427,19 +474,6 @@ pub fn to_json(report: &Report) -> String {
         report.p99_target_ms,
         stealing_json(&report.stealing),
     )
-}
-
-/// Write the artifact to `results/BENCH_fleet.json` (resolved from the
-/// workspace root or a crate dir) and return the path written.
-pub fn write(report: &Report) -> std::io::Result<String> {
-    let dir = if std::path::Path::new("results").is_dir() {
-        std::path::PathBuf::from("results")
-    } else {
-        std::path::PathBuf::from("../../results")
-    };
-    let path = dir.join("BENCH_fleet.json");
-    std::fs::write(&path, to_json(report))?;
-    Ok(path.display().to_string())
 }
 
 /// Human-readable tables.
@@ -545,17 +579,19 @@ mod tests {
             "Auto's per-wave choice must not regress the saturated p99"
         );
 
-        // JSON round-trips under the shim parser.
+        // The artifact meets its contract and carries every row.
         let json = to_json(&report);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let serde::Value::Object(entries) = &v else {
-            panic!("not an object")
-        };
-        let get = |k: &str| entries.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert!(matches!(get("schema"), Some(serde::Value::Str(s)) if s == SCHEMA));
-        assert!(matches!(get("scaling"), Some(serde::Value::Array(a))
-            if a.len() == report.scaling.len()));
-        assert!(matches!(get("stealing"), Some(serde::Value::Array(a)) if a.len() == 4));
-        assert!(matches!(get("formats"), Some(serde::Value::Object(_))));
+        assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
+        let doc = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(
+            artifact::field(&doc, "schema"),
+            Some(&Value::Str(SCHEMA.tag.into()))
+        );
+        assert_eq!(artifact::rows(&doc, "scaling").len(), report.scaling.len());
+        assert_eq!(artifact::rows(&doc, "stealing").len(), 4);
+        assert!(matches!(
+            artifact::field(&doc, "formats"),
+            Some(Value::Object(_))
+        ));
     }
 }

@@ -7,6 +7,7 @@
 //! wins, by what factor, where crossovers sit) are the reproduction
 //! targets recorded in EXPERIMENTS.md.
 
+pub mod artifact;
 pub mod common;
 pub mod diff;
 pub mod experiments;

@@ -44,8 +44,8 @@
 //!   bench-diff <baseline> <new> [--tolerance F]
 //!                                 perf-regression gate over two JSON
 //!                                 reports; exit 1 on regression
-//!   check-artifacts <file>...     validate emitted JSON artifacts
-//!   trace-check <file>            alias for check-artifacts (one file)
+//!   check-artifacts <file>...     validate JSON artifacts against the
+//!                                 schema their tag names
 //! ```
 //!
 //! `--scale` divides the Table I matrix sizes (default 64); smaller
@@ -53,10 +53,13 @@
 //! simulation time. `--trace` additionally records every simulated
 //! launch/transfer in a ledger, reconciles it against the experiment's
 //! own accounting, and writes `results/trace_<experiment>.json`
-//! (chrome://tracing format) with a per-phase rollup on stderr.
+//! (chrome://tracing format) with a per-phase rollup on stderr; it
+//! combines with `profile`, `metrics` and `timeline`.
 
+use repro_bench::artifact::{self, Schema};
 use repro_bench::experiments::*;
-use repro_bench::Options;
+use repro_bench::tracing::Capture;
+use repro_bench::{fleet, simbench, slo, stream, Options};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,87 +67,45 @@ fn main() {
         print_usage();
         return;
     }
+    match args[0].as_str() {
+        "check-artifacts" => check_artifacts(&args[1..]),
+        "bench-diff" => bench_diff(&args[1..]),
+        "simbench" => quick_bench(&args, &simbench::SCHEMA, "BENCH_sim_throughput.json", |q| {
+            let r = simbench::run(q);
+            (simbench::render(&r), simbench::to_json(&r))
+        }),
+        "slo" => quick_bench(&args, &slo::SCHEMA, "BENCH_slo.json", |q| {
+            let r = slo::run(q);
+            (slo::render(&r), slo::to_json(&r))
+        }),
+        "fleet" => quick_bench(&args, &fleet::SCHEMA, "BENCH_fleet.json", |q| {
+            let r = fleet::run(q);
+            (fleet::render(&r), fleet::to_json(&r))
+        }),
+        "stream" => quick_bench(&args, &stream::SCHEMA, "BENCH_stream.json", |q| {
+            let r = stream::run(q);
+            (stream::render(&r), stream::to_json(&r))
+        }),
+        _ => experiment(&args),
+    }
+}
+
+/// `repro [profile|metrics|timeline] <experiment> [options]`.
+fn experiment(args: &[String]) {
     let mut experiment = args[0].clone();
-    if experiment == "trace-check" || experiment == "check-artifacts" {
-        if args.len() < 2 {
-            die(&format!("{experiment} needs at least one file path"));
-        }
-        for path in &args[1..] {
-            check_artifact(path);
-        }
-        return;
-    }
-    if experiment == "bench-diff" {
-        bench_diff(&args[1..]);
-        return;
-    }
-    if experiment == "simbench" {
-        let quick = args[1..].iter().any(|a| a == "--quick");
-        if let Some(bad) = args[1..].iter().find(|a| *a != "--quick") {
-            die(&format!("simbench: unknown option '{bad}'"));
-        }
-        let report = repro_bench::simbench::run(quick);
-        println!("{}", repro_bench::simbench::render(&report));
-        let path = repro_bench::simbench::write(&report)
-            .unwrap_or_else(|e| die(&format!("write BENCH_sim_throughput.json: {e}")));
-        eprintln!("wrote {path}");
-        return;
-    }
-    if experiment == "slo" {
-        let quick = args[1..].iter().any(|a| a == "--quick");
-        if let Some(bad) = args[1..].iter().find(|a| *a != "--quick") {
-            die(&format!("slo: unknown option '{bad}'"));
-        }
-        let report = repro_bench::slo::run(quick);
-        println!("{}", repro_bench::slo::render(&report));
-        let path = repro_bench::slo::write(&report)
-            .unwrap_or_else(|e| die(&format!("write BENCH_slo.json: {e}")));
-        eprintln!("wrote {path}");
-        return;
-    }
-    if experiment == "fleet" {
-        let quick = args[1..].iter().any(|a| a == "--quick");
-        if let Some(bad) = args[1..].iter().find(|a| *a != "--quick") {
-            die(&format!("fleet: unknown option '{bad}'"));
-        }
-        let report = repro_bench::fleet::run(quick);
-        println!("{}", repro_bench::fleet::render(&report));
-        let path = repro_bench::fleet::write(&report)
-            .unwrap_or_else(|e| die(&format!("write BENCH_fleet.json: {e}")));
-        eprintln!("wrote {path}");
-        return;
-    }
-    if experiment == "stream" {
-        let quick = args[1..].iter().any(|a| a == "--quick");
-        if let Some(bad) = args[1..].iter().find(|a| *a != "--quick") {
-            die(&format!("stream: unknown option '{bad}'"));
-        }
-        let report = repro_bench::stream::run(quick);
-        println!("{}", repro_bench::stream::render(&report));
-        if !report.identical {
-            die("stream: maintained ACSR diverged from the fresh build");
-        }
-        let path = repro_bench::stream::write(&report)
-            .unwrap_or_else(|e| die(&format!("write BENCH_stream.json: {e}")));
-        eprintln!("wrote {path}");
-        return;
-    }
     let mut opts = Options::default();
+    let capture = match experiment.as_str() {
+        "profile" => Capture::Profile,
+        "metrics" => Capture::Metrics,
+        "timeline" => Capture::Timeline,
+        _ => Capture::Off,
+    };
+    let mut trace = false;
     let mut i = 1;
-    if experiment == "profile" {
-        opts.profile = true;
+    if capture != Capture::Off {
         experiment = args
             .get(1)
-            .unwrap_or_else(|| die("profile needs an experiment name"))
-            .clone();
-        i = 2;
-    } else if experiment == "metrics" || experiment == "timeline" {
-        opts.metrics = true;
-        opts.timeline = experiment == "timeline";
-        let mode = experiment.clone();
-        experiment = args
-            .get(1)
-            .unwrap_or_else(|| die(&format!("{mode} needs an experiment name")))
+            .unwrap_or_else(|| die(&format!("{experiment} needs an experiment name")))
             .clone();
         i = 2;
     }
@@ -179,16 +140,16 @@ fn main() {
                 i += 1;
             }
             "--trace" => {
-                opts.trace = true;
+                trace = true;
                 i += 1;
             }
             other => die(&format!("unknown option '{other}'")),
         }
     }
-    run_experiment(&experiment, &opts);
+    run_experiment(&experiment, &opts, capture, trace);
 }
 
-fn run_experiment(name: &str, opts: &Options) {
+fn run_experiment(name: &str, opts: &Options, capture: Capture, trace: bool) {
     if name == "all" {
         for exp in [
             "table1",
@@ -207,27 +168,19 @@ fn run_experiment(name: &str, opts: &Options) {
             "selector",
         ] {
             eprintln!(">>> {exp}");
-            run_experiment(exp, opts);
+            run_experiment(exp, opts, capture, trace);
         }
         return;
     }
-    // Arm the global trace ledger per experiment so each gets its own
-    // `results/trace_<name>.json` (Devices attach at construction time).
-    // The profiler shares the same ledger, so it subsumes `--trace`.
-    if opts.metrics {
-        repro_bench::metrics::begin();
-    } else if opts.profile {
-        repro_bench::profile::begin();
-    } else if opts.trace {
-        repro_bench::tracing::begin();
+    // Arm capture per experiment so each gets its own artifacts
+    // (Devices attach to the global ledger at construction time).
+    let armed = trace || capture != Capture::Off;
+    if armed {
+        repro_bench::tracing::begin(capture);
     }
     run_one(name, opts);
-    if opts.metrics {
-        repro_bench::metrics::finish(name, opts.timeline);
-    } else if opts.profile {
-        repro_bench::profile::finish(name, opts.trace);
-    } else if opts.trace {
-        repro_bench::tracing::finish(name);
+    if armed {
+        repro_bench::tracing::finish(name, capture, trace).unwrap_or_else(|e| die(&e));
     }
 }
 
@@ -292,332 +245,42 @@ fn run_one(name: &str, opts: &Options) {
         }
         "selector" => {
             let rows = selector::run(opts);
-            let path = selector::write_report(&rows, opts)
-                .unwrap_or_else(|e| die(&format!("write SELECTOR_report.json: {e}")));
+            let path = selector::write_report(&rows, opts).unwrap_or_else(|e| die(&e));
             if opts.json {
                 println!("{}", serde_json::to_string_pretty(&rows).unwrap());
             } else {
                 println!("{}", selector::render(&rows));
             }
-            eprintln!("wrote {path}");
+            eprintln!("wrote {}", path.display());
         }
         other => die(&format!("unknown experiment '{other}'")),
     }
 }
 
-/// `repro check-artifacts <file>...`: assert each emitted artifact is
-/// one valid JSON document, with schema-specific structure checks for
-/// the formats we emit (used by CI on the smoke-test exports).
-fn check_artifact(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-    let value =
-        serde_json::from_str(&text).unwrap_or_else(|e| die(&format!("{path}: invalid JSON: {e}")));
-    let field = |obj: &serde::Value, key: &str| -> Option<serde::Value> {
-        if let serde::Value::Object(entries) = obj {
-            entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        } else {
-            None
-        }
-    };
-    let mut kind = "JSON";
-    if let Some(serde::Value::Str(schema)) = field(&value, "schema") {
-        if schema == "acsr-profile-v1" {
-            kind = "profile report";
-            for key in ["devices", "phases", "total", "kernels"] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: profile report missing '{key}'"));
-                }
-            }
-            match field(&value, "kernels") {
-                Some(serde::Value::Array(rows)) if !rows.is_empty() => {}
-                _ => die(&format!("{path}: profile report has no kernel rows")),
-            }
-        } else if schema == "acsr-simbench-v1" {
-            kind = "simbench report";
-            for key in ["host_cores", "kernels"] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: simbench report missing '{key}'"));
-                }
-            }
-            match field(&value, "kernels") {
-                Some(serde::Value::Array(kernels)) if !kernels.is_empty() => {
-                    for k in &kernels {
-                        if field(k, "kernel").is_none() {
-                            die(&format!("{path}: simbench kernel row missing 'kernel'"));
-                        }
-                        match field(k, "widths") {
-                            Some(serde::Value::Array(widths)) if !widths.is_empty() => {
-                                for w in &widths {
-                                    for key in ["workers", "launches_per_sec", "speedup_vs_seq"] {
-                                        if field(w, key).is_none() {
-                                            die(&format!(
-                                                "{path}: simbench width row missing '{key}'"
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
-                            _ => die(&format!("{path}: simbench kernel has no width rows")),
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: simbench report has no kernel rows")),
-            }
-        } else if schema == "acsr-slo-v1" {
-            kind = "slo report";
-            for key in [
-                "capacity_qps",
-                "p99_target_ms",
-                "max_batch",
-                "queue_capacity",
-            ] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: slo report missing '{key}'"));
-                }
-            }
-            for section in ["curve", "traces"] {
-                match field(&value, section) {
-                    Some(serde::Value::Array(points)) if !points.is_empty() => {
-                        if section == "curve" && points.len() < 4 {
-                            die(&format!(
-                                "{path}: slo curve needs at least 4 offered-load points"
-                            ));
-                        }
-                        for p in &points {
-                            for key in [
-                                "name",
-                                "offered_qps",
-                                "attainment",
-                                "goodput_qps",
-                                "throughput_qps",
-                                "p99_ms",
-                            ] {
-                                if field(p, key).is_none() {
-                                    die(&format!("{path}: slo {section} row missing '{key}'"));
-                                }
-                            }
-                        }
-                    }
-                    _ => die(&format!("{path}: slo report has no {section} rows")),
-                }
-            }
-        } else if schema == "acsr-fleet-v1" {
-            kind = "fleet report";
-            for key in ["scale", "device_counts", "formats", "p99_target_ms"] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: fleet report missing '{key}'"));
-                }
-            }
-            let as_u64 = |v: &serde::Value| -> Option<u64> {
-                match v {
-                    serde::Value::I64(n) if *n >= 0 => Some(*n as u64),
-                    serde::Value::U64(n) => Some(*n),
-                    _ => None,
-                }
-            };
-            match field(&value, "scaling") {
-                Some(serde::Value::Array(rows)) if !rows.is_empty() => {
-                    for row in &rows {
-                        for key in [
-                            "name",
-                            "devices",
-                            "seconds",
-                            "speedup",
-                            "efficiency",
-                            "halo_bytes",
-                            "ledger_halo_bytes",
-                            "exchange_ms",
-                            "replicated_rows",
-                        ] {
-                            if field(row, key).is_none() {
-                                die(&format!("{path}: fleet scaling row missing '{key}'"));
-                            }
-                        }
-                        // The ledger reconciliation is part of the
-                        // artifact contract: integer-exact, per row.
-                        let halo = field(row, "halo_bytes").and_then(|v| as_u64(&v));
-                        let ledger = field(row, "ledger_halo_bytes").and_then(|v| as_u64(&v));
-                        if halo.is_none() || halo != ledger {
-                            die(&format!(
-                                "{path}: fleet scaling row has halo_bytes {halo:?} but \
-                                 ledger_halo_bytes {ledger:?} (must be integer-equal)"
-                            ));
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: fleet report has no scaling rows")),
-            }
-            match field(&value, "formats").and_then(|f| field(&f, "shards")) {
-                Some(serde::Value::Array(shards)) if !shards.is_empty() => {}
-                _ => die(&format!("{path}: fleet formats section has no shards")),
-            }
-            match field(&value, "stealing") {
-                Some(serde::Value::Array(rows)) if !rows.is_empty() => {
-                    for row in &rows {
-                        for key in ["name", "waves", "stolen_waves", "attainment", "p99_ms"] {
-                            if field(row, key).is_none() {
-                                die(&format!("{path}: fleet stealing row missing '{key}'"));
-                            }
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: fleet report has no stealing rows")),
-            }
-        } else if schema == "acsr-stream-v1" {
-            kind = "stream report";
-            for key in [
-                "rows",
-                "batches",
-                "total_ops",
-                "identical",
-                "updates_per_sec",
-                "rebuild_updates_per_sec",
-                "speedup",
-                "p99_churn_ms",
-                "p99_steady_ms",
-                "ledger",
-            ] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: stream report missing '{key}'"));
-                }
-            }
-            if field(&value, "identical") != Some(serde::Value::Bool(true)) {
-                die(&format!(
-                    "{path}: stream report lost bit-identity with the fresh build"
-                ));
-            }
-            match field(&value, "batch_rows") {
-                Some(serde::Value::Array(rows)) if !rows.is_empty() => {
-                    for row in &rows {
-                        for key in ["name", "ops", "incremental_s", "rebuild_s", "drift"] {
-                            if field(row, key).is_none() {
-                                die(&format!("{path}: stream batch row missing '{key}'"));
-                            }
-                        }
-                        if field(row, "identical") != Some(serde::Value::Bool(true)) {
-                            die(&format!("{path}: stream batch row failed identity"));
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: stream report has no batch rows")),
-            }
-        } else if schema == "acsr-metrics-v1" {
-            kind = "metrics snapshot";
-            match field(&value, "metrics") {
-                Some(serde::Value::Array(metrics)) if !metrics.is_empty() => {
-                    for m in &metrics {
-                        let name = match field(m, "name") {
-                            Some(serde::Value::Str(n)) => n,
-                            _ => die(&format!("{path}: metric entry missing 'name'")),
-                        };
-                        match field(m, "type") {
-                            Some(serde::Value::Str(t)) => match t.as_str() {
-                                "counter" => match field(m, "value") {
-                                    Some(serde::Value::I64(v)) if v >= 0 => {}
-                                    Some(serde::Value::U64(_)) => {}
-                                    _ => die(&format!(
-                                        "{path}: counter '{name}' must be a non-negative integer"
-                                    )),
-                                },
-                                "gauge" => {
-                                    if field(m, "value").is_none() {
-                                        die(&format!("{path}: gauge '{name}' missing 'value'"));
-                                    }
-                                }
-                                "histogram" => {
-                                    for key in ["count", "sum", "p50", "p99", "buckets"] {
-                                        if field(m, key).is_none() {
-                                            die(&format!(
-                                                "{path}: histogram '{name}' missing '{key}'"
-                                            ));
-                                        }
-                                    }
-                                }
-                                other => die(&format!(
-                                    "{path}: metric '{name}' has unknown type '{other}'"
-                                )),
-                            },
-                            _ => die(&format!("{path}: metric '{name}' missing 'type'")),
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: metrics snapshot has no metrics")),
-            }
-        } else if schema == "acsr-timeline-v1" {
-            kind = "timeline export";
-            for key in ["request_events", "wave_spans", "kernel_spans"] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: timeline export missing '{key}'"));
-                }
-            }
-            let as_u64 = |v: &serde::Value| -> Option<u64> {
-                match v {
-                    serde::Value::I64(n) if *n >= 0 => Some(*n as u64),
-                    serde::Value::U64(n) => Some(*n),
-                    _ => None,
-                }
-            };
-            match field(&value, "traceEvents") {
-                Some(serde::Value::Array(events)) if !events.is_empty() => {
-                    // Structural wave correlation: every event claiming a
-                    // wave id must reference a wave the serving track
-                    // announced.
-                    let announced: Vec<u64> = events
-                        .iter()
-                        .filter(|e| {
-                            matches!(field(e, "cat"), Some(serde::Value::Str(c)) if c == "wave")
-                        })
-                        .filter_map(|e| field(e, "args").and_then(|a| field(&a, "wave")))
-                        .filter_map(|v| as_u64(&v))
-                        .collect();
-                    for e in &events {
-                        if matches!(field(e, "cat"), Some(serde::Value::Str(c)) if c == "wave") {
-                            continue;
-                        }
-                        if let Some(w) = field(e, "args")
-                            .and_then(|a| field(&a, "wave"))
-                            .and_then(|v| as_u64(&v))
-                        {
-                            if !announced.contains(&w) {
-                                die(&format!(
-                                    "{path}: timeline event references unannounced wave {w}"
-                                ));
-                            }
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: timeline export has no trace events")),
-            }
-        } else if schema == "acsr-selector-v1" {
-            kind = "selector report";
-            for key in ["scale", "device", "rows"] {
-                if field(&value, key).is_none() {
-                    die(&format!("{path}: selector report missing '{key}'"));
-                }
-            }
-            match field(&value, "rows") {
-                Some(serde::Value::Array(rows)) if !rows.is_empty() => {
-                    for row in &rows {
-                        for key in ["matrix", "horizon", "winner", "candidates"] {
-                            if field(row, key).is_none() {
-                                die(&format!("{path}: selector row missing '{key}'"));
-                            }
-                        }
-                    }
-                }
-                _ => die(&format!("{path}: selector report has no decision rows")),
-            }
-        }
-    } else if let Some(serde::Value::Array(events)) = field(&value, "traceEvents") {
-        kind = "chrome trace";
-        if events.is_empty() {
-            die(&format!("{path}: chrome trace has no events"));
-        }
+/// `repro check-artifacts <file>...`: check each file against the
+/// schema its `schema` tag names (see [`artifact::validate`]).
+fn check_artifacts(paths: &[String]) {
+    if paths.is_empty() {
+        die("check-artifacts needs at least one file path");
     }
-    println!("{path}: valid {kind} ({} bytes)", text.len());
+    for path in paths {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
+        let kind = artifact::validate(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        println!("{path}: valid {kind} ({} bytes)", text.len());
+    }
+}
+
+/// `repro <bench> [--quick]`: `run` returns the rendered table and the
+/// artifact, which is written through its schema.
+fn quick_bench(args: &[String], schema: &Schema, file: &str, run: fn(bool) -> (String, String)) {
+    if let Some(bad) = args[1..].iter().find(|a| *a != "--quick") {
+        die(&format!("{}: unknown option '{bad}'", args[0]));
+    }
+    let (table, json) = run(args.len() > 1);
+    println!("{table}");
+    let path = artifact::write(schema, file, &json).unwrap_or_else(|e| die(&e));
+    eprintln!("wrote {}", path.display());
 }
 
 /// `repro bench-diff <baseline.json> <new.json> [--tolerance F]`: the
@@ -673,8 +336,7 @@ fn print_usage() {
          \x20      repro fleet [--quick]\n\
          \x20      repro stream [--quick]\n\
          \x20      repro bench-diff <baseline.json> <new.json> [--tolerance F]\n\
-         \x20      repro check-artifacts <file>...\n\
-         \x20      repro trace-check <file>\n\n\
+         \x20      repro check-artifacts <file>...\n\n\
          experiments: table1 table2 table3 table4 table5 fig3 fig4 fig5 fig6 fig7 fig8 serve ablations compare selector all\n\
          \x20            formats (print the pipeline's format registry)\n\n\
          defaults: --scale 64 --seed 1 (whole Table I suite)\n\

@@ -1,18 +1,20 @@
 //! `repro metrics <experiment>` / `repro timeline <experiment>` plumbing.
 //!
-//! `metrics` arms both capture planes — the kernel-plane
-//! [`gpu_sim::trace::TraceLedger`] and the serving-plane
+//! Under [`crate::tracing`]'s capture, `metrics` arms both planes — the
+//! kernel-plane [`gpu_sim::trace::TraceLedger`] and the serving-plane
 //! [`acsr_telemetry::Telemetry`] — runs the experiment, folds the
 //! ledger's reconciled totals into `sim.*` registry metrics
 //! (integer-exactly, asserted), and writes the byte-stable
-//! `results/METRICS_<name>.json` snapshot (`acsr-metrics-v1`).
+//! `results/METRICS_<name>.json` snapshot under [`METRICS`].
 //!
 //! `timeline` additionally exports `results/TIMELINE_<name>.json`
-//! (`acsr-timeline-v1`): the chrome-trace join of kernel spans and
+//! under [`TIMELINE`]: the chrome-trace join of kernel spans and
 //! request spans, correlated by the wave ids the serving scheduler
-//! stamps into both planes. The export is validated — a kernel span
-//! claiming an unannounced wave, or a query admitted into an unknown
-//! wave, is a hard failure, not a cosmetic gap.
+//! stamps into both planes. The export is validated twice — while
+//! [`acsr_telemetry::timeline_json`] builds it and against the schema
+//! as it is written — so a kernel span claiming an unannounced wave, or
+//! a query admitted into an unknown wave, is a hard failure, not a
+//! cosmetic gap.
 //!
 //! Every instrumented subsystem reconciles its own counters against its
 //! existing report before they reach the shared registry (serve panics
@@ -20,35 +22,92 @@
 //! ledger), so a written snapshot is always an *accounting mirror* of
 //! the reports, never a drifting second source of truth.
 
+use crate::artifact::{self, as_u64, field, Schema};
 use acsr_telemetry::{MetricValue, MetricsSnapshot};
-use gpu_sim::trace;
-use std::path::PathBuf;
+use gpu_sim::TraceLedger;
+use serde::Value;
 
-/// Arm both capture planes for one experiment (clearing prior state, so
-/// back-to-back runs produce identical artifacts).
-pub fn begin() {
-    trace::enable_global_capture();
-    trace::global_ledger().clear();
-    acsr_telemetry::enable_global_capture();
-    acsr_telemetry::global().reset();
+/// The `acsr-metrics-v1` contract: each metric's value matches its
+/// type — a counter is a non-negative integer, a gauge has a value, a
+/// histogram its summary — and no other type appears.
+pub const METRICS: Schema = Schema {
+    tag: "acsr-metrics-v1",
+    kind: "metrics snapshot",
+    fields: &[],
+    rows: &[("metrics", 1, &["name", "type"])],
+    invariants: typed_values,
+};
+
+fn typed_values(doc: &Value) -> Result<(), String> {
+    for m in artifact::rows(doc, "metrics") {
+        let (Some(Value::Str(name)), Some(Value::Str(kind))) = (field(m, "name"), field(m, "type"))
+        else {
+            return Err("metric entry with a non-string name or type".into());
+        };
+        let needs: &[&str] = match kind.as_str() {
+            "counter" => {
+                if field(m, "value").and_then(as_u64).is_none() {
+                    return Err(format!("counter '{name}' must be a non-negative integer"));
+                }
+                &[]
+            }
+            "gauge" => &["value"],
+            "histogram" => &["count", "sum", "p50", "p99", "buckets"],
+            other => return Err(format!("metric '{name}' has unknown type '{other}'")),
+        };
+        if let Some(key) = needs.iter().find(|k| field(m, k).is_none()) {
+            return Err(format!("{kind} '{name}' missing '{key}'"));
+        }
+    }
+    Ok(())
 }
 
-/// Disarm capture, reconcile, fold the kernel plane into `sim.*`,
-/// write `results/METRICS_<name>.json` (and `TIMELINE_<name>.json` when
-/// `timeline`), and dump the registry through [`print_metrics`].
-pub fn finish(name: &str, timeline: bool) -> PathBuf {
-    trace::disable_global_capture();
-    acsr_telemetry::disable_global_capture();
-    let ledger = trace::global_ledger();
-    let total = ledger
-        .reconcile()
-        .unwrap_or_else(|e| panic!("trace reconciliation failed for '{name}': {e}"));
+/// The `acsr-timeline-v1` contract: structural wave correlation — every
+/// event citing a wave id cites one the serving track announced.
+pub const TIMELINE: Schema = Schema {
+    tag: "acsr-timeline-v1",
+    kind: "timeline export",
+    fields: &["request_events", "wave_spans", "kernel_spans"],
+    rows: &[("traceEvents", 1, &[])],
+    invariants: waves_announced,
+};
+
+fn waves_announced(doc: &Value) -> Result<(), String> {
+    let events = artifact::rows(doc, "traceEvents");
+    let announces = |e: &Value| matches!(field(e, "cat"), Some(Value::Str(c)) if c == "wave");
+    let wave = |e: &Value| {
+        field(e, "args")
+            .and_then(|a| field(a, "wave"))
+            .and_then(as_u64)
+    };
+    let announced: Vec<u64> = events
+        .iter()
+        .filter(|e| announces(e))
+        .filter_map(wave)
+        .collect();
+    match events
+        .iter()
+        .filter(|e| !announces(e))
+        .filter_map(wave)
+        .find(|w| !announced.contains(w))
+    {
+        Some(w) => Err(format!("event references unannounced wave {w}")),
+        None => Ok(()),
+    }
+}
+
+/// Fold a reconciled ledger's kernel plane into `sim.*`, write
+/// `results/METRICS_<name>.json` (and `TIMELINE_<name>.json` when
+/// `timeline`), dump the registry through [`print_metrics`], and reset
+/// it.
+pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), String> {
     let tel = acsr_telemetry::global();
+    let (total, spans) = (ledger.total(), ledger.spans().len());
 
     // Fold the kernel plane into the registry, then prove the fold is
     // integer-exact against the ledger's own merged total.
     let m = &tel.metrics;
-    m.add("sim.spans", ledger.spans().len() as u64);
+    m.add("sim.spans", spans as u64);
     m.add("sim.launches", u64::from(total.launches));
     m.add("sim.warp_instructions", total.counters.warp_instructions);
     m.add("sim.flops", total.counters.flops);
@@ -58,7 +117,7 @@ pub fn finish(name: &str, timeline: bool) -> PathBuf {
     m.add("sim.dtoh_bytes", total.counters.dtoh_bytes);
     m.set_gauge("sim.time_s", total.time_s);
     for (metric, want) in [
-        ("sim.spans", ledger.spans().len() as u64),
+        ("sim.spans", spans as u64),
         ("sim.launches", u64::from(total.launches)),
         ("sim.warp_instructions", total.counters.warp_instructions),
         ("sim.flops", total.counters.flops),
@@ -75,10 +134,7 @@ pub fn finish(name: &str, timeline: bool) -> PathBuf {
     }
 
     let snap = tel.metrics.snapshot();
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = PathBuf::from(format!("results/METRICS_{name}.json"));
-    std::fs::write(&path, snap.to_json())
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    let path = artifact::write(&METRICS, &format!("METRICS_{name}.json"), &snap.to_json())?;
     print_metrics(&format!("metrics[{name}]"), &snap);
     eprintln!(
         "metrics[{name}]: {} metrics, {} request events, {} waves -> {}",
@@ -89,20 +145,16 @@ pub fn finish(name: &str, timeline: bool) -> PathBuf {
     );
 
     if timeline {
-        let json = acsr_telemetry::timeline_json(&ledger, &tel)
+        let json = acsr_telemetry::timeline_json(ledger, &tel)
             .unwrap_or_else(|e| panic!("timeline export failed for '{name}': {e}"));
-        let tpath = PathBuf::from(format!("results/TIMELINE_{name}.json"));
-        std::fs::write(&tpath, json).unwrap_or_else(|e| panic!("write {}: {e}", tpath.display()));
+        let tpath = artifact::write(&TIMELINE, &format!("TIMELINE_{name}.json"), &json)?;
         eprintln!(
-            "metrics[{name}]: timeline ({} kernel spans + request lanes) -> {}",
-            ledger.spans().len(),
+            "metrics[{name}]: timeline ({spans} kernel spans + request lanes) -> {}",
             tpath.display()
         );
     }
-
-    ledger.clear();
     tel.reset();
-    path
+    Ok(())
 }
 
 /// The one shared stderr formatter for registry dumps: one line per

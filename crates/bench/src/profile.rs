@@ -1,19 +1,28 @@
 //! `repro profile <experiment>` plumbing.
 //!
-//! Arms the process-global trace ledger exactly like [`crate::tracing`],
-//! then folds the spans through [`gpu_sim::ProfileReport`] into
-//! per-kernel derived metrics, writes a stable `results/PROFILE_<name>.json`
-//! (schema `acsr-profile-v1`, documented in EXPERIMENTS.md), and prints
-//! an Nsight-style hot-kernel table to stderr — stdout stays clean for
-//! `--json` pipelines. The report must reconcile bit-exactly with both
-//! the ledger total and the per-phase rollup; a mismatch panics.
+//! Under [`crate::tracing`]'s capture, folds the experiment's spans
+//! through [`gpu_sim::ProfileReport`] into per-kernel derived metrics,
+//! writes a stable `results/PROFILE_<name>.json` under [`SCHEMA`]
+//! (documented in EXPERIMENTS.md), and prints an Nsight-style
+//! hot-kernel table to stderr — stdout stays clean for `--json`
+//! pipelines. The report must reconcile bit-exactly with both the
+//! ledger total and the per-phase rollup; a mismatch panics.
 
+use crate::artifact::{self, Schema};
 use acsr::PhaseRollup;
 use gpu_sim::counters::LANE_HIST_LABELS;
 use gpu_sim::profile::{KernelRow, ProfileReport};
-use gpu_sim::{presets, trace, DeviceConfig};
+use gpu_sim::{presets, DeviceConfig, Span, TraceLedger};
 use serde::{Serialize, Value};
-use std::path::PathBuf;
+
+/// The `acsr-profile-v1` contract: at least one kernel row.
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-profile-v1",
+    kind: "profile report",
+    fields: &["devices", "phases", "total"],
+    rows: &[("kernels", 1, &[])],
+    invariants: |_| Ok(()),
+};
 
 /// Device presets the profiler can match spans against (multi-GPU
 /// instance names like `"GTX Titan #1"` match by prefix).
@@ -25,24 +34,12 @@ pub fn known_configs() -> Vec<DeviceConfig> {
     ]
 }
 
-/// Arm the global ledger for one profiled experiment.
-pub fn begin() {
-    trace::enable_global_capture();
-    trace::global_ledger().clear();
-}
-
-/// Disarm capture, derive the per-kernel profile, verify it reconciles,
-/// write `results/PROFILE_<name>.json` (plus the chrome trace when
-/// `export_trace`), and print the hot-kernel table to stderr.
-pub fn finish(name: &str, export_trace: bool) -> PathBuf {
-    trace::disable_global_capture();
-    let ledger = trace::global_ledger();
-    ledger
-        .reconcile()
-        .unwrap_or_else(|e| panic!("trace reconciliation failed for '{name}': {e}"));
-    let spans = ledger.spans();
+/// Derive the per-kernel profile of a reconciled ledger's `spans`,
+/// verify it reconciles, write `results/PROFILE_<name>.json`, and print
+/// the hot-kernel table to stderr.
+pub fn write(name: &str, ledger: &TraceLedger, spans: &[Span]) -> Result<(), String> {
     let configs = known_configs();
-    let report = ProfileReport::from_spans(&spans, &configs);
+    let report = ProfileReport::from_spans(spans, &configs);
     report
         .reconcile()
         .unwrap_or_else(|e| panic!("profile reconciliation failed for '{name}': {e}"));
@@ -56,21 +53,14 @@ pub fn finish(name: &str, export_trace: bool) -> PathBuf {
         ledger_total.time_s.to_bits(),
         "profile total time drifted from the ledger"
     );
-    let rollup = PhaseRollup::from_spans(&spans);
-
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = PathBuf::from(format!("results/PROFILE_{name}.json"));
-    std::fs::write(&path, render_json(name, &report, &rollup))
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    if export_trace {
-        let trace_path = PathBuf::from(format!("results/trace_{name}.json"));
-        std::fs::write(&trace_path, ledger.chrome_trace_json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", trace_path.display()));
-        eprintln!("profile[{name}]: trace -> {}", trace_path.display());
-    }
+    let rollup = PhaseRollup::from_spans(spans);
+    let path = artifact::write(
+        &SCHEMA,
+        &format!("PROFILE_{name}.json"),
+        &render_json(name, &report, &rollup),
+    )?;
     eprint!("{}", hot_table(name, &report, &path));
-    ledger.clear();
-    path
+    Ok(())
 }
 
 /// Render the profile as the stable `acsr-profile-v1` JSON document.
@@ -189,7 +179,7 @@ pub fn render_json(name: &str, report: &ProfileReport, rollup: &PhaseRollup) -> 
         .collect();
 
     let doc = obj(vec![
-        ("schema", Value::Str("acsr-profile-v1".to_string())),
+        ("schema", Value::Str(SCHEMA.tag.to_string())),
         ("experiment", Value::Str(name.to_string())),
         ("devices", Value::Array(devices)),
         ("phases", Value::Array(phases)),

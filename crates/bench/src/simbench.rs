@@ -7,12 +7,13 @@
 //! mechanism, so `launches_per_sec` is the direct price of simulating a
 //! launch and `speedup_vs_seq` is the parallel-host scaling curve.
 //!
-//! Results are written to `results/BENCH_sim_throughput.json` under the
-//! `acsr-simbench-v1` schema, which `repro check-artifacts` validates
-//! and `repro bench-diff` gates against the committed floor in
+//! Results are written to `results/BENCH_sim_throughput.json` under
+//! [`SCHEMA`], which the write and `repro check-artifacts` both enforce;
+//! `repro bench-diff` gates them against the committed floor in
 //! `baselines/BENCH_sim_throughput_ci.json` (`launches_per_sec` and
 //! `speedup_vs_seq` are higher-better metrics by name).
 
+use crate::artifact::{self, RowTable, Schema};
 use acsr::{AcsrConfig, AcsrEngine};
 use gpu_sim::{host_cores, presets, set_sim_threads, Device, DeviceBuffer};
 use graphgen::{generate_power_law, PowerLawConfig};
@@ -20,8 +21,26 @@ use sparse_formats::EllMatrix;
 use spmv_kernels::{csr_vector::CsrVector, ell_kernel::EllKernel, DevCsr, DevEll, GpuSpmv};
 use std::time::Instant;
 
-/// Schema tag of the emitted artifact.
-pub const SCHEMA: &str = "acsr-simbench-v1";
+/// The `acsr-simbench-v1` contract: every kernel carries its sweep.
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-simbench-v1",
+    kind: "simbench report",
+    fields: &["host_cores"],
+    rows: &[("kernels", 1, &["kernel"])],
+    invariants: |doc| {
+        let kernels = artifact::rows(doc, "kernels");
+        kernels
+            .iter()
+            .try_for_each(|k| artifact::check_rows(k, &SWEEP))
+    },
+};
+
+/// Each kernel's sweep rows.
+const SWEEP: RowTable = (
+    "widths",
+    1,
+    &["workers", "launches_per_sec", "speedup_vs_seq"],
+);
 
 /// Host worker widths swept.
 pub const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -214,23 +233,10 @@ pub fn to_json(report: &Report) -> String {
         ));
     }
     format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"bench\": \"sim_throughput\",\n  \
+        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"sim_throughput\",\n  \
          \"host_cores\": {},\n  \"kernels\": [\n{kernels}\n  ]\n}}\n",
-        report.host_cores
+        SCHEMA.tag, report.host_cores
     )
-}
-
-/// Write the artifact to `results/BENCH_sim_throughput.json` (resolved
-/// from the workspace root or a crate dir) and return the path written.
-pub fn write(report: &Report) -> std::io::Result<String> {
-    let dir = if std::path::Path::new("results").is_dir() {
-        std::path::PathBuf::from("results")
-    } else {
-        std::path::PathBuf::from("../../results")
-    };
-    let path = dir.join("BENCH_sim_throughput.json");
-    std::fs::write(&path, to_json(report))?;
-    Ok(path.display().to_string())
 }
 
 /// Human-readable table.
@@ -256,6 +262,7 @@ pub fn render(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn json_round_trips_and_carries_schema() {
@@ -271,14 +278,14 @@ mod tests {
             }],
         };
         let json = to_json(&report);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let serde::Value::Object(entries) = &v else {
-            panic!("not an object")
-        };
-        let get = |k: &str| entries.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert!(matches!(get("schema"), Some(serde::Value::Str(s)) if s == SCHEMA));
+        assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
+        let doc = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(
+            artifact::field(&doc, "schema"),
+            Some(&Value::Str(SCHEMA.tag.into()))
+        );
         // The JSON shim parses in-range positive integers as I64.
-        assert!(matches!(get("host_cores"), Some(serde::Value::I64(4))));
-        assert!(matches!(get("kernels"), Some(serde::Value::Array(a)) if a.len() == 1));
+        assert_eq!(artifact::field(&doc, "host_cores"), Some(&Value::I64(4)));
+        assert_eq!(artifact::rows(&doc, "kernels").len(), 1);
     }
 }

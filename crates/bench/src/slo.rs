@@ -18,18 +18,41 @@
 //! streams), so the artifact is bit-reproducible and
 //! `baselines/BENCH_slo_ci.json` gates it exactly in CI.
 //!
-//! Results go to `results/BENCH_slo.json` (`acsr-slo-v1` schema),
-//! validated by `repro check-artifacts` and gated by `repro
-//! bench-diff`.
+//! Results go to `results/BENCH_slo.json` under [`SCHEMA`], which the
+//! write and `repro check-artifacts` both enforce; `repro bench-diff`
+//! gates the numbers.
 
+use crate::artifact::Schema;
 use acsr_serve::{
     assign_tenants, generate_queries, ArrivalPattern, ServeConfig, ServeEngine, ServeReport,
     SloPolicy, TenantSpec, TenantTable,
 };
 use graphgen::{generate_power_law, PowerLawConfig};
 
-/// Schema tag of the emitted artifact.
-pub const SCHEMA: &str = "acsr-slo-v1";
+/// Fields of every curve and trace row.
+const POINT_FIELDS: &[&str] = &[
+    "name",
+    "offered_qps",
+    "attainment",
+    "goodput_qps",
+    "throughput_qps",
+    "p99_ms",
+];
+
+/// The `acsr-slo-v1` contract: at least 4 offered-load points on the
+/// curve, and at least one arrival-shape trace.
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-slo-v1",
+    kind: "slo report",
+    fields: &[
+        "capacity_qps",
+        "p99_target_ms",
+        "max_batch",
+        "queue_capacity",
+    ],
+    rows: &[("curve", 4, POINT_FIELDS), ("traces", 1, POINT_FIELDS)],
+    invariants: |_| Ok(()),
+};
 
 /// Offered load relative to measured capacity, one curve point each.
 pub const LOAD_POINTS: [f64; 6] = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
@@ -311,10 +334,11 @@ fn points_json(points: &[SloPoint]) -> String {
 /// Serialize under the `acsr-slo-v1` schema.
 pub fn to_json(report: &Report) -> String {
     format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"bench\": \"slo_attainment\",\n  \
+        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"slo_attainment\",\n  \
          \"rows\": {},\n  \"nnz\": {},\n  \"max_batch\": {},\n  \"queue_capacity\": {},\n  \
          \"capacity_qps\": {:.3},\n  \"p99_target_ms\": {:.6},\n  \
          \"curve\": [\n{}\n  ],\n  \"traces\": [\n{}\n  ]\n}}\n",
+        SCHEMA.tag,
         report.rows,
         report.nnz,
         report.max_batch,
@@ -324,19 +348,6 @@ pub fn to_json(report: &Report) -> String {
         points_json(&report.curve),
         points_json(&report.traces),
     )
-}
-
-/// Write the artifact to `results/BENCH_slo.json` (resolved from the
-/// workspace root or a crate dir) and return the path written.
-pub fn write(report: &Report) -> std::io::Result<String> {
-    let dir = if std::path::Path::new("results").is_dir() {
-        std::path::PathBuf::from("results")
-    } else {
-        std::path::PathBuf::from("../../results")
-    };
-    let path = dir.join("BENCH_slo.json");
-    std::fs::write(&path, to_json(report))?;
-    Ok(path.display().to_string())
 }
 
 /// Human-readable tables.
@@ -385,6 +396,8 @@ pub fn render(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact;
+    use serde::Value;
 
     /// The quick sweep is what CI smokes and gates; pin its acceptance
     /// shape here so a drive-by change to the sweep can't silently
@@ -440,17 +453,15 @@ mod tests {
             bursty.empirical_qps,
             bursty.offered_qps
         );
-        // JSON round-trips under the shim parser
+        // the artifact meets its contract and carries every row
         let json = to_json(&report);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let serde::Value::Object(entries) = &v else {
-            panic!("not an object")
-        };
-        let get = |k: &str| entries.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert!(matches!(get("schema"), Some(serde::Value::Str(s)) if s == SCHEMA));
-        assert!(
-            matches!(get("curve"), Some(serde::Value::Array(a)) if a.len() == LOAD_POINTS.len())
+        assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
+        let doc = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(
+            artifact::field(&doc, "schema"),
+            Some(&Value::Str(SCHEMA.tag.into()))
         );
-        assert!(matches!(get("traces"), Some(serde::Value::Array(a)) if a.len() == 4));
+        assert_eq!(artifact::rows(&doc, "curve").len(), LOAD_POINTS.len());
+        assert_eq!(artifact::rows(&doc, "traces").len(), 4);
     }
 }

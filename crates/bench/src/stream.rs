@@ -24,10 +24,12 @@
 //! against [`acsr_stream::LedgerTotals`], and dumped through the shared
 //! [`crate::metrics::print_metrics`] stderr formatter.
 //!
-//! Results go to `results/BENCH_stream.json` (`acsr-stream-v1` schema),
-//! validated by `repro check-artifacts` and gated by `repro bench-diff`
+//! Results go to `results/BENCH_stream.json` under [`SCHEMA`], which the
+//! write and `repro check-artifacts` both enforce — a run that lost
+//! bit-identity writes nothing; `repro bench-diff` gates the numbers
 //! against `baselines/BENCH_stream_ci.json`.
 
+use crate::artifact::{self, Schema};
 use acsr::AcsrConfig;
 use acsr_serve::{
     generate_queries, serve_with_churn, ArrivalPattern, ChurnServeConfig, SteadyOperator,
@@ -36,14 +38,48 @@ use acsr_stream::{ChurnedStream, LedgerTotals, StreamEngine};
 use acsr_telemetry::Telemetry;
 use gpu_sim::{presets, Device};
 use graphgen::{generate_edge_stream, generate_rmat, ChurnConfig, RmatConfig};
+use serde::Value;
 use sparse_formats::{CsrMatrix, HostModel};
 use spmv_kernels::GpuSpmv;
 use spmv_pipeline::{
     DriftKey, DriftOutcome, DriftTolerance, FormatRegistry, PlanBudget, PlanCache,
 };
 
-/// Schema tag of the emitted artifact.
-pub const SCHEMA: &str = "acsr-stream-v1";
+/// The `acsr-stream-v1` contract: the maintained ACSR stayed
+/// bit-identical to the fresh build, overall and after every batch.
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-stream-v1",
+    kind: "stream report",
+    fields: &[
+        "rows",
+        "batches",
+        "total_ops",
+        "identical",
+        "updates_per_sec",
+        "rebuild_updates_per_sec",
+        "speedup",
+        "p99_churn_ms",
+        "p99_steady_ms",
+        "ledger",
+    ],
+    rows: &[(
+        "batch_rows",
+        1,
+        &["name", "ops", "incremental_s", "rebuild_s", "drift"],
+    )],
+    invariants: identical,
+};
+
+fn identical(doc: &Value) -> Result<(), String> {
+    let holds = |obj: &Value| artifact::field(obj, "identical") == Some(&Value::Bool(true));
+    if !holds(doc) {
+        Err("lost bit-identity with the fresh build".into())
+    } else if !artifact::rows(doc, "batch_rows").iter().all(holds) {
+        Err("a batch row failed identity".into())
+    } else {
+        Ok(())
+    }
+}
 
 /// One applied maintenance batch.
 pub struct BatchRow {
@@ -342,7 +378,7 @@ pub fn to_json(report: &Report) -> String {
         ));
     }
     format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"bench\": \"streaming_maintenance\",\n  \
+        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"streaming_maintenance\",\n  \
          \"rows\": {},\n  \"nnz_initial\": {},\n  \"nnz_final\": {},\n  \
          \"batches\": {},\n  \"total_ops\": {},\n  \"identical\": {},\n  \
          \"updates_per_sec\": {:.3},\n  \"rebuild_updates_per_sec\": {:.3},\n  \
@@ -355,6 +391,7 @@ pub fn to_json(report: &Report) -> String {
          \"ledger\": {{\"batches\": {}, \"in_place_rows\": {}, \"migrated_rows\": {}, \
          \"capacity_shift_rows\": {}, \"buffer_grows\": {}, \"bytes_rewritten\": {}}},\n  \
          \"batch_rows\": [\n{}\n  ]\n}}\n",
+        SCHEMA.tag,
         report.rows,
         report.nnz_initial,
         report.nnz_final,
@@ -381,19 +418,6 @@ pub fn to_json(report: &Report) -> String {
         report.ledger.bytes_rewritten,
         rows,
     )
-}
-
-/// Write the artifact to `results/BENCH_stream.json` (resolved from the
-/// workspace root or a crate dir) and return the path written.
-pub fn write(report: &Report) -> std::io::Result<String> {
-    let dir = if std::path::Path::new("results").is_dir() {
-        std::path::PathBuf::from("results")
-    } else {
-        std::path::PathBuf::from("../../results")
-    };
-    let path = dir.join("BENCH_stream.json");
-    std::fs::write(&path, to_json(report))?;
-    Ok(path.display().to_string())
 }
 
 /// Human-readable tables.
@@ -489,16 +513,14 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0, "non-finite metric {v}");
         }
-        // JSON round-trips under the shim parser
+        // the artifact meets its contract and carries every batch
         let json = to_json(&report);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let serde::Value::Object(entries) = &v else {
-            panic!("not an object")
-        };
-        let get = |k: &str| entries.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert!(matches!(get("schema"), Some(serde::Value::Str(s)) if s == SCHEMA));
-        assert!(
-            matches!(get("batch_rows"), Some(serde::Value::Array(a)) if a.len() == report.batches)
+        assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
+        let doc = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(
+            artifact::field(&doc, "schema"),
+            Some(&Value::Str(SCHEMA.tag.into()))
         );
+        assert_eq!(artifact::rows(&doc, "batch_rows").len(), report.batches);
     }
 }

@@ -1,40 +1,91 @@
-//! `--trace` plumbing for the `repro` binary.
+//! Capture plumbing for the `repro` binary: `--trace` and the
+//! `profile`, `metrics` and `timeline` subcommands.
 //!
-//! With `--trace`, every [`gpu_sim::Device`] an experiment creates
-//! attaches to the process-global [`gpu_sim::TraceLedger`]; after the
+//! Capture arms the process-global [`gpu_sim::TraceLedger`] (plus the
+//! telemetry registry for `metrics` and `timeline`), so every
+//! [`gpu_sim::Device`] an experiment creates attaches to it. After the
 //! experiment the ledger is reconciled (span counters must sum exactly
-//! to its running total — a hard failure otherwise), exported as
-//! chrome://tracing JSON under `results/`, and summarized per ACSR
-//! phase on stderr (stdout stays clean for `--json` pipelines).
+//! to its running total — a hard failure otherwise), the subcommand's
+//! artifact is written, and with `--trace` the ledger is exported as
+//! chrome://tracing JSON under `results/` and summarized per ACSR phase
+//! on stderr (stdout stays clean for `--json` pipelines).
 
+use crate::artifact::{self, Schema};
 use acsr::PhaseRollup;
-use gpu_sim::trace;
-use std::path::PathBuf;
+use gpu_sim::{trace, Span, TraceLedger};
 
-/// Arm the global ledger for one experiment (clears any prior spans).
-pub fn begin() {
-    trace::enable_global_capture();
-    trace::global_ledger().clear();
+/// The untagged chrome://tracing export: at least one event.
+pub const CHROME_TRACE: Schema = Schema {
+    tag: "",
+    kind: "chrome trace",
+    fields: &[],
+    rows: &[("traceEvents", 1, &[])],
+    invariants: |_| Ok(()),
+};
+
+/// What `repro` records around an experiment besides its report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Capture {
+    /// Nothing (`--trace` alone still exports the chrome trace).
+    Off,
+    /// `repro profile`: `results/PROFILE_<name>.json`.
+    Profile,
+    /// `repro metrics`: `results/METRICS_<name>.json`.
+    Metrics,
+    /// `repro timeline`: the metrics snapshot plus
+    /// `results/TIMELINE_<name>.json`.
+    Timeline,
 }
 
-/// Reconcile, export `results/trace_<name>.json`, print the per-phase
-/// rollup to stderr, and disarm capture. Panics if the ledger's span
-/// counters fail to sum to its total — that would mean the simulator
-/// lost or double-counted events.
-pub fn finish(name: &str) -> PathBuf {
+/// Arm capture for one experiment, clearing prior state so back-to-back
+/// runs write identical artifacts.
+pub fn begin(capture: Capture) {
+    trace::enable_global_capture();
+    trace::global_ledger().clear();
+    if matches!(capture, Capture::Metrics | Capture::Timeline) {
+        acsr_telemetry::enable_global_capture();
+        acsr_telemetry::global().reset();
+    }
+}
+
+/// Disarm capture, reconcile the ledger, and write `capture`'s artifact
+/// and, with `export_trace`, `results/trace_<name>.json`. An experiment
+/// that did no device work writes neither a trace nor a profile. Panics
+/// if the ledger's span counters fail to sum to its total — that would
+/// mean the simulator lost or double-counted events.
+pub fn finish(name: &str, capture: Capture, export_trace: bool) -> Result<(), String> {
     trace::disable_global_capture();
+    acsr_telemetry::disable_global_capture();
     let ledger = trace::global_ledger();
-    let total = ledger
+    ledger
         .reconcile()
         .unwrap_or_else(|e| panic!("trace reconciliation failed for '{name}': {e}"));
-
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = PathBuf::from(format!("results/trace_{name}.json"));
-    std::fs::write(&path, ledger.chrome_trace_json())
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-
     let spans = ledger.spans();
-    let rollup = PhaseRollup::from_spans(&spans);
+    if spans.is_empty() && (export_trace || capture == Capture::Profile) {
+        eprintln!("{name}: no device work recorded; writing no trace or profile");
+    }
+    match capture {
+        Capture::Profile if !spans.is_empty() => crate::profile::write(name, &ledger, &spans)?,
+        Capture::Metrics | Capture::Timeline => {
+            crate::metrics::write(name, &ledger, capture == Capture::Timeline)?
+        }
+        _ => {}
+    }
+    if export_trace && !spans.is_empty() {
+        write_trace(name, &ledger, &spans)?;
+    }
+    ledger.clear();
+    Ok(())
+}
+
+/// Export `results/trace_<name>.json` and print the per-phase rollup.
+fn write_trace(name: &str, ledger: &TraceLedger, spans: &[Span]) -> Result<(), String> {
+    let path = artifact::write(
+        &CHROME_TRACE,
+        &format!("trace_{name}.json"),
+        &ledger.chrome_trace_json(),
+    )?;
+    let (rollup, total) = (PhaseRollup::from_spans(spans), ledger.total());
     eprintln!(
         "trace[{name}]: {} spans, {} launches, {:.3} ms modeled -> {}",
         spans.len(),
@@ -61,6 +112,5 @@ pub fn finish(name: &str) -> PathBuf {
             rollup.row_grid_launches()
         );
     }
-    ledger.clear();
-    path
+    Ok(())
 }

@@ -28,17 +28,17 @@ CARGO_TARGET_DIR=target acsr-bench/check.sh
 echo "==> trace export smoke (repro fig5 --trace)"
 ./target/release/repro fig5 --trace --scale 512 --matrices INT > /dev/null
 test -s results/trace_fig5.json
-./target/release/repro trace-check results/trace_fig5.json
+./target/release/repro check-artifacts results/trace_fig5.json
 
 echo "==> dual-GPU smoke (repro fig8 --trace, replicated-x fleet)"
 ./target/release/repro fig8 --trace --scale 512 --matrices ENR,LJ2 > /dev/null
 test -s results/trace_fig8.json
-./target/release/repro trace-check results/trace_fig8.json
+./target/release/repro check-artifacts results/trace_fig8.json
 
 echo "==> serving smoke (repro serve --trace)"
 ./target/release/repro serve --trace --scale 512 --matrices INT > /dev/null
 test -s results/trace_serve.json
-./target/release/repro trace-check results/trace_serve.json
+./target/release/repro check-artifacts results/trace_serve.json
 
 echo "==> profiler smoke (repro profile fig5)"
 ./target/release/repro profile fig5 --trace --scale 512 --matrices INT > /dev/null
