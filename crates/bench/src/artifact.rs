@@ -69,6 +69,16 @@ pub(crate) fn as_u64(v: &Value) -> Option<u64> {
     }
 }
 
+/// A JSON number as `f64`.
+pub(crate) fn as_f64(v: &Value) -> Option<f64> {
+    match *v {
+        Value::I64(n) => Some(n as f64),
+        Value::U64(n) => Some(n as f64),
+        Value::F64(x) => Some(x),
+        _ => None,
+    }
+}
+
 /// Check that `obj` holds a row table.
 pub(crate) fn check_rows(obj: &Value, &(key, min, fields): &RowTable) -> Result<(), String> {
     let rows = match field(obj, key) {
@@ -255,17 +265,26 @@ mod tests {
 
     #[test]
     fn fleet_contract() {
-        assert_contract(
-            &fleet::SCHEMA,
-            r#"{"schema": "acsr-fleet-v1", "scale": 64, "device_counts": [1, 2],
+        let minimal = r#"{"schema": "acsr-fleet-v1", "scale": 64, "device_counts": [1, 2],
                 "formats": {"shards": ["ACSR"]}, "p99_target_ms": 1.0,
                 "scaling": [{"name": "ENR_d2", "devices": 2, "seconds": 1.0, "speedup": 1.5,
                     "efficiency": 0.75, "halo_bytes": 8, "ledger_halo_bytes": 8,
-                    "exchange_ms": 0.1, "replicated_rows": 0}],
+                    "payload_bytes": 8, "schedule": "direct", "messages": 1,
+                    "exchange_ms": 0.1, "direct_exchange_ms": 0.1, "replicated_rows": 0}],
                 "stealing": [{"name": "narrow_auto", "waves": 2, "stolen_waves": 2,
-                    "attainment": 1.0, "p99_ms": 0.5}]}"#,
+                    "attainment": 1.0, "p99_ms": 0.5}]}"#;
+        assert_contract(
+            &fleet::SCHEMA,
+            minimal,
             &[
                 (r#""ledger_halo_bytes": 8"#, r#""ledger_halo_bytes": 9"#),
+                (r#""payload_bytes": 8"#, r#""payload_bytes": 9"#),
+                (r#""payload_bytes": 8"#, r#""payload_bytes": 7"#),
+                (r#""schedule": "direct""#, r#""schedule": "ring""#),
+                (
+                    r#""direct_exchange_ms": 0.1"#,
+                    r#""direct_exchange_ms": 0.09"#,
+                ),
                 (
                     r#""halo_bytes": 8, "ledger_halo_bytes": 8"#,
                     r#""halo_bytes": 8.0, "ledger_halo_bytes": 8.0"#,
@@ -275,6 +294,15 @@ mod tests {
                 (r#""stealing": [{"#, r#""stealing": [], "x": [{"#),
             ],
         );
+        // A routed exchange forwards payload: fewer payload than link
+        // bytes, ending before the direct schedule would have.
+        let routed = minimal
+            .replace(
+                r#""payload_bytes": 8, "schedule": "direct""#,
+                r#""payload_bytes": 6, "schedule": "bruck""#,
+            )
+            .replace(r#""exchange_ms": 0.1"#, r#""exchange_ms": 0.05"#);
+        assert_eq!(validate(&routed), Ok(fleet::SCHEMA.kind));
     }
 
     #[test]

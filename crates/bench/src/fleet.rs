@@ -9,10 +9,12 @@
 //!    subsystem models; PCIe-class links leave small matrices
 //!    exchange-bound at every D). Each row records the modeled wall
 //!    time, the speedup and parallel efficiency against the D = 1
-//!    baseline, and the halo exchange
-//!    (payload bytes, schedule end, tail past compute). Every run
-//!    traces into a [`gpu_sim::trace::TraceLedger`] and the per-edge
-//!    halo transfers are reconciled **integer-exactly** (bytes) and
+//!    baseline, and the halo exchange: the schedule the fleet kept
+//!    (`direct`, or the routed `bruck`) with its message count, link
+//!    and delivered payload bytes, its end, where the direct schedule
+//!    would have ended, and the tail past compute. Every run traces
+//!    into a [`gpu_sim::trace::TraceLedger`] and the per-message halo
+//!    transfers are reconciled **integer-exactly** (bytes) and
 //!    **bit-exactly** (durations) against the exchange report — the run
 //!    dies on any mismatch, so a committed artifact is self-consistent
 //!    by construction.
@@ -45,7 +47,11 @@ use serde::Value;
 
 /// The `acsr-fleet-v1` contract. The ledger reconciliation is part of
 /// it: every scaling row's `halo_bytes` equals its `ledger_halo_bytes`
-/// as integers, and the formats section names its shards.
+/// as integers. Each row's exchange decision is consistent: the
+/// schedule is `direct` or `bruck`, the delivered `payload_bytes` never
+/// exceed the link `halo_bytes` (and equal them under `direct`), and
+/// the kept schedule never ends after the direct one. The formats
+/// section names its shards.
 pub const SCHEMA: Schema = Schema {
     tag: "acsr-fleet-v1",
     kind: "fleet report",
@@ -62,7 +68,11 @@ pub const SCHEMA: Schema = Schema {
                 "efficiency",
                 "halo_bytes",
                 "ledger_halo_bytes",
+                "payload_bytes",
+                "schedule",
+                "messages",
                 "exchange_ms",
+                "direct_exchange_ms",
                 "replicated_rows",
             ],
         ),
@@ -72,17 +82,39 @@ pub const SCHEMA: Schema = Schema {
             &["name", "waves", "stolen_waves", "attainment", "p99_ms"],
         ),
     ],
-    invariants: halo_reconciled,
+    invariants: exchange_consistent,
 };
 
-fn halo_reconciled(doc: &Value) -> Result<(), String> {
+fn exchange_consistent(doc: &Value) -> Result<(), String> {
     for row in artifact::rows(doc, "scaling") {
-        let halo = artifact::field(row, "halo_bytes").and_then(artifact::as_u64);
-        let ledger = artifact::field(row, "ledger_halo_bytes").and_then(artifact::as_u64);
+        let int = |key| artifact::field(row, key).and_then(artifact::as_u64);
+        let num = |key| artifact::field(row, key).and_then(artifact::as_f64);
+        let (halo, ledger, payload) = (
+            int("halo_bytes"),
+            int("ledger_halo_bytes"),
+            int("payload_bytes"),
+        );
         if halo.is_none() || halo != ledger {
             return Err(format!(
                 "scaling row has halo_bytes {halo:?} but ledger_halo_bytes {ledger:?} \
                  (must be integer-equal)"
+            ));
+        }
+        let direct = match artifact::field(row, "schedule") {
+            Some(Value::Str(s)) if s == "direct" => true,
+            Some(Value::Str(s)) if s == "bruck" => false,
+            other => return Err(format!("scaling row has schedule {other:?}")),
+        };
+        if payload.is_none() || payload > halo || (direct && payload != halo) {
+            return Err(format!(
+                "scaling row delivers payload_bytes {payload:?} over halo_bytes {halo:?} \
+                 (must be at most, and equal under direct)"
+            ));
+        }
+        let (end, direct_end) = (num("exchange_ms"), num("direct_exchange_ms"));
+        if !matches!((end, direct_end), (Some(e), Some(d)) if e <= d) {
+            return Err(format!(
+                "scaling row has exchange_ms {end:?} past direct_exchange_ms {direct_end:?}"
             ));
         }
     }
@@ -109,13 +141,22 @@ pub struct ScalingRow {
     /// Speedup over device count.
     pub efficiency: f64,
     pub gflops: f64,
-    /// Halo payload this SpMV moved, from the exchange report.
+    /// Bytes this SpMV moved over device links, from the exchange report.
     pub halo_bytes: u64,
-    /// The same payload re-summed from the trace ledger's `halo_*`
+    /// The same bytes re-summed from the trace ledger's `halo_*`
     /// transfer spans (asserted equal before the row is emitted).
     pub ledger_halo_bytes: u64,
+    /// Halo payload delivered, each payload once (equals `halo_bytes`
+    /// under the direct schedule).
+    pub payload_bytes: u64,
+    /// The exchange schedule the fleet kept: `direct` or `bruck`.
+    pub schedule: &'static str,
+    /// Messages (link transfers) the kept schedule sent.
+    pub messages: usize,
     /// Completion of the last halo transfer, milliseconds.
     pub exchange_ms: f64,
+    /// Where the direct schedule would have completed, milliseconds.
+    pub direct_exchange_ms: f64,
     /// Milliseconds the exchange extended past compute (0 when hidden).
     pub exchange_tail_ms: f64,
     pub replicated_rows: usize,
@@ -232,7 +273,11 @@ fn scaling_rows(specs: &[&'static MatrixSpec], scale: usize, seed: u64) -> Vec<S
                 gflops: rep.gflops(flops),
                 halo_bytes: rep.halo_bytes(),
                 ledger_halo_bytes,
+                payload_bytes: rep.exchange.payload_bytes,
+                schedule: rep.exchange.schedule.name(),
+                messages: rep.exchange.messages(),
                 exchange_ms: rep.exchange.end_s() * 1e3,
+                direct_exchange_ms: rep.exchange.direct_end_s() * 1e3,
                 exchange_tail_ms: rep.exchange_tail_s() * 1e3,
                 replicated_rows: rep.replicated_rows,
             });
@@ -400,7 +445,9 @@ fn scaling_json(rows: &[ScalingRow]) -> String {
             "    {{\"name\": \"{}\", \"matrix\": \"{}\", \"devices\": {}, \"rows\": {}, \
              \"nnz\": {}, \"seconds\": {:.9}, \"speedup\": {:.4}, \"efficiency\": {:.4}, \
              \"gflops\": {:.4}, \"halo_bytes\": {}, \"ledger_halo_bytes\": {}, \
-             \"exchange_ms\": {:.6}, \"exchange_tail_ms\": {:.6}, \"replicated_rows\": {}}}",
+             \"payload_bytes\": {}, \"schedule\": \"{}\", \"messages\": {}, \
+             \"exchange_ms\": {:.6}, \"direct_exchange_ms\": {:.6}, \
+             \"exchange_tail_ms\": {:.6}, \"replicated_rows\": {}}}",
             r.name,
             r.matrix,
             r.devices,
@@ -412,7 +459,11 @@ fn scaling_json(rows: &[ScalingRow]) -> String {
             r.gflops,
             r.halo_bytes,
             r.ledger_halo_bytes,
+            r.payload_bytes,
+            r.schedule,
+            r.messages,
             r.exchange_ms,
+            r.direct_exchange_ms,
             r.exchange_tail_ms,
             r.replicated_rows,
         ));
@@ -479,8 +530,8 @@ pub fn to_json(report: &Report) -> String {
 /// Human-readable tables.
 pub fn render(report: &Report) -> String {
     let mut scaling = crate::Table::new(&[
-        "matrix", "D", "wall", "speedup", "eff", "GFLOP/s", "halo KiB", "exch ms", "tail ms",
-        "repl",
+        "matrix", "D", "wall", "speedup", "eff", "GFLOP/s", "sched", "msgs", "halo KiB", "exch ms",
+        "tail ms", "repl",
     ]);
     for r in &report.scaling {
         scaling.row(vec![
@@ -490,6 +541,8 @@ pub fn render(report: &Report) -> String {
             format!("{:.2}x", r.speedup),
             format!("{:.2}", r.efficiency),
             format!("{:.2}", r.gflops),
+            r.schedule.to_string(),
+            r.messages.to_string(),
             format!("{:.1}", r.halo_bytes as f64 / 1024.0),
             format!("{:.4}", r.exchange_ms),
             format!("{:.4}", r.exchange_tail_ms),
@@ -552,6 +605,13 @@ mod tests {
                 assert!((r.speedup - 1.0).abs() < 1e-12);
             } else {
                 assert!(r.halo_bytes > 0, "{}: sharding must exchange", r.name);
+            }
+            if r.devices <= 2 {
+                assert_eq!(
+                    r.schedule, "direct",
+                    "{}: two devices route directly",
+                    r.name
+                );
             }
             for v in [r.seconds, r.speedup, r.efficiency, r.gflops, r.exchange_ms] {
                 assert!(v.is_finite(), "{}: non-finite metric {v}", r.name);

@@ -31,7 +31,8 @@ fn check_artifacts_rejects_unknown_schema_tags() {
         "formats": {"shards": ["ACSR"]}, "p99_target_ms": 1.0,
         "scaling": [{"name": "ENR_d2", "devices": 2, "seconds": 1.0, "speedup": 1.5,
             "efficiency": 0.75, "halo_bytes": 8, "ledger_halo_bytes": 9,
-            "exchange_ms": 0.1, "replicated_rows": 0}],
+            "payload_bytes": 8, "schedule": "direct", "messages": 1,
+            "exchange_ms": 0.1, "direct_exchange_ms": 0.1, "replicated_rows": 0}],
         "stealing": [{"name": "narrow_auto", "waves": 2, "stolen_waves": 2,
             "attainment": 1.0, "p99_ms": 0.5}]}"#;
     let cases = [

@@ -5,8 +5,9 @@
 //!   rows plus replicated hot rows), and between iterations the shards
 //!   exchange exactly the remote `x` entries their peers computed. The
 //!   exchange is explicit and event-scheduled ([`crate::halo`]): each
-//!   `(owner → shard)` halo edge becomes one interconnect transfer, ready
-//!   the instant its producer's compute finishes, FIFO per
+//!   `(owner → shard)` payload is ready the instant its producer's
+//!   compute finishes and rides either its own transfer (direct) or the
+//!   routed Bruck messages, whichever schedule ends first, FIFO per
 //!   egress/ingress engine — so transfers from early-finishing devices
 //!   hide under the slowest device's compute.
 //! - [`Placement::Replicated`]: the paper's §VIII setup. Every device
@@ -30,7 +31,7 @@
 //! order unchanged by sharding, and only the *owner's* computation
 //! writes the global result (replicas feed local reuse only).
 
-use crate::halo::{ns, schedule_exchange, EdgeSpec, ExchangeReport, LinkModel};
+use crate::halo::{ns, schedule_exchange, EdgeSpec, ExchangeReport, HaloPlan, LinkModel, Payload};
 use crate::partition::{partition_fleet, partition_replicated, FleetPartition, ReplicationPolicy};
 use crate::record_device_gauges;
 use acsr::AcsrConfig;
@@ -195,14 +196,23 @@ impl FleetReport {
         self.exchange.tail_s(self.compute_s())
     }
 
-    /// Total halo payload bytes this phase moved.
+    /// Bytes this phase moved over device links: a routed payload counts
+    /// once per hop, so this is at least the delivered halo payload
+    /// ([`ExchangeReport::payload_bytes`]) and equals it under the
+    /// direct schedule.
     pub fn halo_bytes(&self) -> u64 {
         self.exchange.total_bytes()
     }
 
-    /// GFLOP/s for `flops` useful operations.
+    /// GFLOP/s for `flops` useful operations; 0.0 for a phase of zero
+    /// modeled time (an empty matrix).
     pub fn gflops(&self, flops: u64) -> f64 {
-        flops as f64 / self.seconds() / 1e9
+        let seconds = self.seconds();
+        if seconds > 0.0 {
+            flops as f64 / seconds / 1e9
+        } else {
+            0.0
+        }
     }
 }
 
@@ -212,6 +222,9 @@ pub struct Fleet<T: Scalar> {
     /// `None` for empty shards (more devices than rows can feed).
     plans: Vec<Option<SpmvPlan<T>>>,
     partition: FleetPartition,
+    /// The resident halo's payloads and Bruck route (empty when `x` is
+    /// replicated).
+    halo: HaloPlan,
     /// `compute_rows[d][local] = global` for every computed row.
     compute_rows: Vec<Vec<u32>>,
     formats: Vec<String>,
@@ -254,10 +267,20 @@ impl<T: Scalar> Fleet<T> {
             compute_rows.push(rows);
             devices.push(dev);
         }
+        let elt = std::mem::size_of::<T>() as u64;
+        let halo = HaloPlan::new(partition.shards.iter().flat_map(|shard| {
+            shard.halo_in.iter().map(|(owner, rows)| Payload {
+                owner: *owner,
+                dst: shard.device,
+                entries: rows.len(),
+                bytes: rows.len() as u64 * elt,
+            })
+        }));
         Fleet {
             devices,
             plans,
             partition,
+            halo,
             compute_rows,
             formats,
             placement: cfg.placement,
@@ -399,8 +422,10 @@ impl<T: Scalar> Fleet<T> {
     /// scheduled on the interconnect ([`crate::halo`]) without charging
     /// any device — so a caller can also price a phase it has not run.
     ///
-    /// - `Resident`: one halo edge per `(owner → shard)` pair carrying
-    ///   one iterate's entries, ready at the owner's finish.
+    /// - `Resident`: one payload per `(owner → shard)` pair carrying one
+    ///   iterate's entries, ready at the owner's finish, shipped by the
+    ///   direct or the routed schedule, whichever ends first
+    ///   ([`HaloPlan::schedule`]).
     /// - `Replicated`: one zero-byte hand-off per participating device
     ///   to the host sink, ready at its finish; a phase on a single
     ///   device needs no barrier at all.
@@ -408,22 +433,8 @@ impl<T: Scalar> Fleet<T> {
         let n = self.devices.len();
         match &self.placement {
             Placement::Resident { link, .. } => {
-                let elt = std::mem::size_of::<T>() as u64;
-                let edges: Vec<EdgeSpec> = self
-                    .partition
-                    .shards
-                    .iter()
-                    .flat_map(|shard| {
-                        shard.halo_in.iter().map(|(src, rows)| EdgeSpec {
-                            src: *src,
-                            dst: shard.device,
-                            entries: rows.len(),
-                            bytes: rows.len() as u64 * elt,
-                            ready_ns: ns(finishes[*src].unwrap_or(0.0)),
-                        })
-                    })
-                    .collect();
-                schedule_exchange(n, &edges, link)
+                let ready: Vec<u64> = finishes.iter().map(|f| ns(f.unwrap_or(0.0))).collect();
+                self.halo.schedule(&ready, link)
             }
             Placement::Replicated => {
                 let edges: Vec<EdgeSpec> = finishes
@@ -450,10 +461,13 @@ impl<T: Scalar> Fleet<T> {
 
 /// Fold one fleet SpMV into `metrics` under `prefix`: the shared
 /// per-device busy/idle/utilization gauges
-/// ([`record_device_gauges`]), per-device halo traffic counters
-/// (`<prefix>.<d>.halo_send_bytes` / `halo_recv_bytes`), and the
-/// exchange phase gauges (`<prefix>.exchange_s`,
-/// `<prefix>.exchange_tail_s`, `<prefix>.replicated_rows`).
+/// ([`record_device_gauges`]), per-device link traffic counters
+/// (`<prefix>.<d>.halo_send_bytes` / `halo_recv_bytes`), the exchange's
+/// message and delivered-payload counters (`<prefix>.exchange_messages`,
+/// `<prefix>.exchange_payload_bytes`), and the exchange phase gauges
+/// (`<prefix>.exchange_s`, `<prefix>.exchange_direct_s` — where the
+/// direct schedule would have ended — `<prefix>.exchange_tail_s`,
+/// `<prefix>.replicated_rows`).
 pub fn record_fleet_metrics(metrics: &MetricsRegistry, prefix: &str, report: &FleetReport) {
     record_device_gauges(metrics, prefix, &report.per_device, report.seconds());
     for d in 0..report.per_device.len() {
@@ -466,7 +480,19 @@ pub fn record_fleet_metrics(metrics: &MetricsRegistry, prefix: &str, report: &Fl
             report.exchange.recv_bytes[d],
         );
     }
+    metrics.add(
+        &format!("{prefix}.exchange_messages"),
+        report.exchange.messages() as u64,
+    );
+    metrics.add(
+        &format!("{prefix}.exchange_payload_bytes"),
+        report.exchange.payload_bytes,
+    );
     metrics.set_gauge(&format!("{prefix}.exchange_s"), report.exchange.end_s());
+    metrics.set_gauge(
+        &format!("{prefix}.exchange_direct_s"),
+        report.exchange.direct_end_s(),
+    );
     metrics.set_gauge(
         &format!("{prefix}.exchange_tail_s"),
         report.exchange_tail_s(),
@@ -480,7 +506,7 @@ pub fn record_fleet_metrics(metrics: &MetricsRegistry, prefix: &str, report: &Fl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::halo;
+    use crate::halo::{self, Schedule};
     use gpu_sim::presets;
     use graphgen::{generate_power_law, PowerLawConfig};
 
@@ -535,6 +561,10 @@ mod tests {
                 if n == 1 || cfg.placement == Placement::Replicated {
                     assert_eq!(rep.halo_bytes(), 0, "{what}");
                 }
+                assert!(
+                    rep.exchange.end_ns <= rep.exchange.direct_end_ns,
+                    "{what}: the kept schedule never ends after direct"
+                );
             }
         }
     }
@@ -703,6 +733,10 @@ mod tests {
         );
     }
 
+    /// The delivered payload is the partition's halo exactly; link
+    /// bytes (which count a routed payload once per hop) balance across
+    /// senders, receivers and per-device ingress accounting, and equal
+    /// the payload when the direct schedule ran.
     #[test]
     fn halo_bytes_match_partition_bookkeeping() {
         let m = matrix(3000, 302);
@@ -717,17 +751,24 @@ mod tests {
             .iter()
             .map(|s| s.halo_entries() as u64 * 8)
             .sum();
-        assert_eq!(rep.halo_bytes(), expect);
+        assert_eq!(rep.exchange.payload_bytes, expect);
         let send: u64 = rep.exchange.send_bytes.iter().sum();
         let recv: u64 = rep.exchange.recv_bytes.iter().sum();
-        assert_eq!(send, expect);
-        assert_eq!(recv, expect, "no halo edge targets the host sink");
+        assert_eq!(send, rep.halo_bytes());
+        assert_eq!(recv, rep.halo_bytes(), "no halo edge targets the host sink");
         // Per-device ingress accounting mirrors the exchange exactly.
         for d in 0..4 {
             assert_eq!(
                 rep.per_device[d].counters.htod_bytes,
                 rep.exchange.recv_bytes[d]
             );
+        }
+        let htod: u64 = rep.per_device.iter().map(|r| r.counters.htod_bytes).sum();
+        assert_eq!(htod, rep.halo_bytes());
+        if rep.exchange.schedule == Schedule::Direct {
+            assert_eq!(rep.halo_bytes(), expect);
+        } else {
+            assert!(rep.halo_bytes() >= expect);
         }
     }
 
@@ -757,10 +798,10 @@ mod tests {
         assert!(rep_with.replicated_rows > 0, "power-law graph has hot rows");
         assert_eq!(rep_without.replicated_rows, 0);
         assert!(
-            rep_with.halo_bytes() < rep_without.halo_bytes(),
-            "replication {} vs {} halo bytes",
-            rep_with.halo_bytes(),
-            rep_without.halo_bytes()
+            rep_with.exchange.payload_bytes < rep_without.exchange.payload_bytes,
+            "replication {} vs {} halo payload bytes",
+            rep_with.exchange.payload_bytes,
+            rep_without.exchange.payload_bytes
         );
     }
 
@@ -784,8 +825,50 @@ mod tests {
             for (d, f) in rep.formats.iter().enumerate() {
                 if f == "-" {
                     assert_eq!(rep.per_device[d].launches, 0, "empty shard {d} computed");
-                    assert!(rep.exchange.transfers.iter().all(|t| t.src != d));
+                    assert!(rep
+                        .exchange
+                        .transfers
+                        .iter()
+                        .all(|t| t.src != d && t.dst != d));
                 }
+            }
+        }
+    }
+
+    /// Empty matrices (no rows, or rows without columns) run on every
+    /// placement: `y` is written, no halo moves, and a phase of zero
+    /// modeled time reports 0 GFLOP/s rather than 0/0.
+    #[test]
+    fn degenerate_shapes_report_finite_gflops() {
+        for (rows, cols) in [(0usize, 0usize), (0, 5), (5, 0)] {
+            let m = sparse_formats::TripletMatrix::<f64>::new(rows, cols).to_csr();
+            for cfg in [
+                FleetConfig::new(4),
+                FleetConfig::replicated(4),
+                FleetConfig::nvlink(1),
+            ] {
+                let what = format!(
+                    "{rows}x{cols}, {} devices, {:?}",
+                    cfg.n_devices, cfg.placement
+                );
+                let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
+                let x = vec![1.0f64; cols];
+                let mut y = vec![7.0f64; rows];
+                let rep = fleet.spmv(&x, &mut y);
+                assert_eq!(y, vec![0.0; rows], "{what}");
+                assert_eq!(rep.halo_bytes(), 0, "{what}");
+                // Rows without columns still compute (and, replicated,
+                // hand off to the host); no rows means no transfer at all.
+                assert!(
+                    rep.exchange
+                        .transfers
+                        .iter()
+                        .all(|t| t.dst == cfg.n_devices && rows > 0),
+                    "{what}: {:?}",
+                    rep.exchange.transfers
+                );
+                let gflops = rep.gflops(2 * m.nnz() as u64);
+                assert!(gflops.is_finite(), "{what}: gflops {gflops}");
             }
         }
     }
@@ -812,6 +895,18 @@ mod tests {
         assert_eq!(
             snap.gauge("fleet.device.exchange_s"),
             Some(rep.exchange.end_s())
+        );
+        assert_eq!(
+            snap.counter("fleet.device.exchange_messages"),
+            Some(rep.exchange.messages() as u64)
+        );
+        assert_eq!(
+            snap.counter("fleet.device.exchange_payload_bytes"),
+            Some(rep.exchange.payload_bytes)
+        );
+        assert_eq!(
+            snap.gauge("fleet.device.exchange_direct_s"),
+            Some(rep.exchange.direct_end_s())
         );
     }
 

@@ -31,7 +31,10 @@ pub mod halo;
 mod partition;
 
 pub use fleet::{record_fleet_metrics, Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
-pub use halo::{schedule_exchange, EdgeSpec, EdgeTransfer, ExchangeReport, LinkModel};
+pub use halo::{
+    schedule_exchange, EdgeSpec, EdgeTransfer, ExchangeReport, HaloPlan, Hop, LinkModel, Payload,
+    Schedule,
+};
 pub use partition::{
     partition_fleet, partition_rows_by_bins, BinPartition, FleetPartition, ReplicationPolicy,
     ShardPlan,
