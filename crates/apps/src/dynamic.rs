@@ -172,9 +172,8 @@ pub fn dynamic_pagerank<T: Scalar>(
 
 /// [`dynamic_pagerank`] with a caller-owned [`PlanCache`] for the
 /// rebuild strategies, so hit/miss/invalidation counters survive the run
-/// (the `AcsrIncremental` strategy never consults the cache — in-place
-/// updates are the point). The bench front-end uses this to surface
-/// cache accounting on stderr.
+/// and a caller can inspect them afterwards (the `AcsrIncremental`
+/// strategy never consults the cache — in-place updates are the point).
 pub fn dynamic_pagerank_cached<T: Scalar>(
     dev: &Device,
     operator0: &CsrMatrix<T>,
@@ -194,7 +193,7 @@ pub fn dynamic_pagerank_cached<T: Scalar>(
         Strategy::AcsrIncremental => {
             let mut engine =
                 AcsrEngine::from_csr(dev, &host_matrix, AcsrConfig::for_device(dev.config()));
-            let copy0 = dev.htod_seconds(engine.device_bytes());
+            let copy0 = dev.htod_seconds(engine.matrix().upload_bytes());
             let solve = power_pagerank_gpu(dev, &engine, cfg.damping, &cfg.params, &uniform);
             stats.push(EpochStats {
                 epoch: 0,
@@ -390,6 +389,28 @@ mod tests {
             assert!(eh.host_seconds > 0.0, "epoch {}", eh.epoch);
             assert_eq!(ea.host_seconds, 0.0);
         }
+    }
+
+    /// ACSR's cold start copies what its planner stages, slack
+    /// excluded — the same bytes CSR and HYB are charged by their plans.
+    #[test]
+    fn acsr_cold_start_copies_the_planned_upload() {
+        let m = operator(1000);
+        let dev = Device::new(presets::gtx_titan());
+        let host = HostModel::default();
+        let a = dynamic_pagerank(&dev, &m, Strategy::AcsrIncremental, &small_cfg(0), &host);
+        let budget = PlanBudget::for_device(dev.config());
+        let plan = FormatRegistry::<f64>::with_all()
+            .plan("ACSR", &dev, &m, &budget)
+            .expect("ACSR plan fits");
+        assert!(
+            plan.upload_bytes() < plan.device_bytes(),
+            "slack is reserved"
+        );
+        assert_eq!(
+            a[0].copy_seconds.to_bits(),
+            dev.htod_seconds(plan.upload_bytes()).to_bits()
+        );
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! [`gpu_sim::set_sim_threads`]) for each SpMV engine. Every width
 //! computes bit-identical reports, so this measures pure host mechanism.
 //!
-//! The workload set, sweep, and artifact format live in
-//! [`repro_bench::simbench`] (shared with `repro simbench` and the CI
-//! smoke). Besides the Criterion group, the bench runs the full sweep
-//! and writes `results/BENCH_sim_throughput.json`.
+//! The workload set and sweep live in [`repro_bench::simbench`]; its
+//! artifact, `results/BENCH_sim_throughput.json`, is written by `repro
+//! simbench`, not by this bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::set_sim_threads;
-use repro_bench::{artifact, simbench};
+use repro_bench::simbench;
 
 fn bench_sim_throughput(c: &mut Criterion) {
     let workloads = simbench::workloads();
@@ -31,16 +30,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
         }
     }
     g.finish();
-    drop(workloads);
-
-    // Direct timing pass (independent of Criterion's reporting) that
-    // records the machine-readable artifact the experiment log keeps.
-    let report = simbench::run(false);
-    let json = simbench::to_json(&report);
-    match artifact::write(&simbench::SCHEMA, "BENCH_sim_throughput.json", &json) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_sim_throughput.json: {e}"),
-    }
 }
 
 criterion_group!(benches, bench_sim_throughput);

@@ -1,15 +1,17 @@
 //! The artifact contract.
 //!
 //! Every JSON artifact `repro` writes has one [`Schema`], declared
-//! beside its writer: required fields, required row tables, and
-//! cross-field invariants such as the fleet's halo-ledger
-//! reconciliation. [`write()`] checks a document against its schema
-//! before it reaches disk, and [`validate`] — the engine of `repro
+//! beside the report it serializes: required fields, required row
+//! tables, and cross-field invariants such as the fleet's halo-ledger
+//! reconciliation. A report is its artifact's only declaration — its
+//! `Serialize` derive names every key — and [`write()`] is the one
+//! writer: it prepends the schema tag, checks the document, and
+//! pretty-prints it to disk. [`validate`] — the engine of `repro
 //! check-artifacts` — checks a file against the same declaration,
 //! looked up in [`SCHEMAS`] by the document's `schema` tag. A tag no
 //! schema declares is an error, never a pass.
 
-use serde::Value;
+use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 
 /// A required array of row objects: (array key, minimum rows, fields
@@ -32,7 +34,7 @@ pub struct Schema {
 }
 
 /// Every artifact contract, one per tag.
-pub const SCHEMAS: [&Schema; 9] = [
+pub const SCHEMAS: [&Schema; 10] = [
     &crate::profile::SCHEMA,
     &crate::simbench::SCHEMA,
     &crate::slo::SCHEMA,
@@ -41,6 +43,7 @@ pub const SCHEMAS: [&Schema; 9] = [
     &crate::metrics::METRICS,
     &crate::metrics::TIMELINE,
     &crate::experiments::selector::SCHEMA,
+    &crate::experiments::serve::SCHEMA,
     &crate::tracing::CHROME_TRACE,
 ];
 
@@ -149,19 +152,52 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-/// Check `text` against `schema`, then write it to `file` under
-/// [`results_dir`]; returns the path written.
-pub fn write(schema: &Schema, file: &str, text: &str) -> Result<PathBuf, String> {
-    let dir = results_dir();
-    let path = dir.join(file);
+/// The artifact text of `report`: its fields behind `schema`'s tag,
+/// checked against `schema`, pretty-printed with a trailing newline.
+pub fn render<T: Serialize + ?Sized>(schema: &Schema, report: &T) -> Result<String, String> {
+    let fields = match report.to_value() {
+        Value::Object(fields) if fields.iter().all(|(k, _)| k != "schema") => fields,
+        _ => return Err(format!("{}: not an untagged JSON object", schema.kind)),
+    };
+    let tag = ("schema".to_string(), Value::Str(schema.tag.to_string()));
+    let doc = Value::Object(std::iter::once(tag).chain(fields).collect());
+    schema.check(&doc)?;
+    let mut text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
+    text.push('\n');
+    Ok(text)
+}
+
+/// [`render`] `report` and write it to `file` under [`results_dir`];
+/// returns the path written. Nothing is written unless the document
+/// meets its schema.
+pub fn write<T: Serialize + ?Sized>(
+    schema: &Schema,
+    file: &str,
+    report: &T,
+) -> Result<PathBuf, String> {
+    let path = results_dir().join(file);
+    let text = render(schema, report).map_err(|e| format!("{}: {e}", path.display()))?;
+    store(&path, &text)
+}
+
+/// Write text a lower crate's byte-stable exporter rendered itself
+/// (metrics snapshot, timeline, chrome trace) to `file` under
+/// [`results_dir`], once it meets `schema`; returns the path written.
+pub fn write_exported(schema: &Schema, file: &str, text: &str) -> Result<PathBuf, String> {
+    let path = results_dir().join(file);
     serde_json::from_str(text)
         .map_err(|e| format!("invalid JSON: {e}"))
         .and_then(|doc| schema.check(&doc))
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(&path, text))
+    store(&path, text)
+}
+
+fn store(path: &Path, text: &str) -> Result<PathBuf, String> {
+    path.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text))
         .map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(path)
+    Ok(path.to_path_buf())
 }
 
 #[cfg(test)]
@@ -245,21 +281,28 @@ mod tests {
 
     #[test]
     fn slo_contract() {
-        let point = r#"{"name": "p", "offered_qps": 1.0, "attainment": 1.0, "goodput_qps": 1.0,
-            "throughput_qps": 1.0, "p99_ms": 0.5}"#;
-        let curve = |n: usize| format!(r#""curve": [{}]"#, vec![point; n].join(", "));
-        let minimal = format!(
-            r#"{{"schema": "acsr-slo-v1", "capacity_qps": 100.0, "p99_target_ms": 1.0,
-                "max_batch": 16, "queue_capacity": 32, {}, "traces": [{point}]}}"#,
-            curve(4)
-        );
+        let point: Value = serde_json::from_str(
+            r#"{"name": "p", "offered_qps": 1.0, "attainment": 1.0, "goodput_qps": 1.0,
+                "throughput_qps": 1.0, "p99_ms": 0.5}"#,
+        )
+        .unwrap();
+        let doc = |curve: usize, traces: usize| {
+            let mut doc = serde_json::from_str(
+                r#"{"schema": "acsr-slo-v1", "capacity_qps": 100.0, "p99_target_ms": 1.0,
+                    "max_batch": 16, "queue_capacity": 32}"#,
+            )
+            .unwrap();
+            if let Value::Object(entries) = &mut doc {
+                entries.push(("curve".into(), Value::Array(vec![point.clone(); curve])));
+                entries.push(("traces".into(), Value::Array(vec![point.clone(); traces])));
+            }
+            serde_json::to_string(&doc).unwrap()
+        };
+        let minimal = doc(4, 1);
         assert_contract(
             &slo::SCHEMA,
             &minimal,
-            &[
-                (&curve(4), &curve(3)),
-                (&format!(r#""traces": [{point}]"#), r#""traces": []"#),
-            ],
+            &[(&minimal, &doc(3, 1)), (&minimal, &doc(4, 0))],
         );
     }
 
@@ -375,6 +418,17 @@ mod tests {
     }
 
     #[test]
+    fn serve_contract() {
+        assert_contract(
+            &crate::experiments::serve::SCHEMA,
+            r#"{"schema": "acsr-serve-v1", "workload": "w", "host_cores": 2,
+                "batch_widths": [{"max_batch": 1, "completed": 4, "queries_per_sec": 9.5,
+                    "gflops": 1.5, "p50_ms": 0.5, "p99_ms": 0.9, "waves": 4}]}"#,
+            &[(r#""batch_widths": [{"#, r#""batch_widths": [], "x": [{"#)],
+        );
+    }
+
+    #[test]
     fn chrome_trace_contract() {
         assert_contract(
             &tracing::CHROME_TRACE,
@@ -407,15 +461,46 @@ mod tests {
 
     #[test]
     fn write_checks_before_it_writes() {
+        let report = Value::Object(vec![("rows".into(), Value::U64(10))]);
+        let err = write(&stream::SCHEMA, "never_written.json", &report).unwrap_err();
+        assert!(err.contains("stream report: missing 'batches'"), "{err}");
+        let tagged = Value::Object(vec![("schema".into(), Value::Str("x".into()))]);
+        for report in [tagged, Value::Array(vec![])] {
+            let err = write(&stream::SCHEMA, "never_written.json", &report).unwrap_err();
+            assert!(err.contains("not an untagged JSON object"), "{err}");
+        }
         let text = r#"{"schema": "acsr-stream-v1"}"#;
-        let err = write(&stream::SCHEMA, "never_written.json", text).unwrap_err();
-        assert!(err.contains("stream report: missing 'rows'"), "{err}");
-        assert!(!results_dir().join("never_written.json").exists());
-        let err = write(&fleet::SCHEMA, "never_written.json", text).unwrap_err();
+        let err = write_exported(&fleet::SCHEMA, "never_written.json", text).unwrap_err();
         assert!(
             err.contains("tagged 'acsr-stream-v1', expected 'acsr-fleet-v1'"),
             "{err}"
         );
+        assert!(!results_dir().join("never_written.json").exists());
+    }
+
+    /// The tag leads the document, the report's fields follow in
+    /// declaration order, and the text ends in a newline.
+    #[test]
+    fn render_prepends_the_tag() {
+        let report = |kernels: &str| {
+            Value::Object(vec![
+                ("host_cores".into(), Value::U64(2)),
+                ("kernels".into(), serde_json::from_str(kernels).unwrap()),
+            ])
+        };
+        assert_eq!(
+            render(&simbench::SCHEMA, &report("[]")).unwrap_err(),
+            "simbench report: needs at least 1 'kernels' row(s)"
+        );
+        let kernels = r#"[{"kernel": "ell",
+            "widths": [{"workers": 1, "launches_per_sec": 9.5, "speedup_vs_seq": 1.0}]}]"#;
+        let text = render(&simbench::SCHEMA, &report(kernels)).unwrap();
+        assert!(
+            text.starts_with("{\n  \"schema\": \"acsr-simbench-v1\",\n  \"host_cores\": 2,"),
+            "{text}"
+        );
+        assert!(text.ends_with("}\n"), "{text}");
+        assert_eq!(validate(&text), Ok(simbench::SCHEMA.kind));
     }
 
     /// The committed results, baselines and goldens keep their kinds.
@@ -450,7 +535,7 @@ mod tests {
                 "chrome trace",
             ),
             ("results/BENCH_fleet.json", "fleet report"),
-            ("results/BENCH_serve.json", "JSON"),
+            ("results/BENCH_serve.json", "serve throughput report"),
             ("results/BENCH_sim_throughput.json", "simbench report"),
             ("results/BENCH_slo.json", "slo report"),
             ("results/BENCH_stream.json", "stream report"),

@@ -225,12 +225,20 @@ mod tests {
     use super::*;
 
     fn doc(time: f64, gflops: f64) -> Value {
-        serde_json::from_str(&format!(
-            "{{\"kernels\":[{{\"device\":\"GTX Titan\",\"name\":\"csr_vector\",\
-             \"time_s\":{time:?},\"metrics\":{{\"achieved_gflops\":{gflops:?}}},\
-             \"counters\":{{\"flops\":100}}}}]}}"
-        ))
-        .unwrap()
+        let obj = |entries: Vec<(&str, Value)>| {
+            Value::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
+        let kernel = obj(vec![
+            ("device", Value::Str("GTX Titan".into())),
+            ("name", Value::Str("csr_vector".into())),
+            ("time_s", Value::F64(time)),
+            (
+                "metrics",
+                obj(vec![("achieved_gflops", Value::F64(gflops))]),
+            ),
+            ("counters", obj(vec![("flops", Value::U64(100))])),
+        ]);
+        obj(vec![("kernels", Value::Array(vec![kernel]))])
     }
 
     #[test]

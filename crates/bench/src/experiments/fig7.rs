@@ -80,24 +80,30 @@ pub fn run(opts: &Options) -> Vec<Fig7Row> {
         .collect()
 }
 
-/// Render as text: the first matrix's per-epoch trend (Fig 7-top) plus
-/// per-matrix averages (Fig 7-bottom).
+/// The matrix whose per-epoch trend Figure 7-top shows.
+fn trend_row(rows: &[Fig7Row]) -> Option<&Fig7Row> {
+    rows.iter().find(|r| r.abbrev == "FLI").or(rows.first())
+}
+
+/// Render as text: the per-epoch trend of FLI, the paper's
+/// representative, or of the first matrix when FLI did not run (Fig
+/// 7-top), plus per-matrix averages (Fig 7-bottom).
 pub fn render(rows: &[Fig7Row]) -> String {
     let mut out = String::from("Figure 7: dynamic-graph PageRank (10 epochs, 10% row churn):\n");
-    if let Some(first) = rows.first() {
+    if let Some(top) = trend_row(rows) {
         let mut t = Table::new(&["Epoch", "iters", "ACSR total", "vs CSR", "vs HYB"]);
-        for (e, (sc, sh)) in first.epoch_speedups().iter().enumerate() {
+        for (e, (sc, sh)) in top.epoch_speedups().iter().enumerate() {
             t.row(vec![
                 format!("{e}"),
-                format!("{}", first.acsr[e].iterations),
-                crate::common::fmt_secs(first.acsr[e].total_seconds()),
+                format!("{}", top.acsr[e].iterations),
+                crate::common::fmt_secs(top.acsr[e].total_seconds()),
                 format!("{:.2}", sc),
                 format!("{:.2}", sh),
             ]);
         }
         out.push_str(&format!(
             "\n== per-epoch trend on {} (top) ==\n{}",
-            first.abbrev,
+            top.abbrev,
             t.render()
         ));
     }
@@ -127,6 +133,36 @@ pub fn render(rows: &[Fig7Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn top_panel_shows_fli_when_it_ran() {
+        let row = |abbrev: &str| {
+            let epoch = EpochStats {
+                epoch: 0,
+                iterations: 1,
+                device_seconds: 1.0,
+                update_seconds: 0.0,
+                copy_seconds: 0.0,
+                host_seconds: 0.0,
+            };
+            Fig7Row {
+                abbrev: abbrev.into(),
+                acsr: vec![epoch],
+                csr: vec![epoch],
+                hyb: vec![epoch],
+            }
+        };
+        let top = |rows: &[Fig7Row]| {
+            let text = render(rows);
+            let line = text.lines().find(|l| l.starts_with("== per-epoch"));
+            line.map(str::to_string)
+        };
+        let fli = top(&[row("AMZ"), row("FLI"), row("YOT")]);
+        assert_eq!(fli.as_deref(), Some("== per-epoch trend on FLI (top) =="));
+        let amz = top(&[row("AMZ"), row("YOT")]);
+        assert_eq!(amz.as_deref(), Some("== per-epoch trend on AMZ (top) =="));
+        assert_eq!(top(&[]), None);
+    }
 
     #[test]
     fn later_epochs_favor_acsr_more_than_the_cold_start() {

@@ -67,8 +67,6 @@ impl SelectorRow {
 /// The JSON artifact (`results/SELECTOR_report.json`).
 #[derive(Clone, Debug, Serialize)]
 pub struct SelectorReport {
-    /// [`SCHEMA`]'s tag.
-    pub schema: &'static str,
     /// Suite scale divisor the probes were projected from.
     pub scale: usize,
     pub device: String,
@@ -158,13 +156,11 @@ pub fn run(opts: &Options) -> Vec<SelectorRow> {
 /// Write the JSON artifact; returns its path.
 pub fn write_report(rows: &[SelectorRow], opts: &Options) -> Result<PathBuf, String> {
     let report = SelectorReport {
-        schema: SCHEMA.tag,
         scale: opts.scale,
         device: presets::gtx_titan().name,
         rows: rows.to_vec(),
     };
-    let json = serde_json::to_string_pretty(&report).expect("render selector JSON");
-    artifact::write(&SCHEMA, "SELECTOR_report.json", &json)
+    artifact::write(&SCHEMA, "SELECTOR_report.json", &report)
 }
 
 /// Render as text, one block per horizon.
@@ -263,12 +259,11 @@ mod tests {
         });
         let n = rows.len();
         let report = SelectorReport {
-            schema: SCHEMA.tag,
             scale: 1024,
             device: "GTX Titan".into(),
             rows,
         };
-        let json = serde_json::to_string(&report).unwrap();
+        let json = artifact::render(&SCHEMA, &report).unwrap();
         assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
         let doc = serde_json::from_str(&json).unwrap();
         assert_eq!(

@@ -12,10 +12,76 @@
 //! The experiment serves the **first** selected matrix (default AMZ;
 //! pick one with `--matrices`). Answers are batch-invariant by
 //! construction, so every k row answers the same queries identically.
+//!
+//! The `serve_throughput` Criterion bench sweeps the same widths on a
+//! fixed power-law graph and writes its modeled numbers as a
+//! [`ThroughputReport`] to `results/BENCH_serve.json` under [`SCHEMA`].
 
+use crate::artifact::Schema;
 use crate::common::{selected_specs, Options, Table};
-use acsr_serve::{ArrivalPattern, ServeConfig, ServeEngine};
+use acsr_serve::{ArrivalPattern, ServeConfig, ServeEngine, ServeReport};
 use serde::Serialize;
+
+/// The `acsr-serve-v1` contract of [`ThroughputReport`]: at least one
+/// batch width.
+pub const SCHEMA: Schema = Schema {
+    tag: "acsr-serve-v1",
+    kind: "serve throughput report",
+    fields: &["workload", "host_cores"],
+    rows: &[(
+        "batch_widths",
+        1,
+        &[
+            "max_batch",
+            "completed",
+            "queries_per_sec",
+            "gflops",
+            "p50_ms",
+            "p99_ms",
+            "waves",
+        ],
+    )],
+    invariants: |_| Ok(()),
+};
+
+/// The `serve_throughput` bench's artifact. Its numbers are modeled;
+/// `host_cores` names the machine that wrote it, whose wall times stay
+/// in Criterion's output.
+#[derive(Serialize)]
+pub struct ThroughputReport {
+    /// The served stream, graph and device.
+    pub workload: String,
+    pub host_cores: usize,
+    pub batch_widths: Vec<ThroughputRow>,
+}
+
+/// One batch width of a [`ThroughputReport`].
+#[derive(Serialize)]
+pub struct ThroughputRow {
+    pub max_batch: usize,
+    pub completed: usize,
+    pub queries_per_sec: f64,
+    pub gflops: f64,
+    pub p50_ms: f64,
+    pub p99_ms: f64,
+    pub waves: usize,
+}
+
+impl ThroughputRow {
+    /// The row of one stream served with waves of at most `max_batch`.
+    pub fn new(max_batch: usize, report: &ServeReport<f64>) -> Self {
+        let lat = report.latency_stats();
+        ThroughputRow {
+            max_batch,
+            completed: report.outcomes.len(),
+            queries_per_sec: report.throughput_qps(),
+            gflops: report.gflops(),
+            p50_ms: lat.p50_s * 1e3,
+            p99_ms: lat.p99_s * 1e3,
+            waves: report.waves,
+        }
+    }
+}
 
 /// Batch widths swept by the experiment.
 pub const BATCH_WIDTHS: [usize; 4] = [1, 4, 16, 64];

@@ -43,7 +43,7 @@ use acsr_serve::{DispatchPolicy, Query, ServeConfig, ServeEngine, ServeReport, S
 use gpu_sim::presets;
 use graphgen::{generate_power_law, MatrixSpec, PowerLawConfig};
 use multi_gpu::{Fleet, FleetConfig, FleetReport, ShardFormat};
-use serde::Value;
+use serde::{Serialize, Value};
 
 /// The `acsr-fleet-v1` contract. The ledger reconciliation is part of
 /// it: every scaling row's `halo_bytes` equals its `ledger_halo_bytes`
@@ -126,6 +126,7 @@ fn exchange_consistent(doc: &Value) -> Result<(), String> {
 pub const DEVICE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// One (matrix, device-count) scaling measurement.
+#[derive(Serialize)]
 pub struct ScalingRow {
     /// Stable row key (`LJ2_d4`; `bench-diff` keys array rows by this).
     pub name: String,
@@ -163,18 +164,20 @@ pub struct ScalingRow {
 }
 
 /// The per-shard format choices at D = 8 under the adaptive selector.
+#[derive(Serialize)]
 pub struct FormatsSection {
     pub matrix: String,
     pub devices: usize,
     /// Amortization horizon handed to the selector.
     pub horizon: u64,
-    /// Format each shard planned ("-" for an empty shard).
-    pub shards: Vec<String>,
     /// Distinct formats across non-empty shards.
     pub distinct: usize,
+    /// Format each shard planned ("-" for an empty shard).
+    pub shards: Vec<String>,
 }
 
 /// One serving trace under one dispatch policy.
+#[derive(Serialize)]
 pub struct StealRow {
     /// `narrow_rowsplit`, `narrow_auto`, `wide_rowsplit`, `wide_auto`.
     pub name: String,
@@ -190,9 +193,14 @@ pub struct StealRow {
 }
 
 /// Full report of one fleet run.
+#[derive(Serialize)]
 pub struct Report {
     /// Suite scale divisor the scaling matrices were generated at.
     pub scale: usize,
+    /// Interconnect class of the scaling sweep.
+    pub link: &'static str,
+    /// The sweep's [`DEVICE_COUNTS`].
+    pub device_counts: &'static [usize],
     pub scaling: Vec<ScalingRow>,
     pub formats: FormatsSection,
     /// The latency target the stealing attainment column is scored
@@ -428,103 +436,13 @@ pub fn run(quick: bool) -> Report {
     let (p99_target_ms, stealing) = stealing_section(quick);
     Report {
         scale,
+        link: "nvlink",
+        device_counts: &DEVICE_COUNTS,
         scaling,
         formats,
         p99_target_ms,
         stealing,
     }
-}
-
-fn scaling_json(rows: &[ScalingRow]) -> String {
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"matrix\": \"{}\", \"devices\": {}, \"rows\": {}, \
-             \"nnz\": {}, \"seconds\": {:.9}, \"speedup\": {:.4}, \"efficiency\": {:.4}, \
-             \"gflops\": {:.4}, \"halo_bytes\": {}, \"ledger_halo_bytes\": {}, \
-             \"payload_bytes\": {}, \"schedule\": \"{}\", \"messages\": {}, \
-             \"exchange_ms\": {:.6}, \"direct_exchange_ms\": {:.6}, \
-             \"exchange_tail_ms\": {:.6}, \"replicated_rows\": {}}}",
-            r.name,
-            r.matrix,
-            r.devices,
-            r.rows,
-            r.nnz,
-            r.seconds,
-            r.speedup,
-            r.efficiency,
-            r.gflops,
-            r.halo_bytes,
-            r.ledger_halo_bytes,
-            r.payload_bytes,
-            r.schedule,
-            r.messages,
-            r.exchange_ms,
-            r.direct_exchange_ms,
-            r.exchange_tail_ms,
-            r.replicated_rows,
-        ));
-    }
-    out
-}
-
-fn stealing_json(rows: &[StealRow]) -> String {
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"queries\": {}, \"waves\": {}, \"stolen_waves\": {}, \
-             \"attainment\": {:.4}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}, \
-             \"mean_wave_width\": {:.3}}}",
-            r.name,
-            r.queries,
-            r.waves,
-            r.stolen_waves,
-            r.attainment,
-            r.p50_ms,
-            r.p99_ms,
-            r.mean_wave_width,
-        ));
-    }
-    out
-}
-
-/// Serialize under the `acsr-fleet-v1` schema.
-pub fn to_json(report: &Report) -> String {
-    let shards = report
-        .formats
-        .shards
-        .iter()
-        .map(|s| format!("\"{s}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let counts = DEVICE_COUNTS
-        .iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"fleet_scaling\",\n  \
-         \"scale\": {},\n  \"link\": \"nvlink\",\n  \"device_counts\": [{counts}],\n  \
-         \"scaling\": [\n{}\n  ],\n  \
-         \"formats\": {{\"matrix\": \"{}\", \"devices\": {}, \"horizon\": {}, \
-         \"distinct\": {}, \"shards\": [{shards}]}},\n  \
-         \"p99_target_ms\": {:.6},\n  \"stealing\": [\n{}\n  ]\n}}\n",
-        SCHEMA.tag,
-        report.scale,
-        scaling_json(&report.scaling),
-        report.formats.matrix,
-        report.formats.devices,
-        report.formats.horizon,
-        report.formats.distinct,
-        report.p99_target_ms,
-        stealing_json(&report.stealing),
-    )
 }
 
 /// Human-readable tables.
@@ -640,7 +558,7 @@ mod tests {
         );
 
         // The artifact meets its contract and carries every row.
-        let json = to_json(&report);
+        let json = artifact::render(&SCHEMA, &report).unwrap();
         assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
         let doc = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(

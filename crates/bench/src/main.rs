@@ -70,22 +70,28 @@ fn main() {
     match args[0].as_str() {
         "check-artifacts" => check_artifacts(&args[1..]),
         "bench-diff" => bench_diff(&args[1..]),
-        "simbench" => quick_bench(&args, &simbench::SCHEMA, "BENCH_sim_throughput.json", |q| {
-            let r = simbench::run(q);
-            (simbench::render(&r), simbench::to_json(&r))
-        }),
-        "slo" => quick_bench(&args, &slo::SCHEMA, "BENCH_slo.json", |q| {
-            let r = slo::run(q);
-            (slo::render(&r), slo::to_json(&r))
-        }),
-        "fleet" => quick_bench(&args, &fleet::SCHEMA, "BENCH_fleet.json", |q| {
-            let r = fleet::run(q);
-            (fleet::render(&r), fleet::to_json(&r))
-        }),
-        "stream" => quick_bench(&args, &stream::SCHEMA, "BENCH_stream.json", |q| {
-            let r = stream::run(q);
-            (stream::render(&r), stream::to_json(&r))
-        }),
+        "simbench" => quick_bench(
+            &args,
+            &simbench::SCHEMA,
+            "BENCH_sim_throughput.json",
+            simbench::run,
+            simbench::render,
+        ),
+        "slo" => quick_bench(&args, &slo::SCHEMA, "BENCH_slo.json", slo::run, slo::render),
+        "fleet" => quick_bench(
+            &args,
+            &fleet::SCHEMA,
+            "BENCH_fleet.json",
+            fleet::run,
+            fleet::render,
+        ),
+        "stream" => quick_bench(
+            &args,
+            &stream::SCHEMA,
+            "BENCH_stream.json",
+            stream::run,
+            stream::render,
+        ),
         _ => experiment(&args),
     }
 }
@@ -271,15 +277,21 @@ fn check_artifacts(paths: &[String]) {
     }
 }
 
-/// `repro <bench> [--quick]`: `run` returns the rendered table and the
-/// artifact, which is written through its schema.
-fn quick_bench(args: &[String], schema: &Schema, file: &str, run: fn(bool) -> (String, String)) {
+/// `repro <bench> [--quick]`: print the rendered report, then write it
+/// through its schema.
+fn quick_bench<R: serde::Serialize>(
+    args: &[String],
+    schema: &Schema,
+    file: &str,
+    run: fn(bool) -> R,
+    render: fn(&R) -> String,
+) {
     if let Some(bad) = args[1..].iter().find(|a| *a != "--quick") {
         die(&format!("{}: unknown option '{bad}'", args[0]));
     }
-    let (table, json) = run(args.len() > 1);
-    println!("{table}");
-    let path = artifact::write(schema, file, &json).unwrap_or_else(|e| die(&e));
+    let report = run(args.len() > 1);
+    println!("{}", render(&report));
+    let path = artifact::write(schema, file, &report).unwrap_or_else(|e| die(&e));
     eprintln!("wrote {}", path.display());
 }
 

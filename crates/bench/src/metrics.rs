@@ -134,7 +134,8 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
     }
 
     let snap = tel.metrics.snapshot();
-    let path = artifact::write(&METRICS, &format!("METRICS_{name}.json"), &snap.to_json())?;
+    let path =
+        artifact::write_exported(&METRICS, &format!("METRICS_{name}.json"), &snap.to_json())?;
     print_metrics(&format!("metrics[{name}]"), &snap);
     eprintln!(
         "metrics[{name}]: {} metrics, {} request events, {} waves -> {}",
@@ -147,7 +148,7 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
     if timeline {
         let json = acsr_telemetry::timeline_json(ledger, &tel)
             .unwrap_or_else(|e| panic!("timeline export failed for '{name}': {e}"));
-        let tpath = artifact::write(&TIMELINE, &format!("TIMELINE_{name}.json"), &json)?;
+        let tpath = artifact::write_exported(&TIMELINE, &format!("TIMELINE_{name}.json"), &json)?;
         eprintln!(
             "metrics[{name}]: timeline ({spans} kernel spans + request lanes) -> {}",
             tpath.display()

@@ -57,17 +57,18 @@ pub fn write(name: &str, ledger: &TraceLedger, spans: &[Span]) -> Result<(), Str
     let path = artifact::write(
         &SCHEMA,
         &format!("PROFILE_{name}.json"),
-        &render_json(name, &report, &rollup),
+        &document(name, &report, &rollup),
     )?;
     eprint!("{}", hot_table(name, &report, &path));
     Ok(())
 }
 
-/// Render the profile as the stable `acsr-profile-v1` JSON document.
-/// Kernel rows are sorted by `(device, kind, name)` so the bytes do not
-/// depend on ledger record order; `span_ids` still cross-link each row
-/// to its `span_id`-tagged chrome-trace events.
-pub fn render_json(name: &str, report: &ProfileReport, rollup: &PhaseRollup) -> String {
+/// The profile as the stable `acsr-profile-v1` document, which
+/// [`artifact::write`] tags and renders. Kernel rows are sorted by
+/// `(device, kind, name)` so the bytes do not depend on ledger record
+/// order; `span_ids` still cross-link each row to its `span_id`-tagged
+/// chrome-trace events.
+pub fn document(name: &str, report: &ProfileReport, rollup: &PhaseRollup) -> Value {
     let mut rows: Vec<&KernelRow> = report.rows.iter().collect();
     rows.sort_by(|a, b| {
         (&a.device, a.kind.label(), &a.name).cmp(&(&b.device, b.kind.label(), &b.name))
@@ -178,8 +179,7 @@ pub fn render_json(name: &str, report: &ProfileReport, rollup: &PhaseRollup) -> 
         })
         .collect();
 
-    let doc = obj(vec![
-        ("schema", Value::Str(SCHEMA.tag.to_string())),
+    obj(vec![
         ("experiment", Value::Str(name.to_string())),
         ("devices", Value::Array(devices)),
         ("phases", Value::Array(phases)),
@@ -192,10 +192,7 @@ pub fn render_json(name: &str, report: &ProfileReport, rollup: &PhaseRollup) -> 
             ]),
         ),
         ("kernels", Value::Array(kernels)),
-    ]);
-    let mut text = serde_json::to_string_pretty(&doc).expect("render profile JSON");
-    text.push('\n');
-    text
+    ])
 }
 
 fn pct(v: Option<f64>) -> String {

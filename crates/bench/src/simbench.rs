@@ -1,5 +1,6 @@
 //! Host-simulator throughput sweep (`repro simbench`, the
-//! `sim_throughput` Criterion bench, and the CI smoke share this).
+//! `sim_throughput` Criterion bench, and the CI smoke share this;
+//! `repro simbench` writes the artifact).
 //!
 //! Measures simulated kernel launches per second for each SpMV engine
 //! at host worker widths 1/2/4/8 (the `ACSR_SIM_THREADS` knob). Every
@@ -17,6 +18,7 @@ use crate::artifact::{self, RowTable, Schema};
 use acsr::{AcsrConfig, AcsrEngine};
 use gpu_sim::{host_cores, presets, set_sim_threads, Device, DeviceBuffer};
 use graphgen::{generate_power_law, PowerLawConfig};
+use serde::Serialize;
 use sparse_formats::EllMatrix;
 use spmv_kernels::{csr_vector::CsrVector, ell_kernel::EllKernel, DevCsr, DevEll, GpuSpmv};
 use std::time::Instant;
@@ -46,6 +48,7 @@ const SWEEP: RowTable = (
 pub const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// One (workers, rate) sample.
+#[derive(Serialize)]
 pub struct WidthRate {
     pub workers: usize,
     pub launches_per_sec: f64,
@@ -54,12 +57,14 @@ pub struct WidthRate {
 }
 
 /// The sweep for one kernel.
+#[derive(Serialize)]
 pub struct KernelRates {
     pub kernel: &'static str,
     pub widths: Vec<WidthRate>,
 }
 
 /// Full report of one sweep run.
+#[derive(Serialize)]
 pub struct Report {
     pub host_cores: usize,
     pub kernels: Vec<KernelRates>,
@@ -210,35 +215,6 @@ pub fn run(quick: bool) -> Report {
     }
 }
 
-/// Serialize under the `acsr-simbench-v1` schema.
-pub fn to_json(report: &Report) -> String {
-    let mut kernels = String::new();
-    for (i, k) in report.kernels.iter().enumerate() {
-        if i > 0 {
-            kernels.push_str(",\n");
-        }
-        let mut widths = String::new();
-        for (j, wr) in k.widths.iter().enumerate() {
-            if j > 0 {
-                widths.push_str(",\n");
-            }
-            widths.push_str(&format!(
-                "        {{\"workers\": {}, \"launches_per_sec\": {:.2}, \"speedup_vs_seq\": {:.3}}}",
-                wr.workers, wr.launches_per_sec, wr.speedup_vs_seq
-            ));
-        }
-        kernels.push_str(&format!(
-            "    {{\n      \"kernel\": \"{}\",\n      \"widths\": [\n{widths}\n      ]\n    }}",
-            k.kernel
-        ));
-    }
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"sim_throughput\",\n  \
-         \"host_cores\": {},\n  \"kernels\": [\n{kernels}\n  ]\n}}\n",
-        SCHEMA.tag, report.host_cores
-    )
-}
-
 /// Human-readable table.
 pub fn render(report: &Report) -> String {
     let mut t = crate::Table::new(&["Kernel", "workers", "launches/sec", "speedup vs seq"]);
@@ -277,7 +253,7 @@ mod tests {
                 }],
             }],
         };
-        let json = to_json(&report);
+        let json = artifact::render(&SCHEMA, &report).unwrap();
         assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
         let doc = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(

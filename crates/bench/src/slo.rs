@@ -28,6 +28,7 @@ use acsr_serve::{
     SloPolicy, TenantSpec, TenantTable,
 };
 use graphgen::{generate_power_law, PowerLawConfig};
+use serde::Serialize;
 
 /// Fields of every curve and trace row.
 const POINT_FIELDS: &[&str] = &[
@@ -64,6 +65,7 @@ const MAX_BATCH: usize = 16;
 const QUEUE_CAPACITY: usize = 32;
 
 /// One measured serving run (a curve point or an arrival-shape trace).
+#[derive(Serialize)]
 pub struct SloPoint {
     /// Stable row key (`load_0.25x`, `diurnal`, ...; `bench-diff` keys
     /// array rows by this).
@@ -87,6 +89,7 @@ pub struct SloPoint {
 }
 
 /// Full report of one sweep run.
+#[derive(Serialize)]
 pub struct Report {
     pub rows: usize,
     pub nnz: usize,
@@ -302,54 +305,6 @@ pub fn run(quick: bool) -> Report {
     }
 }
 
-fn points_json(points: &[SloPoint]) -> String {
-    let mut out = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"offered_qps\": {:.3}, \"empirical_qps\": {:.3}, \
-             \"queries\": {}, \"completed\": {}, \"capacity_shed\": {}, \"deadline_shed\": {}, \
-             \"attainment\": {:.4}, \"goodput_qps\": {:.3}, \"throughput_qps\": {:.3}, \
-             \"p50_ms\": {:.6}, \"p99_ms\": {:.6}, \"mean_wave_width\": {:.3}}}",
-            p.name,
-            p.offered_qps,
-            p.empirical_qps,
-            p.queries,
-            p.completed,
-            p.capacity_shed,
-            p.deadline_shed,
-            p.attainment,
-            p.goodput_qps,
-            p.throughput_qps,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_wave_width,
-        ));
-    }
-    out
-}
-
-/// Serialize under the `acsr-slo-v1` schema.
-pub fn to_json(report: &Report) -> String {
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"slo_attainment\",\n  \
-         \"rows\": {},\n  \"nnz\": {},\n  \"max_batch\": {},\n  \"queue_capacity\": {},\n  \
-         \"capacity_qps\": {:.3},\n  \"p99_target_ms\": {:.6},\n  \
-         \"curve\": [\n{}\n  ],\n  \"traces\": [\n{}\n  ]\n}}\n",
-        SCHEMA.tag,
-        report.rows,
-        report.nnz,
-        report.max_batch,
-        report.queue_capacity,
-        report.capacity_qps,
-        report.p99_target_ms,
-        points_json(&report.curve),
-        points_json(&report.traces),
-    )
-}
-
 /// Human-readable tables.
 pub fn render(report: &Report) -> String {
     let table = |points: &[SloPoint]| {
@@ -454,7 +409,7 @@ mod tests {
             bursty.offered_qps
         );
         // the artifact meets its contract and carries every row
-        let json = to_json(&report);
+        let json = artifact::render(&SCHEMA, &report).unwrap();
         assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
         let doc = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(

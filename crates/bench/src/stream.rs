@@ -38,7 +38,7 @@ use acsr_stream::{ChurnedStream, LedgerTotals, StreamEngine};
 use acsr_telemetry::Telemetry;
 use gpu_sim::{presets, Device};
 use graphgen::{generate_edge_stream, generate_rmat, ChurnConfig, RmatConfig};
-use serde::Value;
+use serde::{Serialize, Value};
 use sparse_formats::{CsrMatrix, HostModel};
 use spmv_kernels::GpuSpmv;
 use spmv_pipeline::{
@@ -82,6 +82,7 @@ fn identical(doc: &Value) -> Result<(), String> {
 }
 
 /// One applied maintenance batch.
+#[derive(Serialize)]
 pub struct BatchRow {
     /// Stable row key (`batch_01`, ...; `bench-diff` keys rows by this).
     pub name: String,
@@ -105,8 +106,8 @@ pub struct BatchRow {
 }
 
 /// Full report of one streaming run.
+#[derive(Serialize)]
 pub struct Report {
-    pub quick: bool,
     pub rows: usize,
     pub nnz_initial: usize,
     pub nnz_final: usize,
@@ -330,7 +331,6 @@ pub fn run(quick: bool) -> Report {
     let churn_report = serve_with_churn(&dev, &mut churned, &queries, &serve_cfg);
 
     Report {
-        quick,
         rows: m0.rows(),
         nnz_initial: m0.nnz(),
         nnz_final: mirror.nnz(),
@@ -352,72 +352,6 @@ pub fn run(quick: bool) -> Report {
         ledger,
         batch_rows,
     }
-}
-
-/// Serialize under the `acsr-stream-v1` schema.
-pub fn to_json(report: &Report) -> String {
-    let mut rows = String::new();
-    for (i, b) in report.batch_rows.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"at_ms\": {:.6}, \"ops\": {}, \
-             \"incremental_s\": {:.9}, \"rebuild_s\": {:.9}, \
-             \"in_place_rows\": {}, \"migrated_rows\": {}, \
-             \"identical\": {}, \"drift\": \"{}\"}}",
-            b.name,
-            b.at_ms,
-            b.ops,
-            b.incremental_s,
-            b.rebuild_s,
-            b.in_place_rows,
-            b.migrated_rows,
-            b.identical,
-            b.drift,
-        ));
-    }
-    format!(
-        "{{\n  \"schema\": \"{}\",\n  \"bench\": \"streaming_maintenance\",\n  \
-         \"rows\": {},\n  \"nnz_initial\": {},\n  \"nnz_final\": {},\n  \
-         \"batches\": {},\n  \"total_ops\": {},\n  \"identical\": {},\n  \
-         \"updates_per_sec\": {:.3},\n  \"rebuild_updates_per_sec\": {:.3},\n  \
-         \"speedup\": {:.4},\n  \
-         \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_invalidations\": {},\n  \
-         \"plans_survived\": {},\n  \
-         \"p99_churn_ms\": {:.6},\n  \"p99_steady_ms\": {:.6},\n  \
-         \"p50_churn_ms\": {:.6},\n  \"p50_steady_ms\": {:.6},\n  \
-         \"churn_events\": {},\n  \
-         \"ledger\": {{\"batches\": {}, \"in_place_rows\": {}, \"migrated_rows\": {}, \
-         \"capacity_shift_rows\": {}, \"buffer_grows\": {}, \"bytes_rewritten\": {}}},\n  \
-         \"batch_rows\": [\n{}\n  ]\n}}\n",
-        SCHEMA.tag,
-        report.rows,
-        report.nnz_initial,
-        report.nnz_final,
-        report.batches,
-        report.total_ops,
-        report.identical,
-        report.updates_per_sec,
-        report.rebuild_updates_per_sec,
-        report.speedup,
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_invalidations,
-        report.plans_survived,
-        report.p99_churn_ms,
-        report.p99_steady_ms,
-        report.p50_churn_ms,
-        report.p50_steady_ms,
-        report.churn_events,
-        report.ledger.batches,
-        report.ledger.in_place_rows,
-        report.ledger.migrated_rows,
-        report.ledger.capacity_shift_rows,
-        report.ledger.buffer_grows,
-        report.ledger.bytes_rewritten,
-        rows,
-    )
 }
 
 /// Human-readable tables.
@@ -514,7 +448,7 @@ mod tests {
             assert!(v.is_finite() && v > 0.0, "non-finite metric {v}");
         }
         // the artifact meets its contract and carries every batch
-        let json = to_json(&report);
+        let json = artifact::render(&SCHEMA, &report).unwrap();
         assert_eq!(artifact::validate(&json), Ok(SCHEMA.kind));
         let doc = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(

@@ -13,6 +13,7 @@ use acsr::{AcsrConfig, AcsrEngine, PhaseRollup};
 use gpu_sim::profile::{ProfileReport, Roofline};
 use gpu_sim::{presets, set_sim_threads, Counters, Device};
 use graphgen::{generate_power_law, PowerLawConfig};
+use repro_bench::{artifact, profile};
 use sparse_formats::CsrMatrix;
 use spmv_kernels::csr_vector::CsrVector;
 use spmv_kernels::{DevCsr, GpuSpmv};
@@ -50,7 +51,7 @@ fn profiled_spmv(cfg: gpu_sim::DeviceConfig, m: &CsrMatrix<f64>, which: &str) ->
         other => panic!("unknown engine {other}"),
     }
     ledger.reconcile().expect("ledger reconciles");
-    let configs = repro_bench::profile::known_configs();
+    let configs = profile::known_configs();
     let report = ProfileReport::from_spans(&ledger.spans(), &configs);
     report.reconcile().expect("profile reconciles");
     report
@@ -157,11 +158,10 @@ fn profile_json_matches_golden_file() {
     ledger.reconcile().expect("ledger reconciles");
 
     let spans = ledger.spans();
-    let report = ProfileReport::from_spans(&spans, &repro_bench::profile::known_configs());
+    let report = ProfileReport::from_spans(&spans, &profile::known_configs());
     report.reconcile().expect("profile reconciles");
-    let json =
-        repro_bench::profile::render_json("golden", &report, &PhaseRollup::from_spans(&spans));
-    serde_json::validate(&json).expect("profile artifact must be valid JSON");
+    let doc = profile::document("golden", &report, &PhaseRollup::from_spans(&spans));
+    let json = artifact::render(&profile::SCHEMA, &doc).expect("profile artifact meets its schema");
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

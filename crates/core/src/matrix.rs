@@ -133,6 +133,14 @@ impl<T: Scalar> AcsrMatrix<T> {
             .sum()
     }
 
+    /// Bytes a full upload stages over PCIe: the live entries and the
+    /// three per-row `u32` arrays. Slack slots are reserved on the
+    /// device without a host copy, so only [`Self::device_bytes`]
+    /// counts them.
+    pub fn upload_bytes(&self) -> u64 {
+        self.nnz as u64 * (4 + std::mem::size_of::<T>() as u64) + self.rows as u64 * 12
+    }
+
     /// Total device bytes, including slack.
     pub fn device_bytes(&self) -> u64 {
         self.row_start.bytes()

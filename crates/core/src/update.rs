@@ -195,12 +195,12 @@ impl<T: Scalar> AcsrEngine<T> {
     }
 
     /// Replace the device matrix with `m` (fresh slack); returns the
-    /// modeled upload time.
+    /// modeled upload time, the same staged bytes as a cold start.
     pub fn rebuild(&mut self, dev: &Device, m: &CsrMatrix<T>) -> f64 {
         let cfg = *self.config();
         *self.matrix_mut() = AcsrMatrix::from_csr(dev, m, &cfg);
         self.rebin(dev);
-        dev.record_htod("acsr_rebuild_upload", self.matrix().device_bytes())
+        dev.record_htod("acsr_rebuild_upload", self.matrix().upload_bytes())
             .time_s
     }
 }
@@ -222,11 +222,6 @@ fn sub_batch<T: Scalar>(batch: &UpdateBatch<T>, rows: &[u32]) -> UpdateBatch<T> 
         out.insert_offsets.push(out.insert_cols.len() as u32);
     }
     out
-}
-
-/// Host reference used by tests: applies the batch to a packed CSR.
-pub fn reference_apply<T: Scalar>(m: &CsrMatrix<T>, batch: &UpdateBatch<T>) -> CsrMatrix<T> {
-    batch.apply_to_csr(m)
 }
 
 #[cfg(test)]
@@ -255,7 +250,7 @@ mod tests {
         let dev = Device::new(presets::gtx_titan());
         let mut engine = AcsrEngine::from_csr(&dev, &m, AcsrConfig::for_device(dev.config()));
         let batch = generate_update_batch(&m, &UpdateConfig::default());
-        let want = reference_apply(&m, &batch);
+        let want = batch.apply_to_csr(&m);
         let report = engine.apply_update(&dev, &batch);
         let got = engine.matrix().to_csr();
         assert_eq!(got, want);
@@ -277,7 +272,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            host = reference_apply(&host, &batch);
+            host = batch.apply_to_csr(&host);
             engine.apply_update(&dev, &batch);
             assert_eq!(engine.matrix().to_csr(), host, "epoch {epoch}");
         }
@@ -291,7 +286,7 @@ mod tests {
         let mut engine = AcsrEngine::from_csr(&dev, &m, AcsrConfig::for_device(dev.config()));
         let batch = generate_update_batch(&m, &UpdateConfig::default());
         engine.apply_update(&dev, &batch);
-        let updated = reference_apply(&m, &batch);
+        let updated = batch.apply_to_csr(&m);
         let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 6) as f64 * 0.3).collect();
         let xd = dev.alloc(x.clone());
         let yd = dev.alloc_zeroed::<f64>(m.rows());
@@ -325,18 +320,17 @@ mod tests {
         let report = engine.apply_update(&dev, &batch);
         assert_eq!(report.overflowed_rows, 1);
         assert!(report.rebuilt);
-        assert_eq!(engine.matrix().to_csr(), reference_apply(&m, &batch));
+        assert_eq!(engine.matrix().to_csr(), batch.apply_to_csr(&m));
         engine.matrix().validate().unwrap();
     }
 
     #[test]
     fn delta_copy_is_much_cheaper_than_full_upload() {
-        use spmv_kernels::GpuSpmv;
         let m = matrix(5000, 115);
         let dev = Device::new(presets::gtx_titan());
         let mut engine = AcsrEngine::from_csr(&dev, &m, AcsrConfig::for_device(dev.config()));
         let batch = generate_update_batch(&m, &UpdateConfig::default());
-        let full_upload = dev.htod_seconds(engine.device_bytes());
+        let full_upload = dev.htod_seconds(engine.matrix().upload_bytes());
         let report = engine.apply_update(&dev, &batch);
         assert!(
             report.copy_seconds * 3.0 < full_upload,

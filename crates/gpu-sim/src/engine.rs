@@ -710,21 +710,6 @@ impl Device {
         }
     }
 
-    /// Current device clock in cycles. Launches and transfers advance it
-    /// by their modeled duration.
-    pub fn clock_cycles(&self) -> u64 {
-        self.timeline.lock().now
-    }
-
-    /// PCIe transfers whose completion events the copy-engine component
-    /// has retired so far (transfers still occupying the link at the
-    /// current clock are not yet counted).
-    pub fn transfers_retired(&self) -> u64 {
-        let mut tl = self.timeline.lock();
-        tl.advance(0);
-        tl.pcie.retired()
-    }
-
     /// Modeled cycles for a wall-clock duration on this device's clock.
     fn model_cycles(&self, seconds: f64) -> u64 {
         (seconds * self.cfg.clock_ghz * 1e9).round() as u64

@@ -303,11 +303,8 @@ impl<T: Scalar> SpmvPlanner<T> for AcsrPlanner {
             .unwrap_or_else(|| AcsrConfig::for_device(dev.config()));
         let engine = AcsrEngine::from_csr(dev, m, cfg);
         let cost = *engine.preprocess_cost();
+        let staged = engine.matrix().upload_bytes();
         let boxed: Box<dyn GpuSpmv<T>> = Box::new(engine);
-        // Only the live entries and the three per-row u32 arrays are
-        // staged over PCIe; the slack slots are reserved on the device
-        // without a host copy (the footprint still counts them).
-        let staged = m.nnz() as u64 * (4 + std::mem::size_of::<T>() as u64) + m.rows() as u64 * 12;
         check_budget(
             SpmvPlan::new("ACSR", PreprocessClass::Scan, boxed, cost).with_upload_bytes(staged),
             budget,

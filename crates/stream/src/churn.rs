@@ -43,11 +43,6 @@ impl<T: Scalar> ChurnedStream<T> {
     pub fn applied(&self) -> usize {
         self.cursor
     }
-
-    /// Give the engine back (consume the adapter).
-    pub fn into_engine(self) -> StreamEngine<T> {
-        self.engine
-    }
 }
 
 impl<T: Scalar> ChurnSource<T> for ChurnedStream<T> {

@@ -9,6 +9,8 @@
 //! `Migration` — exactly the per-bin amortized re-binning the streaming
 //! design promises.
 
+use serde::Serialize;
+
 /// Why a batch touched rows of a bin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MaintainReason {
@@ -50,8 +52,9 @@ pub struct BatchEntry {
     pub slack_after: u64,
 }
 
-/// Rolling totals across every batch (cheap stderr summaries).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Rolling totals across every batch (cheap stderr summaries, and the
+/// `ledger` object of `repro stream`'s artifact).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct LedgerTotals {
     pub batches: u64,
     pub in_place_rows: u64,

@@ -20,6 +20,15 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> paper text results (the cheap tables regenerate byte-identically)"
+tmp=$(mktemp -d)
+for cmd in "table1 --scale 64" "table2" "fig3 --scale 64" "table5 --scale 64"; do
+  name=${cmd%% *}
+  ./target/release/repro $cmd > "$tmp/$name.txt"
+  cmp "results/$name.txt" "$tmp/$name.txt"
+done
+rm -rf "$tmp"
+
 echo "==> acsr-bench (build, unit tests, every workload --quick, traced and untraced)"
 # acsr-bench builds against crates/serve, apps and gpu-sim by path;
 # sharing the workspace target dir reuses their release builds.
