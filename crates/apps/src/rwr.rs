@@ -38,9 +38,8 @@ pub struct Convergence<'a, T> {
 
 /// The RWR update kernel, batched: one launch applies `outs[v] = c[v] *
 /// xs[v] + restart[v] * e_seed[v]` for every query of the batch (a
-/// single query is the k = 1 case). `seeds[v]` is the seed's index in
-/// these vectors, or `None` when the vectors are a device-local row
-/// slice that does not contain the seed (multi-device serving). Each
+/// single query is the k = 1 case). `seeds[v]` is query `v`'s seed
+/// row. Each
 /// vector's arithmetic is the same at any k, so a query's trajectory is
 /// independent of the batch it rides in. With `conv`, the same launch
 /// also writes the convergence partials; without it, the launch reads
@@ -50,7 +49,7 @@ pub fn rwr_update_multi<T: Scalar>(
     xs: &[&DeviceBuffer<T>],
     c: &[T],
     restart: &[T],
-    seeds: &[Option<usize>],
+    seeds: &[usize],
     outs: &[&DeviceBuffer<T>],
     conv: Option<&Convergence<'_, T>>,
 ) -> RunReport {
@@ -83,7 +82,7 @@ pub fn rwr_update_multi<T: Scalar>(
                 for lane in 0..WARP {
                     if mask >> lane & 1 == 1 {
                         vals[lane] = c[v] * xv[lane];
-                        if Some(base + lane) == seeds[v] {
+                        if base + lane == seeds[v] {
                             vals[lane] += restart[v];
                         }
                     }
@@ -119,8 +118,8 @@ fn squared_diffs<T: Scalar>(next: &[T; WARP], prev: &[T; WARP], mask: u32) -> [f
 /// The convergence partials of one query computed on the host, bit for
 /// bit what [`rwr_update_multi`]'s [`Convergence`] output writes: per
 /// 32-row block, the warp tree sum ([`tree_reduce_sum`]) of
-/// `(next − prev)²`. Callers whose iterate is split across devices
-/// gather it and compute the partials here.
+/// `(next − prev)²`: the host reference the kernel's output is tested
+/// against.
 pub fn convergence_partials<T: Scalar>(next: &[T], prev: &[T]) -> Vec<f64> {
     assert_eq!(next.len(), prev.len(), "iterate length mismatch");
     next.chunks(WARP)
@@ -207,7 +206,7 @@ pub fn rwr_gpu<T: Scalar>(
             &[&tmp],
             &[c],
             &[restart],
-            &[Some(seed)],
+            &[seed],
             &[&next],
             None,
         ));
@@ -330,7 +329,7 @@ mod tests {
         let xs: Vec<_> = xs_host.iter().map(|x| dev.alloc(x.clone())).collect();
         let c = [0.85, 0.5, 0.99].map(f64::from_f64);
         let restart = [0.15, 0.5, 0.01].map(f64::from_f64);
-        let seeds = [Some(0usize), Some(299), None];
+        let seeds = [0usize, 299, 150];
         let singles: Vec<_> = (0..k)
             .map(|v| {
                 let out = dev.alloc_zeroed::<f64>(n);
@@ -375,7 +374,7 @@ mod tests {
                 let prevs: Vec<_> = (0..k).map(|v| dev.alloc(vec(v + 5))).collect();
                 let c = vec![0.85; k];
                 let restart = vec![0.15; k];
-                let seeds: Vec<Option<usize>> = (0..k).map(|v| (n > 0).then(|| v % n)).collect();
+                let seeds: Vec<usize> = (0..k).map(|v| v % n.max(1)).collect();
                 let plain: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<f64>(n)).collect();
                 let fused: Vec<_> = (0..k).map(|_| dev.alloc(vec![f64::NAN; n])).collect();
                 let blocks = n.div_ceil(WARP);
@@ -431,7 +430,7 @@ mod tests {
         let prev = dev.alloc(vec![0.25f64; n]);
         let out = dev.alloc_zeroed::<f64>(n);
         let partials = dev.alloc_zeroed::<f64>(n.div_ceil(WARP));
-        let args = (&[0.85], &[0.15], &[Some(3)]);
+        let args = (&[0.85], &[0.15], &[3]);
         let plain = rwr_update_multi(&dev, &[&x], args.0, args.1, args.2, &[&out], None);
         let conv = Convergence {
             prev: &[&prev],

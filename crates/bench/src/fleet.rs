@@ -1,5 +1,5 @@
 //! `repro fleet` — N-device sharded-fleet scaling, per-shard format
-//! selection, and wave work-stealing.
+//! selection, and multi-device serving.
 //!
 //! Three sections, one artifact:
 //!
@@ -22,24 +22,21 @@
 //!    [`multi_gpu::ShardFormat::Adaptive`] — binned sharding reshapes
 //!    every shard's row-length distribution, so shards may plan
 //!    different formats; the section records what each shard chose.
-//! 3. **Stealing**: the serving engine's per-wave dispatch choice
-//!    ([`acsr_serve::DispatchPolicy::Auto`]) against always-row-split
-//!    on a 4-device engine, over two traces — sparse arrivals (width-1
-//!    waves, where query-splitting onto replicated devices wins) and a
-//!    saturated burst (waves of up to 8 queries, where the
-//!    probe-calibrated cost model decides per wave; it currently steals
-//!    them too). Every multi-device wave closes with the fleet's
-//!    scheduled completion hand-off. The run dies unless Auto steals
-//!    every sparse wave, strictly cuts the sparse trace's p99 and
-//!    improves its attainment, and loses no attainment on the
-//!    saturated trace.
+//! 3. **Serving**: the serving engine on 4 devices and on 1, over two
+//!    traces — sparse arrivals (width-1 waves) and a saturated burst
+//!    (waves of up to 8 queries). Each query is pinned to one device,
+//!    each holding a full-graph plan, and a wave that ran on more than
+//!    one device closes with the §VIII completion hand-off. A width-1
+//!    wave runs on one device and pays no hand-off, so the run dies
+//!    unless the sparse trace on 4 devices reproduces the 1-device run
+//!    exactly.
 //!
 //! Results go to `results/BENCH_fleet.json` under [`SCHEMA`], which the
 //! write and `repro check-artifacts` both enforce; `repro bench-diff`
 //! gates them against `baselines/BENCH_fleet_ci.json`.
 
 use crate::artifact::{self, Schema};
-use acsr_serve::{DispatchPolicy, Query, ServeConfig, ServeEngine, ServeReport, SloPolicy};
+use acsr_serve::{Query, ServeConfig, ServeEngine, ServeReport, SloPolicy};
 use gpu_sim::presets;
 use graphgen::{generate_power_law, MatrixSpec, PowerLawConfig};
 use multi_gpu::{Fleet, FleetConfig, FleetReport, ShardFormat};
@@ -55,7 +52,7 @@ use serde::{Serialize, Value};
 pub const SCHEMA: Schema = Schema {
     tag: "acsr-fleet-v1",
     kind: "fleet report",
-    fields: &["scale", "device_counts", "formats", "p99_target_ms"],
+    fields: &["scale", "device_counts", "formats"],
     rows: &[
         (
             "scaling",
@@ -77,9 +74,17 @@ pub const SCHEMA: Schema = Schema {
             ],
         ),
         (
-            "stealing",
+            "serving",
             1,
-            &["name", "waves", "stolen_waves", "attainment", "p99_ms"],
+            &[
+                "name",
+                "devices",
+                "queries",
+                "waves",
+                "p50_ms",
+                "p99_ms",
+                "mean_wave_width",
+            ],
         ),
     ],
     invariants: exchange_consistent,
@@ -176,17 +181,14 @@ pub struct FormatsSection {
     pub shards: Vec<String>,
 }
 
-/// One serving trace under one dispatch policy.
-#[derive(Serialize)]
-pub struct StealRow {
-    /// `narrow_rowsplit`, `narrow_auto`, `wide_rowsplit`, `wide_auto`.
+/// One serving trace on one device count.
+#[derive(Serialize, Debug, PartialEq)]
+pub struct ServeRow {
+    /// `narrow_d1`, `narrow_d4`, `wide_d1`, `wide_d4`.
     pub name: String,
+    pub devices: usize,
     pub queries: usize,
     pub waves: usize,
-    /// Waves executed query-split (stolen onto replicated devices).
-    pub stolen_waves: usize,
-    /// Fraction of offered queries completing within the p99 target.
-    pub attainment: f64,
     pub p50_ms: f64,
     pub p99_ms: f64,
     pub mean_wave_width: f64,
@@ -203,10 +205,7 @@ pub struct Report {
     pub device_counts: &'static [usize],
     pub scaling: Vec<ScalingRow>,
     pub formats: FormatsSection,
-    /// The latency target the stealing attainment column is scored
-    /// against (midpoint of the two narrow-trace p99s), milliseconds.
-    pub p99_target_ms: f64,
-    pub stealing: Vec<StealRow>,
+    pub serving: Vec<ServeRow>,
 }
 
 /// Run one traced fleet SpMV and reconcile its halo ledger: the
@@ -314,24 +313,23 @@ fn formats_section(spec: &'static MatrixSpec, scale: usize, seed: u64) -> Format
     }
 }
 
-fn steal_row(name: &str, report: &ServeReport<f64>, target_s: f64) -> StealRow {
+fn serve_row(trace: &str, devices: usize, report: &ServeReport<f64>) -> ServeRow {
     let lat = report.latency_stats();
-    StealRow {
-        name: name.to_string(),
+    ServeRow {
+        name: format!("{trace}_d{devices}"),
+        devices,
         queries: report.offered,
         waves: report.waves,
-        stolen_waves: report.stolen_waves(),
-        attainment: report.attainment(target_s),
         p50_ms: lat.p50_s * 1e3,
         p99_ms: lat.p99_s * 1e3,
         mean_wave_width: report.mean_wave_width(),
     }
 }
 
-/// RowSplit vs Auto on a sparse (width-1 waves) and a saturated
-/// (full-width waves) trace; asserts Auto is never worse and strictly
-/// faster on the sparse trace.
-fn stealing_section(quick: bool) -> (f64, Vec<StealRow>) {
+/// A sparse (width-1 waves) and a saturated (full-width waves) trace,
+/// each on 1 and 4 devices; asserts the sparse trace is identical on
+/// both.
+fn serving_section(quick: bool) -> Vec<ServeRow> {
     let rows = if quick { 400 } else { 800 };
     let g = generate_power_law::<f64>(&PowerLawConfig {
         rows,
@@ -343,15 +341,8 @@ fn stealing_section(quick: bool) -> (f64, Vec<StealRow>) {
         seed: 213,
         ..Default::default()
     });
-    let config = ServeConfig {
-        max_batch: 8,
-        queue_capacity: 64,
-        n_devices: 4,
-        ..ServeConfig::default()
-    };
     // Sparse: arrivals a full second apart against a microsecond-scale
-    // service time — every wave is width 1, the exact shape where
-    // row-splitting underfeeds all four devices and pays four hand-offs.
+    // service time — every wave is width 1.
     let narrow: Vec<Query> = (0..8)
         .map(|id| Query {
             id,
@@ -361,9 +352,7 @@ fn stealing_section(quick: bool) -> (f64, Vec<StealRow>) {
             tenant: 0,
         })
         .collect();
-    // Saturated: one burst fills the waves to the cap. Auto decides per
-    // wave from its probe-calibrated costs (on this graph it steals
-    // every wave); the run only requires it to lose no attainment.
+    // Saturated: one burst fills the waves to the cap.
     let wide: Vec<Query> = (0..32)
         .map(|id| Query {
             id,
@@ -373,48 +362,34 @@ fn stealing_section(quick: bool) -> (f64, Vec<StealRow>) {
             tenant: 0,
         })
         .collect();
-    let run = |queries: &[Query], dispatch| {
-        let engine = ServeEngine::<f64>::new(&g, config.clone());
-        engine.serve_slo(
-            queries,
-            &SloPolicy::open_loop(f64::INFINITY, 8, 64).with_dispatch(dispatch),
-        )
+    let run = |trace: &str, queries: &[Query], n_devices| {
+        let config = ServeConfig {
+            max_batch: 8,
+            queue_capacity: 64,
+            n_devices,
+            ..ServeConfig::default()
+        };
+        let report = ServeEngine::<f64>::new(&g, config)
+            .serve_slo(queries, &SloPolicy::open_loop(f64::INFINITY, 8, 64));
+        serve_row(trace, n_devices, &report)
     };
-    let narrow_rs = run(&narrow, DispatchPolicy::RowSplit);
-    let narrow_auto = run(&narrow, DispatchPolicy::Auto);
-    let wide_rs = run(&wide, DispatchPolicy::RowSplit);
-    let wide_auto = run(&wide, DispatchPolicy::Auto);
-
-    // Score attainment against the midpoint of the two narrow p99s: a
-    // target the stolen trace meets and the row-split trace misses.
-    let p99 = |r: &ServeReport<f64>| r.latency_stats().p99_s;
-    let target_s = 0.5 * (p99(&narrow_rs) + p99(&narrow_auto));
-    assert!(
-        p99(&narrow_auto) < p99(&narrow_rs),
-        "stealing must cut the narrow trace's p99: auto {} vs row-split {}",
-        p99(&narrow_auto),
-        p99(&narrow_rs)
-    );
+    let narrow_d1 = run("narrow", &narrow, 1);
+    let narrow_d4 = run("narrow", &narrow, 4);
     assert_eq!(
-        narrow_auto.stolen_waves(),
-        narrow_auto.waves,
-        "every narrow wave must steal"
+        ServeRow {
+            name: narrow_d1.name.clone(),
+            devices: 1,
+            ..narrow_d4
+        },
+        narrow_d1,
+        "a width-1 wave runs on one device and pays no hand-off"
     );
-    assert!(
-        narrow_auto.attainment(target_s) > narrow_rs.attainment(target_s),
-        "stealing must strictly improve narrow-trace attainment"
-    );
-    assert!(
-        wide_auto.attainment(target_s) >= wide_rs.attainment(target_s),
-        "Auto must never lose attainment on the saturated trace"
-    );
-    let rows = vec![
-        steal_row("narrow_rowsplit", &narrow_rs, target_s),
-        steal_row("narrow_auto", &narrow_auto, target_s),
-        steal_row("wide_rowsplit", &wide_rs, target_s),
-        steal_row("wide_auto", &wide_auto, target_s),
-    ];
-    (target_s * 1e3, rows)
+    vec![
+        narrow_d1,
+        narrow_d4,
+        run("wide", &wide, 1),
+        run("wide", &wide, 4),
+    ]
 }
 
 /// Run the full fleet bench. `quick` shrinks the matrix subset and
@@ -433,15 +408,14 @@ pub fn run(quick: bool) -> Report {
         .collect();
     let scaling = scaling_rows(&specs, scale, seed);
     let formats = formats_section(specs[specs.len() - 1], scale, seed);
-    let (p99_target_ms, stealing) = stealing_section(quick);
+    let serving = serving_section(quick);
     Report {
         scale,
         link: "nvlink",
         device_counts: &DEVICE_COUNTS,
         scaling,
         formats,
-        p99_target_ms,
-        stealing,
+        serving,
     }
 }
 
@@ -467,16 +441,15 @@ pub fn render(report: &Report) -> String {
             r.replicated_rows.to_string(),
         ]);
     }
-    let mut stealing = crate::Table::new(&[
-        "trace", "queries", "waves", "stolen", "att", "p50 ms", "p99 ms", "width",
+    let mut serving = crate::Table::new(&[
+        "trace", "D", "queries", "waves", "p50 ms", "p99 ms", "width",
     ]);
-    for r in &report.stealing {
-        stealing.row(vec![
+    for r in &report.serving {
+        serving.row(vec![
             r.name.clone(),
+            r.devices.to_string(),
             r.queries.to_string(),
             r.waves.to_string(),
-            r.stolen_waves.to_string(),
-            format!("{:.3}", r.attainment),
             format!("{:.4}", r.p50_ms),
             format!("{:.4}", r.p99_ms),
             format!("{:.1}", r.mean_wave_width),
@@ -485,7 +458,7 @@ pub fn render(report: &Report) -> String {
     format!(
         "Fleet scaling (scale {}, NVLink-class links, halo ledger reconciled)\n{}\n\
          per-shard formats ({} at D = {}, horizon {}): {:?} ({} distinct)\n\n\
-         wave dispatch: row-split vs auto stealing (p99 target {:.4} ms)\n{}",
+         serving: each query pinned to one device\n{}",
         report.scale,
         scaling.render(),
         report.formats.matrix,
@@ -493,8 +466,7 @@ pub fn render(report: &Report) -> String {
         report.formats.horizon,
         report.formats.shards,
         report.formats.distinct,
-        report.p99_target_ms,
-        stealing.render(),
+        serving.render(),
     )
 }
 
@@ -505,10 +477,10 @@ mod tests {
     /// The quick run is what CI smokes and gates; pin its acceptance
     /// shape here so a drive-by change can't silently produce a
     /// degenerate artifact. (The section-level invariants — ledger
-    /// reconciliation, stealing superiority — are asserted inside
-    /// `run` itself and die on violation.)
+    /// reconciliation, the sparse serving trace matching across device
+    /// counts — are asserted inside `run` itself and die on violation.)
     #[test]
-    fn quick_run_produces_scaling_and_stealing_sections() {
+    fn quick_run_produces_scaling_and_serving_sections() {
         let report = run(true);
         assert_eq!(report.scaling.len(), 2 * DEVICE_COUNTS.len());
         for r in &report.scaling {
@@ -546,16 +518,14 @@ mod tests {
         // Format section covers all 8 shards.
         assert_eq!(report.formats.shards.len(), 8);
         assert!(report.formats.distinct >= 1);
-        // Stealing: the narrow auto trace steals every wave and wins.
-        let get = |n: &str| report.stealing.iter().find(|r| r.name == n).unwrap();
-        assert_eq!(get("narrow_auto").stolen_waves, get("narrow_auto").waves);
-        assert_eq!(get("narrow_rowsplit").stolen_waves, 0);
-        assert!(get("narrow_auto").attainment > get("narrow_rowsplit").attainment);
-        assert!(get("wide_auto").attainment >= get("wide_rowsplit").attainment);
-        assert!(
-            get("wide_auto").p99_ms <= get("wide_rowsplit").p99_ms,
-            "Auto's per-wave choice must not regress the saturated p99"
-        );
+        // Serving: the narrow trace runs width-1 waves, the wide one
+        // fills them.
+        let names: Vec<&str> = report.serving.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["narrow_d1", "narrow_d4", "wide_d1", "wide_d4"]);
+        let get = |n: &str| report.serving.iter().find(|r| r.name == n).unwrap();
+        assert_eq!(get("narrow_d4").mean_wave_width, 1.0);
+        assert!(get("wide_d4").mean_wave_width > 1.0);
+        assert_eq!(get("wide_d1").waves, get("wide_d4").waves);
 
         // The artifact meets its contract and carries every row.
         let json = artifact::render(&SCHEMA, &report).unwrap();
@@ -566,7 +536,7 @@ mod tests {
             Some(&Value::Str(SCHEMA.tag.into()))
         );
         assert_eq!(artifact::rows(&doc, "scaling").len(), report.scaling.len());
-        assert_eq!(artifact::rows(&doc, "stealing").len(), 4);
+        assert_eq!(artifact::rows(&doc, "serving").len(), 4);
         assert!(matches!(
             artifact::field(&doc, "formats"),
             Some(Value::Object(_))

@@ -25,8 +25,8 @@
 //!   fleet [--quick]               N-device sharded-fleet scaling (halo
 //!                                 exchange reconciled against the trace
 //!                                 ledger), per-shard format selection,
-//!                                 and row-split vs query-split wave
-//!                                 stealing; writes results/BENCH_fleet.json
+//!                                 and serving on 1 vs 4 devices; writes
+//!                                 results/BENCH_fleet.json
 //!   stream [--quick]              streaming ACSR maintenance: in-place
 //!                                 edge-update throughput vs full rebuild,
 //!                                 per-batch bit-identity, serving p99

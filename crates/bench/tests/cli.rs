@@ -28,13 +28,13 @@ fn repro(dir: &Path, args: &[&str]) -> Output {
 fn check_artifacts_rejects_unknown_schema_tags() {
     let dir = scratch("tags");
     let fleet = r#"{"schema": "acsr-fleet-v1", "scale": 64, "device_counts": [1, 2],
-        "formats": {"shards": ["ACSR"]}, "p99_target_ms": 1.0,
+        "formats": {"shards": ["ACSR"]},
         "scaling": [{"name": "ENR_d2", "devices": 2, "seconds": 1.0, "speedup": 1.5,
             "efficiency": 0.75, "halo_bytes": 8, "ledger_halo_bytes": 9,
             "payload_bytes": 8, "schedule": "direct", "messages": 1,
             "exchange_ms": 0.1, "direct_exchange_ms": 0.1, "replicated_rows": 0}],
-        "stealing": [{"name": "narrow_auto", "waves": 2, "stolen_waves": 2,
-            "attainment": 1.0, "p99_ms": 0.5}]}"#;
+        "serving": [{"name": "narrow_d4", "devices": 4, "queries": 8, "waves": 2,
+            "p50_ms": 0.3, "p99_ms": 0.5, "mean_wave_width": 1.0}]}"#;
     let cases = [
         ("fleet_v1.json", fleet.to_string(), "must be integer-equal"),
         (

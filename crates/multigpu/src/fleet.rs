@@ -17,10 +17,10 @@
 //!   ingress — the synchronization the paper's small matrices cannot
 //!   amortize.
 //!
-//! Every phase runs through one per-shard driver ([`Fleet::drive`]): it
-//! skips empty shards, collects one report per device, and closes with
-//! the placement's exchange. [`Fleet::spmv`] and the serving engine's
-//! batched RWR waves are both steps handed to that driver.
+//! Every phase runs through one per-shard driver: it skips empty
+//! shards, collects one report per device, and closes with the
+//! placement's exchange. The §VIII completion hand-off is [`handoff`],
+//! which the serving engine's multi-device waves also close with.
 //!
 //! Each shard plans its own format: binned sharding reshapes every
 //! shard's row-length distribution, so a dense shard may plan ELL/HYB
@@ -50,6 +50,34 @@ use std::sync::Arc;
 /// host), seconds. Two balanced devices reproduce a flat 20 µs sync; an
 /// early finisher's hand-off overlaps the slow device's compute instead.
 const HANDOFF_S: f64 = 10e-6;
+
+/// The §VIII completion hand-off closing a phase in which device `d`
+/// finished at `finishes[d]` seconds (`None` = sat out): one zero-byte
+/// signal per participating device to the host sink (node
+/// `finishes.len()`), ready at its finish and serialized on the host's
+/// ingress. A phase on a single device needs no barrier at all. Nothing
+/// is charged to any device. [`Placement::Replicated`] phases and the
+/// serving engine's multi-device waves both close with it.
+pub fn handoff(finishes: &[Option<f64>]) -> ExchangeReport {
+    let n = finishes.len();
+    let edges: Vec<EdgeSpec> = finishes
+        .iter()
+        .enumerate()
+        .filter_map(|(d, f)| {
+            f.map(|t| EdgeSpec {
+                src: d,
+                dst: n,
+                entries: 0,
+                bytes: 0,
+                ready_ns: ns(t),
+            })
+        })
+        .collect();
+    if edges.len() < 2 {
+        return ExchangeReport::empty(n);
+    }
+    schedule_exchange(n, &edges, &LinkModel::signal(HANDOFF_S))
+}
 
 /// How each shard's executable format is chosen.
 #[derive(Clone, Debug)]
@@ -325,11 +353,6 @@ impl<T: Scalar> Fleet<T> {
         self.partition.shards.iter().map(|s| s.nnz).collect()
     }
 
-    /// The fleet's devices, in shard order.
-    pub fn devices(&self) -> &[Device] {
-        &self.devices
-    }
-
     /// Attach one shared trace ledger to every device and return it:
     /// subsequent phases record per-device kernel spans *and* per-edge
     /// halo transfer spans (on the receiving device's lane), so the
@@ -347,7 +370,7 @@ impl<T: Scalar> Fleet<T> {
     /// Every non-empty shard runs its plan over the full-value `x`; the
     /// owner's result is written to `y` bit-identically to the
     /// single-device plan. The placement's exchange then closes the
-    /// phase ([`Self::drive`]).
+    /// phase.
     pub fn spmv(&self, x: &[T], y: &mut [T]) -> FleetReport {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         assert_eq!(y.len(), self.rows, "y length mismatch");
@@ -370,7 +393,7 @@ impl<T: Scalar> Fleet<T> {
     /// non-empty shard in device order (`rows[local] = global` row of
     /// the shard's plan), then close the phase with the placement's
     /// exchange ([`Self::finish`]).
-    pub fn drive(
+    fn drive(
         &self,
         mut step: impl FnMut(usize, &Device, &SpmvPlan<T>, &[u32]) -> RunReport,
     ) -> FleetReport {
@@ -390,7 +413,7 @@ impl<T: Scalar> Fleet<T> {
     /// when it sat out): schedule the placement's exchange, charge each
     /// device-bound transfer to its receiver (recording a trace span),
     /// and assemble the phase report.
-    pub fn finish(&self, ran: Vec<Option<RunReport>>) -> FleetReport {
+    fn finish(&self, ran: Vec<Option<RunReport>>) -> FleetReport {
         assert_eq!(ran.len(), self.devices.len(), "one entry per device");
         let finishes: Vec<Option<f64>> = ran.iter().map(|r| r.as_ref().map(|r| r.time_s)).collect();
         let exchange = self.exchange(&finishes);
@@ -420,41 +443,20 @@ impl<T: Scalar> Fleet<T> {
     /// The placement's closing exchange for a phase whose devices
     /// finished computing at `finishes[d]` seconds (`None` = sat out),
     /// scheduled on the interconnect ([`crate::halo`]) without charging
-    /// any device — so a caller can also price a phase it has not run.
+    /// any device.
     ///
     /// - `Resident`: one payload per `(owner → shard)` pair carrying one
     ///   iterate's entries, ready at the owner's finish, shipped by the
     ///   direct or the routed schedule, whichever ends first
     ///   ([`HaloPlan::schedule`]).
-    /// - `Replicated`: one zero-byte hand-off per participating device
-    ///   to the host sink, ready at its finish; a phase on a single
-    ///   device needs no barrier at all.
-    pub fn exchange(&self, finishes: &[Option<f64>]) -> ExchangeReport {
-        let n = self.devices.len();
+    /// - `Replicated`: the completion [`handoff`].
+    fn exchange(&self, finishes: &[Option<f64>]) -> ExchangeReport {
         match &self.placement {
             Placement::Resident { link, .. } => {
                 let ready: Vec<u64> = finishes.iter().map(|f| ns(f.unwrap_or(0.0))).collect();
                 self.halo.schedule(&ready, link)
             }
-            Placement::Replicated => {
-                let edges: Vec<EdgeSpec> = finishes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(d, f)| {
-                        f.map(|t| EdgeSpec {
-                            src: d,
-                            dst: n,
-                            entries: 0,
-                            bytes: 0,
-                            ready_ns: ns(t),
-                        })
-                    })
-                    .collect();
-                if edges.len() < 2 {
-                    return ExchangeReport::empty(n);
-                }
-                schedule_exchange(n, &edges, &LinkModel::signal(HANDOFF_S))
-            }
+            Placement::Replicated => handoff(finishes),
         }
     }
 }

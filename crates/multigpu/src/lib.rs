@@ -14,7 +14,9 @@
 //!
 //! - [`Placement::Replicated`] is the paper's setup: every device holds
 //!   the full `x`, their disjoint slices of `y` are concatenated, and
-//!   the phase ends with one completion hand-off per device to the host.
+//!   the phase ends with one completion hand-off per device to the host
+//!   ([`handoff`], which the serving engine's multi-device waves also
+//!   pay).
 //!   Total time is the slowest device or the last hand-off, whichever
 //!   lands later — which is why the paper's small matrices (ENR, INT,
 //!   ...) fail to scale: their per-device work no longer covers
@@ -30,7 +32,9 @@ pub mod fleet;
 pub mod halo;
 mod partition;
 
-pub use fleet::{record_fleet_metrics, Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
+pub use fleet::{
+    handoff, record_fleet_metrics, Fleet, FleetConfig, FleetReport, Placement, ShardFormat,
+};
 pub use halo::{
     schedule_exchange, EdgeSpec, EdgeTransfer, ExchangeReport, HaloPlan, Hop, LinkModel, Payload,
     Schedule,

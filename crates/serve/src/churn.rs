@@ -194,7 +194,7 @@ pub fn serve_with_churn<T: Scalar>(
             .iter()
             .map(|a| T::from_f64(1.0 - a.q.restart_c))
             .collect();
-        let seeds: Vec<Option<usize>> = active.iter().map(|a| Some(a.q.seed)).collect();
+        let seeds: Vec<usize> = active.iter().map(|a| a.q.seed).collect();
         let next_ref: Vec<&DeviceBuffer<T>> = next_r.iter().collect();
         let upd = rwr_update_multi(dev, &ys_ref, &c, &restart, &seeds, &next_ref, None);
         clock += spmv.time_s + upd.time_s;

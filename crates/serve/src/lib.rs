@@ -14,15 +14,15 @@
 //!   RWR iteration for every active query as a single multi-vector
 //!   ACSR SpMM (amortizing launch floors and row-structure reads across
 //!   the batch), retires converged queries, and refills their slots.
-//!   On one device the iterates stay on the device from admission to
-//!   retirement, and a wave reads back only convergence partials.
-//!   Admission is event-driven — arrivals are offered at their true
-//!   arrival times, never batch-admitted at wave boundaries;
+//!   Each query is pinned at admission to one device, which holds a
+//!   full-graph plan, and its iterate stays there until it retires: a
+//!   wave reads back only convergence partials and the retiring
+//!   queries' scores. Admission is event-driven — arrivals are offered
+//!   at their true arrival times, never batch-admitted at wave
+//!   boundaries;
 //! * [`slo`] — open-loop serving policy: SLO targets, deadline
-//!   shedding, queue-depth-adaptive batch sizing, and per-wave device
-//!   dispatch ([`slo::DispatchPolicy`]: row-split vs whole-query
-//!   stealing onto replicated devices, or a probe-calibrated automatic
-//!   choice) ([`ServeEngine::serve_slo`](scheduler::ServeEngine::serve_slo));
+//!   shedding and queue-depth-adaptive batch sizing
+//!   ([`ServeEngine::serve_slo`](scheduler::ServeEngine::serve_slo));
 //! * [`tenant`] — per-tenant priority classes and exact-integer
 //!   weighted fair-share admission;
 //! * [`latency`] — p50/p95/p99 latency accounting and SLO-attainment
@@ -55,7 +55,7 @@ pub use latency::LatencyStats;
 pub use loadgen::{assign_tenants, generate_queries, ArrivalPattern};
 pub use query::{Query, QueryOutcome};
 pub use queue::SubmissionQueue;
-pub use scheduler::{DispatchMode, ServeConfig, ServeEngine, ServeReport};
-pub use slo::{BatchPolicy, DispatchPolicy, SloPolicy};
+pub use scheduler::{ServeConfig, ServeEngine, ServeReport};
+pub use slo::{BatchPolicy, SloPolicy};
 pub use telemetry::reconcile_serve;
 pub use tenant::{FairShare, TenantSpec, TenantTable};

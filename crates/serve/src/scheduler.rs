@@ -29,48 +29,42 @@
 //!    matter which queries it is co-batched with or what the batch
 //!    policy picks. Batching changes *when* a query runs, never *what*
 //!    it computes.
-//! 2. **Device-count independence** — the engine's devices are one
-//!    replicated-`x` [`multi_gpu::Fleet`], whose bin-dealt shards keep
-//!    each row's bin (and its per-row accumulation order) in the
-//!    device-local sub-matrix, so results are bit-identical across
-//!    device counts too.
+//! 2. **Device-count independence** — every device holds a full-graph
+//!    plan of the same operator and a query runs on one device from
+//!    admission to retirement, so the device count changes where a
+//!    query runs, never what it computes.
 //!
 //! Both are pinned by proptests in `tests/proptest_serve.rs`; the
 //! open-loop shed/admission decisions are themselves deterministic
 //! functions of modeled time, pinned across host worker widths in
 //! `tests/slo_serving.rs`.
 //!
-//! On one device, each query's iterate stays in a device buffer from
-//! admission to retirement: a wave moves only the update kernel's
-//! per-warp convergence partials over PCIe, plus the final scores of the
-//! queries it retires. Multi-device waves gather every iterate through
-//! the host instead (a row-split wave must all-gather its shards, and a
-//! stolen query may run on another device next wave), and the host
-//! computes the same partials with the kernel's pairing, so convergence
-//! is one arithmetic everywhere. Every multi-device wave — row-split or
-//! stolen — closes with the fleet's scheduled completion hand-off, the
-//! same exchange model the fleet charges a §VIII SpMV.
+//! Each admitted query is pinned to the device with the fewest active
+//! queries, and its iterate stays in a buffer on that device until it
+//! retires: a wave moves only the update kernel's per-warp convergence
+//! partials over PCIe, plus the final scores of the queries it retires,
+//! each from its own device. A wave that ran on more than one device
+//! closes with the §VIII completion hand-off ([`multi_gpu::handoff`]),
+//! the exchange the fleet charges a replicated SpMV.
 
 use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
 use crate::query::{Query, QueryOutcome};
 use crate::queue::SubmissionQueue;
-use crate::slo::{BatchPolicy, DispatchPolicy, SloPolicy};
+use crate::slo::{BatchPolicy, SloPolicy};
 use crate::telemetry::ServeScope;
 use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
 use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport, WARP};
-use graph_apps::rwr::{
-    convergence_partials, rwr_init_multi, rwr_operator, rwr_update_multi, sum_partials, Convergence,
-};
+use graph_apps::rwr::{rwr_init_multi, rwr_operator, rwr_update_multi, sum_partials, Convergence};
 use graph_apps::IterParams;
-use multi_gpu::{Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
+use multi_gpu::{handoff, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
 use spmv_kernels::GpuSpmv;
 use spmv_pipeline::SpmvPlan;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Serving-engine configuration.
 #[derive(Clone, Debug)]
@@ -81,7 +75,8 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Submission-queue capacity; arrivals beyond it are shed.
     pub queue_capacity: usize,
-    /// Simulated devices to spread each wave across.
+    /// Simulated devices, each holding a full-graph plan; every query
+    /// runs on the one it is pinned to at admission.
     pub n_devices: usize,
     /// Per-query RWR iteration limits.
     pub iter: IterParams,
@@ -117,59 +112,11 @@ struct Active<T> {
     q: Query,
     admitted_s: f64,
     iterations: usize,
-    /// Current global relevance iterate. A one-device engine keeps it on
-    /// the device from admission to retirement (its first wave writes
-    /// r⁰); a multi-device engine gathers it through the host every
-    /// wave, and this is that host copy.
+    /// The device the query was pinned to at admission.
+    device: usize,
+    /// Current relevance iterate, resident on `device` from admission to
+    /// retirement (the query's first wave writes r⁰).
     r: DeviceBuffer<T>,
-}
-
-/// How one executed wave was actually dispatched (the resolution of the
-/// policy's [`DispatchPolicy`], observable per wave in
-/// [`ServeReport::wave_modes`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Every query ran on every device over that device's row shard.
-    RowSplit,
-    /// Whole queries were stolen onto replicated devices.
-    QuerySplit,
-}
-
-/// Probe-calibrated linear wave-cost model: `rs1 + rs_marg·(k-1)` for a
-/// row-split wave of width `k`, and per-device `qs1 + qs_marg·(w-1)`
-/// for a device running `w` whole queries on its replicated full plan,
-/// closed by the fleet's scheduled hand-off. Calibrated once per engine
-/// from four probe waves (widths 1 and 2, both modes) on the real
-/// simulator — every term is a modeled time, so the choice is
-/// deterministic across host worker widths.
-#[derive(Clone, Copy, Debug)]
-struct DispatchCost {
-    rs1: f64,
-    rs_marg: f64,
-    qs1: f64,
-    qs_marg: f64,
-}
-
-impl DispatchCost {
-    fn row_split_s(&self, k: usize) -> f64 {
-        self.rs1 + self.rs_marg * (k.saturating_sub(1)) as f64
-    }
-
-    /// Query `i` runs on device `i % d_active`; the per-device estimates
-    /// are priced through `fleet`'s own hand-off schedule.
-    fn query_split_s<T: Scalar>(&self, k: usize, fleet: &Fleet<T>) -> f64 {
-        let d_active = k.min(fleet.n_devices()).max(1);
-        let finishes: Vec<Option<f64>> = (0..fleet.n_devices())
-            .map(|d| {
-                (d < d_active).then(|| {
-                    let width = (k - d).div_ceil(d_active);
-                    self.qs1 + self.qs_marg * (width - 1) as f64
-                })
-            })
-            .collect();
-        let compute = finishes.iter().flatten().fold(0.0, |a: f64, &b| a.max(b));
-        compute.max(fleet.exchange(&finishes).end_s())
-    }
 }
 
 /// Result of serving one query stream.
@@ -193,9 +140,6 @@ pub struct ServeReport<T> {
     /// Batch width of every executed wave, in order (the adaptive
     /// policy's decisions are observable here).
     pub wave_widths: Vec<usize>,
-    /// How each wave was dispatched, in order (the [`DispatchPolicy`]'s
-    /// per-wave resolutions; parallel to `wave_widths`).
-    pub wave_modes: Vec<DispatchMode>,
     /// Accumulated per-device kernel/transfer accounting.
     pub device_reports: Vec<RunReport>,
     /// Non-zeros of the serving operator (for GFLOPS accounting).
@@ -247,14 +191,6 @@ impl<T> ServeReport<T> {
         self.total_iterations() as f64 / self.outcomes.len() as f64
     }
 
-    /// Waves dispatched by whole-query stealing.
-    pub fn stolen_waves(&self) -> usize {
-        self.wave_modes
-            .iter()
-            .filter(|m| **m == DispatchMode::QuerySplit)
-            .count()
-    }
-
     /// Mean batch width over executed waves (0.0 when no wave ran).
     pub fn mean_wave_width(&self) -> f64 {
         if self.wave_widths.is_empty() {
@@ -291,71 +227,70 @@ impl<T> ServeReport<T> {
 
 /// A multi-device RWR/PPR serving engine over one graph.
 pub struct ServeEngine<T: Scalar> {
-    /// The serving devices and their row shards of the operator: a
-    /// replicated-`x` fleet, since every device reads each active
-    /// iterate in full.
-    fleet: Fleet<T>,
+    /// The serving devices; `plans[d]` is device `d`'s full-graph plan
+    /// of the RWR operator.
+    devices: Vec<Device>,
+    plans: Vec<SpmvPlan<T>>,
+    rows: usize,
+    nnz: usize,
     config: ServeConfig,
-    /// The full serving operator, kept for building replicated
-    /// whole-graph plans when a wave steals queries.
-    operator: CsrMatrix<T>,
-    /// Replicated full-graph plans (one per device), built lazily the
-    /// first time a wave dispatches by query-split.
-    full_plans: OnceLock<Vec<SpmvPlan<T>>>,
-    /// Probe-calibrated wave-cost model, built lazily on the first
-    /// [`DispatchPolicy::Auto`] wave.
-    dispatch_cost: OnceLock<DispatchCost>,
     /// Serving-plane telemetry (metrics + request tracing); `None`
     /// means every record site is a single skipped branch.
     telemetry: Option<Arc<Telemetry>>,
 }
 
 impl<T: Scalar> ServeEngine<T> {
-    /// Build a serving engine for `adjacency` (square, unnormalized).
-    /// The RWR operator (column-normalized adjacency) is sharded by bin
-    /// across `config.n_devices` simulated devices of one
-    /// replicated-`x` [`Fleet`].
+    /// Build a serving engine for `adjacency` (square, unnormalized):
+    /// each of `config.n_devices` simulated devices plans the whole RWR
+    /// operator (column-normalized adjacency) in `config.format`.
     pub fn new(adjacency: &CsrMatrix<T>, config: ServeConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
+        assert!(config.n_devices >= 1, "need at least one device");
         let w = rwr_operator(adjacency);
-        let fleet = Fleet::new(
-            &w,
-            &config.device,
-            &FleetConfig {
-                n_devices: config.n_devices,
-                placement: Placement::Replicated,
-                format: config.format.clone(),
-            },
-        );
+        let (devices, plans) = (0..config.n_devices)
+            .map(|d| {
+                let mut dc = config.device.clone();
+                if config.n_devices > 1 {
+                    dc.name = format!("{} #{d}", dc.name);
+                }
+                let dev = Device::new(dc);
+                let (plan, _) = config.format.plan(&dev, &w);
+                (dev, plan)
+            })
+            .unzip();
         ServeEngine {
-            fleet,
+            devices,
+            plans,
+            rows: w.rows(),
+            nnz: w.nnz(),
             config,
-            operator: w,
-            full_plans: OnceLock::new(),
-            dispatch_cost: OnceLock::new(),
             telemetry: acsr_telemetry::active(),
         }
     }
 
     /// Graph nodes (rows of the serving operator).
     pub fn rows(&self) -> usize {
-        self.fleet.rows()
+        self.rows
     }
 
     /// Non-zeros of the serving operator.
     pub fn nnz(&self) -> usize {
-        self.fleet.nnz()
+        self.nnz
     }
 
     /// Devices serving waves.
     pub fn n_devices(&self) -> usize {
-        self.fleet.n_devices()
+        self.devices.len()
     }
 
     /// Attach one shared trace ledger to every device and return it, so
     /// the next [`Self::serve`] records a device-tagged span timeline.
     pub fn enable_tracing(&mut self) -> Arc<TraceLedger> {
-        self.fleet.enable_tracing()
+        let ledger = Arc::new(TraceLedger::new());
+        for dev in &mut self.devices {
+            dev.attach_ledger(ledger.clone());
+        }
+        ledger
     }
 
     /// Attach serving-plane telemetry: subsequent serve runs record
@@ -415,7 +350,6 @@ impl<T: Scalar> ServeEngine<T> {
         let mut deadline_shed: Vec<u64> = Vec::new();
         let mut device_reports = vec![RunReport::default(); self.n_devices()];
         let mut wave_widths: Vec<usize> = Vec::new();
-        let mut wave_modes: Vec<DispatchMode> = Vec::new();
         let mut next_arrival = 0usize;
         let mut clock = 0.0f64;
         let mut scope: Option<ServeScope> = self
@@ -470,11 +404,9 @@ impl<T: Scalar> ServeEngine<T> {
                 continue;
             }
 
-            // 2. one batched RWR iteration for the whole wave, over
-            //    whichever dispatch the policy resolves for this width
-            let mode = self.choose_mode(policy.dispatch, active.len());
+            // 2. one batched RWR iteration for the whole wave, each query
+            //    on the device it is pinned to
             wave_widths.push(active.len());
-            wave_modes.push(mode);
             // Stamp the wave's correlation id onto every kernel span it
             // launches, so the timeline export can join request spans
             // to device work.
@@ -482,42 +414,20 @@ impl<T: Scalar> ServeEngine<T> {
             if wave_id.is_some() {
                 self.set_wave_context(wave_id);
             }
-            let (dist2, mut wave_time) = match mode {
-                DispatchMode::RowSplit => self.wave(&mut active, &mut device_reports),
-                DispatchMode::QuerySplit => self.wave_steal(&mut active, &mut device_reports),
-            };
-            // Per query: `None` rides on, `Some(converged)` retires.
-            let verdicts: Vec<Option<bool>> = active
-                .iter()
-                .zip(&dist2)
-                .map(|(a, &d2)| {
-                    let converged = d2.sqrt() < self.config.iter.epsilon;
-                    (converged || a.iterations + 1 >= self.config.iter.max_iters)
-                        .then_some(converged)
-                })
-                .collect();
-            if self.resident() {
-                // The answers of the retiring queries are still on the
-                // device: one batched readback, part of this wave.
-                let retiring = verdicts.iter().flatten().count();
-                wave_time += self.read_back_scores(retiring, &mut device_reports);
-            }
+            let (verdicts, wave_time, devices) = self.wave(&mut active, &mut device_reports);
             if wave_id.is_some() {
                 self.set_wave_context(None);
             }
             let wave_end = clock + wave_time;
             if let (Some(s), Some(wave)) = (scope.as_mut(), wave_id) {
-                s.on_wave(
-                    WaveRecord {
-                        wave,
-                        t_start_s: clock,
-                        dur_s: wave_time,
-                        width: active.len(),
-                        devices: self.n_devices(),
-                        queries: active.iter().map(|a| a.q.id).collect(),
-                    },
-                    mode == DispatchMode::QuerySplit,
-                );
+                s.on_wave(WaveRecord {
+                    wave,
+                    t_start_s: clock,
+                    dur_s: wave_time,
+                    width: active.len(),
+                    devices,
+                    queries: active.iter().map(|a| a.q.id).collect(),
+                });
             }
             // 3. Arrivals landing mid-wave queue (or capacity-shed) at
             //    their true arrival times. No pops happen while a wave
@@ -547,7 +457,6 @@ impl<T: Scalar> ServeEngine<T> {
             makespan_s: clock,
             waves: wave_widths.len(),
             wave_widths,
-            wave_modes,
             device_reports,
             nnz: self.nnz(),
         };
@@ -561,7 +470,7 @@ impl<T: Scalar> ServeEngine<T> {
 
     /// Set (or clear) the wave correlation id on every traced device.
     fn set_wave_context(&self, wave: Option<u64>) {
-        for dev in self.fleet.devices() {
+        for dev in &self.devices {
             if let Some(ledger) = dev.ledger() {
                 ledger.set_wave(wave);
             }
@@ -571,7 +480,9 @@ impl<T: Scalar> ServeEngine<T> {
     /// Pop waiting queries into free batch slots at virtual time `now`:
     /// fair-share/priority selection, deadline-shedding waiters whose
     /// queue wait already exceeds their tenant's SLO budget, up to the
-    /// batch policy's width for the current demand.
+    /// batch policy's width for the current demand. Each admitted query
+    /// is pinned to the device with the fewest active queries (the
+    /// lowest index on a tie) until it retires.
     #[allow(clippy::too_many_arguments)]
     fn refill(
         &self,
@@ -605,199 +516,66 @@ impl<T: Scalar> ServeEngine<T> {
             if let Some(s) = scope.as_mut() {
                 s.on_admitted(now, &q);
             }
+            let device = (0..self.n_devices())
+                .min_by_key(|&d| active.iter().filter(|a| a.device == d).count())
+                .expect("an engine has at least one device");
             active.push(Active {
                 q,
                 admitted_s: now,
                 iterations: 0,
-                r: self.first_iterate(q.seed),
+                device,
+                r: DeviceBuffer::zeroed(self.rows),
             });
         }
     }
 
-    /// One-device engines keep every iterate on the device; see
-    /// [`resident_step`].
-    fn resident(&self) -> bool {
-        self.n_devices() == 1
-    }
-
-    /// A newly admitted query's iterate buffer. On a resident engine
-    /// the query's first wave writes r⁰ = e_seed on the device;
-    /// otherwise r⁰ is built here, as the host copy the first wave
-    /// uploads.
-    fn first_iterate(&self, seed: usize) -> DeviceBuffer<T> {
-        let mut r = DeviceBuffer::zeroed(self.rows());
-        if !self.resident() {
-            r.as_mut_slice()[seed] = T::ONE;
-        }
-        r
-    }
-
-    /// Execute one batched RWR iteration for `active` row-split across
-    /// the fleet's shards, replacing each query's iterate with the next;
-    /// returns each query's `‖next − r‖²` and the wave's modeled time
-    /// (slowest device or last hand-off, whichever lands later).
-    fn wave(&self, active: &mut [Active<T>], device_reports: &mut [RunReport]) -> (Vec<f64>, f64) {
-        if self.resident() {
-            let mut dist2 = Vec::new();
-            let report = self.fleet.drive(|_, dev, plan, rows| {
-                // the one shard is every row in order, so a warp's 32
-                // rows are 32 global rows
-                debug_assert_eq!(rows.len(), self.rows());
-                let (d2, rep) = resident_step(dev, plan, active);
-                dist2 = d2;
-                rep
-            });
-            return (dist2, charge(device_reports, &report));
-        }
-        let queries: Vec<&Active<T>> = active.iter().collect();
-        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows()]; active.len()];
-        let report = self.fleet.drive(|_, dev, plan, shard_rows| {
-            let (nexts, rep) = rwr_step(dev, plan, &queries, Some(shard_rows));
-            for (r, next) in new_r.iter_mut().zip(&nexts) {
-                for (&g, &val) in shard_rows.iter().zip(next.as_slice()) {
-                    r[g as usize] = val;
-                }
-            }
-            rep
-        });
-        (swap_in(active, new_r), charge(device_reports, &report))
-    }
-
-    /// Charge a resident engine's batched readback of `retiring` final
-    /// iterates; returns its modeled time (0 when nothing retires).
-    fn read_back_scores(&self, retiring: usize, device_reports: &mut [RunReport]) -> f64 {
-        if retiring == 0 {
-            return 0.0;
-        }
-        let bytes = retiring * self.rows() * std::mem::size_of::<T>();
-        let rep = self.fleet.devices()[0].record_dtoh("serve_scores_d2h", bytes as u64);
-        device_reports[0] = device_reports[0].clone().then(&rep);
-        rep.time_s
-    }
-
-    /// Resolve the policy's dispatch for a wave of `k` queries.
-    fn choose_mode(&self, policy: DispatchPolicy, k: usize) -> DispatchMode {
-        if self.n_devices() <= 1 {
-            // One device: stealing degenerates to the same single-plan
-            // wave; keep the row-split path and build nothing extra.
-            return DispatchMode::RowSplit;
-        }
-        match policy {
-            DispatchPolicy::RowSplit => DispatchMode::RowSplit,
-            DispatchPolicy::QuerySplit => DispatchMode::QuerySplit,
-            DispatchPolicy::Auto => {
-                let cost = self.dispatch_cost();
-                if cost.query_split_s(k, &self.fleet) < cost.row_split_s(k) {
-                    DispatchMode::QuerySplit
-                } else {
-                    DispatchMode::RowSplit
-                }
-            }
-        }
-    }
-
-    /// The probe-calibrated [`DispatchCost`], built on the first
-    /// [`DispatchPolicy::Auto`] wave: row-split waves of widths 1 and 2
-    /// give that mode's intercept and slope, and whole-query runs of 1
-    /// and 2 queries on device 0's replicated plan give the per-device
-    /// query-split terms. Probe accounting goes to a scratch accumulator
-    /// (and probes run before any wave id is staged), so serving
-    /// reports, metrics, and wave correlation never see them.
-    fn dispatch_cost(&self) -> DispatchCost {
-        *self.dispatch_cost.get_or_init(|| {
-            let mut scratch = vec![RunReport::default(); self.n_devices()];
-            let (_, rs1) = self.wave(&mut self.probe_wave(1), &mut scratch);
-            let (_, rs2) = self.wave(&mut self.probe_wave(2), &mut scratch);
-            let probes = self.probe_wave(2);
-            let one: Vec<&Active<T>> = probes[..1].iter().collect();
-            let two: Vec<&Active<T>> = probes.iter().collect();
-            let qs1 = self.steal_on_device(0, &one).1.time_s;
-            let qs2 = self.steal_on_device(0, &two).1.time_s;
-            DispatchCost {
-                rs1,
-                rs_marg: (rs2 - rs1).max(0.0),
-                qs1,
-                qs_marg: (qs2 - qs1).max(0.0),
-            }
-        })
-    }
-
-    /// A synthetic wave of `k` fresh unit-seed queries, used only for
-    /// cost probing.
-    fn probe_wave(&self, k: usize) -> Vec<Active<T>> {
-        (0..k)
-            .map(|i| {
-                let seed = i % self.rows();
-                Active {
-                    q: Query {
-                        id: u64::MAX - i as u64,
-                        seed,
-                        restart_c: 0.85,
-                        arrival_s: 0.0,
-                        tenant: 0,
-                    },
-                    admitted_s: 0.0,
-                    iterations: 0,
-                    r: self.first_iterate(seed),
-                }
-            })
-            .collect()
-    }
-
-    /// Replicated whole-graph plans, one per fleet device, built on the
-    /// first query-split wave (a row-split-only engine never pays for
-    /// them).
-    fn full_plans(&self) -> &[SpmvPlan<T>] {
-        self.full_plans.get_or_init(|| {
-            self.fleet
-                .devices()
-                .iter()
-                .map(|dev| self.config.format.plan(dev, &self.operator).0)
-                .collect()
-        })
-    }
-
-    /// Run `mine` whole queries end to end on device `d`'s replicated
-    /// full-graph plan; returns their next iterates (parallel to `mine`)
-    /// and the device's kernel/transfer accounting.
-    fn steal_on_device(&self, d: usize, mine: &[&Active<T>]) -> (Vec<Vec<T>>, RunReport) {
-        let (dev, plan) = (&self.fleet.devices()[d], &self.full_plans()[d]);
-        let (nexts, rep) = rwr_step(dev, plan, mine, None);
-        (nexts.into_iter().map(DeviceBuffer::into_vec).collect(), rep)
-    }
-
-    /// Execute one wave by whole-query stealing: query `i` runs end to
-    /// end on device `i % d_active`'s replicated full-graph plan, so a
-    /// wave narrower than the fleet leaves the surplus devices untouched
-    /// instead of underfeeding all of them — and a single active device
-    /// closes with no hand-off at all. Per query the batched kernels
-    /// execute the exact single-vector float-op sequence (the batch- and
-    /// device-count-independence invariants), so the iterates are
-    /// bit-identical to a row-split wave's. Returns what [`Self::wave`]
-    /// returns.
-    fn wave_steal(
+    /// Execute one batched RWR iteration for `active`: every device
+    /// holding queries runs [`resident_step`] over them and reads back
+    /// the final scores of the ones that retire, and the wave closes
+    /// with the completion [`handoff`] (none when one device ran).
+    /// Returns each query's verdict (`None` rides on, `Some(converged)`
+    /// retires), the wave's modeled time (the last device finish or the
+    /// last hand-off, whichever lands later) and how many devices ran.
+    fn wave(
         &self,
         active: &mut [Active<T>],
         device_reports: &mut [RunReport],
-    ) -> (Vec<f64>, f64) {
-        let k = active.len();
-        let d_active = k.min(self.n_devices()).max(1);
-        let mut new_r: Vec<Vec<T>> = vec![Vec::new(); k];
-        let ran = (0..self.n_devices())
-            .map(|d| {
-                (d < d_active).then(|| {
-                    let idxs: Vec<usize> = (d..k).step_by(d_active).collect();
-                    let mine: Vec<&Active<T>> = idxs.iter().map(|&i| &active[i]).collect();
-                    let (outs, rep) = self.steal_on_device(d, &mine);
-                    for (out, &i) in outs.into_iter().zip(&idxs) {
-                        new_r[i] = out;
-                    }
-                    rep
-                })
-            })
-            .collect();
-        let report = self.fleet.finish(ran);
-        (swap_in(active, new_r), charge(device_reports, &report))
+    ) -> (Vec<Option<bool>>, f64, usize) {
+        let mut verdicts = vec![None; active.len()];
+        let mut finishes = vec![None; self.n_devices()];
+        for (d, (dev, plan)) in self.devices.iter().zip(&self.plans).enumerate() {
+            let (idx, mut mine): (Vec<usize>, Vec<&mut Active<T>>) = active
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, a)| a.device == d)
+                .unzip();
+            if mine.is_empty() {
+                continue;
+            }
+            let (dist2, step) = resident_step(dev, plan, &mut mine);
+            device_reports[d] = device_reports[d].clone().then(&step);
+            let mut retiring = 0;
+            for ((&i, a), d2) in idx.iter().zip(&mine).zip(dist2) {
+                let converged = d2.sqrt() < self.config.iter.epsilon;
+                if converged || a.iterations + 1 >= self.config.iter.max_iters {
+                    verdicts[i] = Some(converged);
+                    retiring += 1;
+                }
+            }
+            // The retiring queries' answers are still on this device:
+            // one batched readback, part of this wave.
+            let mut finish = step.time_s;
+            if retiring > 0 {
+                let bytes = retiring * self.rows * std::mem::size_of::<T>();
+                let rep = dev.record_dtoh("serve_scores_d2h", bytes as u64);
+                device_reports[d] = device_reports[d].clone().then(&rep);
+                finish += rep.time_s;
+            }
+            finishes[d] = Some(finish);
+        }
+        let last = finishes.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
+        let devices = finishes.iter().flatten().count();
+        (verdicts, last.max(handoff(&finishes).end_s()), devices)
     }
 
     /// Retire the queries whose `verdicts` entry is `Some(converged)`
@@ -855,48 +633,17 @@ impl<T: Scalar> ServeEngine<T> {
     }
 }
 
-/// One batched RWR iteration of `queries` on one device of a
-/// multi-device engine, the step both dispatch modes share: upload every
-/// iterate in full width, SpMM through `plan`, apply the restart update,
-/// and read back the plan's rows for the host to gather. `shard_rows`
-/// lists the global rows a shard plan computes, and a query restarts
-/// only on the shard that owns its seed row; `None` means `plan` covers
-/// the whole graph, so seeds stay global. Returns the next iterates over
-/// the plan's rows, parallel to `queries`.
-fn rwr_step<T: Scalar>(
-    dev: &Device,
-    plan: &SpmvPlan<T>,
-    queries: &[&Active<T>],
-    shard_rows: Option<&[u32]>,
-) -> (Vec<DeviceBuffer<T>>, RunReport) {
-    let k = queries.len();
-    let elt = std::mem::size_of::<T>();
-    let rep = dev.record_htod("serve_x_upload", (k * plan.cols() * elt) as u64);
-    let xs: Vec<_> = queries.iter().map(|a| a.r.clone()).collect();
-    let seeds: Vec<Option<usize>> = queries
-        .iter()
-        .map(|a| match shard_rows {
-            Some(rows) => rows.binary_search(&(a.q.seed as u32)).ok(),
-            None => Some(a.q.seed),
-        })
-        .collect();
-    let xr: Vec<_> = xs.iter().collect();
-    let (nexts, rep) = spmm_update(dev, plan, queries, &xr, &seeds, None, rep);
-    let readback = dev.record_dtoh("serve_y_readback", (k * plan.rows() * elt) as u64);
-    (nexts, rep.then(&readback))
-}
-
-/// One batched RWR iteration on a one-device engine, whose iterates stay
-/// on the device from admission to retirement: an init launch writes
-/// r⁰ = e_seed for the queries admitted this wave, the SpMM reads the
-/// resident iterates, the update also writes each query's convergence
-/// partials, and only those partials cross PCIe. Replaces each query's
-/// iterate with the next; returns each query's `‖next − r‖²`, summed on
-/// the host in ascending block order.
+/// One batched RWR iteration on one device, whose iterates stay on it
+/// from admission to retirement: an init launch writes r⁰ = e_seed for
+/// the queries admitted this wave, the SpMM reads the resident
+/// iterates, the update also writes each query's convergence partials,
+/// and only those partials cross PCIe. Replaces each query's iterate
+/// with the next; returns each query's `‖next − r‖²`, summed on the
+/// host in ascending block order.
 fn resident_step<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
-    active: &mut [Active<T>],
+    active: &mut [&mut Active<T>],
 ) -> (Vec<f64>, RunReport) {
     let (fresh_seeds, fresh): (Vec<usize>, Vec<&DeviceBuffer<T>>) = active
         .iter()
@@ -904,18 +651,36 @@ fn resident_step<T: Scalar>(
         .map(|a| (a.q.seed, &a.r))
         .unzip();
     let init = rwr_init_multi(dev, &fresh_seeds, &fresh);
-    let queries: Vec<&Active<T>> = active.iter().collect();
-    let xs: Vec<&DeviceBuffer<T>> = queries.iter().map(|a| &a.r).collect();
-    let seeds: Vec<Option<usize>> = queries.iter().map(|a| Some(a.q.seed)).collect();
-    let blocks = plan.rows().div_ceil(WARP);
-    let partials = dev.alloc_zeroed::<f64>(queries.len() * blocks);
+    let (k, n) = (active.len(), plan.rows());
+    let xs: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
+    let seeds: Vec<usize> = active.iter().map(|a| a.q.seed).collect();
+    let blocks = n.div_ceil(WARP);
+    let partials = dev.alloc_zeroed::<f64>(k * blocks);
     let conv = Convergence {
         prev: &xs,
         partials: &partials,
     };
-    let (nexts, rep) = spmm_update(dev, plan, &queries, &xs, &seeds, Some(&conv), init);
+    let c: Vec<T> = active.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
+    let restart: Vec<T> = active
+        .iter()
+        .map(|a| T::from_f64(1.0 - a.q.restart_c))
+        .collect();
+    let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(n)).collect();
+    let tr: Vec<_> = tmps.iter().collect();
+    let rep = init.then(&plan.spmv_multi(dev, &xs, &tr));
+    let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(n)).collect();
+    let nr: Vec<_> = nexts.iter().collect();
+    let rep = rep.then(&rwr_update_multi(
+        dev,
+        &tr,
+        &c,
+        &restart,
+        &seeds,
+        &nr,
+        Some(&conv),
+    ));
     let readback = dev.record_dtoh("serve_partials_d2h", partials.bytes());
-    let dist2 = (0..queries.len())
+    let dist2 = (0..k)
         .map(|v| sum_partials(&partials.as_slice()[v * blocks..(v + 1) * blocks]))
         .collect();
     for (a, next) in active.iter_mut().zip(nexts) {
@@ -924,63 +689,12 @@ fn resident_step<T: Scalar>(
     (dist2, rep.then(&readback))
 }
 
-/// SpMM the iterates `xs` through `plan` and apply each query's restart
-/// update (with the convergence output when `conv` is set): the device
-/// work both steps share, charged after `rep`. Returns the next iterates
-/// over the plan's rows and the extended report.
-fn spmm_update<T: Scalar>(
-    dev: &Device,
-    plan: &SpmvPlan<T>,
-    queries: &[&Active<T>],
-    xs: &[&DeviceBuffer<T>],
-    seeds: &[Option<usize>],
-    conv: Option<&Convergence<'_, T>>,
-    rep: RunReport,
-) -> (Vec<DeviceBuffer<T>>, RunReport) {
-    let (k, local_n) = (queries.len(), plan.rows());
-    let c: Vec<T> = queries.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-    let restart: Vec<T> = queries
-        .iter()
-        .map(|a| T::from_f64(1.0 - a.q.restart_c))
-        .collect();
-    let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-    let tr: Vec<_> = tmps.iter().collect();
-    let rep = rep.then(&plan.spmv_multi(dev, xs, &tr));
-    let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-    let nr: Vec<_> = nexts.iter().collect();
-    let rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, seeds, &nr, conv));
-    (nexts, rep)
-}
-
-/// Swap each query's gathered next iterate into place; returns each
-/// query's `‖next − r‖²`, from partials computed on the host with the
-/// resident update kernel's pairing and summation order.
-fn swap_in<T: Scalar>(active: &mut [Active<T>], new_r: Vec<Vec<T>>) -> Vec<f64> {
-    active
-        .iter_mut()
-        .zip(new_r)
-        .map(|(a, next)| {
-            let d2 = sum_partials(&convergence_partials(&next, a.r.as_slice()));
-            a.r = DeviceBuffer::new(next);
-            d2
-        })
-        .collect()
-}
-
-/// Fold one wave's per-device accounting into the run totals and
-/// return the wave's modeled time.
-fn charge(device_reports: &mut [RunReport], wave: &FleetReport) -> f64 {
-    for (total, rep) in device_reports.iter_mut().zip(&wave.per_device) {
-        *total = total.clone().then(rep);
-    }
-    wave.seconds()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graph_apps::rwr::rwr_cpu;
     use graphgen::{generate_power_law, PowerLawConfig};
+    use std::collections::BTreeSet;
 
     fn graph(rows: usize, seed: u64) -> CsrMatrix<f64> {
         generate_power_law(&PowerLawConfig {
@@ -1184,7 +898,6 @@ mod tests {
             makespan_s: 0.0,
             waves: 0,
             wave_widths: Vec::new(),
-            wave_modes: Vec::new(),
             device_reports: Vec::new(),
             nnz: 1000,
         };
@@ -1234,14 +947,30 @@ mod tests {
         ledger.reconcile().expect("serve trace must reconcile");
         let json = ledger.chrome_trace_json();
         assert!(json.contains("#0") && json.contains("#1"));
-        assert!(json.contains("serve_x_upload"));
     }
 
-    /// A two-device row-split wave ends when the slowest device or the
-    /// last scheduled hand-off does, whichever is later — the fleet's
+    /// Fresh queries with the given seeds, query `i` pinned to device
+    /// `devices[i]`: a wave to hand straight to [`ServeEngine::wave`].
+    fn pinned(engine: &ServeEngine<f64>, seeds: &[usize], devices: &[usize]) -> Vec<Active<f64>> {
+        seeds
+            .iter()
+            .zip(devices)
+            .enumerate()
+            .map(|(i, (&seed, &device))| Active {
+                q: query(i as u64, seed, 0.0),
+                admitted_s: 0.0,
+                iterations: 0,
+                device,
+                r: DeviceBuffer::zeroed(engine.rows()),
+            })
+            .collect()
+    }
+
+    /// A two-device wave ends when the slowest device or the last
+    /// scheduled hand-off does, whichever is later — the fleet's §VIII
     /// exchange, not a flat sync charged after the slowest device.
     #[test]
-    fn row_split_wave_closes_with_the_fleet_handoff() {
+    fn two_device_wave_closes_with_the_handoff() {
         let g = graph(500, 215);
         let engine = ServeEngine::new(
             &g,
@@ -1251,45 +980,30 @@ mod tests {
             },
         );
         let mut reports = vec![RunReport::default(); 2];
-        let (_, wave_s) = engine.wave(&mut engine.probe_wave(2), &mut reports);
+        // two queries on device 0 and one on device 1: unequal finishes
+        let mut wave = pinned(&engine, &[3, 17, 40], &[0, 0, 1]);
+        let (_, wave_s, devices) = engine.wave(&mut wave, &mut reports);
+        assert_eq!(devices, 2);
         let finishes: Vec<Option<f64>> = reports.iter().map(|r| Some(r.time_s)).collect();
         let slowest = reports.iter().fold(0.0f64, |a, r| a.max(r.time_s));
-        let handoff = engine.fleet.exchange(&finishes);
-        assert_eq!(handoff.transfers.len(), 2, "one hand-off per device");
-        assert!(handoff.transfers.iter().all(|t| t.dst == 2 && t.bytes == 0));
-        assert_eq!(wave_s, slowest.max(handoff.end_s()));
+        let exchange = handoff(&finishes);
+        assert_eq!(exchange.transfers.len(), 2, "one hand-off per device");
+        assert!(exchange
+            .transfers
+            .iter()
+            .all(|t| t.dst == 2 && t.bytes == 0));
+        assert_eq!(wave_s, slowest.max(exchange.end_s()));
         assert!(wave_s > slowest, "the last hand-off lands after compute");
-        assert_ne!(reports[0].time_s, reports[1].time_s);
+        assert!(reports[0].time_s > reports[1].time_s);
         assert!(
             wave_s < slowest + 20e-6,
             "an early finisher's hand-off hides under the slow device: {wave_s} vs {slowest}"
         );
     }
 
-    /// A stolen width-1 wave runs on one device, so nothing needs a
-    /// barrier: the wave costs exactly that device's time.
-    #[test]
-    fn stolen_single_query_wave_pays_no_handoff() {
-        let g = graph(300, 216);
-        let engine = ServeEngine::new(
-            &g,
-            ServeConfig {
-                n_devices: 4,
-                ..ServeConfig::default()
-            },
-        );
-        let mut reports = vec![RunReport::default(); 4];
-        let (_, wave_s) = engine.wave_steal(&mut engine.probe_wave(1), &mut reports);
-        assert!(reports[0].launches > 0);
-        assert_eq!(wave_s, reports[0].time_s);
-        assert!(reports[1..]
-            .iter()
-            .all(|r| r.launches == 0 && r.time_s == 0.0));
-    }
-
-    /// More devices than rows: five of eight shards are empty. Every
-    /// query still matches the CPU reference, and the empty shards
-    /// neither compute nor join the hand-off.
+    /// More devices than rows or queries: three simultaneous queries take
+    /// one device each and match the CPU reference, and the five idle
+    /// devices neither compute nor join the hand-off.
     #[test]
     fn more_devices_than_rows_answers_every_query() {
         let mut t = sparse_formats::TripletMatrix::<f64>::new(3, 3);
@@ -1319,19 +1033,21 @@ mod tests {
         let busy: Vec<usize> = (0..8)
             .filter(|&d| report.device_reports[d].launches > 0)
             .collect();
-        assert_eq!(busy.len(), 3, "only the three row owners compute");
-        // One wave, re-priced with hand-offs from the busy shards only,
+        assert_eq!(busy, vec![0, 1, 2], "one query per device, lowest first");
+        // One wave, re-priced with hand-offs from the busy devices only,
         // reproduces the engine's wave time exactly.
         let mut reports = vec![RunReport::default(); 8];
-        let (_, wave_s) = engine.wave(&mut engine.probe_wave(3), &mut reports);
+        let mut wave = pinned(&engine, &[0, 1, 2], &[0, 1, 2]);
+        let (_, wave_s, devices) = engine.wave(&mut wave, &mut reports);
+        assert_eq!(devices, 3);
         let finishes: Vec<Option<f64>> = reports
             .iter()
             .map(|r| (r.launches > 0).then_some(r.time_s))
             .collect();
-        let handoff = engine.fleet.exchange(&finishes);
-        assert_eq!(handoff.transfers.len(), 3);
+        let exchange = handoff(&finishes);
+        assert_eq!(exchange.transfers.len(), 3);
         let slowest = reports.iter().fold(0.0f64, |a, r| a.max(r.time_s));
-        assert_eq!(wave_s, slowest.max(handoff.end_s()));
+        assert_eq!(wave_s, slowest.max(exchange.end_s()));
     }
 
     #[test]
@@ -1440,211 +1156,167 @@ mod tests {
         assert_eq!(deadline_events, report.deadline_shed.len());
     }
 
+    /// On any number of devices every iterate stays on the device its
+    /// query is pinned to: no per-wave upload or readback, one partials
+    /// readback per wave from each device holding queries, and one
+    /// batched readback of the final iterates from each device that
+    /// retires queries in the wave, charged whether or not the engine
+    /// keeps scores.
     #[test]
-    fn query_split_matches_row_split_bitwise() {
-        // The dispatch mode changes *when* work runs and on which
-        // device, never *what* is computed: scores and iteration counts
-        // must be bit-identical between the two dispatches.
-        let g = graph(400, 211);
-        let run = |dispatch| {
-            let engine = ServeEngine::new(
-                &g,
-                ServeConfig {
-                    max_batch: 4,
-                    n_devices: 3,
-                    keep_scores: true,
-                    ..ServeConfig::default()
-                },
-            );
-            let queries: Vec<Query> = (0..6)
-                .map(|id| query(id, (id as usize * 29) % 400, 0.0))
-                .collect();
-            engine.serve_slo(
-                &queries,
-                &SloPolicy::closed_loop(4, 64).with_dispatch(dispatch),
-            )
-        };
-        let rs = run(DispatchPolicy::RowSplit);
-        let qs = run(DispatchPolicy::QuerySplit);
-        assert_eq!(rs.outcomes.len(), 6);
-        assert_eq!(qs.outcomes.len(), 6);
-        assert_eq!(rs.stolen_waves(), 0);
-        assert_eq!(qs.stolen_waves(), qs.waves, "every wave stolen");
-        assert!(qs.waves > 0);
-        for (a, b) in rs.outcomes.iter().zip(&qs.outcomes) {
-            assert_eq!(a.id, b.id, "retirement order must match");
-            assert_eq!(a.iterations, b.iterations, "query {}", a.id);
-            let sa = a.scores.as_ref().unwrap();
-            let sb = b.scores.as_ref().unwrap();
-            assert!(
-                sa.iter()
-                    .zip(sb)
-                    .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()),
-                "query {} scores must be bit-identical across dispatches",
-                a.id
-            );
-        }
-    }
-
-    #[test]
-    fn single_device_never_steals() {
-        let g = graph(200, 212);
-        let engine = ServeEngine::new(
-            &g,
-            ServeConfig {
-                max_batch: 2,
-                ..ServeConfig::default()
-            },
-        );
-        let queries: Vec<Query> = (0..4)
-            .map(|id| query(id, (id as usize * 7) % 200, 0.0))
-            .collect();
-        let report = engine.serve_slo(
-            &queries,
-            &SloPolicy::closed_loop(2, 64).with_dispatch(DispatchPolicy::QuerySplit),
-        );
-        assert_eq!(report.outcomes.len(), 4);
-        assert_eq!(report.stolen_waves(), 0, "one device: nothing to steal");
-        assert!(report
-            .wave_modes
-            .iter()
-            .all(|m| *m == DispatchMode::RowSplit));
-    }
-
-    #[test]
-    fn auto_dispatch_steals_narrow_waves_and_cuts_their_latency() {
-        let g = graph(500, 213);
-        let config = ServeConfig {
-            max_batch: 8,
-            n_devices: 4,
-            ..ServeConfig::default()
-        };
-        // Arrivals a full second apart against a microsecond-scale
-        // service time: every wave is width 1, the exact shape where
-        // row-splitting underfeeds all four devices and pays the sync.
-        let queries: Vec<Query> = (0..5)
-            .map(|id| query(id, (id as usize * 31) % 500, id as f64))
-            .collect();
-        let run = |dispatch| {
-            let engine = ServeEngine::new(&g, config.clone());
-            engine.serve_slo(
-                &queries,
-                &SloPolicy::open_loop(0.05, 8, 64).with_dispatch(dispatch),
-            )
-        };
-        let rs = run(DispatchPolicy::RowSplit);
-        let auto = run(DispatchPolicy::Auto);
-        assert!(rs.wave_widths.iter().all(|&w| w == 1));
-        assert!(auto.wave_widths.iter().all(|&w| w == 1));
-        assert_eq!(auto.outcomes.len(), rs.outcomes.len());
-        // Width-1 probes measure exactly the wave the run executes, so
-        // the model's choice is ground truth here: stealing must be
-        // picked, and picked because it is genuinely faster.
-        assert_eq!(auto.stolen_waves(), auto.waves, "narrow waves steal");
-        let lat = |r: &ServeReport<f64>| r.latency_stats().p99_s;
-        assert!(
-            lat(&auto) < lat(&rs),
-            "stolen narrow waves must cut latency: auto {} vs row-split {}",
-            lat(&auto),
-            lat(&rs)
-        );
-    }
-
-    #[test]
-    fn stolen_waves_reconcile_with_telemetry() {
-        let g = graph(300, 214);
-        let mut engine = ServeEngine::new(
-            &g,
-            ServeConfig {
-                max_batch: 2,
-                n_devices: 2,
-                ..ServeConfig::default()
-            },
-        );
-        let tel = Arc::new(acsr_telemetry::Telemetry::new());
-        engine.attach_telemetry(tel.clone());
-        let queries: Vec<Query> = (0..4)
-            .map(|id| query(id, (id as usize * 13) % 300, 0.0))
-            .collect();
-        // serve_slo panics internally if the scoped registry disagrees
-        // with the report (including the stolen-wave count).
-        let report = engine.serve_slo(
-            &queries,
-            &SloPolicy::closed_loop(2, 64).with_dispatch(DispatchPolicy::QuerySplit),
-        );
-        assert!(report.stolen_waves() > 0);
-        let snap = tel.metrics.snapshot();
-        assert_eq!(
-            snap.counter("serve.waves.stolen"),
-            Some(report.stolen_waves() as u64)
-        );
-    }
-
-    /// A one-device engine keeps every iterate on the device: no
-    /// per-wave upload or readback, one partials readback per wave, and
-    /// one batched readback of the final iterates, charged whether or not
-    /// the engine keeps scores. A two-device engine still gathers every
-    /// wave through the host.
-    #[test]
-    fn one_device_waves_move_only_partials_and_final_scores() {
+    fn waves_move_only_partials_and_final_scores() {
         let g = graph(400, 217);
-        let transfers = |ledger: &TraceLedger, name: &str| -> Vec<gpu_sim::Span> {
-            ledger
-                .spans()
-                .into_iter()
-                .filter(|s| s.kind == gpu_sim::SpanKind::Transfer && s.name == name)
-                .collect()
-        };
-        for keep_scores in [false, true] {
+        for (n_devices, keep_scores) in [(1, false), (1, true), (4, false)] {
             let mut engine = ServeEngine::new(
                 &g,
                 ServeConfig {
-                    max_batch: 4,
+                    max_batch: 8,
+                    n_devices,
                     keep_scores,
                     ..ServeConfig::default()
                 },
             );
             let ledger = engine.enable_tracing();
-            let report = engine.serve_generated(saturated(6), 6, 0.85, 29);
-            assert_eq!(report.outcomes.len(), 6);
-            ledger.reconcile().expect("resident trace must reconcile");
-            assert!(transfers(&ledger, "serve_x_upload").is_empty());
-            assert!(transfers(&ledger, "serve_y_readback").is_empty());
-            assert_eq!(
-                transfers(&ledger, "serve_partials_d2h").len(),
-                report.waves,
-                "one partials readback per wave"
-            );
-            let score_bytes: u64 = transfers(&ledger, "serve_scores_d2h")
+            let tel = Arc::new(acsr_telemetry::Telemetry::new());
+            engine.attach_telemetry(tel.clone());
+            let report = engine.serve_generated(saturated(10), 10, 0.85, 29);
+            let what = format!("{n_devices} devices, keep_scores {keep_scores}");
+            assert_eq!(report.outcomes.len(), 10, "{what}");
+            ledger.reconcile().expect("serve trace must reconcile");
+            let spans = ledger.spans();
+            let transfers = |name: &'static str| {
+                spans
+                    .iter()
+                    .filter(move |s| s.kind == gpu_sim::SpanKind::Transfer && s.name == name)
+            };
+            assert_eq!(transfers("serve_x_upload").count(), 0, "{what}");
+            assert_eq!(transfers("serve_y_readback").count(), 0, "{what}");
+            let score_bytes = (engine.rows() * std::mem::size_of::<f64>()) as u64;
+            let waves = tel.requests.waves();
+            assert_eq!(waves.len(), report.waves);
+            for w in &waves {
+                let in_wave = |name| transfers(name).filter(|s| s.wave == Some(w.wave));
+                // one partials readback per device holding queries
+                let partials: Vec<&str> = in_wave("serve_partials_d2h")
+                    .map(|s| s.device.as_str())
+                    .collect();
+                let holding: BTreeSet<&str> = partials.iter().copied().collect();
+                assert_eq!((partials.len(), holding.len()), (w.devices, w.devices));
+                // at most one scores readback per device, only where
+                // queries retire, carrying exactly the retired answers
+                let scores: Vec<(&str, u64)> = in_wave("serve_scores_d2h")
+                    .map(|s| (s.device.as_str(), s.counters.dtoh_bytes))
+                    .collect();
+                let scored: BTreeSet<&str> = scores.iter().map(|&(d, _)| d).collect();
+                assert_eq!(scored.len(), scores.len(), "{what}");
+                assert!(scored.is_subset(&holding), "{what}");
+                assert!(scores.iter().all(|&(_, b)| b > 0 && b % score_bytes == 0));
+                let retired = report
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.completed_s == w.t_start_s + w.dur_s)
+                    .count() as u64;
+                let bytes: u64 = scores.iter().map(|&(_, b)| b).sum();
+                assert_eq!(bytes, retired * score_bytes, "{what}: wave {}", w.wave);
+            }
+            assert!(report
+                .device_reports
                 .iter()
-                .map(|s| s.counters.dtoh_bytes)
-                .sum();
-            let elt = std::mem::size_of::<f64>();
+                .all(|r| r.counters.htod_bytes == 0));
+            let widest = waves.iter().map(|w| w.devices).max();
             assert_eq!(
-                score_bytes,
-                (report.outcomes.len() * engine.rows() * elt) as u64
+                widest,
+                Some(n_devices),
+                "{what}: a full wave uses every device"
             );
-            assert_eq!(report.device_reports[0].counters.htod_bytes, 0);
         }
+    }
 
+    /// Four simultaneous queries on four devices take one device each,
+    /// and each wave record counts the devices that held a query: 4 for
+    /// that wave, 1 for a query that later arrives alone.
+    #[test]
+    fn simultaneous_queries_take_one_device_each() {
+        let g = graph(300, 220);
         let mut engine = ServeEngine::new(
             &g,
             ServeConfig {
-                max_batch: 4,
-                n_devices: 2,
+                max_batch: 8,
+                n_devices: 4,
                 ..ServeConfig::default()
             },
         );
         let ledger = engine.enable_tracing();
-        let report = engine.serve_generated(saturated(6), 6, 0.85, 29);
-        ledger.reconcile().expect("two-device trace must reconcile");
-        assert_eq!(transfers(&ledger, "serve_x_upload").len(), 2 * report.waves);
+        let tel = Arc::new(acsr_telemetry::Telemetry::new());
+        engine.attach_telemetry(tel.clone());
+        let mut queries: Vec<Query> = (0..4)
+            .map(|id| query(id, (id as usize * 37 + 5) % 300, 0.0))
+            .collect();
+        queries.push(query(4, 11, 1.0));
+        let report = engine.serve(&queries);
+        assert_eq!(report.outcomes.len(), 5);
+        let waves = tel.requests.waves();
+        assert_eq!((waves[0].width, waves[0].devices), (4, 4));
+        let last = waves.last().unwrap();
+        assert_eq!((last.width, last.devices), (1, 1));
+        // Every device's first partials readback carries one query's
+        // blocks: one query per device.
+        let one_query = (300usize.div_ceil(WARP) * std::mem::size_of::<f64>()) as u64;
+        let first: Vec<(String, u64)> = ledger
+            .spans()
+            .into_iter()
+            .filter(|s| s.wave == Some(waves[0].wave) && s.name == "serve_partials_d2h")
+            .map(|s| (s.device, s.counters.dtoh_bytes))
+            .collect();
+        assert_eq!(first.len(), 4);
         assert_eq!(
-            transfers(&ledger, "serve_y_readback").len(),
-            2 * report.waves
+            first.iter().map(|(d, _)| d).collect::<BTreeSet<_>>().len(),
+            4
         );
-        assert!(transfers(&ledger, "serve_partials_d2h").is_empty());
-        assert!(transfers(&ledger, "serve_scores_d2h").is_empty());
+        assert!(first.iter().all(|&(_, bytes)| bytes == one_query));
+    }
+
+    /// Sparse arrivals pin every query to device 0 of a four-device
+    /// engine, which then runs exactly the one-device engine's width-1
+    /// waves: latencies, scores, wave records and device time match bit
+    /// for bit, and no wave pays a hand-off.
+    #[test]
+    fn width_one_trace_on_four_devices_matches_one_device_bitwise() {
+        let g = graph(500, 213);
+        let queries: Vec<Query> = (0..5)
+            .map(|id| query(id, (id as usize * 31) % 500, id as f64))
+            .collect();
+        let run = |n_devices| {
+            let mut engine = ServeEngine::new(
+                &g,
+                ServeConfig {
+                    max_batch: 8,
+                    n_devices,
+                    keep_scores: true,
+                    ..ServeConfig::default()
+                },
+            );
+            let tel = Arc::new(acsr_telemetry::Telemetry::new());
+            engine.attach_telemetry(tel.clone());
+            let report = engine.serve_slo(&queries, &SloPolicy::open_loop(0.05, 8, 64));
+            (report, tel.requests.waves())
+        };
+        let (one, one_waves) = run(1);
+        let (four, four_waves) = run(4);
+        assert!(four.wave_widths.iter().all(|&w| w == 1));
+        assert_eq!(four_waves, one_waves);
+        assert_eq!(four.makespan_s.to_bits(), one.makespan_s.to_bits());
+        assert_eq!(four.outcomes.len(), 5);
+        for (a, b) in one.outcomes.iter().zip(&four.outcomes) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.iterations, b.iterations);
+            assert_eq!(a.admitted_s.to_bits(), b.admitted_s.to_bits());
+            assert_eq!(a.completed_s.to_bits(), b.completed_s.to_bits());
+            assert_eq!(a.scores, b.scores, "query {}", a.id);
+        }
+        let (d0, d0_four) = (&one.device_reports[0], &four.device_reports[0]);
+        assert_eq!(d0.time_s.to_bits(), d0_four.time_s.to_bits());
+        assert_eq!(d0.launches, d0_four.launches);
+        assert!(four.device_reports[1..].iter().all(|r| r.launches == 0));
     }
 
     /// The resident wave charges the retirement readback to the wave

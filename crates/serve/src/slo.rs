@@ -59,29 +59,6 @@ impl BatchPolicy {
     }
 }
 
-/// How a wave's work is spread across the engine's devices.
-///
-/// Row-split runs every query on every device over that device's row
-/// shard — the right shape for wide waves, where the batched SpMM
-/// amortizes row-structure reads. But a *small* wave (fewer queries
-/// than devices, or narrow enough that per-device work no longer covers
-/// launch floors) leaves devices nearly idle; those devices can instead
-/// *steal whole queries*: each device holds a replicated full-graph
-/// plan and runs its stolen queries end to end, trading per-query
-/// parallelism for query parallelism; the devices it idles send no
-/// completion hand-off, and a wave on one device needs none at all.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Always split rows across all devices (the PR 3 behavior).
-    #[default]
-    RowSplit,
-    /// Always assign whole queries round-robin to replicated devices.
-    QuerySplit,
-    /// Per wave, pick whichever of the two a probe-calibrated linear
-    /// cost model predicts is faster for the wave's width.
-    Auto,
-}
-
 /// Open-loop serving policy: how arrivals are admitted, shed, and
 /// batched, and the latency target attainment is reported against.
 #[derive(Clone, Debug)]
@@ -99,8 +76,6 @@ pub struct SloPolicy {
     /// The headline p99 latency target attainment curves are reported
     /// against, seconds.
     pub p99_target_s: f64,
-    /// Per-wave device dispatch (row-split vs whole-query stealing).
-    pub dispatch: DispatchPolicy,
 }
 
 impl SloPolicy {
@@ -117,14 +92,7 @@ impl SloPolicy {
             tenants: TenantTable::single(p99_target_s),
             deadline_shed: true,
             p99_target_s,
-            dispatch: DispatchPolicy::RowSplit,
         }
-    }
-
-    /// The same policy with a different per-wave dispatch.
-    pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> SloPolicy {
-        self.dispatch = dispatch;
-        self
     }
 
     /// The closed-loop scheduler expressed as a policy: fixed waves, no
@@ -137,7 +105,6 @@ impl SloPolicy {
             tenants: TenantTable::single(f64::INFINITY),
             deadline_shed: false,
             p99_target_s: f64::INFINITY,
-            dispatch: DispatchPolicy::RowSplit,
         }
     }
 }
@@ -172,13 +139,9 @@ mod tests {
         assert!(open.deadline_shed);
         assert_eq!(open.batch, BatchPolicy::Adaptive { min: 1, max: 32 });
         assert_eq!(open.tenants.spec(0).slo_s, 0.25);
-        assert_eq!(open.dispatch, DispatchPolicy::RowSplit);
         let closed = SloPolicy::closed_loop(16, 64);
         assert!(!closed.deadline_shed);
         assert_eq!(closed.batch, BatchPolicy::Fixed(16));
         assert_eq!(closed.tenants.spec(7).slo_s, f64::INFINITY);
-        assert_eq!(closed.dispatch, DispatchPolicy::RowSplit);
-        let stealing = SloPolicy::open_loop(0.25, 32, 128).with_dispatch(DispatchPolicy::Auto);
-        assert_eq!(stealing.dispatch, DispatchPolicy::Auto);
     }
 }

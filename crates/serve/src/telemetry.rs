@@ -9,7 +9,9 @@
 //! shared telemetry, so `repro metrics serve` snapshots can never drift
 //! from the report the run already ships. A mismatch is a panic, not a
 //! warning: the registry is an accounting mirror of the scheduler, and
-//! disagreement means one of them miscounted.
+//! disagreement means one of them miscounted. Each wave's
+//! [`WaveRecord`] names its queries and counts the devices that held
+//! one of them.
 
 use crate::query::Query;
 use crate::scheduler::ServeReport;
@@ -107,16 +109,9 @@ impl ServeScope {
             .unwrap_or_else(|| self.tel.next_wave_id())
     }
 
-    /// One executed wave. `stolen` marks a wave dispatched by
-    /// whole-query stealing ([`crate::DispatchMode::QuerySplit`]); the
-    /// `serve.waves.stolen` counter only materializes when a steal
-    /// actually happens, so row-split-only runs snapshot identically to
-    /// before the dispatch policy existed.
-    pub(crate) fn on_wave(&mut self, record: WaveRecord, stolen: bool) {
+    /// One executed wave.
+    pub(crate) fn on_wave(&mut self, record: WaveRecord) {
         self.metrics.add("serve.waves", 1);
-        if stolen {
-            self.metrics.add("serve.waves.stolen", 1);
-        }
         self.metrics.add("serve.iterations", record.width as u64);
         self.metrics
             .observe("serve.wave_width", record.width as f64);
@@ -231,11 +226,6 @@ pub fn reconcile_serve<T>(
         report.deadline_shed.len() as u64,
     )?;
     check("serve.waves", counter("serve.waves"), report.waves as u64)?;
-    check(
-        "serve.waves.stolen",
-        counter("serve.waves.stolen"),
-        report.stolen_waves() as u64,
-    )?;
     check("serve.iterations", counter("serve.iterations"), iterations)?;
     let widths: u64 = report.wave_widths.iter().map(|&w| w as u64).sum();
     check(

@@ -3,8 +3,8 @@
 //! shed decisions pinned bit-identical across host worker widths.
 
 use acsr_serve::{
-    ArrivalPattern, BatchPolicy, DispatchPolicy, Query, ServeConfig, ServeEngine, ServeReport,
-    SloPolicy, TenantSpec, TenantTable,
+    ArrivalPattern, BatchPolicy, Query, ServeConfig, ServeEngine, ServeReport, SloPolicy,
+    TenantSpec, TenantTable,
 };
 use gpu_sim::set_sim_threads;
 use graphgen::{generate_power_law, PowerLawConfig};
@@ -239,7 +239,6 @@ fn priority_tenants_are_admitted_before_bulk() {
         ]),
         deadline_shed: false,
         p99_target_s: f64::INFINITY,
-        dispatch: DispatchPolicy::RowSplit,
     };
     // 10 simultaneous arrivals, alternating bulk (tenant 0, even ids)
     // and interactive (tenant 1, odd ids)

@@ -10,8 +10,7 @@
 //! `set_sim_threads` is process-global.
 
 use acsr_serve::{
-    BatchPolicy, DispatchPolicy, Query, ServeConfig, ServeEngine, SloPolicy, TenantSpec,
-    TenantTable,
+    BatchPolicy, Query, ServeConfig, ServeEngine, SloPolicy, TenantSpec, TenantTable,
 };
 use acsr_telemetry::{RequestEvent, ShedKind, Telemetry};
 use gpu_sim::set_sim_threads;
@@ -71,7 +70,6 @@ fn policy() -> SloPolicy {
         ]),
         deadline_shed: true,
         p99_target_s: 0.05,
-        dispatch: DispatchPolicy::RowSplit,
     }
 }
 

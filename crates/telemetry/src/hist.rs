@@ -7,8 +7,8 @@
 //! buckets on every platform and worker width. Four sub-buckets per
 //! octave bound the quantile's relative overestimate at 25%
 //! ([`LogHistogram::quantile`] returns the containing bucket's upper
-//! edge, so `exact ≤ quantile ≤ 1.25 × exact` for positive samples —
-//! pinned by a regression test).
+//! edge, clamped to the largest sample, so `exact ≤ quantile ≤ 1.25 ×
+//! exact` for positive samples — pinned by a regression test).
 
 use std::collections::BTreeMap;
 
@@ -132,9 +132,10 @@ impl LogHistogram {
     }
 
     /// Nearest-rank quantile over the buckets: the upper edge of the
-    /// bucket holding the rank-`⌈p·n⌉` sample. Empty histograms report
-    /// 0.0. For positive samples the result overestimates the exact
-    /// nearest-rank value by at most 25% (see module docs).
+    /// bucket holding the rank-`⌈p·n⌉` sample, clamped to the largest
+    /// sample so the estimate never leaves the data. Empty histograms
+    /// report 0.0. For positive samples the result overestimates the
+    /// exact nearest-rank value by at most 25% (see module docs).
     pub fn quantile(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -144,7 +145,7 @@ impl LogHistogram {
         for (&k, &c) in &self.buckets {
             cum += c;
             if cum >= rank {
-                return bucket_upper(k);
+                return bucket_upper(k).min(self.max);
             }
         }
         self.max()
@@ -205,6 +206,39 @@ mod tests {
         }
         assert_eq!(nearest_rank(&[2.5e-3], 0.5), 2.5e-3);
         assert_eq!(nearest_rank(&[2.5e-3], 0.99), 2.5e-3);
+    }
+
+    /// The bucket edge never escapes the data: constant samples report
+    /// the sample itself, and no quantile exceeds the largest sample.
+    #[test]
+    fn quantiles_never_exceed_the_largest_sample() {
+        let mut constant = LogHistogram::new();
+        for _ in 0..7 {
+            constant.observe(2.0);
+        }
+        for p in [0.5, 0.95, 0.99] {
+            assert_eq!(constant.quantile(p), 2.0, "p={p}");
+        }
+        // Queue depths 0..=94 (94 sits in the [80, 96) bucket) and
+        // latencies whose largest sample is below its bucket's edge.
+        for samples in [
+            (0..=94).map(f64::from).collect::<Vec<_>>(),
+            vec![1.2e-3, 2.9e-3, 3.32e-2, 1.7e-2],
+        ] {
+            let mut h = LogHistogram::new();
+            for &s in &samples {
+                h.observe(s);
+            }
+            for p in [0.5, 0.95, 0.99] {
+                assert!(
+                    h.quantile(p) <= h.max(),
+                    "p={p}: {} > {}",
+                    h.quantile(p),
+                    h.max()
+                );
+            }
+            assert_eq!(h.quantile(0.99), h.max());
+        }
     }
 
     #[test]

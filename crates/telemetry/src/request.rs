@@ -87,7 +87,8 @@ pub struct WaveRecord {
     pub dur_s: f64,
     /// Batch width (queries riding the wave).
     pub width: usize,
-    /// Devices that executed a shard of the wave.
+    /// Devices that held a query of the wave (each runs the queries
+    /// pinned to it).
     pub devices: usize,
     /// Ids of the riding queries, in batch-slot order.
     pub queries: Vec<u64>,
