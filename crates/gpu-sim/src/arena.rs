@@ -8,9 +8,11 @@
 //! arrays on first touch, and growing fresh pending-child vectors for
 //! every wave. A [`LaunchArena`] owns all of that storage once;
 //! [`LaunchArena::reset`] restores the *logical* fresh-launch state
-//! (zeroed counters, flushed caches, empty queues) without touching any
-//! allocation, which is exactly what makes reuse invisible to the
-//! model: a reset arena is observationally identical to a new one.
+//! (zeroed counters, flushed caches) without touching any allocation,
+//! which is exactly what makes reuse invisible to the model: a reset
+//! arena is observationally identical to a new one. The pending queues
+//! and the wave buffer come back empty from every launch, and the
+//! wave's SM list is rebuilt for every wave.
 //!
 //! ## Pending-child lifetimes
 //!
@@ -18,29 +20,26 @@
 //! that queued it, so a pooled vector cannot simply be stored across
 //! launches with its old `'k`. The arena stores the *empty* vectors
 //! retagged to `'static` ([`LaunchArena::take_pending`] /
-//! [`LaunchArena::restore_pending`]): since an empty `Vec` contains no
-//! values of either lifetime and `Vec`'s layout does not depend on its
-//! element's lifetime parameters, the transmute only relabels the
-//! allocation. Every restore path clears the vector first, so no
-//! `PendingChild` ever outlives its launch.
+//! [`LaunchArena::restore_pending`], and likewise the wave buffer):
+//! since an empty `Vec` contains no values of either lifetime and
+//! `Vec`'s layout does not depend on its element's lifetime parameters,
+//! the transmute only relabels the allocation. Every restore path clears
+//! the vector first, so no `PendingChild` ever outlives its launch.
 
 use crate::engine::{PendingChild, ShardState};
-use crate::event::{CompId, EventQueue};
 
-/// Reusable state for one in-flight launch: shards plus the scheduler's
+/// Reusable state for one in-flight launch: shards plus the wave loop's
 /// scratch storage. Held by [`crate::engine::RunState`] while a launch
 /// runs; pooled on the device between launches.
 pub(crate) struct LaunchArena {
     /// One shard per SM, in SM order.
     pub(crate) shards: Vec<ShardState>,
-    /// Event queue driving the launch's wave scheduler.
-    pub(crate) queue: EventQueue,
-    /// Frontier scratch for [`EventQueue::pop_frontier`].
-    pub(crate) frontier: Vec<CompId>,
+    /// The SMs the current wave runs on, ascending.
+    pub(crate) active: Vec<usize>,
     /// Pooled per-SM pending-child vectors (always empty between takes).
     pending: Vec<Vec<PendingChild<'static>>>,
-    /// Pooled wave buffers (always empty between takes).
-    waves: Vec<Vec<PendingChild<'static>>>,
+    /// Pooled wave buffer (always empty between takes).
+    wave: Vec<PendingChild<'static>>,
 }
 
 impl LaunchArena {
@@ -49,10 +48,9 @@ impl LaunchArena {
             shards: (0..sm_count)
                 .map(|s| ShardState::new(s, sm_count))
                 .collect(),
-            queue: EventQueue::new(),
-            frontier: Vec::new(),
+            active: Vec::new(),
             pending: Vec::new(),
-            waves: Vec::new(),
+            wave: Vec::new(),
         }
     }
 
@@ -62,8 +60,6 @@ impl LaunchArena {
         for shard in &mut self.shards {
             shard.reset();
         }
-        self.queue.clear();
-        self.frontier.clear();
     }
 
     /// Take one empty pending-child vector per SM for a launch with
@@ -93,21 +89,20 @@ impl LaunchArena {
         };
     }
 
-    /// Take one empty wave buffer, reusing pooled capacity.
+    /// Take the empty wave buffer, reusing pooled capacity.
     pub(crate) fn take_wave<'k>(&mut self) -> Vec<PendingChild<'k>> {
-        let v = self.waves.pop().unwrap_or_default();
+        let v = std::mem::take(&mut self.wave);
         debug_assert!(v.is_empty());
         // SAFETY: the vec is empty — see `take_pending`.
         unsafe { std::mem::transmute::<Vec<PendingChild<'static>>, Vec<PendingChild<'k>>>(v) }
     }
 
-    /// Return a wave buffer taken by [`LaunchArena::take_wave`],
+    /// Return the wave buffer taken by [`LaunchArena::take_wave`],
     /// clearing it first.
     pub(crate) fn restore_wave<'k>(&mut self, mut v: Vec<PendingChild<'k>>) {
         v.clear();
         // SAFETY: just cleared — see `take_pending`.
-        self.waves.push(unsafe {
-            std::mem::transmute::<Vec<PendingChild<'k>>, Vec<PendingChild<'static>>>(v)
-        });
+        self.wave =
+            unsafe { std::mem::transmute::<Vec<PendingChild<'k>>, Vec<PendingChild<'static>>>(v) };
     }
 }

@@ -20,7 +20,7 @@
 //!   hardware launch units, plus a stall penalty beyond the pending-launch
 //!   limit (`cudaLimitDevRuntimePendingLaunchCount`, §III-B).
 //!
-//! ## Discrete-event sharded host execution
+//! ## Sharded host execution in waves
 //!
 //! Execution is *always* partitioned into one shard per SM: shard `s`
 //! runs exactly the blocks the round-robin scheduler places on SM `s`,
@@ -33,42 +33,32 @@
 //! SM-ordered merge in `assemble_report` produces a bit-identical
 //! [`RunReport`].
 //!
-//! The launch scheduler is discrete-event (see [`crate::event`]): each
-//! SM is a [`crate::event::Component`] (`SmComponent`) with its own
-//! shard and pending-child queue, driven off a min-heap event queue on
-//! a shared `u64` cycle clock. A launch schedules wave 0 — the parent
-//! grid — at cycle 0 for every SM that owns at least one block; ticking
-//! a frontier executes those SMs' block slices (on up to
-//! [`effective_workers`] host workers), and the children they queue are
-//! merged in SM order into the next wave, scheduled after the frontier's
-//! longest issue-slot tick. The device itself keeps a persistent cycle
-//! timeline whose PCIe copy engine is another component
-//! ([`crate::event::PcieLink`]); kernel launches and transfers advance
-//! it. Per-launch state (shards, queues, wave buffers) lives in a pooled
-//! `LaunchArena` reused across launches, so the hot loop allocates
-//! nothing.
-//!
-//! Dynamic child grids are *queued* at launch and executed as follow-on
-//! waves after the parent grid's blocks drain: the per-shard queues are
-//! merged in SM order (deterministic at any worker count and any
-//! event-queue tie-break order) and each child block then runs on the
-//! shard of the SM it is attributed to, `(block + seq) % SMs`. Because
-//! blocks attributed to SM `s` always execute on shard `s` — for
-//! top-level grids and child grids alike — shard `s`'s texture cache
-//! sees exactly the access stream SM `s`'s cache sees in a fully
-//! sequential walk, so child grids reuse the lines earlier kernels of
-//! the same launch group already pulled.
+//! A launch runs as a plain sequence of waves. Wave 0 is the parent
+//! grid, on every SM that owns at least one of its blocks; each wave
+//! runs its SMs' slices in ascending SM order on up to
+//! [`effective_workers`] host workers. Dynamic child grids are *queued*
+//! at launch: once a wave drains, the per-shard queues are merged in SM
+//! order (deterministic at any worker count) into the next wave, and the
+//! launch ends when a wave queues nothing or no SM owns a block of it.
+//! Each child block runs on the shard of the SM it is attributed to,
+//! `(block + seq) % SMs`. Because blocks attributed to SM `s` always
+//! execute on shard `s` — for top-level grids and child grids alike —
+//! shard `s`'s texture cache sees exactly the access stream SM `s`'s
+//! cache sees in a fully sequential walk, so child grids reuse the lines
+//! earlier kernels of the same launch group already pulled. Per-launch
+//! state (shards, pending-child queues, the wave and its SM list) lives
+//! in a pooled `LaunchArena` reused across launches, so the hot loop
+//! allocates nothing.
 
 use crate::arena::LaunchArena;
 use crate::buffer::{DevCopy, DeviceBuffer};
 use crate::cache::SetAssocCache;
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, RunReport, TimeBreakdown};
-use crate::event::{CompId, Component, EventQueue, PcieLink};
 use crate::trace::{self, ChildRec, StreamRec, TraceLedger};
 use crate::warp::{WarpCtx, WARP};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Kernel body: called once per thread block. Kernels must be `Fn + Sync`
@@ -246,7 +236,7 @@ impl ShardState {
 
 /// Mutable state of one in-flight launch (shared with child grids):
 /// a pooled arena holding one `ShardState` per SM, in SM order, plus
-/// the event scheduler's storage.
+/// the wave loop's storage.
 pub struct RunState<'d> {
     pub(crate) cfg: &'d DeviceConfig,
     pub(crate) arena: LaunchArena,
@@ -325,21 +315,21 @@ impl<'r, 'd, 'k> BlockCtx<'r, 'd, 'k> {
     }
 }
 
-/// Execute the blocks of one shard: every block the round-robin scheduler
-/// maps to `shard.home_sm`, in ascending block order. Child launches land
-/// in `pending` for the follow-on wave.
-fn run_shard<'k>(
+/// Execute the blocks of one grid that the round-robin scheduler places
+/// on `shard.home_sm` — block `b` lands on SM `(b + offset) % SMs` — in
+/// ascending block order. Child launches land in `pending` for the next
+/// wave.
+fn run_blocks<'k>(
     cfg: &DeviceConfig,
     shard: &mut ShardState,
     pending: &mut Vec<PendingChild<'k>>,
     grid_blocks: usize,
     block_dim: usize,
-    sm_offset: usize,
-    kernel: KernelFn<'k>,
+    offset: usize,
+    kernel: &(dyn for<'r, 'c> Fn(&mut BlockCtx<'r, 'c, 'k>) + Sync),
 ) {
     let sms = cfg.sm_count;
-    // Smallest b with (b + sm_offset) % sms == home_sm.
-    let mut b = (shard.home_sm + sms - sm_offset % sms) % sms;
+    let mut b = first_block(shard.home_sm, offset, sms);
     while b < grid_blocks {
         shard.counters.blocks += 1;
         let home = shard.home_sm;
@@ -358,33 +348,26 @@ fn run_shard<'k>(
 
 /// Execute one shard's slice of a child wave: for every queued child
 /// grid, in wave order, the blocks attributed to `shard.home_sm`
-/// (`(block + seq) % SMs == home_sm`) in ascending block order.
-/// Grandchild launches land in `next`.
-fn run_wave_shard<'k>(
+/// (`(block + seq) % SMs == home_sm`). Grandchild launches land in
+/// `pending`.
+fn run_children<'k>(
     cfg: &DeviceConfig,
     shard: &mut ShardState,
     wave: &[PendingChild<'k>],
-    next: &mut Vec<PendingChild<'k>>,
+    pending: &mut Vec<PendingChild<'k>>,
     trace: bool,
 ) {
-    let sms = cfg.sm_count;
     for child in wave {
         let before = if trace { Some(shard.counters) } else { None };
-        let mut b = (shard.home_sm + sms - child.seq % sms) % sms;
-        while b < child.grid_blocks {
-            shard.counters.blocks += 1;
-            let home = shard.home_sm;
-            let mut blk = BlockCtx {
-                shard: &mut *shard,
-                pending: &mut *next,
-                cfg,
-                block_idx: b,
-                block_dim: child.block_dim,
-                sm: home,
-            };
-            (child.kernel)(&mut blk);
-            b += sms;
-        }
+        run_blocks(
+            cfg,
+            shard,
+            pending,
+            child.grid_blocks,
+            child.block_dim,
+            child.seq,
+            &*child.kernel,
+        );
         if let Some(before) = before {
             let delta = shard.counters.delta_from(&before);
             // Only record slices that actually ran blocks here; the
@@ -410,123 +393,44 @@ fn first_block(home_sm: usize, offset: usize, sms: usize) -> usize {
     (home_sm + sms - offset % sms) % sms
 }
 
-/// Work assigned to the SM components for one event frontier.
-enum SmWork<'w, 'k> {
-    /// Wave 0: the parent grid itself.
-    Grid {
-        grid_blocks: usize,
-        block_dim: usize,
-        sm_offset: usize,
-        kernel: KernelFn<'k>,
-    },
-    /// A follow-on wave of queued child grids.
-    Children(&'w [PendingChild<'k>]),
-}
-
-/// Read-only tick context shared by every SM component of one frontier.
-struct SmCtx<'w, 'k> {
-    cfg: &'w DeviceConfig,
-    trace: bool,
-    work: &'w SmWork<'w, 'k>,
-}
-
-impl<'w, 'k> Clone for SmCtx<'w, 'k> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'w, 'k> Copy for SmCtx<'w, 'k> {}
-
-/// One SM as a discrete-event component: its shard plus the child-grid
-/// queue it feeds. Ticking it executes the SM's slice of the frontier's
-/// work (the parent grid or a child wave); the returned duration is the
-/// issue slots the slice consumed, which places the next wave on the
-/// cycle clock.
-struct SmComponent<'r, 'k> {
-    shard: &'r mut ShardState,
-    /// Child grids this SM queued for the next wave.
-    pending: Vec<PendingChild<'k>>,
-    /// Cycle this component is scheduled to tick at (`None` = idle).
-    wake: Option<u64>,
-}
-
-impl<'r, 'k> Component for SmComponent<'r, 'k> {
-    type Ctx<'w>
-        = SmCtx<'w, 'k>
-    where
-        Self: 'w;
-
-    fn next_tick(&self) -> Option<u64> {
-        self.wake
-    }
-
-    fn tick<'w>(&'w mut self, _now: u64, ctx: SmCtx<'w, 'k>) -> u64 {
-        self.wake = None;
-        let before = self.shard.counters.warp_instructions;
-        match ctx.work {
-            SmWork::Grid {
-                grid_blocks,
-                block_dim,
-                sm_offset,
-                kernel,
-            } => run_shard(
-                ctx.cfg,
-                self.shard,
-                &mut self.pending,
-                *grid_blocks,
-                *block_dim,
-                *sm_offset,
-                *kernel,
-            ),
-            SmWork::Children(wave) => {
-                run_wave_shard(ctx.cfg, self.shard, wave, &mut self.pending, ctx.trace)
-            }
-        }
-        self.shard.counters.warp_instructions - before
-    }
-}
-
-/// Tick every frontier component, on up to `width` host workers, and
-/// return the longest tick duration. Shards are independent, so the
-/// result is identical at any width and any frontier order.
-fn tick_frontier<'r, 'k>(
-    comps: &mut [SmComponent<'r, 'k>],
-    frontier: &[CompId],
+/// Run one wave: every SM in `active` runs `slice` on its own shard and
+/// pending-child queue, on up to `width` host workers (in ascending SM
+/// order when `width` is 1). Shards are independent, so the result is
+/// identical at any width.
+fn run_wave<'k>(
+    shards: &mut [ShardState],
+    pending: &mut [Vec<PendingChild<'k>>],
+    active: &[usize],
     width: usize,
-    now: u64,
-    ctx: SmCtx<'_, 'k>,
-) -> u64 {
-    if width <= 1 || frontier.len() <= 1 {
-        let mut dur = 0u64;
-        for &id in frontier {
-            dur = dur.max(comps[id as usize].tick(now, ctx));
-        }
-        dur
-    } else {
-        let dur = AtomicU64::new(0);
-        let base = comps.as_mut_ptr() as usize;
-        par_runtime::par_shards(width, frontier.len(), |i| {
-            // SAFETY: frontier ids are deduped, so each component is
-            // handed to exactly one invocation, and `comps` stays
-            // mutably borrowed for the whole call.
-            let comp =
-                unsafe { &mut *(base as *mut SmComponent<'r, 'k>).add(frontier[i] as usize) };
-            dur.fetch_max(comp.tick(now, ctx), Ordering::Relaxed);
-        });
-        dur.load(Ordering::Relaxed)
-    }
+    slice: impl Fn(&mut ShardState, &mut Vec<PendingChild<'k>>) + Sync,
+) {
+    assert!(
+        active.windows(2).all(|w| w[0] < w[1])
+            && active
+                .last()
+                .is_none_or(|&sm| sm < shards.len() && sm < pending.len()),
+        "a wave's SMs must be ascending and in range"
+    );
+    let shards_at = shards.as_mut_ptr() as usize;
+    let pending_at = pending.as_mut_ptr() as usize;
+    par_runtime::par_shards(width, active.len(), |i| {
+        let sm = active[i];
+        // SAFETY: the assert above makes every `sm` a distinct in-range
+        // index, so each invocation gets its own shard and queue, and
+        // both slices stay mutably borrowed for the whole call.
+        let (shard, queued) = unsafe {
+            (
+                &mut *(shards_at as *mut ShardState).add(sm),
+                &mut *(pending_at as *mut Vec<PendingChild<'k>>).add(sm),
+            )
+        };
+        slice(shard, queued);
+    });
 }
 
-/// Execute a grid into `run`. `sm_offset` rotates the block→SM mapping.
-///
-/// Discrete-event core: each SM is an [`SmComponent`]; wave 0 (the
-/// parent grid) is scheduled at cycle 0 for every SM owning at least one
-/// block, and each popped frontier is ticked on up to
-/// [`effective_workers`] host workers. Children queued during a tick are
-/// merged in SM order — deterministic at any worker count and any
-/// tie-break order — into the next wave, scheduled after the frontier's
-/// longest tick. All storage comes from the run's pooled arena. The
-/// result is identical at any width.
+/// Execute a grid into `run` as a sequence of waves (module docs).
+/// `sm_offset` rotates the block→SM mapping. All storage comes from the
+/// run's pooled arena, and the result is identical at any width.
 pub(crate) fn execute_grid<'k>(
     run: &mut RunState,
     grid_blocks: usize,
@@ -547,130 +451,50 @@ pub(crate) fn execute_grid<'k>(
     let requested = sim_threads().min(sms);
 
     let arena = &mut run.arena;
-    let pending = arena.take_pending(sms);
+    let mut pending = arena.take_pending(sms);
     let mut wave: Vec<PendingChild<'k>> = arena.take_wave();
-    let mut next: Vec<PendingChild<'k>> = arena.take_wave();
-    let mut comps: Vec<SmComponent<'_, 'k>> = arena
-        .shards
-        .iter_mut()
-        .zip(pending)
-        .map(|(shard, pending)| SmComponent {
-            shard,
-            pending,
-            wake: None,
-        })
-        .collect();
-    let queue = &mut arena.queue;
-    let frontier = &mut arena.frontier;
-    queue.clear();
+    let (shards, active) = (&mut arena.shards, &mut arena.active);
 
     // Wave 0: the parent grid, on every SM that owns at least one block.
-    for (sm, comp) in comps.iter_mut().enumerate() {
-        if first_block(sm, sm_offset, sms) < grid_blocks {
-            comp.wake = Some(0);
-            queue.schedule(0, sm as CompId);
+    active.clear();
+    active.extend((0..sms).filter(|&sm| first_block(sm, sm_offset, sms) < grid_blocks));
+    let width = effective_workers(requested, active.len(), grid_blocks * block_dim);
+    run_wave(shards, &mut pending, active, width, |shard, queued| {
+        run_blocks(
+            cfg,
+            shard,
+            queued,
+            grid_blocks,
+            block_dim,
+            sm_offset,
+            kernel,
+        )
+    });
+    loop {
+        // The children the last wave queued, merged in SM order, run on
+        // every SM that owns one of their blocks.
+        wave.clear();
+        for queued in &mut pending {
+            wave.append(queued);
         }
-    }
-
-    let mut first = true;
-    while let Some(now) = queue.pop_frontier(frontier) {
-        let dur = {
-            let work = if first {
-                SmWork::Grid {
-                    grid_blocks,
-                    block_dim,
-                    sm_offset,
-                    kernel,
-                }
-            } else {
-                SmWork::Children(&wave)
-            };
-            let grid_threads = match &work {
-                SmWork::Grid { .. } => grid_blocks * block_dim,
-                SmWork::Children(w) => w.iter().map(|c| c.grid_blocks * c.block_dim).sum(),
-            };
-            let width = effective_workers(requested, frontier.len(), grid_threads);
-            let ctx = SmCtx {
-                cfg,
-                trace,
-                work: &work,
-            };
-            tick_frontier(&mut comps, frontier, width, now, ctx)
-        };
-        first = false;
-        // Merge queued children in SM order into the next wave and
-        // schedule it after the frontier's longest tick.
-        next.clear();
-        for comp in comps.iter_mut() {
-            next.append(&mut comp.pending);
+        active.clear();
+        active.extend((0..sms).filter(|&sm| {
+            wave.iter()
+                .any(|c| first_block(sm, c.seq, sms) < c.grid_blocks)
+        }));
+        if active.is_empty() {
+            break;
         }
-        std::mem::swap(&mut wave, &mut next);
-        if !wave.is_empty() {
-            let at = now.saturating_add(dur.max(1));
-            for (sm, comp) in comps.iter_mut().enumerate() {
-                if wave
-                    .iter()
-                    .any(|c| first_block(sm, c.seq, sms) < c.grid_blocks)
-                {
-                    comp.wake = Some(at);
-                    queue.schedule(at, sm as CompId);
-                }
-            }
-        }
+        let threads = wave.iter().map(|c| c.grid_blocks * c.block_dim).sum();
+        let width = effective_workers(requested, active.len(), threads);
+        run_wave(shards, &mut pending, active, width, |shard, queued| {
+            run_children(cfg, shard, &wave, queued, trace)
+        });
     }
 
     // Return pooled storage to the arena.
-    let pending: Vec<Vec<PendingChild<'k>>> = comps.into_iter().map(|c| c.pending).collect();
     arena.restore_pending(pending);
     arena.restore_wave(wave);
-    arena.restore_wave(next);
-}
-
-/// The device timeline's PCIe copy-engine component id.
-const PCIE_COMP: CompId = 0;
-
-/// The device-level discrete-event timeline: a persistent `u64` cycle
-/// clock shared by everything the device does, plus the components that
-/// evolve on it (currently the PCIe copy engine). Kernel launches and
-/// transfers advance the clock by their modeled cycles; advancing pops
-/// due events and ticks their components.
-struct DeviceTimeline {
-    now: u64,
-    pcie: PcieLink,
-    queue: EventQueue,
-    frontier: Vec<CompId>,
-}
-
-impl DeviceTimeline {
-    fn new() -> DeviceTimeline {
-        DeviceTimeline {
-            now: 0,
-            pcie: PcieLink::default(),
-            queue: EventQueue::new(),
-            frontier: Vec::new(),
-        }
-    }
-
-    /// Advance the clock by `cycles`, ticking every component whose
-    /// event falls due on the way.
-    fn advance(&mut self, cycles: u64) {
-        let target = self.now.saturating_add(cycles);
-        while let Some(t) = self.queue.peek_cycle() {
-            if t > target {
-                break;
-            }
-            let now = self
-                .queue
-                .pop_frontier(&mut self.frontier)
-                .expect("peeked event must pop");
-            for &comp in self.frontier.iter() {
-                if comp == PCIE_COMP {
-                    self.pcie.tick(now, ());
-                }
-            }
-        }
-        self.now = target;
-    }
 }
 
 /// A simulated GPU.
@@ -683,8 +507,6 @@ pub struct Device {
     /// reports push it back reset, so steady-state launches allocate
     /// nothing.
     arenas: Mutex<Vec<LaunchArena>>,
-    /// Persistent device clock + components (see [`DeviceTimeline`]).
-    timeline: Mutex<DeviceTimeline>,
 }
 
 /// Most arenas a device keeps pooled (one is typical; concurrent groups
@@ -706,13 +528,7 @@ impl Device {
             cfg,
             ledger,
             arenas: Mutex::new(Vec::new()),
-            timeline: Mutex::new(DeviceTimeline::new()),
         }
-    }
-
-    /// Modeled cycles for a wall-clock duration on this device's clock.
-    fn model_cycles(&self, seconds: f64) -> u64 {
-        (seconds * self.cfg.clock_ghz * 1e9).round() as u64
     }
 
     /// Attach a fresh private trace ledger to this device and return it.
@@ -777,10 +593,9 @@ impl Device {
     /// Charge an inbound peer-to-peer copy whose duration was modeled
     /// externally (interconnect links are scheduled by the multi-device
     /// exchange planner, not by this device's host-PCIe model). The
-    /// bytes land on this device, so they count as `htod_bytes`, occupy
-    /// the copy-engine component, and record a transfer span when
-    /// tracing — exactly like [`Self::record_htod`] with a caller-set
-    /// time.
+    /// bytes land on this device, so they count as `htod_bytes` and
+    /// record a transfer span when tracing — exactly like
+    /// [`Self::record_htod`] with a caller-set time.
     pub fn record_peer_recv(&self, name: &str, bytes: u64, seconds: f64) -> RunReport {
         self.transfer_report(name, seconds, bytes, 0)
     }
@@ -809,16 +624,6 @@ impl Device {
         };
         if let Some(ledger) = &self.ledger {
             ledger.record_transfer(&self.cfg, &report);
-        }
-        // The transfer occupies the PCIe copy-engine component; its
-        // completion event retires when the clock passes it.
-        {
-            let mut tl = self.timeline.lock();
-            let cycles = self.model_cycles(time_s);
-            let t_now = tl.now;
-            let done = tl.pcie.begin_transfer(t_now, cycles);
-            tl.queue.schedule(done, PCIE_COMP);
-            tl.advance(cycles);
         }
         report
     }
@@ -949,18 +754,17 @@ impl Device {
                 &self.cfg, &report, shape.0, shape.1, sm_instr, streams, children,
             );
         }
-        // The kernel occupied the device: advance the shared clock and
-        // recycle the launch's arena (reset = logically fresh).
-        self.timeline
-            .lock()
-            .advance(self.model_cycles(report.time_s));
-        let mut arena = run.arena;
+        self.recycle(run.arena);
+        report
+    }
+
+    /// Return a launch's arena to the pool, reset (= logically fresh).
+    fn recycle(&self, mut arena: LaunchArena) {
         arena.reset();
         let mut pool = self.arenas.lock();
         if pool.len() < ARENA_POOL_CAP {
             pool.push(arena);
         }
-        report
     }
 }
 
@@ -1022,16 +826,27 @@ impl ConcurrentGroup<'_> {
     /// Close the group and return the combined report. Concurrent groups
     /// pay one full launch gap plus a small per-stream enqueue cost; the
     /// pooled roofline takes one `max` over the group's aggregate work.
+    /// A group with no kernels launched nothing: it costs nothing and
+    /// records no span, on every device.
     pub fn finish(self) -> RunReport {
+        if self.launches == 0 {
+            if let Some(run) = self.pooled {
+                self.dev.recycle(run.arena);
+            }
+            return RunReport {
+                name: self.name,
+                ..RunReport::default()
+            };
+        }
         match self.pooled {
             Some(run) => {
                 let cfg = self.dev.config();
-                let extra = (self.launches.saturating_sub(1)) as f64 * 0.25 * cfg.kernel_launch_s;
+                let extra = (self.launches - 1) as f64 * 0.25 * cfg.kernel_launch_s;
                 self.dev.assemble_report(
                     &self.name,
                     run,
                     cfg.kernel_launch_s + extra,
-                    self.launches.max(1),
+                    self.launches,
                     (0, 0),
                     self.streams,
                 )
@@ -1063,6 +878,19 @@ mod tests {
         let r = dev.launch("empty", 0, 32, &|_b| {});
         assert!((r.time_s - dev.config().kernel_launch_s).abs() < 1e-12);
         assert_eq!(r.counters.blocks, 0);
+    }
+
+    #[test]
+    fn empty_group_costs_nothing() {
+        for cfg in [presets::gtx_titan(), presets::gtx_580()] {
+            let mut dev = Device::new(cfg);
+            let ledger = dev.enable_tracing();
+            let r = dev.launch_group("idle").finish();
+            assert_eq!(r.name, "idle");
+            assert_eq!(r.launches, 0);
+            assert_eq!(r.time_s, 0.0);
+            assert!(ledger.is_empty(), "{}: no span", dev.config().name);
+        }
     }
 
     #[test]

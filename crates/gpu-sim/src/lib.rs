@@ -23,9 +23,11 @@
 //!
 //! ## Parallel host execution
 //!
-//! Launches are partitioned into one shard per SM and the shards may run
-//! on several host threads ([`engine::sim_threads`] threads; override
-//! with [`engine::set_sim_threads`] or the `ACSR_SIM_THREADS` environment
+//! A launch runs as a sequence of waves: the grid, then each generation
+//! of child grids its kernels queued (dynamic parallelism). Each wave is
+//! partitioned into one shard per SM and the shards may run on several
+//! host threads ([`engine::sim_threads`] threads; override with
+//! [`engine::set_sim_threads`] or the `ACSR_SIM_THREADS` environment
 //! variable, `1` forcing sequential). Worker count is pure mechanism:
 //! reports are bit-identical at every width. Kernels are therefore
 //! `Fn + Sync` closures, and buffer writes go through `&DeviceBuffer`
@@ -71,7 +73,6 @@ pub mod cache;
 pub mod config;
 pub mod counters;
 pub mod engine;
-pub mod event;
 pub mod profile;
 pub mod trace;
 pub mod warp;
@@ -83,7 +84,6 @@ pub use engine::{
     effective_workers, host_cores, override_host_cores, set_sim_threads, sim_threads, BlockCtx,
     ConcurrentGroup, Device, KernelFn,
 };
-pub use event::{set_tie_break, tie_break, TieBreak};
 pub use profile::{KernelMetrics, KernelRow, ProfileReport, Roofline, RowKind, Verdict};
 pub use trace::{Span, SpanKind, TraceLedger};
 pub use warp::{lane_mask, tree_reduce_sum, WarpCtx, FULL_MASK, WARP};

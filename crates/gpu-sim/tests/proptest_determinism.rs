@@ -9,7 +9,10 @@
 //! buffer contents are exact under any cross-shard application order
 //! (the report itself never depends on that order).
 
-use gpu_sim::{lane_mask, presets, set_sim_threads, Device, DeviceConfig, RunReport, WARP};
+use gpu_sim::{
+    lane_mask, presets, set_sim_threads, Device, DeviceBuffer, DeviceConfig, RunReport, WarpCtx,
+    FULL_MASK, WARP,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -63,7 +66,7 @@ fn stress_run(dev: &Device, threads: usize, grid: usize, block_dim: usize) -> Ru
 
 /// Same kernel on a dynamic-parallelism device: parent warps launch
 /// child grids, exercising child-sequence attribution and DP overheads.
-fn dp_run(dev: &Device, threads: usize, grid: usize, fan: usize) -> RunReport {
+fn dp_run(dev: &Device, threads: usize, grid: usize, fan: usize) -> (RunReport, Vec<f64>) {
     set_sim_threads(threads);
     let n = grid * 64 * fan;
     let out = dev.alloc_zeroed::<f64>(n.max(1));
@@ -85,7 +88,62 @@ fn dp_run(dev: &Device, threads: usize, grid: usize, fan: usize) -> RunReport {
         });
     });
     set_sim_threads(0);
-    report
+    (report, out.as_slice().to_vec())
+}
+
+/// Add 1 to each of the `WARP` entries of `slot`.
+fn mark(warp: &mut WarpCtx<'_, '_, '_>, out: &DeviceBuffer<f64>, slot: usize) {
+    let idx = std::array::from_fn(|l| slot * WARP + l);
+    warp.atomic_rmw(out, &idx, &[1.0; WARP], FULL_MASK, |a, b| a + b);
+}
+
+/// Depth-3 cascade: every parent block launches an empty child grid and
+/// a `c`-block one, and every child block a `g`-block grandchild grid
+/// and an empty one (`c` and `g` may be 0 too). Each block of a
+/// non-empty grid marks its own slot: parents `0..p`, then children,
+/// then grandchildren, so a block that runs twice or never shows.
+fn cascade_run(
+    dev: &Device,
+    threads: usize,
+    p: usize,
+    c: usize,
+    g: usize,
+) -> (RunReport, Vec<f64>) {
+    set_sim_threads(threads);
+    let out = dev.alloc_zeroed::<f64>((p + p * c + p * c * g) * WARP);
+    let out = &out;
+    // 1024-thread child blocks let the child waves clear the fan-out
+    // threshold; only warp 0 of each block works.
+    let report = dev.launch("determinism_cascade", p, 64, &|blk| {
+        let pb = blk.block_idx();
+        blk.for_each_warp(&mut |warp| {
+            if warp.warp_in_block() != 0 {
+                return;
+            }
+            mark(warp, out, pb);
+            warp.launch_child(0, 32, |_| {});
+            warp.launch_child(c, 1024, move |child| {
+                let cb = child.block_idx();
+                child.for_each_warp(&mut |cw| {
+                    if cw.warp_in_block() != 0 {
+                        return;
+                    }
+                    mark(cw, out, p + pb * c + cb);
+                    cw.launch_child(g, 1024, move |grand| {
+                        let slot = p + p * c + (pb * c + cb) * g + grand.block_idx();
+                        grand.for_each_warp(&mut |gw| {
+                            if gw.warp_in_block() == 0 {
+                                mark(gw, out, slot);
+                            }
+                        });
+                    });
+                    cw.launch_child(0, 64, |_| {});
+                });
+            });
+        });
+    });
+    set_sim_threads(0);
+    (report, out.as_slice().to_vec())
 }
 
 /// Full-strictness report comparison: structural equality plus bit-exact
@@ -143,11 +201,31 @@ proptest! {
         let _guard = WIDTH_LOCK.lock().unwrap();
         // GTX Titan is the only preset with dynamic parallelism.
         let dev = Device::new(presets::gtx_titan());
-        let seq = dp_run(&dev, 1, grid, fan);
-        let par = dp_run(&dev, threads, grid, fan);
-        assert_identical(&seq, &par, &format!(
-            "dp grid {grid}, fan {fan}, {threads} workers"
-        ));
+        let (seq, seq_buf) = dp_run(&dev, 1, grid, fan);
+        let (par, par_buf) = dp_run(&dev, threads, grid, fan);
+        let what = format!("dp grid {grid}, fan {fan}, {threads} workers");
+        assert_identical(&seq, &par, &what);
+        assert_eq!(seq_buf, par_buf, "{what}: buffer contents diverged");
+    }
+
+    #[test]
+    fn nested_cascades_run_every_grid_once(
+        p in 1usize..24,
+        c in 0usize..4,
+        g in 0usize..4,
+    ) {
+        let _guard = WIDTH_LOCK.lock().unwrap();
+        let dev = Device::new(presets::gtx_titan());
+        let (seq, buf) = cascade_run(&dev, 1, p, c, g);
+        let what = format!("cascade {p}x{c}x{g}");
+        assert!(buf.iter().all(|&v| v == 1.0), "{what}: {buf:?}");
+        assert_eq!(seq.counters.blocks, (p + p * c + p * c * g) as u64, "{what}");
+        assert_eq!(seq.counters.child_launches, (2 * p + 2 * p * c) as u64, "{what}");
+        for threads in 2..=8 {
+            let (par, par_buf) = cascade_run(&dev, threads, p, c, g);
+            assert_identical(&seq, &par, &format!("{what}, {threads} workers"));
+            assert_eq!(buf, par_buf, "{what}, {threads} workers");
+        }
     }
 }
 

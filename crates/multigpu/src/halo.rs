@@ -7,7 +7,7 @@
 //! expressed as directed [`EdgeSpec`]s — `src` device, `dst` device (or
 //! the host sink), payload bytes, and the instant the payload is
 //! *ready* (the producing device's compute finish) — and scheduled on
-//! the shared [`EventQueue`] from `gpu-sim`'s discrete-event core.
+//! a private min-heap event queue over nanosecond instants.
 //!
 //! The link discipline matches a DMA-engine interconnect: each node has
 //! one egress engine and one ingress engine, both FIFO, so transfers
@@ -32,13 +32,13 @@
 //! phase prices both schedules and keeps the one that ends first,
 //! direct on a tie, so routing never makes a phase slower.
 //!
-//! Determinism: a ready transfer claims its engines in the canonical
-//! priority order `(ready, src, dst, index)`, re-sorted at every
-//! frontier regardless of the global [`gpu_sim::TieBreak`] knob, so a
+//! Determinism: the transfers ready at one instant claim their engines
+//! in the canonical priority order `(ready, src, dst, index)`, so a
 //! schedule is a pure function of its inputs — bit-identical across
-//! host worker widths and tie-break orders.
+//! host worker widths.
 
-use gpu_sim::event::{CompId, EventQueue};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One interconnect class: bandwidth plus a per-transfer setup latency.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -234,6 +234,39 @@ pub fn ns(seconds: f64) -> u64 {
     (seconds * 1e9).round() as u64
 }
 
+/// Min-heap of `(instant_ns, edge)` events driving [`run_engines`].
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl EventQueue {
+    /// Schedule edge `edge` to run at `at_ns`.
+    fn schedule(&mut self, at_ns: u64, edge: usize) {
+        self.heap.push(Reverse((at_ns, edge)));
+    }
+
+    /// Pop every event at the earliest instant into `frontier`
+    /// (ascending, deduped) and return that instant.
+    fn pop_frontier(&mut self, frontier: &mut Vec<usize>) -> Option<u64> {
+        frontier.clear();
+        let Reverse((now, first)) = self.heap.pop()?;
+        frontier.push(first);
+        // The heap pops `(instant, edge)` pairs in ascending order, so
+        // duplicates arrive adjacent.
+        while let Some(&Reverse((t, edge))) = self.heap.peek() {
+            if t != now {
+                break;
+            }
+            self.heap.pop();
+            if frontier.last() != Some(&edge) {
+                frontier.push(edge);
+            }
+        }
+        Some(now)
+    }
+}
+
 /// Run `edges` through one FIFO egress and one FIFO ingress engine per
 /// node. Edge `i` may start once `edges[i].ready_ns` has passed and
 /// every edge in `after[i]` has landed; ready edges claim free engines
@@ -253,27 +286,22 @@ fn run_engines(
             unblocks[j].push(i);
         }
     }
-    let mut queue = EventQueue::new();
+    let mut queue = EventQueue::default();
     for (i, _) in waiting.iter().enumerate().filter(|(_, &w)| w == 0) {
-        queue.schedule(ready[i], i as CompId);
+        queue.schedule(ready[i], i);
     }
     let mut egress_free = vec![0u64; nodes];
     let mut ingress_free = vec![0u64; nodes];
     let mut scheduled: Vec<Option<EdgeTransfer>> = vec![None; edges.len()];
-    let mut frontier: Vec<CompId> = Vec::new();
+    let mut frontier: Vec<usize> = Vec::new();
     while let Some(now) = queue.pop_frontier(&mut frontier) {
-        // Canonical priority order, independent of the tie-break knob.
-        frontier.sort_unstable_by_key(|&c| {
-            let i = c as usize;
-            (ready[i], edges[i].src, edges[i].dst, i)
-        });
-        for &c in &frontier {
-            let i = c as usize;
+        frontier.sort_unstable_by_key(|&i| (ready[i], edges[i].src, edges[i].dst, i));
+        for &i in &frontier {
             let e = &edges[i];
             let free = egress_free[e.src].max(ingress_free[e.dst]);
             if free > now {
                 // An engine is busy: retry the instant it frees.
-                queue.schedule(free, c);
+                queue.schedule(free, i);
                 continue;
             }
             let done = now + ns(link.seconds(e.bytes));
@@ -291,7 +319,7 @@ fn run_engines(
                 ready[h] = ready[h].max(done);
                 waiting[h] -= 1;
                 if waiting[h] == 0 {
-                    queue.schedule(ready[h], h as CompId);
+                    queue.schedule(ready[h], h);
                 }
             }
         }
@@ -598,23 +626,19 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_independent_of_tie_break_order() {
-        let link = LinkModel {
-            bandwidth_gbs: 2.0,
-            latency_s: 1e-9,
-        };
-        let edges: Vec<EdgeSpec> = (0..4)
-            .flat_map(|s| {
-                (0..4)
-                    .filter(move |&d| d != s)
-                    .map(move |d| edge(s, d, 64 * (s as u64 + 1), (d as u64) * 3))
-            })
-            .collect();
-        let a = schedule_exchange(4, &edges, &link);
-        gpu_sim::set_tie_break(gpu_sim::TieBreak::Descending);
-        let b = schedule_exchange(4, &edges, &link);
-        gpu_sim::set_tie_break(gpu_sim::TieBreak::Ascending);
-        assert_eq!(a, b, "exchange schedule must not depend on the knob");
+    fn frontier_pops_all_events_at_min_cycle() {
+        let mut q = EventQueue::default();
+        q.schedule(5, 2);
+        q.schedule(3, 7);
+        q.schedule(3, 1);
+        q.schedule(3, 7); // duplicate
+        let mut f = Vec::new();
+        assert_eq!(q.pop_frontier(&mut f), Some(3));
+        assert_eq!(f, vec![1, 7]);
+        assert_eq!(q.pop_frontier(&mut f), Some(5));
+        assert_eq!(f, vec![2]);
+        assert_eq!(q.pop_frontier(&mut f), None);
+        assert!(f.is_empty());
     }
 
     /// Four devices, all-to-all, 8 bytes a pair: two rounds of one

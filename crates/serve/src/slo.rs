@@ -60,7 +60,7 @@ impl BatchPolicy {
 }
 
 /// Open-loop serving policy: how arrivals are admitted, shed, and
-/// batched, and the latency target attainment is reported against.
+/// batched.
 #[derive(Clone, Debug)]
 pub struct SloPolicy {
     /// Submission-queue capacity; offers beyond it are capacity-shed at
@@ -73,15 +73,12 @@ pub struct SloPolicy {
     /// Drop queries whose queue wait already exceeds their tenant's
     /// SLO budget instead of admitting them.
     pub deadline_shed: bool,
-    /// The headline p99 latency target attainment curves are reported
-    /// against, seconds.
-    pub p99_target_s: f64,
 }
 
 impl SloPolicy {
     /// An open-loop policy with one default tenant whose SLO budget is
-    /// the reporting target: adaptive waves 1..=`max_batch`, deadline
-    /// shedding on.
+    /// `p99_target_s`: adaptive waves 1..=`max_batch`, deadline shedding
+    /// on.
     pub fn open_loop(p99_target_s: f64, max_batch: usize, queue_capacity: usize) -> SloPolicy {
         SloPolicy {
             queue_capacity,
@@ -91,7 +88,6 @@ impl SloPolicy {
             },
             tenants: TenantTable::single(p99_target_s),
             deadline_shed: true,
-            p99_target_s,
         }
     }
 
@@ -104,7 +100,6 @@ impl SloPolicy {
             batch: BatchPolicy::Fixed(max_batch),
             tenants: TenantTable::single(f64::INFINITY),
             deadline_shed: false,
-            p99_target_s: f64::INFINITY,
         }
     }
 }

@@ -238,7 +238,6 @@ fn priority_tenants_are_admitted_before_bulk() {
             },
         ]),
         deadline_shed: false,
-        p99_target_s: f64::INFINITY,
     };
     // 10 simultaneous arrivals, alternating bulk (tenant 0, even ids)
     // and interactive (tenant 1, odd ids)

@@ -69,7 +69,6 @@ fn policy() -> SloPolicy {
             },
         ]),
         deadline_shed: true,
-        p99_target_s: 0.05,
     }
 }
 

@@ -229,6 +229,8 @@ fn empty_batch_is_a_cheap_no_op() {
     let cfg = AcsrConfig::static_long_tail();
     let mut eng = StreamEngine::build(&dev, &m, cfg);
     let report = eng.apply_batch(&dev, &sparse_formats::UpdateBatch::empty());
+    assert_eq!(report.plan.launches, 0, "no phantom plan launch");
+    assert_eq!(report.maintain.launches, 0, "no phantom maintenance launch");
     assert_eq!(report.touched_rows, 0);
     assert_eq!(report.migrated_rows, 0);
     assert_eq!(report.nnz_after, m.nnz());

@@ -9,7 +9,10 @@
 # its own results/ (artifacts are written under the working directory),
 # and baselines are read by absolute path, so CI never rewrites the
 # committed artifacts; the last step fails if any file under results/
-# or baselines/ changed.
+# or baselines/ changed. The traced smoke artifacts carry no host-
+# dependent field, so each is compared byte for byte with the committed
+# results/ copy it came from (the two serve artifacts too large to
+# commit, by their digests in baselines/serve_traces_ci.sha256).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,11 +58,13 @@ echo "==> trace export smoke (repro fig5 --trace)"
 "$repro" fig5 --trace --scale 512 --matrices INT > /dev/null
 test -s results/trace_fig5.json
 "$repro" check-artifacts results/trace_fig5.json
+cmp "$root"/results/trace_fig5.json results/trace_fig5.json
 
 echo "==> dual-GPU smoke (repro fig8 --trace, replicated-x fleet)"
 "$repro" fig8 --trace --scale 512 --matrices ENR,LJ2 > /dev/null
 test -s results/trace_fig8.json
 "$repro" check-artifacts results/trace_fig8.json
+cmp "$root"/results/trace_fig8.json results/trace_fig8.json
 
 echo "==> serving smoke (repro serve --trace)"
 "$repro" serve --trace --scale 512 --matrices INT > /dev/null
@@ -70,6 +75,8 @@ echo "==> profiler smoke (repro profile fig5)"
 "$repro" profile fig5 --trace --scale 512 --matrices INT > /dev/null
 test -s results/PROFILE_fig5.json
 "$repro" check-artifacts results/PROFILE_fig5.json results/trace_fig5.json
+cmp "$root"/results/PROFILE_fig5.json results/PROFILE_fig5.json
+cmp "$root"/results/trace_fig5.json results/trace_fig5.json
 
 echo "==> selector smoke (repro selector + registry print)"
 "$repro" formats > /dev/null
@@ -103,12 +110,15 @@ echo "==> metrics smoke (repro metrics fig5, reconciliation enforced)"
 "$repro" metrics fig5 --scale 512 --matrices INT > /dev/null
 test -s results/METRICS_fig5.json
 "$repro" check-artifacts results/METRICS_fig5.json
+cmp "$root"/results/METRICS_fig5.json results/METRICS_fig5.json
 
 echo "==> timeline smoke (repro timeline serve, wave correlation enforced)"
 "$repro" timeline serve --scale 512 --matrices INT > /dev/null
 test -s results/METRICS_serve.json
 test -s results/TIMELINE_serve.json
 "$repro" check-artifacts results/METRICS_serve.json results/TIMELINE_serve.json
+cmp "$root"/results/METRICS_serve.json results/METRICS_serve.json
+(cd results && sha256sum --check --quiet "$baselines"/serve_traces_ci.sha256)
 
 echo "==> perf-regression gate (bench-diff vs committed baseline)"
 "$repro" bench-diff "$baselines"/PROFILE_fig5_ci.json results/PROFILE_fig5.json
