@@ -221,8 +221,9 @@ impl<T: Scalar> AcsrEngine<T> {
         // All of ACSR's per-SpMV kernels are independent (each writes a
         // disjoint row set; the zero-scatter precedes the atomic
         // accumulators via a stream event), so the driver launches them
-        // on separate streams — concurrent under Kepler's HyperQ,
-        // serialized on Fermi. `ConcurrentGroup` models exactly that.
+        // on separate streams — concurrent on every Table II device
+        // (Fermi up to 16 kernels, Kepler's HyperQ 32).
+        // `ConcurrentGroup` pools them into one roofline.
         let mut group = dev.launch_group(group_name);
         if let Some(zl) = &self.zero_list {
             zero_rows_kernel(&mut group, zl, ys, "acsr_zero");

@@ -1,8 +1,10 @@
 //! Device buffers.
 //!
-//! A [`DeviceBuffer`] is host-resident data stamped with a unique device
-//! *base address*, so the coalescing and cache models operate on a single
-//! unified address space regardless of which buffer an access touches.
+//! A [`DeviceBuffer`] is host-resident data stamped with a unique,
+//! page-aligned device *base address*, so distinct buffers never share a
+//! DRAM segment or a texture line. The warp memory ops count segments on
+//! element indices (see [`crate::warp`]); the base only names a buffer's
+//! texture lines in the per-SM cache.
 //!
 //! ## Shared mutability and the kernel data contract
 //!
@@ -23,20 +25,38 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Element types storable in device buffers.
+/// Element types storable in device buffers. An element's size must be a
+/// power of two up to 32 bytes, so it never straddles a coalescing
+/// granule (at least 32 bytes, checked by [`crate::Device::new`]); any
+/// other size fails to compile where the buffer is built:
+///
+/// ```compile_fail
+/// let _ = gpu_sim::DeviceBuffer::new(vec![[0u8; 3]]);
+/// ```
 pub trait DevCopy: Copy + Default + Send + Sync + 'static {
     /// Element size in device memory.
-    const SIZE: usize = std::mem::size_of::<Self>();
+    const SIZE: usize = {
+        let size = std::mem::size_of::<Self>();
+        assert!(
+            size.is_power_of_two() && size <= 32,
+            "device element size must be a power of two up to 32 bytes"
+        );
+        size
+    };
 }
 impl<T: Copy + Default + Send + Sync + 'static> DevCopy for T {}
+
+/// Allocation granularity of the simulated device: every buffer base is
+/// a multiple of it, and so of every coalescing granule.
+pub(crate) const PAGE_BYTES: u64 = 4096;
 
 /// Global allocator for simulated device addresses. Buffers are spaced a
 /// page apart so distinct buffers never share a DRAM transaction segment.
 static NEXT_BASE: AtomicU64 = AtomicU64::new(1 << 20);
 
 fn alloc_base(bytes: u64) -> u64 {
-    let aligned = (bytes + 4095) & !4095;
-    NEXT_BASE.fetch_add(aligned + 4096, Ordering::Relaxed)
+    let aligned = bytes.next_multiple_of(PAGE_BYTES);
+    NEXT_BASE.fetch_add(aligned + PAGE_BYTES, Ordering::Relaxed)
 }
 
 /// A typed simulated-device allocation.
@@ -71,17 +91,6 @@ impl<T: DevCopy> DeviceBuffer<T> {
         self.base
     }
 
-    /// Byte address of element `idx`.
-    #[inline]
-    pub fn addr_of(&self, idx: usize) -> u64 {
-        debug_assert!(
-            idx < self.data.len(),
-            "address of {idx} >= {}",
-            self.data.len()
-        );
-        self.base + (idx * T::SIZE) as u64
-    }
-
     /// Element count.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -105,13 +114,6 @@ impl<T: DevCopy> DeviceBuffer<T> {
         // SAFETY: `UnsafeCell<T>` has the same layout as `T`, and under
         // the kernel data contract no writer is concurrent with this view.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr() as *const T, self.data.len()) }
-    }
-
-    /// Mutable host view (host-side initialization; kernels go through
-    /// [`crate::WarpCtx`] so their traffic is accounted).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: `&mut self` guarantees exclusivity; layouts match.
-        unsafe { std::slice::from_raw_parts_mut(self.data.as_mut_ptr() as *mut T, self.data.len()) }
     }
 
     /// Consume the buffer, returning the host data.
@@ -202,11 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn addr_of_scales_with_element_size() {
+    fn bases_are_page_aligned_and_bytes_scale_with_element_size() {
         let b = DeviceBuffer::new(vec![0f64; 10]);
-        assert_eq!(b.addr_of(3) - b.base_addr(), 24);
+        assert_eq!(b.bytes(), 80);
         let c = DeviceBuffer::new(vec![0u32; 10]);
-        assert_eq!(c.addr_of(3) - c.base_addr(), 12);
+        assert_eq!(c.bytes(), 40);
+        for base in [b.base_addr(), c.base_addr()] {
+            assert_eq!(base % PAGE_BYTES, 0);
+        }
     }
 
     #[test]

@@ -7,20 +7,17 @@
 //! skewed (Zipf-popular columns) and uniform access is exactly what makes
 //! the texture path worthwhile.
 
-/// Set-associative LRU cache over 64-bit byte addresses.
+/// Set-associative LRU cache over line ids (`byte address >>
+/// log2(line_bytes)`).
 ///
 /// The probe path is the hottest loop of texture-bound kernels (one
-/// probe per distinct line per warp gather), so `access` avoids the two
-/// hardware divisions a naive `addr / line_bytes` + `line % sets` pair
-/// would issue: the line split is a shift (line size is a power of two)
+/// probe per distinct line per warp gather). Callers probe by line id,
 /// and the set index uses an exact multiply-shift remainder
-/// (`SetAssocCache::set_of`). Both are bit-identical to the plain
-/// arithmetic — only faster.
+/// (`SetAssocCache::set_of`) in place of the hardware division a plain
+/// `line % sets` would issue — bit-identical, only faster.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     line_bytes: u64,
-    /// `log2(line_bytes)`.
-    line_shift: u32,
     sets: usize,
     /// `floor(2^64 / sets) + 1`: division-free remainder magic, exact
     /// for every line id below 2^48 (see `SetAssocCache::set_of`).
@@ -51,7 +48,6 @@ impl SetAssocCache {
         };
         SetAssocCache {
             line_bytes: line_bytes as u64,
-            line_shift: line_bytes.trailing_zeros(),
             sets,
             sets_magic,
             ways,
@@ -91,18 +87,10 @@ impl SetAssocCache {
         }
     }
 
-    /// Access the line containing `addr`; returns `true` on hit. Misses
-    /// fill the line (LRU eviction). Dispatches to a fixed-width probe
-    /// for the common associativities so the way loops fully unroll and
-    /// vectorize (this is the innermost loop of texture-bound kernels).
-    #[inline]
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.access_line(addr >> self.line_shift)
-    }
-
-    /// [`SetAssocCache::access`] by line id (`addr >> log2(line_bytes)`).
-    /// Callers that already track line ids (the index-space texture
-    /// gather) skip materializing a byte address just to shift it back.
+    /// Access line `line`; returns `true` on hit. Misses fill the line
+    /// (LRU eviction). Dispatches to a fixed-width probe for the common
+    /// associativities so the way loops fully unroll and vectorize (this
+    /// is the innermost loop of texture-bound kernels).
     #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
         self.tick += 1;
@@ -213,43 +201,48 @@ impl SetAssocCache {
 mod tests {
     use super::*;
 
+    /// Line id of byte address `addr` in a 32-byte-line cache.
+    fn line(addr: u64) -> u64 {
+        addr / 32
+    }
+
     #[test]
     fn repeated_access_hits() {
         let mut c = SetAssocCache::new(1024, 32, 4);
-        assert!(!c.access(0));
-        assert!(c.access(0));
-        assert!(c.access(31)); // same line
-        assert!(!c.access(32)); // next line
+        assert!(!c.access_line(line(0)));
+        assert!(c.access_line(line(0)));
+        assert!(c.access_line(line(31))); // same line
+        assert!(!c.access_line(line(32))); // next line
     }
 
     #[test]
     fn capacity_bound_causes_eviction() {
         let mut c = SetAssocCache::new(128, 32, 4); // 4 lines, single set
         for i in 0..5u64 {
-            c.access(i * 32);
+            c.access_line(line(i * 32));
         }
         // line 0 was LRU and evicted by the 5th distinct line
-        assert!(!c.access(0));
+        assert!(!c.access_line(line(0)));
     }
 
     #[test]
     fn lru_keeps_recently_used() {
         let mut c = SetAssocCache::new(128, 32, 4); // one set of 4 ways
         for i in 0..4u64 {
-            c.access(i * 32);
+            c.access_line(line(i * 32));
         }
-        c.access(0); // refresh line 0
-        c.access(4 * 32); // evicts LRU = line 1
-        assert!(c.access(0), "line 0 must survive");
-        assert!(!c.access(32), "line 1 must be gone");
+        c.access_line(line(0)); // refresh line 0
+        c.access_line(line(4 * 32)); // evicts LRU = line 1
+        assert!(c.access_line(line(0)), "line 0 must survive");
+        assert!(!c.access_line(line(32)), "line 1 must be gone");
     }
 
     #[test]
     fn flush_empties_cache() {
         let mut c = SetAssocCache::new(1024, 32, 4);
-        c.access(64);
+        c.access_line(line(64));
         c.flush();
-        assert!(!c.access(64));
+        assert!(!c.access_line(line(64)));
     }
 
     #[test]
@@ -258,16 +251,20 @@ mod tests {
         let lines = 48 * 1024 / 32;
         // Sequential addresses map round-robin over sets: fits exactly.
         for i in 0..lines as u64 {
-            c.access(i * 32);
+            c.access_line(line(i * 32));
         }
-        let hits = (0..lines as u64).filter(|&i| c.access(i * 32)).count();
+        let hits = (0..lines as u64)
+            .filter(|&i| c.access_line(line(i * 32)))
+            .count();
         assert_eq!(hits, lines);
     }
 
     #[test]
     fn streaming_scan_never_hits() {
         let mut c = SetAssocCache::new(1024, 32, 4);
-        let hits = (0..10_000u64).filter(|&i| c.access(i * 32)).count();
+        let hits = (0..10_000u64)
+            .filter(|&i| c.access_line(line(i * 32)))
+            .count();
         assert_eq!(hits, 0);
     }
 }

@@ -75,9 +75,6 @@ pub struct DeviceConfig {
     pub pcie_d2h_gbs: f64,
     /// PCIe fixed per-copy latency, seconds.
     pub pcie_latency_s: f64,
-    /// Independent kernels that can execute concurrently when launched on
-    /// separate streams (Fermi: up to 16; Kepler HyperQ: 32).
-    pub concurrent_kernels: usize,
 }
 
 impl DeviceConfig {
@@ -153,7 +150,6 @@ pub mod presets {
             pcie_gbs: 5.5,
             pcie_d2h_gbs: 5.0,
             pcie_latency_s: 10e-6,
-            concurrent_kernels: 16,
         }
     }
 
@@ -188,7 +184,6 @@ pub mod presets {
             pcie_gbs: 6.0,
             pcie_d2h_gbs: 5.2,
             pcie_latency_s: 10e-6,
-            concurrent_kernels: 32,
         }
     }
 
@@ -224,7 +219,6 @@ pub mod presets {
             pcie_gbs: 6.0,
             pcie_d2h_gbs: 5.2,
             pcie_latency_s: 10e-6,
-            concurrent_kernels: 32,
         }
     }
 

@@ -51,7 +51,7 @@
 //! allocates nothing.
 
 use crate::arena::LaunchArena;
-use crate::buffer::{DevCopy, DeviceBuffer};
+use crate::buffer::{DevCopy, DeviceBuffer, PAGE_BYTES};
 use crate::cache::SetAssocCache;
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, RunReport, TimeBreakdown};
@@ -518,7 +518,22 @@ impl Device {
     /// If process-global trace capture is on
     /// ([`trace::enable_global_capture`]), the device records into the
     /// shared [`trace::global_ledger`].
+    ///
+    /// Panics, naming the field, unless `dram_transaction_bytes` and
+    /// `tex_line_bytes` are powers of two from 32 bytes to a page (4096):
+    /// the warp memory ops count segments on element indices, which is
+    /// exact only for such granules (see [`crate::warp`]).
     pub fn new(cfg: DeviceConfig) -> Device {
+        for (field, bytes) in [
+            ("dram_transaction_bytes", cfg.dram_transaction_bytes),
+            ("tex_line_bytes", cfg.tex_line_bytes),
+        ] {
+            assert!(
+                bytes.is_power_of_two() && (32..=PAGE_BYTES as usize).contains(&bytes),
+                "DeviceConfig::{field} must be a power of two from 32 to {PAGE_BYTES} bytes, \
+                 got {bytes}"
+            );
+        }
         let ledger = if trace::global_capture_enabled() {
             Some(trace::global_ledger())
         } else {
@@ -651,21 +666,15 @@ impl Device {
     }
 
     /// Begin a group of *independent* kernels launched on separate
-    /// streams. On devices with HyperQ (`concurrent_kernels > 1`) the
-    /// group's kernels execute concurrently and are modeled as one pooled
-    /// roofline; on single-queue devices (Fermi) they serialize exactly
-    /// like individual [`Device::launch`] calls.
+    /// streams. Every Table II device runs such kernels concurrently
+    /// (Fermi up to 16, Kepler's HyperQ 32), so the group's kernels
+    /// execute into one shared run and are modeled as one pooled
+    /// roofline (DESIGN §8).
     pub fn launch_group<'d>(&'d self, name: &str) -> ConcurrentGroup<'d> {
-        let concurrent = self.cfg.concurrent_kernels > 1;
         ConcurrentGroup {
             dev: self,
             name: name.to_string(),
-            pooled: if concurrent {
-                Some(self.fresh_run())
-            } else {
-                None
-            },
-            serial: RunReport::default(),
+            run: self.fresh_run(),
             launches: 0,
             grid_offset: 0,
             streams: Vec::new(),
@@ -773,10 +782,8 @@ impl Device {
 pub struct ConcurrentGroup<'d> {
     dev: &'d Device,
     name: String,
-    /// Shared state when the device supports concurrent kernels.
-    pooled: Option<RunState<'d>>,
-    /// Accumulated sequential reports otherwise.
-    serial: RunReport,
+    /// The shared run every kernel of the group executes into.
+    run: RunState<'d>,
     launches: u32,
     /// Rotates block→SM placement so concurrent small grids spread out.
     grid_offset: usize,
@@ -785,37 +792,30 @@ pub struct ConcurrentGroup<'d> {
 }
 
 impl ConcurrentGroup<'_> {
-    /// Add one kernel to the group (executed immediately; timing is
-    /// pooled or accumulated per the device's concurrency).
+    /// Add one kernel to the group (executed immediately into the
+    /// group's pooled run).
     pub fn add(&mut self, name: &str, grid_blocks: usize, block_dim: usize, kernel: KernelFn) {
         self.launches += 1;
-        match &mut self.pooled {
-            Some(run) => {
-                // Group adds are sequential host-side, so snapshotting
-                // the pooled counters around each add attributes every
-                // increment (child waves included) to its stream.
-                let before = if run.trace {
-                    Some(Counters::sum(run.arena.shards.iter().map(|s| &s.counters)))
-                } else {
-                    None
-                };
-                execute_grid(run, grid_blocks, block_dim, self.grid_offset, kernel);
-                if let Some(before) = before {
-                    let after = Counters::sum(run.arena.shards.iter().map(|s| &s.counters));
-                    self.streams.push(StreamRec {
-                        name: name.to_string(),
-                        grid_blocks,
-                        block_dim,
-                        counters: after.delta_from(&before),
-                    });
-                }
-                self.grid_offset += grid_blocks.max(1);
-            }
-            None => {
-                let r = self.dev.launch(name, grid_blocks, block_dim, kernel);
-                self.serial = std::mem::take(&mut self.serial).then(&r);
-            }
+        let run = &mut self.run;
+        // Group adds are sequential host-side, so snapshotting the pooled
+        // counters around each add attributes every increment (child
+        // waves included) to its stream.
+        let before = if run.trace {
+            Some(Counters::sum(run.arena.shards.iter().map(|s| &s.counters)))
+        } else {
+            None
+        };
+        execute_grid(run, grid_blocks, block_dim, self.grid_offset, kernel);
+        if let Some(before) = before {
+            let after = Counters::sum(run.arena.shards.iter().map(|s| &s.counters));
+            self.streams.push(StreamRec {
+                name: name.to_string(),
+                grid_blocks,
+                block_dim,
+                counters: after.delta_from(&before),
+            });
         }
+        self.grid_offset += grid_blocks.max(1);
     }
 
     /// Number of kernels added so far.
@@ -823,42 +823,29 @@ impl ConcurrentGroup<'_> {
         self.launches
     }
 
-    /// Close the group and return the combined report. Concurrent groups
-    /// pay one full launch gap plus a small per-stream enqueue cost; the
-    /// pooled roofline takes one `max` over the group's aggregate work.
-    /// A group with no kernels launched nothing: it costs nothing and
-    /// records no span, on every device.
+    /// Close the group and return the combined report. A group pays one
+    /// full launch gap plus a small per-stream enqueue cost; the pooled
+    /// roofline takes one `max` over the group's aggregate work. A group
+    /// with no kernels launched nothing: it costs nothing and records no
+    /// span.
     pub fn finish(self) -> RunReport {
         if self.launches == 0 {
-            if let Some(run) = self.pooled {
-                self.dev.recycle(run.arena);
-            }
+            self.dev.recycle(self.run.arena);
             return RunReport {
                 name: self.name,
                 ..RunReport::default()
             };
         }
-        match self.pooled {
-            Some(run) => {
-                let cfg = self.dev.config();
-                let extra = (self.launches - 1) as f64 * 0.25 * cfg.kernel_launch_s;
-                self.dev.assemble_report(
-                    &self.name,
-                    run,
-                    cfg.kernel_launch_s + extra,
-                    self.launches,
-                    (0, 0),
-                    self.streams,
-                )
-            }
-            None => {
-                let mut r = self.serial;
-                if r.name.is_empty() {
-                    r.name = self.name;
-                }
-                r
-            }
-        }
+        let cfg = self.dev.config();
+        let extra = (self.launches - 1) as f64 * 0.25 * cfg.kernel_launch_s;
+        self.dev.assemble_report(
+            &self.name,
+            self.run,
+            cfg.kernel_launch_s + extra,
+            self.launches,
+            (0, 0),
+            self.streams,
+        )
     }
 }
 
@@ -878,6 +865,41 @@ mod tests {
         let r = dev.launch("empty", 0, 32, &|_b| {});
         assert!((r.time_s - dev.config().kernel_launch_s).abs() < 1e-12);
         assert_eq!(r.counters.blocks, 0);
+    }
+
+    /// A 96-byte transaction would make a fully coalesced 32 × f64 read
+    /// (256 bytes) cost 768 DRAM bytes in 8 transactions.
+    #[test]
+    #[should_panic(expected = "dram_transaction_bytes")]
+    fn device_rejects_a_transaction_size_that_is_not_a_power_of_two() {
+        let mut cfg = presets::gtx_titan();
+        cfg.dram_transaction_bytes = 96;
+        Device::new(cfg);
+    }
+
+    /// A 48-byte texture line used to be accepted and panic at the first
+    /// texture gather instead.
+    #[test]
+    #[should_panic(expected = "tex_line_bytes")]
+    fn device_rejects_a_texture_line_that_is_not_a_power_of_two() {
+        let mut cfg = presets::gtx_titan();
+        cfg.tex_line_bytes = 48;
+        Device::new(cfg);
+    }
+
+    #[test]
+    fn device_accepts_granules_from_32_bytes_to_a_page() {
+        for bytes in [32, 128, 4096] {
+            let mut cfg = presets::gtx_titan();
+            cfg.dram_transaction_bytes = bytes;
+            cfg.tex_line_bytes = bytes;
+            Device::new(cfg);
+        }
+        for bytes in [0, 16, 8192] {
+            let mut cfg = presets::gtx_titan();
+            cfg.tex_line_bytes = bytes;
+            assert!(std::panic::catch_unwind(|| Device::new(cfg)).is_err());
+        }
     }
 
     #[test]

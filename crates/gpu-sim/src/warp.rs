@@ -11,6 +11,18 @@
 //! the same issue slot as a full warp — that waste is precisely the
 //! divergence ACSR's binning removes.
 //!
+//! Every memory op has one coalescing model, and it works in *index
+//! space*: the active lanes' element indices are compacted, scanned once
+//! for sortedness and segment boundaries (sorted and rescanned only when
+//! they arrive out of order), and a segment is an index shifted right by
+//! `log2(granule / element size)` (see `idx_shift`). That equals counting
+//! byte addresses because three preconditions hold, each enforced where
+//! it originates: element sizes are powers of two up to 32 bytes (a
+//! compile-time assertion on [`DevCopy::SIZE`]), DRAM transactions and
+//! texture lines are powers of two from 32 bytes to a page
+//! ([`crate::Device::new`]), and buffer bases are page-aligned (the
+//! allocator in [`crate::buffer`]).
+//!
 //! All model mutations go to the warp's `ShardState` — the per-SM slice
 //! of the launch this warp's block belongs to — so warps of blocks on
 //! different SMs can execute on different host threads without sharing
@@ -185,87 +197,15 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         idx: &[usize; WARP],
         mask: u32,
     ) -> [T; WARP] {
-        let mut out = [T::default(); WARP];
         let txn = self.cfg.dram_transaction_bytes as u64;
         let elem = T::SIZE as u64;
-        // Fast path: scan coalescing structure directly in index space
-        // (see `idx_shift`). For a power-of-two element size the element
-        // granule `elem.next_power_of_two()` IS `elem`, so "distinct
-        // elements" is the shift-0 segment count of the index run.
-        if let Some(sa) = idx_shift(buf.base_addr(), elem, txn) {
-            let full = mask == FULL_MASK;
-            let mut lanes = [0usize; WARP];
-            let n_active = if full {
-                WARP
-            } else {
-                compact_idx(idx, mask, &mut lanes)
-            };
-            let scan = if full {
-                scan_run(idx, sa, 0)
-            } else {
-                scan_run(&lanes[..n_active], sa, 0)
-            };
-            let (segs, distinct_elems) = if scan.sorted {
-                (scan.segs_a, scan.segs_b)
-            } else {
-                if full {
-                    lanes = *idx;
-                }
-                let run = &mut lanes[..n_active];
-                sort_run(run);
-                count_segments2(run, sa, 0)
-            };
-            if n_active > 0 {
-                // One bounds check covers every active lane: the run's
-                // maximum is its last element — of the original run when
-                // it scanned sorted, of the sorted copy otherwise.
-                let max = if scan.sorted && full {
-                    idx[WARP - 1]
-                } else {
-                    lanes[n_active - 1]
-                };
-                assert!(
-                    max < buf.len(),
-                    "gather index {max} out of bounds (len {})",
-                    buf.len()
-                );
-                // SAFETY: every active index is ≤ `max`, checked above;
-                // inactive lanes read index 0 (in bounds: len > max ≥ 0)
-                // and discard it — a branchless select, not a branch per
-                // lane, so the loop vectorizes to a masked gather.
-                unsafe {
-                    if full {
-                        for lane in 0..WARP {
-                            out[lane] = buf.get_unchecked(idx[lane]);
-                        }
-                    } else {
-                        for lane in 0..WARP {
-                            let active = mask >> lane & 1 == 1;
-                            let v = buf.get_unchecked(if active { idx[lane] } else { 0 });
-                            out[lane] = if active { v } else { T::default() };
-                        }
-                    }
-                }
-            }
-            let ideal = ideal_from_distinct(n_active, distinct_elems, elem, txn);
-            self.charge_mem_read(n_active as u64, segs, ideal, txn);
-            return out;
-        }
-        // General path (odd element sizes / unaligned bases): materialize
-        // and scan raw addresses.
-        let mut addrs = [0u64; WARP];
-        let sa = txn.trailing_zeros();
-        let sb = elem.next_power_of_two().max(1).trailing_zeros();
-        let scan = collect_gather(buf, idx, mask, &mut out, &mut addrs, sa, sb);
-        let (segs, distinct_elems) = if scan.sorted {
-            (scan.segs_a, scan.segs_b)
-        } else {
-            let active = &mut addrs[..scan.n_active];
-            sort_run(active);
-            count_segments2(active, sa, sb)
-        };
-        let ideal = ideal_from_distinct(scan.n_active, distinct_elems, elem, txn);
-        self.charge_mem_read(scan.n_active as u64, segs, ideal, txn);
+        let sa = idx_shift(elem, txn);
+        let mut lanes = [0usize; WARP];
+        let (run, scan) = active_run(idx, mask, &mut lanes, sa, sa);
+        // SAFETY: `run` is `active_run`'s sorted active indices.
+        let out = unsafe { load_lanes(buf, idx, mask, run) };
+        let ideal = ideal_from_distinct(run.len(), scan.distinct, elem, txn);
+        self.charge_mem_read(run.len() as u64, scan.segs_a, ideal, txn);
         out
     }
 
@@ -290,38 +230,35 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         debug_assert_eq!(group_idx.len() << g_shift, WARP);
         let txn = self.cfg.dram_transaction_bytes as u64;
         let elem = T::SIZE as u64;
-        // Fast path needs: index-space scanning available, the active
-        // lanes a prefix of whole groups (so the compacted run is the
-        // first `n_groups` group indices expanded), and that prefix
-        // sorted.
+        // The grouped form needs the active lanes to be a prefix of whole
+        // groups (so the compacted run is the first `n_groups` group
+        // indices expanded), and that prefix sorted.
         let n_active = mask.count_ones() as usize;
         let n_groups = n_active >> g_shift;
         if mask == lane_mask(n_active) && n_groups << g_shift == n_active {
-            if let Some(sa) = idx_shift(buf.base_addr(), elem, txn) {
-                let groups = &group_idx[..n_groups];
-                let scan = scan_run(groups, sa, 0);
-                if scan.sorted {
-                    let mut out = [T::default(); WARP];
-                    if n_groups > 0 {
-                        let max = groups[n_groups - 1];
-                        assert!(
-                            max < buf.len(),
-                            "gather index {max} out of bounds (len {})",
-                            buf.len()
-                        );
-                        for (g, &i) in groups.iter().enumerate() {
-                            // SAFETY: `i ≤ max < buf.len()` (sorted run).
-                            let v = unsafe { buf.get_unchecked(i) };
-                            out[g << g_shift..(g + 1) << g_shift].fill(v);
-                        }
+            let sa = idx_shift(elem, txn);
+            let groups = &group_idx[..n_groups];
+            let scan = scan_run(groups, sa, sa);
+            if scan.sorted {
+                let mut out = [T::default(); WARP];
+                if let Some(&max) = groups.last() {
+                    assert!(
+                        max < buf.len(),
+                        "gather index {max} out of bounds (len {})",
+                        buf.len()
+                    );
+                    for (g, &i) in groups.iter().enumerate() {
+                        // SAFETY: `i ≤ max < buf.len()` (sorted run).
+                        let v = unsafe { buf.get_unchecked(i) };
+                        out[g << g_shift..(g + 1) << g_shift].fill(v);
                     }
-                    // Each expanded element duplicates its group's index,
-                    // so boundaries (and the distinct count) are exactly
-                    // the group run's.
-                    let ideal = ideal_from_distinct(n_active, scan.segs_b, elem, txn);
-                    self.charge_mem_read(n_active as u64, scan.segs_a, ideal, txn);
-                    return out;
                 }
+                // Each expanded element duplicates its group's index,
+                // so boundaries (and the distinct count) are exactly
+                // the group run's.
+                let ideal = ideal_from_distinct(n_active, scan.distinct, elem, txn);
+                self.charge_mem_read(n_active as u64, scan.segs_a, ideal, txn);
+                return out;
             }
         }
         // General shape: expand and take the ordinary gather path.
@@ -347,89 +284,28 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         mask: u32,
     ) -> ([A; WARP], [B; WARP]) {
         let txn = self.cfg.dram_transaction_bytes as u64;
-        let ea = A::SIZE as u64;
-        let eb = B::SIZE as u64;
-        let (Some(sa), Some(sb)) = (
-            idx_shift(buf_a.base_addr(), ea, txn),
-            idx_shift(buf_b.base_addr(), eb, txn),
-        ) else {
-            return (self.gather(buf_a, idx, mask), self.gather(buf_b, idx, mask));
-        };
-        let mut out_a = [A::default(); WARP];
-        let mut out_b = [B::default(); WARP];
-        let full = mask == FULL_MASK;
+        let (ea, eb) = (A::SIZE as u64, B::SIZE as u64);
         let mut lanes = [0usize; WARP];
-        let n_active = if full {
-            WARP
-        } else {
-            compact_idx(idx, mask, &mut lanes)
-        };
-        let scan = if full {
-            scan_run3(idx, sa, sb)
-        } else {
-            scan_run3(&lanes[..n_active], sa, sb)
-        };
-        let (segs_a, segs_b, distinct) = if scan.sorted {
-            (scan.segs_a, scan.segs_b, scan.distinct)
-        } else {
-            if full {
-                lanes = *idx;
-            }
-            let run = &mut lanes[..n_active];
-            sort_run(run);
-            let (a, b) = count_segments2(run, sa, sb);
-            let (d, _) = count_segments2(run, 0, 0);
-            (a, b, d)
-        };
-        if n_active > 0 {
-            // One bounds check per buffer: the run's maximum is its last
-            // element — of the original run when it scanned sorted, of
-            // the sorted copy otherwise.
-            let max = if scan.sorted && full {
-                idx[WARP - 1]
-            } else {
-                lanes[n_active - 1]
-            };
-            assert!(
-                max < buf_a.len() && max < buf_b.len(),
-                "gather index {max} out of bounds (lens {}, {})",
-                buf_a.len(),
-                buf_b.len()
-            );
-            // SAFETY: every active index is ≤ `max`, checked above;
-            // inactive lanes read index 0 (in bounds) and discard it —
-            // branchless select, as in `gather`.
-            unsafe {
-                if full {
-                    for lane in 0..WARP {
-                        out_a[lane] = buf_a.get_unchecked(idx[lane]);
-                        out_b[lane] = buf_b.get_unchecked(idx[lane]);
-                    }
-                } else {
-                    for lane in 0..WARP {
-                        let active = mask >> lane & 1 == 1;
-                        let j = if active { idx[lane] } else { 0 };
-                        let va = buf_a.get_unchecked(j);
-                        let vb = buf_b.get_unchecked(j);
-                        out_a[lane] = if active { va } else { A::default() };
-                        out_b[lane] = if active { vb } else { B::default() };
-                    }
-                }
-            }
-        }
-        self.charge_mem_read(
-            n_active as u64,
-            segs_a,
-            ideal_from_distinct(n_active, distinct, ea, txn),
-            txn,
+        let (run, scan) = active_run(
+            idx,
+            mask,
+            &mut lanes,
+            idx_shift(ea, txn),
+            idx_shift(eb, txn),
         );
-        self.charge_mem_read(
-            n_active as u64,
-            segs_b,
-            ideal_from_distinct(n_active, distinct, eb, txn),
-            txn,
-        );
-        (out_a, out_b)
+        // SAFETY: `run` is `active_run`'s sorted active indices.
+        let out = unsafe {
+            (
+                load_lanes(buf_a, idx, mask, run),
+                load_lanes(buf_b, idx, mask, run),
+            )
+        };
+        let n = run.len();
+        let ideal_a = ideal_from_distinct(n, scan.distinct, ea, txn);
+        self.charge_mem_read(n as u64, scan.segs_a, ideal_a, txn);
+        let ideal_b = ideal_from_distinct(n, scan.distinct, eb, txn);
+        self.charge_mem_read(n as u64, scan.segs_b, ideal_b, txn);
+        out
     }
 
     /// Gather through the texture / read-only cache path (the paper binds
@@ -442,123 +318,34 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         idx: &[usize; WARP],
         mask: u32,
     ) -> [T; WARP] {
-        let mut out = [T::default(); WARP];
         let line = self.cfg.tex_line_bytes as u64;
-        let shift = line.trailing_zeros();
-        let elem = T::SIZE as u64;
-        let base = buf.base_addr();
-        // Fast path: dedup lines in index space (see `idx_shift`); the
-        // probed byte address of an index-space line id `li` is
-        // `base + (li << shift)` — identical to the address-space
-        // `l << shift` because the base is line-aligned.
-        if let Some(ls) = idx_shift(base, elem, line) {
-            let full = mask == FULL_MASK;
-            let mut lanes = [0usize; WARP];
-            let n_active = if full {
-                WARP
-            } else {
-                compact_idx(idx, mask, &mut lanes)
-            };
-            let sorted = scan_run(if full { idx } else { &lanes[..n_active] }, ls, ls).sorted;
-            if !sorted {
-                if full {
-                    lanes = *idx;
-                }
-                sort_run(&mut lanes[..n_active]);
-            }
-            if n_active > 0 {
-                // One bounds check on the run's maximum — last element of
-                // the original run if sorted, of the sorted copy if not.
-                let max = if sorted && full {
-                    idx[WARP - 1]
-                } else {
-                    lanes[n_active - 1]
-                };
-                assert!(
-                    max < buf.len(),
-                    "gather index {max} out of bounds (len {})",
-                    buf.len()
-                );
-                // SAFETY: every active index is ≤ `max`, checked above;
-                // inactive lanes read index 0 (in bounds) and discard it —
-                // branchless select, as in `gather`.
-                unsafe {
-                    if full {
-                        for lane in 0..WARP {
-                            out[lane] = buf.get_unchecked(idx[lane]);
-                        }
-                    } else {
-                        for lane in 0..WARP {
-                            let active = mask >> lane & 1 == 1;
-                            let v = buf.get_unchecked(if active { idx[lane] } else { 0 });
-                            out[lane] = if active { v } else { T::default() };
-                        }
-                    }
-                }
-            }
-            let run: &[usize] = if sorted && full {
-                &idx[..]
-            } else {
-                &lanes[..n_active]
-            };
-            let (mut hits, mut misses) = (0u64, 0u64);
-            if n_active > 0 {
-                let cache = self.shard.cache_mut(self.cfg);
-                // Probe each distinct line once, in ascending line order —
-                // the same sequence the compacting dedup used to produce,
-                // so the cache state stream is unchanged. The probed byte
-                // address is `base + (li << shift)`, whose line id is
-                // `(base >> shift) + li` (base is line-aligned).
-                let base_line = base >> shift;
-                let mut prev_line = usize::MAX;
-                for &i in run {
-                    let li = i >> ls;
-                    if li == prev_line {
-                        continue;
-                    }
-                    prev_line = li;
-                    if cache.access_line(base_line + li as u64) {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                }
-            }
-            self.charge_tex(n_active as u64, hits, misses, line);
-            return out;
-        }
-        // General path: materialize and scan raw addresses.
-        let mut addrs = [0u64; WARP];
-        let scan = collect_gather(buf, idx, mask, &mut out, &mut addrs, shift, shift);
-        let n_active = scan.n_active;
-        let active = &mut addrs[..n_active];
-        if !scan.sorted {
-            sort_run(active);
-        }
+        let ls = idx_shift(T::SIZE as u64, line);
+        let mut lanes = [0usize; WARP];
+        let (run, _) = active_run(idx, mask, &mut lanes, ls, ls);
+        // SAFETY: `run` is `active_run`'s sorted active indices.
+        let out = unsafe { load_lanes(buf, idx, mask, run) };
         let (mut hits, mut misses) = (0u64, 0u64);
-        if n_active > 0 {
+        if !run.is_empty() {
             let cache = self.shard.cache_mut(self.cfg);
-            let mut prev_line = u64::MAX;
-            for &a in active.iter() {
-                let l = a >> shift;
-                if l == prev_line {
+            // Probe each distinct line once, in ascending line order. The
+            // base is line-aligned, so index-space line `li` is the byte
+            // address line `(base >> log2 line) + li`.
+            let base_line = buf.base_addr() >> line.trailing_zeros();
+            let mut prev_line = usize::MAX;
+            for &i in run {
+                let li = i >> ls;
+                if li == prev_line {
                     continue;
                 }
-                prev_line = l;
-                if cache.access(l << shift) {
+                prev_line = li;
+                if cache.access_line(base_line + li as u64) {
                     hits += 1;
                 } else {
                     misses += 1;
                 }
             }
         }
-        self.charge_tex(n_active as u64, hits, misses, line);
-        out
-    }
-
-    /// Shared accounting tail of the texture gather paths.
-    #[inline]
-    fn charge_tex(&mut self, n_active: u64, hits: u64, misses: u64, line: u64) {
+        let n_active = run.len() as u64;
         self.instr += 1;
         self.lanes += n_active;
         self.note_lanes(n_active);
@@ -571,6 +358,7 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         } else {
             self.tex_hit_lat
         };
+        out
     }
 
     /// Lane `i` reads `buf[base + i]` (the canonical coalesced pattern).
@@ -580,33 +368,32 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         base: usize,
         mask: u32,
     ) -> [T; WARP] {
-        let txn = self.cfg.dram_transaction_bytes as u64;
-        let elem = T::SIZE as u64;
         // Full-mask fast path: `base..base+32` is a sorted run of 32
         // distinct consecutive indices, so the coalescing scan a `gather`
         // would run collapses to closed forms — consecutive indices have
         // consecutive segment ids, so the segment count is just the id
         // span, and "distinct elements" is exactly 32.
         if mask == FULL_MASK {
-            if let Some(sa) = idx_shift(buf.base_addr(), elem, txn) {
-                let max = base + WARP - 1;
-                assert!(
-                    max < buf.len(),
-                    "gather index {max} out of bounds (len {})",
-                    buf.len()
-                );
-                let mut out = [T::default(); WARP];
-                // SAFETY: every index read is ≤ `max`, checked above.
-                unsafe {
-                    for (lane, slot) in out.iter_mut().enumerate() {
-                        *slot = buf.get_unchecked(base + lane);
-                    }
+            let txn = self.cfg.dram_transaction_bytes as u64;
+            let elem = T::SIZE as u64;
+            let sa = idx_shift(elem, txn);
+            let max = base + WARP - 1;
+            assert!(
+                max < buf.len(),
+                "gather index {max} out of bounds (len {})",
+                buf.len()
+            );
+            let mut out = [T::default(); WARP];
+            // SAFETY: every index read is ≤ `max`, checked above.
+            unsafe {
+                for (lane, slot) in out.iter_mut().enumerate() {
+                    *slot = buf.get_unchecked(base + lane);
                 }
-                let segs = ((max >> sa) - (base >> sa) + 1) as u64;
-                let ideal = ideal_from_distinct(WARP, WARP as u64, elem, txn);
-                self.charge_mem_read(WARP as u64, segs, ideal, txn);
-                return out;
             }
+            let segs = ((max >> sa) - (base >> sa) + 1) as u64;
+            let ideal = ideal_from_distinct(WARP, WARP as u64, elem, txn);
+            self.charge_mem_read(WARP as u64, segs, ideal, txn);
+            return out;
         }
         let mut idx = [0usize; WARP];
         for (lane, slot) in idx.iter_mut().enumerate() {
@@ -647,96 +434,35 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
     ) {
         let txn = self.cfg.dram_transaction_bytes as u64;
         let elem = T::SIZE as u64;
-        // Fast path: index-space scan, as in `gather`.
-        if let Some(sa) = idx_shift(buf.base_addr(), elem, txn) {
-            let full = mask == FULL_MASK;
-            let mut lanes = [0usize; WARP];
-            let n_active = if full {
-                WARP
-            } else {
-                compact_idx(idx, mask, &mut lanes)
-            };
-            let scan = if full {
-                scan_run(idx, sa, 0)
-            } else {
-                scan_run(&lanes[..n_active], sa, 0)
-            };
-            let (segs, distinct_elems) = if scan.sorted {
-                (scan.segs_a, scan.segs_b)
-            } else {
-                if full {
-                    lanes = *idx;
-                }
-                let run = &mut lanes[..n_active];
-                sort_run(run);
-                count_segments2(run, sa, 0)
-            };
-            if n_active > 0 {
-                // One bounds check on the run's maximum, as in `gather`.
-                let max = if scan.sorted && full {
-                    idx[WARP - 1]
+        let sa = idx_shift(elem, txn);
+        let mut lanes = [0usize; WARP];
+        let (run, scan) = active_run(idx, mask, &mut lanes, sa, sa);
+        if let Some(&max) = run.last() {
+            assert!(
+                max < buf.len(),
+                "scatter index {max} out of bounds (len {})",
+                buf.len()
+            );
+            // SAFETY: every active index is ≤ `max`, checked above.
+            // Writes run in ascending lane order, preserving the
+            // last-writer-wins conflict resolution.
+            unsafe {
+                if mask == FULL_MASK {
+                    for lane in 0..WARP {
+                        buf.set_unchecked(idx[lane], vals[lane]);
+                    }
                 } else {
-                    lanes[n_active - 1]
-                };
-                assert!(
-                    max < buf.len(),
-                    "scatter index {max} out of bounds (len {})",
-                    buf.len()
-                );
-                // SAFETY: every active index is ≤ `max`, checked above.
-                // Writes run in ascending lane order, preserving the
-                // last-writer-wins conflict resolution.
-                unsafe {
-                    if full {
-                        for lane in 0..WARP {
-                            buf.set_unchecked(idx[lane], vals[lane]);
-                        }
-                    } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            buf.set_unchecked(idx[lane], vals[lane]);
-                        }
+                    let mut m = mask;
+                    while m != 0 {
+                        let lane = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        buf.set_unchecked(idx[lane], vals[lane]);
                     }
                 }
             }
-            let ideal = ideal_from_distinct(n_active, distinct_elems, elem, txn);
-            self.charge_mem_write(n_active as u64, segs, ideal, txn);
-            return;
         }
-        // General path: materialize and scan raw addresses.
-        let mut addrs = [0u64; WARP];
-        let sa = txn.trailing_zeros();
-        let sb = elem.next_power_of_two().max(1).trailing_zeros();
-        let n = if mask == FULL_MASK {
-            for lane in 0..WARP {
-                buf.set(idx[lane], vals[lane]);
-                addrs[lane] = buf.addr_of(idx[lane]);
-            }
-            WARP
-        } else {
-            let mut n = 0usize;
-            let mut m = mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                buf.set(idx[lane], vals[lane]);
-                addrs[n] = buf.addr_of(idx[lane]);
-                n += 1;
-            }
-            n
-        };
-        let scan = scan_run(&addrs[..n], sa, sb);
-        let (segs, distinct_elems) = if scan.sorted {
-            (scan.segs_a, scan.segs_b)
-        } else {
-            let active = &mut addrs[..scan.n_active];
-            sort_run(active);
-            count_segments2(active, sa, sb)
-        };
-        let ideal = ideal_from_distinct(scan.n_active, distinct_elems, elem, txn);
-        self.charge_mem_write(scan.n_active as u64, segs, ideal, txn);
+        let ideal = ideal_from_distinct(run.len(), scan.distinct, elem, txn);
+        self.charge_mem_write(run.len() as u64, scan.segs_a, ideal, txn);
     }
 
     /// Atomic read-modify-write: `buf[idx[i]] = op(buf[idx[i]], vals[i])`.
@@ -912,16 +638,9 @@ impl Drop for WarpCtx<'_, '_, '_> {
     }
 }
 
-/// Element of a scannable access run: a raw byte address (`u64`) or an
-/// element index (`usize`, for the index-space fast path).
-trait RunElem: Copy + Ord + std::ops::Shr<u32, Output = Self> {}
-impl RunElem for u64 {}
-impl RunElem for usize {}
-
-/// Result of scanning a warp's (lane-ordered, compacted) access run.
+/// Counts of one warp access run (see [`scan_run`]).
 struct LaneScan {
-    n_active: usize,
-    /// Addresses came out non-decreasing (the common coalesced and
+    /// Indices came out non-decreasing (the common coalesced and
     /// row-major case).
     sorted: bool,
     /// Distinct segments at granularity `1 << shift_a` — valid only when
@@ -930,84 +649,114 @@ struct LaneScan {
     /// Distinct segments at granularity `1 << shift_b` — valid only when
     /// `sorted`.
     segs_b: u64,
-}
-
-/// Scan a compacted access run for sortedness and — valid only when it
-/// is sorted — the distinct-segment counts at two granularities.
-/// Counting boundaries between neighbours of a sorted run is exactly
-/// what [`count_segments2`] computes, so sorted runs skip the sort and
-/// the second counting pass entirely. The loop carries only independent
-/// accumulators (no data-dependent control flow), so it vectorizes.
-#[inline]
-fn scan_run<E: RunElem>(run: &[E], shift_a: u32, shift_b: u32) -> LaneScan {
-    let n = run.len();
-    if n == 0 {
-        return LaneScan {
-            n_active: 0,
-            sorted: true,
-            segs_a: 0,
-            segs_b: 0,
-        };
-    }
-    let mut sorted = true;
-    let mut segs_a = 1u64;
-    let mut segs_b = 1u64;
-    for i in 1..n {
-        let p = run[i - 1];
-        let a = run[i];
-        sorted &= a >= p;
-        segs_a += u64::from(a >> shift_a != p >> shift_a);
-        segs_b += u64::from(a >> shift_b != p >> shift_b);
-    }
-    LaneScan {
-        n_active: n,
-        sorted,
-        segs_a,
-        segs_b,
-    }
-}
-
-/// As [`LaneScan`] but with a third count: distinct elements (shift 0),
-/// shared by [`WarpCtx::gather2`]'s two charges. Same single pass, same
-/// boundary-counting argument.
-struct LaneScan3 {
-    sorted: bool,
-    segs_a: u64,
-    segs_b: u64,
+    /// Distinct indices — valid only when `sorted`.
     distinct: u64,
 }
 
-/// Three-granularity variant of [`scan_run`] (see there for why the
-/// boundary counts of a sorted run equal the dedup counts).
+/// Scan an index run for sortedness and — valid only when it is sorted —
+/// its distinct-segment counts at two granularities plus its distinct
+/// indices. Shifting is monotonic, so the segment ids of a sorted run are
+/// sorted too and each distinct id shows up as one boundary between
+/// neighbours: counting boundaries is exactly a dedup count, with no sort
+/// and no second pass. The loop carries only independent accumulators
+/// (no data-dependent control flow), so it vectorizes.
 #[inline]
-fn scan_run3<E: RunElem>(run: &[E], shift_a: u32, shift_b: u32) -> LaneScan3 {
-    let n = run.len();
-    if n == 0 {
-        return LaneScan3 {
-            sorted: true,
-            segs_a: 0,
-            segs_b: 0,
-            distinct: 0,
-        };
-    }
-    let mut sorted = true;
-    let mut segs_a = 1u64;
-    let mut segs_b = 1u64;
-    let mut distinct = 1u64;
-    for i in 1..n {
-        let p = run[i - 1];
-        let a = run[i];
+fn scan_run(run: &[usize], shift_a: u32, shift_b: u32) -> LaneScan {
+    let one = u64::from(!run.is_empty());
+    let (mut sorted, mut segs_a, mut segs_b, mut distinct) = (true, one, one, one);
+    for w in run.windows(2) {
+        let (p, a) = (w[0], w[1]);
         sorted &= a >= p;
         segs_a += u64::from(a >> shift_a != p >> shift_a);
         segs_b += u64::from(a >> shift_b != p >> shift_b);
         distinct += u64::from(a != p);
     }
-    LaneScan3 {
+    LaneScan {
         sorted,
         segs_a,
         segs_b,
         distinct,
     }
+}
+
+/// The active lanes of one warp access, in index space: their indices
+/// in ascending order, with the run's counts at segment shifts `shift_a`
+/// and `shift_b`. The run is `idx` itself when every lane is active and
+/// the indices arrive sorted (the common coalesced case copies nothing);
+/// otherwise it is the active indices compacted into `lanes`, sorted
+/// and rescanned when they arrive unsorted. Either way its last element
+/// is the largest active index, so one bounds check covers the access.
+#[inline]
+fn active_run<'a>(
+    idx: &'a [usize; WARP],
+    mask: u32,
+    lanes: &'a mut [usize; WARP],
+    shift_a: u32,
+    shift_b: u32,
+) -> (&'a [usize], LaneScan) {
+    let full = mask == FULL_MASK;
+    let n = if full {
+        WARP
+    } else {
+        compact_idx(idx, mask, lanes)
+    };
+    let scan = scan_run(if full { idx } else { &lanes[..n] }, shift_a, shift_b);
+    if scan.sorted && full {
+        return (idx, scan);
+    }
+    if full {
+        *lanes = *idx;
+    }
+    let run = &mut lanes[..n];
+    if scan.sorted {
+        return (run, scan);
+    }
+    sort_run(run);
+    let scan = scan_run(run, shift_a, shift_b);
+    (run, scan)
+}
+
+/// `buf[idx[lane]]` for every active lane and `T::default()` for the
+/// rest, behind one bounds check on the largest active index.
+///
+/// # Safety
+/// `run` must be the active lanes' indices of `idx` under `mask` in
+/// ascending order (as [`active_run`] returns them), so that its last
+/// element is at least every active index.
+#[inline]
+unsafe fn load_lanes<T: DevCopy>(
+    buf: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    mask: u32,
+    run: &[usize],
+) -> [T; WARP] {
+    let mut out = [T::default(); WARP];
+    let Some(&max) = run.last() else {
+        return out;
+    };
+    assert!(
+        max < buf.len(),
+        "gather index {max} out of bounds (len {})",
+        buf.len()
+    );
+    // SAFETY: every active index is ≤ `max` (the caller's contract), and
+    // `max < len` is checked above; inactive lanes read index 0 (in
+    // bounds: len > max ≥ 0) and discard it — a branchless select, not a
+    // branch per lane, so the loop vectorizes to a masked gather.
+    unsafe {
+        if mask == FULL_MASK {
+            for lane in 0..WARP {
+                out[lane] = buf.get_unchecked(idx[lane]);
+            }
+        } else {
+            for lane in 0..WARP {
+                let active = mask >> lane & 1 == 1;
+                let v = buf.get_unchecked(if active { idx[lane] } else { 0 });
+                out[lane] = if active { v } else { T::default() };
+            }
+        }
+    }
+    out
 }
 
 /// Compact the active lanes' indices into the front of `lanes` (lane
@@ -1027,63 +776,25 @@ fn compact_idx(idx: &[usize; WARP], mask: u32, lanes: &mut [usize; WARP]) -> usi
 }
 
 /// In index space, the shift mapping an element index to its
-/// granularity-`1 << k` segment id — available whenever the element size
-/// is a power of two no larger than the granule and the buffer base is
-/// granule-aligned (always true for the page-aligned allocator). Then
-/// `(base + i*elem) >> k == (base >> k) + (i >> (k - log2 elem))`: the
-/// base contributes a constant, so segment *boundaries* (and sortedness)
-/// of an index run coincide exactly with those of the address run, and
-/// the per-lane address materialization can be skipped entirely.
+/// granularity-`granule` segment id. Element sizes are powers of two up
+/// to 32 bytes (asserted where [`DevCopy::SIZE`] is defined), granules
+/// are powers of two from 32 bytes to a page (checked by
+/// [`crate::Device::new`]), and buffer bases are page-aligned (the
+/// allocator), so `(base + i*elem) >> k == (base >> k) + (i >> (k -
+/// log2 elem))`: the base contributes a constant, and the segment
+/// boundaries (and sortedness) of an index run are exactly those of its
+/// byte addresses.
 #[inline]
-fn idx_shift(base: u64, elem: u64, granule: u64) -> Option<u32> {
-    if elem.is_power_of_two() && elem <= granule && base & (granule - 1) == 0 {
-        Some(granule.trailing_zeros() - elem.trailing_zeros())
-    } else {
-        None
-    }
-}
-
-/// Collect the active lanes' values and raw byte addresses (lane order,
-/// compacted into the front of `addrs`), then scan the run. The
-/// full-mask case is a straight-line 32-iteration loop — no bit
-/// scanning, no cross-lane dependencies — so the compiler can unroll
-/// and vectorize it.
-#[inline]
-fn collect_gather<T: DevCopy>(
-    buf: &DeviceBuffer<T>,
-    idx: &[usize; WARP],
-    mask: u32,
-    out: &mut [T; WARP],
-    addrs: &mut [u64; WARP],
-    shift_a: u32,
-    shift_b: u32,
-) -> LaneScan {
-    let n = if mask == FULL_MASK {
-        for lane in 0..WARP {
-            out[lane] = buf.get(idx[lane]);
-            addrs[lane] = buf.addr_of(idx[lane]);
-        }
-        WARP
-    } else {
-        let mut n = 0usize;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            out[lane] = buf.get(idx[lane]);
-            addrs[n] = buf.addr_of(idx[lane]);
-            n += 1;
-        }
-        n
-    };
-    scan_run(&addrs[..n], shift_a, shift_b)
+fn idx_shift(elem: u64, granule: u64) -> u32 {
+    debug_assert!(elem.is_power_of_two() && granule.is_power_of_two() && elem <= granule);
+    granule.trailing_zeros() - elem.trailing_zeros()
 }
 
 /// Sort up to 32 run elements. Insertion sort: warp-sized inputs are
 /// typically nearly sorted (ascending per-group runs), where it does
 /// O(n + inversions) work.
 #[inline]
-fn sort_run<E: RunElem>(run: &mut [E]) {
+fn sort_run(run: &mut [usize]) {
     for i in 1..run.len() {
         let v = run[i];
         let mut j = i;
@@ -1093,25 +804,6 @@ fn sort_run<E: RunElem>(run: &mut [E]) {
         }
         run[j] = v;
     }
-}
-
-/// Count the distinct power-of-two segments a *sorted* run touches, at
-/// two granularities (`1 << shift_a`, `1 << shift_b`) in one pass.
-/// Shifting is monotonic, so segment ids of sorted elements are sorted
-/// too and distinct ids appear as boundaries between neighbours — the
-/// same counts the old sort-per-granularity dedup produced.
-#[inline]
-fn count_segments2<E: RunElem>(sorted: &[E], shift_a: u32, shift_b: u32) -> (u64, u64) {
-    if sorted.is_empty() {
-        return (0, 0);
-    }
-    let mut da = 1u64;
-    let mut db = 1u64;
-    for w in sorted.windows(2) {
-        da += u64::from(w[0] >> shift_a != w[1] >> shift_a);
-        db += u64::from(w[0] >> shift_b != w[1] >> shift_b);
-    }
-    (da, db)
 }
 
 /// Minimum DRAM transactions a request could have needed: the *distinct*
@@ -1128,34 +820,32 @@ fn ideal_from_distinct(n_active: usize, distinct_elems: u64, elem: u64, txn_byte
     }
 }
 
-/// Reference implementation of segment counting (kept for the
-/// equivalence tests): compact `addrs` to the distinct
-/// `granularity`-sized segment ids it touches; returns the count.
-/// `granularity` must be a power of two.
-#[cfg(test)]
-fn distinct_segments(addrs: &mut [u64], granularity: u64) -> usize {
-    debug_assert!(granularity.is_power_of_two());
-    if addrs.is_empty() {
-        return 0;
-    }
-    let shift = granularity.trailing_zeros();
-    for a in addrs.iter_mut() {
-        *a >>= shift;
-    }
-    addrs.sort_unstable();
-    let mut n = 1;
-    for i in 1..addrs.len() {
-        if addrs[i] != addrs[i - 1] {
-            addrs[n] = addrs[i];
-            n += 1;
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference implementation of segment counting: compact `addrs` to
+    /// the distinct `granularity`-sized segment ids it touches; returns
+    /// the count. `granularity` must be a power of two.
+    fn distinct_segments(addrs: &mut [usize], granularity: usize) -> usize {
+        debug_assert!(granularity.is_power_of_two());
+        if addrs.is_empty() {
+            return 0;
+        }
+        let shift = granularity.trailing_zeros();
+        for a in addrs.iter_mut() {
+            *a >>= shift;
+        }
+        addrs.sort_unstable();
+        let mut n = 1;
+        for i in 1..addrs.len() {
+            if addrs[i] != addrs[i - 1] {
+                addrs[n] = addrs[i];
+                n += 1;
+            }
+        }
+        n
+    }
 
     #[test]
     fn lane_mask_edges() {
@@ -1168,23 +858,25 @@ mod tests {
 
     #[test]
     fn distinct_segments_counts_unique_blocks() {
-        let mut a = [0u64, 64, 127, 128, 129, 4096];
+        let mut a = [0usize, 64, 127, 128, 129, 4096];
         assert_eq!(distinct_segments(&mut a, 128), 3); // {0,1,32}
-        let mut b: [u64; 0] = [];
+        let mut b: [usize; 0] = [];
         assert_eq!(distinct_segments(&mut b, 128), 0);
-        let mut c = [5u64, 5, 5];
+        let mut c = [5usize, 5, 5];
         assert_eq!(distinct_segments(&mut c, 32), 1);
     }
 
     #[test]
     fn distinct_segments_fully_scattered() {
-        let mut a: Vec<u64> = (0..32).map(|i| i * 1024).collect();
+        let mut a: Vec<usize> = (0..32).map(|i| i * 1024).collect();
         assert_eq!(distinct_segments(&mut a, 128), 32);
     }
 
+    /// On a sorted run, the one-pass boundary counts of `scan_run` equal
+    /// the reference dedup at both granularities and at single elements.
     #[test]
-    fn count_segments2_matches_reference_dedup() {
-        let cases: &[&[u64]] = &[
+    fn scan_run_matches_reference_dedup() {
+        let cases: &[&[usize]] = &[
             &[],
             &[5],
             &[0, 64, 127, 128, 129, 4096],
@@ -1193,21 +885,28 @@ mod tests {
             &[8, 16, 24, 32, 40, 48, 56, 64],
         ];
         for case in cases {
-            for (ga, gb) in [(32u64, 8u64), (128, 4), (32, 32)] {
+            for (ga, gb) in [(32usize, 8usize), (128, 4), (32, 32)] {
                 let mut sorted = case.to_vec();
                 sorted.sort_unstable();
-                let (da, db) = count_segments2(&sorted, ga.trailing_zeros(), gb.trailing_zeros());
+                let scan = scan_run(&sorted, ga.trailing_zeros(), gb.trailing_zeros());
+                assert!(scan.sorted, "{case:?}");
                 let mut ra = case.to_vec();
                 let mut rb = case.to_vec();
+                let mut r1 = case.to_vec();
                 assert_eq!(
-                    da as usize,
+                    scan.segs_a as usize,
                     distinct_segments(&mut ra, ga),
                     "{case:?} g={ga}"
                 );
                 assert_eq!(
-                    db as usize,
+                    scan.segs_b as usize,
                     distinct_segments(&mut rb, gb),
                     "{case:?} g={gb}"
+                );
+                assert_eq!(
+                    scan.distinct as usize,
+                    distinct_segments(&mut r1, 1),
+                    "{case:?} distinct"
                 );
             }
         }
@@ -1215,15 +914,14 @@ mod tests {
 
     #[test]
     fn sort_run_sorts() {
-        let mut a = [9u64, 3, 7, 3, 1];
+        let mut a = [9usize, 3, 7, 3, 1];
         sort_run(&mut a);
         assert_eq!(a, [1, 3, 3, 7, 9]);
     }
 
     #[test]
-    fn scan_addrs_sorted_counts_match_recount() {
-        // On sorted input the one-pass counts must equal count_segments2.
-        let runs: &[&[u64]] = &[
+    fn scan_run_flags_sortedness() {
+        let runs: &[&[usize]] = &[
             &[],
             &[5],
             &[7, 7, 7],
@@ -1231,12 +929,39 @@ mod tests {
             &[0, 31, 32, 33, 4096],
         ];
         for run in runs {
-            let scan = scan_run(run, 5, 3);
-            assert!(scan.sorted, "{run:?}");
-            let (da, db) = count_segments2(run, 5, 3);
-            assert_eq!((scan.segs_a, scan.segs_b), (da, db), "{run:?}");
+            assert!(scan_run(run, 5, 3).sorted, "{run:?}");
         }
-        // Unsorted input must be flagged so callers fall back.
-        assert!(!scan_run(&[64u64, 0, 32], 5, 3).sorted);
+        // Unsorted input must be flagged so callers sort and rescan.
+        assert!(!scan_run(&[64, 0, 32], 5, 3).sorted);
+    }
+
+    /// Every mask and index shape yields the sorted active indices, with
+    /// the counts of that sorted run.
+    #[test]
+    fn active_run_is_the_sorted_active_indices() {
+        let shapes: [[usize; WARP]; 3] = [
+            std::array::from_fn(|l| l * 3),
+            std::array::from_fn(|l| (l * 37) % 101),
+            std::array::from_fn(|l| (l % 4) * 64),
+        ];
+        for idx in &shapes {
+            for mask in [FULL_MASK, 0, 1 << 31, 0x5555_5555, 0xF0F0_0F0F] {
+                let mut want: Vec<usize> = (0..WARP)
+                    .filter(|l| mask >> l & 1 == 1)
+                    .map(|l| idx[l])
+                    .collect();
+                want.sort_unstable();
+                let mut lanes = [0usize; WARP];
+                let (run, scan) = active_run(idx, mask, &mut lanes, 2, 5);
+                assert_eq!(run, &want[..], "mask {mask:#x}");
+                let expect = scan_run(&want, 2, 5);
+                assert!(scan.sorted);
+                assert_eq!(
+                    (scan.segs_a, scan.segs_b, scan.distinct),
+                    (expect.segs_a, expect.segs_b, expect.distinct),
+                    "mask {mask:#x}"
+                );
+            }
+        }
     }
 }

@@ -6,10 +6,14 @@
 //! every timing field must agree for arbitrary index patterns and masks
 //! (sorted, unsorted, duplicated, sparse), because kernels choose freely
 //! between the forms and the profile goldens assume the choice is
-//! unobservable.
+//! unobservable. [`WarpCtx::gather`], [`WarpCtx::scatter`] and
+//! [`WarpCtx::gather_tex`] are checked against scalar models on byte
+//! addresses.
 
-use gpu_sim::{lane_mask, presets, Device, RunReport, WARP};
+use gpu_sim::cache::SetAssocCache;
+use gpu_sim::{lane_mask, presets, DevCopy, Device, DeviceBuffer, RunReport, WARP};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.counters, b.counters, "{what}: counters diverged");
@@ -52,8 +56,137 @@ fn idx_strategy(n: usize) -> impl Strategy<Value = [usize; WARP]> {
         })
 }
 
+/// Scalar model of one texture gather: probe `cache` once per distinct
+/// byte-address line the active lanes touch, in ascending line order.
+/// Returns `(hits, misses)`.
+fn tex_model<T: DevCopy>(
+    cache: &mut SetAssocCache,
+    buf: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    mask: u32,
+) -> (u64, u64) {
+    let lines: BTreeSet<u64> = (0..WARP)
+        .filter(|&l| mask >> l & 1 == 1)
+        .map(|l| (buf.base_addr() + (idx[l] * T::SIZE) as u64) / cache.line_bytes())
+        .collect();
+    let hits = lines.iter().filter(|&&l| cache.access_line(l)).count() as u64;
+    (hits, lines.len() as u64 - hits)
+}
+
+/// The values a gather of `buf` returns: `buf[idx[l]]` on active lanes,
+/// `T::default()` elsewhere.
+fn gathered<T: DevCopy>(buf: &DeviceBuffer<T>, idx: &[usize; WARP], mask: u32) -> [T; WARP] {
+    std::array::from_fn(|l| {
+        if mask >> l & 1 == 1 {
+            buf.as_slice()[idx[l]]
+        } else {
+            T::default()
+        }
+    })
+}
+
+/// Scalar coalescing model of one warp access: `(segments, ideal)`, the
+/// distinct `txn`-byte segments of the active lanes' byte addresses and
+/// the fewest transactions their distinct elements could fill.
+fn coalescing_model<T: DevCopy>(
+    buf: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    mask: u32,
+    txn: u64,
+) -> (u64, u64) {
+    let active: BTreeSet<usize> = (0..WARP)
+        .filter(|&l| mask >> l & 1 == 1)
+        .map(|l| idx[l])
+        .collect();
+    let segments: BTreeSet<u64> = active
+        .iter()
+        .map(|&i| (buf.base_addr() + (i * T::SIZE) as u64) / txn)
+        .collect();
+    let ideal = match active.len() {
+        0 => 0,
+        n => ((n * T::SIZE) as u64).div_ceil(txn).max(1),
+    };
+    (segments.len() as u64, ideal)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn gather_and_scatter_match_scalar_coalescing_model(
+        fermi in any::<bool>(),
+        idx in idx_strategy(4096),
+        mask in any::<u32>(),
+    ) {
+        let cfg = if fermi { presets::gtx_580() } else { presets::gtx_titan() };
+        let txn = cfg.dram_transaction_bytes as u64;
+        let dev = Device::new(cfg);
+        let wide = dev.alloc((0..4096).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
+        let narrow = dev.alloc((0..4096u32).rev().collect::<Vec<_>>());
+        let reads = dev.launch("gathers", 1, 32, &|blk| {
+            blk.for_each_warp(&mut |warp| {
+                assert_eq!(warp.gather(&wide, &idx, mask), gathered(&wide, &idx, mask));
+                assert_eq!(warp.gather(&narrow, &idx, mask), gathered(&narrow, &idx, mask));
+            });
+        });
+        let (seg_v, ideal_v) = coalescing_model(&wide, &idx, mask, txn);
+        let (seg_w, ideal_w) = coalescing_model(&narrow, &idx, mask, txn);
+        let c = &reads.counters;
+        prop_assert_eq!(c.mem_requests, 2);
+        prop_assert_eq!(c.mem_transactions, seg_v + seg_w);
+        prop_assert_eq!(c.transactions, seg_v + seg_w);
+        prop_assert_eq!(c.min_transactions, ideal_v + ideal_w);
+        prop_assert_eq!(c.dram_read_bytes, (seg_v + seg_w) * txn);
+        prop_assert_eq!(c.dram_write_bytes, 0);
+        let vals = [1.0f64; WARP];
+        let writes = dev.launch("scatter", 1, 32, &|blk| {
+            blk.for_each_warp(&mut |warp| warp.scatter(&wide, &idx, &vals, mask));
+        });
+        let c = &writes.counters;
+        prop_assert_eq!(c.mem_transactions, seg_v);
+        prop_assert_eq!(c.min_transactions, ideal_v);
+        prop_assert_eq!(c.dram_write_bytes, seg_v * txn);
+        prop_assert_eq!(c.dram_read_bytes, 0);
+    }
+
+    #[test]
+    fn gather_tex_matches_scalar_cache_model(
+        fermi in any::<bool>(),
+        accesses in proptest::collection::vec((idx_strategy(4096), any::<u32>()), 1..6),
+    ) {
+        // One warp on one SM: its gathers, of an f64 and a u32 buffer in
+        // turn, share that SM's cache, fresh at the launch.
+        let cfg = if fermi { presets::gtx_580() } else { presets::gtx_titan() };
+        let dev = Device::new(cfg.clone());
+        let wide = dev.alloc((0..4096).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
+        let narrow = dev.alloc((0..4096u32).rev().collect::<Vec<_>>());
+        let r = dev.launch("tex", 1, 32, &|blk| {
+            blk.for_each_warp(&mut |warp| {
+                for (idx, mask) in &accesses {
+                    assert_eq!(warp.gather_tex(&wide, idx, *mask), gathered(&wide, idx, *mask));
+                    assert_eq!(warp.gather_tex(&narrow, idx, *mask), gathered(&narrow, idx, *mask));
+                }
+            });
+        });
+        let mut cache = SetAssocCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes, cfg.tex_ways);
+        let (mut hits, mut misses) = (0, 0);
+        for (idx, mask) in &accesses {
+            for (h, m) in [
+                tex_model(&mut cache, &wide, idx, *mask),
+                tex_model(&mut cache, &narrow, idx, *mask),
+            ] {
+                hits += h;
+                misses += m;
+            }
+        }
+        prop_assert_eq!(r.counters.tex_hits, hits, "hits");
+        prop_assert_eq!(r.counters.tex_misses, misses, "misses");
+        prop_assert_eq!(
+            r.counters.dram_read_bytes,
+            misses * cfg.tex_line_bytes as u64,
+            "DRAM read bytes"
+        );
+    }
 
     #[test]
     fn gather2_matches_two_gathers(

@@ -133,7 +133,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         for &a in &addrs {
             let line = a / 32;
-            let hit = c.access(a);
+            let hit = c.access_line(line);
             if !seen.contains(&line) {
                 prop_assert!(!hit, "first touch of line {line} must miss");
             }

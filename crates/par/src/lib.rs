@@ -1,9 +1,10 @@
 //! # par-runtime — a minimal data-parallel runtime
 //!
 //! The CPU execution backend for this workspace. It provides the small set
-//! of data-parallel primitives the SpMV kernels and graph applications
-//! need — `parallel_for`, `parallel_reduce`, chunked mutation, and `join` —
-//! on top of a persistent worker pool built with [`crossbeam`] channels and
+//! of data-parallel primitives its callers use — [`parallel_for`] and
+//! [`for_each_chunk_mut`] (the CPU SpMV kernels), [`par_shards`] (the
+//! simulator's per-SM shards) and [`num_threads`] — on top of a
+//! persistent worker pool built with [`crossbeam`] channels and
 //! [`parking_lot`] synchronization.
 //!
 //! The design goals, in order:
@@ -33,10 +34,8 @@
 mod ops;
 mod pool;
 
-pub use ops::{
-    for_each_chunk_mut, join, parallel_fill, parallel_for, parallel_map_into, parallel_reduce,
-};
-pub use pool::{configure_threads, num_threads, par_shards, Pool};
+pub use ops::{for_each_chunk_mut, parallel_for};
+pub use pool::{num_threads, par_shards};
 
 #[cfg(test)]
 mod tests {
@@ -60,25 +59,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reduce_sums_like_sequential() {
-        let data: Vec<u64> = (0..100_000).collect();
-        let total = parallel_reduce(
-            data.len(),
-            1024,
-            || 0u64,
-            |acc, range| acc + range.map(|i| data[i]).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, data.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn parallel_reduce_empty_returns_identity() {
-        let v = parallel_reduce(0, 16, || 42u32, |acc, _| acc + 1, |a, b| a.min(b));
-        assert_eq!(v, 42);
-    }
-
-    #[test]
     fn for_each_chunk_mut_partitions_disjointly() {
         let mut data = vec![0usize; 5000];
         for_each_chunk_mut(&mut data, 333, |offset, chunk| {
@@ -89,12 +69,6 @@ mod tests {
         for (i, x) in data.iter().enumerate() {
             assert_eq!(*x, i);
         }
-    }
-
-    #[test]
-    fn join_runs_both_closures() {
-        let (a, b) = join(|| 2 + 2, || "ok".len());
-        assert_eq!((a, b), (4, 2));
     }
 
     #[test]
@@ -110,22 +84,5 @@ mod tests {
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn parallel_fill_sets_every_slot() {
-        let mut v = vec![0.0f64; 10_001];
-        parallel_fill(&mut v, 3.5);
-        assert!(v.iter().all(|&x| x == 3.5));
-    }
-
-    #[test]
-    fn parallel_map_into_matches_sequential_map() {
-        let src: Vec<u32> = (0..4096).collect();
-        let mut dst = vec![0u32; 4096];
-        parallel_map_into(&src, &mut dst, 100, |&x| x * 3 + 1);
-        for i in 0..4096 {
-            assert_eq!(dst[i], src[i] * 3 + 1);
-        }
     }
 }

@@ -1,7 +1,6 @@
 //! High-level data-parallel operations over the global pool.
 
 use crate::pool::global;
-use parking_lot::Mutex;
 use std::ops::Range;
 
 /// Execute `body` for every index in `0..total`, handed out as ranges of at
@@ -11,67 +10,6 @@ use std::ops::Range;
 /// power-law row lengths) still balance. Blocks until all grains complete.
 pub fn parallel_for(total: usize, grain: usize, body: impl Fn(Range<usize>) + Sync) {
     global().run(total, grain, &body);
-}
-
-/// Fork-join: run two closures, potentially in parallel, and return both
-/// results.
-pub fn join<A: Send, B: Send>(
-    a: impl FnOnce() -> A + Send,
-    b: impl FnOnce() -> B + Send,
-) -> (A, B) {
-    let mut ra: Option<A> = None;
-    let mut rb: Option<B> = None;
-    {
-        let sa = Mutex::new((&mut ra, Some(a)));
-        let sb = Mutex::new((&mut rb, Some(b)));
-        parallel_for(2, 1, |range| {
-            for i in range {
-                if i == 0 {
-                    let mut g = sa.lock();
-                    let f = g.1.take().expect("join closure A ran twice");
-                    *g.0 = Some(f());
-                } else {
-                    let mut g = sb.lock();
-                    let f = g.1.take().expect("join closure B ran twice");
-                    *g.0 = Some(f());
-                }
-            }
-        });
-    }
-    (
-        ra.expect("join closure A did not run"),
-        rb.expect("join closure B did not run"),
-    )
-}
-
-/// Parallel map-reduce over `0..total`.
-///
-/// Each participating thread folds the grains it claims into a private
-/// accumulator seeded by `identity`; the per-grain partials are then merged
-/// with `reduce`. `reduce` must be associative and `identity` a true
-/// identity for it, otherwise the (nondeterministic) merge order changes
-/// the result.
-pub fn parallel_reduce<T: Send>(
-    total: usize,
-    grain: usize,
-    identity: impl Fn() -> T + Sync,
-    fold: impl Fn(T, Range<usize>) -> T + Sync,
-    reduce: impl Fn(T, T) -> T + Sync,
-) -> T {
-    if total == 0 {
-        return identity();
-    }
-    let partials: Mutex<Vec<T>> = Mutex::new(Vec::new());
-    parallel_for(total, grain, |range| {
-        let part = fold(identity(), range);
-        partials.lock().push(part);
-    });
-    let parts = partials.into_inner();
-    let mut acc = identity();
-    for p in parts {
-        acc = reduce(acc, p);
-    }
-    acc
 }
 
 /// Mutate a slice in parallel, chunk by chunk. `body` receives the chunk's
@@ -94,32 +32,6 @@ pub fn for_each_chunk_mut<T: Send>(
             let chunk =
                 unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(lo), hi - lo) };
             body(lo, chunk);
-        }
-    });
-}
-
-/// Fill a slice with copies of `value` in parallel.
-pub fn parallel_fill<T: Copy + Send + Sync>(data: &mut [T], value: T) {
-    for_each_chunk_mut(data, 16 * 1024, |_, chunk| chunk.fill(value));
-}
-
-/// Parallel elementwise map from `src` into `dst` (equal lengths required).
-pub fn parallel_map_into<S: Sync, D: Send>(
-    src: &[S],
-    dst: &mut [D],
-    grain: usize,
-    f: impl Fn(&S) -> D + Sync,
-) {
-    assert_eq!(
-        src.len(),
-        dst.len(),
-        "parallel_map_into: length mismatch ({} vs {})",
-        src.len(),
-        dst.len()
-    );
-    for_each_chunk_mut(dst, grain, |offset, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(&src[offset + i]);
         }
     });
 }

@@ -105,10 +105,10 @@ impl TaskHeader {
 
 /// A persistent pool of worker threads executing chunked parallel loops.
 ///
-/// Most users never construct one: the free functions in this crate operate
-/// on a lazily-created global pool (see [`configure_threads`]). Dedicated
-/// pools are useful in tests that need a specific width.
-pub struct Pool {
+/// The free functions in this crate run on a lazily-created global pool
+/// (sized by `PAR_RUNTIME_THREADS`, else the machine's parallelism) or,
+/// for [`par_shards`], on a dedicated pool of the requested width.
+pub(crate) struct Pool {
     sender: Sender<Arc<TaskHeader>>,
     threads: usize,
 }
@@ -231,30 +231,12 @@ pub fn par_shards(threads: usize, n_shards: usize, body: impl Fn(usize) + Sync) 
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
-static REQUESTED_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Request a worker count for the global pool.
-///
-/// Takes effect only if called before the first parallel operation; returns
-/// `true` if the request was recorded in time. Intended for benchmarks and
-/// `PAR_RUNTIME_THREADS`-style CLI plumbing.
-pub fn configure_threads(threads: usize) -> bool {
-    if GLOBAL.get().is_some() {
-        return false;
-    }
-    REQUESTED_THREADS.store(threads.max(1), Ordering::SeqCst);
-    GLOBAL.get().is_none()
-}
 
 pub(crate) fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| {
-        let requested = REQUESTED_THREADS.load(Ordering::SeqCst);
-        let threads = if requested > 0 {
-            requested
-        } else if let Ok(env) = std::env::var("PAR_RUNTIME_THREADS") {
-            env.parse().unwrap_or_else(|_| default_threads())
-        } else {
-            default_threads()
+        let threads = match std::env::var("PAR_RUNTIME_THREADS") {
+            Ok(env) => env.parse().unwrap_or_else(|_| default_threads()),
+            Err(_) => default_threads(),
         };
         // The caller participates too, so spawn one fewer worker.
         Pool::new(threads.saturating_sub(1))
