@@ -4,12 +4,13 @@
 //! beside the report it serializes: required fields, required row
 //! tables, and cross-field invariants such as the fleet's halo-ledger
 //! reconciliation. A report is its artifact's only declaration — its
-//! `Serialize` derive names every key — and [`write()`] is the one
-//! writer: it prepends the schema tag, checks the document, and
-//! pretty-prints it to disk. [`validate`] — the engine of `repro
-//! check-artifacts` — checks a file against the same declaration,
-//! looked up in [`SCHEMAS`] by the document's `schema` tag. A tag no
-//! schema declares is an error, never a pass.
+//! `Serialize` impl names every key — and [`write()`] is the one
+//! writer, chrome traces, timelines and metrics snapshots included: it
+//! prepends the schema tag, checks the document, and pretty-prints it
+//! to disk. [`validate`] — the engine of `repro check-artifacts` —
+//! checks a file against the same declaration, looked up in
+//! [`SCHEMAS`] by the document's `schema` tag. A tag no schema declares
+//! is an error, never a pass.
 
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -152,15 +153,17 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-/// The artifact text of `report`: its fields behind `schema`'s tag,
-/// checked against `schema`, pretty-printed with a trailing newline.
+/// The artifact text of `report`: its fields behind `schema`'s tag (none
+/// for the untagged chrome-trace format), checked against `schema`,
+/// pretty-printed with a trailing newline.
 pub fn render<T: Serialize + ?Sized>(schema: &Schema, report: &T) -> Result<String, String> {
     let fields = match report.to_value() {
         Value::Object(fields) if fields.iter().all(|(k, _)| k != "schema") => fields,
         _ => return Err(format!("{}: not an untagged JSON object", schema.kind)),
     };
-    let tag = ("schema".to_string(), Value::Str(schema.tag.to_string()));
-    let doc = Value::Object(std::iter::once(tag).chain(fields).collect());
+    let tag = (!schema.tag.is_empty())
+        .then(|| ("schema".to_string(), Value::Str(schema.tag.to_string())));
+    let doc = Value::Object(tag.into_iter().chain(fields).collect());
     schema.check(&doc)?;
     let mut text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
     text.push('\n');
@@ -177,27 +180,11 @@ pub fn write<T: Serialize + ?Sized>(
 ) -> Result<PathBuf, String> {
     let path = results_dir().join(file);
     let text = render(schema, report).map_err(|e| format!("{}: {e}", path.display()))?;
-    store(&path, &text)
-}
-
-/// Write text a lower crate's byte-stable exporter rendered itself
-/// (metrics snapshot, timeline, chrome trace) to `file` under
-/// [`results_dir`], once it meets `schema`; returns the path written.
-pub fn write_exported(schema: &Schema, file: &str, text: &str) -> Result<PathBuf, String> {
-    let path = results_dir().join(file);
-    serde_json::from_str(text)
-        .map_err(|e| format!("invalid JSON: {e}"))
-        .and_then(|doc| schema.check(&doc))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    store(&path, text)
-}
-
-fn store(path: &Path, text: &str) -> Result<PathBuf, String> {
     path.parent()
         .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(path, text))
+        .and_then(|()| std::fs::write(&path, text))
         .map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(path.to_path_buf())
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -469,17 +456,11 @@ mod tests {
             let err = write(&stream::SCHEMA, "never_written.json", &report).unwrap_err();
             assert!(err.contains("not an untagged JSON object"), "{err}");
         }
-        let text = r#"{"schema": "acsr-stream-v1"}"#;
-        let err = write_exported(&fleet::SCHEMA, "never_written.json", text).unwrap_err();
-        assert!(
-            err.contains("tagged 'acsr-stream-v1', expected 'acsr-fleet-v1'"),
-            "{err}"
-        );
         assert!(!results_dir().join("never_written.json").exists());
     }
 
-    /// The tag leads the document, the report's fields follow in
-    /// declaration order, and the text ends in a newline.
+    /// The tag, if the schema has one, leads the document, the report's
+    /// fields follow in declaration order, and the text ends in a newline.
     #[test]
     fn render_prepends_the_tag() {
         let report = |kernels: &str| {
@@ -501,9 +482,17 @@ mod tests {
         );
         assert!(text.ends_with("}\n"), "{text}");
         assert_eq!(validate(&text), Ok(simbench::SCHEMA.kind));
+        // The chrome-trace format is untagged.
+        let trace = Value::Object(vec![(
+            "traceEvents".into(),
+            serde_json::from_str("[{}]").unwrap(),
+        )]);
+        let text = render(&tracing::CHROME_TRACE, &trace).unwrap();
+        assert_eq!(text, "{\n  \"traceEvents\": [\n    {}\n  ]\n}\n");
     }
 
-    /// The committed results, baselines and goldens keep their kinds.
+    /// The committed results, baselines and goldens keep their kinds, in
+    /// the writer's layout.
     #[test]
     fn committed_artifacts_validate() {
         for (file, kind) in [
@@ -549,6 +538,9 @@ mod tests {
             let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).expect("read committed artifact");
             assert_eq!(validate(&text), Ok(kind), "{file}");
+            let doc = serde_json::from_str(&text).unwrap();
+            let layout = serde_json::to_string_pretty(&doc).unwrap() + "\n";
+            assert!(layout == text, "{file} is not in the writer's layout");
         }
     }
 }

@@ -11,9 +11,9 @@
 //! under [`TIMELINE`]: the chrome-trace join of kernel spans and
 //! request spans, correlated by the wave ids the serving scheduler
 //! stamps into both planes. The export is validated twice — while
-//! [`acsr_telemetry::timeline_json`] builds it and against the schema
-//! as it is written — so a kernel span claiming an unannounced wave, or
-//! a query admitted into an unknown wave, is a hard failure, not a
+//! [`acsr_telemetry::timeline()`] builds it and against the schema as
+//! it is written — so a kernel span claiming an unannounced wave, or a
+//! query admitted into an unknown wave, is a hard failure, not a
 //! cosmetic gap.
 //!
 //! Every instrumented subsystem reconciles its own counters against its
@@ -107,16 +107,7 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
     // Fold the kernel plane into the registry, then prove the fold is
     // integer-exact against the ledger's own merged total.
     let m = &tel.metrics;
-    m.add("sim.spans", spans as u64);
-    m.add("sim.launches", u64::from(total.launches));
-    m.add("sim.warp_instructions", total.counters.warp_instructions);
-    m.add("sim.flops", total.counters.flops);
-    m.add("sim.dram_read_bytes", total.counters.dram_read_bytes);
-    m.add("sim.dram_write_bytes", total.counters.dram_write_bytes);
-    m.add("sim.htod_bytes", total.counters.htod_bytes);
-    m.add("sim.dtoh_bytes", total.counters.dtoh_bytes);
-    m.set_gauge("sim.time_s", total.time_s);
-    for (metric, want) in [
+    let folded = [
         ("sim.spans", spans as u64),
         ("sim.launches", u64::from(total.launches)),
         ("sim.warp_instructions", total.counters.warp_instructions),
@@ -125,7 +116,12 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
         ("sim.dram_write_bytes", total.counters.dram_write_bytes),
         ("sim.htod_bytes", total.counters.htod_bytes),
         ("sim.dtoh_bytes", total.counters.dtoh_bytes),
-    ] {
+    ];
+    for (metric, value) in folded {
+        m.add(metric, value);
+    }
+    m.set_gauge("sim.time_s", total.time_s);
+    for (metric, want) in folded {
         assert_eq!(
             m.counter(metric),
             want,
@@ -134,8 +130,7 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
     }
 
     let snap = tel.metrics.snapshot();
-    let path =
-        artifact::write_exported(&METRICS, &format!("METRICS_{name}.json"), &snap.to_json())?;
+    let path = artifact::write(&METRICS, &format!("METRICS_{name}.json"), &snap)?;
     print_metrics(&format!("metrics[{name}]"), &snap);
     eprintln!(
         "metrics[{name}]: {} metrics, {} request events, {} waves -> {}",
@@ -146,9 +141,9 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
     );
 
     if timeline {
-        let json = acsr_telemetry::timeline_json(ledger, &tel)
+        let doc = acsr_telemetry::timeline(ledger, &tel)
             .unwrap_or_else(|e| panic!("timeline export failed for '{name}': {e}"));
-        let tpath = artifact::write_exported(&TIMELINE, &format!("TIMELINE_{name}.json"), &json)?;
+        let tpath = artifact::write(&TIMELINE, &format!("TIMELINE_{name}.json"), &doc)?;
         eprintln!(
             "metrics[{name}]: timeline ({spans} kernel spans + request lanes) -> {}",
             tpath.display()

@@ -80,10 +80,10 @@ pub fn finish(name: &str, capture: Capture, export_trace: bool) -> Result<(), St
 
 /// Export `results/trace_<name>.json` and print the per-phase rollup.
 fn write_trace(name: &str, ledger: &TraceLedger, spans: &[Span]) -> Result<(), String> {
-    let path = artifact::write_exported(
+    let path = artifact::write(
         &CHROME_TRACE,
         &format!("trace_{name}.json"),
-        &ledger.chrome_trace_json(),
+        &ledger.chrome_trace(),
     )?;
     let (rollup, total) = (PhaseRollup::from_spans(spans), ledger.total());
     eprintln!(

@@ -1,5 +1,6 @@
 //! Golden-file test for the `acsr-metrics-v1` snapshot artifact: a
-//! fixed small serve scenario must render byte-identically — the file
+//! fixed small serve scenario must render byte-identically through the
+//! artifact writer — the file
 //! is parsed by `repro check-artifacts` and diffed by CI baselines, so
 //! format drift (entry order, float formatting, bucket layout) should
 //! fail loudly, not silently reshape downstream tooling's input.
@@ -11,6 +12,8 @@ use acsr_serve::{Query, ServeConfig, ServeEngine};
 use acsr_telemetry::Telemetry;
 use gpu_sim::set_sim_threads;
 use graphgen::{generate_power_law, PowerLawConfig};
+use repro_bench::artifact;
+use repro_bench::metrics::METRICS;
 use std::sync::{Arc, Mutex};
 
 /// `set_sim_threads` is process-global.
@@ -57,9 +60,9 @@ fn metrics_json_matches_golden_file() {
     set_sim_threads(0);
     assert!(!report.outcomes.is_empty() && !report.rejected.is_empty());
 
-    let json = tel.metrics.snapshot().to_json();
-    serde_json::validate(&json).expect("metrics artifact must be valid JSON");
-    assert!(json.starts_with("{\"schema\":\"acsr-metrics-v1\""));
+    let json =
+        artifact::render(&METRICS, &tel.metrics.snapshot()).expect("snapshot meets its schema");
+    assert!(json.starts_with("{\n  \"schema\": \"acsr-metrics-v1\","));
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -37,10 +37,10 @@
 //!
 //! An opt-in launch-level trace ledger ([`trace`]) records one span per
 //! launch (plus per-stream and per-child-wave slices and PCIe transfers)
-//! with full [`Counters`] and [`TimeBreakdown`], exports
-//! chrome://tracing JSON, and reconciles span sums bit-identically
-//! against the merged [`RunReport`]. Attach per device with
-//! [`Device::enable_tracing`] or process-wide with
+//! with full [`Counters`] and [`TimeBreakdown`], builds its
+//! chrome://tracing events as [`serde::Value`]s, and reconciles span
+//! sums bit-identically against the merged [`RunReport`]. Attach per
+//! device with [`Device::enable_tracing`] or process-wide with
 //! [`trace::enable_global_capture`]; disabled devices pay nothing.
 //!
 //! ## Example

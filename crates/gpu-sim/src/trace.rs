@@ -6,9 +6,11 @@
 //! SM attribution, [`Counters`], and [`TimeBreakdown`], appended to a
 //! [`TraceLedger`]. The ledger supports
 //!
-//! * a chrome://tracing-compatible JSON exporter
-//!   ([`TraceLedger::chrome_trace_json`]) so a bench run can be opened in
-//!   a trace viewer,
+//! * a chrome://tracing export ([`TraceLedger::chrome_trace`]) so a
+//!   bench run can be opened in a trace viewer. The events are built as
+//!   [`serde::Value`]s ([`TraceLedger::chrome_events`]), which the
+//!   serving timeline extends and the bench crate's artifact writer
+//!   renders,
 //! * a reconciliation check ([`TraceLedger::reconcile`]) asserting that
 //!   the per-span counters sum *bit-identically* to the merged
 //!   [`RunReport`] — a standing accounting invariant wired into the
@@ -32,7 +34,7 @@
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, RunReport, TimeBreakdown};
 use parking_lot::Mutex;
-use std::fmt::Write as _;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -368,31 +370,15 @@ impl TraceLedger {
         Ok(inner.total.clone())
     }
 
-    /// Export every span as chrome://tracing "trace event format" JSON
-    /// (complete-event `ph:"X"` records, timestamps in microseconds).
-    /// Open the result at `chrome://tracing` or <https://ui.perfetto.dev>.
-    ///
-    /// The writer is hand-rolled with a fixed field order and `{:?}`
-    /// float formatting, so the same run produces byte-identical output
-    /// (the golden test relies on this). Processes are devices; track 0
-    /// holds top-level launches/transfers, tracks `1+i` the group
-    /// streams, tracks `64+sm` the child waves.
-    pub fn chrome_trace_json(&self) -> String {
-        let (events, _) = self.chrome_trace_events();
-        let mut out = String::new();
-        out.push_str("{\"traceEvents\":[\n");
-        out.push_str(&events);
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
-    }
-
-    /// The chrome trace-event records for every span *without* the
-    /// enclosing `traceEvents` wrapper: the events joined by `",\n"`,
-    /// plus the number of distinct device processes emitted.
-    /// [`chrome_trace_json`](TraceLedger::chrome_trace_json) wraps this
-    /// verbatim; the serving timeline exporter (`acsr-telemetry`) appends
-    /// its own request/wave events under `pid = device count` instead.
-    pub fn chrome_trace_events(&self) -> (String, usize) {
+    /// Every span as a chrome://tracing "trace event format" record, after
+    /// one `process_name` metadata record per device. Processes are
+    /// devices, numbered in first-appearance order; track 0 holds
+    /// top-level launches/transfers, tracks `1+i` the group streams,
+    /// tracks `64+sm` the child waves. Each span is a complete event
+    /// whose `args` carry its shape, [`Counters`] and, for top-level
+    /// spans, its [`TimeBreakdown`]; `parent`, `sm`, `seq`, `wave` and
+    /// `breakdown` appear only when the span has them.
+    pub fn chrome_events(&self) -> Vec<Value> {
         let inner = self.inner.lock();
         let mut devices: Vec<&str> = Vec::new();
         for span in &inner.spans {
@@ -400,19 +386,12 @@ impl TraceLedger {
                 devices.push(&span.device);
             }
         }
-        let mut out = String::new();
-        let mut first = true;
-        for (pid, dev) in devices.iter().enumerate() {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(dev)
-            );
-        }
+        let mut events: Vec<Value> = devices
+            .iter()
+            .enumerate()
+            .map(|(pid, dev)| metadata_event("process_name", pid, 0, dev))
+            .collect();
         for (span_id, span) in inner.spans.iter().enumerate() {
-            sep(&mut out, &mut first);
             let pid = devices
                 .iter()
                 .position(|d| *d == span.device.as_str())
@@ -422,108 +401,75 @@ impl TraceLedger {
                 SpanKind::Stream => 1 + span.seq.unwrap_or(0),
                 SpanKind::ChildWave => 64 + span.sm.unwrap_or(0),
             };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:?},\"dur\":{:?},\
-                 \"pid\":{pid},\"tid\":{tid},\"args\":{{",
-                escape(&span.name),
-                span.kind.cat(),
-                span.t_start_s * 1e6,
-                span.dur_s * 1e6,
-            );
             // `span_id` is the span's ledger index — the key a
             // PROFILE_*.json metric row's `span_ids` refer back to.
-            let _ = write!(
-                out,
-                "\"span_id\":{span_id},\"grid_blocks\":{},\"block_dim\":{},\"launches\":{}",
-                span.grid_blocks, span.block_dim, span.launches
-            );
-            if let Some(p) = span.parent {
-                let _ = write!(out, ",\"parent\":{p}");
+            let mut args = vec![
+                ("span_id", span_id.to_value()),
+                ("grid_blocks", span.grid_blocks.to_value()),
+                ("block_dim", span.block_dim.to_value()),
+                ("launches", span.launches.to_value()),
+            ];
+            for (key, v) in [("parent", span.parent), ("sm", span.sm), ("seq", span.seq)] {
+                args.extend(v.map(|v| (key, v.to_value())));
             }
-            if let Some(sm) = span.sm {
-                let _ = write!(out, ",\"sm\":{sm}");
-            }
-            if let Some(seq) = span.seq {
-                let _ = write!(out, ",\"seq\":{seq}");
-            }
-            if let Some(wave) = span.wave {
-                let _ = write!(out, ",\"wave\":{wave}");
-            }
-            write_counters(&mut out, &span.counters);
-            if let Some(b) = &span.breakdown {
-                write_breakdown(&mut out, b);
-            }
-            out.push_str("}}");
+            args.extend(span.wave.map(|w| ("wave", w.to_value())));
+            args.push(("counters", span.counters.to_value()));
+            args.extend(span.breakdown.map(|b| ("breakdown", b.to_value())));
+            events.push(complete_event(
+                &span.name,
+                span.kind.cat(),
+                (span.t_start_s, span.dur_s),
+                (pid, tid),
+                Value::from_iter(args),
+            ));
         }
-        (out, devices.len())
+        events
+    }
+
+    /// The chrome://tracing document: [`chrome_events`](Self::chrome_events)
+    /// under `traceEvents`, displayed in milliseconds. Open it at
+    /// `chrome://tracing` or <https://ui.perfetto.dev>.
+    pub fn chrome_trace(&self) -> Value {
+        Value::from_iter([
+            ("traceEvents", Value::Array(self.chrome_events())),
+            ("displayTimeUnit", "ms".to_value()),
+        ])
     }
 }
 
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push_str(",\n");
-    }
+/// A chrome trace-event metadata record (`ph: "M"`): `kind` is
+/// `"process_name"` or `"thread_name"`, and `name` labels process `pid`
+/// or its track `tid`.
+pub fn metadata_event(kind: &str, pid: usize, tid: usize, name: &str) -> Value {
+    Value::from_iter([
+        ("name", kind.to_value()),
+        ("ph", "M".to_value()),
+        ("pid", pid.to_value()),
+        ("tid", tid.to_value()),
+        ("args", Value::from_iter([("name", name.to_value())])),
+    ])
 }
 
-fn write_counters(out: &mut String, c: &Counters) {
-    let _ = write!(
-        out,
-        ",\"counters\":{{\"warp_instructions\":{},\"lane_ops\":{},\"flops\":{},\
-         \"mem_requests\":{},\"mem_transactions\":{},\"min_transactions\":{},\
-         \"lane_hist\":[{}],\"dram_read_bytes\":{},\
-         \"dram_write_bytes\":{},\"transactions\":{},\"tex_hits\":{},\"tex_misses\":{},\
-         \"atomic_ops\":{},\"atomic_conflicts\":{},\"child_launches\":{},\"blocks\":{},\
-         \"warps\":{},\"htod_bytes\":{},\"dtoh_bytes\":{}}}",
-        c.warp_instructions,
-        c.lane_ops,
-        c.flops,
-        c.mem_requests,
-        c.mem_transactions,
-        c.min_transactions,
-        c.lane_hist.map(|v| v.to_string()).join(","),
-        c.dram_read_bytes,
-        c.dram_write_bytes,
-        c.transactions,
-        c.tex_hits,
-        c.tex_misses,
-        c.atomic_ops,
-        c.atomic_conflicts,
-        c.child_launches,
-        c.blocks,
-        c.warps,
-        c.htod_bytes,
-        c.dtoh_bytes,
-    );
-}
-
-fn write_breakdown(out: &mut String, b: &TimeBreakdown) {
-    let _ = write!(
-        out,
-        ",\"breakdown\":{{\"launch_s\":{:?},\"compute_s\":{:?},\"memory_s\":{:?},\
-         \"latency_s\":{:?},\"dynamic_launch_s\":{:?},\"transfer_s\":{:?}}}",
-        b.launch_s, b.compute_s, b.memory_s, b.latency_s, b.dynamic_launch_s, b.transfer_s,
-    );
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// A chrome trace-event complete record (`ph: "X"`) spanning
+/// `(start, duration)` seconds, written in microseconds, on track
+/// `(pid, tid)`.
+pub fn complete_event(
+    name: &str,
+    cat: &str,
+    (t_start_s, dur_s): (f64, f64),
+    (pid, tid): (usize, usize),
+    args: Value,
+) -> Value {
+    Value::from_iter([
+        ("name", name.to_value()),
+        ("cat", cat.to_value()),
+        ("ph", "X".to_value()),
+        ("ts", (t_start_s * 1e6).to_value()),
+        ("dur", (dur_s * 1e6).to_value()),
+        ("pid", pid.to_value()),
+        ("tid", tid.to_value()),
+        ("args", args),
+    ])
 }
 
 /// Process-global capture flag read by [`crate::Device::new`].
@@ -621,8 +567,8 @@ mod tests {
         let mut dev = Device::new(presets::gtx_titan());
         let ledger = dev.enable_tracing();
         dev.launch("weird\"name\\", 2, 32, &|_b| {});
-        let a = ledger.chrome_trace_json();
-        let b = ledger.chrome_trace_json();
+        let a = serde_json::to_string(&ledger.chrome_trace()).unwrap();
+        let b = serde_json::to_string(&ledger.chrome_trace()).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("weird\\\"name\\\\"));
         assert!(a.contains("\"traceEvents\""));
@@ -642,7 +588,7 @@ mod tests {
         assert_eq!(spans[0].wave, None);
         assert_eq!(spans[1].wave, Some(42));
         assert_eq!(spans[2].wave, None);
-        let json = ledger.chrome_trace_json();
+        let json = serde_json::to_string(&ledger.chrome_trace()).unwrap();
         assert!(json.contains("\"wave\":42"));
         assert_eq!(json.matches("\"wave\":").count(), 1);
         ledger

@@ -8,7 +8,9 @@
 //! between the forms and the profile goldens assume the choice is
 //! unobservable. [`WarpCtx::gather`], [`WarpCtx::scatter`] and
 //! [`WarpCtx::gather_tex`] are checked against scalar models on byte
-//! addresses.
+//! addresses, and so are the closed forms of
+//! [`WarpCtx::gather_grouped`] and [`WarpCtx::read_coalesced`], which
+//! share no scan with `gather`.
 
 use gpu_sim::cache::SetAssocCache;
 use gpu_sim::{lane_mask, presets, DevCopy, Device, DeviceBuffer, RunReport, WARP};
@@ -109,6 +111,28 @@ fn coalescing_model<T: DevCopy>(
     (segments.len() as u64, ideal)
 }
 
+/// `r` is one launch of two warp reads at `idx` under `mask`, of `wide`
+/// and then of `narrow`: its memory counters must be the scalar
+/// coalescing model's at `txn`-byte transactions.
+fn assert_reads_match_model(
+    r: &RunReport,
+    wide: &DeviceBuffer<f64>,
+    narrow: &DeviceBuffer<u32>,
+    idx: &[usize; WARP],
+    mask: u32,
+    txn: u64,
+) {
+    let (seg_v, ideal_v) = coalescing_model(wide, idx, mask, txn);
+    let (seg_w, ideal_w) = coalescing_model(narrow, idx, mask, txn);
+    let c = &r.counters;
+    assert_eq!(c.mem_requests, 2);
+    assert_eq!(c.mem_transactions, seg_v + seg_w);
+    assert_eq!(c.transactions, seg_v + seg_w);
+    assert_eq!(c.min_transactions, ideal_v + ideal_w);
+    assert_eq!(c.dram_read_bytes, (seg_v + seg_w) * txn);
+    assert_eq!(c.dram_write_bytes, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -129,15 +153,8 @@ proptest! {
                 assert_eq!(warp.gather(&narrow, &idx, mask), gathered(&narrow, &idx, mask));
             });
         });
+        assert_reads_match_model(&reads, &wide, &narrow, &idx, mask, txn);
         let (seg_v, ideal_v) = coalescing_model(&wide, &idx, mask, txn);
-        let (seg_w, ideal_w) = coalescing_model(&narrow, &idx, mask, txn);
-        let c = &reads.counters;
-        prop_assert_eq!(c.mem_requests, 2);
-        prop_assert_eq!(c.mem_transactions, seg_v + seg_w);
-        prop_assert_eq!(c.transactions, seg_v + seg_w);
-        prop_assert_eq!(c.min_transactions, ideal_v + ideal_w);
-        prop_assert_eq!(c.dram_read_bytes, (seg_v + seg_w) * txn);
-        prop_assert_eq!(c.dram_write_bytes, 0);
         let vals = [1.0f64; WARP];
         let writes = dev.launch("scatter", 1, 32, &|blk| {
             blk.for_each_warp(&mut |warp| warp.scatter(&wide, &idx, &vals, mask));
@@ -147,6 +164,52 @@ proptest! {
         prop_assert_eq!(c.min_transactions, ideal_v);
         prop_assert_eq!(c.dram_write_bytes, seg_v * txn);
         prop_assert_eq!(c.dram_read_bytes, 0);
+    }
+
+    #[test]
+    fn grouped_and_coalesced_reads_match_scalar_coalescing_model(
+        g_shift in 0usize..=5,
+        groups in idx_strategy(4096),
+        (live, whole) in (0usize..=WARP, any::<bool>()),
+        base in 0usize..(4096 - WARP),
+        (mask, full) in (any::<u32>(), any::<bool>()),
+    ) {
+        // `gather_grouped` takes its closed form when the live lanes are
+        // whole groups whose indices ascend (`idx_strategy`'s first
+        // shape), and `read_coalesced` when the mask is full.
+        let group_idx = &groups[..WARP >> g_shift];
+        let grouped: [usize; WARP] = std::array::from_fn(|l| group_idx[l >> g_shift]);
+        let live_mask = lane_mask(if whole { live >> g_shift << g_shift } else { live });
+        let coalesced: [usize; WARP] = std::array::from_fn(|l| base + l);
+        let mask = if full { u32::MAX } else { mask };
+        for cfg in [presets::gtx_titan(), presets::gtx_580()] {
+            let txn = cfg.dram_transaction_bytes as u64;
+            let dev = Device::new(cfg);
+            let wide = dev.alloc((0..4096).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
+            let narrow = dev.alloc((0..4096u32).rev().collect::<Vec<_>>());
+            let r = dev.launch("grouped", 1, 32, &|blk| {
+                blk.for_each_warp(&mut |warp| {
+                    // Only active lanes are contractual: the closed form
+                    // broadcasts each group's value to its inactive lanes.
+                    let v = warp.gather_grouped(&wide, group_idx, g_shift, live_mask);
+                    let w = warp.gather_grouped(&narrow, group_idx, g_shift, live_mask);
+                    for l in (0..WARP).filter(|l| live_mask >> l & 1 == 1) {
+                        assert_eq!(v[l], wide.as_slice()[grouped[l]], "lane {l}");
+                        assert_eq!(w[l], narrow.as_slice()[grouped[l]], "lane {l}");
+                    }
+                });
+            });
+            assert_reads_match_model(&r, &wide, &narrow, &grouped, live_mask, txn);
+            let r = dev.launch("coalesced", 1, 32, &|blk| {
+                blk.for_each_warp(&mut |warp| {
+                    let v = warp.read_coalesced(&wide, base, mask);
+                    assert_eq!(v, gathered(&wide, &coalesced, mask));
+                    let w = warp.read_coalesced(&narrow, base, mask);
+                    assert_eq!(w, gathered(&narrow, &coalesced, mask));
+                });
+            });
+            assert_reads_match_model(&r, &wide, &narrow, &coalesced, mask, txn);
+        }
     }
 
     #[test]

@@ -157,7 +157,7 @@ fn chrome_export_is_valid_and_width_stable() {
         });
         dev.record_dtoh("y_readback", 4096 * 8);
         set_sim_threads(0);
-        ledger.chrome_trace_json()
+        serde_json::to_string_pretty(&ledger.chrome_trace()).unwrap() + "\n"
     };
     let seq = export(1);
     serde_json::validate(&seq).expect("chrome trace must be valid JSON");

@@ -1,7 +1,9 @@
-//! Golden-file test for the chrome-trace exporter: a fixed scenario must
-//! produce byte-identical JSON (stable field ordering, stable float
-//! formatting, stable span order) — the export is an artifact other
-//! tooling parses, so accidental format drift should fail loudly.
+//! Golden-file test for the chrome-trace exporter: a fixed scenario's
+//! trace, rendered in the artifact writer's layout (pretty-printed, with
+//! a trailing newline), must be byte-identical (stable field ordering,
+//! stable float formatting, stable span order) — the export is an
+//! artifact other tooling parses, so accidental format drift should
+//! fail loudly.
 //!
 //! Regenerate after an intentional format change with
 //! `ACSR_REGEN_GOLDEN=1 cargo test -p gpu-sim --test trace_golden`.
@@ -67,7 +69,7 @@ fn scenario_json() -> String {
     dev.record_dtoh("y_readback", (n * 8) as u64);
     set_sim_threads(0);
     ledger.reconcile().expect("golden scenario must reconcile");
-    ledger.chrome_trace_json()
+    serde_json::to_string_pretty(&ledger.chrome_trace()).unwrap() + "\n"
 }
 
 #[test]

@@ -13,20 +13,16 @@ use gpu_sim::{lane_mask, Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::ell::ELL_PAD;
 use sparse_formats::Scalar;
 
-/// BRC engine.
+/// BRC engine. Reads `x` through the texture cache, as the paper's
+/// library baselines do (§IV).
 pub struct BrcKernel<T> {
     mat: DevBrc<T>,
-    /// Read `x` through the texture cache.
-    pub texture_x: bool,
 }
 
 impl<T: Scalar> BrcKernel<T> {
     /// Wrap an uploaded BRC matrix.
     pub fn new(mat: DevBrc<T>) -> Self {
-        BrcKernel {
-            mat,
-            texture_x: true,
-        }
+        BrcKernel { mat }
     }
 }
 
@@ -53,7 +49,6 @@ impl<T: Scalar> GpuSpmv<T> for BrcKernel<T> {
         assert_eq!(y.len(), self.mat.rows, "y length mismatch");
         let zero = fill_kernel(dev, y, T::ZERO);
         let mat = &self.mat;
-        let texture_x = self.texture_x;
         let n_blocks = mat.blocks.len();
         if n_blocks == 0 {
             return zero;
@@ -92,11 +87,7 @@ impl<T: Scalar> GpuSpmv<T> for BrcKernel<T> {
                             0
                         }
                     });
-                    let xs = if texture_x {
-                        warp.gather_tex(x, &xi, pad_mask)
-                    } else {
-                        warp.gather(x, &xi, pad_mask)
-                    };
+                    let xs = warp.gather_tex(x, &xi, pad_mask);
                     for lane in 0..b.height {
                         if pad_mask >> lane & 1 == 1 {
                             acc[lane] = vals[lane].mul_add(xs[lane], acc[lane]);

@@ -11,20 +11,16 @@ use crate::{fill_kernel, DevCoo, GpuSpmv};
 use gpu_sim::{Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::Scalar;
 
-/// COO segmented-reduction engine.
+/// COO segmented-reduction engine. Reads `x` through the texture
+/// cache, as the paper's library baselines do (§IV).
 pub struct CooKernel<T> {
     mat: DevCoo<T>,
-    /// Read `x` through the texture cache.
-    pub texture_x: bool,
 }
 
 impl<T: Scalar> CooKernel<T> {
     /// Wrap an uploaded COO matrix.
     pub fn new(mat: DevCoo<T>) -> Self {
-        CooKernel {
-            mat,
-            texture_x: true,
-        }
+        CooKernel { mat }
     }
 
     /// Run the product+reduce kernel, *accumulating* into `y` (assumed
@@ -43,7 +39,6 @@ impl<T: Scalar> CooKernel<T> {
             return RunReport::default();
         }
         let mat = &self.mat;
-        let texture_x = self.texture_x;
         let block = 256;
         let grid = nnz.div_ceil(block).max(1);
         dev.launch("coo_segred", grid, block, &|blk| {
@@ -58,11 +53,7 @@ impl<T: Scalar> CooKernel<T> {
                 let cols_v = warp.read_coalesced(&mat.col_indices, base, mask);
                 let vals_v = warp.read_coalesced(&mat.values, base, mask);
                 let xi: [usize; WARP] = std::array::from_fn(|i| cols_v[i] as usize);
-                let xs = if texture_x {
-                    warp.gather_tex(x, &xi, mask)
-                } else {
-                    warp.gather(x, &xi, mask)
-                };
+                let xs = warp.gather_tex(x, &xi, mask);
                 let mut prod = [T::ZERO; WARP];
                 for lane in 0..live {
                     prod[lane] = vals_v[lane] * xs[lane];

@@ -10,20 +10,16 @@ use crate::{DevCsr, GpuSpmv};
 use gpu_sim::{lane_mask, Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::Scalar;
 
-/// CSR-scalar engine.
+/// CSR-scalar engine. Reads `x` through the texture cache, as the
+/// paper's library baselines do (§IV).
 pub struct CsrScalar<T> {
     mat: DevCsr<T>,
-    /// Read `x` through the texture cache (paper default: yes).
-    pub texture_x: bool,
 }
 
 impl<T: Scalar> CsrScalar<T> {
     /// Wrap an uploaded CSR matrix.
     pub fn new(mat: DevCsr<T>) -> Self {
-        CsrScalar {
-            mat,
-            texture_x: true,
-        }
+        CsrScalar { mat }
     }
 }
 
@@ -50,7 +46,6 @@ impl<T: Scalar> GpuSpmv<T> for CsrScalar<T> {
         assert_eq!(y.len(), self.mat.rows, "y length mismatch");
         let rows = self.mat.rows;
         let mat = &self.mat;
-        let texture_x = self.texture_x;
         let block = 256;
         let grid = rows.div_ceil(block).max(1);
         dev.launch("csr_scalar", grid, block, &|blk| {
@@ -89,11 +84,7 @@ impl<T: Scalar> GpuSpmv<T> for CsrScalar<T> {
                     let cols = warp.gather(&mat.col_indices, &idx, it_mask);
                     let vals = warp.gather(&mat.values, &idx, it_mask);
                     let xi: [usize; WARP] = std::array::from_fn(|i| cols[i] as usize);
-                    let xs = if texture_x {
-                        warp.gather_tex(x, &xi, it_mask)
-                    } else {
-                        warp.gather(x, &xi, it_mask)
-                    };
+                    let xs = warp.gather_tex(x, &xi, it_mask);
                     for lane in 0..live {
                         if it_mask >> lane & 1 == 1 {
                             acc[lane] = vals[lane].mul_add(xs[lane], acc[lane]);
@@ -178,19 +169,5 @@ mod tests {
         let yd = dev.alloc_zeroed::<f32>(m.rows());
         eng.spmv(&dev, &xd, &yd);
         assert_close(yd.as_slice(), &m.spmv(&x), 1e-5, "csr-scalar f32");
-    }
-
-    #[test]
-    fn texture_off_increases_dram_reads() {
-        let m = test_matrix(2000, 7);
-        let dev = Device::new(presets::gtx_titan());
-        let x = test_x::<f64>(m.cols());
-        let mut eng = CsrScalar::new(DevCsr::upload(&dev, &m));
-        let xd = dev.alloc(x.clone());
-        let yd = dev.alloc_zeroed::<f64>(m.rows());
-        let with_tex = eng.spmv(&dev, &xd, &yd);
-        eng.texture_x = false;
-        let without = eng.spmv(&dev, &xd, &yd);
-        assert!(without.counters.dram_read_bytes > with_tex.counters.dram_read_bytes);
     }
 }

@@ -25,13 +25,12 @@ pub fn group_for_mean(mu: f64) -> usize {
     g
 }
 
-/// CSR-vector engine.
+/// CSR-vector engine. Reads `x` through the texture cache, as the
+/// paper's library baselines do (§IV).
 pub struct CsrVector<T> {
     mat: DevCsr<T>,
     /// Lanes cooperating per row (power of two, ≤ 32).
     pub group: usize,
-    /// Read `x` through the texture cache.
-    pub texture_x: bool,
 }
 
 impl<T: Scalar> CsrVector<T> {
@@ -48,11 +47,7 @@ impl<T: Scalar> CsrVector<T> {
             group.is_power_of_two() && (1..=WARP).contains(&group),
             "group must be a power of two in [1, 32]"
         );
-        CsrVector {
-            mat,
-            group,
-            texture_x: true,
-        }
+        CsrVector { mat, group }
     }
 }
 
@@ -85,7 +80,6 @@ impl<T: Scalar> GpuSpmv<T> for CsrVector<T> {
         let warps_per_block = block / WARP;
         let grid = warps_needed.div_ceil(warps_per_block);
         let mat = &self.mat;
-        let texture_x = self.texture_x;
         dev.launch("csr_vector", grid, block, &|blk| {
             blk.for_each_warp(&mut |warp| {
                 let warp_id = warp.global_warp_id();
@@ -149,11 +143,7 @@ impl<T: Scalar> GpuSpmv<T> for CsrVector<T> {
                     }
                     let (cols, vals) = warp.gather2(&mat.col_indices, &mat.values, &idx, it_mask);
                     let xi: [usize; WARP] = std::array::from_fn(|i| cols[i] as usize);
-                    let xs = if texture_x {
-                        warp.gather_tex(x, &xi, it_mask)
-                    } else {
-                        warp.gather(x, &xi, it_mask)
-                    };
+                    let xs = warp.gather_tex(x, &xi, it_mask);
                     // Branchless select: inactive lanes keep their old
                     // acc (the fma result for them uses the gathers'
                     // T::default() lanes — computed, then discarded).

@@ -10,24 +10,16 @@ use gpu_sim::{lane_mask, Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::ell::ELL_PAD;
 use sparse_formats::Scalar;
 
-/// ELL engine.
+/// ELL engine. Reads `x` through the texture cache, as the paper's
+/// library baselines do (§IV).
 pub struct EllKernel<T> {
     mat: DevEll<T>,
-    /// Read `x` through the texture cache.
-    pub texture_x: bool,
-    /// Accumulate into `y` instead of overwriting (used by HYB, whose COO
-    /// tail runs after this kernel).
-    pub accumulate: bool,
 }
 
 impl<T: Scalar> EllKernel<T> {
     /// Wrap an uploaded ELL matrix.
     pub fn new(mat: DevEll<T>) -> Self {
-        EllKernel {
-            mat,
-            texture_x: true,
-            accumulate: false,
-        }
+        EllKernel { mat }
     }
 }
 
@@ -55,8 +47,6 @@ impl<T: Scalar> GpuSpmv<T> for EllKernel<T> {
         let rows = self.mat.rows;
         let width = self.mat.width;
         let mat = &self.mat;
-        let texture_x = self.texture_x;
-        let accumulate = self.accumulate;
         let block = 256;
         let grid = rows.div_ceil(block).max(1);
         dev.launch("ell", grid, block, &|blk| {
@@ -67,11 +57,7 @@ impl<T: Scalar> GpuSpmv<T> for EllKernel<T> {
                 }
                 let live = (rows - base_row).min(WARP);
                 let mask = lane_mask(live);
-                let mut acc = if accumulate {
-                    warp.read_coalesced(y, base_row, mask)
-                } else {
-                    [T::ZERO; WARP]
-                };
+                let mut acc = [T::ZERO; WARP];
                 for slot in 0..width {
                     // column-major: consecutive lanes -> consecutive addrs
                     let base = slot * rows + base_row;
@@ -95,11 +81,7 @@ impl<T: Scalar> GpuSpmv<T> for EllKernel<T> {
                             0
                         }
                     });
-                    let xs = if texture_x {
-                        warp.gather_tex(x, &xi, pad_mask)
-                    } else {
-                        warp.gather(x, &xi, pad_mask)
-                    };
+                    let xs = warp.gather_tex(x, &xi, pad_mask);
                     for lane in 0..live {
                         if pad_mask >> lane & 1 == 1 {
                             acc[lane] = vals[lane].mul_add(xs[lane], acc[lane]);
@@ -142,21 +124,6 @@ mod tests {
         let yd = dev.alloc_zeroed::<f64>(m.rows());
         eng.spmv(&dev, &xd, &yd);
         assert_close(yd.as_slice(), &m.spmv(&x), 1e-12, "ell");
-    }
-
-    #[test]
-    fn accumulate_mode_adds_to_y() {
-        let m = bounded_matrix(100, 4);
-        let (ell, _) = EllMatrix::from_csr(&m, usize::MAX).unwrap();
-        let dev = Device::new(presets::gtx_titan());
-        let mut eng = EllKernel::new(DevEll::upload(&dev, &ell));
-        eng.accumulate = true;
-        let x = test_x::<f64>(m.cols());
-        let xd = dev.alloc(x.clone());
-        let yd = dev.alloc(vec![1.0f64; m.rows()]);
-        eng.spmv(&dev, &xd, &yd);
-        let want: Vec<f64> = m.spmv(&x).iter().map(|v| v + 1.0).collect();
-        assert_close(yd.as_slice(), &want, 1e-12, "ell accumulate");
     }
 
     #[test]

@@ -29,12 +29,6 @@ impl<T: Scalar> HybKernel<T> {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    /// Toggle texture reads of `x` for both sub-kernels.
-    pub fn set_texture_x(&mut self, on: bool) {
-        self.ell.texture_x = on;
-        self.coo.texture_x = on;
-    }
 }
 
 impl<T: Scalar> GpuSpmv<T> for HybKernel<T> {

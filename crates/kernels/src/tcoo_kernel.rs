@@ -6,20 +6,16 @@ use crate::{fill_kernel, DevTcoo, GpuSpmv};
 use gpu_sim::{Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::Scalar;
 
-/// TCOO engine.
+/// TCOO engine. Reads `x` through the texture cache (the format's
+/// raison d'être).
 pub struct TcooKernel<T> {
     mat: DevTcoo<T>,
-    /// Read `x` through the texture cache (the format's raison d'être).
-    pub texture_x: bool,
 }
 
 impl<T: Scalar> TcooKernel<T> {
     /// Wrap an uploaded TCOO matrix.
     pub fn new(mat: DevTcoo<T>) -> Self {
-        TcooKernel {
-            mat,
-            texture_x: true,
-        }
+        TcooKernel { mat }
     }
 
     /// Number of column tiles.
@@ -51,7 +47,6 @@ impl<T: Scalar> GpuSpmv<T> for TcooKernel<T> {
         assert_eq!(y.len(), self.mat.rows, "y length mismatch");
         let mut report = fill_kernel(dev, y, T::ZERO);
         let mat = &self.mat;
-        let texture_x = self.texture_x;
         // one kernel per tile: the tile's x-slice warms the cache and is
         // reused by every entry of the tile
         for (ti, tile) in mat.tiles.iter().enumerate() {
@@ -75,11 +70,7 @@ impl<T: Scalar> GpuSpmv<T> for TcooKernel<T> {
                     let cols_v = warp.read_coalesced(&mat.col_indices, e, mask);
                     let vals_v = warp.read_coalesced(&mat.values, e, mask);
                     let xi: [usize; WARP] = std::array::from_fn(|i| cols_v[i] as usize);
-                    let xs = if texture_x {
-                        warp.gather_tex(x, &xi, mask)
-                    } else {
-                        warp.gather(x, &xi, mask)
-                    };
+                    let xs = warp.gather_tex(x, &xi, mask);
                     let mut prod = [T::ZERO; WARP];
                     for lane in 0..live {
                         prod[lane] = vals_v[lane] * xs[lane];

@@ -1,6 +1,6 @@
 //! Property tests: every simulated GPU kernel must agree with the
 //! sequential CSR reference on arbitrary matrices, in both precisions,
-//! and regardless of texture-path configuration. This is the
+//! and BCCOO with or without its tuned texture reads of `x`. This is the
 //! cross-cutting guarantee the whole evaluation rests on — if a kernel
 //! were wrong, every figure comparing it would be meaningless.
 
@@ -63,30 +63,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn csr_kernels_match_reference((m, x, tex) in arb_case()) {
+    fn csr_kernels_match_reference((m, x, _tex) in arb_case()) {
         let dev = Device::new(presets::gtx_titan());
         let want = m.spmv(&x);
-        let mut scalar = CsrScalar::new(DevCsr::upload(&dev, &m));
-        scalar.texture_x = tex;
+        let scalar = CsrScalar::new(DevCsr::upload(&dev, &m));
         check(&scalar, &dev, &x, &want).map_err(TestCaseError::fail)?;
         for group in [1usize, 4, 32] {
-            let mut vector = CsrVector::with_group(DevCsr::upload(&dev, &m), group);
-            vector.texture_x = tex;
+            let vector = CsrVector::with_group(DevCsr::upload(&dev, &m), group);
             check(&vector, &dev, &x, &want).map_err(TestCaseError::fail)?;
         }
     }
 
     #[test]
-    fn coo_and_hyb_kernels_match_reference((m, x, tex) in arb_case()) {
+    fn coo_and_hyb_kernels_match_reference((m, x, _tex) in arb_case()) {
         let dev = Device::new(presets::gtx_titan());
         let want = m.spmv(&x);
         let (coo, _) = CooMatrix::from_csr(&m);
-        let mut eng = CooKernel::new(DevCoo::upload(&dev, &coo));
-        eng.texture_x = tex;
+        let eng = CooKernel::new(DevCoo::upload(&dev, &coo));
         check(&eng, &dev, &x, &want).map_err(TestCaseError::fail)?;
         let (hyb, _) = HybMatrix::from_csr(&m, usize::MAX).unwrap();
-        let mut eng = HybKernel::new(DevHyb::upload(&dev, &hyb));
-        eng.set_texture_x(tex);
+        let eng = HybKernel::new(DevHyb::upload(&dev, &hyb));
         check(&eng, &dev, &x, &want).map_err(TestCaseError::fail)?;
     }
 
@@ -95,8 +91,7 @@ proptest! {
         let dev = Device::new(presets::gtx_titan());
         let want = m.spmv(&x);
         let (brc, _) = BrcMatrix::from_csr(&m, usize::MAX).unwrap();
-        let mut eng = BrcKernel::new(DevBrc::upload(&dev, &brc));
-        eng.texture_x = tex;
+        let eng = BrcKernel::new(DevBrc::upload(&dev, &brc));
         check(&eng, &dev, &x, &want).map_err(TestCaseError::fail)?;
         let (bccoo, _) = BccooMatrix::from_csr(
             &m,
@@ -107,8 +102,7 @@ proptest! {
         let eng = BccooKernel::new(DevBccoo::upload(&dev, &bccoo));
         check(&eng, &dev, &x, &want).map_err(TestCaseError::fail)?;
         let (tcoo, _) = TcooMatrix::from_csr(&m, 4, usize::MAX).unwrap();
-        let mut eng = TcooKernel::new(DevTcoo::upload(&dev, &tcoo));
-        eng.texture_x = tex;
+        let eng = TcooKernel::new(DevTcoo::upload(&dev, &tcoo));
         check(&eng, &dev, &x, &want).map_err(TestCaseError::fail)?;
     }
 

@@ -45,7 +45,7 @@ fn scenario_json() -> String {
     ledger
         .reconcile()
         .expect("dual-GPU scenario must reconcile");
-    ledger.chrome_trace_json()
+    serde_json::to_string_pretty(&ledger.chrome_trace()).unwrap() + "\n"
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn fleet_scenario_json() -> String {
     let d = sparse_formats::scalar::rel_l2_distance(&y, &m.spmv(&x));
     assert!(d < 1e-12, "rel distance {d}");
     ledger.reconcile().expect("fleet scenario must reconcile");
-    ledger.chrome_trace_json()
+    serde_json::to_string_pretty(&ledger.chrome_trace()).unwrap() + "\n"
 }
 
 #[test]

@@ -945,8 +945,8 @@ mod tests {
         assert_eq!(report.device_reports.len(), 2);
         assert!(report.device_reports.iter().all(|r| r.launches > 0));
         ledger.reconcile().expect("serve trace must reconcile");
-        let json = ledger.chrome_trace_json();
-        assert!(json.contains("#0") && json.contains("#1"));
+        let events = format!("{:?}", ledger.chrome_events());
+        assert!(events.contains("#0") && events.contains("#1"));
     }
 
     /// Fresh queries with the given seeds, query `i` pinned to device
@@ -1102,9 +1102,10 @@ mod tests {
                 w.wave
             );
         }
-        let json = acsr_telemetry::timeline_json(&ledger, &tel).expect("timeline validates");
-        assert!(json.contains("\"name\":\"serving\""));
-        assert!(json.contains("\"name\":\"wave1\""));
+        let doc = acsr_telemetry::timeline(&ledger, &tel).expect("timeline validates");
+        let text = format!("{doc:?}");
+        assert!(text.contains(r#"Str("serving")"#));
+        assert!(text.contains(r#"Str("wave1")"#));
         // a second run keeps allocating fresh wave ids — no collisions
         let before = waves.len();
         engine.serve(&queries);

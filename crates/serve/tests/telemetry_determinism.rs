@@ -90,7 +90,7 @@ fn run_at(width: usize, g: &CsrMatrix<f64>, queries: &[Query]) -> (String, Strin
     engine.serve_slo(queries, &policy());
     set_sim_threads(0);
     (
-        tel.metrics.snapshot().to_json(),
+        format!("{:?}", tel.metrics.snapshot()),
         format!("{:?}", tel.requests.events()),
         format!("{:?}", tel.requests.waves()),
     )
@@ -99,7 +99,7 @@ fn run_at(width: usize, g: &CsrMatrix<f64>, queries: &[Query]) -> (String, Strin
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Widths 1, 2, 4: snapshot bytes, event stream, and wave records
+    /// Widths 1, 2, 4: metrics snapshot, event stream, and wave records
     /// all bit-identical.
     #[test]
     fn telemetry_streams_are_width_invariant(rows in 60usize..200, seed in 4u64..2000) {

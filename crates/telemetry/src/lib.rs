@@ -5,8 +5,9 @@
 //! plane on top of it — and keeps the two joinable:
 //!
 //! * [`MetricsRegistry`] — named counters / gauges / log-bucketed
-//!   histograms ([`LogHistogram`]), snapshotting to a byte-stable
-//!   `acsr-metrics-v1` JSON document. Counters are integer-exact and are
+//!   histograms ([`LogHistogram`]), snapshotting to a
+//!   [`MetricsSnapshot`] that serializes to an `acsr-metrics-v1`
+//!   document's body. Counters are integer-exact and are
 //!   reconciled against the existing end-of-run reports (`ServeReport`,
 //!   the maintenance [`LedgerTotals`](../acsr_stream), the trace
 //!   ledger's merged [`gpu_sim::RunReport`]) — the registry is an
@@ -14,7 +15,7 @@
 //! * [`RequestTrace`] — per-query lifecycle events through `serve_slo`
 //!   (arrival, shed, admission, completion) plus one [`WaveRecord`] per
 //!   executed batch wave.
-//! * [`timeline_json`] — a chrome-trace export that lays the trace
+//! * [`timeline()`] — a chrome-trace export that lays the trace
 //!   ledger's kernel spans and the request spans side by side, joined by
 //!   the wave ids this crate allocates ([`Telemetry::next_wave_id`]) and
 //!   the serving scheduler stamps into kernel spans via
@@ -45,7 +46,7 @@ mod timeline;
 pub use hist::{nearest_rank, LogHistogram};
 pub use metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use request::{RequestEvent, RequestTrace, ShedKind, WaveRecord};
-pub use timeline::timeline_json;
+pub use timeline::timeline;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

@@ -1,19 +1,19 @@
 //! The named-metric registry: counters, gauges, and log-bucketed
-//! histograms behind one mutex, snapshotting to a byte-stable
-//! `acsr-metrics-v1` JSON document.
+//! histograms behind one mutex, snapshotting to a [`MetricsSnapshot`]
+//! that serializes to the body of an `acsr-metrics-v1` document.
 //!
 //! Counters are `u64` and integer-exact — they are what the
 //! reconciliation checks compare against `ServeReport` / maintenance
 //! -ledger fields. Gauges are last-write-wins `f64`. Histograms are
-//! [`LogHistogram`]s. Names sort the snapshot (`BTreeMap`), and every
-//! float serializes with `{:?}`, so the same run produces byte-identical
-//! output on every `ACSR_SIM_THREADS` width — the golden and proptests
-//! rely on this.
+//! [`LogHistogram`]s. Names sort the snapshot (`BTreeMap`), so the same
+//! run serializes to the same value, and renders to the same bytes, on
+//! every `ACSR_SIM_THREADS` width — the golden and proptests rely on
+//! this.
 
 use crate::hist::LogHistogram;
 use parking_lot::Mutex;
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One metric's current value.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,77 +171,38 @@ impl MetricsSnapshot {
             _ => None,
         }
     }
-
-    /// Serialize under the `acsr-metrics-v1` schema. Hand-rolled with a
-    /// fixed field order and `{:?}` float formatting — same snapshot,
-    /// same bytes (the golden test and cross-width proptests pin this).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"acsr-metrics-v1\",\"metrics\":[\n");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"type\":\"counter\",\"value\":{v}}}",
-                        escape(name)
-                    );
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"type\":\"gauge\",\"value\":{v:?}}}",
-                        escape(name)
-                    );
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"type\":\"histogram\",\"count\":{},\
-                         \"sum\":{:?},\"min\":{:?},\"max\":{:?},\
-                         \"p50\":{:?},\"p95\":{:?},\"p99\":{:?},\"buckets\":[",
-                        escape(name),
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.quantile(0.50),
-                        h.quantile(0.95),
-                        h.quantile(0.99),
-                    );
-                    for (j, (k, c)) in h.bucket_counts().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "[{k},{c}]");
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push_str("\n]}\n");
-        out
-    }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// The `acsr-metrics-v1` body, one entry per metric in name order: a
+/// counter or gauge carries its `value`, a histogram its count, sum,
+/// extremes, nearest-rank quantiles and `[bucket, count]` pairs.
+impl Serialize for MetricsSnapshot {
+    fn to_value(&self) -> Value {
+        let metrics = self.entries.iter().map(|(name, value)| {
+            let mut entry = vec![("name", name.to_value())];
+            match value {
+                MetricValue::Counter(v) => {
+                    entry.extend([("type", "counter".to_value()), ("value", v.to_value())]);
+                }
+                MetricValue::Gauge(v) => {
+                    entry.extend([("type", "gauge".to_value()), ("value", v.to_value())]);
+                }
+                MetricValue::Histogram(h) => entry.extend([
+                    ("type", "histogram".to_value()),
+                    ("count", h.count().to_value()),
+                    ("sum", h.sum().to_value()),
+                    ("min", h.min().to_value()),
+                    ("max", h.max().to_value()),
+                    ("p50", h.quantile(0.50).to_value()),
+                    ("p95", h.quantile(0.95).to_value()),
+                    ("p99", h.quantile(0.99).to_value()),
+                    ("buckets", h.bucket_counts().to_value()),
+                ]),
             }
-            c => out.push(c),
-        }
+            Value::from_iter(entry)
+        });
+        Value::from_iter([("metrics", Value::Array(metrics.collect()))])
     }
-    out
 }
 
 #[cfg(test)]
@@ -266,21 +227,35 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_sorted_schema_tagged_and_stable() {
+    fn snapshot_serializes_name_sorted_typed_entries() {
         let reg = MetricsRegistry::new();
         reg.set_gauge("z.last", 0.25);
         reg.add("a.first", 1);
         reg.observe("m.mid", 3.0);
-        let snap = reg.snapshot();
-        let json = snap.to_json();
-        assert_eq!(json, snap.to_json(), "same snapshot, same bytes");
-        assert!(json.starts_with("{\"schema\":\"acsr-metrics-v1\""));
-        let a = json.find("a.first").unwrap();
-        let m = json.find("m.mid").unwrap();
-        let z = json.find("z.last").unwrap();
-        assert!(a < m && m < z, "entries must be name-sorted");
-        assert!(json.contains("\"type\":\"histogram\""));
-        assert!(json.contains("\"buckets\":[["));
+        let Value::Object(doc) = reg.snapshot().to_value() else {
+            panic!("a snapshot serializes to an object");
+        };
+        let [(key, Value::Array(metrics))] = &doc[..] else {
+            panic!("expected one metrics array, got {doc:?}");
+        };
+        assert_eq!(key, "metrics");
+        // (name, type, field count) of each entry, in name order.
+        let heads: Vec<(&Value, &Value, usize)> = metrics
+            .iter()
+            .map(|m| match m {
+                Value::Object(e) => (&e[0].1, &e[1].1, e.len()),
+                other => panic!("metric entry {other:?}"),
+            })
+            .collect();
+        let s = |v: &str| Value::Str(v.into());
+        assert_eq!(
+            heads,
+            [
+                (&s("a.first"), &s("counter"), 3),
+                (&s("m.mid"), &s("histogram"), 10),
+                (&s("z.last"), &s("gauge"), 3),
+            ]
+        );
     }
 
     #[test]

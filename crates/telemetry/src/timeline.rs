@@ -1,32 +1,33 @@
 //! Correlated timeline export: kernel spans + request spans, one file.
 //!
-//! [`timeline_json`] lays the trace ledger's chrome events (devices as
-//! processes, exactly as [`gpu_sim::trace::TraceLedger::chrome_trace_json`]
-//! emits them) next to a synthetic "serving" process holding one track of
-//! wave spans and one track per query's lifecycle. The *authoritative
-//! join key* is the `wave` id in each event's `args`: a kernel span's
+//! [`timeline`] appends to the trace ledger's chrome events (devices as
+//! processes, exactly as [`gpu_sim::trace::TraceLedger::chrome_events`]
+//! builds them) a synthetic "serving" process holding one track of wave
+//! spans and one track per query's lifecycle. The *authoritative join
+//! key* is the `wave` id in each event's `args`: a kernel span's
 //! `args.wave` names the [`crate::WaveRecord`] whose `queries` list (and
 //! whose riding queries' `active` spans) it executed for. Times inside
 //! the serving process run on the serving clock; device tracks keep the
 //! ledger's own virtual clock (launches laid end to end) — the two axes
 //! are schematic side by side, the wave ids are exact.
 //!
-//! The export validates the correlation before serializing: a kernel
-//! span stamped with a wave id that no wave record announced, an
+//! The export validates the correlation before building the document: a
+//! kernel span stamped with a wave id that no wave record announced, an
 //! admission pointing at an unknown wave, or a duplicated wave record is
 //! an `Err`, not a malformed file.
 
 use crate::request::{RequestEvent, ShedKind};
 use crate::Telemetry;
-use gpu_sim::trace::TraceLedger;
+use gpu_sim::trace::{complete_event, metadata_event, TraceLedger};
+use serde::{Serialize, Value};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
-/// Serialize the correlated timeline under the `acsr-timeline-v1`
-/// schema. Byte-stable: fixed field order, `{:?}` floats, deterministic
-/// track assignment (queries take lanes in first-appearance order).
-pub fn timeline_json(ledger: &TraceLedger, tel: &Telemetry) -> Result<String, String> {
-    let (kernel_events, device_count) = ledger.chrome_trace_events();
+/// The correlated timeline as the body of an `acsr-timeline-v1`
+/// document: event counts, then the chrome events. Deterministic: the
+/// ledger's events in record order, then the serving process's, with
+/// queries taking lanes in first-appearance order.
+pub fn timeline(ledger: &TraceLedger, tel: &Telemetry) -> Result<Value, String> {
+    let spans = ledger.spans();
     let waves = tel.requests.waves();
     let events = tel.requests.events();
 
@@ -37,7 +38,7 @@ pub fn timeline_json(ledger: &TraceLedger, tel: &Telemetry) -> Result<String, St
         }
     }
     let mut kernel_spans = 0usize;
-    for (i, span) in ledger.spans().iter().enumerate() {
+    for (i, span) in spans.iter().enumerate() {
         if let Some(w) = span.wave {
             kernel_spans += 1;
             if !wave_ids.contains(&w) {
@@ -59,50 +60,23 @@ pub fn timeline_json(ledger: &TraceLedger, tel: &Telemetry) -> Result<String, St
     }
 
     // The serving plane gets its own chrome process after the devices.
-    let pid = device_count;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"acsr-timeline-v1\",\"request_events\":{},\"wave_spans\":{},\
-         \"kernel_spans\":{kernel_spans},\"traceEvents\":[",
-        events.len(),
-        waves.len(),
-    );
-    out.push_str(&kernel_events);
-    let mut first = kernel_events.is_empty();
-    sep(&mut out, &mut first);
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"name\":\"serving\"}}}}"
-    );
-    sep(&mut out, &mut first);
-    let _ = write!(
-        out,
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"name\":\"waves\"}}}}"
-    );
+    let pid = spans
+        .iter()
+        .map(|s| s.device.as_str())
+        .collect::<BTreeSet<_>>()
+        .len();
+    let mut trace = ledger.chrome_events();
+    trace.push(metadata_event("process_name", pid, 0, "serving"));
+    trace.push(metadata_event("thread_name", pid, 0, "waves"));
     for w in &waves {
-        sep(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"name\":\"wave{}\",\"cat\":\"wave\",\"ph\":\"X\",\"ts\":{:?},\"dur\":{:?},\
-             \"pid\":{pid},\"tid\":0,\"args\":{{\"wave\":{},\"width\":{},\"devices\":{},\
-             \"queries\":[",
-            w.wave,
-            w.t_start_s * 1e6,
-            w.dur_s * 1e6,
-            w.wave,
-            w.width,
-            w.devices,
-        );
-        for (i, q) in w.queries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{q}");
-        }
-        out.push_str("]}}");
+        let args = Value::from_iter([
+            ("wave", w.wave.to_value()),
+            ("width", w.width.to_value()),
+            ("devices", w.devices.to_value()),
+            ("queries", w.queries.to_value()),
+        ]);
+        let (name, span) = (format!("wave{}", w.wave), (w.t_start_s, w.dur_s));
+        trace.push(complete_event(&name, "wave", span, (pid, 0), args));
     }
 
     // One lane per query, in first-appearance order of the event stream.
@@ -114,17 +88,18 @@ pub fn timeline_json(ledger: &TraceLedger, tel: &Telemetry) -> Result<String, St
     }
     for (lane, &query) in lane_of.iter().enumerate() {
         let tid = 1 + lane;
-        sep(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":\"query{query}\"}}}}"
-        );
-        let mut arrival: Option<(f64, u32)> = None;
+        let label = format!("query{query}");
+        trace.push(metadata_event("thread_name", pid, tid, &label));
+        // A span (start, duration) on the query's track.
+        let request = |name, span, args| complete_event(name, "request", span, (pid, tid), args);
+        let who = |tenant: u32| {
+            Value::from_iter([("query", query.to_value()), ("tenant", tenant.to_value())])
+        };
+        let mut arrival: Option<f64> = None;
         let mut admitted: Option<(f64, u64)> = None;
         for e in events.iter().filter(|e| e.query() == query) {
             match *e {
-                RequestEvent::Arrival { t_s, tenant, .. } => arrival = Some((t_s, tenant)),
+                RequestEvent::Arrival { t_s, .. } => arrival = Some(t_s),
                 RequestEvent::Admitted {
                     t_s,
                     tenant,
@@ -132,15 +107,8 @@ pub fn timeline_json(ledger: &TraceLedger, tel: &Telemetry) -> Result<String, St
                     queue_wait_s,
                     ..
                 } => {
-                    sep(&mut out, &mut first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"queued\",\"cat\":\"request\",\"ph\":\"X\",\
-                         \"ts\":{:?},\"dur\":{:?},\"pid\":{pid},\"tid\":{tid},\
-                         \"args\":{{\"query\":{query},\"tenant\":{tenant}}}}}",
-                        (t_s - queue_wait_s) * 1e6,
-                        queue_wait_s * 1e6,
-                    );
+                    let queued = (t_s - queue_wait_s, queue_wait_s);
+                    trace.push(request("queued", queued, who(tenant)));
                     admitted = Some((t_s, wave));
                 }
                 RequestEvent::Completed {
@@ -152,59 +120,48 @@ pub fn timeline_json(ledger: &TraceLedger, tel: &Telemetry) -> Result<String, St
                     ..
                 } => {
                     let (adm_t, wave) = admitted.unwrap_or((t_s - latency_s, 0));
-                    sep(&mut out, &mut first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"active\",\"cat\":\"request\",\"ph\":\"X\",\
-                         \"ts\":{:?},\"dur\":{:?},\"pid\":{pid},\"tid\":{tid},\
-                         \"args\":{{\"query\":{query},\"tenant\":{tenant},\"wave\":{wave},\
-                         \"iterations\":{iterations},\"converged\":{converged}}}}}",
-                        adm_t * 1e6,
-                        (t_s - adm_t) * 1e6,
-                    );
+                    let args = Value::from_iter([
+                        ("query", query.to_value()),
+                        ("tenant", tenant.to_value()),
+                        ("wave", wave.to_value()),
+                        ("iterations", iterations.to_value()),
+                        ("converged", converged.to_value()),
+                    ]);
+                    trace.push(request("active", (adm_t, t_s - adm_t), args));
                 }
                 RequestEvent::Shed {
                     t_s, tenant, kind, ..
                 } => {
-                    if let Some((arr_t, _)) = arrival {
-                        if kind == ShedKind::Deadline {
-                            sep(&mut out, &mut first);
-                            let _ = write!(
-                                out,
-                                "{{\"name\":\"queued\",\"cat\":\"request\",\"ph\":\"X\",\
-                                 \"ts\":{:?},\"dur\":{:?},\"pid\":{pid},\"tid\":{tid},\
-                                 \"args\":{{\"query\":{query},\"tenant\":{tenant}}}}}",
-                                arr_t * 1e6,
-                                (t_s - arr_t) * 1e6,
-                            );
-                        }
+                    if let (Some(arr_t), ShedKind::Deadline) = (arrival, kind) {
+                        let queued = (arr_t, t_s - arr_t);
+                        trace.push(request("queued", queued, who(tenant)));
                     }
                     let name = match kind {
                         ShedKind::Capacity => "shed.capacity",
                         ShedKind::Deadline => "shed.deadline",
                     };
-                    sep(&mut out, &mut first);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"i\",\"ts\":{:?},\
-                         \"pid\":{pid},\"tid\":{tid},\"s\":\"t\",\
-                         \"args\":{{\"query\":{query},\"tenant\":{tenant}}}}}",
-                        t_s * 1e6,
-                    );
+                    // An instant event (`ph: "i"`) scoped to its track.
+                    trace.push(Value::from_iter([
+                        ("name", name.to_value()),
+                        ("cat", "request".to_value()),
+                        ("ph", "i".to_value()),
+                        ("ts", (t_s * 1e6).to_value()),
+                        ("pid", pid.to_value()),
+                        ("tid", tid.to_value()),
+                        ("s", "t".to_value()),
+                        ("args", who(tenant)),
+                    ]));
                 }
             }
         }
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    Ok(out)
-}
-
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push_str(",\n");
-    }
+    Ok(Value::from_iter([
+        ("request_events", events.len().to_value()),
+        ("wave_spans", waves.len().to_value()),
+        ("kernel_spans", kernel_spans.to_value()),
+        ("traceEvents", Value::Array(trace)),
+        ("displayTimeUnit", "ms".to_value()),
+    ]))
 }
 
 #[cfg(test)]
@@ -256,20 +213,17 @@ mod tests {
     #[test]
     fn timeline_joins_kernel_spans_to_request_spans() {
         let (_dev, ledger, tel) = serve_like_fixture();
-        let json = timeline_json(&ledger, &tel).expect("correlation validates");
-        assert_eq!(json, timeline_json(&ledger, &tel).unwrap(), "byte-stable");
-        assert!(json.starts_with("{\"schema\":\"acsr-timeline-v1\""));
-        assert!(json.contains("\"request_events\":3"));
-        assert!(json.contains("\"wave_spans\":1"));
+        let doc = timeline(&ledger, &tel).expect("correlation validates");
+        assert_eq!(doc, timeline(&ledger, &tel).unwrap(), "deterministic");
+        let text = format!("{doc:?}");
+        assert!(text.starts_with(r#"Object([("request_events", U64(3)), ("wave_spans", U64(1))"#));
         // Launch span of `spmv` carries the wave id in its args...
-        assert!(json.contains("\"name\":\"spmv\""));
-        assert!(json.contains("\"wave\":1"));
+        assert!(text.contains(r#"Str("spmv")"#));
+        assert!(text.contains(r#"("wave", U64(1))"#));
         // ...and the serving process has the wave track + query lane.
-        assert!(json.contains("\"name\":\"serving\""));
-        assert!(json.contains("\"name\":\"wave1\""));
-        assert!(json.contains("\"name\":\"query11\""));
-        assert!(json.contains("\"name\":\"queued\""));
-        assert!(json.contains("\"name\":\"active\""));
+        for name in ["serving", "wave1", "query11", "queued", "active"] {
+            assert!(text.contains(&format!("Str({name:?})")), "{name}");
+        }
     }
 
     #[test]
@@ -278,7 +232,7 @@ mod tests {
         ledger.set_wave(Some(999));
         dev.launch("stray", 2, 32, &|_b| {});
         ledger.set_wave(None);
-        let err = timeline_json(&ledger, &tel).unwrap_err();
+        let err = timeline(&ledger, &tel).unwrap_err();
         assert!(err.contains("wave 999"), "unexpected error: {err}");
     }
 
@@ -293,7 +247,7 @@ mod tests {
             queue_wait_s: 0.0,
         });
         let ledger = TraceLedger::new();
-        let err = timeline_json(&ledger, &tel).unwrap_err();
+        let err = timeline(&ledger, &tel).unwrap_err();
         assert!(err.contains("unknown wave 7"), "unexpected error: {err}");
     }
 
@@ -323,11 +277,11 @@ mod tests {
             kind: ShedKind::Deadline,
         });
         let ledger = TraceLedger::new();
-        let json = timeline_json(&ledger, &tel).expect("no waves needed");
-        assert!(json.contains("\"name\":\"shed.capacity\""));
-        assert!(json.contains("\"name\":\"shed.deadline\""));
+        let text = format!("{:?}", timeline(&ledger, &tel).expect("no waves needed"));
+        assert!(text.contains(r#"Str("shed.capacity")"#));
+        assert!(text.contains(r#"Str("shed.deadline")"#));
         // The deadline-shed query shows its wasted queue time.
-        assert!(json.contains("\"name\":\"queued\""));
-        assert!(json.contains("\"kernel_spans\":0"));
+        assert!(text.contains(r#"Str("queued")"#));
+        assert!(text.contains(r#"("kernel_spans", U64(0))"#));
     }
 }

@@ -39,6 +39,14 @@ impl Serialize for Value {
     }
 }
 
+/// Collects `(key, value)` pairs into an object, keys in iteration
+/// order (`serde_json::Value` collects the same way).
+impl<K: Into<String>> FromIterator<(K, Value)> for Value {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(entries: I) -> Value {
+        Value::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -161,6 +169,10 @@ mod tests {
             Value::Array(vec![Value::U64(1), Value::U64(2)])
         );
         assert_eq!(Option::<u8>::None.to_value(), Value::Null);
+        assert_eq!(
+            Value::from_iter([("b", 1u8.to_value()), ("a", Value::Null)]),
+            Value::Object(vec![("b".into(), Value::U64(1)), ("a".into(), Value::Null)])
+        );
     }
 
     #[test]
