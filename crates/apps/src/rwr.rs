@@ -6,8 +6,9 @@
 
 use crate::ops::l2_distance_sq;
 use crate::{IterParams, SolveResult};
-use gpu_sim::{lane_mask, tree_reduce_sum, Device, DeviceBuffer, RunReport, WARP};
+use gpu_sim::{lane_mask, Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::{CsrMatrix, Scalar};
+use spmv_kernels::epilogue::rwr_update_multi;
 use spmv_kernels::GpuSpmv;
 use spmv_pipeline::SpmvPlan;
 
@@ -19,118 +20,6 @@ pub fn rwr_operator<T: Scalar>(adjacency: &CsrMatrix<T>) -> CsrMatrix<T> {
         "adjacency must be square"
     );
     adjacency.column_normalize()
-}
-
-/// The optional convergence output of [`rwr_update_multi`]: the update
-/// also reads each query's current iterate and writes one
-/// `‖next − r‖²` partial per warp, so a caller that keeps its iterates
-/// on the device reads back only `k × ⌈n/32⌉` partials per iteration.
-pub struct Convergence<'a, T> {
-    /// Each query's current iterate `r`, parallel to the update's
-    /// `outs` (which receive the next iterate).
-    pub prev: &'a [&'a DeviceBuffer<T>],
-    /// `k × ⌈n/32⌉` partials, query-major: `partials[v·⌈n/32⌉ + b]` is
-    /// the warp tree sum of `(next − r)²` (in `f64`) over rows
-    /// `32b .. 32b + 32` of query `v`. [`convergence_partials`] computes
-    /// the same values on the host.
-    pub partials: &'a DeviceBuffer<f64>,
-}
-
-/// The RWR update kernel, batched: one launch applies `outs[v] = c[v] *
-/// xs[v] + restart[v] * e_seed[v]` for every query of the batch (a
-/// single query is the k = 1 case). `seeds[v]` is query `v`'s seed
-/// row. Each
-/// vector's arithmetic is the same at any k, so a query's trajectory is
-/// independent of the batch it rides in. With `conv`, the same launch
-/// also writes the convergence partials; without it, the launch reads
-/// and writes only `xs` and `outs`.
-pub fn rwr_update_multi<T: Scalar>(
-    dev: &Device,
-    xs: &[&DeviceBuffer<T>],
-    c: &[T],
-    restart: &[T],
-    seeds: &[usize],
-    outs: &[&DeviceBuffer<T>],
-    conv: Option<&Convergence<'_, T>>,
-) -> RunReport {
-    let k = xs.len();
-    assert!(
-        k == c.len() && k == restart.len() && k == seeds.len() && k == outs.len(),
-        "batch slice length mismatch"
-    );
-    if k == 0 {
-        return RunReport::default();
-    }
-    let n = xs[0].len();
-    let blocks = n.div_ceil(WARP);
-    if let Some(conv) = conv {
-        assert_eq!(conv.prev.len(), k, "one previous iterate per query");
-        assert_eq!(conv.partials.len(), k * blocks, "k × ⌈n/32⌉ partials");
-    }
-    let block = 256;
-    let grid = n.div_ceil(block).max(1);
-    dev.launch("rwr_update", grid, block, &|blk| {
-        blk.for_each_warp(&mut |warp| {
-            let base = warp.first_thread();
-            if base >= n {
-                return;
-            }
-            let mask = lane_mask(n - base);
-            for v in 0..k {
-                let xv = warp.read_coalesced(xs[v], base, mask);
-                let mut vals = [T::ZERO; WARP];
-                for lane in 0..WARP {
-                    if mask >> lane & 1 == 1 {
-                        vals[lane] = c[v] * xv[lane];
-                        if base + lane == seeds[v] {
-                            vals[lane] += restart[v];
-                        }
-                    }
-                }
-                warp.charge_alu(2);
-                warp.charge_flops(2 * u64::from(mask.count_ones()));
-                warp.write_coalesced(outs[v], base, &vals, mask);
-                if let Some(conv) = conv {
-                    let rv = warp.read_coalesced(conv.prev[v], base, mask);
-                    let d2 = squared_diffs(&vals, &rv, mask);
-                    warp.charge_alu(2);
-                    warp.charge_flops(2 * u64::from(mask.count_ones()));
-                    let red = warp.segmented_reduce_sum(&d2, WARP);
-                    warp.write_coalesced(conv.partials, v * blocks + base / WARP, &red, 1);
-                }
-            }
-        });
-    })
-}
-
-/// Lane-wise `(next − prev)²` in `f64`; lanes outside `mask` are 0.
-fn squared_diffs<T: Scalar>(next: &[T; WARP], prev: &[T; WARP], mask: u32) -> [f64; WARP] {
-    let mut d2 = [0.0f64; WARP];
-    for lane in 0..WARP {
-        if mask >> lane & 1 == 1 {
-            let d = next[lane].to_f64() - prev[lane].to_f64();
-            d2[lane] = d * d;
-        }
-    }
-    d2
-}
-
-/// The convergence partials of one query computed on the host, bit for
-/// bit what [`rwr_update_multi`]'s [`Convergence`] output writes: per
-/// 32-row block, the warp tree sum ([`tree_reduce_sum`]) of
-/// `(next − prev)²`: the host reference the kernel's output is tested
-/// against.
-pub fn convergence_partials<T: Scalar>(next: &[T], prev: &[T]) -> Vec<f64> {
-    assert_eq!(next.len(), prev.len(), "iterate length mismatch");
-    next.chunks(WARP)
-        .zip(prev.chunks(WARP))
-        .map(|(a, b)| {
-            let (mut next, mut prev) = ([T::ZERO; WARP], [T::ZERO; WARP]);
-            next[..a.len()].copy_from_slice(a);
-            prev[..b.len()].copy_from_slice(b);
-            tree_reduce_sum(&squared_diffs(&next, &prev, lane_mask(a.len())), WARP)[0]
-        })
-        .collect()
 }
 
 /// `‖next − r‖²` from one query's convergence partials, added in
@@ -316,132 +205,6 @@ mod tests {
         let (r, _) = rwr_cpu(&w, 0, 0.85, &IterParams::default());
         let total: f64 = r.iter().sum();
         assert!(total <= 1.0 + 1e-9 && total > 0.1, "total {total}");
-    }
-
-    #[test]
-    fn batched_update_matches_single_bitwise() {
-        let dev = Device::new(presets::gtx_titan());
-        let n = 300usize;
-        let k = 3usize;
-        let xs_host: Vec<Vec<f64>> = (0..k)
-            .map(|v| (0..n).map(|i| 0.5 + ((i + v) % 11) as f64 * 0.3).collect())
-            .collect();
-        let xs: Vec<_> = xs_host.iter().map(|x| dev.alloc(x.clone())).collect();
-        let c = [0.85, 0.5, 0.99].map(f64::from_f64);
-        let restart = [0.15, 0.5, 0.01].map(f64::from_f64);
-        let seeds = [0usize, 299, 150];
-        let singles: Vec<_> = (0..k)
-            .map(|v| {
-                let out = dev.alloc_zeroed::<f64>(n);
-                rwr_update_multi(
-                    &dev,
-                    &[&xs[v]],
-                    &[c[v]],
-                    &[restart[v]],
-                    &[seeds[v]],
-                    &[&out],
-                    None,
-                );
-                out
-            })
-            .collect();
-        let outs: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<f64>(n)).collect();
-        let xr: Vec<_> = xs.iter().collect();
-        let or: Vec<_> = outs.iter().collect();
-        let r = rwr_update_multi(&dev, &xr, &c, &restart, &seeds, &or, None);
-        assert_eq!(r.launches, 1);
-        for v in 0..k {
-            for (a, b) in singles[v].as_slice().iter().zip(outs[v].as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "vector {v}");
-            }
-        }
-    }
-
-    /// The fused update's per-warp partials equal the host helper's bit
-    /// for bit, and its next iterates equal a launch without the
-    /// convergence output, at every block-boundary shape.
-    #[test]
-    fn fused_convergence_partials_match_host_helper_bitwise() {
-        let dev = Device::new(presets::gtx_titan());
-        for n in [0usize, 1, 31, 32, 33, 1000] {
-            for k in [1usize, 3] {
-                let vec = |salt: usize| -> Vec<f64> {
-                    (0..n)
-                        .map(|i| ((i * 7 + salt * 13) % 17) as f64 / 7.0 - 0.9)
-                        .collect()
-                };
-                let xs: Vec<_> = (0..k).map(|v| dev.alloc(vec(v))).collect();
-                let prevs: Vec<_> = (0..k).map(|v| dev.alloc(vec(v + 5))).collect();
-                let c = vec![0.85; k];
-                let restart = vec![0.15; k];
-                let seeds: Vec<usize> = (0..k).map(|v| v % n.max(1)).collect();
-                let plain: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<f64>(n)).collect();
-                let fused: Vec<_> = (0..k).map(|_| dev.alloc(vec![f64::NAN; n])).collect();
-                let blocks = n.div_ceil(WARP);
-                let partials = dev.alloc(vec![f64::NAN; k * blocks]);
-                let xr: Vec<_> = xs.iter().collect();
-                let pr: Vec<_> = prevs.iter().collect();
-                let plain_r: Vec<_> = plain.iter().collect();
-                let fused_r: Vec<_> = fused.iter().collect();
-                rwr_update_multi(&dev, &xr, &c, &restart, &seeds, &plain_r, None);
-                let conv = Convergence {
-                    prev: &pr,
-                    partials: &partials,
-                };
-                let r = rwr_update_multi(&dev, &xr, &c, &restart, &seeds, &fused_r, Some(&conv));
-                assert_eq!(r.launches, 1);
-                for v in 0..k {
-                    let (a, b) = (plain[v].as_slice(), fused[v].as_slice());
-                    assert!(
-                        a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "n {n} k {k} vector {v}: next iterates differ"
-                    );
-                    let host = convergence_partials(b, prevs[v].as_slice());
-                    let dev_p = &partials.as_slice()[v * blocks..(v + 1) * blocks];
-                    assert_eq!(host.len(), blocks);
-                    assert!(
-                        host.iter()
-                            .zip(dev_p)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "n {n} k {k} vector {v}: partials {host:?} vs {dev_p:?}"
-                    );
-                    let seq: f64 = b
-                        .iter()
-                        .zip(prevs[v].as_slice())
-                        .map(|(x, y)| (x - y) * (x - y))
-                        .sum();
-                    let tree = sum_partials(dev_p);
-                    assert!(
-                        (tree - seq).abs() <= 1e-12 * seq.max(1.0),
-                        "n {n}: {tree} vs {seq}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The convergence output adds to the launch only its own traffic:
-    /// one more iterate read and one partial written per warp.
-    #[test]
-    fn convergence_output_reads_prev_and_writes_one_partial_per_warp() {
-        let dev = Device::new(presets::gtx_titan());
-        let n = 1000;
-        let x = dev.alloc(vec![0.5f64; n]);
-        let prev = dev.alloc(vec![0.25f64; n]);
-        let out = dev.alloc_zeroed::<f64>(n);
-        let partials = dev.alloc_zeroed::<f64>(n.div_ceil(WARP));
-        let args = (&[0.85], &[0.15], &[3]);
-        let plain = rwr_update_multi(&dev, &[&x], args.0, args.1, args.2, &[&out], None);
-        let conv = Convergence {
-            prev: &[&prev],
-            partials: &partials,
-        };
-        let fused = rwr_update_multi(&dev, &[&x], args.0, args.1, args.2, &[&out], Some(&conv));
-        let (p, f) = (plain.counters, fused.counters);
-        assert!(f.dram_read_bytes >= p.dram_read_bytes + (n * 8) as u64);
-        assert!(f.dram_write_bytes > p.dram_write_bytes);
-        assert!(f.warp_instructions > p.warp_instructions);
-        assert_eq!(fused.launches, plain.launches);
     }
 
     #[test]

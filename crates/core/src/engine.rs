@@ -19,11 +19,14 @@
 use crate::binning::{BinStats, Binning, RowMove};
 use crate::config::{AcsrConfig, AcsrMode};
 use crate::dynpar::dp_parent_kernel;
-use crate::kernels::{bin_kernel, static_long_tail_kernel, zero_rows_kernel};
+use crate::kernels::{
+    bin_grid, bin_kernel, static_long_tail_kernel, zero_rows_grid, zero_rows_kernel, Epilogue,
+};
 use crate::matrix::AcsrMatrix;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::{CsrMatrix, PreprocessCost, Scalar};
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::epilogue::spmm_then_update;
+use spmv_kernels::{Affine, AffineWave, GpuSpmv, Partials};
 
 /// ACSR SpMV engine.
 pub struct AcsrEngine<T> {
@@ -197,16 +200,45 @@ impl<T: Scalar> AcsrEngine<T> {
         &self.cfg
     }
 
-    /// The one launch sequence behind [`GpuSpmv::spmv`] (k = 1) and
-    /// [`GpuSpmv::spmv_multi`]: zero-scatter, one kernel per G2 bin,
-    /// overflow, long tail, each serving all k vectors. `group_name`
-    /// names the launch group in reports and traces.
+    /// Blocks the launch group runs, over all its kernels: the number of
+    /// convergence partials a fused [`GpuSpmv::spmm_affine`] wave writes
+    /// per query.
+    fn group_blocks(&self) -> usize {
+        let zero = self
+            .zero_list
+            .as_ref()
+            .map_or(0, |zl| zero_rows_grid(zl.len()));
+        let bins: usize = self
+            .binning
+            .g2_bins()
+            .iter()
+            .map(|&bin| {
+                bin_grid(
+                    self.binning.bin_rows(bin).len(),
+                    Binning::group_for_bin(bin),
+                )
+            })
+            .sum();
+        let overflow = self
+            .overflow_list
+            .as_ref()
+            .map_or(0, |ol| bin_grid(ol.len(), 32));
+        zero + bins + overflow + self.g1_list.len()
+    }
+
+    /// The one launch sequence behind [`GpuSpmv::spmv`] (k = 1),
+    /// [`GpuSpmv::spmv_multi`] and the fused [`GpuSpmv::spmm_affine`]:
+    /// zero-scatter, one kernel per G2 bin, overflow, long tail, each
+    /// serving all k vectors, and with `epi` each applying the epilogue
+    /// to the rows it finalizes. `group_name` names the launch group in
+    /// reports and traces.
     fn launch(
         &self,
         dev: &Device,
         group_name: &str,
         xs: &[&DeviceBuffer<T>],
         ys: &[&DeviceBuffer<T>],
+        epi: Option<Epilogue<T>>,
     ) -> RunReport {
         assert_eq!(xs.len(), ys.len(), "batch size mismatch");
         for x in xs {
@@ -218,6 +250,16 @@ impl<T: Scalar> AcsrEngine<T> {
         if xs.is_empty() || self.mat.rows() == 0 {
             return RunReport::default();
         }
+        // Each kernel's blocks write the next `grid` partial slots.
+        let mut slot = 0;
+        let mut at = |grid: usize| {
+            let e = epi.map(|e| Epilogue {
+                first_slot: slot,
+                ..e
+            });
+            slot += grid;
+            e
+        };
         // All of ACSR's per-SpMV kernels are independent (each writes a
         // disjoint row set; the zero-scatter precedes the atomic
         // accumulators via a stream event), so the driver launches them
@@ -226,7 +268,9 @@ impl<T: Scalar> AcsrEngine<T> {
         // `ConcurrentGroup` pools them into one roofline.
         let mut group = dev.launch_group(group_name);
         if let Some(zl) = &self.zero_list {
-            zero_rows_kernel(&mut group, zl, ys, "acsr_zero");
+            let e = at(zero_rows_grid(zl.len()));
+            let empty = self.binning.bin_rows(0).len();
+            zero_rows_kernel(&mut group, zl, empty, ys, e.as_ref(), "acsr_zero");
         }
         // Bin-specific kernels (ascending bin id, as the driver launches
         // them)
@@ -234,19 +278,23 @@ impl<T: Scalar> AcsrEngine<T> {
             let list = self.bin_lists[bin]
                 .as_ref()
                 .expect("g2 bin must have an uploaded row list");
+            let lanes = Binning::group_for_bin(bin);
+            let e = at(bin_grid(list.len(), lanes));
             bin_kernel(
                 &mut group,
                 &self.mat,
                 list,
-                Binning::group_for_bin(bin),
+                lanes,
                 self.cfg.texture_x,
                 xs,
                 ys,
+                e.as_ref(),
                 &format!("acsr_bin{bin}"),
             );
         }
         // RowMax-overflow rows: widest bin kernel (one warp per row).
         if let Some(ol) = &self.overflow_list {
+            let e = at(bin_grid(ol.len(), 32));
             bin_kernel(
                 &mut group,
                 &self.mat,
@@ -255,32 +303,44 @@ impl<T: Scalar> AcsrEngine<T> {
                 self.cfg.texture_x,
                 xs,
                 ys,
+                e.as_ref(),
                 "acsr_overflow",
             );
         }
         // Long tail.
         if !self.g1_list.is_empty() {
             match self.cfg.mode {
-                AcsrMode::DynamicParallelism => dp_parent_kernel(
-                    &mut group,
-                    &self.mat,
-                    &self.g1_list,
-                    self.cfg.thread_load,
-                    self.cfg.texture_x,
-                    xs,
-                    ys,
-                ),
-                AcsrMode::StaticLongTail => static_long_tail_kernel(
-                    &mut group,
-                    &self.mat,
-                    &self.g1_list,
-                    self.cfg.texture_x,
-                    xs,
-                    ys,
-                ),
+                AcsrMode::DynamicParallelism => {
+                    assert!(epi.is_none(), "DP mode has no fused epilogue");
+                    dp_parent_kernel(
+                        &mut group,
+                        &self.mat,
+                        &self.g1_list,
+                        self.cfg.thread_load,
+                        self.cfg.texture_x,
+                        xs,
+                        ys,
+                    )
+                }
+                AcsrMode::StaticLongTail => {
+                    let e = at(self.g1_list.len());
+                    static_long_tail_kernel(
+                        &mut group,
+                        &self.mat,
+                        &self.g1_list,
+                        self.cfg.texture_x,
+                        xs,
+                        ys,
+                        e.as_ref(),
+                    );
+                }
                 AcsrMode::BinningOnly => unreachable!("binning-only has empty G1"),
             };
         }
+        debug_assert!(
+            epi.is_none_or(|e| slot == e.per_query),
+            "every block writes its own partial slot"
+        );
         group.finish()
     }
 }
@@ -315,7 +375,7 @@ impl<T: Scalar> GpuSpmv<T> for AcsrEngine<T> {
     }
 
     fn spmv(&self, dev: &Device, x: &DeviceBuffer<T>, y: &DeviceBuffer<T>) -> RunReport {
-        self.launch(dev, "acsr_spmv", &[x], &[y])
+        self.launch(dev, "acsr_spmv", &[x], &[y], None)
     }
 
     /// Fused multi-vector SpMV: the launch sequence of [`Self::spmv`],
@@ -335,7 +395,56 @@ impl<T: Scalar> GpuSpmv<T> for AcsrEngine<T> {
         xs: &[&DeviceBuffer<T>],
         ys: &[&DeviceBuffer<T>],
     ) -> RunReport {
-        self.launch(dev, "acsr_spmm", xs, ys)
+        self.launch(dev, "acsr_spmm", xs, ys, None)
+    }
+
+    /// Fused wave: the `acsr_spmm` launch group of [`Self::spmv_multi`],
+    /// each kernel writing the next iterate `affine.apply(v, row, y)`
+    /// straight into `outs[v]` for the rows it finalizes (the G1 rows
+    /// accumulate their atomics there first), so no update launch and no
+    /// temporaries. Per query, the iterates are bit-identical to the
+    /// default two-launch path: the same SpMV float ops, then
+    /// [`Affine::apply`]. With `partials`, each block of the group
+    /// writes one partial per query: the tree sum, warp by warp, of
+    /// `(next − r)²` over the rows the block finalized.
+    ///
+    /// In `DynamicParallelism` mode a G1 row's child grids finish after
+    /// the parent block that would have to apply its epilogue, so that
+    /// mode takes the default [`spmm_then_update`] path.
+    fn spmm_affine(
+        &self,
+        dev: &Device,
+        xs: &[&DeviceBuffer<T>],
+        affine: &Affine<'_, T>,
+        partials: bool,
+    ) -> AffineWave<T> {
+        if self.cfg.mode == AcsrMode::DynamicParallelism {
+            return spmm_then_update(self, dev, xs, affine, partials);
+        }
+        let (k, n) = (xs.len(), self.mat.rows());
+        affine.check(k);
+        assert!(
+            !partials || self.mat.cols() == n,
+            "convergence partials compare each output with its input: the operator must be square"
+        );
+        let per_query = self.group_blocks();
+        let buf = partials.then(|| dev.alloc_zeroed::<f64>(k * per_query));
+        let outs: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(n)).collect();
+        let or: Vec<_> = outs.iter().collect();
+        let epi = Epilogue {
+            affine,
+            prev: xs,
+            texture_x: self.cfg.texture_x,
+            partials: buf.as_ref(),
+            per_query,
+            first_slot: 0,
+        };
+        let report = self.launch(dev, "acsr_spmm", xs, &or, Some(epi));
+        AffineWave {
+            outs,
+            report,
+            partials: buf.map(|buf| Partials { buf, per_query }),
+        }
     }
 }
 

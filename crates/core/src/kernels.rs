@@ -12,26 +12,155 @@
 //! sequence at any k (same `mul_add` order, same segmented reduction,
 //! same scatter or atomic), so a vector's result does not depend on the
 //! batch it rides in.
+//!
+//! With an `Epilogue` (a fused RWR wave), each kernel writes
+//! `affine.apply(v, row, y)` instead of `y` for the rows it finalizes —
+//! the zero-scatter its empty rows, a bin kernel its rows, the static
+//! tail its row once the row's atomics have landed — and each block
+//! writes one convergence partial per query.
 
 use crate::matrix::AcsrMatrix;
 use gpu_sim::engine::ConcurrentGroup;
-use gpu_sim::{DeviceBuffer, WarpCtx, WARP};
+use gpu_sim::{BlockCtx, DeviceBuffer, WarpCtx, WARP};
 use sparse_formats::Scalar;
+use spmv_kernels::epilogue::{squared_diffs, Affine};
+
+/// The RWR epilogue of a fused wave (`AcsrEngine::spmm_affine`), as one
+/// kernel of the launch group sees it.
+#[derive(Clone, Copy)]
+pub(crate) struct Epilogue<'a, T> {
+    pub affine: &'a Affine<'a, T>,
+    /// Each query's current iterate: the SpMM input, read again at the
+    /// finalized rows for the convergence terms.
+    pub prev: &'a [&'a DeviceBuffer<T>],
+    /// Whether `prev` is read through the texture path, like `x`.
+    pub texture_x: bool,
+    /// `k × per_query` convergence partials, query-major, if requested.
+    pub partials: Option<&'a DeviceBuffer<f64>>,
+    pub per_query: usize,
+    /// This kernel's block 0 writes slot `first_slot` of each query.
+    pub first_slot: usize,
+}
+
+impl<T: Scalar> Epilogue<'_, T> {
+    /// Replace the SpMV values `vals` of the rows under `mask` with query
+    /// `v`'s next iterate — the `rwr_update` kernel's arithmetic and
+    /// charges.
+    fn apply(
+        &self,
+        warp: &mut WarpCtx,
+        v: usize,
+        rows: &[usize; WARP],
+        vals: &mut [T; WARP],
+        mask: u32,
+    ) {
+        for lane in 0..WARP {
+            if mask >> lane & 1 == 1 {
+                vals[lane] = self.affine.apply(v, rows[lane], vals[lane]);
+            }
+        }
+        warp.charge_alu(2);
+        warp.charge_flops(2 * u64::from(mask.count_ones()));
+    }
+
+    /// Read query `v`'s current iterate at the rows under `mask` and
+    /// return `(next − r)²` per lane (0 outside `mask`), charged as the
+    /// `rwr_update` kernel charges its convergence terms.
+    fn convergence(
+        &self,
+        warp: &mut WarpCtx,
+        v: usize,
+        rows: &[usize; WARP],
+        next: &[T; WARP],
+        mask: u32,
+    ) -> [f64; WARP] {
+        let prev = gather_x(warp, self.prev[v], rows, mask, self.texture_x);
+        warp.charge_alu(2);
+        warp.charge_flops(2 * u64::from(mask.count_ones()));
+        squared_diffs(next, &prev, mask)
+    }
+
+    /// The partials slot of query `v` for block `block` of this kernel.
+    fn slot(&self, v: usize, block: usize) -> usize {
+        v * self.per_query + self.first_slot + block
+    }
+}
+
+/// One block's convergence partials under construction, as the block
+/// holds them in shared memory: each warp deposits the warp tree sum of
+/// `(next − r)²` over the rows it finalized, and after the block's
+/// barrier the last warp tree-sums the warp sums into the block's one
+/// partial per query.
+pub(crate) struct BlockPartials {
+    /// `sums[v][w]`: warp `w`'s sum for query `v` (0.0 if it finalized
+    /// no row).
+    sums: Vec<[f64; WARP]>,
+}
+
+impl BlockPartials {
+    fn deposit(&mut self, warp: &mut WarpCtx, v: usize, d2: &[f64; WARP]) {
+        let red = warp.segmented_reduce_sum(d2, WARP);
+        warp.charge_alu(1); // the shared-memory store
+        self.sums[v][warp.warp_in_block()] = red[0];
+    }
+
+    fn write<T: Scalar>(&self, warp: &mut WarpCtx, epi: &Epilogue<T>, warps: usize) {
+        let partials = epi
+            .partials
+            .expect("block partials imply a partials buffer");
+        warp.charge_alu(1); // the barrier and the shared-memory loads
+        for (v, sums) in self.sums.iter().enumerate() {
+            let red = warp.segmented_reduce_sum(sums, warps.next_power_of_two());
+            warp.write_coalesced(partials, epi.slot(v, warp.block_idx()), &red, 1);
+        }
+    }
+}
+
+/// Run `body` for every warp of `blk`; when the epilogue writes
+/// partials, `body` gets the block's [`BlockPartials`] to deposit into,
+/// and the block's last warp writes them.
+fn for_each_warp_with_partials<'d, 'k, T: Scalar>(
+    blk: &mut BlockCtx<'_, 'd, 'k>,
+    epi: Option<&Epilogue<T>>,
+    mut body: impl FnMut(&mut WarpCtx<'_, 'd, 'k>, Option<&mut BlockPartials>),
+) {
+    let warps = blk.warp_count();
+    let mut block = epi.filter(|e| e.partials.is_some()).map(|e| BlockPartials {
+        sums: vec![[0.0; WARP]; e.prev.len()],
+    });
+    blk.for_each_warp(&mut |warp| {
+        body(warp, block.as_mut());
+        if let (Some(e), Some(b)) = (epi, &block) {
+            if warp.warp_in_block() + 1 == warps {
+                b.write(warp, e, warps);
+            }
+        }
+    });
+}
+
+/// Blocks of a [`zero_rows_kernel`] launch over `n` listed rows.
+pub(crate) fn zero_rows_grid(n: usize) -> usize {
+    n.div_ceil(256).max(1)
+}
 
 /// Scatter zeros into every `ys[v]` at the listed rows (covers empty
 /// rows and pre-zeroes rows that will be accumulated atomically). The
-/// listed rows are read once per warp.
+/// listed rows are read once per warp. With `epi`, the first `empty`
+/// entries of the list are empty rows, and they are finalized: they get
+/// the epilogue's value of a zero SpMV row. Returns the grid size.
 pub(crate) fn zero_rows_kernel<T: Scalar>(
     group: &mut ConcurrentGroup,
     rows_list: &DeviceBuffer<u32>,
+    empty: usize,
     ys: &[&DeviceBuffer<T>],
+    epi: Option<&Epilogue<T>>,
     name: &str,
-) {
+) -> usize {
     let n = rows_list.len();
     let block = 256;
-    let grid = n.div_ceil(block).max(1);
+    let grid = zero_rows_grid(n);
     group.add(name, grid, block, &|blk| {
-        blk.for_each_warp(&mut |warp| {
+        for_each_warp_with_partials(blk, epi, |warp, mut partials| {
             let base = warp.first_thread();
             if base >= n {
                 return;
@@ -40,17 +169,28 @@ pub(crate) fn zero_rows_kernel<T: Scalar>(
             let mask = gpu_sim::lane_mask(live);
             let rows = warp.read_coalesced(rows_list, base, mask);
             let idx: [usize; WARP] = std::array::from_fn(|i| rows[i] as usize);
-            let zeros = [T::ZERO; WARP];
-            for y in ys {
-                warp.scatter(y, &idx, &zeros, mask);
+            let finalized = mask & gpu_sim::lane_mask(empty.saturating_sub(base));
+            let epi = epi.filter(|_| finalized != 0);
+            for (v, y) in ys.iter().enumerate() {
+                let mut vals = [T::ZERO; WARP];
+                if let Some(e) = epi {
+                    e.apply(warp, v, &idx, &mut vals, finalized);
+                }
+                warp.scatter(y, &idx, &vals, mask);
+                if let (Some(e), Some(p)) = (epi, partials.as_deref_mut()) {
+                    let d2 = e.convergence(warp, v, &idx, &vals, finalized);
+                    p.deposit(warp, v, &d2);
+                }
             }
         });
     });
+    grid
 }
 
 /// Shared inner body: one warp processes `groups_per_warp` rows from
 /// `rows_list` starting at list position `list_base`, `group` lanes per
-/// row, writing each row's result into every `ys[v]`.
+/// row, writing each row's result into every `ys[v]` (with `epi`, the
+/// row's next iterate, and its convergence term into `partials`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn warp_rows_body<T: Scalar>(
     warp: &mut WarpCtx,
@@ -61,6 +201,8 @@ pub(crate) fn warp_rows_body<T: Scalar>(
     texture_x: bool,
     xs: &[&DeviceBuffer<T>],
     ys: &[&DeviceBuffer<T>],
+    epi: Option<&Epilogue<T>>,
+    mut partials: Option<&mut BlockPartials>,
 ) {
     let n = rows_list.len();
     if list_base >= n {
@@ -108,7 +250,7 @@ pub(crate) fn warp_rows_body<T: Scalar>(
 
     // Intra-group shuffle reduction (Algorithm 2's reduction step);
     // group leaders write their row's result.
-    for (y, acc) in ys.iter().zip(&accs) {
+    for (v, (y, acc)) in ys.iter().zip(&accs).enumerate() {
         let reduced = warp.segmented_reduce_sum(acc, group);
         let mut w_mask = 0u32;
         let mut w_idx = [0usize; WARP];
@@ -119,7 +261,30 @@ pub(crate) fn warp_rows_body<T: Scalar>(
             w_idx[lane0] = rows[lane0] as usize;
             w_vals[lane0] = reduced[lane0];
         }
+        if let Some(e) = epi {
+            e.apply(warp, v, &w_idx, &mut w_vals, w_mask);
+        }
         warp.scatter(y, &w_idx, &w_vals, w_mask);
+        if let (Some(e), Some(p)) = (epi, partials.as_deref_mut()) {
+            let d2 = e.convergence(warp, v, &w_idx, &w_vals, w_mask);
+            p.deposit(warp, v, &d2);
+        }
+    }
+}
+
+/// Gather `x[idx]` for the lanes under `mask`, through the texture path
+/// when `texture_x` — how every ACSR kernel reads an input vector.
+fn gather_x<T: Scalar>(
+    warp: &mut WarpCtx,
+    x: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    mask: u32,
+    texture_x: bool,
+) -> [T; WARP] {
+    if texture_x {
+        warp.gather_tex(x, idx, mask)
+    } else {
+        warp.gather(x, idx, mask)
     }
 }
 
@@ -140,11 +305,7 @@ pub(crate) fn accumulate<T: Scalar>(
     let vals = warp.gather(&mat.values, idx, mask);
     let xi: [usize; WARP] = std::array::from_fn(|i| cols[i] as usize);
     for (x, acc) in xs.iter().zip(accs) {
-        let xv = if texture_x {
-            warp.gather_tex(x, &xi, mask)
-        } else {
-            warp.gather(x, &xi, mask)
-        };
+        let xv = gather_x(warp, x, &xi, mask, texture_x);
         for lane in 0..WARP {
             if mask >> lane & 1 == 1 {
                 acc[lane] = vals[lane].mul_add(xv[lane], acc[lane]);
@@ -171,9 +332,16 @@ pub(crate) fn atomic_row_partials<T: Scalar>(
     }
 }
 
+/// Blocks of a [`bin_kernel`] launch over `n` listed rows, `group`
+/// lanes per row.
+pub(crate) fn bin_grid(n: usize, group: usize) -> usize {
+    let warps = n.div_ceil(WARP / group).max(1);
+    (warps * WARP).div_ceil(256).max(1)
+}
+
 /// Launch the bin-specific kernel for one bin (Algorithm 2). The batch
 /// dimension rides inside each warp's body, so the grid shape does not
-/// depend on k.
+/// depend on k. Returns the grid size.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bin_kernel<T: Scalar>(
     launch_group: &mut ConcurrentGroup,
@@ -183,20 +351,22 @@ pub(crate) fn bin_kernel<T: Scalar>(
     texture_x: bool,
     xs: &[&DeviceBuffer<T>],
     ys: &[&DeviceBuffer<T>],
+    epi: Option<&Epilogue<T>>,
     name: &str,
-) {
+) -> usize {
     assert!(group.is_power_of_two() && group <= WARP);
-    let n = rows_list.len();
     let groups_per_warp = WARP / group;
-    let warps = n.div_ceil(groups_per_warp).max(1);
     let block = 256;
-    let grid = (warps * WARP).div_ceil(block).max(1);
+    let grid = bin_grid(rows_list.len(), group);
     launch_group.add(name, grid, block, &|blk| {
-        blk.for_each_warp(&mut |warp| {
+        for_each_warp_with_partials(blk, epi, |warp, partials| {
             let list_base = warp.global_warp_id() * groups_per_warp;
-            warp_rows_body(warp, mat, rows_list, list_base, group, texture_x, xs, ys);
+            warp_rows_body(
+                warp, mat, rows_list, list_base, group, texture_x, xs, ys, epi, partials,
+            );
         });
     });
+    grid
 }
 
 /// §VIII static long-tail kernel: one 256-thread block per listed row,
@@ -206,7 +376,11 @@ pub(crate) fn bin_kernel<T: Scalar>(
 /// warp contributes its partial in the same warp order at any k, and all
 /// of a row's atomics stay within its one block (hence one simulator
 /// shard), so the accumulated value is bit-stable at any
-/// `ACSR_SIM_THREADS` width.
+/// `ACSR_SIM_THREADS` width. With `epi`, the block's last warp then
+/// finalizes the row (after the barrier that makes the row's atomics
+/// visible): it reads the sum back, writes the next iterate, and writes
+/// the row's convergence term as the block's partial. Returns the grid
+/// size.
 pub(crate) fn static_long_tail_kernel<T: Scalar>(
     group: &mut ConcurrentGroup,
     mat: &AcsrMatrix<T>,
@@ -214,10 +388,11 @@ pub(crate) fn static_long_tail_kernel<T: Scalar>(
     texture_x: bool,
     xs: &[&DeviceBuffer<T>],
     ys: &[&DeviceBuffer<T>],
-) {
+    epi: Option<&Epilogue<T>>,
+) -> usize {
     let n = rows_list.len();
     if n == 0 {
-        return;
+        return 0;
     }
     let block = 256;
     let warps_per_block = block / WARP;
@@ -249,8 +424,22 @@ pub(crate) fn static_long_tail_kernel<T: Scalar>(
                 off += stride;
             }
             atomic_row_partials(warp, row, &accs, ys);
+            if let Some(e) = epi.filter(|_| w + 1 == warps_per_block) {
+                warp.charge_alu(1); // the barrier
+                let rows = [row; WARP];
+                for (v, y) in ys.iter().enumerate() {
+                    let mut vals = warp.gather(y, &rows, 1);
+                    e.apply(warp, v, &rows, &mut vals, 1);
+                    warp.scatter(y, &rows, &vals, 1);
+                    if let Some(partials) = e.partials {
+                        let d2 = e.convergence(warp, v, &rows, &vals, 1);
+                        warp.write_coalesced(partials, e.slot(v, row_slot), &d2, 1);
+                    }
+                }
+            }
         });
     });
+    n
 }
 
 #[cfg(test)]
@@ -281,7 +470,7 @@ mod tests {
         let list = dev.alloc(vec![1u32, 3]);
         let y = dev.alloc(vec![9.0f64; 5]);
         let mut g = dev.launch_group("t");
-        zero_rows_kernel(&mut g, &list, &[&y], "zero");
+        zero_rows_kernel(&mut g, &list, 0, &[&y], None, "zero");
         g.finish();
         assert_eq!(y.as_slice(), &[9.0, 0.0, 9.0, 0.0, 9.0]);
     }
@@ -309,6 +498,7 @@ mod tests {
                 true,
                 &[&xd],
                 &[&y],
+                None,
                 "bin",
             );
             g.finish();
@@ -339,7 +529,7 @@ mod tests {
         let list = dev.alloc(big.clone());
         let y = dev.alloc_zeroed::<f64>(m.rows());
         let mut g = dev.launch_group("t");
-        static_long_tail_kernel(&mut g, &a, &list, true, &[&xd], &[&y]);
+        static_long_tail_kernel(&mut g, &a, &list, true, &[&xd], &[&y], None);
         g.finish();
         for &r in &big {
             let got = y.as_slice()[r as usize];

@@ -11,12 +11,19 @@
 //! 1, 2 and 4. `DynamicParallelism` spreads a row's child blocks across
 //! shards — its float accumulation order is only pinned at width 1
 //! (`gpu-sim/tests/proptest_determinism.rs`), so DP is compared there.
+//!
+//! The fused RWR wave (`spmm_affine` in static-tail and binning-only
+//! modes) must likewise change no iterate: its outputs are bit-identical
+//! to `spmv_multi` followed by `rwr_update_multi`, and its per-block
+//! convergence partials equal a host reference built from the binning.
 
-use acsr::{AcsrConfig, AcsrEngine, AcsrMode};
-use gpu_sim::{presets, set_sim_threads, Device, DeviceBuffer, RunReport};
+use acsr::{AcsrConfig, AcsrEngine, AcsrMode, Binning};
+use gpu_sim::{presets, set_sim_threads, tree_reduce_sum, Device, DeviceBuffer, RunReport, WARP};
 use graphgen::{generate_power_law, PowerLawConfig};
 use proptest::prelude::*;
-use spmv_kernels::GpuSpmv;
+use sparse_formats::{CsrMatrix, TripletMatrix};
+use spmv_kernels::epilogue::rwr_update_multi;
+use spmv_kernels::{Affine, AffineWave, GpuSpmv};
 use std::sync::Mutex;
 
 /// `set_sim_threads` is process-global; hold this across width changes.
@@ -151,5 +158,220 @@ proptest! {
         prop_assert_eq!(multi.launches, single.launches);
         prop_assert!(multi.time_s < seq.time_s,
             "batched {} s should beat {} s sequential (k={})", multi.time_s, seq.time_s, k);
+    }
+}
+
+/// A power-law matrix with both degenerate row kinds a fused wave must
+/// finalize: every ninth row is emptied (empty rows), and `pinned` rows
+/// of more than 1024 non-zeros survive (G1 rows, or the widest bins in
+/// binning-only mode).
+fn arb_wave_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
+    (1100usize..1400, 4u64..2000, 1usize..3).prop_map(|(rows, seed, pinned)| {
+        let m: CsrMatrix<f64> = generate_power_law(&PowerLawConfig {
+            rows,
+            cols: rows,
+            mean_degree: 5.0,
+            max_degree: rows - 40,
+            pinned_max_rows: pinned,
+            col_skew: 0.4,
+            seed,
+            ..Default::default()
+        });
+        let mut t = TripletMatrix::new(rows, rows);
+        for r in (0..rows).filter(|r| r % 9 != 4 || m.row_nnz(*r) > 1024) {
+            let (cols, vals) = m.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                t.push(r, c as usize, v).unwrap();
+            }
+        }
+        t.to_csr()
+    })
+}
+
+/// Query `v`'s seed: an empty row for query 0, the longest row (a G1
+/// row in static-tail mode) for query 1, spread rows after that.
+fn wave_seeds(m: &CsrMatrix<f64>, k: usize) -> Vec<usize> {
+    let empty = (0..m.rows()).find(|&r| m.row_nnz(r) == 0).unwrap();
+    let longest = (0..m.rows()).max_by_key(|&r| m.row_nnz(r)).unwrap();
+    (0..k)
+        .map(|v| match v {
+            0 => empty,
+            1 => longest,
+            _ => (v * 397) % m.rows(),
+        })
+        .collect()
+}
+
+/// One fused wave of `k` queries over iterates `xs`.
+fn fused_wave(
+    dev: &Device,
+    engine: &AcsrEngine<f64>,
+    xs: &[DeviceBuffer<f64>],
+    c: &[f64],
+    restart: &[f64],
+    seeds: &[usize],
+) -> AffineWave<f64> {
+    let xr: Vec<&DeviceBuffer<f64>> = xs.iter().collect();
+    let affine = Affine { c, restart, seeds };
+    engine.spmm_affine(dev, &xr, &affine, true)
+}
+
+/// The fused wave's partials of one query, computed on the host from the
+/// binning: in launch order, one per block of the zero-scatter (its
+/// empty rows), of each G2 bin and the overflow kernel (their rows, one
+/// per thread group), and of the static tail (its G1 row); within a
+/// block, the warp tree sum of `(next − prev)²` at each row's lane, then
+/// the tree sum of the block's eight warp sums.
+fn host_wave_partials(engine: &AcsrEngine<f64>, next: &[f64], prev: &[f64]) -> Vec<f64> {
+    let b = engine.binning();
+    let static_tail = engine.config().mode == AcsrMode::StaticLongTail;
+    let d2 = |row: u32| {
+        let d = next[row as usize] - prev[row as usize];
+        d * d
+    };
+    // `warps[w]` lists warp w's (lane, row) finalizations.
+    let block = |warps: Vec<Vec<(usize, u32)>>| {
+        let mut sums = [0.0f64; WARP];
+        for (w, lanes) in warps.iter().enumerate() {
+            let mut vals = [0.0f64; WARP];
+            for &(lane, row) in lanes {
+                vals[lane] = d2(row);
+            }
+            sums[w] = tree_reduce_sum(&vals, WARP)[0];
+        }
+        tree_reduce_sum(&sums, 8)[0]
+    };
+    let mut out = Vec::new();
+    let empty = b.bin_rows(0);
+    let zero_len = empty.len() + if static_tail { b.g1_rows().len() } else { 0 };
+    for blk in 0..zero_len.div_ceil(256) {
+        out.push(block(
+            (0..8)
+                .map(|w| {
+                    (0..WARP)
+                        .filter_map(|lane| {
+                            empty.get(blk * 256 + w * WARP + lane).map(|&r| (lane, r))
+                        })
+                        .collect()
+                })
+                .collect(),
+        ));
+    }
+    let mut lists: Vec<(&[u32], usize)> = b
+        .g2_bins()
+        .iter()
+        .map(|&bin| (b.bin_rows(bin), Binning::group_for_bin(bin)))
+        .collect();
+    if !b.overflow_rows().is_empty() {
+        lists.push((b.overflow_rows(), WARP));
+    }
+    for (rows, group) in lists {
+        let per_warp = WARP / group;
+        let warps = rows.len().div_ceil(per_warp).max(1);
+        for blk in 0..(warps * WARP).div_ceil(256) {
+            out.push(block(
+                (0..8)
+                    .map(|w| {
+                        (0..per_warp)
+                            .filter_map(|g| {
+                                rows.get((blk * 8 + w) * per_warp + g)
+                                    .map(|&r| (g * group, r))
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            ));
+        }
+    }
+    if static_tail {
+        out.extend(b.g1_rows().iter().map(|&r| d2(r)));
+    }
+    out
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A fused wave's iterates are bit-identical to `spmv_multi` +
+    /// `rwr_update_multi`; its partials equal the host reference built
+    /// from the binning and do not depend on k; it launches one group
+    /// (the SpMM's) and nothing at k = 0; and all of it — report
+    /// included — is the same at host widths 1 and 2.
+    #[test]
+    fn fused_wave_matches_spmm_then_update(
+        m in arb_wave_matrix(),
+        k in 1usize..6,
+        static_tail in any::<bool>(),
+    ) {
+        let _g = WIDTH_LOCK.lock().unwrap();
+        let dev = Device::new(presets::gtx_titan());
+        let cfg = if static_tail {
+            AcsrConfig::static_long_tail()
+        } else {
+            AcsrConfig::for_device(&presets::gtx_580())
+        };
+        let engine = AcsrEngine::from_csr(&dev, &m, cfg);
+        prop_assert!(!engine.binning().bin_rows(0).is_empty(), "empty rows");
+        prop_assert!((0..m.rows()).any(|r| m.row_nnz(r) > 1024), "a >1024-nnz row");
+        if static_tail {
+            prop_assert!(!engine.binning().g1_rows().is_empty(), "G1 rows");
+        }
+        let n = m.rows();
+        let seeds = wave_seeds(&m, k);
+        if static_tail && k >= 2 {
+            let g1 = engine.binning().g1_rows();
+            prop_assert!(g1.contains(&(seeds[1] as u32)), "query 1 seeds a G1 row");
+        }
+        let c: Vec<f64> = (0..k).map(|v| 0.85 - 0.05 * v as f64).collect();
+        let restart: Vec<f64> = c.iter().map(|c| 1.0 - c).collect();
+        let xs: Vec<DeviceBuffer<f64>> = batch_x(n, k).into_iter().map(|x| dev.alloc(x)).collect();
+        let xr: Vec<&DeviceBuffer<f64>> = xs.iter().collect();
+
+        // The reference: SpMM into temporaries, then the update kernel.
+        let tmps: Vec<DeviceBuffer<f64>> = (0..k).map(|_| dev.alloc(vec![-5.0; n])).collect();
+        let tr: Vec<&DeviceBuffer<f64>> = tmps.iter().collect();
+        let spmm = engine.spmv_multi(&dev, &xr, &tr);
+        let want: Vec<DeviceBuffer<f64>> = (0..k).map(|_| dev.alloc_zeroed(n)).collect();
+        let wr: Vec<&DeviceBuffer<f64>> = want.iter().collect();
+        rwr_update_multi(&dev, &tr, &c, &restart, &seeds, &wr, None);
+
+        let mut waves = Vec::new();
+        for width in [1usize, 2] {
+            set_sim_threads(width);
+            waves.push(fused_wave(&dev, &engine, &xs, &c, &restart, &seeds));
+        }
+        set_sim_threads(1);
+        let alone: Vec<AffineWave<f64>> = (0..k)
+            .map(|v| fused_wave(&dev, &engine, &xs[v..v + 1], &c[v..v + 1], &restart[v..v + 1], &seeds[v..v + 1]))
+            .collect();
+        let none = Affine::<f64> { c: &[], restart: &[], seeds: &[] };
+        let empty = engine.spmm_affine(&dev, &[], &none, true);
+        set_sim_threads(0);
+
+        let wave = &waves[0];
+        prop_assert_eq!(wave.report.launches, spmm.launches, "one launch group, no update");
+        let partials = wave.partials.as_ref().unwrap();
+        for v in 0..k {
+            prop_assert_eq!(bits(wave.outs[v].as_slice()), bits(want[v].as_slice()), "query {} iterate", v);
+            let host = host_wave_partials(&engine, want[v].as_slice(), xs[v].as_slice());
+            prop_assert_eq!(partials.per_query, host.len());
+            prop_assert_eq!(bits(partials.query(v)), bits(&host), "query {} partials", v);
+            let single = &alone[v];
+            prop_assert_eq!(bits(single.outs[0].as_slice()), bits(want[v].as_slice()));
+            prop_assert_eq!(bits(single.partials.as_ref().unwrap().query(0)), bits(&host));
+        }
+        let other = &waves[1];
+        prop_assert_eq!(&wave.report.counters, &other.report.counters);
+        prop_assert_eq!(wave.report.time_s.to_bits(), other.report.time_s.to_bits());
+        prop_assert_eq!(bits(partials.buf.as_slice()), bits(other.partials.as_ref().unwrap().buf.as_slice()));
+        for v in 0..k {
+            prop_assert_eq!(bits(wave.outs[v].as_slice()), bits(other.outs[v].as_slice()));
+        }
+        prop_assert_eq!(empty.report.launches, 0, "k = 0 launches nothing");
+        prop_assert!(empty.outs.is_empty() && empty.partials.unwrap().buf.is_empty());
     }
 }

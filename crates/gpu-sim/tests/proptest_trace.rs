@@ -21,8 +21,8 @@ fn preset(which: u8) -> DeviceConfig {
 }
 
 /// A traced scenario covering every span source: an H2D transfer, a
-/// plain launch, a concurrent group (pooled on HyperQ devices, serial on
-/// Fermi), a dynamic-parallelism parent where supported, and a D2H
+/// plain launch, a concurrent group (one pooled roofline on every
+/// preset), a dynamic-parallelism parent where supported, and a D2H
 /// readback. Returns the caller-merged report, the ledger's reconciled
 /// total, and the span list.
 fn traced_scenario(
@@ -102,10 +102,10 @@ fn traced_scenario(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Span counters sum exactly to the caller-merged report, at any
-    /// `ACSR_SIM_THREADS`-style worker width. (Times agree to round-off:
-    /// a serial group merges stream times before the caller's fold, so
-    /// the association order can differ by an ulp — counters cannot.)
+    /// Span counters and times sum exactly to the caller-merged report,
+    /// at any `ACSR_SIM_THREADS`-style worker width: the caller and the
+    /// ledger fold the same top-level reports in the same order, so even
+    /// the float time agrees bit for bit.
     #[test]
     fn span_counters_reconcile_with_caller_report(
         which in 0u8..3,
@@ -118,8 +118,7 @@ proptest! {
         let (merged, total, _) = traced_scenario(preset(which), threads, grid, block_dim);
         prop_assert_eq!(merged.counters, total.counters);
         prop_assert_eq!(merged.launches, total.launches);
-        let rel = (merged.time_s - total.time_s).abs() / merged.time_s.max(1e-300);
-        prop_assert!(rel < 1e-12, "time drift {rel:e}");
+        prop_assert_eq!(merged.time_s.to_bits(), total.time_s.to_bits());
     }
 
     /// The recorded spans — names, shapes, SM attribution, counters and

@@ -17,6 +17,9 @@
 //! plus:
 //! * [`device`] — device-resident mirrors of each host format with
 //!   upload-size accounting (PCIe modeling for the dynamic-graph study);
+//! * [`epilogue`] — the affine (RWR) epilogue of a batched SpMM wave:
+//!   the `rwr_update` kernel and the two-launch default of
+//!   [`GpuSpmv::spmm_affine`];
 //! * [`cpu`] — real multicore implementations on `par-runtime` used by
 //!   the wall-clock Criterion benches;
 //! * [`tuning`] — the BCCOO configuration auto-tuner (>300 settings) and
@@ -39,11 +42,13 @@ pub mod csr_scalar;
 pub mod csr_vector;
 pub mod device;
 pub mod ell_kernel;
+pub mod epilogue;
 pub mod hyb_kernel;
 pub mod tcoo_kernel;
 pub mod tuning;
 
 pub use device::{DevBccoo, DevBrc, DevCoo, DevCsr, DevEll, DevHyb, DevTcoo};
+pub use epilogue::{Affine, AffineWave, Partials};
 
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::Scalar;
@@ -91,6 +96,31 @@ pub trait GpuSpmv<T: Scalar> {
             report = report.then(&self.spmv(dev, x, y));
         }
         report
+    }
+
+    /// One batched iteration with an affine epilogue: for each query
+    /// `v`, allocate `outs[v]` and set `outs[v][row] = c_v·(A·xs[v])[row]`,
+    /// plus `restart_v` at `row == seed_v` ([`Affine::apply`]). With
+    /// `partials`, the wave also writes f64 convergence partials of
+    /// `(outs[v] − xs[v])²` and reports how many it wrote per query
+    /// ([`Partials::per_query`]). At k = 0 it launches nothing.
+    ///
+    /// The default is two launches ([`epilogue::spmm_then_update`]):
+    /// [`GpuSpmv::spmv_multi`] into temporaries, then the `rwr_update`
+    /// kernel with one partial per 32-row block. An engine whose kernels
+    /// finalize each row may instead apply the epilogue inside its SpMM
+    /// launch (ACSR does, except in dynamic-parallelism mode); the
+    /// iterates must stay bit-identical to the default's, while the
+    /// partials may be laid out per block of that launch. Wrappers
+    /// forward it.
+    fn spmm_affine(
+        &self,
+        dev: &Device,
+        xs: &[&DeviceBuffer<T>],
+        affine: &Affine<'_, T>,
+        partials: bool,
+    ) -> AffineWave<T> {
+        epilogue::spmm_then_update(self, dev, xs, affine, partials)
     }
 }
 

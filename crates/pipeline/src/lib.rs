@@ -42,7 +42,7 @@ use gpu_sim::{Device, DeviceBuffer, DeviceConfig, RunReport};
 use serde::{Deserialize, Serialize};
 use sparse_formats::{CsrMatrix, HostModel, PreprocessCost, Scalar, SparseError};
 use spmv_kernels::tuning::{Incumbent, SweepBound};
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::{Affine, AffineWave, GpuSpmv};
 
 /// How a format's preprocessing behaves — the rows of the paper's
 /// Table III, as a machine-readable class.
@@ -163,8 +163,8 @@ impl PlanBudget {
 /// A plan owns the uploaded engine and remembers what it cost to build
 /// (conversion + tuning in [`PreprocessCost`]; upload size in
 /// `device_bytes`). It implements [`GpuSpmv`] by delegation (fused
-/// `spmv_multi` included), so anything that ran against a concrete
-/// engine runs against a plan unchanged.
+/// `spmv_multi` and `spmm_affine` included), so anything that ran
+/// against a concrete engine runs against a plan unchanged.
 pub struct SpmvPlan<T: Scalar> {
     format: &'static str,
     class: PreprocessClass,
@@ -264,6 +264,15 @@ impl<T: Scalar> GpuSpmv<T> for SpmvPlan<T> {
         ys: &[&DeviceBuffer<T>],
     ) -> RunReport {
         self.engine.spmv_multi(dev, xs, ys)
+    }
+    fn spmm_affine(
+        &self,
+        dev: &Device,
+        xs: &[&DeviceBuffer<T>],
+        affine: &Affine<'_, T>,
+        partials: bool,
+    ) -> AffineWave<T> {
+        self.engine.spmm_affine(dev, xs, affine, partials)
     }
 }
 

@@ -13,11 +13,10 @@
 //! streaming deployment has to budget for.
 
 use crate::latency::LatencyStats;
-use crate::query::Query;
+use crate::query::{rwr_coefficients, Query};
 use gpu_sim::{Device, DeviceBuffer, RunReport};
-use graph_apps::rwr::rwr_update_multi;
 use sparse_formats::Scalar;
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::{Affine, GpuSpmv};
 
 /// A live operator plus its maintenance timetable.
 ///
@@ -180,28 +179,19 @@ pub fn serve_with_churn<T: Scalar>(
 
         // 3. One batched RWR iteration for the wave.
         waves += 1;
-        let ys: Vec<DeviceBuffer<T>> = (0..active.len())
-            .map(|_| dev.alloc_zeroed::<T>(n))
-            .collect();
-        let xs_ref: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
-        let ys_ref: Vec<&DeviceBuffer<T>> = ys.iter().collect();
-        let spmv = source.operator().spmv_multi(dev, &xs_ref, &ys_ref);
-        let next_r: Vec<DeviceBuffer<T>> = (0..active.len())
-            .map(|_| dev.alloc_zeroed::<T>(n))
-            .collect();
-        let c: Vec<T> = active.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-        let restart: Vec<T> = active
-            .iter()
-            .map(|a| T::from_f64(1.0 - a.q.restart_c))
-            .collect();
-        let seeds: Vec<usize> = active.iter().map(|a| a.q.seed).collect();
-        let next_ref: Vec<&DeviceBuffer<T>> = next_r.iter().collect();
-        let upd = rwr_update_multi(dev, &ys_ref, &c, &restart, &seeds, &next_ref, None);
-        clock += spmv.time_s + upd.time_s;
-        device_report = device_report.then(&spmv).then(&upd);
+        let xs: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
+        let (c, restart, seeds) = rwr_coefficients(active.iter().map(|a| &a.q));
+        let affine = Affine {
+            c: &c,
+            restart: &restart,
+            seeds: &seeds,
+        };
+        let wave = source.operator().spmm_affine(dev, &xs, &affine, false);
+        clock += wave.report.time_s;
+        device_report = device_report.then(&wave.report);
 
         // 4. Retire finished queries.
-        let mut next_iter = next_r.into_iter();
+        let mut next_iter = wave.outs.into_iter();
         let mut kept: Vec<ActiveQ<T>> = Vec::with_capacity(active.len());
         for mut a in active {
             a.r = next_iter.next().expect("one iterate per active query");

@@ -1,6 +1,7 @@
 //! Queries and per-query outcomes.
 
 use serde::{Deserialize, Serialize};
+use sparse_formats::Scalar;
 
 /// One personalized random-walk-with-restart query: "relevance of every
 /// node to `seed`", the per-user question a PPR service answers.
@@ -54,6 +55,20 @@ impl<T> QueryOutcome<T> {
     pub fn queue_wait_s(&self) -> f64 {
         self.admitted_s - self.arrival_s
     }
+}
+
+/// The RWR epilogue coefficients of a wave's queries: `c`, `1 − c` and
+/// the seed row of each.
+pub(crate) fn rwr_coefficients<'q, T: Scalar>(
+    queries: impl Iterator<Item = &'q Query>,
+) -> (Vec<T>, Vec<T>, Vec<usize>) {
+    let mut coefficients = (Vec::new(), Vec::new(), Vec::new());
+    for q in queries {
+        coefficients.0.push(T::from_f64(q.restart_c));
+        coefficients.1.push(T::from_f64(1.0 - q.restart_c));
+        coefficients.2.push(q.seed);
+    }
+    coefficients
 }
 
 #[cfg(test)]

@@ -2,10 +2,13 @@
 //!
 //! Queries are admitted from a bounded [`SubmissionQueue`] into one
 //! shared *wave*: every wave runs one RWR iteration for every active
-//! query as a single batched SpMM (`spmv_multi`) plus one batched
-//! update kernel per device. Converged queries retire at the end of a
-//! wave and their batch slots are refilled from the queue — continuous
-//! batching, not gang scheduling.
+//! query as one batched SpMM with an affine epilogue per device
+//! ([`GpuSpmv::spmm_affine`]). On static-tail and binning-only ACSR
+//! (the default format) that is one launch group whose kernels write
+//! the next iterates and convergence partials themselves; every other
+//! plan runs the SpMM and then one batched update kernel. Converged
+//! queries retire at the end of a wave and their batch slots are
+//! refilled from the queue — continuous batching, not gang scheduling.
 //!
 //! Admission is **event-driven**: every arrival is offered to the queue
 //! at its true arrival time — mid-wave arrivals queue (or shed) against
@@ -41,15 +44,16 @@
 //!
 //! Each admitted query is pinned to the device with the fewest active
 //! queries, and its iterate stays in a buffer on that device until it
-//! retires: a wave moves only the update kernel's per-warp convergence
-//! partials over PCIe, plus the final scores of the queries it retires,
-//! each from its own device. A wave that ran on more than one device
+//! retires: a wave moves only the convergence partials over PCIe (one
+//! per block of the fused launch group, or one per 32 rows from the
+//! update kernel), plus the final scores of the queries it retires, each
+//! from its own device. A wave that ran on more than one device
 //! closes with the §VIII completion hand-off ([`multi_gpu::handoff`]),
 //! the exchange the fleet charges a replicated SpMV.
 
 use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
-use crate::query::{Query, QueryOutcome};
+use crate::query::{rwr_coefficients, Query, QueryOutcome};
 use crate::queue::SubmissionQueue;
 use crate::slo::{BatchPolicy, SloPolicy};
 use crate::telemetry::ServeScope;
@@ -57,12 +61,12 @@ use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport, WARP};
-use graph_apps::rwr::{rwr_init_multi, rwr_operator, rwr_update_multi, sum_partials, Convergence};
+use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport};
+use graph_apps::rwr::{rwr_init_multi, rwr_operator, sum_partials};
 use graph_apps::IterParams;
 use multi_gpu::{handoff, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::{Affine, GpuSpmv};
 use spmv_pipeline::SpmvPlan;
 use std::sync::Arc;
 
@@ -81,9 +85,13 @@ pub struct ServeConfig {
     /// Per-query RWR iteration limits.
     pub iter: IterParams,
     /// Format the per-device plans are built with. ACSR (the default,
-    /// in its static long-tail configuration) is the only format with a
-    /// *fused* multi-vector wave; every other registry format is
-    /// servable through the sequential [`GpuSpmv::spmv_multi`] fallback.
+    /// in its static long-tail configuration) is the only format whose
+    /// wave is one fused launch group: its SpMM reads the matrix once for
+    /// the whole batch and its kernels apply the RWR update as an
+    /// epilogue. ACSR in dynamic-parallelism mode keeps the batched SpMM
+    /// but adds the separate update launch, and every other registry
+    /// format serves through the sequential [`GpuSpmv::spmv_multi`]
+    /// fallback plus that update launch.
     pub format: ShardFormat,
     /// Simulated device model.
     pub device: DeviceConfig,
@@ -635,11 +643,13 @@ impl<T: Scalar> ServeEngine<T> {
 
 /// One batched RWR iteration on one device, whose iterates stay on it
 /// from admission to retirement: an init launch writes r⁰ = e_seed for
-/// the queries admitted this wave, the SpMM reads the resident
-/// iterates, the update also writes each query's convergence partials,
-/// and only those partials cross PCIe. Replaces each query's iterate
-/// with the next; returns each query's `‖next − r‖²`, summed on the
-/// host in ascending block order.
+/// the queries admitted this wave, then the plan's
+/// [`GpuSpmv::spmm_affine`] wave reads the resident iterates, writes
+/// the next ones and each query's convergence partials — one fused
+/// launch group on static-tail or binning-only ACSR, SpMM plus update
+/// elsewhere — and only those partials cross PCIe. Replaces each
+/// query's iterate with the next; returns each query's `‖next − r‖²`,
+/// summed on the host in ascending partial order.
 fn resident_step<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
@@ -651,42 +661,23 @@ fn resident_step<T: Scalar>(
         .map(|a| (a.q.seed, &a.r))
         .unzip();
     let init = rwr_init_multi(dev, &fresh_seeds, &fresh);
-    let (k, n) = (active.len(), plan.rows());
     let xs: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
-    let seeds: Vec<usize> = active.iter().map(|a| a.q.seed).collect();
-    let blocks = n.div_ceil(WARP);
-    let partials = dev.alloc_zeroed::<f64>(k * blocks);
-    let conv = Convergence {
-        prev: &xs,
-        partials: &partials,
+    let (c, restart, seeds) = rwr_coefficients(active.iter().map(|a| &a.q));
+    let affine = Affine {
+        c: &c,
+        restart: &restart,
+        seeds: &seeds,
     };
-    let c: Vec<T> = active.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-    let restart: Vec<T> = active
-        .iter()
-        .map(|a| T::from_f64(1.0 - a.q.restart_c))
+    let wave = plan.spmm_affine(dev, &xs, &affine, true);
+    let partials = wave.partials.expect("the wave was asked for partials");
+    let readback = dev.record_dtoh("serve_partials_d2h", partials.buf.bytes());
+    let dist2 = (0..active.len())
+        .map(|v| sum_partials(partials.query(v)))
         .collect();
-    let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(n)).collect();
-    let tr: Vec<_> = tmps.iter().collect();
-    let rep = init.then(&plan.spmv_multi(dev, &xs, &tr));
-    let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(n)).collect();
-    let nr: Vec<_> = nexts.iter().collect();
-    let rep = rep.then(&rwr_update_multi(
-        dev,
-        &tr,
-        &c,
-        &restart,
-        &seeds,
-        &nr,
-        Some(&conv),
-    ));
-    let readback = dev.record_dtoh("serve_partials_d2h", partials.bytes());
-    let dist2 = (0..k)
-        .map(|v| sum_partials(&partials.as_slice()[v * blocks..(v + 1) * blocks]))
-        .collect();
-    for (a, next) in active.iter_mut().zip(nexts) {
+    for (a, next) in active.iter_mut().zip(wave.outs) {
         a.r = next;
     }
-    (dist2, rep.then(&readback))
+    (dist2, init.then(&wave.report).then(&readback))
 }
 
 #[cfg(test)]
@@ -1232,6 +1223,21 @@ mod tests {
         }
     }
 
+    /// The convergence partials a wave on `engine`'s device 0 writes per
+    /// query, as its plan reports them: one per launch-group block on a
+    /// fused ACSR plan, one per 32 rows on the two-launch path.
+    fn partials_per_query(engine: &ServeEngine<f64>) -> usize {
+        let dev = &engine.devices[0];
+        let x = dev.alloc(vec![0.0f64; engine.rows()]);
+        let affine = Affine {
+            c: &[0.85],
+            restart: &[0.15],
+            seeds: &[0],
+        };
+        let wave = engine.plans[0].spmm_affine(dev, &[&x], &affine, true);
+        wave.partials.expect("partials were asked for").per_query
+    }
+
     /// Four simultaneous queries on four devices take one device each,
     /// and each wave record counts the devices that held a query: 4 for
     /// that wave, 1 for a query that later arrives alone.
@@ -1246,6 +1252,7 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
+        let per_query = partials_per_query(&engine);
         let ledger = engine.enable_tracing();
         let tel = Arc::new(acsr_telemetry::Telemetry::new());
         engine.attach_telemetry(tel.clone());
@@ -1261,7 +1268,7 @@ mod tests {
         assert_eq!((last.width, last.devices), (1, 1));
         // Every device's first partials readback carries one query's
         // blocks: one query per device.
-        let one_query = (300usize.div_ceil(WARP) * std::mem::size_of::<f64>()) as u64;
+        let one_query = (per_query * std::mem::size_of::<f64>()) as u64;
         let first: Vec<(String, u64)> = ledger
             .spans()
             .into_iter()
@@ -1333,8 +1340,113 @@ mod tests {
         assert_eq!(o.completed_s, report.makespan_s);
         assert!((o.latency_s() - dev.time_s).abs() < 1e-15);
         let elt = std::mem::size_of::<f64>();
-        let partials = o.iterations * 300usize.div_ceil(WARP) * 8;
+        let partials = o.iterations * partials_per_query(&engine) * elt;
         assert_eq!(dev.counters.dtoh_bytes, (partials + 300 * elt) as u64);
+    }
+
+    /// Names of the top-level launches `ledger` recorded since span
+    /// `from`.
+    fn launches_since(ledger: &TraceLedger, from: usize) -> Vec<String> {
+        ledger.spans()[from..]
+            .iter()
+            .filter(|s| s.kind == gpu_sim::SpanKind::Launch)
+            .map(|s| s.name.clone())
+            .collect()
+    }
+
+    /// A static-tail ACSR wave runs the RWR update as the epilogue of its
+    /// `acsr_spmm` launch group: one launch per wave, plus `rwr_init` on
+    /// an admission wave, and no `rwr_update`. A DP-mode ACSR plan and a
+    /// HYB plan keep the two-launch wave, and their wave reports equal a
+    /// direct `spmv_multi` + `rwr_update_multi` over the same iterates.
+    #[test]
+    fn fused_waves_launch_one_group_and_other_plans_keep_the_update() {
+        let g = graph(400, 221);
+        let dp = AcsrConfig::for_device(&presets::gtx_titan());
+        assert_eq!(dp.mode, acsr::AcsrMode::DynamicParallelism);
+        for format in [
+            ShardFormat::Acsr(AcsrConfig::static_long_tail()),
+            ShardFormat::Acsr(dp),
+            ShardFormat::Fixed("HYB"),
+        ] {
+            let fused = matches!(format, ShardFormat::Acsr(c) if c.mode != dp.mode);
+            let mut engine = ServeEngine::new(
+                &g,
+                ServeConfig {
+                    format: format.clone(),
+                    ..ServeConfig::default()
+                },
+            );
+            let ledger = engine.enable_tracing();
+            let mut reports = vec![RunReport::default()];
+            let mut wave = pinned(&engine, &[3, 17, 250], &[0, 0, 0]);
+            engine.wave(&mut wave, &mut reports);
+            let admission = launches_since(&ledger, 0);
+            for a in &mut wave {
+                a.iterations = 1;
+            }
+
+            // The next wave, and the same iteration run directly.
+            let (dev, plan, n) = (&engine.devices[0], &engine.plans[0], engine.rows());
+            let mark = ledger.spans().len();
+            let xs: Vec<&DeviceBuffer<f64>> = wave.iter().map(|a| &a.r).collect();
+            let (c, restart, seeds) = rwr_coefficients(wave.iter().map(|a| &a.q));
+            let per_query = n.div_ceil(gpu_sim::WARP);
+            let partials = dev.alloc_zeroed::<f64>(xs.len() * per_query);
+            let tmps: Vec<_> = xs.iter().map(|_| dev.alloc_zeroed::<f64>(n)).collect();
+            let tr: Vec<_> = tmps.iter().collect();
+            let direct = plan.spmv_multi(dev, &xs, &tr);
+            let outs: Vec<_> = xs.iter().map(|_| dev.alloc_zeroed::<f64>(n)).collect();
+            let or: Vec<_> = outs.iter().collect();
+            let conv = spmv_kernels::epilogue::Convergence {
+                prev: &xs,
+                partials: &partials,
+            };
+            let update = spmv_kernels::epilogue::rwr_update_multi(
+                dev,
+                &tr,
+                &c,
+                &restart,
+                &seeds,
+                &or,
+                Some(&conv),
+            );
+            let direct = direct
+                .then(&update)
+                .then(&dev.record_dtoh("serve_partials_d2h", partials.bytes()));
+            let direct_launches = launches_since(&ledger, mark);
+            drop(xs);
+            let mark = ledger.spans().len();
+            let mut step = vec![RunReport::default()];
+            let (verdicts, _, _) = engine.wave(&mut wave, &mut step);
+            let steady = launches_since(&ledger, mark);
+            // A query that converges here also reads its scores back.
+            let retiring = verdicts.iter().flatten().count();
+            let direct = if retiring > 0 {
+                let bytes = retiring * n * std::mem::size_of::<f64>();
+                direct.then(&dev.record_dtoh("serve_scores_d2h", bytes as u64))
+            } else {
+                direct
+            };
+
+            let what = format!("{format:?}");
+            if fused {
+                assert_eq!(admission, ["rwr_init", "acsr_spmm"], "{what}");
+                assert_eq!(steady, ["acsr_spmm"], "{what}");
+            } else {
+                assert_eq!(admission.first().map(String::as_str), Some("rwr_init"));
+                assert_eq!(admission.last().map(String::as_str), Some("rwr_update"));
+                assert_eq!(steady, direct_launches, "{what}");
+                assert_eq!(steady.last().map(String::as_str), Some("rwr_update"));
+                assert_eq!(step[0].counters, direct.counters, "{what}");
+                assert_eq!(step[0].launches, direct.launches, "{what}");
+                assert_eq!(step[0].time_s.to_bits(), direct.time_s.to_bits(), "{what}");
+            }
+            // Fused or not, the iterates are the direct path's.
+            for (a, out) in wave.iter().zip(&outs) {
+                assert_eq!(a.r.as_slice(), out.as_slice(), "{what}: query {}", a.q.id);
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use acsr_telemetry::Telemetry;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::stats::bin_index;
 use sparse_formats::{CsrMatrix, Scalar, UpdateBatch};
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::{Affine, AffineWave, GpuSpmv};
 use std::sync::Arc;
 
 /// Growth factor for the element buffers when the canonical layout
@@ -635,5 +635,14 @@ impl<T: Scalar> GpuSpmv<T> for StreamEngine<T> {
         ys: &[&DeviceBuffer<T>],
     ) -> RunReport {
         self.engine.spmv_multi(dev, xs, ys)
+    }
+    fn spmm_affine(
+        &self,
+        dev: &Device,
+        xs: &[&DeviceBuffer<T>],
+        affine: &Affine<'_, T>,
+        partials: bool,
+    ) -> AffineWave<T> {
+        self.engine.spmm_affine(dev, xs, affine, partials)
     }
 }

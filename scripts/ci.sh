@@ -39,12 +39,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> paper text results (tables and figures regenerate byte-identically)"
+echo "==> text results (tables, figures and the serving sweep regenerate byte-identically)"
 # The figures are the slower half (~140 s on 2 cores), at the scales
 # EXPERIMENTS.md names; fig5 runs every preset's coalescing granules.
+# The serving sweep adds ~60 s.
 for cmd in "table1 --scale 64" "table2" "fig3 --scale 64" "table5 --scale 64" \
     "fig5 --scale 64" "fig6 --scale 256" "fig7 --scale 256" "fig8 --scale 64" \
-    "ablations --scale 64"; do
+    "ablations --scale 64" "serve --scale 64 --matrices WIK"; do
   name=${cmd%% *}
   (cd "$work" && "$repro" $cmd > "$name.txt")
   cmp "results/$name.txt" "$work/$name.txt"
