@@ -20,8 +20,11 @@ pub mod ops;
 pub mod pagerank;
 pub mod rwr;
 
-use gpu_sim::RunReport;
+use gpu_sim::{Device, RunReport};
 use serde::{Deserialize, Serialize};
+use sparse_formats::Scalar;
+use spmv_kernels::{Affine, GpuSpmv};
+use spmv_pipeline::SpmvPlan;
 
 /// Outcome of one iterative solve.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -57,5 +60,46 @@ impl Default for IterParams {
             epsilon: 1e-6,
             max_iters: 1000,
         }
+    }
+}
+
+/// The loop behind the affine solvers ([`pagerank::pagerank_gpu`],
+/// [`rwr::rwr_gpu`]): from `x0`, one [`GpuSpmv::spmm_affine`] wave per
+/// iteration — the SpMV and the update in one launch group on ACSR, two
+/// launches on every other format — then one readback of the wave's
+/// convergence partials, summed on the host ([`rwr::sum_partials`]).
+/// Stops once `‖next − x‖₂ < ε` or at the iteration cap, and reads the
+/// scores back. `app` prefixes the two readbacks' names.
+pub(crate) fn solve_affine<T: Scalar>(
+    dev: &Device,
+    plan: &SpmvPlan<T>,
+    x0: Vec<T>,
+    affine: &Affine<'_, T>,
+    params: &IterParams,
+    app: &str,
+) -> SolveResult<T> {
+    let n = plan.rows();
+    assert_eq!(x0.len(), n, "initial iterate length mismatch");
+    let mut x = dev.alloc(x0);
+    let mut report = RunReport::default();
+    let mut iterations = 0usize;
+    loop {
+        iterations += 1;
+        let wave = plan.spmm_affine(dev, &[&x], affine, true);
+        let partials = wave.partials.expect("the wave was asked for partials");
+        let dist2 = rwr::sum_partials(partials.query(0));
+        let readback = dev.record_dtoh(&format!("{app}_partials_d2h"), partials.buf.bytes());
+        report = report.then(&wave.report).then(&readback);
+        x = wave.outs.into_iter().next().expect("one iterate per query");
+        if dist2.sqrt() < params.epsilon || iterations >= params.max_iters {
+            break;
+        }
+    }
+    let bytes = (n * std::mem::size_of::<T>()) as u64;
+    report = report.then(&dev.record_dtoh(&format!("{app}_scores_d2h"), bytes));
+    SolveResult {
+        scores: x.into_vec(),
+        iterations,
+        report,
     }
 }

@@ -243,6 +243,34 @@ mod tests {
         assert_eq!(out.as_slice(), &[2.5, 4.5, 6.5]);
     }
 
+    /// The `rwr_update` kernel with PageRank's uniform restart computes
+    /// `scale_add`'s iterate bit for bit, so a PageRank iteration can run
+    /// through any format's `spmm_affine`.
+    #[test]
+    fn uniform_restart_update_is_scale_add() {
+        use spmv_kernels::epilogue::rwr_update_multi;
+        use spmv_kernels::{Affine, Restart};
+        let dev = Device::new(presets::gtx_titan());
+        for n in [1usize, 31, 33, 1000] {
+            let y: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 / 97.0).collect();
+            let y = dev.alloc(y);
+            let (d, teleport) = (0.85, 0.15 / n as f64);
+            let want = dev.alloc_zeroed::<f64>(n);
+            scale_add(&dev, &y, d, teleport, &want);
+            let got = dev.alloc(vec![f64::NAN; n]);
+            let affine = Affine {
+                c: &[d],
+                restart: &[Restart::Uniform(teleport)],
+            };
+            let r = rwr_update_multi(&dev, &[&y], &affine, &[&got], None);
+            assert_eq!(r.launches, 1);
+            let bits = |b: &DeviceBuffer<f64>| -> Vec<u64> {
+                b.as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "n {n}");
+        }
+    }
+
     #[test]
     fn l2_distance_matches_host() {
         let dev = Device::new(presets::gtx_titan());

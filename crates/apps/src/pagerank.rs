@@ -5,11 +5,10 @@
 //! is the transpose of the row-normalized adjacency matrix; helper
 //! [`pagerank_operator`] builds it from a raw adjacency.
 
-use crate::ops::{l2_distance_sq, scale_add};
-use crate::{IterParams, SolveResult};
-use gpu_sim::{Device, RunReport};
+use crate::{solve_affine, IterParams, SolveResult};
+use gpu_sim::Device;
 use sparse_formats::{CsrMatrix, Scalar};
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::{Affine, GpuSpmv, Restart};
 use spmv_pipeline::SpmvPlan;
 
 /// Build the PageRank operator `M = (row-normalized A)ᵀ` so that
@@ -28,45 +27,28 @@ pub fn pagerank_operator<T: Scalar>(adjacency: &CsrMatrix<T>) -> CsrMatrix<T> {
 /// Run PageRank on a planned operator (any registry format).
 ///
 /// `damping` is the paper's d = 0.85; iteration stops when
-/// `‖PR^(k+1) − PR^(k)‖₂ < params.epsilon`. The plan's preprocessing
-/// was paid once at [`spmv_pipeline::SpmvPlanner::plan`] time; the
-/// iterations here add none (pinned by the plan-cache tests).
+/// `‖PR^(k+1) − PR^(k)‖₂ < params.epsilon`. Each iteration is one
+/// [`GpuSpmv::spmm_affine`] wave whose epilogue is the teleport update
+/// `d·y + (1−d)/n` ([`Restart::Uniform`]), plus the readback of its
+/// convergence partials. The plan's preprocessing was paid once at
+/// [`spmv_pipeline::SpmvPlanner::plan`] time; the iterations here add
+/// none (pinned by the plan-cache tests).
 pub fn pagerank_gpu<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
     damping: f64,
     params: &IterParams,
 ) -> SolveResult<T> {
-    let engine: &dyn GpuSpmv<T> = plan;
-    let n = engine.rows();
-    assert_eq!(engine.cols(), n, "PageRank operator must be square");
-    let teleport = T::from_f64((1.0 - damping) / n as f64);
-    let d = T::from_f64(damping);
-
-    let mut pr = dev.alloc(vec![T::from_f64(1.0 / n as f64); n]);
-    let tmp = dev.alloc_zeroed::<T>(n);
-    let mut next = dev.alloc_zeroed::<T>(n);
-    let mut report = RunReport::default();
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        report = report.then(&engine.spmv(dev, &pr, &tmp));
-        report = report.then(&scale_add(dev, &tmp, d, teleport, &next));
-        let (dist2, r) = l2_distance_sq(dev, &next, &pr);
-        report = report.then(&r);
-        std::mem::swap(&mut pr, &mut next);
-        if dist2.sqrt() < params.epsilon || iterations >= params.max_iters {
-            break;
-        }
-    }
-    // final scores are copied back to the host
-    report =
-        report.then(&dev.record_dtoh("pagerank_scores_d2h", (n * std::mem::size_of::<T>()) as u64));
-    SolveResult {
-        scores: pr.into_vec(),
-        iterations,
-        report,
-    }
+    let n = plan.rows();
+    assert_eq!(plan.cols(), n, "PageRank operator must be square");
+    let c = [T::from_f64(damping)];
+    let restart = [Restart::Uniform(T::from_f64((1.0 - damping) / n as f64))];
+    let affine = Affine {
+        c: &c,
+        restart: &restart,
+    };
+    let pr = vec![T::from_f64(1.0 / n as f64); n];
+    solve_affine(dev, plan, pr, &affine, params, "pagerank")
 }
 
 /// CPU reference PageRank over an arbitrary SpMV closure (used by tests

@@ -4,12 +4,10 @@
 //! adjacency, restart probability `c`, and `e_i` the seed indicator.
 //! Converges to the relevance of every node to seed `i`.
 
-use crate::ops::l2_distance_sq;
-use crate::{IterParams, SolveResult};
+use crate::{solve_affine, IterParams, SolveResult};
 use gpu_sim::{lane_mask, Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::{CsrMatrix, Scalar};
-use spmv_kernels::epilogue::rwr_update_multi;
-use spmv_kernels::GpuSpmv;
+use spmv_kernels::{Affine, GpuSpmv, Restart};
 use spmv_pipeline::SpmvPlan;
 
 /// Build the RWR operator `W` (column-normalized adjacency).
@@ -64,7 +62,10 @@ pub fn rwr_init_multi<T: Scalar>(
     })
 }
 
-/// Run RWR from `seed` on a planned `W` (any registry format).
+/// Run RWR from `seed` on a planned `W` (any registry format): one
+/// [`GpuSpmv::spmm_affine`] wave per iteration whose epilogue is Eq. 8's
+/// `c·y`, plus `1 − c` at the seed ([`Restart::Seed`]), and the readback
+/// of its convergence partials.
 pub fn rwr_gpu<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
@@ -72,47 +73,22 @@ pub fn rwr_gpu<T: Scalar>(
     restart_c: f64,
     params: &IterParams,
 ) -> SolveResult<T> {
-    let engine: &dyn GpuSpmv<T> = plan;
-    let n = engine.rows();
-    assert_eq!(engine.cols(), n, "RWR operator must be square");
+    let n = plan.rows();
+    assert_eq!(plan.cols(), n, "RWR operator must be square");
     assert!(seed < n, "seed out of range");
-    let c = T::from_f64(restart_c);
-    let restart = T::from_f64(1.0 - restart_c);
-
+    let c = [T::from_f64(restart_c)];
+    let restart = [Restart::Seed {
+        row: seed,
+        mass: T::from_f64(1.0 - restart_c),
+    }];
+    let affine = Affine {
+        c: &c,
+        restart: &restart,
+    };
     // r⁰ = e_seed
     let mut r0 = vec![T::ZERO; n];
     r0[seed] = T::ONE;
-    let mut r = dev.alloc(r0);
-    let tmp = dev.alloc_zeroed::<T>(n);
-    let mut next = dev.alloc_zeroed::<T>(n);
-    let mut report = RunReport::default();
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        report = report.then(&engine.spmv(dev, &r, &tmp));
-        report = report.then(&rwr_update_multi(
-            dev,
-            &[&tmp],
-            &[c],
-            &[restart],
-            &[seed],
-            &[&next],
-            None,
-        ));
-        let (dist2, dr) = l2_distance_sq(dev, &next, &r);
-        report = report.then(&dr);
-        std::mem::swap(&mut r, &mut next);
-        if dist2.sqrt() < params.epsilon || iterations >= params.max_iters {
-            break;
-        }
-    }
-    // final relevance vector is copied back to the host
-    report = report.then(&dev.record_dtoh("rwr_scores_d2h", (n * std::mem::size_of::<T>()) as u64));
-    SolveResult {
-        scores: r.into_vec(),
-        iterations,
-        report,
-    }
+    solve_affine(dev, plan, r0, &affine, params, "rwr")
 }
 
 /// CPU reference RWR.

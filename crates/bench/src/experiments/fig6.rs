@@ -34,22 +34,25 @@ fn plans_for(dev: &Device, op: &CsrMatrix<f64>) -> (SpmvPlan<f64>, SpmvPlan<f64>
     (plan("ACSR"), plan("CSR-vector"), plan("HYB"))
 }
 
-/// Run one application over the three plans and record speedups.
+/// Run one application over the three plans and record speedups. The
+/// formats must converge in the same number of iterations, or the
+/// speedups would compare different amounts of work.
 fn app_rows(
     app: &'static str,
     dev: &Device,
     abbrev: &str,
     op: &CsrMatrix<f64>,
-    params: &IterParams,
     solve: impl Fn(&Device, &SpmvPlan<f64>) -> (usize, f64),
 ) -> Fig6Row {
     let (acsr, csr, hyb) = plans_for(dev, op);
     let (it_a, t_a) = solve(dev, &acsr);
     let (it_c, t_c) = solve(dev, &csr);
     let (it_h, t_h) = solve(dev, &hyb);
-    debug_assert_eq!(it_a, it_c);
-    debug_assert_eq!(it_a, it_h);
-    let _ = params;
+    assert!(
+        it_a == it_c && it_a == it_h,
+        "{app} on {abbrev}: iteration counts differ across formats \
+         (ACSR {it_a}, CSR-vector {it_c}, HYB {it_h})"
+    );
     Fig6Row {
         app,
         abbrev: abbrev.to_string(),
@@ -72,20 +75,13 @@ pub fn run(opts: &Options) -> Vec<Fig6Row> {
         let m = spec.generate::<f64>(opts.scale, opts.seed);
         // PageRank
         let op = pagerank_operator(&m.csr);
-        rows.push(app_rows(
-            "PageRank",
-            &dev,
-            spec.abbrev,
-            &op,
-            &params,
-            |d, e| {
-                let r = pagerank_gpu(d, e, 0.85, &params);
-                (r.iterations, r.seconds())
-            },
-        ));
+        rows.push(app_rows("PageRank", &dev, spec.abbrev, &op, |d, e| {
+            let r = pagerank_gpu(d, e, 0.85, &params);
+            (r.iterations, r.seconds())
+        }));
         // HITS
         let op = hits_operator(&m.csr);
-        rows.push(app_rows("HITS", &dev, spec.abbrev, &op, &params, |d, e| {
+        rows.push(app_rows("HITS", &dev, spec.abbrev, &op, |d, e| {
             let r = hits_gpu(d, e, &params);
             (r.iterations, r.seconds())
         }));
@@ -94,7 +90,7 @@ pub fn run(opts: &Options) -> Vec<Fig6Row> {
         let seed = (0..m.csr.rows())
             .max_by_key(|&r| m.csr.row_nnz(r))
             .unwrap_or(0);
-        rows.push(app_rows("RWR", &dev, spec.abbrev, &op, &params, |d, e| {
+        rows.push(app_rows("RWR", &dev, spec.abbrev, &op, |d, e| {
             let r = rwr_gpu(d, e, seed, 0.85, &params);
             (r.iterations, r.seconds())
         }));

@@ -13,11 +13,18 @@
 //! serves all k vectors of the batch (its shape does not depend on k, so
 //! a batch amortizes the device-side launch overhead k-fold), and
 //! single-vector SpMV is the k = 1 case.
+//!
+//! A fused wave (`AcsrEngine::spmm_affine`) cannot finalize a G1 row in
+//! the parent block that launched its children, since those children
+//! finish after it. `dp_finalize_kernel` does it instead, one more
+//! kernel of the launch group on a stream that waits on an event
+//! recorded after the parent: a DP parent grid completes only once its
+//! child grids have, so every G1 row's sum is complete by then.
 
-use crate::kernels::{accumulate, atomic_row_partials};
+use crate::kernels::{accumulate, atomic_row_partials, for_each_warp_with_partials, Epilogue};
 use crate::matrix::AcsrMatrix;
 use gpu_sim::engine::ConcurrentGroup;
-use gpu_sim::{DeviceBuffer, WARP};
+use gpu_sim::{lane_mask, DeviceBuffer, WARP};
 use sparse_formats::Scalar;
 
 /// Launch the DP parent kernel over the G1 row list. `ys` rows for G1
@@ -78,6 +85,49 @@ pub(crate) fn dp_parent_kernel<T: Scalar>(
             }
         });
     });
+}
+
+/// Blocks of a [`dp_finalize_kernel`] launch over `n` G1 rows.
+pub(crate) fn dp_finalize_grid(n: usize) -> usize {
+    n.div_ceil(256)
+}
+
+/// Finalize the G1 rows of a fused DP wave, after `acsr_dp_parent` and
+/// its child grids: one lane per G1 list entry reads the row's SpMV sum
+/// from each `ys[v]`, writes `epi.affine.apply(v, row, sum)` in place,
+/// and deposits the row's convergence term into its block's partials
+/// (one per 256 entries). Every charge depends only on the list, so
+/// the report is the same at any host width, whatever order the
+/// children's atomics landed in. Returns the grid size.
+pub(crate) fn dp_finalize_kernel<T: Scalar>(
+    group: &mut ConcurrentGroup,
+    g1_rows: &DeviceBuffer<u32>,
+    ys: &[&DeviceBuffer<T>],
+    epi: &Epilogue<T>,
+) -> usize {
+    let n = g1_rows.len();
+    let grid = dp_finalize_grid(n);
+    group.add("acsr_dp_finalize", grid, 256, &|blk| {
+        for_each_warp_with_partials(blk, Some(epi), |warp, mut partials| {
+            let base = warp.first_thread();
+            if base >= n {
+                return;
+            }
+            let mask = lane_mask(n - base);
+            let rows = warp.read_coalesced(g1_rows, base, mask);
+            let idx: [usize; WARP] = std::array::from_fn(|i| rows[i] as usize);
+            for (v, y) in ys.iter().enumerate() {
+                let mut vals = warp.gather(y, &idx, mask);
+                epi.apply(warp, v, &idx, &mut vals, mask);
+                warp.scatter(y, &idx, &vals, mask);
+                if let Some(p) = partials.as_deref_mut() {
+                    let d2 = epi.convergence(warp, v, &idx, &vals, mask);
+                    p.deposit(warp, v, &d2);
+                }
+            }
+        });
+    });
+    grid
 }
 
 /// Algorithm 4: the row-specific worker grid body. Threads stride the row

@@ -10,7 +10,8 @@
 //! 1. a zero-scatter over empty rows and atomically-accumulated rows,
 //! 2. one bin-specific kernel per non-empty G2 bin,
 //! 3. the fallback wide-bin kernel for `RowMax` overflow rows,
-//! 4. the long-tail pass — DP parent (Alg. 3) or §VIII static kernel.
+//! 4. the long-tail pass — DP parent (Alg. 3) or §VIII static kernel,
+//!    plus, in a fused DP wave, the kernel that finalizes the G1 rows.
 //!
 //! After a dynamic update ([`crate::update`]) only the cheap re-binning
 //! scan repeats — the matrix data never moves, which is the paper's whole
@@ -18,14 +19,13 @@
 
 use crate::binning::{BinStats, Binning, RowMove};
 use crate::config::{AcsrConfig, AcsrMode};
-use crate::dynpar::dp_parent_kernel;
+use crate::dynpar::{dp_finalize_grid, dp_finalize_kernel, dp_parent_kernel};
 use crate::kernels::{
     bin_grid, bin_kernel, static_long_tail_kernel, zero_rows_grid, zero_rows_kernel, Epilogue,
 };
 use crate::matrix::AcsrMatrix;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::{CsrMatrix, PreprocessCost, Scalar};
-use spmv_kernels::epilogue::spmm_then_update;
 use spmv_kernels::{Affine, AffineWave, GpuSpmv, Partials};
 
 /// ACSR SpMV engine.
@@ -200,9 +200,10 @@ impl<T: Scalar> AcsrEngine<T> {
         &self.cfg
     }
 
-    /// Blocks the launch group runs, over all its kernels: the number of
-    /// convergence partials a fused [`GpuSpmv::spmm_affine`] wave writes
-    /// per query.
+    /// Blocks of a fused wave's launch group that finalize rows, over
+    /// all its kernels: the number of convergence partials a fused
+    /// [`GpuSpmv::spmm_affine`] wave writes per query. The DP parent
+    /// finalizes none; its G1 rows are the finalize kernel's.
     fn group_blocks(&self) -> usize {
         let zero = self
             .zero_list
@@ -223,15 +224,20 @@ impl<T: Scalar> AcsrEngine<T> {
             .overflow_list
             .as_ref()
             .map_or(0, |ol| bin_grid(ol.len(), 32));
-        zero + bins + overflow + self.g1_list.len()
+        let tail = match self.cfg.mode {
+            AcsrMode::DynamicParallelism => dp_finalize_grid(self.g1_list.len()),
+            AcsrMode::StaticLongTail | AcsrMode::BinningOnly => self.g1_list.len(),
+        };
+        zero + bins + overflow + tail
     }
 
     /// The one launch sequence behind [`GpuSpmv::spmv`] (k = 1),
     /// [`GpuSpmv::spmv_multi`] and the fused [`GpuSpmv::spmm_affine`]:
     /// zero-scatter, one kernel per G2 bin, overflow, long tail, each
     /// serving all k vectors, and with `epi` each applying the epilogue
-    /// to the rows it finalizes. `group_name` names the launch group in
-    /// reports and traces.
+    /// to the rows it finalizes (in DP mode, one more kernel finalizes
+    /// the G1 rows). `group_name` names the launch group in reports and
+    /// traces.
     fn launch(
         &self,
         dev: &Device,
@@ -311,7 +317,6 @@ impl<T: Scalar> AcsrEngine<T> {
         if !self.g1_list.is_empty() {
             match self.cfg.mode {
                 AcsrMode::DynamicParallelism => {
-                    assert!(epi.is_none(), "DP mode has no fused epilogue");
                     dp_parent_kernel(
                         &mut group,
                         &self.mat,
@@ -320,7 +325,12 @@ impl<T: Scalar> AcsrEngine<T> {
                         self.cfg.texture_x,
                         xs,
                         ys,
-                    )
+                    );
+                    // On its own stream, behind an event recorded after
+                    // the parent grid, children included.
+                    if let Some(e) = at(dp_finalize_grid(self.g1_list.len())) {
+                        dp_finalize_kernel(&mut group, &self.g1_list, ys, &e);
+                    }
                 }
                 AcsrMode::StaticLongTail => {
                     let e = at(self.g1_list.len());
@@ -404,13 +414,15 @@ impl<T: Scalar> GpuSpmv<T> for AcsrEngine<T> {
     /// accumulate their atomics there first), so no update launch and no
     /// temporaries. Per query, the iterates are bit-identical to the
     /// default two-launch path: the same SpMV float ops, then
-    /// [`Affine::apply`]. With `partials`, each block of the group
-    /// writes one partial per query: the tree sum, warp by warp, of
-    /// `(next − r)²` over the rows the block finalized.
+    /// [`Affine::apply`]. With `partials`, each row-finalizing block of
+    /// the group writes one partial per query: the tree sum, warp by
+    /// warp, of `(next − r)²` over the rows the block finalized.
     ///
     /// In `DynamicParallelism` mode a G1 row's child grids finish after
-    /// the parent block that would have to apply its epilogue, so that
-    /// mode takes the default [`spmm_then_update`] path.
+    /// the parent block that launched them, so the group gains one
+    /// kernel, `acsr_dp_finalize`, that finalizes the G1 rows once the
+    /// parent grid (children included) has completed: one more
+    /// per-stream enqueue when G1 is non-empty, none otherwise.
     fn spmm_affine(
         &self,
         dev: &Device,
@@ -418,9 +430,6 @@ impl<T: Scalar> GpuSpmv<T> for AcsrEngine<T> {
         affine: &Affine<'_, T>,
         partials: bool,
     ) -> AffineWave<T> {
-        if self.cfg.mode == AcsrMode::DynamicParallelism {
-            return spmm_then_update(self, dev, xs, affine, partials);
-        }
         let (k, n) = (xs.len(), self.mat.rows());
         affine.check(k);
         assert!(

@@ -13,11 +13,12 @@
 //! same scatter or atomic), so a vector's result does not depend on the
 //! batch it rides in.
 //!
-//! With an `Epilogue` (a fused RWR wave), each kernel writes
+//! With an `Epilogue` (a fused PageRank or RWR wave), each kernel writes
 //! `affine.apply(v, row, y)` instead of `y` for the rows it finalizes —
 //! the zero-scatter its empty rows, a bin kernel its rows, the static
-//! tail its row once the row's atomics have landed — and each block
-//! writes one convergence partial per query.
+//! tail its row once the row's atomics have landed (in DP mode the G1
+//! rows are finalized by `crate::dynpar`'s finalize kernel) — and each
+//! block writes one convergence partial per query.
 
 use crate::matrix::AcsrMatrix;
 use gpu_sim::engine::ConcurrentGroup;
@@ -25,8 +26,8 @@ use gpu_sim::{BlockCtx, DeviceBuffer, WarpCtx, WARP};
 use sparse_formats::Scalar;
 use spmv_kernels::epilogue::{squared_diffs, Affine};
 
-/// The RWR epilogue of a fused wave (`AcsrEngine::spmm_affine`), as one
-/// kernel of the launch group sees it.
+/// The affine epilogue of a fused wave (`AcsrEngine::spmm_affine`), as
+/// one kernel of the launch group sees it.
 #[derive(Clone, Copy)]
 pub(crate) struct Epilogue<'a, T> {
     pub affine: &'a Affine<'a, T>,
@@ -46,7 +47,7 @@ impl<T: Scalar> Epilogue<'_, T> {
     /// Replace the SpMV values `vals` of the rows under `mask` with query
     /// `v`'s next iterate — the `rwr_update` kernel's arithmetic and
     /// charges.
-    fn apply(
+    pub(crate) fn apply(
         &self,
         warp: &mut WarpCtx,
         v: usize,
@@ -66,7 +67,7 @@ impl<T: Scalar> Epilogue<'_, T> {
     /// Read query `v`'s current iterate at the rows under `mask` and
     /// return `(next − r)²` per lane (0 outside `mask`), charged as the
     /// `rwr_update` kernel charges its convergence terms.
-    fn convergence(
+    pub(crate) fn convergence(
         &self,
         warp: &mut WarpCtx,
         v: usize,
@@ -98,7 +99,7 @@ pub(crate) struct BlockPartials {
 }
 
 impl BlockPartials {
-    fn deposit(&mut self, warp: &mut WarpCtx, v: usize, d2: &[f64; WARP]) {
+    pub(crate) fn deposit(&mut self, warp: &mut WarpCtx, v: usize, d2: &[f64; WARP]) {
         let red = warp.segmented_reduce_sum(d2, WARP);
         warp.charge_alu(1); // the shared-memory store
         self.sums[v][warp.warp_in_block()] = red[0];
@@ -119,7 +120,7 @@ impl BlockPartials {
 /// Run `body` for every warp of `blk`; when the epilogue writes
 /// partials, `body` gets the block's [`BlockPartials`] to deposit into,
 /// and the block's last warp writes them.
-fn for_each_warp_with_partials<'d, 'k, T: Scalar>(
+pub(crate) fn for_each_warp_with_partials<'d, 'k, T: Scalar>(
     blk: &mut BlockCtx<'_, 'd, 'k>,
     epi: Option<&Epilogue<T>>,
     mut body: impl FnMut(&mut WarpCtx<'_, 'd, 'k>, Option<&mut BlockPartials>),

@@ -3,7 +3,8 @@
 //! [`AcsrEngine::spmv`](crate::engine::AcsrEngine) launches its kernels
 //! under stable
 //! names — `acsr_zero`, `acsr_bin{i}`, `acsr_overflow`, `acsr_dp_parent`
-//! / `acsr_static_tail`, `acsr_update` — so a [`gpu_sim::trace`] span
+//! (and a fused wave's `acsr_dp_finalize`) / `acsr_static_tail`,
+//! `acsr_update` — so a [`gpu_sim::trace`] span
 //! stream can be folded into a [`PhaseRollup`]: one bucket per pipeline
 //! phase carrying launches, modeled seconds and full [`Counters`]. The
 //! bench experiments print this as a time-attribution table when run
@@ -23,7 +24,8 @@ pub enum Phase {
     /// (`acsr_overflow`).
     Overflow,
     /// Long-tail G1 rows: the dynamic-parallelism parent + its child
-    /// grids, or the §VIII static variant (`acsr_dp_parent*`,
+    /// grids and a fused wave's finalize kernel, or the §VIII static
+    /// variant (`acsr_dp_parent*`, `acsr_dp_finalize`,
     /// `acsr_static_tail`).
     LongTail,
     /// The §VII device-side update kernel (`acsr_update`).
@@ -71,7 +73,10 @@ pub fn classify(kind: SpanKind, name: &str) -> Phase {
         Phase::BinKernels
     } else if name == "acsr_overflow" {
         Phase::Overflow
-    } else if name.starts_with("acsr_dp_parent") || name == "acsr_static_tail" {
+    } else if name.starts_with("acsr_dp_parent")
+        || name == "acsr_dp_finalize"
+        || name == "acsr_static_tail"
+    {
         Phase::LongTail
     } else if name == "acsr_update" {
         Phase::Update
@@ -210,6 +215,7 @@ mod tests {
             classify(ChildWave, "acsr_dp_parent.child7"),
             Phase::LongTail
         );
+        assert_eq!(classify(Stream, "acsr_dp_finalize"), Phase::LongTail);
         assert_eq!(classify(Launch, "acsr_static_tail"), Phase::LongTail);
         assert_eq!(classify(Launch, "acsr_update"), Phase::Update);
         assert_eq!(classify(Transfer, "acsr_update_delta"), Phase::Transfer);

@@ -12,18 +12,22 @@
 //! shards — its float accumulation order is only pinned at width 1
 //! (`gpu-sim/tests/proptest_determinism.rs`), so DP is compared there.
 //!
-//! The fused RWR wave (`spmm_affine` in static-tail and binning-only
-//! modes) must likewise change no iterate: its outputs are bit-identical
-//! to `spmv_multi` followed by `rwr_update_multi`, and its per-block
-//! convergence partials equal a host reference built from the binning.
+//! The fused RWR wave (`spmm_affine`, in every mode) must likewise
+//! change no iterate: its outputs are bit-identical to `spmv_multi`
+//! followed by `rwr_update_multi`, and its per-block convergence
+//! partials equal a host reference built from the binning. In DP mode
+//! that holds at width 1, and the report at any width.
 
 use acsr::{AcsrConfig, AcsrEngine, AcsrMode, Binning};
-use gpu_sim::{presets, set_sim_threads, tree_reduce_sum, Device, DeviceBuffer, RunReport, WARP};
+use gpu_sim::{
+    effective_workers, override_host_cores, presets, set_sim_threads, tree_reduce_sum, Device,
+    DeviceBuffer, RunReport, WARP,
+};
 use graphgen::{generate_power_law, PowerLawConfig};
 use proptest::prelude::*;
 use sparse_formats::{CsrMatrix, TripletMatrix};
 use spmv_kernels::epilogue::rwr_update_multi;
-use spmv_kernels::{Affine, AffineWave, GpuSpmv};
+use spmv_kernels::{Affine, AffineWave, GpuSpmv, Restart};
 use std::sync::Mutex;
 
 /// `set_sim_threads` is process-global; hold this across width changes.
@@ -163,29 +167,33 @@ proptest! {
 
 /// A power-law matrix with both degenerate row kinds a fused wave must
 /// finalize: every ninth row is emptied (empty rows), and `pinned` rows
-/// of more than 1024 non-zeros survive (G1 rows, or the widest bins in
-/// binning-only mode).
-fn arb_wave_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
-    (1100usize..1400, 4u64..2000, 1usize..3).prop_map(|(rows, seed, pinned)| {
-        let m: CsrMatrix<f64> = generate_power_law(&PowerLawConfig {
-            rows,
-            cols: rows,
-            mean_degree: 5.0,
-            max_degree: rows - 40,
-            pinned_max_rows: pinned,
-            col_skew: 0.4,
-            seed,
-            ..Default::default()
-        });
-        let mut t = TripletMatrix::new(rows, rows);
-        for r in (0..rows).filter(|r| r % 9 != 4 || m.row_nnz(*r) > 1024) {
-            let (cols, vals) = m.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                t.push(r, c as usize, v).unwrap();
-            }
+/// of `max_degree` non-zeros survive (G1 rows if that is over 1024, or
+/// the widest bins in binning-only mode).
+fn wave_matrix(rows: usize, seed: u64, pinned: usize, max_degree: usize) -> CsrMatrix<f64> {
+    let m: CsrMatrix<f64> = generate_power_law(&PowerLawConfig {
+        rows,
+        cols: rows,
+        mean_degree: 5.0,
+        max_degree,
+        pinned_max_rows: pinned,
+        col_skew: 0.4,
+        seed,
+        ..Default::default()
+    });
+    let mut t = TripletMatrix::new(rows, rows);
+    for r in (0..rows).filter(|r| r % 9 != 4 || m.row_nnz(*r) > 1024) {
+        let (cols, vals) = m.row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            t.push(r, c as usize, v).unwrap();
         }
-        t.to_csr()
-    })
+    }
+    t.to_csr()
+}
+
+/// [`wave_matrix`] with one or two rows of more than 1024 non-zeros.
+fn arb_wave_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
+    (1100usize..1400, 4u64..2000, 1usize..3)
+        .prop_map(|(rows, seed, pinned)| wave_matrix(rows, seed, pinned, rows - 40))
 }
 
 /// Query `v`'s seed: an empty row for query 0, the longest row (a G1
@@ -202,29 +210,61 @@ fn wave_seeds(m: &CsrMatrix<f64>, k: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Query `v`'s RWR coefficients: `c_v` and its restart `1 − c_v` at
+/// `seeds[v]`.
+fn rwr_affine(seeds: &[usize]) -> (Vec<f64>, Vec<Restart<f64>>) {
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(v, &row)| {
+            let c = 0.85 - 0.05 * v as f64;
+            (c, Restart::Seed { row, mass: 1.0 - c })
+        })
+        .unzip()
+}
+
 /// One fused wave of `k` queries over iterates `xs`.
 fn fused_wave(
     dev: &Device,
     engine: &AcsrEngine<f64>,
     xs: &[DeviceBuffer<f64>],
     c: &[f64],
-    restart: &[f64],
-    seeds: &[usize],
+    restart: &[Restart<f64>],
 ) -> AffineWave<f64> {
     let xr: Vec<&DeviceBuffer<f64>> = xs.iter().collect();
-    let affine = Affine { c, restart, seeds };
+    let affine = Affine { c, restart };
     engine.spmm_affine(dev, &xr, &affine, true)
+}
+
+/// `spmv_multi` into temporaries, then `rwr_update_multi`: the two-launch
+/// reference a fused wave must match. Returns the next iterates and the
+/// SpMM's report.
+fn two_launch_reference(
+    dev: &Device,
+    engine: &AcsrEngine<f64>,
+    xs: &[DeviceBuffer<f64>],
+    affine: &Affine<'_, f64>,
+) -> (Vec<DeviceBuffer<f64>>, RunReport) {
+    let n = engine.rows();
+    let xr: Vec<&DeviceBuffer<f64>> = xs.iter().collect();
+    let tmps: Vec<DeviceBuffer<f64>> = xs.iter().map(|_| dev.alloc(vec![-5.0; n])).collect();
+    let tr: Vec<&DeviceBuffer<f64>> = tmps.iter().collect();
+    let spmm = engine.spmv_multi(dev, &xr, &tr);
+    let want: Vec<DeviceBuffer<f64>> = xs.iter().map(|_| dev.alloc_zeroed(n)).collect();
+    let wr: Vec<&DeviceBuffer<f64>> = want.iter().collect();
+    rwr_update_multi(dev, &tr, affine, &wr, None);
+    (want, spmm)
 }
 
 /// The fused wave's partials of one query, computed on the host from the
 /// binning: in launch order, one per block of the zero-scatter (its
 /// empty rows), of each G2 bin and the overflow kernel (their rows, one
-/// per thread group), and of the static tail (its G1 row); within a
-/// block, the warp tree sum of `(next − prev)²` at each row's lane, then
-/// the tree sum of the block's eight warp sums.
+/// per thread group), and of the long tail — one per G1 row for the
+/// static tail, one per 256 G1 rows for DP mode's finalize kernel (a
+/// lane per row); within a block, the warp tree sum of `(next − prev)²`
+/// at each row's lane, then the tree sum of the block's eight warp sums.
 fn host_wave_partials(engine: &AcsrEngine<f64>, next: &[f64], prev: &[f64]) -> Vec<f64> {
     let b = engine.binning();
-    let static_tail = engine.config().mode == AcsrMode::StaticLongTail;
     let d2 = |row: u32| {
         let d = next[row as usize] - prev[row as usize];
         d * d
@@ -241,22 +281,29 @@ fn host_wave_partials(engine: &AcsrEngine<f64>, next: &[f64], prev: &[f64]) -> V
         }
         tree_reduce_sum(&sums, 8)[0]
     };
-    let mut out = Vec::new();
-    let empty = b.bin_rows(0);
-    let zero_len = empty.len() + if static_tail { b.g1_rows().len() } else { 0 };
-    for blk in 0..zero_len.div_ceil(256) {
-        out.push(block(
-            (0..8)
-                .map(|w| {
-                    (0..WARP)
-                        .filter_map(|lane| {
-                            empty.get(blk * 256 + w * WARP + lane).map(|&r| (lane, r))
+    // A kernel with one lane per entry of `list`, finalizing its first
+    // `finalized` entries.
+    let lane_per_row = |list: &[u32], finalized: usize| -> Vec<f64> {
+        (0..list.len().div_ceil(256))
+            .map(|blk| {
+                block(
+                    (0..8)
+                        .map(|w| {
+                            (0..WARP)
+                                .map(|lane| (lane, blk * 256 + w * WARP + lane))
+                                .filter(|&(_, i)| i < finalized)
+                                .map(|(lane, i)| (lane, list[i]))
+                                .collect()
                         })
-                        .collect()
-                })
-                .collect(),
-        ));
-    }
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    // The zero-scatter lists the empty rows, then the G1 rows it only
+    // zeroes.
+    let zero_list = [b.bin_rows(0), b.g1_rows()].concat();
+    let mut out = lane_per_row(&zero_list, b.bin_rows(0).len());
     let mut lists: Vec<(&[u32], usize)> = b
         .g2_bins()
         .iter()
@@ -283,8 +330,10 @@ fn host_wave_partials(engine: &AcsrEngine<f64>, next: &[f64], prev: &[f64]) -> V
             ));
         }
     }
-    if static_tail {
-        out.extend(b.g1_rows().iter().map(|&r| d2(r)));
+    match engine.config().mode {
+        AcsrMode::StaticLongTail => out.extend(b.g1_rows().iter().map(|&r| d2(r))),
+        AcsrMode::DynamicParallelism => out.extend(lane_per_row(b.g1_rows(), b.g1_rows().len())),
+        AcsrMode::BinningOnly => assert!(b.g1_rows().is_empty()),
     }
     out
 }
@@ -326,29 +375,23 @@ proptest! {
             let g1 = engine.binning().g1_rows();
             prop_assert!(g1.contains(&(seeds[1] as u32)), "query 1 seeds a G1 row");
         }
-        let c: Vec<f64> = (0..k).map(|v| 0.85 - 0.05 * v as f64).collect();
-        let restart: Vec<f64> = c.iter().map(|c| 1.0 - c).collect();
+        let (c, restart) = rwr_affine(&seeds);
+        let affine = Affine { c: &c, restart: &restart };
         let xs: Vec<DeviceBuffer<f64>> = batch_x(n, k).into_iter().map(|x| dev.alloc(x)).collect();
-        let xr: Vec<&DeviceBuffer<f64>> = xs.iter().collect();
 
         // The reference: SpMM into temporaries, then the update kernel.
-        let tmps: Vec<DeviceBuffer<f64>> = (0..k).map(|_| dev.alloc(vec![-5.0; n])).collect();
-        let tr: Vec<&DeviceBuffer<f64>> = tmps.iter().collect();
-        let spmm = engine.spmv_multi(&dev, &xr, &tr);
-        let want: Vec<DeviceBuffer<f64>> = (0..k).map(|_| dev.alloc_zeroed(n)).collect();
-        let wr: Vec<&DeviceBuffer<f64>> = want.iter().collect();
-        rwr_update_multi(&dev, &tr, &c, &restart, &seeds, &wr, None);
+        let (want, spmm) = two_launch_reference(&dev, &engine, &xs, &affine);
 
         let mut waves = Vec::new();
         for width in [1usize, 2] {
             set_sim_threads(width);
-            waves.push(fused_wave(&dev, &engine, &xs, &c, &restart, &seeds));
+            waves.push(fused_wave(&dev, &engine, &xs, &c, &restart));
         }
         set_sim_threads(1);
         let alone: Vec<AffineWave<f64>> = (0..k)
-            .map(|v| fused_wave(&dev, &engine, &xs[v..v + 1], &c[v..v + 1], &restart[v..v + 1], &seeds[v..v + 1]))
+            .map(|v| fused_wave(&dev, &engine, &xs[v..v + 1], &c[v..v + 1], &restart[v..v + 1]))
             .collect();
-        let none = Affine::<f64> { c: &[], restart: &[], seeds: &[] };
+        let none = Affine::<f64> { c: &[], restart: &[] };
         let empty = engine.spmm_affine(&dev, &[], &none, true);
         set_sim_threads(0);
 
@@ -371,6 +414,98 @@ proptest! {
         for v in 0..k {
             prop_assert_eq!(bits(wave.outs[v].as_slice()), bits(other.outs[v].as_slice()));
         }
+        prop_assert_eq!(empty.report.launches, 0, "k = 0 launches nothing");
+        prop_assert!(empty.outs.is_empty() && empty.partials.unwrap().buf.is_empty());
+    }
+}
+
+/// A DP-mode matrix: [`wave_matrix`] with 33–39 rows of `rows − 40`
+/// non-zeros, whose child grids (two 256-thread blocks per row at
+/// `ThreadLoad` 4) make a child wave wide enough to fan out over two
+/// host workers; or, with `g1` false, one whose longest rows stay at
+/// most 1024 non-zeros, so G1 is empty (like churn's served graph).
+fn arb_dp_wave_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
+    (1100usize..1300, 4u64..2000, 33usize..40, any::<bool>()).prop_map(
+        |(rows, seed, pinned, g1)| {
+            if g1 {
+                wave_matrix(rows, seed, pinned, rows - 40)
+            } else {
+                wave_matrix(rows, seed, 2, 1000)
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// In DP mode a fused wave finalizes the G1 rows in one more kernel
+    /// of the launch group, after the parent grid and its children. At
+    /// host width 1 (where DP's atomic order is pinned) its iterates are
+    /// bit-identical to `spmv_multi` + `rwr_update_multi` and its
+    /// partials equal the host reference, finalize blocks included, at
+    /// any k. Its report is the same at widths 1 and 2 on a child wave
+    /// that fans out over both workers. The group has one stream more
+    /// than the SpMM's when G1 is non-empty and none otherwise, and
+    /// k = 0 launches nothing.
+    #[test]
+    fn fused_dp_wave_matches_spmm_then_update(m in arb_dp_wave_matrix(), k in 1usize..5) {
+        let _g = WIDTH_LOCK.lock().unwrap();
+        let dev = Device::new(presets::gtx_titan());
+        let cfg = AcsrConfig::for_device(dev.config());
+        prop_assert_eq!(cfg.mode, AcsrMode::DynamicParallelism);
+        let engine = AcsrEngine::from_csr(&dev, &m, cfg);
+        let g1 = engine.binning().g1_rows();
+        prop_assert!(!engine.binning().bin_rows(0).is_empty(), "empty rows");
+        if !g1.is_empty() {
+            // every child grid's threads, as `dp_parent_kernel` sizes them
+            let child_threads: usize = g1
+                .iter()
+                .map(|&r| (m.row_nnz(r as usize).div_ceil(cfg.thread_load)).div_ceil(256) * 256)
+                .sum();
+            override_host_cores(2);
+            let fans_out = effective_workers(2, dev.config().sm_count, child_threads) == 2;
+            override_host_cores(0);
+            prop_assert!(fans_out, "{} child threads stay on one worker", child_threads);
+        }
+        let n = m.rows();
+        let seeds = wave_seeds(&m, k);
+        if !g1.is_empty() && k >= 2 {
+            prop_assert!(g1.contains(&(seeds[1] as u32)), "query 1 seeds a G1 row");
+        }
+        let (c, restart) = rwr_affine(&seeds);
+        let affine = Affine { c: &c, restart: &restart };
+        let xs: Vec<DeviceBuffer<f64>> = batch_x(n, k).into_iter().map(|x| dev.alloc(x)).collect();
+
+        set_sim_threads(1);
+        let (want, spmm) = two_launch_reference(&dev, &engine, &xs, &affine);
+        let wave = fused_wave(&dev, &engine, &xs, &c, &restart);
+        let alone: Vec<AffineWave<f64>> = (0..k)
+            .map(|v| fused_wave(&dev, &engine, &xs[v..v + 1], &c[v..v + 1], &restart[v..v + 1]))
+            .collect();
+        let none = Affine::<f64> { c: &[], restart: &[] };
+        let empty = engine.spmm_affine(&dev, &[], &none, true);
+        override_host_cores(2);
+        set_sim_threads(2);
+        let wide = fused_wave(&dev, &engine, &xs, &c, &restart);
+        set_sim_threads(0);
+        override_host_cores(0);
+
+        let finalize = u32::from(!g1.is_empty());
+        prop_assert_eq!(wave.report.launches, spmm.launches + finalize, "one stream more iff G1");
+        let partials = wave.partials.as_ref().unwrap();
+        for v in 0..k {
+            prop_assert_eq!(bits(wave.outs[v].as_slice()), bits(want[v].as_slice()), "query {} iterate", v);
+            let host = host_wave_partials(&engine, want[v].as_slice(), xs[v].as_slice());
+            prop_assert_eq!(partials.per_query, host.len());
+            prop_assert_eq!(bits(partials.query(v)), bits(&host), "query {} partials", v);
+            let single = &alone[v];
+            prop_assert_eq!(bits(single.outs[0].as_slice()), bits(want[v].as_slice()));
+            prop_assert_eq!(bits(single.partials.as_ref().unwrap().query(0)), bits(&host));
+        }
+        prop_assert_eq!(&wave.report.counters, &wide.report.counters);
+        prop_assert_eq!(wave.report.time_s.to_bits(), wide.report.time_s.to_bits());
+        prop_assert_eq!(wave.report.launches, wide.report.launches);
         prop_assert_eq!(empty.report.launches, 0, "k = 0 launches nothing");
         prop_assert!(empty.outs.is_empty() && empty.partials.unwrap().buf.is_empty());
     }

@@ -1,19 +1,37 @@
 //! The affine epilogue of a batched SpMM wave, and its unfused form.
 //!
 //! An iterative graph application runs one SpMV and then one vector
-//! update per iteration. For Random Walk with Restart that update is
-//! affine: `out_v[row] = c_v·(A·x_v)[row]`, plus `restart_v` when `row`
-//! is query `v`'s seed. [`crate::GpuSpmv::spmm_affine`] runs a batch of
-//! such iterations; its default — [`spmm_then_update`], for every format
-//! — is two launches: the batched SpMM into temporaries, then the
-//! [`rwr_update_multi`] kernel. An engine whose kernels finalize every
-//! row themselves (ACSR's bin kernels) applies the epilogue in the SpMM
-//! launch instead, with the same arithmetic ([`Affine::apply`],
-//! [`squared_diffs`]), so the iterates are bit-identical either way.
+//! update per iteration. For PageRank (Algorithm 5) and Random Walk with
+//! Restart (Eq. 8) that update is affine: `out_v[row] = c_v·(A·x_v)[row]`
+//! plus a restart term ([`Restart`]), at every row for PageRank's
+//! teleport and at query `v`'s seed for RWR.
+//! [`crate::GpuSpmv::spmm_affine`] runs a batch of such iterations; its
+//! default — [`spmm_then_update`], for every format — is two launches:
+//! the batched SpMM into temporaries, then the [`rwr_update_multi`]
+//! kernel. An engine whose kernels finalize every row themselves (ACSR's
+//! launch group) applies the epilogue in the SpMM launch group instead,
+//! with the same arithmetic ([`Affine::apply`], [`squared_diffs`]), so
+//! the iterates are bit-identical either way.
 
 use crate::GpuSpmv;
 use gpu_sim::{lane_mask, tree_reduce_sum, Device, DeviceBuffer, RunReport, WARP};
 use sparse_formats::Scalar;
+
+/// The restart term of one query's affine epilogue.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Restart<T> {
+    /// Random Walk with Restart (Eq. 8): `c·y`, then `+= mass` at the
+    /// seed `row` only.
+    Seed {
+        /// The query's seed row.
+        row: usize,
+        /// The restart mass `1 − c`.
+        mass: T,
+    },
+    /// PageRank's teleport (Algorithm 5): `c.mul_add(y, t)` at every
+    /// row, the `scale_add` kernel's arithmetic.
+    Uniform(T),
+}
 
 /// The per-query coefficients of an affine epilogue, one entry per
 /// query of the batch.
@@ -21,30 +39,32 @@ use sparse_formats::Scalar;
 pub struct Affine<'a, T> {
     /// The SpMV scale `c_v`.
     pub c: &'a [T],
-    /// The restart term `restart_v`, added at the seed row.
-    pub restart: &'a [T],
-    /// The seed row of each query.
-    pub seeds: &'a [usize],
+    /// The restart term of each query.
+    pub restart: &'a [Restart<T>],
 }
 
 impl<T: Scalar> Affine<'_, T> {
-    /// Query `v`'s epilogue at `row` on the SpMV value `y`: `c·y`, then
-    /// `+= restart` at the seed row. Every path computes an iterate
-    /// through this one function.
+    /// Query `v`'s epilogue at `row` on the SpMV value `y`. Every path
+    /// computes an iterate through this one function.
     #[inline]
     pub fn apply(&self, v: usize, row: usize, y: T) -> T {
-        let mut out = self.c[v] * y;
-        if row == self.seeds[v] {
-            out += self.restart[v];
+        match self.restart[v] {
+            Restart::Seed { row: seed, mass } => {
+                let mut out = self.c[v] * y;
+                if row == seed {
+                    out += mass;
+                }
+                out
+            }
+            Restart::Uniform(t) => self.c[v].mul_add(y, t),
         }
-        out
     }
 
-    /// Panics unless every slice has one entry per query of a batch of
+    /// Panics unless both slices have one entry per query of a batch of
     /// `k`.
     pub fn check(&self, k: usize) {
         assert!(
-            k == self.c.len() && k == self.restart.len() && k == self.seeds.len(),
+            k == self.c.len() && k == self.restart.len(),
             "batch slice length mismatch"
         );
     }
@@ -57,7 +77,7 @@ pub struct Partials {
     /// The device buffer the wave wrote.
     pub buf: DeviceBuffer<f64>,
     /// Partials per query: one per 32-row block on the unfused path, one
-    /// per block of the launch group on a fused one.
+    /// per row-finalizing block of the launch group on a fused one.
     pub per_query: usize,
 }
 
@@ -104,15 +124,7 @@ pub fn spmm_then_update<T: Scalar, E: GpuSpmv<T> + ?Sized>(
     let conv = buf
         .as_ref()
         .map(|partials| Convergence { prev: xs, partials });
-    let report = report.then(&rwr_update_multi(
-        dev,
-        &tr,
-        affine.c,
-        affine.restart,
-        affine.seeds,
-        &or,
-        conv.as_ref(),
-    ));
+    let report = report.then(&rwr_update_multi(dev, &tr, affine, &or, conv.as_ref()));
     AffineWave {
         outs,
         report,
@@ -135,25 +147,22 @@ pub struct Convergence<'a, T> {
     pub partials: &'a DeviceBuffer<f64>,
 }
 
-/// The RWR update kernel, batched: one launch applies `outs[v] = c[v] *
-/// xs[v] + restart[v] * e_seed[v]` for every query of the batch (a
-/// single query is the k = 1 case). `seeds[v]` is query `v`'s seed
-/// row. Each
-/// vector's arithmetic is the same at any k, so a query's trajectory is
-/// independent of the batch it rides in. With `conv`, the same launch
-/// also writes the convergence partials; without it, the launch reads
-/// and writes only `xs` and `outs`.
+/// The affine update kernel, batched: one launch applies
+/// `outs[v][row] = affine.apply(v, row, xs[v][row])` for every query of
+/// the batch (a single query is the k = 1 case) — RWR's restart at the
+/// seed or PageRank's teleport at every row. Each vector's arithmetic
+/// is the same at any k, so a query's trajectory is independent of the
+/// batch it rides in. With `conv`, the same launch also writes the
+/// convergence partials; without it, the launch reads and writes only
+/// `xs` and `outs`.
 pub fn rwr_update_multi<T: Scalar>(
     dev: &Device,
     xs: &[&DeviceBuffer<T>],
-    c: &[T],
-    restart: &[T],
-    seeds: &[usize],
+    affine: &Affine<'_, T>,
     outs: &[&DeviceBuffer<T>],
     conv: Option<&Convergence<'_, T>>,
 ) -> RunReport {
     let k = xs.len();
-    let affine = Affine { c, restart, seeds };
     affine.check(k);
     assert_eq!(k, outs.len(), "batch slice length mismatch");
     if k == 0 {
@@ -237,6 +246,14 @@ mod tests {
     use crate::DevCsr;
     use gpu_sim::presets;
 
+    /// RWR restarts with mass 0.15 at each seed.
+    fn seed_restarts(seeds: &[usize]) -> Vec<Restart<f64>> {
+        seeds
+            .iter()
+            .map(|&row| Restart::Seed { row, mass: 0.15 })
+            .collect()
+    }
+
     #[test]
     fn batched_update_matches_single_bitwise() {
         let dev = Device::new(presets::gtx_titan());
@@ -246,28 +263,34 @@ mod tests {
             .map(|v| (0..n).map(|i| 0.5 + ((i + v) % 11) as f64 * 0.3).collect())
             .collect();
         let xs: Vec<_> = xs_host.iter().map(|x| dev.alloc(x.clone())).collect();
-        let c = [0.85, 0.5, 0.99].map(f64::from_f64);
-        let restart = [0.15, 0.5, 0.01].map(f64::from_f64);
-        let seeds = [0usize, 299, 150];
+        let c = [0.85, 0.5, 0.99];
+        let restart = [
+            Restart::Seed { row: 0, mass: 0.15 },
+            Restart::Seed {
+                row: 299,
+                mass: 0.5,
+            },
+            Restart::Uniform(0.01 / n as f64),
+        ];
         let singles: Vec<_> = (0..k)
             .map(|v| {
                 let out = dev.alloc_zeroed::<f64>(n);
-                rwr_update_multi(
-                    &dev,
-                    &[&xs[v]],
-                    &[c[v]],
-                    &[restart[v]],
-                    &[seeds[v]],
-                    &[&out],
-                    None,
-                );
+                let affine = Affine {
+                    c: &c[v..v + 1],
+                    restart: &restart[v..v + 1],
+                };
+                rwr_update_multi(&dev, &[&xs[v]], &affine, &[&out], None);
                 out
             })
             .collect();
         let outs: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<f64>(n)).collect();
         let xr: Vec<_> = xs.iter().collect();
         let or: Vec<_> = outs.iter().collect();
-        let r = rwr_update_multi(&dev, &xr, &c, &restart, &seeds, &or, None);
+        let affine = Affine {
+            c: &c,
+            restart: &restart,
+        };
+        let r = rwr_update_multi(&dev, &xr, &affine, &or, None);
         assert_eq!(r.launches, 1);
         for v in 0..k {
             for (a, b) in singles[v].as_slice().iter().zip(outs[v].as_slice()) {
@@ -292,8 +315,11 @@ mod tests {
                 let xs: Vec<_> = (0..k).map(|v| dev.alloc(vec(v))).collect();
                 let prevs: Vec<_> = (0..k).map(|v| dev.alloc(vec(v + 5))).collect();
                 let c = vec![0.85; k];
-                let restart = vec![0.15; k];
-                let seeds: Vec<usize> = (0..k).map(|v| v % n.max(1)).collect();
+                let restart = seed_restarts(&(0..k).map(|v| v % n.max(1)).collect::<Vec<_>>());
+                let affine = Affine {
+                    c: &c,
+                    restart: &restart,
+                };
                 let plain: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<f64>(n)).collect();
                 let fused: Vec<_> = (0..k).map(|_| dev.alloc(vec![f64::NAN; n])).collect();
                 let blocks = n.div_ceil(WARP);
@@ -302,12 +328,12 @@ mod tests {
                 let pr: Vec<_> = prevs.iter().collect();
                 let plain_r: Vec<_> = plain.iter().collect();
                 let fused_r: Vec<_> = fused.iter().collect();
-                rwr_update_multi(&dev, &xr, &c, &restart, &seeds, &plain_r, None);
+                rwr_update_multi(&dev, &xr, &affine, &plain_r, None);
                 let conv = Convergence {
                     prev: &pr,
                     partials: &partials,
                 };
-                let r = rwr_update_multi(&dev, &xr, &c, &restart, &seeds, &fused_r, Some(&conv));
+                let r = rwr_update_multi(&dev, &xr, &affine, &fused_r, Some(&conv));
                 assert_eq!(r.launches, 1);
                 for v in 0..k {
                     let (a, b) = (plain[v].as_slice(), fused[v].as_slice());
@@ -349,13 +375,17 @@ mod tests {
         let prev = dev.alloc(vec![0.25f64; n]);
         let out = dev.alloc_zeroed::<f64>(n);
         let partials = dev.alloc_zeroed::<f64>(n.div_ceil(WARP));
-        let args = (&[0.85], &[0.15], &[3]);
-        let plain = rwr_update_multi(&dev, &[&x], args.0, args.1, args.2, &[&out], None);
+        let restart = seed_restarts(&[3]);
+        let affine = Affine {
+            c: &[0.85],
+            restart: &restart,
+        };
+        let plain = rwr_update_multi(&dev, &[&x], &affine, &[&out], None);
         let conv = Convergence {
             prev: &[&prev],
             partials: &partials,
         };
-        let fused = rwr_update_multi(&dev, &[&x], args.0, args.1, args.2, &[&out], Some(&conv));
+        let fused = rwr_update_multi(&dev, &[&x], &affine, &[&out], Some(&conv));
         let (p, f) = (plain.counters, fused.counters);
         assert!(f.dram_read_bytes >= p.dram_read_bytes + (n * 8) as u64);
         assert!(f.dram_write_bytes > p.dram_write_bytes);
@@ -379,11 +409,11 @@ mod tests {
             })
             .collect();
         let xr: Vec<_> = xs.iter().collect();
-        let (c, restart, seeds) = ([0.85; 3], [0.15; 3], [0usize, 150, 299]);
+        let c = [0.85; 3];
+        let restart = seed_restarts(&[0, 150, 299]);
         let affine = Affine {
             c: &c,
             restart: &restart,
-            seeds: &seeds,
         };
         let wave = engine.spmm_affine(&dev, &xr, &affine, true);
         let partials = wave.partials.as_ref().unwrap();
@@ -399,7 +429,7 @@ mod tests {
             prev: &xr,
             partials: &direct_partials,
         };
-        let update = rwr_update_multi(&dev, &tr, &c, &restart, &seeds, &or, Some(&conv));
+        let update = rwr_update_multi(&dev, &tr, &affine, &or, Some(&conv));
         let direct = spmm.then(&update);
         assert_eq!(wave.report.launches, direct.launches);
         assert_eq!(wave.report.counters, direct.counters);
@@ -416,7 +446,6 @@ mod tests {
         let none = Affine::<f64> {
             c: &[],
             restart: &[],
-            seeds: &[],
         };
         let empty = engine.spmm_affine(&dev, &[], &none, true);
         assert_eq!(empty.report.launches, 0, "k = 0 launches nothing");

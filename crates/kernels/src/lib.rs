@@ -17,8 +17,8 @@
 //! plus:
 //! * [`device`] — device-resident mirrors of each host format with
 //!   upload-size accounting (PCIe modeling for the dynamic-graph study);
-//! * [`epilogue`] — the affine (RWR) epilogue of a batched SpMM wave:
-//!   the `rwr_update` kernel and the two-launch default of
+//! * [`epilogue`] — the affine (PageRank / RWR) epilogue of a batched
+//!   SpMM wave: the `rwr_update` kernel and the two-launch default of
 //!   [`GpuSpmv::spmm_affine`];
 //! * [`cpu`] — real multicore implementations on `par-runtime` used by
 //!   the wall-clock Criterion benches;
@@ -48,7 +48,7 @@ pub mod tcoo_kernel;
 pub mod tuning;
 
 pub use device::{DevBccoo, DevBrc, DevCoo, DevCsr, DevEll, DevHyb, DevTcoo};
-pub use epilogue::{Affine, AffineWave, Partials};
+pub use epilogue::{Affine, AffineWave, Partials, Restart};
 
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::Scalar;
@@ -99,20 +99,21 @@ pub trait GpuSpmv<T: Scalar> {
     }
 
     /// One batched iteration with an affine epilogue: for each query
-    /// `v`, allocate `outs[v]` and set `outs[v][row] = c_v·(A·xs[v])[row]`,
-    /// plus `restart_v` at `row == seed_v` ([`Affine::apply`]). With
-    /// `partials`, the wave also writes f64 convergence partials of
-    /// `(outs[v] − xs[v])²` and reports how many it wrote per query
-    /// ([`Partials::per_query`]). At k = 0 it launches nothing.
+    /// `v`, allocate `outs[v]` and set `outs[v][row] =
+    /// affine.apply(v, row, (A·xs[v])[row])` — `c_v·y` plus RWR's restart
+    /// at the seed, or PageRank's teleport at every row
+    /// ([`Affine::apply`]). With `partials`, the wave also writes f64
+    /// convergence partials of `(outs[v] − xs[v])²` and reports how many
+    /// it wrote per query ([`Partials::per_query`]). At k = 0 it launches
+    /// nothing.
     ///
     /// The default is two launches ([`epilogue::spmm_then_update`]):
     /// [`GpuSpmv::spmv_multi`] into temporaries, then the `rwr_update`
     /// kernel with one partial per 32-row block. An engine whose kernels
     /// finalize each row may instead apply the epilogue inside its SpMM
-    /// launch (ACSR does, except in dynamic-parallelism mode); the
-    /// iterates must stay bit-identical to the default's, while the
-    /// partials may be laid out per block of that launch. Wrappers
-    /// forward it.
+    /// launch group (ACSR does, in every mode); the iterates must stay
+    /// bit-identical to the default's, while the partials may be laid
+    /// out per block of that launch group. Wrappers forward it.
     fn spmm_affine(
         &self,
         dev: &Device,

@@ -180,11 +180,10 @@ pub fn serve_with_churn<T: Scalar>(
         // 3. One batched RWR iteration for the wave.
         waves += 1;
         let xs: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
-        let (c, restart, seeds) = rwr_coefficients(active.iter().map(|a| &a.q));
+        let (c, restart) = rwr_coefficients(active.iter().map(|a| &a.q));
         let affine = Affine {
             c: &c,
             restart: &restart,
-            seeds: &seeds,
         };
         let wave = source.operator().spmm_affine(dev, &xs, &affine, false);
         clock += wave.report.time_s;

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use sparse_formats::Scalar;
+use spmv_kernels::Restart;
 
 /// One personalized random-walk-with-restart query: "relevance of every
 /// node to `seed`", the per-user question a PPR service answers.
@@ -57,18 +58,20 @@ impl<T> QueryOutcome<T> {
     }
 }
 
-/// The RWR epilogue coefficients of a wave's queries: `c`, `1 − c` and
-/// the seed row of each.
+/// The RWR epilogue coefficients of a wave's queries: `c` of each, and
+/// its restart mass `1 − c` at its seed row.
 pub(crate) fn rwr_coefficients<'q, T: Scalar>(
     queries: impl Iterator<Item = &'q Query>,
-) -> (Vec<T>, Vec<T>, Vec<usize>) {
-    let mut coefficients = (Vec::new(), Vec::new(), Vec::new());
-    for q in queries {
-        coefficients.0.push(T::from_f64(q.restart_c));
-        coefficients.1.push(T::from_f64(1.0 - q.restart_c));
-        coefficients.2.push(q.seed);
-    }
-    coefficients
+) -> (Vec<T>, Vec<Restart<T>>) {
+    queries
+        .map(|q| {
+            let restart = Restart::Seed {
+                row: q.seed,
+                mass: T::from_f64(1.0 - q.restart_c),
+            };
+            (T::from_f64(q.restart_c), restart)
+        })
+        .unzip()
 }
 
 #[cfg(test)]

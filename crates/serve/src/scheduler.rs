@@ -3,12 +3,12 @@
 //! Queries are admitted from a bounded [`SubmissionQueue`] into one
 //! shared *wave*: every wave runs one RWR iteration for every active
 //! query as one batched SpMM with an affine epilogue per device
-//! ([`GpuSpmv::spmm_affine`]). On static-tail and binning-only ACSR
-//! (the default format) that is one launch group whose kernels write
-//! the next iterates and convergence partials themselves; every other
-//! plan runs the SpMM and then one batched update kernel. Converged
-//! queries retire at the end of a wave and their batch slots are
-//! refilled from the queue — continuous batching, not gang scheduling.
+//! ([`GpuSpmv::spmm_affine`]). On ACSR (the default format, in every
+//! mode) that is one launch group whose kernels write the next iterates
+//! and convergence partials themselves; every other plan runs the SpMM
+//! and then one batched update kernel. Converged queries retire at the
+//! end of a wave and their batch slots are refilled from the queue —
+//! continuous batching, not gang scheduling.
 //!
 //! Admission is **event-driven**: every arrival is offered to the queue
 //! at its true arrival time — mid-wave arrivals queue (or shed) against
@@ -86,12 +86,11 @@ pub struct ServeConfig {
     pub iter: IterParams,
     /// Format the per-device plans are built with. ACSR (the default,
     /// in its static long-tail configuration) is the only format whose
-    /// wave is one fused launch group: its SpMM reads the matrix once for
-    /// the whole batch and its kernels apply the RWR update as an
-    /// epilogue. ACSR in dynamic-parallelism mode keeps the batched SpMM
-    /// but adds the separate update launch, and every other registry
-    /// format serves through the sequential [`GpuSpmv::spmv_multi`]
-    /// fallback plus that update launch.
+    /// wave is one fused launch group, in any of its modes: its SpMM
+    /// reads the matrix once for the whole batch and its kernels apply
+    /// the RWR update as an epilogue. Every other registry format serves
+    /// through the sequential [`GpuSpmv::spmv_multi`] fallback plus a
+    /// separate update launch.
     pub format: ShardFormat,
     /// Simulated device model.
     pub device: DeviceConfig,
@@ -646,10 +645,10 @@ impl<T: Scalar> ServeEngine<T> {
 /// the queries admitted this wave, then the plan's
 /// [`GpuSpmv::spmm_affine`] wave reads the resident iterates, writes
 /// the next ones and each query's convergence partials — one fused
-/// launch group on static-tail or binning-only ACSR, SpMM plus update
-/// elsewhere — and only those partials cross PCIe. Replaces each
-/// query's iterate with the next; returns each query's `‖next − r‖²`,
-/// summed on the host in ascending partial order.
+/// launch group on ACSR, SpMM plus update elsewhere — and only those
+/// partials cross PCIe. Replaces each query's iterate with the next;
+/// returns each query's `‖next − r‖²`, summed on the host in ascending
+/// partial order.
 fn resident_step<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
@@ -662,11 +661,10 @@ fn resident_step<T: Scalar>(
         .unzip();
     let init = rwr_init_multi(dev, &fresh_seeds, &fresh);
     let xs: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
-    let (c, restart, seeds) = rwr_coefficients(active.iter().map(|a| &a.q));
+    let (c, restart) = rwr_coefficients(active.iter().map(|a| &a.q));
     let affine = Affine {
         c: &c,
         restart: &restart,
-        seeds: &seeds,
     };
     let wave = plan.spmm_affine(dev, &xs, &affine, true);
     let partials = wave.partials.expect("the wave was asked for partials");
@@ -1231,8 +1229,7 @@ mod tests {
         let x = dev.alloc(vec![0.0f64; engine.rows()]);
         let affine = Affine {
             c: &[0.85],
-            restart: &[0.15],
-            seeds: &[0],
+            restart: &[spmv_kernels::Restart::Seed { row: 0, mass: 0.15 }],
         };
         let wave = engine.plans[0].spmm_affine(dev, &[&x], &affine, true);
         wave.partials.expect("partials were asked for").per_query
@@ -1354,10 +1351,10 @@ mod tests {
             .collect()
     }
 
-    /// A static-tail ACSR wave runs the RWR update as the epilogue of its
-    /// `acsr_spmm` launch group: one launch per wave, plus `rwr_init` on
-    /// an admission wave, and no `rwr_update`. A DP-mode ACSR plan and a
-    /// HYB plan keep the two-launch wave, and their wave reports equal a
+    /// An ACSR wave, static-tail or DP mode, runs the RWR update as the
+    /// epilogue of its `acsr_spmm` launch group: one launch per wave,
+    /// plus `rwr_init` on an admission wave, and no `rwr_update`. A HYB
+    /// plan keeps the two-launch wave, and its wave report equals a
     /// direct `spmv_multi` + `rwr_update_multi` over the same iterates.
     #[test]
     fn fused_waves_launch_one_group_and_other_plans_keep_the_update() {
@@ -1369,7 +1366,7 @@ mod tests {
             ShardFormat::Acsr(dp),
             ShardFormat::Fixed("HYB"),
         ] {
-            let fused = matches!(format, ShardFormat::Acsr(c) if c.mode != dp.mode);
+            let fused = matches!(format, ShardFormat::Acsr(_));
             let mut engine = ServeEngine::new(
                 &g,
                 ServeConfig {
@@ -1390,7 +1387,11 @@ mod tests {
             let (dev, plan, n) = (&engine.devices[0], &engine.plans[0], engine.rows());
             let mark = ledger.spans().len();
             let xs: Vec<&DeviceBuffer<f64>> = wave.iter().map(|a| &a.r).collect();
-            let (c, restart, seeds) = rwr_coefficients(wave.iter().map(|a| &a.q));
+            let (c, restart) = rwr_coefficients(wave.iter().map(|a| &a.q));
+            let affine = Affine {
+                c: &c,
+                restart: &restart,
+            };
             let per_query = n.div_ceil(gpu_sim::WARP);
             let partials = dev.alloc_zeroed::<f64>(xs.len() * per_query);
             let tmps: Vec<_> = xs.iter().map(|_| dev.alloc_zeroed::<f64>(n)).collect();
@@ -1402,15 +1403,8 @@ mod tests {
                 prev: &xs,
                 partials: &partials,
             };
-            let update = spmv_kernels::epilogue::rwr_update_multi(
-                dev,
-                &tr,
-                &c,
-                &restart,
-                &seeds,
-                &or,
-                Some(&conv),
-            );
+            let update =
+                spmv_kernels::epilogue::rwr_update_multi(dev, &tr, &affine, &or, Some(&conv));
             let direct = direct
                 .then(&update)
                 .then(&dev.record_dtoh("serve_partials_d2h", partials.bytes()));

@@ -144,6 +144,15 @@ echo "==> fleet-scaling gate (exact: bench-diff deltas, then cmp)"
 "$repro" bench-diff "$baselines"/BENCH_fleet_ci.json results/BENCH_fleet.json
 cmp "$baselines"/BENCH_fleet_ci.json results/BENCH_fleet.json
 
+echo "==> full-run JSON artifacts (repro slo, stream and fleet regenerate byte-identically)"
+# ~25 s on 2 cores. A directory of their own, so the --quick smokes'
+# results/ above stay as the gates read them.
+mkdir -p "$work/full/results"
+for exp in slo stream fleet; do
+  (cd "$work/full" && "$repro" "$exp" > /dev/null)
+  cmp "$root/results/BENCH_$exp.json" "$work/full/results/BENCH_$exp.json"
+done
+
 echo "==> perf-regression gate rejects an inflated baseline"
 if "$repro" bench-diff "$baselines"/PROFILE_fig5_ci_inflated.json \
     results/PROFILE_fig5.json > /dev/null; then
