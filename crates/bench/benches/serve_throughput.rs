@@ -1,17 +1,13 @@
-//! Batched serving throughput: modeled queries/sec and SpMV GFLOPS of
-//! the continuous-batching RWR scheduler at batch widths k ∈ {1, 4, 16,
-//! 64} on the GTX Titan preset (saturated Poisson load). The Criterion
-//! group measures host wall-clock per served stream; the modeled
-//! numbers — the experiment's actual deliverable — are written to
-//! `results/BENCH_serve.json` as a [`serve::ThroughputReport`] together
-//! with `host_cores` (host wall times depend on the machine that
-//! produced the file; the modeled queries/sec do not).
+//! Batched serving throughput: host wall-clock per served stream of the
+//! continuous-batching RWR scheduler at batch widths k ∈ {1, 4, 16, 64}
+//! on the GTX Titan preset (saturated Poisson load). The modeled
+//! numbers of the same sweep come from `repro serve`, which writes
+//! `results/BENCH_serve.json`.
 
 use acsr_serve::{ArrivalPattern, ServeConfig, ServeEngine, ServeReport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphgen::{generate_power_law, PowerLawConfig};
-use repro_bench::artifact;
-use repro_bench::experiments::serve::{self, ThroughputReport, ThroughputRow, BATCH_WIDTHS};
+use repro_bench::experiments::serve::BATCH_WIDTHS;
 
 const N_QUERIES: usize = 64;
 
@@ -56,21 +52,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
         });
     }
     grp.finish();
-
-    let report = ThroughputReport {
-        workload: format!(
-            "{N_QUERIES} RWR queries, saturated Poisson, 4096-row power-law, GTX Titan"
-        ),
-        host_cores: gpu_sim::host_cores(),
-        batch_widths: BATCH_WIDTHS
-            .iter()
-            .map(|&k| ThroughputRow::new(k, &serve_stream(&g, k)))
-            .collect(),
-    };
-    match artifact::write(&serve::SCHEMA, "BENCH_serve.json", &report) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
-    }
 }
 
 criterion_group!(benches, bench_serve_throughput);

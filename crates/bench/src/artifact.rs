@@ -49,7 +49,7 @@ pub const SCHEMAS: [&Schema; 10] = [
 ];
 
 /// `obj[key]`, when `obj` is an object carrying `key`.
-pub(crate) fn field<'a>(obj: &'a Value, key: &str) -> Option<&'a Value> {
+pub fn field<'a>(obj: &'a Value, key: &str) -> Option<&'a Value> {
     match obj {
         Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
         _ => None,
@@ -57,7 +57,7 @@ pub(crate) fn field<'a>(obj: &'a Value, key: &str) -> Option<&'a Value> {
 }
 
 /// The rows of `obj[key]`; empty when it is not an array.
-pub(crate) fn rows<'a>(obj: &'a Value, key: &str) -> &'a [Value] {
+pub fn rows<'a>(obj: &'a Value, key: &str) -> &'a [Value] {
     match field(obj, key) {
         Some(Value::Array(rows)) => rows,
         _ => &[],
@@ -65,7 +65,7 @@ pub(crate) fn rows<'a>(obj: &'a Value, key: &str) -> &'a [Value] {
 }
 
 /// A non-negative JSON integer.
-pub(crate) fn as_u64(v: &Value) -> Option<u64> {
+pub fn as_u64(v: &Value) -> Option<u64> {
     match *v {
         Value::I64(n) => u64::try_from(n).ok(),
         Value::U64(n) => Some(n),
@@ -408,8 +408,8 @@ mod tests {
     fn serve_contract() {
         assert_contract(
             &crate::experiments::serve::SCHEMA,
-            r#"{"schema": "acsr-serve-v1", "workload": "w", "host_cores": 2,
-                "batch_widths": [{"max_batch": 1, "completed": 4, "queries_per_sec": 9.5,
+            r#"{"schema": "acsr-serve-v1", "workload": "w",
+                "batch_widths": [{"max_batch": 1, "completed": 4, "qps": 9.5,
                     "gflops": 1.5, "p50_ms": 0.5, "p99_ms": 0.9, "waves": 4}]}"#,
             &[(r#""batch_widths": [{"#, r#""batch_widths": [], "x": [{"#)],
         );

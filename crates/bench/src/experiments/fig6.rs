@@ -63,6 +63,25 @@ fn app_rows(
     }
 }
 
+/// RWR's restart vertex, a natural one: the highest-degree row of `w`
+/// (the adjacency's degree, which column normalization keeps), ties to
+/// the last as `max_by_key` breaks them, among the rows whose column of
+/// `w` holds an entry off the diagonal. A seed whose column holds only
+/// its self-loop is already the walk's fixed point, so its solve would
+/// stop after one iteration.
+fn rwr_seed(w: &CsrMatrix<f64>) -> usize {
+    let mut reached = vec![false; w.cols()];
+    for (r, c, _) in w.iter() {
+        if r != c {
+            reached[c] = true;
+        }
+    }
+    (0..w.rows())
+        .filter(|&r| reached[r])
+        .max_by_key(|&r| w.row_nnz(r))
+        .unwrap_or(0)
+}
+
 /// Run Figure 6 (all three applications over the selected suite).
 pub fn run(opts: &Options) -> Vec<Fig6Row> {
     let dev = Device::new(presets::gtx_titan());
@@ -85,13 +104,16 @@ pub fn run(opts: &Options) -> Vec<Fig6Row> {
             let r = hits_gpu(d, e, &params);
             (r.iterations, r.seconds())
         }));
-        // RWR (seed = highest-degree vertex, a natural restart node)
+        // RWR
         let op = rwr_operator(&m.csr);
-        let seed = (0..m.csr.rows())
-            .max_by_key(|&r| m.csr.row_nnz(r))
-            .unwrap_or(0);
+        let seed = rwr_seed(&op);
         rows.push(app_rows("RWR", &dev, spec.abbrev, &op, |d, e| {
             let r = rwr_gpu(d, e, seed, 0.85, &params);
+            assert!(
+                r.iterations > 1,
+                "RWR on {} from seed {seed} stopped after one iteration",
+                spec.abbrev
+            );
             (r.iterations, r.seconds())
         }));
     }

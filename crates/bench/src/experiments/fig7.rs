@@ -10,11 +10,12 @@
 
 use crate::common::{selected_specs, Options, Table};
 use gpu_sim::{presets, Device};
-use graph_apps::dynamic::{dynamic_pagerank, DynamicConfig, EpochStats, Strategy};
+use graph_apps::dynamic::{dynamic_pagerank_cached, DynamicConfig, EpochStats, Strategy};
 use graph_apps::pagerank::pagerank_operator;
 use graph_apps::IterParams;
 use serde::Serialize;
 use sparse_formats::HostModel;
+use spmv_pipeline::PlanCache;
 
 /// Dynamic-PageRank trajectories of all three strategies on one matrix.
 #[derive(Clone, Debug, Serialize)]
@@ -70,11 +71,19 @@ pub fn run(opts: &Options) -> Vec<Fig7Row> {
         .map(|spec| {
             let m = spec.generate::<f64>(opts.scale, opts.seed);
             let op = pagerank_operator(&m.csr);
+            // One plan cache per strategy run; its counts reach the
+            // `repro metrics fig7` registry once the run is over.
+            let run = |strategy| {
+                let mut cache = PlanCache::new();
+                let stats = dynamic_pagerank_cached(&dev, &op, strategy, &cfg, &host, &mut cache);
+                crate::metrics::record_plan_cache(&cache);
+                stats
+            };
             Fig7Row {
                 abbrev: spec.abbrev.into(),
-                acsr: dynamic_pagerank(&dev, &op, Strategy::AcsrIncremental, &cfg, &host),
-                csr: dynamic_pagerank(&dev, &op, Strategy::CsrReupload, &cfg, &host),
-                hyb: dynamic_pagerank(&dev, &op, Strategy::HybReupload, &cfg, &host),
+                acsr: run(Strategy::AcsrIncremental),
+                csr: run(Strategy::CsrReupload),
+                hyb: run(Strategy::HybReupload),
             }
         })
         .collect()

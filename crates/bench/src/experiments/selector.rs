@@ -19,9 +19,7 @@ use gpu_sim::Device;
 use graphgen::generate_regular;
 use serde::Serialize;
 use sparse_formats::CsrMatrix;
-use spmv_pipeline::{
-    record_selection, AdaptiveSelector, CandidateReport, FormatRegistry, PlanBudget, PlanCache,
-};
+use spmv_pipeline::{AdaptiveSelector, CandidateReport, FormatRegistry, PlanBudget, PlanCache};
 use std::path::PathBuf;
 
 /// The `acsr-selector-v1` contract of [`SelectorReport`].
@@ -64,6 +62,27 @@ impl SelectorRow {
     }
 }
 
+/// Record one ranked selection into `tel`: the decision itself
+/// (`selector.decisions`, `selector.winner.<format>`), the candidate
+/// census (`selector.candidates_ranked`, `selector.pruned`,
+/// `selector.infeasible`), and every feasible candidate's ranking key
+/// as a `selector.ranked_total_s` histogram sample.
+fn record_selection(tel: &Telemetry, winner: &str, candidates: &[CandidateReport]) {
+    let m = &tel.metrics;
+    m.add("selector.decisions", 1);
+    m.add(&format!("selector.winner.{winner}"), 1);
+    m.add("selector.candidates_ranked", candidates.len() as u64);
+    for c in candidates {
+        if c.feasible {
+            m.observe("selector.ranked_total_s", c.total_s);
+        } else if c.pruned {
+            m.add("selector.pruned", 1);
+        } else {
+            m.add("selector.infeasible", 1);
+        }
+    }
+}
+
 /// The JSON artifact (`results/SELECTOR_report.json`).
 #[derive(Clone, Debug, Serialize)]
 pub struct SelectorReport {
@@ -78,7 +97,6 @@ fn decide(
     m: &CsrMatrix<f64>,
     opts: &Options,
     cache: &mut PlanCache<f64>,
-    tel: &Telemetry,
 ) -> Vec<SelectorRow> {
     let dev = Device::new(presets::gtx_titan());
     let stats = m.row_stats();
@@ -106,11 +124,10 @@ fn decide(
                 };
             }
             let sel = AdaptiveSelector.select(&reg, &dev, m, &budget);
-            record_selection(tel, &sel.winner, &sel.candidates);
             // Pin the winner's plan in the shared cache: across the
             // horizon sweep the structure never changes, so later
             // horizons that pick the same winner hit instead of
-            // replanning (accounting goes to stderr in `run`).
+            // replanning.
             let _ = cache.get_or_plan(&reg, &sel.winner, &dev, m, &budget);
             SelectorRow {
                 matrix: abbrev.to_string(),
@@ -130,26 +147,23 @@ fn decide(
 /// zero-padding-waste case where padded formats shine).
 pub fn run(opts: &Options) -> Vec<SelectorRow> {
     let mut rows = Vec::new();
-    // Registry-backed accounting: the global telemetry when `repro
-    // metrics selector` armed it, else a run-local registry dumped
-    // through the shared stderr formatter.
-    let (tel, local_tel) = match acsr_telemetry::active() {
-        Some(t) => (t, false),
-        None => (std::sync::Arc::new(Telemetry::new()), true),
-    };
     let mut cache = PlanCache::<f64>::new();
-    cache.attach_telemetry(tel.clone());
     for spec in selected_specs(opts) {
         let m = spec.generate::<f64>(opts.scale, opts.seed);
-        rows.extend(decide(spec.abbrev, &m.csr, opts, &mut cache, &tel));
+        rows.extend(decide(spec.abbrev, &m.csr, opts, &mut cache));
     }
     if opts.matrices.is_empty() {
         let uni: CsrMatrix<f64> = generate_regular(2000, 2000, 6, opts.seed.wrapping_add(97));
-        rows.extend(decide("UNI", &uni, opts, &mut cache, &tel));
+        rows.extend(decide("UNI", &uni, opts, &mut cache));
     }
-    if local_tel {
-        crate::metrics::print_metrics("selector", &tel.metrics.snapshot());
+    // Under `repro metrics selector`, fold the decisions (in sweep
+    // order) and the cache's counts into the registry once.
+    if let Some(tel) = acsr_telemetry::active() {
+        for r in rows.iter().filter(|r| r.winner != "∅") {
+            record_selection(&tel, &r.winner, &r.candidates);
+        }
     }
+    crate::metrics::record_plan_cache(&cache);
     rows
 }
 
@@ -210,6 +224,7 @@ pub fn render(rows: &[SelectorRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphgen::{generate_power_law, PowerLawConfig};
 
     #[test]
     fn power_law_suite_matrix_picks_acsr_at_app_horizon() {
@@ -247,6 +262,58 @@ mod tests {
                 .any(|c| ["CSR-vector", "ELL", "CSR-scalar"].contains(&c.format.as_str())),
             "{:?}",
             r.candidates
+        );
+    }
+
+    #[test]
+    fn record_selection_counts_decisions_and_feasibility() {
+        let m: CsrMatrix<f64> = generate_power_law(&PowerLawConfig {
+            rows: 400,
+            cols: 400,
+            mean_degree: 8.0,
+            max_degree: 133,
+            pinned_max_rows: 2,
+            col_skew: 0.5,
+            seed: 11,
+            ..Default::default()
+        });
+        let dev = Device::new(presets::gtx_titan());
+        let reg = FormatRegistry::<f64>::with_all();
+        // A horizon long enough to shortlist the tuned formats, and a
+        // probe scale at which BCCOO's sweep is pruned.
+        let budget = PlanBudget::for_device(dev.config())
+            .with_iterations(100)
+            .with_probe_scale(64);
+        let sel = AdaptiveSelector.select(&reg, &dev, &m, &budget);
+        let tel = Telemetry::new();
+        record_selection(&tel, &sel.winner, &sel.candidates);
+        record_selection(&tel, &sel.winner, &sel.candidates);
+        let snap = tel.metrics.snapshot();
+        assert_eq!(snap.counter("selector.decisions"), Some(2));
+        assert_eq!(
+            snap.counter(&format!("selector.winner.{}", sel.winner)),
+            Some(2)
+        );
+        assert_eq!(
+            snap.counter("selector.candidates_ranked"),
+            Some(2 * sel.candidates.len() as u64)
+        );
+        let count = |f: fn(&CandidateReport) -> bool| {
+            let n = sel.candidates.iter().filter(|c| f(c)).count() as u64;
+            Some(2 * n).filter(|&n| n > 0)
+        };
+        assert_eq!(
+            snap.counter("selector.pruned"),
+            count(|c| !c.feasible && c.pruned)
+        );
+        assert!(snap.counter("selector.pruned").is_some());
+        assert_eq!(
+            snap.counter("selector.infeasible"),
+            count(|c| !c.feasible && !c.pruned)
+        );
+        assert_eq!(
+            snap.histogram("selector.ranked_total_s").map(|h| h.count()),
+            count(|c| c.feasible)
         );
     }
 

@@ -13,28 +13,30 @@
 //! pick one with `--matrices`). Answers are batch-invariant by
 //! construction, so every k row answers the same queries identically.
 //!
-//! The `serve_throughput` Criterion bench sweeps the same widths on a
-//! fixed power-law graph and writes its modeled numbers as a
-//! [`ThroughputReport`] to `results/BENCH_serve.json` under [`SCHEMA`].
+//! The sweep is also written to `results/BENCH_serve.json` under
+//! [`SCHEMA`] ([`write_report`]); CI regenerates it with `repro serve
+//! --scale 64 --matrices WIK` and compares it byte for byte.
 
-use crate::artifact::Schema;
+use crate::artifact::{self, Schema};
 use crate::common::{selected_specs, Options, Table};
-use acsr_serve::{ArrivalPattern, ServeConfig, ServeEngine, ServeReport};
+use acsr_serve::{ArrivalPattern, ServeConfig, ServeEngine};
+use gpu_sim::presets;
 use serde::Serialize;
+use std::path::PathBuf;
 
-/// The `acsr-serve-v1` contract of [`ThroughputReport`]: at least one
-/// batch width.
+/// The `acsr-serve-v1` contract of [`ServeSweep`]: at least one batch
+/// width.
 pub const SCHEMA: Schema = Schema {
     tag: "acsr-serve-v1",
     kind: "serve throughput report",
-    fields: &["workload", "host_cores"],
+    fields: &["workload"],
     rows: &[(
         "batch_widths",
         1,
         &[
             "max_batch",
             "completed",
-            "queries_per_sec",
+            "qps",
             "gflops",
             "p50_ms",
             "p99_ms",
@@ -44,43 +46,13 @@ pub const SCHEMA: Schema = Schema {
     invariants: |_| Ok(()),
 };
 
-/// The `serve_throughput` bench's artifact. Its numbers are modeled;
-/// `host_cores` names the machine that wrote it, whose wall times stay
-/// in Criterion's output.
+/// The JSON artifact (`results/BENCH_serve.json`): the rows of one
+/// sweep, all modeled.
 #[derive(Serialize)]
-pub struct ThroughputReport {
+pub struct ServeSweep {
     /// The served stream, graph and device.
     pub workload: String,
-    pub host_cores: usize,
-    pub batch_widths: Vec<ThroughputRow>,
-}
-
-/// One batch width of a [`ThroughputReport`].
-#[derive(Serialize)]
-pub struct ThroughputRow {
-    pub max_batch: usize,
-    pub completed: usize,
-    pub queries_per_sec: f64,
-    pub gflops: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub waves: usize,
-}
-
-impl ThroughputRow {
-    /// The row of one stream served with waves of at most `max_batch`.
-    pub fn new(max_batch: usize, report: &ServeReport<f64>) -> Self {
-        let lat = report.latency_stats();
-        ThroughputRow {
-            max_batch,
-            completed: report.outcomes.len(),
-            queries_per_sec: report.throughput_qps(),
-            gflops: report.gflops(),
-            p50_ms: lat.p50_s * 1e3,
-            p99_ms: lat.p99_s * 1e3,
-            waves: report.waves,
-        }
-    }
+    pub batch_widths: Vec<ServeRow>,
 }
 
 /// Batch widths swept by the experiment.
@@ -154,6 +126,25 @@ pub fn run(opts: &Options) -> Vec<ServeRow> {
         });
     }
     out
+}
+
+/// Write the JSON artifact; returns its path.
+pub fn write_report(rows: &[ServeRow]) -> Result<PathBuf, String> {
+    let workload = rows.first().map(|r| {
+        format!(
+            "{} RWR queries, saturated Poisson, {} ({} rows, {} nnz), {}",
+            r.queries,
+            r.abbrev,
+            r.rows,
+            r.nnz,
+            presets::gtx_titan().name
+        )
+    });
+    let sweep = ServeSweep {
+        workload: workload.unwrap_or_default(),
+        batch_widths: rows.to_vec(),
+    };
+    artifact::write(&SCHEMA, "BENCH_serve.json", &sweep)
 }
 
 /// Render as text.

@@ -217,7 +217,12 @@ fn run_one(name: &str, opts: &Options) {
         "fig6" => emit(opts, fig6::run(opts), fig6::render),
         "fig7" => emit(opts, fig7::run(opts), fig7::render),
         "fig8" => emit(opts, fig8::run(opts), fig8::render),
-        "serve" => emit(opts, serve::run(opts), serve::render),
+        "serve" => {
+            let rows = serve::run(opts);
+            let path = serve::write_report(&rows).unwrap_or_else(|e| die(&e));
+            emit(opts, rows, serve::render);
+            eprintln!("wrote {}", path.display());
+        }
         "ablations" => emit(opts, ablations::run(opts), ablations::render),
         // Table III, Figure 4 and Table IV share one (expensive) format
         // comparison; this runs it once and prints all three.

@@ -16,16 +16,20 @@
 //! query admitted into an unknown wave, is a hard failure, not a
 //! cosmetic gap.
 //!
-//! Every instrumented subsystem reconciles its own counters against its
-//! existing report before they reach the shared registry (serve panics
-//! in `ServeScope::finish`, `repro stream` against the maintenance
-//! ledger), so a written snapshot is always an *accounting mirror* of
-//! the reports, never a drifting second source of truth.
+//! Each count has one bookkeeper. Serving records its request trace
+//! live (the wave-id join needs it) and `ServeScope::finish` reconciles
+//! that scope against the `ServeReport` before merging it. Engines that
+//! already keep an exact record are read once, after the run:
+//! `record_plan_cache` folds a `PlanCache`'s hits, misses and
+//! invalidations (`repro metrics selector` and `fig7`), the selector
+//! folds its decisions from its report rows, and the kernel plane is
+//! folded from the trace ledger here.
 
 use crate::artifact::{self, as_u64, field, Schema};
 use acsr_telemetry::{MetricValue, MetricsSnapshot};
 use gpu_sim::TraceLedger;
 use serde::Value;
+use spmv_pipeline::PlanCache;
 
 /// The `acsr-metrics-v1` contract: each metric's value matches its
 /// type — a counter is a non-negative integer, a gauge has a value, a
@@ -98,7 +102,7 @@ fn waves_announced(doc: &Value) -> Result<(), String> {
 
 /// Fold a reconciled ledger's kernel plane into `sim.*`, write
 /// `results/METRICS_<name>.json` (and `TIMELINE_<name>.json` when
-/// `timeline`), dump the registry through [`print_metrics`], and reset
+/// `timeline`), dump the registry to stderr (`print_metrics`), and reset
 /// it.
 pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), String> {
     let tel = acsr_telemetry::global();
@@ -153,10 +157,30 @@ pub fn write(name: &str, ledger: &TraceLedger, timeline: bool) -> Result<(), Str
     Ok(())
 }
 
-/// The one shared stderr formatter for registry dumps: one line per
-/// metric in snapshot (= name-sorted) order, histograms summarized by
-/// count and nearest-rank quantiles. stdout stays clean for `--json`.
-pub fn print_metrics(tag: &str, snap: &MetricsSnapshot) {
+/// Fold a plan cache's accounting into the armed registry, once, after
+/// the run that owned the cache: `plan_cache.hits`, `plan_cache.misses`
+/// and `plan_cache.invalidations`, each only when nonzero (a count with
+/// no events has no entry). A no-op when no `repro metrics` run armed
+/// the registry.
+pub(crate) fn record_plan_cache(cache: &PlanCache<f64>) {
+    let Some(tel) = acsr_telemetry::active() else {
+        return;
+    };
+    for (name, n) in [
+        ("plan_cache.hits", cache.hits()),
+        ("plan_cache.misses", cache.misses()),
+        ("plan_cache.invalidations", cache.invalidations()),
+    ] {
+        if n > 0 {
+            tel.metrics.add(name, n);
+        }
+    }
+}
+
+/// The stderr dump of a snapshot: one line per metric in snapshot (=
+/// name-sorted) order, histograms summarized by count and nearest-rank
+/// quantiles. stdout stays clean for `--json`.
+fn print_metrics(tag: &str, snap: &MetricsSnapshot) {
     for (name, value) in &snap.entries {
         match value {
             MetricValue::Counter(v) => eprintln!("{tag}: {name} = {v}"),

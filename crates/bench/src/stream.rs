@@ -18,11 +18,10 @@
 //!    steady operator.
 //!
 //! The drift-tolerant [`PlanCache::probe_drift`] is exercised per batch
-//! (anchored at build time). Its hit/survived/replan accounting and the
-//! maintenance-ledger totals are recorded through the telemetry
-//! registry (`plan_cache.*` / `stream.*`), reconciled integer-exactly
-//! against [`acsr_stream::LedgerTotals`], and dumped through the shared
-//! [`crate::metrics::print_metrics`] stderr formatter.
+//! (anchored at build time). The report carries both records as they
+//! are kept: the cache's hit/miss/invalidation counts plus the probes
+//! that survived drift, and the maintenance ledger's
+//! [`acsr_stream::LedgerTotals`].
 //!
 //! Results go to `results/BENCH_stream.json` under [`SCHEMA`], which the
 //! write and `repro check-artifacts` both enforce — a run that lost
@@ -35,7 +34,6 @@ use acsr_serve::{
     generate_queries, serve_with_churn, ArrivalPattern, ChurnServeConfig, SteadyOperator,
 };
 use acsr_stream::{ChurnedStream, LedgerTotals, StreamEngine};
-use acsr_telemetry::Telemetry;
 use gpu_sim::{presets, Device};
 use graphgen::{generate_edge_stream, generate_rmat, ChurnConfig, RmatConfig};
 use serde::{Serialize, Value};
@@ -210,18 +208,8 @@ pub fn run(quick: bool) -> Report {
     let reg = FormatRegistry::<f64>::with_all();
     let budget = PlanBudget::for_device(dev.config());
     let tol = DriftTolerance::default();
-    // Registry-backed accounting: the global telemetry when `repro
-    // metrics stream` armed it, else a run-local registry — either way
-    // the `stream.*` counters are reconciled against the maintenance
-    // ledger below, every run.
-    let (tel, local_tel) = match acsr_telemetry::active() {
-        Some(t) => (t, false),
-        None => (std::sync::Arc::new(Telemetry::new()), true),
-    };
     let mut cache = PlanCache::<f64>::new();
-    cache.attach_telemetry(tel.clone());
     let mut engine = StreamEngine::build(&dev, &m0, cfg);
-    engine.attach_telemetry(tel.clone());
     let mut mirror = m0.clone();
     // anchor the planning-time structure (the build's plan)
     let drift_key = |e: &StreamEngine<f64>, m: &CsrMatrix<f64>| DriftKey {
@@ -261,7 +249,6 @@ pub fn run(quick: bool) -> Report {
             DriftOutcome::Hit => "hit",
             DriftOutcome::Survived { .. } => {
                 survived += 1;
-                tel.metrics.add("plan_cache.drift_survived", 1);
                 "survived"
             }
             DriftOutcome::Replan { reason } => {
@@ -286,15 +273,6 @@ pub fn run(quick: bool) -> Report {
         });
     }
     let ledger = engine.ledger().totals();
-
-    // Hard gate: the registry's `stream.*` counters must equal the
-    // maintenance ledger's totals integer-exactly. (Only `engine` has
-    // applied batches into `tel` at this point.)
-    acsr_stream::reconcile_stream(&tel.metrics, &ledger)
-        .unwrap_or_else(|e| panic!("stream: metrics/ledger reconciliation failed: {e}"));
-    if local_tel {
-        crate::metrics::print_metrics("stream", &tel.metrics.snapshot());
-    }
 
     // --- serving impact: same queries, with and without churn ---------
     // The serving study runs on its own fixed-size graph (the

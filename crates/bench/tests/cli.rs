@@ -1,7 +1,10 @@
 //! The `repro` binary's artifact plumbing, end to end: `check-artifacts`
-//! refuses documents whose schema tag it does not know, and every
-//! capture mode honours `--trace`.
+//! refuses documents whose schema tag it does not know, every capture
+//! mode honours `--trace`, and `repro metrics selector` folds the plan
+//! cache's counts into its snapshot.
 
+use repro_bench::artifact::{as_u64, field, rows};
+use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -101,5 +104,49 @@ fn every_capture_mode_honours_trace() {
     for file in ["PROFILE_table2.json", "trace_table2.json"] {
         assert!(!dir.join("results").join(file).exists(), "{file}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro metrics selector` records one decision per report row that
+/// had something to select (winner not `∅`), and the plan cache's
+/// counts, folded once after the sweep, show one lookup per decision.
+#[test]
+fn metrics_selector_folds_one_cache_lookup_per_decision() {
+    let dir = scratch("selector");
+    let out = repro(
+        &dir,
+        &[
+            "metrics",
+            "selector",
+            "--scale",
+            "1024",
+            "--matrices",
+            "ENR",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let read = |file: &str| {
+        let text = std::fs::read_to_string(dir.join("results").join(file)).expect(file);
+        serde_json::from_str(&text).expect("valid JSON")
+    };
+    let (report, metrics) = (read("SELECTOR_report.json"), read("METRICS_selector.json"));
+    let decided = rows(&report, "rows")
+        .iter()
+        .filter(|r| field(r, "winner") != Some(&Value::Str("∅".into())))
+        .count() as u64;
+    let counter = |name: &str| {
+        rows(&metrics, "metrics")
+            .iter()
+            .find(|m| field(m, "name") == Some(&Value::Str(name.into())))
+            .and_then(|m| field(m, "value"))
+            .and_then(as_u64)
+            .unwrap_or(0)
+    };
+    assert!(decided > 0, "ENR at 1/1024 fits the device");
+    assert_eq!(counter("selector.decisions"), decided);
+    assert_eq!(
+        counter("plan_cache.hits") + counter("plan_cache.misses"),
+        decided
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,7 +10,7 @@
 //! bench experiments print this as a time-attribution table when run
 //! with `--trace`.
 
-use gpu_sim::trace::{Span, SpanKind};
+use gpu_sim::trace::{span_roles, Span, SpanKind, SpanRole};
 use gpu_sim::Counters;
 
 /// ACSR pipeline phase of one span.
@@ -111,32 +111,14 @@ impl PhaseRollup {
     /// Fold a full ledger span list (`TraceLedger::spans()`, in record
     /// order — `Span::parent` indices must refer into `spans` itself).
     ///
-    /// Counter-exactness: each counter increment is attributed exactly
-    /// once — a pooled group's counters are taken from its `Stream`
-    /// spans (the group `Launch` span, which holds their sum, is
-    /// skipped), and `ChildWave` spans are skipped (their counters are
-    /// contained in their parent's). Summing every bucket therefore
-    /// reproduces the ledger total's counters bit-identically.
+    /// Counter-exactness: only [`SpanRole::Counted`] spans are folded
+    /// (the [`span_roles`] rule), so each counter increment is
+    /// attributed exactly once and summing every bucket reproduces the
+    /// ledger total's counters bit-identically.
     pub fn from_spans(spans: &[Span]) -> PhaseRollup {
-        let mut has_streams = vec![false; spans.len()];
-        for span in spans {
-            if span.kind == SpanKind::Stream {
-                if let Some(p) = span.parent {
-                    if p < has_streams.len() {
-                        has_streams[p] = true;
-                    }
-                }
-            }
-        }
         let mut rollup = PhaseRollup::default();
-        for (i, span) in spans.iter().enumerate() {
-            let counted = match span.kind {
-                SpanKind::Launch => !has_streams[i],
-                SpanKind::Stream => true,
-                SpanKind::Transfer => true,
-                SpanKind::ChildWave => false,
-            };
-            if !counted {
+        for (span, role) in spans.iter().zip(span_roles(spans)) {
+            if role != SpanRole::Counted {
                 continue;
             }
             let bucket = rollup.bucket_mut(classify(span.kind, &span.name));

@@ -38,7 +38,7 @@
 
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, RunReport, TimeBreakdown, LANE_HIST_BINS};
-use crate::trace::{Span, SpanKind};
+use crate::trace::{span_roles, Span, SpanKind, SpanRole};
 use serde::Serialize;
 
 /// Roofline classification from arithmetic intensity alone.
@@ -259,18 +259,7 @@ impl ProfileReport {
     /// metrics; rows on devices without a matching config still get the
     /// counter-derived metrics, just no occupancy/roofline.
     pub fn from_spans(spans: &[Span], configs: &[DeviceConfig]) -> ProfileReport {
-        // Which Launch spans are pooled groups (have Stream sub-spans)?
-        let mut has_streams = vec![false; spans.len()];
-        for span in spans {
-            if span.kind == SpanKind::Stream {
-                if let Some(p) = span.parent {
-                    if p < has_streams.len() {
-                        has_streams[p] = true;
-                    }
-                }
-            }
-        }
-
+        let roles = span_roles(spans);
         let mut rows: Vec<KernelRow> = Vec::new();
         let mut devices: Vec<DeviceLane> = Vec::new();
         let mut total = RunReport::default();
@@ -285,13 +274,13 @@ impl ProfileReport {
                     launches: span.launches,
                 });
             }
-            let kind = match span.kind {
-                SpanKind::Launch if has_streams[span_id] => RowKind::Group,
-                SpanKind::Launch | SpanKind::Stream => RowKind::Kernel,
-                SpanKind::Transfer => RowKind::Transfer,
+            let kind = match (roles[span_id], span.kind) {
+                (SpanRole::Group, _) => RowKind::Group,
+                (SpanRole::Counted, SpanKind::Transfer) => RowKind::Transfer,
+                (SpanRole::Counted, _) => RowKind::Kernel,
                 // Child waves re-slice counters already inside their
                 // parent's row; the trace keeps the per-wave detail.
-                SpanKind::ChildWave => continue,
+                (SpanRole::Nested, _) => continue,
             };
             let cfg = find_config(configs, &span.device);
             if let Some(cfg) = cfg {

@@ -111,6 +111,43 @@ impl Span {
     }
 }
 
+/// How a span enters a fold of a span list that counts each event
+/// exactly once (see [`span_roles`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanRole {
+    /// Counted: a launch without stream sub-spans, a stream, or a
+    /// transfer.
+    Counted,
+    /// A pooled group's launch: its counters are the sum of its
+    /// streams', which are counted instead.
+    Group,
+    /// A dynamic child wave: its counters are inside its parent's.
+    Nested,
+}
+
+/// The [`SpanRole`] of each span of a ledger span list (in record
+/// order, so `Span::parent` indexes into `spans`). Folding only the
+/// `Counted` spans attributes every counter increment exactly once.
+pub fn span_roles(spans: &[Span]) -> Vec<SpanRole> {
+    let mut roles: Vec<SpanRole> = spans
+        .iter()
+        .map(|s| match s.kind {
+            SpanKind::ChildWave => SpanRole::Nested,
+            _ => SpanRole::Counted,
+        })
+        .collect();
+    let stream_parents = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Stream)
+        .filter_map(|s| s.parent);
+    for p in stream_parents {
+        if spans.get(p).is_some_and(|s| s.kind == SpanKind::Launch) {
+            roles[p] = SpanRole::Group;
+        }
+    }
+    roles
+}
+
 /// One group-stream's slice of a pooled launch, recorded by
 /// `ConcurrentGroup::add` while tracing.
 #[derive(Clone, Debug)]

@@ -33,9 +33,7 @@
 
 use crate::halo::{ns, schedule_exchange, EdgeSpec, ExchangeReport, HaloPlan, LinkModel, Payload};
 use crate::partition::{partition_fleet, partition_replicated, FleetPartition, ReplicationPolicy};
-use crate::record_device_gauges;
 use acsr::AcsrConfig;
-use acsr_telemetry::MetricsRegistry;
 use gpu_sim::trace::TraceLedger;
 use gpu_sim::{Device, DeviceConfig, RunReport};
 use sparse_formats::{CsrMatrix, Scalar};
@@ -461,50 +459,6 @@ impl<T: Scalar> Fleet<T> {
     }
 }
 
-/// Fold one fleet SpMV into `metrics` under `prefix`: the shared
-/// per-device busy/idle/utilization gauges
-/// ([`record_device_gauges`]), per-device link traffic counters
-/// (`<prefix>.<d>.halo_send_bytes` / `halo_recv_bytes`), the exchange's
-/// message and delivered-payload counters (`<prefix>.exchange_messages`,
-/// `<prefix>.exchange_payload_bytes`), and the exchange phase gauges
-/// (`<prefix>.exchange_s`, `<prefix>.exchange_direct_s` — where the
-/// direct schedule would have ended — `<prefix>.exchange_tail_s`,
-/// `<prefix>.replicated_rows`).
-pub fn record_fleet_metrics(metrics: &MetricsRegistry, prefix: &str, report: &FleetReport) {
-    record_device_gauges(metrics, prefix, &report.per_device, report.seconds());
-    for d in 0..report.per_device.len() {
-        metrics.add(
-            &format!("{prefix}.{d}.halo_send_bytes"),
-            report.exchange.send_bytes[d],
-        );
-        metrics.add(
-            &format!("{prefix}.{d}.halo_recv_bytes"),
-            report.exchange.recv_bytes[d],
-        );
-    }
-    metrics.add(
-        &format!("{prefix}.exchange_messages"),
-        report.exchange.messages() as u64,
-    );
-    metrics.add(
-        &format!("{prefix}.exchange_payload_bytes"),
-        report.exchange.payload_bytes,
-    );
-    metrics.set_gauge(&format!("{prefix}.exchange_s"), report.exchange.end_s());
-    metrics.set_gauge(
-        &format!("{prefix}.exchange_direct_s"),
-        report.exchange.direct_end_s(),
-    );
-    metrics.set_gauge(
-        &format!("{prefix}.exchange_tail_s"),
-        report.exchange_tail_s(),
-    );
-    metrics.set_gauge(
-        &format!("{prefix}.replicated_rows"),
-        report.replicated_rows as f64,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,43 +827,6 @@ mod tests {
                 assert!(gflops.is_finite(), "{what}: gflops {gflops}");
             }
         }
-    }
-
-    #[test]
-    fn fleet_metrics_fold_halo_and_utilization() {
-        let m = matrix(2000, 304);
-        let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(2));
-        let x = vec![1.0f64; m.cols()];
-        let mut y = vec![0.0; m.rows()];
-        let rep = fleet.spmv(&x, &mut y);
-        let metrics = MetricsRegistry::new();
-        record_fleet_metrics(&metrics, "fleet.device", &rep);
-        let snap = metrics.snapshot();
-        assert_eq!(
-            snap.counter("fleet.device.0.halo_send_bytes"),
-            Some(rep.exchange.send_bytes[0])
-        );
-        assert_eq!(
-            snap.counter("fleet.device.1.halo_recv_bytes"),
-            Some(rep.exchange.recv_bytes[1])
-        );
-        assert!(snap.gauge("fleet.device.0.utilization").is_some());
-        assert_eq!(
-            snap.gauge("fleet.device.exchange_s"),
-            Some(rep.exchange.end_s())
-        );
-        assert_eq!(
-            snap.counter("fleet.device.exchange_messages"),
-            Some(rep.exchange.messages() as u64)
-        );
-        assert_eq!(
-            snap.counter("fleet.device.exchange_payload_bytes"),
-            Some(rep.exchange.payload_bytes)
-        );
-        assert_eq!(
-            snap.gauge("fleet.device.exchange_direct_s"),
-            Some(rep.exchange.direct_end_s())
-        );
     }
 
     #[test]

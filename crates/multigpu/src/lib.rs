@@ -27,14 +27,16 @@
 //!   only their shards: an explicit halo exchange over modeled
 //!   interconnect links, hot-row replication ([`ReplicationPolicy`]),
 //!   and per-shard format selection ([`ShardFormat::Adaptive`]).
+//!
+//! A [`FleetReport`] is the one record of a fleet SpMV — per-device
+//! reports, the exchange's traffic and schedule — and callers publish
+//! it from there; the crate keeps no metrics registry.
 
 pub mod fleet;
 pub mod halo;
 mod partition;
 
-pub use fleet::{
-    handoff, record_fleet_metrics, Fleet, FleetConfig, FleetReport, Placement, ShardFormat,
-};
+pub use fleet::{handoff, Fleet, FleetConfig, FleetReport, Placement, ShardFormat};
 pub use halo::{
     schedule_exchange, EdgeSpec, EdgeTransfer, ExchangeReport, HaloPlan, Hop, LinkModel, Payload,
     Schedule,
@@ -44,30 +46,7 @@ pub use partition::{
     ShardPlan,
 };
 
-use gpu_sim::RunReport;
 use sparse_formats::{CsrMatrix, Scalar};
-
-/// Record per-device utilization gauges into `metrics` from a set of
-/// accumulated device reports and the run's wall time (the makespan or
-/// [`FleetReport::seconds`]): `<prefix>.<d>.busy_s` (modeled device
-/// time), `<prefix>.<d>.idle_s` (wall minus busy, clamped at 0), and
-/// `<prefix>.<d>.utilization` (busy over wall; 0 when the wall is
-/// empty). One shared helper so serve and the multi-GPU experiments
-/// publish identical device gauges.
-pub fn record_device_gauges(
-    metrics: &acsr_telemetry::MetricsRegistry,
-    prefix: &str,
-    reports: &[RunReport],
-    wall_s: f64,
-) {
-    for (d, rep) in reports.iter().enumerate() {
-        let busy = rep.time_s;
-        metrics.set_gauge(&format!("{prefix}.{d}.busy_s"), busy);
-        metrics.set_gauge(&format!("{prefix}.{d}.idle_s"), (wall_s - busy).max(0.0));
-        let util = if wall_s > 0.0 { busy / wall_s } else { 0.0 };
-        metrics.set_gauge(&format!("{prefix}.{d}.utilization"), util);
-    }
-}
 
 /// Extract the listed rows of `m` into a compact sub-matrix (row order
 /// preserved; columns untouched): the local matrix a shard plans.
@@ -84,35 +63,4 @@ pub fn extract_rows<T: Scalar>(m: &CsrMatrix<T>, rows: &[u32]) -> CsrMatrix<T> {
     }
     CsrMatrix::from_raw_parts(rows.len(), m.cols(), offsets, cols, vals)
         .expect("extracted rows preserve CSR invariants")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn device_gauges_report_busy_idle_utilization() {
-        let metrics = acsr_telemetry::MetricsRegistry::new();
-        let fast = RunReport {
-            time_s: 0.25,
-            ..Default::default()
-        };
-        let slow = RunReport {
-            time_s: 1.0,
-            ..Default::default()
-        };
-        record_device_gauges(&metrics, "mg.device", &[fast, slow], 1.0);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.gauge("mg.device.0.busy_s"), Some(0.25));
-        assert_eq!(snap.gauge("mg.device.0.idle_s"), Some(0.75));
-        assert_eq!(snap.gauge("mg.device.0.utilization"), Some(0.25));
-        assert_eq!(snap.gauge("mg.device.1.utilization"), Some(1.0));
-        assert_eq!(snap.gauge("mg.device.1.idle_s"), Some(0.0));
-        // degenerate wall never divides by zero
-        record_device_gauges(&metrics, "mg.device", &[RunReport::default()], 0.0);
-        assert_eq!(
-            metrics.snapshot().gauge("mg.device.0.utilization"),
-            Some(0.0)
-        );
-    }
 }

@@ -12,12 +12,10 @@
 //! incremental updates (`apply_update`) deliberately bypass the cache.
 
 use crate::{FormatRegistry, PlanBudget, SpmvPlan};
-use acsr_telemetry::Telemetry;
 use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 use sparse_formats::{CsrMatrix, Scalar, SparseError};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Identity of a sparsity structure: shape, nnz and an FNV-1a
 /// fingerprint of the index arrays.
@@ -159,9 +157,6 @@ pub struct PlanCache<T: Scalar> {
     hits: u64,
     misses: u64,
     invalidations: u64,
-    /// Optional metrics sink; `plan_cache.*` counters mirror the three
-    /// accounting fields above (one branch per event when absent).
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl<T: Scalar> Default for PlanCache<T> {
@@ -179,19 +174,6 @@ impl<T: Scalar> PlanCache<T> {
             hits: 0,
             misses: 0,
             invalidations: 0,
-            telemetry: acsr_telemetry::active(),
-        }
-    }
-
-    /// Route `plan_cache.*` metrics into `tel` (replacing any sink
-    /// picked up from [`acsr_telemetry::active`] at construction).
-    pub fn attach_telemetry(&mut self, tel: Arc<Telemetry>) {
-        self.telemetry = Some(tel);
-    }
-
-    fn bump(&self, name: &str, delta: u64) {
-        if let Some(tel) = &self.telemetry {
-            tel.metrics.add(name, delta);
         }
     }
 
@@ -214,12 +196,10 @@ impl<T: Scalar> PlanCache<T> {
         // call; a contains/insert pair keeps the error path clean)
         if self.plans.contains_key(&key) {
             self.hits += 1;
-            self.bump("plan_cache.hits", 1);
         } else {
             let plan = reg.plan(format, dev, m, budget)?;
             self.plans.insert(key.clone(), plan);
             self.misses += 1;
-            self.bump("plan_cache.misses", 1);
         }
         Ok(self.plans.get(&key).expect("just inserted"))
     }
@@ -230,9 +210,7 @@ impl<T: Scalar> PlanCache<T> {
     pub fn invalidate(&mut self, structure: &StructureKey) {
         let before = self.plans.len();
         self.plans.retain(|k, _| k.structure != *structure);
-        let dropped = (before - self.plans.len()) as u64;
-        self.invalidations += dropped;
-        self.bump("plan_cache.invalidations", dropped);
+        self.invalidations += (before - self.plans.len()) as u64;
     }
 
     /// Probe whether the plan anchored for `stream_id` survives the
@@ -296,7 +274,6 @@ impl<T: Scalar> PlanCache<T> {
         match &outcome {
             DriftOutcome::Hit | DriftOutcome::Survived { .. } => {
                 self.hits += 1;
-                self.bump("plan_cache.hits", 1);
             }
             DriftOutcome::Replan { .. } => {
                 if self
@@ -305,10 +282,8 @@ impl<T: Scalar> PlanCache<T> {
                     .is_some()
                 {
                     self.invalidations += 1;
-                    self.bump("plan_cache.invalidations", 1);
                 }
                 self.misses += 1;
-                self.bump("plan_cache.misses", 1);
             }
         }
         outcome
@@ -525,13 +500,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counters_mirror_cache_accounting() {
+    fn accounting_counts_plans_invalidations_and_drift_probes() {
         let dev = Device::new(presets::gtx_titan());
         let reg = FormatRegistry::<f64>::with_all();
         let budget = PlanBudget::default();
-        let tel = std::sync::Arc::new(Telemetry::new());
         let mut cache = PlanCache::new();
-        cache.attach_telemetry(tel.clone());
         let a = m(7);
         for _ in 0..3 {
             cache.get_or_plan(&reg, "ACSR", &dev, &a, &budget).unwrap();
@@ -545,13 +518,8 @@ mod tests {
         };
         cache.probe_drift("s", &key, &DriftTolerance::default());
         cache.probe_drift("s", &key, &DriftTolerance::default());
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("plan_cache.hits"), Some(cache.hits()));
-        assert_eq!(snap.counter("plan_cache.misses"), Some(cache.misses()));
-        assert_eq!(
-            snap.counter("plan_cache.invalidations"),
-            Some(cache.invalidations())
-        );
+        // planned once, hit twice; one plan dropped; the first probe
+        // misses (no anchor) and the second hits
         assert_eq!(
             (cache.hits(), cache.misses(), cache.invalidations()),
             (3, 2, 1)

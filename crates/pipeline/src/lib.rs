@@ -26,6 +26,10 @@
 //! iterative apps and `acsr-serve` reuse a plan across iterations,
 //! queries and dynamic-graph deltas (replanning only when the sparsity
 //! structure actually changed).
+//!
+//! The crate keeps no metrics of its own: a [`Selection`] carries its
+//! ranked evidence and a [`PlanCache`] its hit/miss/invalidation counts,
+//! and the caller that publishes them reads those records directly.
 
 pub mod cache;
 pub mod planners;
@@ -36,7 +40,7 @@ pub use planners::{
     AcsrPlanner, BccooPlanner, BrcPlanner, CooPlanner, CsrScalarPlanner, CsrVectorPlanner,
     EllPlanner, HybPlanner, TcooPlanner,
 };
-pub use selector::{record_selection, AdaptiveSelector, CandidateReport, Selection};
+pub use selector::{AdaptiveSelector, CandidateReport, Selection};
 
 use gpu_sim::{Device, DeviceBuffer, DeviceConfig, RunReport};
 use serde::{Deserialize, Serialize};

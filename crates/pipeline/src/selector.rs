@@ -25,7 +25,6 @@
 //! across `ACSR_SIM_THREADS` widths (pinned by a test).
 
 use crate::{break_even_iterations, FormatRegistry, PlanBudget, PreprocessClass, SpmvPlan};
-use acsr_telemetry::Telemetry;
 use gpu_sim::{Device, RunReport};
 use serde::{Deserialize, Serialize};
 use sparse_formats::{CsrMatrix, RowLengthStats, Scalar, SparseError};
@@ -93,28 +92,6 @@ pub struct Selection<T: Scalar> {
     pub stats: RowLengthStats,
     /// The amortization horizon used for ranking.
     pub horizon: u64,
-}
-
-/// Record one ranked selection into `tel`: the decision itself
-/// (`selector.decisions`, `selector.winner.<format>`), the candidate
-/// census (`selector.candidates_ranked`, `selector.pruned`,
-/// `selector.infeasible`), and every feasible candidate's ranking key
-/// as a `selector.ranked_total_s` histogram sample. Callers that own a
-/// [`Selection`] pass `(&sel.winner, &sel.candidates)`.
-pub fn record_selection(tel: &Telemetry, winner: &str, candidates: &[CandidateReport]) {
-    let m = &tel.metrics;
-    m.add("selector.decisions", 1);
-    m.add(&format!("selector.winner.{winner}"), 1);
-    m.add("selector.candidates_ranked", candidates.len() as u64);
-    for c in candidates {
-        if c.feasible {
-            m.observe("selector.ranked_total_s", c.total_s);
-        } else if c.pruned {
-            m.add("selector.pruned", 1);
-        } else {
-            m.add("selector.infeasible", 1);
-        }
-    }
 }
 
 /// Cost-model-driven format selection over a [`FormatRegistry`].
@@ -506,50 +483,6 @@ mod tests {
         for o in &outcomes[1..] {
             assert_eq!(o, &outcomes[0], "selection drifted across sim widths");
         }
-    }
-
-    #[test]
-    fn record_selection_counts_decisions_and_feasibility() {
-        let _guard = lock();
-        let m = power_law(400, 11);
-        let dev = Device::new(presets::gtx_titan());
-        let reg = FormatRegistry::<f64>::with_all();
-        // A horizon long enough to shortlist the tuned formats, and a
-        // probe scale at which BCCOO's sweep is pruned.
-        let budget = PlanBudget::for_device(dev.config())
-            .with_iterations(100)
-            .with_probe_scale(64);
-        let sel = AdaptiveSelector.select(&reg, &dev, &m, &budget);
-        let tel = Telemetry::new();
-        record_selection(&tel, &sel.winner, &sel.candidates);
-        record_selection(&tel, &sel.winner, &sel.candidates);
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("selector.decisions"), Some(2));
-        assert_eq!(
-            snap.counter(&format!("selector.winner.{}", sel.winner)),
-            Some(2)
-        );
-        assert_eq!(
-            snap.counter("selector.candidates_ranked"),
-            Some(2 * sel.candidates.len() as u64)
-        );
-        let count = |f: fn(&CandidateReport) -> bool| {
-            let n = sel.candidates.iter().filter(|c| f(c)).count() as u64;
-            Some(2 * n).filter(|&n| n > 0)
-        };
-        assert_eq!(
-            snap.counter("selector.pruned"),
-            count(|c| !c.feasible && c.pruned)
-        );
-        assert!(snap.counter("selector.pruned").is_some());
-        assert_eq!(
-            snap.counter("selector.infeasible"),
-            count(|c| !c.feasible && !c.pruned)
-        );
-        assert_eq!(
-            snap.histogram("selector.ranked_total_s").map(|h| h.count()),
-            count(|c| c.feasible)
-        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   (turning certain SLO misses into cheap rejections);
 //! * **batch sizing** — [`BatchPolicy::Adaptive`] picks each wave's
 //!   width from current demand. `BENCH_serve.json` shows the tradeoff
-//!   this navigates: `max_batch` 64 maximizes queries/sec but roughly
-//!   triples p50 vs narrow waves, so light load runs narrow
-//!   (latency-optimal) and a backlog widens waves toward the
-//!   throughput-optimal cap.
+//!   this navigates: on the WIK analog `max_batch` 64 maximizes
+//!   queries/sec but its p50 is a third above `max_batch` 16's, so
+//!   light load runs narrow (latency-optimal) and a backlog widens
+//!   waves toward the throughput-optimal cap.
 
 use crate::tenant::TenantTable;
 

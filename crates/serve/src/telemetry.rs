@@ -8,14 +8,16 @@
 //! *integer-exactly*. Only a reconciled registry is merged into the
 //! shared telemetry, so `repro metrics serve` snapshots can never drift
 //! from the report the run already ships. A mismatch is a panic, not a
-//! warning: the registry is an accounting mirror of the scheduler, and
-//! disagreement means one of them miscounted. Each wave's
-//! [`WaveRecord`] names its queries and counts the devices that held
-//! one of them.
+//! warning: the scope is recorded live (the request trace's wave-id
+//! join needs it) and the `ServeReport` is built separately, so they
+//! are two records of one run, and disagreement means one of them
+//! miscounted. Each wave's [`WaveRecord`] names its queries and counts
+//! the devices that held one of them.
 
 use crate::query::Query;
 use crate::scheduler::ServeReport;
 use acsr_telemetry::{MetricsRegistry, RequestEvent, ShedKind, Telemetry, WaveRecord};
+use gpu_sim::RunReport;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -176,13 +178,26 @@ impl ServeScope {
                 (1.0 - attainment) / 0.01,
             );
         }
-        multi_gpu::record_device_gauges(
-            &self.metrics,
-            "serve.device",
-            &report.device_reports,
-            report.makespan_s,
-        );
+        record_device_gauges(&self.metrics, &report.device_reports, report.makespan_s);
         self.tel.metrics.merge_snapshot(&self.metrics.snapshot());
+    }
+}
+
+/// Per-device utilization gauges from the run's accumulated device
+/// reports and its makespan: `serve.device.<d>.busy_s` (modeled device
+/// time), `serve.device.<d>.idle_s` (makespan minus busy, clamped at 0)
+/// and `serve.device.<d>.utilization` (busy over makespan; 0 when the
+/// makespan is empty).
+fn record_device_gauges(metrics: &MetricsRegistry, reports: &[RunReport], wall_s: f64) {
+    for (d, rep) in reports.iter().enumerate() {
+        let busy = rep.time_s;
+        metrics.set_gauge(&format!("serve.device.{d}.busy_s"), busy);
+        metrics.set_gauge(
+            &format!("serve.device.{d}.idle_s"),
+            (wall_s - busy).max(0.0),
+        );
+        let util = if wall_s > 0.0 { busy / wall_s } else { 0.0 };
+        metrics.set_gauge(&format!("serve.device.{d}.utilization"), util);
     }
 }
 
@@ -283,4 +298,35 @@ pub fn reconcile_serve<T>(
         (report.rejected.len() + report.deadline_shed.len()) as u64,
     )?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn device_gauges_report_busy_idle_utilization() {
+        let metrics = MetricsRegistry::new();
+        let fast = RunReport {
+            time_s: 0.25,
+            ..Default::default()
+        };
+        let slow = RunReport {
+            time_s: 1.0,
+            ..Default::default()
+        };
+        record_device_gauges(&metrics, &[fast, slow], 1.0);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.gauge("serve.device.0.busy_s"), Some(0.25));
+        assert_eq!(snap.gauge("serve.device.0.idle_s"), Some(0.75));
+        assert_eq!(snap.gauge("serve.device.0.utilization"), Some(0.25));
+        assert_eq!(snap.gauge("serve.device.1.utilization"), Some(1.0));
+        assert_eq!(snap.gauge("serve.device.1.idle_s"), Some(0.0));
+        // degenerate wall never divides by zero
+        record_device_gauges(&metrics, &[RunReport::default()], 0.0);
+        assert_eq!(
+            metrics.snapshot().gauge("serve.device.0.utilization"),
+            Some(0.0)
+        );
+    }
 }

@@ -28,12 +28,10 @@ use crate::kernels::{copy_rows_kernel, merge_rows_kernel, plan_kernel, DeltaBuff
 use crate::layout::{slot_width, SlotLayout};
 use crate::ledger::{BatchEntry, BinEvent, MaintainReason, MaintenanceLedger};
 use acsr::{AcsrConfig, AcsrEngine, RowMove};
-use acsr_telemetry::Telemetry;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::stats::bin_index;
 use sparse_formats::{CsrMatrix, Scalar, UpdateBatch};
 use spmv_kernels::{Affine, AffineWave, GpuSpmv};
-use std::sync::Arc;
 
 /// Growth factor for the element buffers when the canonical layout
 /// outgrows them.
@@ -77,9 +75,6 @@ pub struct StreamEngine<T> {
     buf_capacity: usize,
     epoch: u64,
     ledger: MaintenanceLedger,
-    /// Optional metrics sink; `stream.*` counters mirror the ledger
-    /// (see [`crate::telemetry`]). One branch per batch when absent.
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl<T: Scalar> StreamEngine<T> {
@@ -137,14 +132,7 @@ impl<T: Scalar> StreamEngine<T> {
             layout,
             epoch: 0,
             ledger: MaintenanceLedger::default(),
-            telemetry: acsr_telemetry::active(),
         }
-    }
-
-    /// Route `stream.*` metrics into `tel` (replacing any sink picked up
-    /// from [`acsr_telemetry::active`] at build time).
-    pub fn attach_telemetry(&mut self, tel: Arc<Telemetry>) {
-        self.telemetry = Some(tel);
     }
 
     /// Apply one §VII update batch in place.
@@ -432,15 +420,11 @@ impl<T: Scalar> StreamEngine<T> {
             grow,
             elem_bytes,
         );
-        let entry = BatchEntry {
+        self.ledger.push(BatchEntry {
             epoch: self.epoch,
             events,
             slack_after: self.engine.matrix().slack_elements(),
-        };
-        if let Some(tel) = &self.telemetry {
-            crate::telemetry::record_batch(tel, &entry);
-        }
-        self.ledger.push(entry);
+        });
 
         BatchReport {
             total_seconds: plan.time_s + maintain.time_s + copy_seconds,

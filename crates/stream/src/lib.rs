@@ -17,9 +17,11 @@
 //!   maintenance (slack consumption vs. migration vs. capacity shifts vs.
 //!   geometric buffer growth);
 //! * [`churn`] — the [`acsr_serve`] adapter that interleaves maintenance
-//!   with query waves on the virtual clock;
-//! * [`telemetry`] — `stream.*` registry counters mirroring the ledger,
-//!   reconciled integer-exactly against [`LedgerTotals`].
+//!   with query waves on the virtual clock.
+//!
+//! The ledger is the one record of maintenance work: its
+//! [`LedgerTotals`] are what `repro stream` publishes, with no second
+//! counter kept beside it.
 //!
 //! The correctness bar, enforced by this crate's tests: after every
 //! batch, metadata, live elements, binning, and each subsequent SpMV's
@@ -32,10 +34,8 @@ pub mod engine;
 pub mod kernels;
 pub mod layout;
 pub mod ledger;
-pub mod telemetry;
 
 pub use churn::ChurnedStream;
 pub use engine::{BatchReport, StreamEngine};
 pub use layout::{arena_slots, assign_slots, slot_width, SlotLayout};
 pub use ledger::{BatchEntry, BinEvent, LedgerTotals, MaintainReason, MaintenanceLedger};
-pub use telemetry::reconcile_stream;

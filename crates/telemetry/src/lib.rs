@@ -7,11 +7,13 @@
 //! * [`MetricsRegistry`] — named counters / gauges / log-bucketed
 //!   histograms ([`LogHistogram`]), snapshotting to a
 //!   [`MetricsSnapshot`] that serializes to an `acsr-metrics-v1`
-//!   document's body. Counters are integer-exact and are
-//!   reconciled against the existing end-of-run reports (`ServeReport`,
-//!   the maintenance [`LedgerTotals`](../acsr_stream), the trace
-//!   ledger's merged [`gpu_sim::RunReport`]) — the registry is an
-//!   *accounting mirror*, never a second source of truth.
+//!   document's body. Counters are integer-exact. Each count has one
+//!   bookkeeper: the serving scheduler records here live (its scope is
+//!   reconciled against the `ServeReport` it builds separately), and
+//!   every other count is read from its own record — a plan cache's
+//!   fields, the trace ledger's merged [`gpu_sim::RunReport`] — once,
+//!   by the bench harness that writes the snapshot. `acsr-serve` and
+//!   the bench harness are this crate's only dependents.
 //! * [`RequestTrace`] — per-query lifecycle events through `serve_slo`
 //!   (arrival, shed, admission, completion) plus one [`WaveRecord`] per
 //!   executed batch wave.
@@ -32,10 +34,11 @@
 //!
 //! # Zero cost when disabled
 //!
-//! Instrumented subsystems hold an `Option<Arc<Telemetry>>`; with `None`
+//! The serving engine holds an `Option<Arc<Telemetry>>`; with `None`
 //! every record site is one branch. Like the trace ledger's global
 //! capture, [`enable_global_capture`] arms a process-global [`Telemetry`]
-//! that subsequently constructed engines pick up — the hook behind
+//! that subsequently constructed serving engines pick up, and that the
+//! harness's end-of-run folds read through [`active`] — the hook behind
 //! `repro metrics <exp>` / `repro timeline <exp>`.
 
 mod hist;
@@ -95,10 +98,10 @@ impl Telemetry {
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Arc<Telemetry>> = OnceLock::new();
 
-/// Make every *subsequently constructed* instrumented engine (serve,
-/// stream, plan cache, …) record into the shared [`global`] telemetry.
-/// Used by the bench binary's `metrics`/`timeline` modes, whose
-/// experiments construct their engines internally.
+/// Make every *subsequently constructed* serving engine record into the
+/// shared [`global`] telemetry, and make [`active`] hand it out. Used by
+/// the bench binary's `metrics`/`timeline` modes, whose experiments
+/// construct their engines internally.
 pub fn enable_global_capture() {
     GLOBAL_ENABLED.store(true, Ordering::SeqCst);
 }
@@ -120,7 +123,8 @@ pub fn global() -> Arc<Telemetry> {
 }
 
 /// `Some(global())` while global capture is armed, else `None` — the
-/// one-liner engines call at construction time to pick up telemetry.
+/// one-liner a serving engine calls at construction time, and a bench
+/// fold calls at the end of a run, to pick up telemetry.
 pub fn active() -> Option<Arc<Telemetry>> {
     if global_capture_enabled() {
         Some(global())

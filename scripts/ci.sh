@@ -39,7 +39,7 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> text results (tables, figures and the serving sweep regenerate byte-identically)"
+echo "==> text results (tables, figures and the serving sweep, with BENCH_serve.json, regenerate byte-identically)"
 # The figures are the slower half (~140 s on 2 cores), at the scales
 # EXPERIMENTS.md names; fig5 runs every preset's coalescing granules.
 # The serving sweep adds ~60 s.
@@ -50,6 +50,9 @@ for cmd in "table1 --scale 64" "table2" "fig3 --scale 64" "table5 --scale 64" \
   (cd "$work" && "$repro" $cmd > "$name.txt")
   cmp "results/$name.txt" "$work/$name.txt"
 done
+# The serving sweep also wrote its JSON artifact; the serve --trace
+# smoke below overwrites it.
+cmp results/BENCH_serve.json "$work/results/BENCH_serve.json"
 
 echo "==> acsr-bench (build, unit tests, every workload --quick, traced and untraced)"
 # acsr-bench builds against crates/serve, apps and gpu-sim by path;
