@@ -84,7 +84,7 @@ pub fn split_scores<T: Scalar>(combined: &[T]) -> HitsScores<T> {
     }
 }
 
-/// CPU reference (tests / benches): power-iterate the coupling matrix.
+/// CPU reference (tests): power-iterate the coupling matrix.
 pub fn hits_cpu<T: Scalar>(coupling: &CsrMatrix<T>, params: &IterParams) -> (Vec<T>, usize) {
     let n2 = coupling.rows();
     let init = T::from_f64(1.0 / (n2 / 2) as f64);

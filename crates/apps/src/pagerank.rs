@@ -52,7 +52,7 @@ pub fn pagerank_gpu<T: Scalar>(
 }
 
 /// CPU reference PageRank over an arbitrary SpMV closure (used by tests
-/// and the wall-clock benches). `spmv(x, y)` must compute `y = M x`.
+/// and acsr-bench's answer checks). `spmv(x, y)` must compute `y = M x`.
 pub fn pagerank_cpu<T: Scalar>(
     n: usize,
     damping: f64,

@@ -13,7 +13,7 @@
 //! is an error, never a pass.
 
 use serde::{Serialize, Value};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A required array of row objects: (array key, minimum rows, fields
 /// every row carries).
@@ -141,16 +141,9 @@ pub fn validate(text: &str) -> Result<&'static str, String> {
 }
 
 /// Where artifacts go: `results/` in the working directory (the
-/// repository root, for `repro` and CI) or, failing that, an existing
-/// `../../results` — the repository's, seen from a crate directory,
-/// where `cargo bench` runs.
+/// repository root, for `repro` and CI).
 pub fn results_dir() -> PathBuf {
-    let up = Path::new("../../results");
-    if !Path::new("results").is_dir() && up.is_dir() {
-        up.to_path_buf()
-    } else {
-        PathBuf::from("results")
-    }
+    PathBuf::from("results")
 }
 
 /// The artifact text of `report`: its fields behind `schema`'s tag (none
@@ -409,8 +402,9 @@ mod tests {
         assert_contract(
             &crate::experiments::serve::SCHEMA,
             r#"{"schema": "acsr-serve-v1", "workload": "w",
-                "batch_widths": [{"max_batch": 1, "completed": 4, "qps": 9.5,
-                    "gflops": 1.5, "p50_ms": 0.5, "p99_ms": 0.9, "waves": 4}]}"#,
+                "batch_widths": [{"max_batch": 1, "completed": 4, "rejected": 0,
+                    "waves": 4, "qps": 9.5, "gflops": 1.5, "p50_ms": 0.5, "p95_ms": 0.8,
+                    "p99_ms": 0.9, "mean_iterations": 4.0}]}"#,
             &[(r#""batch_widths": [{"#, r#""batch_widths": [], "x": [{"#)],
         );
     }

@@ -24,8 +24,9 @@ use gpu_sim::presets;
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// The `acsr-serve-v1` contract of [`ServeSweep`]: at least one batch
-/// width.
+/// The `acsr-serve-v1` contract of [`ServeSweep`]: the `workload` it
+/// served and at least one batch width, each row with every
+/// [`ServeRow`] field.
 pub const SCHEMA: Schema = Schema {
     tag: "acsr-serve-v1",
     kind: "serve throughput report",
@@ -36,22 +37,34 @@ pub const SCHEMA: Schema = Schema {
         &[
             "max_batch",
             "completed",
+            "rejected",
+            "waves",
             "qps",
             "gflops",
             "p50_ms",
+            "p95_ms",
             "p99_ms",
-            "waves",
+            "mean_iterations",
         ],
     )],
     invariants: |_| Ok(()),
 };
 
-/// The JSON artifact (`results/BENCH_serve.json`): the rows of one
-/// sweep, all modeled.
+/// One sweep, all modeled; its JSON form is the artifact
+/// (`results/BENCH_serve.json`), where `workload` names the matrix and
+/// its size once for every row.
 #[derive(Serialize)]
 pub struct ServeSweep {
     /// The served stream, graph and device.
     pub workload: String,
+    /// The served matrix's Table I abbreviation, rows and non-zeros,
+    /// for the text table's heading.
+    #[serde(skip)]
+    pub abbrev: String,
+    #[serde(skip)]
+    pub rows: usize,
+    #[serde(skip)]
+    pub nnz: usize,
     pub batch_widths: Vec<ServeRow>,
 }
 
@@ -62,13 +75,9 @@ pub const BATCH_WIDTHS: [usize; 4] = [1, 4, 16, 64];
 const N_QUERIES: usize = 96;
 
 /// Serving metrics at one batch width.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Debug, Serialize)]
 pub struct ServeRow {
-    pub abbrev: String,
-    pub rows: usize,
-    pub nnz: usize,
     pub max_batch: usize,
-    pub queries: usize,
     pub completed: usize,
     pub rejected: usize,
     pub waves: usize,
@@ -81,7 +90,7 @@ pub struct ServeRow {
 }
 
 /// Sweep batch widths over the first selected matrix.
-pub fn run(opts: &Options) -> Vec<ServeRow> {
+pub fn run(opts: &Options) -> ServeSweep {
     let spec = selected_specs(opts)[0];
     assert_eq!(
         spec.rows, spec.cols,
@@ -89,7 +98,8 @@ pub fn run(opts: &Options) -> Vec<ServeRow> {
         spec.abbrev
     );
     let m = spec.generate::<f64>(opts.scale, opts.seed);
-    let mut out = Vec::new();
+    let (rows, nnz) = (m.csr.rows(), m.csr.nnz());
+    let mut batch_widths = Vec::new();
     for &max_batch in &BATCH_WIDTHS {
         let engine = ServeEngine::new(
             &m.csr,
@@ -108,12 +118,8 @@ pub fn run(opts: &Options) -> Vec<ServeRow> {
             opts.seed,
         );
         let lat = report.latency_stats();
-        out.push(ServeRow {
-            abbrev: spec.abbrev.to_string(),
-            rows: m.csr.rows(),
-            nnz: m.csr.nnz(),
+        batch_widths.push(ServeRow {
             max_batch,
-            queries: N_QUERIES,
             completed: report.outcomes.len(),
             rejected: report.rejected.len(),
             waves: report.waves,
@@ -125,41 +131,34 @@ pub fn run(opts: &Options) -> Vec<ServeRow> {
             mean_iterations: report.mean_iterations(),
         });
     }
-    out
+    ServeSweep {
+        workload: format!(
+            "{N_QUERIES} RWR queries, saturated Poisson, {} ({rows} rows, {nnz} nnz), {}",
+            spec.abbrev,
+            presets::gtx_titan().name
+        ),
+        abbrev: spec.abbrev.to_string(),
+        rows,
+        nnz,
+        batch_widths,
+    }
 }
 
 /// Write the JSON artifact; returns its path.
-pub fn write_report(rows: &[ServeRow]) -> Result<PathBuf, String> {
-    let workload = rows.first().map(|r| {
-        format!(
-            "{} RWR queries, saturated Poisson, {} ({} rows, {} nnz), {}",
-            r.queries,
-            r.abbrev,
-            r.rows,
-            r.nnz,
-            presets::gtx_titan().name
-        )
-    });
-    let sweep = ServeSweep {
-        workload: workload.unwrap_or_default(),
-        batch_widths: rows.to_vec(),
-    };
-    artifact::write(&SCHEMA, "BENCH_serve.json", &sweep)
+pub fn write_report(sweep: &ServeSweep) -> Result<PathBuf, String> {
+    artifact::write(&SCHEMA, "BENCH_serve.json", sweep)
 }
 
 /// Render as text.
-pub fn render(rows: &[ServeRow]) -> String {
-    let mut out = String::new();
-    if let Some(first) = rows.first() {
-        out.push_str(&format!(
-            "Serving: batched RWR on {} ({} rows, {} nnz), saturated Poisson, GTX Titan:\n",
-            first.abbrev, first.rows, first.nnz
-        ));
-    }
+pub fn render(sweep: &ServeSweep) -> String {
+    let mut out = format!(
+        "Serving: batched RWR on {} ({} rows, {} nnz), saturated Poisson, GTX Titan:\n",
+        sweep.abbrev, sweep.rows, sweep.nnz
+    );
     let mut t = Table::new(&[
         "k", "done", "shed", "waves", "q/s", "GFLOPS", "p50 ms", "p95 ms", "p99 ms", "iters",
     ]);
-    for r in rows {
+    for r in &sweep.batch_widths {
         t.row(vec![
             r.max_batch.to_string(),
             r.completed.to_string(),
@@ -188,7 +187,7 @@ mod tests {
             matrices: vec!["INT".into()],
             ..Default::default()
         };
-        let rows = run(&opts);
+        let rows = run(&opts).batch_widths;
         assert_eq!(rows.len(), BATCH_WIDTHS.len());
         assert!(rows.iter().all(|r| r.completed == N_QUERIES));
         // the acceptance shape: strictly increasing queries/sec from

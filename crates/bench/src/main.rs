@@ -218,9 +218,13 @@ fn run_one(name: &str, opts: &Options) {
         "fig7" => emit(opts, fig7::run(opts), fig7::render),
         "fig8" => emit(opts, fig8::run(opts), fig8::render),
         "serve" => {
-            let rows = serve::run(opts);
-            let path = serve::write_report(&rows).unwrap_or_else(|e| die(&e));
-            emit(opts, rows, serve::render);
+            let sweep = serve::run(opts);
+            let path = serve::write_report(&sweep).unwrap_or_else(|e| die(&e));
+            if opts.json {
+                println!("{}", serde_json::to_string_pretty(&sweep).unwrap());
+            } else {
+                println!("{}", serve::render(&sweep));
+            }
             eprintln!("wrote {}", path.display());
         }
         "ablations" => emit(opts, ablations::run(opts), ablations::render),

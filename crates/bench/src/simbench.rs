@@ -1,6 +1,5 @@
-//! Host-simulator throughput sweep (`repro simbench`, the
-//! `sim_throughput` Criterion bench, and the CI smoke share this;
-//! `repro simbench` writes the artifact).
+//! Host-simulator throughput sweep (`repro simbench` and its CI smoke
+//! `repro simbench --quick`, which writes the artifact too).
 //!
 //! Measures simulated kernel launches per second for each SpMV engine
 //! at host worker widths 1/2/4/8 (the `ACSR_SIM_THREADS` knob). Every

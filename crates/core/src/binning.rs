@@ -8,7 +8,7 @@
 //! transformations.
 
 use crate::config::AcsrConfig;
-use sparse_formats::stats::{bin_index, bin_range};
+use sparse_formats::stats::bin_index;
 use sparse_formats::PreprocessCost;
 
 /// The result of binning: per-bin row lists plus the G1/G2 split.
@@ -215,11 +215,6 @@ impl Binning {
     pub fn group_for_bin(i: usize) -> usize {
         debug_assert!(i >= 1);
         1usize << (i - 1).min(5)
-    }
-
-    /// Inclusive row-length range of bin `i` (re-exported helper).
-    pub fn range_of_bin(i: usize) -> (usize, usize) {
-        bin_range(i)
     }
 }
 

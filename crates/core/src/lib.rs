@@ -27,7 +27,6 @@
 //!   together. Every kernel is batched over k vectors, and a
 //!   single-vector SpMV is the k = 1 case;
 //! * [`update`] — the §VII device-side update kernel;
-//! * [`cpu`] — a multicore binned SpMV used by the wall-clock benches;
 //! * [`phases`] — folds a [`gpu_sim::trace`] span stream into per-phase
 //!   rollups (Table V's BS/RS view) for traced runs.
 //!
@@ -55,7 +54,6 @@
 
 pub mod binning;
 pub mod config;
-pub mod cpu;
 pub mod dynpar;
 pub mod engine;
 pub mod kernels;

@@ -20,8 +20,6 @@
 //! * [`epilogue`] — the affine (PageRank / RWR) epilogue of a batched
 //!   SpMM wave: the `rwr_update` kernel and the two-launch default of
 //!   [`GpuSpmv::spmm_affine`];
-//! * [`cpu`] — real multicore implementations on `par-runtime` used by
-//!   the wall-clock Criterion benches;
 //! * [`tuning`] — the BCCOO configuration auto-tuner (>300 settings) and
 //!   the TCOO exhaustive tile search, whose *cost is the point* of the
 //!   paper's Figure 4.
@@ -37,7 +35,6 @@
 pub mod bccoo_kernel;
 pub mod brc_kernel;
 pub mod coo_kernel;
-pub mod cpu;
 pub mod csr_scalar;
 pub mod csr_vector;
 pub mod device;

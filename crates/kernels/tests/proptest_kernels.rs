@@ -16,7 +16,7 @@ use spmv_kernels::csr_scalar::CsrScalar;
 use spmv_kernels::csr_vector::CsrVector;
 use spmv_kernels::hyb_kernel::HybKernel;
 use spmv_kernels::tcoo_kernel::TcooKernel;
-use spmv_kernels::{cpu, DevBccoo, DevBrc, DevCoo, DevCsr, DevHyb, DevTcoo, GpuSpmv};
+use spmv_kernels::{DevBccoo, DevBrc, DevCoo, DevCsr, DevHyb, DevTcoo, GpuSpmv};
 
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
     (1usize..50, 1usize..50).prop_flat_map(|(rows, cols)| {
@@ -115,16 +115,5 @@ proptest! {
             let eng = CsrVector::new(DevCsr::upload(&dev, &m));
             check(&eng, &dev, &x, &want).map_err(TestCaseError::fail)?;
         }
-    }
-
-    #[test]
-    fn cpu_backend_matches_reference((m, x, _tex) in arb_case()) {
-        let want = m.spmv(&x);
-        let mut y = vec![0.0; m.rows()];
-        cpu::spmv_csr(&m, &x, &mut y);
-        prop_assert!(y.iter().zip(want.iter()).all(|(a, b)| (a - b).abs() < 1e-9));
-        let (hyb, _) = HybMatrix::from_csr(&m, usize::MAX).unwrap();
-        cpu::spmv_hyb(&hyb, &x, &mut y);
-        prop_assert!(y.iter().zip(want.iter()).all(|(a, b)| (a - b).abs() < 1e-9));
     }
 }

@@ -1,41 +1,39 @@
-//! # par-runtime — a minimal data-parallel runtime
+//! # par-runtime — sharded parallel runs
 //!
-//! The CPU execution backend for this workspace. It provides the small set
-//! of data-parallel primitives its callers use — [`parallel_for`] and
-//! [`for_each_chunk_mut`] (the CPU SpMV kernels), [`par_shards`] (the
-//! simulator's per-SM shards) and [`num_threads`] — on top of a
-//! persistent worker pool built with [`crossbeam`] channels and
-//! [`parking_lot`] synchronization.
+//! The simulator's host parallelism. [`par_shards`] runs `body(shard)`
+//! once for every shard in `0..n_shards` on a persistent worker pool of
+//! the requested width, built with [`crossbeam`] channels and
+//! [`parking_lot`] synchronization; `gpu-sim` calls it with one shard per
+//! simulated SM (DESIGN.md §7.1).
 //!
 //! The design goals, in order:
 //!
-//! 1. **Correctness**: no data races by construction; every primitive blocks
-//!    until all workers finished, so borrowed data is never observed after
+//! 1. **Correctness**: no data races by construction; every call blocks
+//!    until all shards finished, so borrowed data is never observed after
 //!    the call returns.
-//! 2. **Dynamic load balance**: work is handed out in grains from a shared
-//!    atomic cursor, so skewed workloads (exactly the power-law rows this
-//!    repository cares about) do not idle workers.
-//! 3. **Low overhead**: workers are spawned once and parked between calls.
+//! 2. **Dynamic load balance**: shards are handed out from a shared
+//!    atomic cursor, so a shard with skewed work (exactly the power-law
+//!    rows this repository cares about) does not idle the other workers.
+//! 3. **Low overhead**: workers are spawned once per width and parked
+//!    between calls.
 //!
 //! This crate deliberately reimplements the needed subset of `rayon`
 //! (which is outside the allowed dependency set for this reproduction, see
 //! DESIGN.md §6).
 //!
 //! ```
-//! let mut squares = vec![0u64; 1000];
-//! par_runtime::for_each_chunk_mut(&mut squares, 64, |offset, chunk| {
-//!     for (i, slot) in chunk.iter_mut().enumerate() {
-//!         *slot = ((offset + i) as u64).pow(2);
-//!     }
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//!
+//! let squares: Vec<AtomicU64> = (0..16).map(|_| AtomicU64::new(0)).collect();
+//! par_runtime::par_shards(4, squares.len(), |shard| {
+//!     squares[shard].store((shard as u64).pow(2), Ordering::Relaxed);
 //! });
-//! assert_eq!(squares[31], 31 * 31);
+//! assert_eq!(squares[15].load(Ordering::Relaxed), 15 * 15);
 //! ```
 
-mod ops;
 mod pool;
 
-pub use ops::{for_each_chunk_mut, parallel_for};
-pub use pool::{num_threads, par_shards};
+pub use pool::par_shards;
 
 #[cfg(test)]
 mod tests {
@@ -43,46 +41,39 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn parallel_for_covers_every_index_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(hits.len(), 17, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    fn zero_shards_is_a_noop() {
+        par_shards(4, 0, |_| panic!("must not be called"));
     }
 
     #[test]
-    fn parallel_for_zero_items_is_a_noop() {
-        parallel_for(0, 8, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn for_each_chunk_mut_partitions_disjointly() {
-        let mut data = vec![0usize; 5000];
-        for_each_chunk_mut(&mut data, 333, |offset, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = offset + i;
-            }
-        });
-        for (i, x) in data.iter().enumerate() {
-            assert_eq!(*x, i);
-        }
-    }
-
-    #[test]
-    fn nested_parallel_for_does_not_deadlock() {
-        // A parallel_for inside a parallel_for must complete (inner calls
-        // run inline on the caller when the pool is busy).
+    fn nested_par_shards_does_not_deadlock() {
+        // A par_shards inside a par_shards of the same width must complete
+        // (the calling worker drains the inner shards itself).
         let count = AtomicUsize::new(0);
-        parallel_for(8, 1, |outer| {
-            for _ in outer {
-                parallel_for(8, 1, |inner| {
-                    count.fetch_add(inner.len(), Ordering::Relaxed);
-                });
-            }
+        par_shards(2, 8, |_| {
+            par_shards(2, 8, |_| {
+                count.fetch_add(1, Ordering::Relaxed);
+            });
         });
         assert_eq!(count.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn panicking_shard_propagates_and_the_width_stays_usable() {
+        let err = std::panic::catch_unwind(|| {
+            par_shards(3, 8, |s| {
+                if s % 2 == 1 {
+                    panic!("shard {s} failed");
+                }
+            });
+        });
+        assert!(err.is_err(), "panic must propagate to the caller");
+
+        // The same width's pool still completes fresh work.
+        let sum = AtomicUsize::new(0);
+        par_shards(3, 8, |s| {
+            sum.fetch_add(s, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 28);
     }
 }

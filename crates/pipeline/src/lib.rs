@@ -16,7 +16,7 @@
 //!    planner (CSR-scalar, CSR-vector, COO, ELL, HYB, BRC, BCCOO, TCOO,
 //!    ACSR) behind one trait;
 //! 3. **execute** — the plan *is* a [`GpuSpmv`] (batched or not), so
-//!    every consumer (apps, serving, multi-GPU, benches) runs against
+//!    every consumer (apps, serving, multi-GPU, `repro`) runs against
 //!    the handle without knowing the concrete format.
 //!
 //! On top of the registry sit the [`AdaptiveSelector`] — which ranks the

@@ -215,3 +215,151 @@ pub fn serve_with_churn<T: Scalar>(
         device_report,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acsr::{AcsrConfig, AcsrEngine};
+    use gpu_sim::presets;
+    use graph_apps::rwr::rwr_operator;
+    use graphgen::{generate_power_law, PowerLawConfig};
+
+    /// Maintenance that leaves the plan unchanged and charges a fixed
+    /// `cost_s` per event, at the times in `events_s`.
+    struct FixedCost<'a> {
+        op: &'a dyn GpuSpmv<f64>,
+        events_s: Vec<f64>,
+        applied: usize,
+        cost_s: f64,
+    }
+
+    impl ChurnSource<f64> for FixedCost<'_> {
+        fn operator(&self) -> &dyn GpuSpmv<f64> {
+            self.op
+        }
+        fn next_event_s(&self) -> Option<f64> {
+            self.events_s.get(self.applied).copied()
+        }
+        fn apply_next(&mut self, _dev: &Device) -> f64 {
+            self.applied += 1;
+            self.cost_s
+        }
+    }
+
+    const ROWS: usize = 300;
+
+    fn engine(dev: &Device) -> AcsrEngine<f64> {
+        let g = generate_power_law(&PowerLawConfig {
+            rows: ROWS,
+            cols: ROWS,
+            mean_degree: 6.0,
+            max_degree: 120,
+            pinned_max_rows: 1,
+            col_skew: 0.4,
+            seed: 231,
+            ..Default::default()
+        });
+        AcsrEngine::from_csr(dev, &rwr_operator(&g), AcsrConfig::for_device(dev.config()))
+    }
+
+    /// `n` queries, all arriving at t = 0.
+    fn burst(n: u64) -> Vec<Query> {
+        (0..n)
+            .map(|id| Query {
+                id,
+                seed: (id as usize * 37 + 5) % ROWS,
+                restart_c: 0.85,
+                arrival_s: 0.0,
+                tenant: 0,
+            })
+            .collect()
+    }
+
+    const CFG: ChurnServeConfig = ChurnServeConfig {
+        max_batch: 4,
+        iterations: 3,
+    };
+
+    fn serve_fixed_cost(
+        dev: &Device,
+        op: &AcsrEngine<f64>,
+        events_s: Vec<f64>,
+        cost_s: f64,
+        queries: &[Query],
+    ) -> ChurnServeReport {
+        let mut source = FixedCost {
+            op,
+            events_s,
+            applied: 0,
+            cost_s,
+        };
+        serve_with_churn(dev, &mut source, queries, &CFG)
+    }
+
+    #[test]
+    fn no_queries_is_an_empty_run() {
+        let dev = Device::new(presets::gtx_titan());
+        let op = engine(&dev);
+        let report = serve_fixed_cost(&dev, &op, vec![1e-3, 2e-3], 1e-4, &[]);
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.waves, 0);
+        assert_eq!(report.maintenance_events, 0);
+        assert_eq!(report.makespan_s, 0.0);
+    }
+
+    #[test]
+    fn simultaneous_arrivals_run_in_full_waves() {
+        let dev = Device::new(presets::gtx_titan());
+        let op = engine(&dev);
+        let n = 10;
+        let report = serve_with_churn(&dev, &mut SteadyOperator::new(&op), &burst(n), &CFG);
+        assert_eq!(report.completed, n as usize);
+        assert_eq!(
+            report.waves,
+            CFG.iterations * (n as usize).div_ceil(CFG.max_batch)
+        );
+        assert_eq!(report.maintenance_events, 0);
+    }
+
+    #[test]
+    fn a_due_event_delays_every_latency_by_its_cost() {
+        let dev = Device::new(presets::gtx_titan());
+        let op = engine(&dev);
+        let queries = burst(10);
+        let steady = serve_with_churn(&dev, &mut SteadyOperator::new(&op), &queries, &CFG);
+        let cost_s = 2.5e-4;
+        let churned = serve_fixed_cost(&dev, &op, vec![0.0], cost_s, &queries);
+        assert_eq!(churned.maintenance_events, 1);
+        assert_eq!(churned.maintenance_seconds, cost_s);
+        assert_eq!(churned.waves, steady.waves);
+        assert_eq!(churned.completed, steady.completed);
+        let (a, b) = (&steady.latency, &churned.latency);
+        for (what, before, after) in [
+            ("p50", a.p50_s, b.p50_s),
+            ("p95", a.p95_s, b.p95_s),
+            ("p99", a.p99_s, b.p99_s),
+            ("mean", a.mean_s, b.mean_s),
+            ("max", a.max_s, b.max_s),
+            ("makespan", steady.makespan_s, churned.makespan_s),
+        ] {
+            assert!(
+                (after - before - cost_s).abs() < 1e-12,
+                "{what}: {before} -> {after}, expected a shift of {cost_s}"
+            );
+        }
+    }
+
+    #[test]
+    fn events_after_the_last_completion_are_never_applied() {
+        let dev = Device::new(presets::gtx_titan());
+        let op = engine(&dev);
+        let queries = burst(6);
+        let steady = serve_with_churn(&dev, &mut SteadyOperator::new(&op), &queries, &CFG);
+        let late = 2.0 * steady.makespan_s;
+        let churned = serve_fixed_cost(&dev, &op, vec![late], 1e-4, &queries);
+        assert_eq!(churned.maintenance_events, 0);
+        assert_eq!(churned.maintenance_seconds, 0.0);
+        assert_eq!(churned.waves, steady.waves);
+        assert_eq!(churned.makespan_s, steady.makespan_s);
+    }
+}

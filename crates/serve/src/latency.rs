@@ -52,15 +52,6 @@ pub fn count_within(samples: &[f64], target: f64) -> usize {
     samples.iter().filter(|&&s| s <= target).count()
 }
 
-/// Fraction of samples at or below `target`; an empty set vacuously
-/// attains 1.0 (never NaN).
-pub fn fraction_within(samples: &[f64], target: f64) -> f64 {
-    if samples.is_empty() {
-        return 1.0;
-    }
-    count_within(samples, target) as f64 / samples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,13 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn within_counts_and_fractions() {
+    fn within_counts_inclusively() {
         let samples = [0.1, 0.2, 0.3, 0.4];
         assert_eq!(count_within(&samples, 0.25), 2);
         assert_eq!(count_within(&samples, 0.4), 4, "boundary is inclusive");
         assert_eq!(count_within(&samples, 0.05), 0);
-        assert_eq!(fraction_within(&samples, 0.25), 0.5);
-        assert_eq!(fraction_within(&[], 1.0), 1.0, "vacuous attainment");
-        assert!(fraction_within(&samples, 0.0).is_finite());
     }
 }

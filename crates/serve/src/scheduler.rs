@@ -509,7 +509,7 @@ impl<T: Scalar> ServeEngine<T> {
             let Some(q) = queue.pop_min_by(|a, b| fair.order(&policy.tenants, a, b)) else {
                 return;
             };
-            if policy.deadline_shed && now - q.arrival_s > policy.tenants.spec(q.tenant).slo_s {
+            if now - q.arrival_s > policy.tenants.spec(q.tenant).slo_s {
                 // The wait alone has consumed the whole budget: this
                 // query cannot meet its SLO any more, so drop it before
                 // it burns a batch slot.

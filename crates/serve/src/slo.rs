@@ -14,7 +14,9 @@
 //! * **deadline shedding** — a query whose queue wait alone has already
 //!   exceeded its tenant's SLO budget cannot possibly meet its target,
 //!   so it is dropped at pop time instead of burning a batch slot
-//!   (turning certain SLO misses into cheap rejections);
+//!   (turning certain SLO misses into cheap rejections). An infinite
+//!   budget never sheds, so a tenant without a deadline is never
+//!   dropped;
 //! * **batch sizing** — [`BatchPolicy::Adaptive`] picks each wave's
 //!   width from current demand. `BENCH_serve.json` shows the tradeoff
 //!   this navigates: on the WIK analog `max_batch` 64 maximizes
@@ -68,17 +70,16 @@ pub struct SloPolicy {
     pub queue_capacity: usize,
     /// Per-wave batch sizing.
     pub batch: BatchPolicy,
-    /// Tenant registry (priorities, shares, SLO budgets).
+    /// Tenant registry (priorities, shares, SLO budgets). A query whose
+    /// queue wait already exceeds its tenant's budget is shed instead of
+    /// admitted.
     pub tenants: TenantTable,
-    /// Drop queries whose queue wait already exceeds their tenant's
-    /// SLO budget instead of admitting them.
-    pub deadline_shed: bool,
 }
 
 impl SloPolicy {
     /// An open-loop policy with one default tenant whose SLO budget is
     /// `p99_target_s`: adaptive waves 1..=`max_batch`, deadline shedding
-    /// on.
+    /// past that budget.
     pub fn open_loop(p99_target_s: f64, max_batch: usize, queue_capacity: usize) -> SloPolicy {
         SloPolicy {
             queue_capacity,
@@ -87,7 +88,6 @@ impl SloPolicy {
                 max: max_batch,
             },
             tenants: TenantTable::single(p99_target_s),
-            deadline_shed: true,
         }
     }
 
@@ -99,7 +99,6 @@ impl SloPolicy {
             queue_capacity,
             batch: BatchPolicy::Fixed(max_batch),
             tenants: TenantTable::single(f64::INFINITY),
-            deadline_shed: false,
         }
     }
 }
@@ -131,11 +130,9 @@ mod tests {
     #[test]
     fn policy_constructors_wire_the_knobs() {
         let open = SloPolicy::open_loop(0.25, 32, 128);
-        assert!(open.deadline_shed);
         assert_eq!(open.batch, BatchPolicy::Adaptive { min: 1, max: 32 });
         assert_eq!(open.tenants.spec(0).slo_s, 0.25);
         let closed = SloPolicy::closed_loop(16, 64);
-        assert!(!closed.deadline_shed);
         assert_eq!(closed.batch, BatchPolicy::Fixed(16));
         assert_eq!(closed.tenants.spec(7).slo_s, f64::INFINITY);
     }

@@ -237,7 +237,6 @@ fn priority_tenants_are_admitted_before_bulk() {
                 slo_s: f64::INFINITY,
             },
         ]),
-        deadline_shed: false,
     };
     // 10 simultaneous arrivals, alternating bulk (tenant 0, even ids)
     // and interactive (tenant 1, odd ids)
@@ -273,11 +272,7 @@ fn adaptive_batching_tracks_queue_depth() {
     let _guard = WIDTH_LOCK.lock().unwrap();
     let g = graph(200, 305);
     let engine = ServeEngine::new(&g, ServeConfig::default());
-    let adaptive = SloPolicy {
-        deadline_shed: false,
-        tenants: TenantTable::single(f64::INFINITY),
-        ..SloPolicy::open_loop(f64::INFINITY, 8, 64)
-    };
+    let adaptive = SloPolicy::open_loop(f64::INFINITY, 8, 64);
     // sparse: arrivals a full second apart — every wave is width 1
     let sparse: Vec<Query> = (0..6)
         .map(|id| query(id, (id as usize * 11 + 2) % 200, id as f64, 0))

@@ -68,7 +68,6 @@ fn policy() -> SloPolicy {
                 slo_s: 2e-4,
             },
         ]),
-        deadline_shed: true,
     }
 }
 

@@ -5,8 +5,8 @@
 //! compare those costs consistently with the simulator's modeled SpMV
 //! times, every conversion records the work it performed in hardware-
 //! independent units; [`HostModel`] converts those units into modeled host
-//! seconds. Conversions additionally record measured wall time so the
-//! Criterion benches can report real numbers for the CPU backend.
+//! seconds. Conversions additionally record the measured wall time of
+//! the conversion code itself.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;

@@ -27,6 +27,23 @@ mkdir "$work/results"
 committed() { (cd "$root" && find results baselines -type f -print0 | sort -z | xargs -0 sha256sum); }
 before=$(committed)
 
+echo "==> unused dependencies (every [dependencies] name occurs in its package's sources)"
+# A dependency edge must be named, as a word with '-' read as '_', in
+# the package's src/ (plus tests/ and examples/ for the root package).
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  if [ "$dir" = . ]; then sources="src tests examples"; else sources="$dir/src"; fi
+  for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]") }
+                    deps && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+    if ! grep -rqw --include='*.rs' "${dep//-/_}" $sources; then
+      echo "$manifest: dependency '$dep' is not used in $sources" >&2
+      unused=1
+    fi
+  done
+done
+[ "$unused" = 0 ]
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -7,13 +7,12 @@
 //! * [`acsr`] — the paper's contribution (adaptive CSR SpMV);
 //! * [`gpu_sim`] — the simulated SIMT substrate and Table II devices;
 //! * [`sparse_formats`] — CSR/COO/ELL/HYB/BRC/BCCOO/TCOO/DIA;
-//! * [`spmv_kernels`] — baseline kernels, CPU backend, auto-tuners;
+//! * [`spmv_kernels`] — baseline kernels and auto-tuners;
 //! * [`graphgen`] — Table I analog generators and update streams;
 //! * [`spmv_pipeline`] — the analyze → plan → execute pipeline: format
 //!   registry, adaptive selector, structure-keyed plan cache;
 //! * [`graph_apps`] — PageRank / HITS / RWR, static and dynamic;
-//! * [`multi_gpu`] — §VIII multi-device partitioning;
-//! * [`par_runtime`] — the crossbeam-based parallel runtime.
+//! * [`multi_gpu`] — §VIII multi-device partitioning.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md
 //! for the system inventory and experiment index.
@@ -23,7 +22,6 @@ pub use gpu_sim;
 pub use graph_apps;
 pub use graphgen;
 pub use multi_gpu;
-pub use par_runtime;
 pub use sparse_formats;
 pub use spmv_kernels;
 pub use spmv_pipeline;

@@ -86,10 +86,8 @@ fn cpu_and_sim_backends_agree_numerically() {
     let xd = dev.alloc(x.clone());
     let yd = dev.alloc_zeroed::<f64>(m.rows());
     engine.spmv(&dev, &xd, &yd);
-    // multicore CPU ACSR
-    let cpu = acsr_repro::acsr::cpu::CpuAcsr::new(m.clone());
-    let mut y_cpu = vec![0.0; m.rows()];
-    cpu.spmv(&x, &mut y_cpu);
+    // serial CSR reference
+    let y_cpu = m.spmv(&x);
     let d = acsr_repro::sparse_formats::scalar::rel_l2_distance(yd.as_slice(), &y_cpu);
     assert!(d < 1e-12, "backends diverge: rel L2 {d}");
 }
