@@ -146,9 +146,12 @@ pub fn power_pagerank_gpu<T: Scalar>(
         "power_pagerank_scores_d2h",
         (n * std::mem::size_of::<T>()) as u64,
     ));
+    // Serial: every launch waits for a norm the host reads back, so
+    // the wall time is the busy time.
     SolveResult {
         scores: pr.into_vec(),
         iterations,
+        wall_s: report.time_s,
         report,
     }
 }

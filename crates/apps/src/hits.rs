@@ -68,9 +68,12 @@ pub fn hits_gpu<T: Scalar>(
     // final hub/authority vector is copied back to the host
     report =
         report.then(&dev.record_dtoh("hits_scores_d2h", (n2 * std::mem::size_of::<T>()) as u64));
+    // Serial: every launch waits for a norm the host reads back, so
+    // the wall time is the busy time.
     SolveResult {
         scores: v.into_vec(),
         iterations,
+        wall_s: report.time_s,
         report,
     }
 }

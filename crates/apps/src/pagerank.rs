@@ -30,7 +30,8 @@ pub fn pagerank_operator<T: Scalar>(adjacency: &CsrMatrix<T>) -> CsrMatrix<T> {
 /// `‖PR^(k+1) − PR^(k)‖₂ < params.epsilon`. Each iteration is one
 /// [`GpuSpmv::spmm_affine`] wave whose epilogue is the teleport update
 /// `d·y + (1−d)/n` ([`Restart::Uniform`]), plus the readback of its
-/// convergence partials. The plan's preprocessing was paid once at
+/// convergence partials, which runs beside the next wave
+/// ([`SolveResult::wall_s`]). The plan's preprocessing was paid once at
 /// [`spmv_pipeline::SpmvPlanner::plan`] time; the iterations here add
 /// none (pinned by the plan-cache tests).
 pub fn pagerank_gpu<T: Scalar>(

@@ -65,7 +65,8 @@ pub fn rwr_init_multi<T: Scalar>(
 /// Run RWR from `seed` on a planned `W` (any registry format): one
 /// [`GpuSpmv::spmm_affine`] wave per iteration whose epilogue is Eq. 8's
 /// `c·y`, plus `1 − c` at the seed ([`Restart::Seed`]), and the readback
-/// of its convergence partials.
+/// of its convergence partials, which runs beside the next wave
+/// ([`SolveResult::wall_s`]).
 pub fn rwr_gpu<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,

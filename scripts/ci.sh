@@ -27,19 +27,26 @@ mkdir "$work/results"
 committed() { (cd "$root" && find results baselines -type f -print0 | sort -z | xargs -0 sha256sum); }
 before=$(committed)
 
-echo "==> unused dependencies (every [dependencies] name occurs in its package's sources)"
+echo "==> unused dependencies (every [dependencies] and [dev-dependencies] name occurs in its package's sources)"
 # A dependency edge must be named, as a word with '-' read as '_', in
-# the package's src/ (plus tests/ and examples/ for the root package).
+# the package's src/ (plus tests/ and examples/ for the root package);
+# a dev-dependency edge in whichever of its src/, tests/, examples/ and
+# benches/ exist.
 unused=0
 for manifest in Cargo.toml crates/*/Cargo.toml; do
   dir=$(dirname "$manifest")
-  if [ "$dir" = . ]; then sources="src tests examples"; else sources="$dir/src"; fi
-  for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]") }
-                    deps && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
-    if ! grep -rqw --include='*.rs' "${dep//-/_}" $sources; then
-      echo "$manifest: dependency '$dep' is not used in $sources" >&2
-      unused=1
-    fi
+  for table in dependencies dev-dependencies; do
+    if [ "$table" = dev-dependencies ]; then
+      sources=$(for d in src tests examples benches; do
+                  if [ -d "$dir/$d" ]; then echo "$dir/$d"; fi; done)
+    elif [ "$dir" = . ]; then sources="src tests examples"; else sources="$dir/src"; fi
+    for dep in $(awk -v table="[$table]" '/^\[/ { deps = ($0 == table) }
+                      deps && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+      if ! grep -rqw --include='*.rs' "${dep//-/_}" $sources; then
+        echo "$manifest: [$table] '$dep' is not used in" $sources >&2
+        unused=1
+      fi
+    done
   done
 done
 [ "$unused" = 0 ]
@@ -56,19 +63,22 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> text results (tables, figures and the serving sweep, with BENCH_serve.json, regenerate byte-identically)"
+echo "==> text results (tables, figures, the selector and the serving sweep, with their JSON, regenerate byte-identically)"
 # The figures are the slower half (~140 s on 2 cores), at the scales
 # EXPERIMENTS.md names; fig5 runs every preset's coalescing granules.
-# The serving sweep adds ~60 s.
+# The serving sweep adds ~60 s, fig8 at scale 16 ~30 s.
 for cmd in "table1 --scale 64" "table2" "fig3 --scale 64" "table5 --scale 64" \
     "fig5 --scale 64" "fig6 --scale 256" "fig7 --scale 256" "fig8 --scale 64" \
-    "ablations --scale 64" "serve --scale 64 --matrices WIK"; do
+    "ablations --scale 64" "selector --scale 512" "serve --scale 64 --matrices WIK"; do
   name=${cmd%% *}
   (cd "$work" && "$repro" $cmd > "$name.txt")
   cmp "results/$name.txt" "$work/$name.txt"
 done
-# The serving sweep also wrote its JSON artifact; the serve --trace
-# smoke below overwrites it.
+(cd "$work" && "$repro" fig8 --scale 16 > fig8_scale16.txt)
+cmp results/fig8_scale16.txt "$work/fig8_scale16.txt"
+# The selector and the serving sweep also wrote their JSON artifacts;
+# the selector and serve --trace smokes below overwrite them.
+cmp results/SELECTOR_report.json "$work/results/SELECTOR_report.json"
 cmp results/BENCH_serve.json "$work/results/BENCH_serve.json"
 
 echo "==> acsr-bench (build, unit tests, every workload --quick, traced and untraced)"
