@@ -40,7 +40,7 @@ fn repeat_iterations_add_zero_preprocess_cost() {
         let misses_before = cache.misses();
         let (res, paid_if_planned) = {
             let plan = cache.get_or_plan(&reg, "ACSR", &dev, &m, &budget).unwrap();
-            let paid = plan.preprocess_seconds(&host) + plan.upload_seconds(&host);
+            let paid = plan.preprocess_seconds(&host) + dev.htod_seconds(plan.upload_bytes());
             (pagerank_gpu(&dev, plan, 0.85, &params), paid)
         };
         let paid = if cache.misses() > misses_before {

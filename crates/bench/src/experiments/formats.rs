@@ -18,10 +18,11 @@
 //! bandwidth-bound quantities that dominate every entry.
 
 use crate::common::{selected_specs, Options};
-use gpu_sim::{presets, Device, DeviceBuffer};
+use gpu_sim::{presets, Device};
 use serde::Serialize;
 use sparse_formats::{CsrMatrix, HostModel};
 use spmv_kernels::GpuSpmv;
+use spmv_pipeline::selector::projected_spmv_seconds;
 use spmv_pipeline::{FormatRegistry, PlanBudget};
 
 /// Row cap for the BCCOO tuning sample (cost extrapolated to full size;
@@ -86,34 +87,6 @@ impl FormatComparison {
     }
 }
 
-/// One SpMV, projected to full matrix scale: throughput-bound components
-/// (compute issue, DRAM traffic) grow linearly with matrix size, while
-/// per-warp critical paths (set by the longest row, which the suite specs
-/// clamp) and launch overheads stay fixed.
-fn one_spmv<T: sparse_formats::Scalar>(
-    dev: &Device,
-    engine: &dyn GpuSpmv<T>,
-    x: &DeviceBuffer<T>,
-    scale: usize,
-) -> f64 {
-    let y = dev.alloc_zeroed::<T>(engine.rows());
-    let r = engine.spmv(dev, x, &y);
-    let s = scale as f64;
-    let work = (r.breakdown.compute_s * s)
-        .max(r.breakdown.memory_s * s)
-        .max(r.breakdown.latency_s);
-    r.breakdown.launch_s + r.breakdown.dynamic_launch_s + work
-}
-
-/// Project a measured preprocessing cost to full matrix scale
-/// ([`sparse_formats::PreprocessCost::scaled`]).
-fn project_cost(
-    cost: &sparse_formats::PreprocessCost,
-    scale: usize,
-) -> sparse_formats::PreprocessCost {
-    cost.scaled(scale as u64)
-}
-
 /// `true` when `bytes_at_this_scale * scale` fits the device memory —
 /// the full-size feasibility test behind the ∅ cells.
 fn fits_full_scale(dev: &Device, bytes: u64, scale: usize) -> bool {
@@ -136,13 +109,18 @@ pub fn compare_matrix(
     budget.bccoo_sample_rows = BCCOO_TUNE_SAMPLE_ROWS;
     let cost_of = |name: &'static str| -> FormatCost {
         match reg.plan(name, &dev, m, &budget) {
-            Ok(plan) => FormatCost {
-                format: name.into(),
-                preprocess_seconds: project_cost(plan.preprocess_cost(), scale)
-                    .modeled_host_seconds(host),
-                spmv_seconds: one_spmv(&dev, &plan, &xd, scale),
-                feasible: fits_full_scale(&dev, plan.device_bytes(), scale),
-            },
+            Ok(plan) => {
+                let yd = dev.alloc_zeroed::<f32>(m.rows());
+                FormatCost {
+                    format: name.into(),
+                    preprocess_seconds: plan
+                        .preprocess_cost()
+                        .scaled(scale as u64)
+                        .modeled_host_seconds(host),
+                    spmv_seconds: projected_spmv_seconds(&plan.spmv(&dev, &xd, &yd), scale),
+                    feasible: fits_full_scale(&dev, plan.device_bytes(), scale),
+                }
+            }
             Err(_) => infeasible(name),
         }
     };

@@ -20,8 +20,8 @@
 //! The drift-tolerant [`PlanCache::probe_drift`] is exercised per batch
 //! (anchored at build time). The report carries both records as they
 //! are kept: the cache's hit/miss/invalidation counts plus the probes
-//! that survived drift, and the maintenance ledger's
-//! [`acsr_stream::LedgerTotals`].
+//! that survived drift, and the [`LedgerTotals`] summed from the
+//! engine's per-batch [`BatchReport`]s.
 //!
 //! Results go to `results/BENCH_stream.json` under [`SCHEMA`], which the
 //! write and `repro check-artifacts` both enforce — a run that lost
@@ -33,7 +33,7 @@ use acsr::AcsrConfig;
 use acsr_serve::{
     generate_queries, serve_with_churn, ArrivalPattern, ChurnServeConfig, SteadyOperator,
 };
-use acsr_stream::{ChurnedStream, LedgerTotals, StreamEngine};
+use acsr_stream::{BatchReport, ChurnedStream, StreamEngine};
 use gpu_sim::{presets, Device};
 use graphgen::{generate_edge_stream, generate_rmat, ChurnConfig, RmatConfig};
 use serde::{Serialize, Value};
@@ -103,6 +103,31 @@ pub struct BatchRow {
     pub drift: &'static str,
 }
 
+/// Maintenance totals over the throughput run (the artifact's `ledger`
+/// object), summed from the engine's [`BatchReport`]s.
+#[derive(Default, Serialize)]
+pub struct LedgerTotals {
+    pub batches: u64,
+    pub in_place_rows: u64,
+    pub migrated_rows: u64,
+    /// Rows relocated without a bin change (arena capacity shifts).
+    pub capacity_shift_rows: u64,
+    /// Batches that regrew the element buffers.
+    pub buffer_grows: u64,
+    pub bytes_rewritten: u64,
+}
+
+impl LedgerTotals {
+    fn add(&mut self, r: &BatchReport) {
+        self.batches += 1;
+        self.in_place_rows += r.in_place_rows as u64;
+        self.migrated_rows += r.migrated_rows as u64;
+        self.capacity_shift_rows += r.relocated_rows as u64;
+        self.buffer_grows += u64::from(r.buffer_grown);
+        self.bytes_rewritten += r.bytes_rewritten;
+    }
+}
+
 /// Full report of one streaming run.
 #[derive(Serialize)]
 pub struct Report {
@@ -133,7 +158,7 @@ pub struct Report {
     pub p50_steady_ms: f64,
     /// Maintenance events applied during the churn serving run.
     pub churn_events: usize,
-    /// Maintenance ledger totals over the throughput run.
+    /// Maintenance totals over the throughput run.
     pub ledger: LedgerTotals,
     pub batch_rows: Vec<BatchRow>,
 }
@@ -226,9 +251,11 @@ pub fn run(quick: bool) -> Report {
     let mut total_ops = 0usize;
     let mut identical = true;
     let mut survived = 0u64;
+    let mut ledger = LedgerTotals::default();
     for (i, timed) in stream.iter().enumerate() {
         mirror = timed.batch.apply_to_csr(&mirror);
         let report = engine.apply_batch(&dev, &timed.batch);
+        ledger.add(&report);
 
         // The baseline pays the whole pipeline again: host-side apply
         // (stream the index+value arrays through memory), a fresh ACSR
@@ -272,7 +299,6 @@ pub fn run(quick: bool) -> Report {
             drift,
         });
     }
-    let ledger = engine.ledger().totals();
 
     // --- serving impact: same queries, with and without churn ---------
     // The serving study runs on its own fixed-size graph (the

@@ -61,32 +61,32 @@ impl Binning {
         cfg: &AcsrConfig,
     ) -> (Binning, PreprocessCost) {
         let n_rows = row_len.len();
-        let (binning, cost) = sparse_formats::cost::timed(|cost| {
-            let mut bins: Vec<Vec<u32>> = Vec::new();
-            let mut nonempty_rows = 0usize;
-            for (r, len) in row_len.enumerate() {
-                let b = bin_index(len);
-                if b >= bins.len() {
-                    bins.resize_with(b + 1, Vec::new);
-                }
-                bins[b].push(r as u32);
-                if len > 0 {
-                    nonempty_rows += 1;
-                }
+        let mut bins: Vec<Vec<u32>> = Vec::new();
+        let mut nonempty_rows = 0usize;
+        for (r, len) in row_len.enumerate() {
+            let b = bin_index(len);
+            if b >= bins.len() {
+                bins.resize_with(b + 1, Vec::new);
             }
-            let (g1_rows, g2_bins, overflow_rows) = Self::split_groups(&bins, cfg);
-            // scan reads the offsets array; writes one u32 per row —
-            // additive, so costs accrued earlier in the closure survive
-            cost.bytes_read += (n_rows as u64 + 1) * 4;
-            cost.bytes_written += n_rows as u64 * 4;
-            Binning {
-                bins,
-                g1_rows,
-                g2_bins,
-                overflow_rows,
-                nonempty_rows,
+            bins[b].push(r as u32);
+            if len > 0 {
+                nonempty_rows += 1;
             }
-        });
+        }
+        let (g1_rows, g2_bins, overflow_rows) = Self::split_groups(&bins, cfg);
+        // scan reads the offsets array; writes one u32 per row
+        let cost = PreprocessCost {
+            bytes_read: (n_rows as u64 + 1) * 4,
+            bytes_written: n_rows as u64 * 4,
+            ..PreprocessCost::default()
+        };
+        let binning = Binning {
+            bins,
+            g1_rows,
+            g2_bins,
+            overflow_rows,
+            nonempty_rows,
+        };
         (binning, cost)
     }
 
@@ -125,46 +125,46 @@ impl Binning {
     /// membership lists, not to the matrix — the amortization that turns
     /// re-binning from a global scan into per-bin bookkeeping.
     pub fn apply_moves(&mut self, moves: &[RowMove], cfg: &AcsrConfig) -> PreprocessCost {
-        let ((), cost) = sparse_formats::cost::timed(|cost| {
-            let mut dirty_len = 0u64;
-            for mv in moves {
-                debug_assert_ne!(mv.from, mv.to, "a move must change the bin");
-                if mv.to >= self.bins.len() {
-                    self.bins.resize_with(mv.to + 1, Vec::new);
-                }
-                let from = &mut self.bins[mv.from];
-                let at = from
-                    .binary_search(&mv.row)
-                    .expect("moved row must be in its source bin");
-                from.remove(at);
-                let to = &mut self.bins[mv.to];
-                let at = to
-                    .binary_search(&mv.row)
-                    .expect_err("moved row cannot already be in its target bin");
-                to.insert(at, mv.row);
-                if mv.from == 0 {
-                    self.nonempty_rows += 1;
-                }
-                if mv.to == 0 {
-                    self.nonempty_rows -= 1;
-                }
-                dirty_len += (self.bins[mv.from].len() + self.bins[mv.to].len()) as u64;
+        let mut dirty_len = 0u64;
+        for mv in moves {
+            debug_assert_ne!(mv.from, mv.to, "a move must change the bin");
+            if mv.to >= self.bins.len() {
+                self.bins.resize_with(mv.to + 1, Vec::new);
             }
-            // a full build never materializes bins past the largest
-            // occupied one; trim so the patched binning stays canonical
-            while self.bins.last().is_some_and(|b| b.is_empty()) {
-                self.bins.pop();
+            let from = &mut self.bins[mv.from];
+            let at = from
+                .binary_search(&mv.row)
+                .expect("moved row must be in its source bin");
+            from.remove(at);
+            let to = &mut self.bins[mv.to];
+            let at = to
+                .binary_search(&mv.row)
+                .expect_err("moved row cannot already be in its target bin");
+            to.insert(at, mv.row);
+            if mv.from == 0 {
+                self.nonempty_rows += 1;
             }
-            let (g1_rows, g2_bins, overflow_rows) = Self::split_groups(&self.bins, cfg);
-            self.g1_rows = g1_rows;
-            self.g2_bins = g2_bins;
-            self.overflow_rows = overflow_rows;
-            // reads the moved rows' (old, new) length pair; rewrites the
-            // dirty bins' membership lists
-            cost.bytes_read += moves.len() as u64 * 8;
-            cost.bytes_written += dirty_len * 4;
-        });
-        cost
+            if mv.to == 0 {
+                self.nonempty_rows -= 1;
+            }
+            dirty_len += (self.bins[mv.from].len() + self.bins[mv.to].len()) as u64;
+        }
+        // a full build never materializes bins past the largest
+        // occupied one; trim so the patched binning stays canonical
+        while self.bins.last().is_some_and(|b| b.is_empty()) {
+            self.bins.pop();
+        }
+        let (g1_rows, g2_bins, overflow_rows) = Self::split_groups(&self.bins, cfg);
+        self.g1_rows = g1_rows;
+        self.g2_bins = g2_bins;
+        self.overflow_rows = overflow_rows;
+        // reads the moved rows' (old, new) length pair; rewrites the
+        // dirty bins' membership lists
+        PreprocessCost {
+            bytes_read: moves.len() as u64 * 8,
+            bytes_written: dirty_len * 4,
+            ..PreprocessCost::default()
+        }
     }
 
     /// Rows of bin `i` (empty past the largest occupied bin, and for

@@ -36,14 +36,6 @@ pub struct AcsrConfig {
     pub mode: AcsrMode,
     /// Read `x` through the texture cache (paper default: yes).
     pub texture_x: bool,
-    /// Per-row slack reserved for incremental updates, as a fraction of
-    /// the row's initial length (§VII "some additional memory is reserved
-    /// at the end of each CSR row"). Each row also gets
-    /// [`AcsrConfig::MIN_SLACK`] absolute slots. The default of 1.0
-    /// covers the paper's update protocol exactly: scanning a row's
-    /// columns and replacing deletions with insertions can at most double
-    /// the row.
-    pub slack_fraction: f64,
 }
 
 impl AcsrConfig {
@@ -61,7 +53,6 @@ impl AcsrConfig {
                 thread_load: 4,
                 mode: AcsrMode::DynamicParallelism,
                 texture_x: true,
-                slack_fraction: 1.0,
             }
         } else {
             AcsrConfig {
@@ -70,7 +61,6 @@ impl AcsrConfig {
                 thread_load: 4,
                 mode: AcsrMode::BinningOnly,
                 texture_x: true,
-                slack_fraction: 1.0,
             }
         }
     }
@@ -83,7 +73,6 @@ impl AcsrConfig {
             thread_load: 4,
             mode: AcsrMode::StaticLongTail,
             texture_x: true,
-            slack_fraction: 1.0,
         }
     }
 
@@ -96,10 +85,13 @@ impl AcsrConfig {
         }
     }
 
-    /// Per-row capacity for a row of `len` non-zeros under the slack
-    /// policy.
+    /// Per-row capacity for a row of `len` non-zeros: the row, as much
+    /// slack again, and [`AcsrConfig::MIN_SLACK`] slots more (§VII "some
+    /// additional memory is reserved at the end of each CSR row"). The
+    /// paper's update protocol replaces deletions with insertions while
+    /// scanning a row's columns, so it can at most double the row.
     pub fn row_capacity(&self, len: usize) -> usize {
-        len + Self::MIN_SLACK + (len as f64 * self.slack_fraction).ceil() as usize
+        2 * len + Self::MIN_SLACK
     }
 }
 

@@ -31,8 +31,7 @@ pub struct AcsrMatrix<T> {
 
 impl<T: Scalar> AcsrMatrix<T> {
     /// Upload a host CSR matrix, laying rows out with the slack policy of
-    /// `cfg`. With `slack_fraction == 0` and `MIN_SLACK` ignored this is
-    /// byte-identical to packed CSR plus the length array.
+    /// `cfg` ([`AcsrConfig::row_capacity`]).
     pub fn from_csr(dev: &Device, m: &CsrMatrix<T>, cfg: &AcsrConfig) -> Self {
         let rows = m.rows();
         let mut row_start = Vec::with_capacity(rows);
@@ -120,17 +119,6 @@ impl<T: Scalar> AcsrMatrix<T> {
     /// `validate` cross-checks it against the lengths.
     pub fn set_nnz(&mut self, nnz: usize) {
         self.nnz = nnz;
-    }
-
-    /// Total reserved-but-unused slots (Σ cap − len) — the slack budget
-    /// incremental updates consume before any row has to move.
-    pub fn slack_elements(&self) -> u64 {
-        self.row_cap
-            .as_slice()
-            .iter()
-            .zip(self.row_len.as_slice())
-            .map(|(&c, &l)| (c - l) as u64)
-            .sum()
     }
 
     /// Bytes a full upload stages over PCIe: the live entries and the
@@ -261,19 +249,6 @@ mod tests {
         }
         // storage strictly larger than packed CSR values+cols
         assert!(a.col_indices.len() > m.nnz());
-    }
-
-    #[test]
-    fn zero_slack_is_compact_plus_min() {
-        let m = matrix();
-        let dev = Device::new(presets::gtx_titan());
-        let mut cfg = AcsrConfig::for_device(dev.config());
-        cfg.slack_fraction = 0.0;
-        let a = AcsrMatrix::from_csr(&dev, &m, &cfg);
-        assert_eq!(
-            a.col_indices.len(),
-            m.nnz() + m.rows() * AcsrConfig::MIN_SLACK
-        );
     }
 
     #[test]

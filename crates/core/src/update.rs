@@ -299,15 +299,16 @@ mod tests {
     fn insert_heavy_update_overflows_and_rebuilds() {
         let m = matrix(800, 114);
         let dev = Device::new(presets::gtx_titan());
-        let mut cfg = AcsrConfig::for_device(dev.config());
-        cfg.slack_fraction = 0.0; // MIN_SLACK only: easy to overflow
+        let cfg = AcsrConfig::for_device(dev.config());
         let mut engine = AcsrEngine::from_csr(&dev, &m, cfg);
-        // insert 20 new columns into row 5
+        // insert one column more into row 5 than its slack can hold
         let (rcols, _) = m.row(5);
+        let overflow = rcols.len() + AcsrConfig::MIN_SLACK + 1;
         let mut ins: Vec<u32> = (0..800u32)
             .filter(|c| rcols.binary_search(c).is_err())
-            .take(20)
+            .take(overflow)
             .collect();
+        assert_eq!(ins.len(), overflow, "row 5 leaves room for the inserts");
         ins.sort_unstable();
         let batch = UpdateBatch {
             rows: vec![5],

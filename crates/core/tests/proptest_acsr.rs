@@ -45,7 +45,6 @@ fn arb_config() -> impl Strategy<Value = AcsrConfig> {
                 thread_load,
                 mode,
                 texture_x,
-                slack_fraction: 1.0,
             },
         )
 }

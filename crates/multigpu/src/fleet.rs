@@ -198,8 +198,6 @@ pub struct FleetReport {
     pub compute: Vec<f64>,
     /// The scheduled exchange: halo transfers, or completion hand-offs.
     pub exchange: ExchangeReport,
-    /// Format each shard executed ("-" for an empty shard).
-    pub formats: Vec<String>,
     /// Hot rows computed redundantly somewhere in the fleet.
     pub replicated_rows: usize,
 }
@@ -433,7 +431,6 @@ impl<T: Scalar> Fleet<T> {
             per_device,
             compute: finishes.iter().map(|f| f.unwrap_or(0.0)).collect(),
             exchange,
-            formats: self.formats.clone(),
             replicated_rows: self.partition.hot_rows.len(),
         }
     }
@@ -584,10 +581,10 @@ mod tests {
             };
             let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
             let mut y = vec![0.0; m.rows()];
-            let rep = fleet.spmv(&x, &mut y);
+            fleet.spmv(&x, &mut y);
             let d = sparse_formats::scalar::rel_l2_distance(&y, &want);
             assert!(d < 1e-12, "{name}: rel distance {d}");
-            assert_eq!(rep.formats, vec![name, name], "{name}");
+            assert_eq!(fleet.formats(), [name, name], "{name}");
         }
     }
 
@@ -708,16 +705,18 @@ mod tests {
             .map(|s| s.halo_entries() as u64 * 8)
             .sum();
         assert_eq!(rep.exchange.payload_bytes, expect);
-        let send: u64 = rep.exchange.send_bytes.iter().sum();
-        let recv: u64 = rep.exchange.recv_bytes.iter().sum();
+        // Link bytes leaving (`src`) or landing on (`dst`) device `d`.
+        let by = |end: fn(&halo::EdgeTransfer) -> usize, d: usize| -> u64 {
+            let on_d = rep.exchange.transfers.iter().filter(|t| end(t) == d);
+            on_d.map(|t| t.bytes).sum()
+        };
+        let send: u64 = (0..4).map(|d| by(|t| t.src, d)).sum();
+        let recv: u64 = (0..4).map(|d| by(|t| t.dst, d)).sum();
         assert_eq!(send, rep.halo_bytes());
         assert_eq!(recv, rep.halo_bytes(), "no halo edge targets the host sink");
         // Per-device ingress accounting mirrors the exchange exactly.
         for d in 0..4 {
-            assert_eq!(
-                rep.per_device[d].counters.htod_bytes,
-                rep.exchange.recv_bytes[d]
-            );
+            assert_eq!(rep.per_device[d].counters.htod_bytes, by(|t| t.dst, d));
         }
         let htod: u64 = rep.per_device.iter().map(|r| r.counters.htod_bytes).sum();
         assert_eq!(htod, rep.halo_bytes());
@@ -776,9 +775,9 @@ mod tests {
             let mut y = vec![0.0; 3];
             let rep = fleet.spmv(&x, &mut y);
             assert_eq!(y, vec![2.0, 4.0, 6.0]);
-            assert_eq!(rep.formats.iter().filter(|f| *f == "-").count(), 5);
+            assert_eq!(fleet.formats().iter().filter(|f| *f == "-").count(), 5);
             assert_eq!(rep.per_device.len(), 8);
-            for (d, f) in rep.formats.iter().enumerate() {
+            for (d, f) in fleet.formats().iter().enumerate() {
                 if f == "-" {
                     assert_eq!(rep.per_device[d].launches, 0, "empty shard {d} computed");
                     assert!(rep

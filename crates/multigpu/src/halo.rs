@@ -149,10 +149,6 @@ pub struct ExchangeReport {
     pub schedule: Schedule,
     /// Every transfer (one message each), in FIFO-priority order.
     pub transfers: Vec<EdgeTransfer>,
-    /// Link bytes leaving each device, forwarded payload included.
-    pub send_bytes: Vec<u64>,
-    /// Link bytes landing on each device (host-sink bytes excluded).
-    pub recv_bytes: Vec<u64>,
     /// Payload delivered, each payload counted once at its destination:
     /// equal to [`Self::total_bytes`] under the direct schedule, below it
     /// when routed payloads were forwarded.
@@ -179,22 +175,11 @@ impl ExchangeReport {
         transfers: Vec<EdgeTransfer>,
         payload_bytes: u64,
     ) -> ExchangeReport {
-        let mut send_bytes = vec![0; n_devices];
-        let mut recv_bytes = vec![0; n_devices];
-        let mut end_ns = 0;
-        for t in &transfers {
-            send_bytes[t.src] += t.bytes;
-            if t.dst < n_devices {
-                recv_bytes[t.dst] += t.bytes;
-            }
-            end_ns = end_ns.max(t.done_ns);
-        }
+        let end_ns = transfers.iter().map(|t| t.done_ns).max().unwrap_or(0);
         ExchangeReport {
             n_devices,
             schedule,
             transfers,
-            send_bytes,
-            recv_bytes,
             payload_bytes,
             end_ns,
             direct_end_ns: end_ns,
@@ -553,6 +538,18 @@ impl HaloPlan {
 mod tests {
     use super::*;
 
+    /// Link bytes per device, summed over the transfers by `end` (the
+    /// sender or the receiver); host-sink bytes are not device bytes.
+    fn bytes_by(rep: &ExchangeReport, end: fn(&EdgeTransfer) -> usize) -> Vec<u64> {
+        let mut bytes = vec![0; rep.n_devices];
+        for t in &rep.transfers {
+            if let Some(b) = bytes.get_mut(end(t)) {
+                *b += t.bytes;
+            }
+        }
+        bytes
+    }
+
     fn edge(src: usize, dst: usize, bytes: u64, ready_ns: u64) -> EdgeSpec {
         EdgeSpec {
             src,
@@ -574,8 +571,8 @@ mod tests {
         assert_eq!(rep.transfers[0].start_ns, 0);
         assert_eq!(rep.transfers[1].start_ns, 0);
         assert_eq!(rep.end_ns, 100); // 1000 B at 10 GB/s = 100 ns
-        assert_eq!(rep.send_bytes, vec![1000, 0, 1000, 0]);
-        assert_eq!(rep.recv_bytes, vec![0, 1000, 0, 1000]);
+        assert_eq!(bytes_by(&rep, |t| t.src), vec![1000, 0, 1000, 0]);
+        assert_eq!(bytes_by(&rep, |t| t.dst), vec![0, 1000, 0, 1000]);
     }
 
     #[test]
@@ -619,7 +616,7 @@ mod tests {
         assert_eq!(by_src(0).start_ns, 100, "ready later, host already free");
         assert_eq!(rep.end_ns, 110);
         assert_eq!(
-            rep.recv_bytes,
+            bytes_by(&rep, |t| t.dst),
             vec![0, 0],
             "host bytes are not device bytes"
         );
@@ -745,8 +742,8 @@ mod tests {
         let rep = plan.schedule(&[0, 50, 0, 10, 0], &LinkModel::pcie());
         assert_eq!(rep.schedule, Schedule::Direct);
         assert_eq!(rep.transfers.len(), 2);
-        assert_eq!(rep.send_bytes, vec![0, 32, 0, 16, 0]);
-        assert_eq!(rep.recv_bytes, vec![0, 16, 0, 32, 0]);
+        assert_eq!(bytes_by(&rep, |t| t.src), vec![0, 32, 0, 16, 0]);
+        assert_eq!(bytes_by(&rep, |t| t.dst), vec![0, 16, 0, 32, 0]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn signature(rep: &FleetReport, y: &[f64]) -> (Vec<u64>, Vec<String>, Vec<u64>, 
         y.iter().map(|v| v.to_bits()).collect(),
         rep.per_device.iter().map(dev).collect(),
         rep.compute.iter().map(|c| c.to_bits()).collect(),
-        format!("{:?} {:?}", rep.exchange, rep.formats),
+        format!("{:?}", rep.exchange),
     )
 }
 

@@ -235,11 +235,6 @@ impl<T: Scalar> SpmvPlan<T> {
     pub fn preprocess_seconds(&self, host: &HostModel) -> f64 {
         self.preprocess.modeled_host_seconds(host)
     }
-
-    /// Modeled PCIe upload seconds for the plan's staged bytes.
-    pub fn upload_seconds(&self, host: &HostModel) -> f64 {
-        host.copy_seconds(self.upload_bytes)
-    }
 }
 
 impl<T: Scalar> GpuSpmv<T> for SpmvPlan<T> {

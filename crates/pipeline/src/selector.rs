@@ -37,8 +37,9 @@ use spmv_kernels::GpuSpmv;
 /// thousands of iterations for the tuned comparators).
 const AUTOTUNE_HORIZON: u64 = 100;
 
-/// One probed SpMV projected to `scale`-times-larger size, exactly like
-/// the bench suite's format comparison: throughput-bound components
+/// One probed SpMV projected to `scale`-times-larger size, the one
+/// projection the selector and the bench suite's format comparison
+/// (Table III, Fig. 4, Table IV) share: throughput-bound components
 /// (compute issue, DRAM traffic) grow linearly with matrix size, while
 /// per-warp critical paths (set by the longest row, which real degree
 /// distributions clamp) and launch overheads stay fixed.
@@ -224,9 +225,8 @@ impl AdaptiveSelector {
                         .preprocess_cost()
                         .scaled(scale as u64)
                         .modeled_host_seconds(&budget.host);
-                    let upload_s = budget
-                        .host
-                        .copy_seconds(plan.upload_bytes().saturating_mul(scale as u64));
+                    let upload_s =
+                        dev.htod_seconds(plan.upload_bytes().saturating_mul(scale as u64));
                     let total_s = preprocess_s + upload_s + horizon as f64 * spmv_s;
                     if incumbent.is_none_or(|b| (total_s, name) < (b.total_s, b.format)) {
                         incumbent = Some(Incumbent {

@@ -91,9 +91,14 @@ fn plan_in_full(
     })
 }
 
-/// The selector's report for `planned` under `budget`, recomputed with
-/// the selector's arithmetic (break-even left unset).
-fn full_report(format: &str, planned: &Planned, budget: &PlanBudget) -> CandidateReport {
+/// The selector's report for `planned` under `budget` on `dev`,
+/// recomputed with the selector's arithmetic (break-even left unset).
+fn full_report(
+    dev: &Device,
+    format: &str,
+    planned: &Planned,
+    budget: &PlanBudget,
+) -> CandidateReport {
     let scale = budget.probe_scale.max(1);
     let infeasible = |reason: String| CandidateReport {
         format: format.to_string(),
@@ -124,9 +129,7 @@ fn full_report(format: &str, planned: &Planned, budget: &PlanBudget) -> Candidat
             }
             let spmv_s = projected_spmv_seconds(probe, scale);
             let preprocess_s = cost.scaled(scale as u64).modeled_host_seconds(&budget.host);
-            let upload_s = budget
-                .host
-                .copy_seconds(upload_bytes.saturating_mul(scale as u64));
+            let upload_s = dev.htod_seconds(upload_bytes.saturating_mul(scale as u64));
             CandidateReport {
                 format: format.to_string(),
                 feasible: true,
@@ -212,7 +215,7 @@ fn check_against_full_sweeps(
                         ));
                     }
                     let (_, p) = planned.iter().find(|(f, _)| *f == c.format).unwrap();
-                    full_report(&c.format, p, &budget)
+                    full_report(&dev, &c.format, p, &budget)
                 })
                 .collect();
             let argmin = full

@@ -14,7 +14,7 @@
 
 use crate::latency::LatencyStats;
 use crate::query::{rwr_coefficients, Query};
-use gpu_sim::{Device, DeviceBuffer, RunReport};
+use gpu_sim::{Device, DeviceBuffer};
 use sparse_formats::Scalar;
 use spmv_kernels::{Affine, GpuSpmv};
 
@@ -91,8 +91,6 @@ pub struct ChurnServeReport {
     pub waves: usize,
     /// Arrival-to-completion latency summary.
     pub latency: LatencyStats,
-    /// Accumulated wave kernel accounting.
-    pub device_report: RunReport,
 }
 
 struct ActiveQ<T> {
@@ -129,7 +127,6 @@ pub fn serve_with_churn<T: Scalar>(
     let mut next_arrival = 0usize;
     let mut active: Vec<ActiveQ<T>> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
-    let mut device_report = RunReport::default();
     let mut waves = 0usize;
     let mut maintenance_events = 0usize;
     let mut maintenance_seconds = 0.0f64;
@@ -187,7 +184,6 @@ pub fn serve_with_churn<T: Scalar>(
         };
         let wave = source.operator().spmm_affine(dev, &xs, &affine, false);
         clock += wave.report.time_s;
-        device_report = device_report.then(&wave.report);
 
         // 4. Retire finished queries.
         let mut next_iter = wave.outs.into_iter();
@@ -212,7 +208,6 @@ pub fn serve_with_churn<T: Scalar>(
         makespan_s: makespan,
         waves,
         latency: LatencyStats::from_samples(&latencies),
-        device_report,
     }
 }
 

@@ -12,7 +12,7 @@
 //! space ([`BccooConfig::search_space`]); the tuning driver that evaluates
 //! configurations on a simulated device lives in `spmv-kernels`.
 
-use crate::cost::{timed, PreprocessCost};
+use crate::cost::PreprocessCost;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -100,54 +100,45 @@ impl<T: Scalar> BccooMatrix<T> {
     ) -> Result<(Self, PreprocessCost), SparseError> {
         let (bh, bw) = (config.block_h, config.block_w);
         assert!(bh > 0 && bw > 0, "BCCOO tiles must be non-empty");
-        let (out, cost) = timed(|cost| {
-            // Pass 1: enumerate (tile_row, tile_col, in-tile pos, value).
-            let mut keyed: Vec<(u64, u32, T)> = Vec::with_capacity(csr.nnz());
-            for (r, c, v) in csr.iter() {
-                let tr = (r / bh) as u64;
-                let tc = (c / bw) as u64;
-                let pos = ((r % bh) * bw + (c % bw)) as u32;
-                keyed.push(((tr << 32) | tc, pos, v));
-            }
-            keyed.sort_unstable_by_key(|e| e.0);
-            cost.charge_sort(keyed.len() as u64, 16);
-            keyed
-        });
-        let keyed = out;
-        let mut cost = cost;
+        let mut cost = PreprocessCost::default();
+        // Pass 1: enumerate (tile_row, tile_col, in-tile pos, value).
+        let mut keyed: Vec<(u64, u32, T)> = Vec::with_capacity(csr.nnz());
+        for (r, c, v) in csr.iter() {
+            let tr = (r / bh) as u64;
+            let tc = (c / bw) as u64;
+            let pos = ((r % bh) * bw + (c % bw)) as u32;
+            keyed.push(((tr << 32) | tc, pos, v));
+        }
+        keyed.sort_unstable_by_key(|e| e.0);
+        cost.charge_sort(keyed.len() as u64, 16);
 
-        let (built, build_cost) = timed(|c| {
-            let tile_len = bh * bw;
-            let mut tile_rows: Vec<u32> = Vec::new();
-            let mut tile_cols: Vec<u32> = Vec::new();
-            let mut tile_values: Vec<T> = Vec::new();
-            let mut last_key = u64::MAX;
-            for (key, pos, v) in keyed {
-                if key != last_key {
-                    tile_rows.push(((key >> 32) as u32) * bh as u32);
-                    tile_cols.push((key as u32) * bw as u32);
-                    tile_values.extend(std::iter::repeat_n(T::ZERO, tile_len));
-                    last_key = key;
-                }
-                let base = tile_values.len() - tile_len;
-                tile_values[base + pos as usize] += v;
+        let tile_len = bh * bw;
+        let mut tile_rows: Vec<u32> = Vec::new();
+        let mut tile_cols: Vec<u32> = Vec::new();
+        let mut tile_values: Vec<T> = Vec::new();
+        let mut last_key = u64::MAX;
+        for (key, pos, v) in keyed {
+            if key != last_key {
+                tile_rows.push(((key >> 32) as u32) * bh as u32);
+                tile_cols.push((key as u32) * bw as u32);
+                tile_values.extend(std::iter::repeat_n(T::ZERO, tile_len));
+                last_key = key;
             }
-            let n_tiles = tile_rows.len();
-            let mut row_flags = vec![0u64; n_tiles.div_ceil(64)];
-            for i in 0..n_tiles {
-                let new_stripe = i == 0 || tile_rows[i] != tile_rows[i - 1];
-                if new_stripe {
-                    row_flags[i / 64] |= 1u64 << (i % 64);
-                }
+            let base = tile_values.len() - tile_len;
+            tile_values[base + pos as usize] += v;
+        }
+        let n_tiles = tile_rows.len();
+        let mut row_flags = vec![0u64; n_tiles.div_ceil(64)];
+        for i in 0..n_tiles {
+            let new_stripe = i == 0 || tile_rows[i] != tile_rows[i - 1];
+            if new_stripe {
+                row_flags[i / 64] |= 1u64 << (i % 64);
             }
-            c.bytes_read += csr.nnz() as u64 * (8 + T::BYTES as u64);
-            c.bytes_written += n_tiles as u64 * 8
-                + (tile_values.len() as u64) * T::BYTES as u64
-                + row_flags.len() as u64 * 8;
-            (tile_rows, tile_cols, row_flags, tile_values)
-        });
-        cost.merge(&build_cost);
-        let (tile_rows, tile_cols, row_flags, tile_values) = built;
+        }
+        cost.bytes_read += csr.nnz() as u64 * (8 + T::BYTES as u64);
+        cost.bytes_written += n_tiles as u64 * 8
+            + (tile_values.len() as u64) * T::BYTES as u64
+            + row_flags.len() as u64 * 8;
 
         let bytes = tile_rows.len() * 8 + tile_values.len() * T::BYTES + row_flags.len() * 8;
         if bytes > max_bytes {

@@ -12,7 +12,7 @@
 //! Because a row may span several chunks (in different blocks), BRC SpMV
 //! *accumulates* into a zeroed `y`.
 
-use crate::cost::{timed, PreprocessCost};
+use crate::cost::PreprocessCost;
 use crate::csr::CsrMatrix;
 use crate::ell::ELL_PAD;
 use crate::error::SparseError;
@@ -61,46 +61,43 @@ impl<T: Scalar> BrcMatrix<T> {
         max_bytes: usize,
     ) -> Result<(Self, PreprocessCost), SparseError> {
         let rows = csr.rows();
-        let (out, mut cost) = timed(|cost| {
-            // Enumerate (row, chunk offset, chunk len).
-            let mut chunks: Vec<(u32, u32, u32)> = Vec::new();
-            for r in 0..rows {
-                let len = csr.row_nnz(r);
-                let mut off = 0usize;
-                while off < len {
-                    let clen = (len - off).min(BRC_MAX_WIDTH);
-                    chunks.push((r as u32, off as u32, clen as u32));
-                    off += clen;
-                }
-                if len == 0 {
-                    // empty rows need no chunk; y is zero-filled by the
-                    // kernel's memset pass
-                }
+        let mut cost = PreprocessCost::default();
+        // Enumerate (row, chunk offset, chunk len).
+        let mut chunks: Vec<(u32, u32, u32)> = Vec::new();
+        for r in 0..rows {
+            let len = csr.row_nnz(r);
+            let mut off = 0usize;
+            while off < len {
+                let clen = (len - off).min(BRC_MAX_WIDTH);
+                chunks.push((r as u32, off as u32, clen as u32));
+                off += clen;
             }
-            chunks.sort_by_key(|&(_, _, l)| std::cmp::Reverse(l));
-            cost.charge_sort(chunks.len() as u64, 12);
+            if len == 0 {
+                // empty rows need no chunk; y is zero-filled by the
+                // kernel's memset pass
+            }
+        }
+        chunks.sort_by_key(|&(_, _, l)| std::cmp::Reverse(l));
+        cost.charge_sort(chunks.len() as u64, 12);
 
-            let mut blocks = Vec::with_capacity(chunks.len().div_ceil(BRC_BLOCK_ROWS));
-            let mut total_slots = 0usize;
-            let mut pos = 0usize;
-            while pos < chunks.len() {
-                let height = BRC_BLOCK_ROWS.min(chunks.len() - pos);
-                let width = (0..height)
-                    .map(|i| chunks[pos + i].2 as usize)
-                    .max()
-                    .unwrap_or(0);
-                blocks.push(BrcBlock {
-                    row_start: pos,
-                    height,
-                    width,
-                    data_start: total_slots,
-                });
-                total_slots += height * width;
-                pos += height;
-            }
-            (chunks, blocks, total_slots)
-        });
-        let (chunks, blocks, total_slots) = out;
+        let mut blocks = Vec::with_capacity(chunks.len().div_ceil(BRC_BLOCK_ROWS));
+        let mut total_slots = 0usize;
+        let mut pos = 0usize;
+        while pos < chunks.len() {
+            let height = BRC_BLOCK_ROWS.min(chunks.len() - pos);
+            let width = (0..height)
+                .map(|i| chunks[pos + i].2 as usize)
+                .max()
+                .unwrap_or(0);
+            blocks.push(BrcBlock {
+                row_start: pos,
+                height,
+                width,
+                data_start: total_slots,
+            });
+            total_slots += height * width;
+            pos += height;
+        }
         let bytes = total_slots * (4 + T::BYTES);
         if bytes > max_bytes {
             return Err(SparseError::CapacityExceeded {
@@ -108,30 +105,25 @@ impl<T: Scalar> BrcMatrix<T> {
                 detail: format!("blocked storage {bytes} B exceeds budget {max_bytes} B"),
             });
         }
-        let (filled, fill_cost) = timed(|c| {
-            let mut col_indices = vec![ELL_PAD; total_slots];
-            let mut values = vec![T::ZERO; total_slots];
-            let mut chunk_rows = Vec::with_capacity(chunks.len());
-            for b in &blocks {
-                for i in 0..b.height {
-                    let (r, off, clen) = chunks[b.row_start + i];
-                    let (rcols, rvals) = csr.row(r as usize);
-                    for slot in 0..clen as usize {
-                        let idx = b.data_start + slot * b.height + i;
-                        col_indices[idx] = rcols[off as usize + slot];
-                        values[idx] = rvals[off as usize + slot];
-                    }
+        let mut col_indices = vec![ELL_PAD; total_slots];
+        let mut values = vec![T::ZERO; total_slots];
+        let mut chunk_rows = Vec::with_capacity(chunks.len());
+        for b in &blocks {
+            for i in 0..b.height {
+                let (r, off, clen) = chunks[b.row_start + i];
+                let (rcols, rvals) = csr.row(r as usize);
+                for slot in 0..clen as usize {
+                    let idx = b.data_start + slot * b.height + i;
+                    col_indices[idx] = rcols[off as usize + slot];
+                    values[idx] = rvals[off as usize + slot];
                 }
             }
-            for &(r, _, _) in &chunks {
-                chunk_rows.push(r);
-            }
-            c.bytes_read += csr.nnz() as u64 * (4 + T::BYTES as u64);
-            c.bytes_written += total_slots as u64 * (4 + T::BYTES as u64);
-            (col_indices, values, chunk_rows)
-        });
-        cost.merge(&fill_cost);
-        let (col_indices, values, chunk_rows) = filled;
+        }
+        for &(r, _, _) in &chunks {
+            chunk_rows.push(r);
+        }
+        cost.bytes_read += csr.nnz() as u64 * (4 + T::BYTES as u64);
+        cost.bytes_written += total_slots as u64 * (4 + T::BYTES as u64);
         Ok((
             BrcMatrix {
                 rows,

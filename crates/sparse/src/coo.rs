@@ -6,7 +6,7 @@
 //! combine partial products into `y` — the overhead the paper's §II
 //! describes. COO is also the tail part of [`crate::hyb::HybMatrix`].
 
-use crate::cost::{timed, PreprocessCost};
+use crate::cost::PreprocessCost;
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
 use crate::SpFormat;
@@ -25,22 +25,24 @@ impl<T: Scalar> CooMatrix<T> {
     /// Convert from CSR, recording preprocessing cost (one streaming pass:
     /// expand row offsets into explicit row indices, copy columns/values).
     pub fn from_csr(csr: &CsrMatrix<T>) -> (Self, PreprocessCost) {
-        timed(|cost| {
-            let nnz = csr.nnz();
-            let mut row_indices = Vec::with_capacity(nnz);
-            for r in 0..csr.rows() {
-                row_indices.extend(std::iter::repeat_n(r as u32, csr.row_nnz(r)));
-            }
-            cost.bytes_read += (csr.rows() as u64 + 1) * 4 + nnz as u64 * (4 + T::BYTES as u64);
-            cost.bytes_written += nnz as u64 * (8 + T::BYTES as u64);
-            CooMatrix {
-                rows: csr.rows(),
-                cols: csr.cols(),
-                row_indices,
-                col_indices: csr.col_indices().to_vec(),
-                values: csr.values().to_vec(),
-            }
-        })
+        let nnz = csr.nnz();
+        let mut row_indices = Vec::with_capacity(nnz);
+        for r in 0..csr.rows() {
+            row_indices.extend(std::iter::repeat_n(r as u32, csr.row_nnz(r)));
+        }
+        let cost = PreprocessCost {
+            bytes_read: (csr.rows() as u64 + 1) * 4 + nnz as u64 * (4 + T::BYTES as u64),
+            bytes_written: nnz as u64 * (8 + T::BYTES as u64),
+            ..PreprocessCost::default()
+        };
+        let coo = CooMatrix {
+            rows: csr.rows(),
+            cols: csr.cols(),
+            row_indices,
+            col_indices: csr.col_indices().to_vec(),
+            values: csr.values().to_vec(),
+        };
+        (coo, cost)
     }
 
     /// Build directly from sorted parallel arrays (used by HYB assembly).

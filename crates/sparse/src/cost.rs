@@ -5,11 +5,9 @@
 //! compare those costs consistently with the simulator's modeled SpMV
 //! times, every conversion records the work it performed in hardware-
 //! independent units; [`HostModel`] converts those units into modeled host
-//! seconds. Conversions additionally record the measured wall time of
-//! the conversion code itself.
+//! seconds.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Work performed by a format conversion / preprocessing step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -29,9 +27,6 @@ pub struct PreprocessCost {
     pub autotune_trials: u32,
     /// Modeled device seconds consumed by auto-tuning trial SpMVs.
     pub autotune_device_seconds: f64,
-    /// Measured wall-clock time of the conversion code itself.
-    #[serde(skip)]
-    pub wall: Duration,
 }
 
 impl PreprocessCost {
@@ -43,7 +38,6 @@ impl PreprocessCost {
         self.largest_sort = self.largest_sort.max(other.largest_sort);
         self.autotune_trials += other.autotune_trials;
         self.autotune_device_seconds += other.autotune_device_seconds;
-        self.wall += other.wall;
     }
 
     /// Record a comparison sort over `n` elements of `elem_bytes` each
@@ -58,7 +52,7 @@ impl PreprocessCost {
     /// This cost projected to a `scale`-times-larger matrix: streamed
     /// bytes, sorted elements and tuning-trial device time grow
     /// linearly (the `log n` sort factor grows via `largest_sort`);
-    /// the trial *count* and measured wall time stay fixed. Used by the
+    /// the trial *count* stays fixed. Used by the
     /// bench suite and the adaptive selector to reason about full-size
     /// matrices from downscaled analogs.
     pub fn scaled(&self, scale: u64) -> PreprocessCost {
@@ -69,7 +63,6 @@ impl PreprocessCost {
             largest_sort: self.largest_sort * scale,
             autotune_trials: self.autotune_trials,
             autotune_device_seconds: self.autotune_device_seconds * scale as f64,
-            wall: self.wall,
         }
     }
 
@@ -97,10 +90,6 @@ pub struct HostModel {
     pub mem_bandwidth_bytes_s: f64,
     /// Comparison-sort throughput, comparisons/second.
     pub sort_comparisons_per_s: f64,
-    /// PCIe 2.0/3.0 host→device copy bandwidth, bytes/second.
-    pub pcie_bandwidth_bytes_s: f64,
-    /// Fixed latency per host→device copy, seconds.
-    pub pcie_latency_s: f64,
 }
 
 impl Default for HostModel {
@@ -108,27 +97,8 @@ impl Default for HostModel {
         HostModel {
             mem_bandwidth_bytes_s: 20e9,
             sort_comparisons_per_s: 100e6,
-            pcie_bandwidth_bytes_s: 6e9,
-            pcie_latency_s: 10e-6,
         }
     }
-}
-
-impl HostModel {
-    /// Modeled time to copy `bytes` from host to device (or back).
-    pub fn copy_seconds(&self, bytes: u64) -> f64 {
-        self.pcie_latency_s + bytes as f64 / self.pcie_bandwidth_bytes_s
-    }
-}
-
-/// Measure the wall time of `f`, storing it into the returned cost of the
-/// closure. Helper for conversion implementations.
-pub fn timed<T>(f: impl FnOnce(&mut PreprocessCost) -> T) -> (T, PreprocessCost) {
-    let mut cost = PreprocessCost::default();
-    let start = std::time::Instant::now();
-    let out = f(&mut cost);
-    cost.wall = start.elapsed();
-    (out, cost)
 }
 
 #[cfg(test)]
@@ -144,7 +114,6 @@ mod tests {
             largest_sort: 5,
             autotune_trials: 1,
             autotune_device_seconds: 0.5,
-            wall: Duration::from_millis(1),
         };
         let b = PreprocessCost {
             bytes_read: 1,
@@ -153,7 +122,6 @@ mod tests {
             largest_sort: 100,
             autotune_trials: 2,
             autotune_device_seconds: 0.25,
-            wall: Duration::from_millis(3),
         };
         a.merge(&b);
         assert_eq!(a.bytes_read, 11);
@@ -162,7 +130,6 @@ mod tests {
         assert_eq!(a.largest_sort, 100);
         assert_eq!(a.autotune_trials, 3);
         assert_eq!(a.autotune_device_seconds, 0.75);
-        assert_eq!(a.wall, Duration::from_millis(4));
     }
 
     #[test]
@@ -181,24 +148,5 @@ mod tests {
     fn zero_cost_is_zero_seconds() {
         let host = HostModel::default();
         assert_eq!(PreprocessCost::default().modeled_host_seconds(&host), 0.0);
-    }
-
-    #[test]
-    fn copy_time_includes_latency() {
-        let host = HostModel::default();
-        assert!(host.copy_seconds(0) >= host.pcie_latency_s);
-        assert!(host.copy_seconds(1 << 30) > host.copy_seconds(1 << 20));
-    }
-
-    #[test]
-    fn timed_captures_wall_clock() {
-        let (v, cost) = timed(|c| {
-            c.bytes_read = 7;
-            std::thread::sleep(Duration::from_millis(2));
-            42
-        });
-        assert_eq!(v, 42);
-        assert_eq!(cost.bytes_read, 7);
-        assert!(cost.wall >= Duration::from_millis(1));
     }
 }

@@ -5,7 +5,7 @@
 //! for power-law graphs — included so the format-shootout example can
 //! demonstrate *why* the paper's suite needs unstructured formats.
 
-use crate::cost::{timed, PreprocessCost};
+use crate::cost::PreprocessCost;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -43,26 +43,27 @@ impl<T: Scalar> DiaMatrix<T> {
                 });
             }
         }
-        let (out, cost) = timed(|cost| {
-            let offsets: Vec<i64> = present.iter().copied().collect();
-            let index_of: std::collections::HashMap<i64, usize> =
-                offsets.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-            let mut data = vec![T::ZERO; offsets.len() * csr.rows()];
-            for (r, c, v) in csr.iter() {
-                let d = index_of[&(c as i64 - r as i64)];
-                data[d * csr.rows() + r] = v;
-            }
-            cost.bytes_read += 2 * csr.nnz() as u64 * (4 + T::BYTES as u64);
-            cost.bytes_written += data.len() as u64 * T::BYTES as u64;
-            DiaMatrix {
-                rows: csr.rows(),
-                cols: csr.cols(),
-                nnz: csr.nnz(),
-                offsets,
-                data,
-            }
-        });
-        Ok((out, cost))
+        let offsets: Vec<i64> = present.iter().copied().collect();
+        let index_of: std::collections::HashMap<i64, usize> =
+            offsets.iter().enumerate().map(|(i, &d)| (d, i)).collect();
+        let mut data = vec![T::ZERO; offsets.len() * csr.rows()];
+        for (r, c, v) in csr.iter() {
+            let d = index_of[&(c as i64 - r as i64)];
+            data[d * csr.rows() + r] = v;
+        }
+        let cost = PreprocessCost {
+            bytes_read: 2 * csr.nnz() as u64 * (4 + T::BYTES as u64),
+            bytes_written: data.len() as u64 * T::BYTES as u64,
+            ..PreprocessCost::default()
+        };
+        let dia = DiaMatrix {
+            rows: csr.rows(),
+            cols: csr.cols(),
+            nnz: csr.nnz(),
+            offsets,
+            data,
+        };
+        Ok((dia, cost))
     }
 
     /// Occupied diagonal offsets.

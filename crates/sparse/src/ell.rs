@@ -6,7 +6,7 @@
 //! for skewed matrices the widest row forces enormous dead storage, which
 //! is why HYB caps the ELL width and spills the tail to COO (paper §II).
 
-use crate::cost::{timed, PreprocessCost};
+use crate::cost::PreprocessCost;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -85,39 +85,37 @@ impl<T: Scalar> EllMatrix<T> {
                 detail: format!("padded storage {bytes} B exceeds budget {max_bytes} B"),
             });
         }
-        let (out, cost) = timed(|cost| {
-            let mut col_indices = vec![ELL_PAD; padded];
-            let mut values = vec![T::ZERO; padded];
-            let mut tail: Vec<(u32, u32, T)> = Vec::new();
-            let mut nnz = 0usize;
-            for r in 0..rows {
-                let (cols, vals) = csr.row(r);
-                for (slot, (c, v)) in cols.iter().zip(vals.iter()).enumerate() {
-                    if slot < width {
-                        // column-major: slot-major stride of `rows`
-                        col_indices[slot * rows + r] = *c;
-                        values[slot * rows + r] = *v;
-                        nnz += 1;
-                    } else {
-                        tail.push((r as u32, *c, *v));
-                    }
+        let mut col_indices = vec![ELL_PAD; padded];
+        let mut values = vec![T::ZERO; padded];
+        let mut tail: Vec<(u32, u32, T)> = Vec::new();
+        let mut nnz = 0usize;
+        for r in 0..rows {
+            let (cols, vals) = csr.row(r);
+            for (slot, (c, v)) in cols.iter().zip(vals.iter()).enumerate() {
+                if slot < width {
+                    // column-major: slot-major stride of `rows`
+                    col_indices[slot * rows + r] = *c;
+                    values[slot * rows + r] = *v;
+                    nnz += 1;
+                } else {
+                    tail.push((r as u32, *c, *v));
                 }
             }
-            cost.bytes_read += csr.nnz() as u64 * (4 + T::BYTES as u64);
-            cost.bytes_written += padded as u64 * (4 + T::BYTES as u64);
-            (
-                EllMatrix {
-                    rows,
-                    cols: csr.cols(),
-                    width,
-                    col_indices,
-                    values,
-                    nnz,
-                },
-                tail,
-            )
-        });
-        Ok((out, cost))
+        }
+        let cost = PreprocessCost {
+            bytes_read: csr.nnz() as u64 * (4 + T::BYTES as u64),
+            bytes_written: padded as u64 * (4 + T::BYTES as u64),
+            ..PreprocessCost::default()
+        };
+        let ell = EllMatrix {
+            rows,
+            cols: csr.cols(),
+            width,
+            col_indices,
+            values,
+            nnz,
+        };
+        Ok(((ell, tail), cost))
     }
 
     /// Padded width (entries per row).

@@ -10,7 +10,7 @@
 //! charging its trials to preprocessing, as the paper does (§V: "we
 //! performed an exhaustive search to find the best number of tiles").
 
-use crate::cost::{timed, PreprocessCost};
+use crate::cost::PreprocessCost;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -60,53 +60,54 @@ impl<T: Scalar> TcooMatrix<T> {
                 detail: format!("tiled storage {bytes} B exceeds budget {max_bytes} B"),
             });
         }
-        let (out, cost) = timed(|cost| {
-            let cols = csr.cols().max(1);
-            let tile_width = cols.div_ceil(n_tiles);
-            // Bucket entries by tile (counting pass + placement pass),
-            // preserving row-major order within each tile because the CSR
-            // scan is already row-major.
-            let mut counts = vec![0usize; n_tiles];
-            for &c in csr.col_indices() {
-                counts[(c as usize) / tile_width] += 1;
-            }
-            let mut starts = vec![0usize; n_tiles + 1];
-            for t in 0..n_tiles {
-                starts[t + 1] = starts[t] + counts[t];
-            }
-            let mut row_indices = vec![0u32; nnz];
-            let mut col_indices = vec![0u32; nnz];
-            let mut values = vec![T::ZERO; nnz];
-            let mut cursor = starts.clone();
-            for (r, c, v) in csr.iter() {
-                let t = c / tile_width;
-                let dst = cursor[t];
-                cursor[t] += 1;
-                row_indices[dst] = r as u32;
-                col_indices[dst] = c as u32;
-                values[dst] = v;
-            }
-            let tiles: Vec<TcooTile> = (0..n_tiles)
-                .map(|t| TcooTile {
-                    col_start: (t * tile_width) as u32,
-                    col_end: (((t + 1) * tile_width).min(cols)) as u32,
-                    entry_start: starts[t],
-                    entry_count: counts[t],
-                })
-                .collect();
-            // two passes over the data + one write of the restructured copy
-            cost.bytes_read += 2 * nnz as u64 * (8 + T::BYTES as u64);
-            cost.bytes_written += nnz as u64 * (8 + T::BYTES as u64);
-            TcooMatrix {
-                rows: csr.rows(),
-                cols: csr.cols(),
-                tiles,
-                row_indices,
-                col_indices,
-                values,
-            }
-        });
-        Ok((out, cost))
+        let cols = csr.cols().max(1);
+        let tile_width = cols.div_ceil(n_tiles);
+        // Bucket entries by tile (counting pass + placement pass),
+        // preserving row-major order within each tile because the CSR
+        // scan is already row-major.
+        let mut counts = vec![0usize; n_tiles];
+        for &c in csr.col_indices() {
+            counts[(c as usize) / tile_width] += 1;
+        }
+        let mut starts = vec![0usize; n_tiles + 1];
+        for t in 0..n_tiles {
+            starts[t + 1] = starts[t] + counts[t];
+        }
+        let mut row_indices = vec![0u32; nnz];
+        let mut col_indices = vec![0u32; nnz];
+        let mut values = vec![T::ZERO; nnz];
+        let mut cursor = starts.clone();
+        for (r, c, v) in csr.iter() {
+            let t = c / tile_width;
+            let dst = cursor[t];
+            cursor[t] += 1;
+            row_indices[dst] = r as u32;
+            col_indices[dst] = c as u32;
+            values[dst] = v;
+        }
+        let tiles: Vec<TcooTile> = (0..n_tiles)
+            .map(|t| TcooTile {
+                col_start: (t * tile_width) as u32,
+                col_end: (((t + 1) * tile_width).min(cols)) as u32,
+                entry_start: starts[t],
+                entry_count: counts[t],
+            })
+            .collect();
+        // two passes over the data + one write of the restructured copy
+        let cost = PreprocessCost {
+            bytes_read: 2 * nnz as u64 * (8 + T::BYTES as u64),
+            bytes_written: nnz as u64 * (8 + T::BYTES as u64),
+            ..PreprocessCost::default()
+        };
+        let tcoo = TcooMatrix {
+            rows: csr.rows(),
+            cols: csr.cols(),
+            tiles,
+            row_indices,
+            col_indices,
+            values,
+        };
+        Ok((tcoo, cost))
     }
 
     /// Candidate tile counts for the exhaustive search, sized so a tile's

@@ -5,7 +5,7 @@
 //! clock, so `acsr_serve::serve_with_churn` measures query latency under
 //! real update contention.
 
-use crate::engine::{BatchReport, StreamEngine};
+use crate::engine::StreamEngine;
 use acsr_serve::ChurnSource;
 use gpu_sim::Device;
 use graphgen::TimedBatch;
@@ -17,8 +17,6 @@ pub struct ChurnedStream<T> {
     engine: StreamEngine<T>,
     stream: Vec<TimedBatch<T>>,
     cursor: usize,
-    /// Per-batch maintenance reports, in application order.
-    pub reports: Vec<BatchReport>,
 }
 
 impl<T: Scalar> ChurnedStream<T> {
@@ -30,18 +28,12 @@ impl<T: Scalar> ChurnedStream<T> {
             engine,
             stream,
             cursor: 0,
-            reports: Vec::new(),
         }
     }
 
     /// The maintained engine (e.g. for post-run bit-identity checks).
     pub fn engine(&self) -> &StreamEngine<T> {
         &self.engine
-    }
-
-    /// Batches applied so far.
-    pub fn applied(&self) -> usize {
-        self.cursor
     }
 }
 
@@ -57,9 +49,6 @@ impl<T: Scalar> ChurnSource<T> for ChurnedStream<T> {
     fn apply_next(&mut self, dev: &Device) -> f64 {
         let batch = self.stream[self.cursor].batch.clone();
         self.cursor += 1;
-        let report = self.engine.apply_batch(dev, &batch);
-        let spent = report.total_seconds;
-        self.reports.push(report);
-        spent
+        self.engine.apply_batch(dev, &batch).total_seconds
     }
 }

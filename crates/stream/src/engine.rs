@@ -17,7 +17,11 @@
 //!    still has to read;
 //! 4. when the canonical layout outgrows the element buffers, the engine
 //!    regrows them geometrically and rewrites everything once
-//!    (`BufferGrow` in the ledger) — rare by construction.
+//!    ([`BatchReport::buffer_grown`]) — rare by construction.
+//!
+//! The [`BatchReport`] each batch returns is the one record of its
+//! maintenance work: what it cost, which rows moved and why, and the
+//! element bytes it rewrote.
 //!
 //! The invariant that makes this testable: after any batch the engine is
 //! **bit-identical** — metadata, live elements, binning, and therefore
@@ -26,7 +30,6 @@
 
 use crate::kernels::{copy_rows_kernel, merge_rows_kernel, plan_kernel, DeltaBuffers};
 use crate::layout::{slot_width, SlotLayout};
-use crate::ledger::{BatchEntry, BinEvent, MaintainReason, MaintenanceLedger};
 use acsr::{AcsrConfig, AcsrEngine, RowMove};
 use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::stats::bin_index;
@@ -57,10 +60,12 @@ pub struct BatchReport {
     pub migrated_rows: usize,
     /// Rows relocated without a bin change (arena capacity shifts).
     pub relocated_rows: usize,
-    /// Distinct bins whose membership changed.
-    pub dirty_bins: usize,
     /// Whether the element buffers were regrown.
     pub buffer_grown: bool,
+    /// Element bytes (column index + value) written on the batch's
+    /// behalf: in-place and relocated rows' live entries, each migrated
+    /// row's new slot, and the whole regrown buffer when it grew.
+    pub bytes_rewritten: u64,
     /// Live non-zeros after the batch.
     pub nnz_after: usize,
 }
@@ -74,7 +79,6 @@ pub struct StreamEngine<T> {
     /// growth; slack past the layout is never read).
     buf_capacity: usize,
     epoch: u64,
-    ledger: MaintenanceLedger,
 }
 
 impl<T: Scalar> StreamEngine<T> {
@@ -131,7 +135,6 @@ impl<T: Scalar> StreamEngine<T> {
             buf_capacity: layout.total(),
             layout,
             epoch: 0,
-            ledger: MaintenanceLedger::default(),
         }
     }
 
@@ -187,9 +190,6 @@ impl<T: Scalar> StreamEngine<T> {
                 moves.push(RowMove { row: r, from, to });
             }
         }
-        let mut dirty_bins: Vec<usize> = moves.iter().flat_map(|m| [m.from, m.to]).collect();
-        dirty_bins.sort_unstable();
-        dirty_bins.dedup();
         let uploaded = self.engine.rebin_incremental(dev, &moves);
         if uploaded > 0 {
             copy_seconds += dev.record_htod("stream_binlists", uploaded).time_s;
@@ -226,10 +226,10 @@ impl<T: Scalar> StreamEngine<T> {
         // --- 3. classify and execute the data movement ---
         let grow = new_layout.total() > self.buf_capacity;
         let mut in_place_rows = 0usize;
-        let mut in_place_bytes = 0u64;
+        let mut in_place_elems = 0u64;
         let migrated_rows = moves.len();
         let mut relocated_rows = 0usize;
-        let mut relocated_bytes = 0u64;
+        let mut relocated_elems = 0u64;
 
         let maintain = if grow {
             let (report, copied_rows) = self.grow_and_rewrite(
@@ -266,7 +266,7 @@ impl<T: Scalar> StreamEngine<T> {
                     if !moved {
                         if new_len > 0 {
                             in_place_rows += 1;
-                            in_place_bytes += new_len as u64;
+                            in_place_elems += new_len as u64;
                             ip_positions.push(touched_pos[r]);
                             ip_dsts.push(new_starts[r]);
                         }
@@ -274,7 +274,7 @@ impl<T: Scalar> StreamEngine<T> {
                         if new_caps[r] == old_caps[r] {
                             // same length class, slot shifted under it
                             relocated_rows += 1;
-                            relocated_bytes += new_len as u64;
+                            relocated_elems += new_len as u64;
                         }
                         st_positions.push(touched_pos[r]);
                         st_dsts.push(scratch_top);
@@ -285,7 +285,7 @@ impl<T: Scalar> StreamEngine<T> {
                     }
                 } else if moved && new_len > 0 {
                     relocated_rows += 1;
-                    relocated_bytes += new_len as u64;
+                    relocated_elems += new_len as u64;
                     rel_srcs.push(old_starts[r]);
                     rel_dsts.push(scratch_top);
                     rel_lens.push(new_len);
@@ -399,32 +399,13 @@ impl<T: Scalar> StreamEngine<T> {
             debug_assert_eq!(mat.validate(), Ok(()));
         }
 
-        // --- 5. epoch, occupancy, ledger ---
+        // --- 5. epoch, layout, bytes rewritten ---
         self.epoch += 1;
         self.layout = new_layout;
-        let elem_bytes = (4 + T::BYTES) as u64;
-        let mut events: Vec<BinEvent> = Vec::new();
-        if in_place_rows > 0 {
-            events.push(BinEvent {
-                bin: 0,
-                rows: in_place_rows,
-                bytes: in_place_bytes * elem_bytes,
-                reason: MaintainReason::InPlace,
-            });
-        }
-        self.record_ledger_events(
-            &mut events,
-            &moves,
-            relocated_rows,
-            relocated_bytes,
-            grow,
-            elem_bytes,
-        );
-        self.ledger.push(BatchEntry {
-            epoch: self.epoch,
-            events,
-            slack_after: self.engine.matrix().slack_elements(),
-        });
+        let migrated_elems: u64 = moves.iter().map(|mv| slot_width(mv.to) as u64).sum();
+        let regrown_elems = if grow { self.buf_capacity as u64 } else { 0 };
+        let bytes_rewritten = (in_place_elems + relocated_elems + migrated_elems + regrown_elems)
+            * (4 + T::BYTES) as u64;
 
         BatchReport {
             total_seconds: plan.time_s + maintain.time_s + copy_seconds,
@@ -435,8 +416,8 @@ impl<T: Scalar> StreamEngine<T> {
             in_place_rows,
             migrated_rows,
             relocated_rows,
-            dirty_bins: dirty_bins.len(),
             buffer_grown: grow,
+            bytes_rewritten,
             nnz_after,
         }
     }
@@ -519,46 +500,6 @@ impl<T: Scalar> StreamEngine<T> {
         (report, copied_rows)
     }
 
-    fn record_ledger_events(
-        &self,
-        events: &mut Vec<BinEvent>,
-        moves: &[RowMove],
-        relocated_rows: usize,
-        relocated_bytes: u64,
-        grew: bool,
-        elem_bytes: u64,
-    ) {
-        use std::collections::BTreeMap;
-        let mut per_bin: BTreeMap<usize, usize> = BTreeMap::new();
-        for mv in moves {
-            *per_bin.entry(mv.to).or_default() += 1;
-        }
-        for (bin, rows) in per_bin {
-            events.push(BinEvent {
-                bin,
-                rows,
-                bytes: rows as u64 * slot_width(bin) as u64 * elem_bytes,
-                reason: MaintainReason::Migration,
-            });
-        }
-        if relocated_rows > 0 {
-            events.push(BinEvent {
-                bin: 0,
-                rows: relocated_rows,
-                bytes: relocated_bytes * elem_bytes,
-                reason: MaintainReason::CapacityShift,
-            });
-        }
-        if grew {
-            events.push(BinEvent {
-                bin: 0,
-                rows: 0,
-                bytes: self.buf_capacity as u64 * elem_bytes,
-                reason: MaintainReason::BufferGrow,
-            });
-        }
-    }
-
     /// The wrapped ACSR engine.
     pub fn acsr(&self) -> &AcsrEngine<T> {
         &self.engine
@@ -580,11 +521,6 @@ impl<T: Scalar> StreamEngine<T> {
     /// The canonical arena geometry currently live.
     pub fn layout(&self) -> &SlotLayout {
         &self.layout
-    }
-
-    /// The maintenance ledger.
-    pub fn ledger(&self) -> &MaintenanceLedger {
-        &self.ledger
     }
 
     /// Extract the live matrix as packed host CSR.

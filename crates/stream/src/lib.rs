@@ -13,15 +13,14 @@
 //!   lane-0 merges exactly like the paper's update kernel);
 //! * [`engine`] — [`StreamEngine`]: per-batch plan → incremental re-bin →
 //!   in-place merge / staged relocation → metadata patch;
-//! * [`ledger`] — the bin-overflow ledger auditing who paid for
-//!   maintenance (slack consumption vs. migration vs. capacity shifts vs.
-//!   geometric buffer growth);
 //! * [`churn`] — the [`acsr_serve`] adapter that interleaves maintenance
 //!   with query waves on the virtual clock.
 //!
-//! The ledger is the one record of maintenance work: its
-//! [`LedgerTotals`] are what `repro stream` publishes, with no second
-//! counter kept beside it.
+//! The [`BatchReport`] each batch returns is the one record of its
+//! maintenance work — who paid (slack consumption vs. migration vs.
+//! capacity shifts vs. geometric buffer growth) and how many element
+//! bytes moved. `repro stream` sums those reports; the engine keeps no
+//! second account beside them.
 //!
 //! The correctness bar, enforced by this crate's tests: after every
 //! batch, metadata, live elements, binning, and each subsequent SpMV's
@@ -33,9 +32,7 @@ pub mod churn;
 pub mod engine;
 pub mod kernels;
 pub mod layout;
-pub mod ledger;
 
 pub use churn::ChurnedStream;
 pub use engine::{BatchReport, StreamEngine};
 pub use layout::{arena_slots, assign_slots, slot_width, SlotLayout};
-pub use ledger::{BatchEntry, BinEvent, LedgerTotals, MaintainReason, MaintenanceLedger};

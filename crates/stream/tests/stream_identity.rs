@@ -5,7 +5,7 @@
 //! modeled time.
 
 use acsr::AcsrConfig;
-use acsr_stream::{MaintainReason, StreamEngine};
+use acsr_stream::StreamEngine;
 use gpu_sim::{presets, Device, DeviceBuffer, RunReport};
 use graphgen::{
     generate_edge_stream, generate_rmat, generate_update_batch, ChurnConfig, RmatConfig,
@@ -119,13 +119,13 @@ fn sustained_rmat_stream_stays_identical_every_batch() {
     let mut host = m.clone();
     for (k, tb) in stream.iter().enumerate() {
         host = tb.batch.apply_to_csr(&host);
-        eng.apply_batch(&dev, &tb.batch);
+        let report = eng.apply_batch(&dev, &tb.batch);
+        assert_eq!(report.touched_rows, tb.batch.rows.len(), "batch {k}");
         assert_eq!(eng.to_csr(), host, "batch {k}");
         let fresh = StreamEngine::build(&dev, &host, cfg);
         assert_bit_identical(&dev, &eng, &fresh);
     }
     assert_eq!(eng.epoch(), stream.len() as u64);
-    assert_eq!(eng.ledger().totals().batches, stream.len() as u64);
 }
 
 #[test]
@@ -137,7 +137,7 @@ fn insert_flood_grows_buffers_and_stays_identical() {
     let cfg = AcsrConfig::static_long_tail();
     let mut eng = StreamEngine::build(&dev, &m, cfg);
     let mut host = m.clone();
-    let mut grew = false;
+    let mut grown = Vec::new();
     for round in 0..6u64 {
         let stream = generate_edge_stream(
             &host,
@@ -153,16 +153,21 @@ fn insert_flood_grows_buffers_and_stays_identical() {
         for tb in &stream {
             host = tb.batch.apply_to_csr(&host);
             let r = eng.apply_batch(&dev, &tb.batch);
-            grew |= r.buffer_grown;
+            if r.buffer_grown {
+                grown.push((r.bytes_rewritten, eng.layout().total()));
+            }
         }
     }
-    assert!(grew, "insert flood must trigger buffer growth");
-    assert!(eng
-        .ledger()
-        .entries()
-        .iter()
-        .flat_map(|e| &e.events)
-        .any(|ev| ev.reason == MaintainReason::BufferGrow));
+    assert!(!grown.is_empty(), "insert flood must trigger buffer growth");
+    // A regrow rewrites at least the fresh buffers' element bytes: twice
+    // the layout it grew for, at 4 + 8 bytes per slot.
+    for (bytes, layout_slots) in grown {
+        let regrown = 2 * layout_slots as u64 * (4 + 8);
+        assert!(
+            bytes >= regrown,
+            "{bytes} B rewritten < {regrown} B regrown"
+        );
+    }
     let fresh = StreamEngine::build(&dev, &host, cfg);
     assert_bit_identical(&dev, &eng, &fresh);
 }
@@ -181,19 +186,52 @@ fn steady_churn_is_mostly_in_place() {
             ..Default::default()
         },
     );
+    let (mut in_place, mut migrated) = (0, 0);
     for tb in &stream {
-        eng.apply_batch(&dev, &tb.batch);
+        let r = eng.apply_batch(&dev, &tb.batch);
+        in_place += r.in_place_rows;
+        migrated += r.migrated_rows;
+        assert!(!r.buffer_grown, "steady churn must not regrow buffers");
     }
-    let t = eng.ledger().totals();
     // balanced insert/delete churn: the slot layout absorbs most touched
     // rows in place; migrations (bin-class changes) are the minority
     assert!(
-        t.in_place_rows > t.migrated_rows,
-        "in-place {} vs migrated {}",
-        t.in_place_rows,
-        t.migrated_rows
+        in_place > migrated,
+        "in-place {in_place} vs migrated {migrated}"
     );
-    assert_eq!(t.buffer_grows, 0, "steady churn must not regrow buffers");
+}
+
+#[test]
+fn in_place_batch_rewrites_exactly_its_live_entries() {
+    // swap one column in every fourth row of two or more entries: no
+    // length changes, so no row changes bin or slot
+    let m = rmat(9, 41);
+    let dev = Device::new(presets::gtx_titan());
+    let cfg = AcsrConfig::static_long_tail();
+    let mut eng = StreamEngine::build(&dev, &m, cfg);
+    let mut batch = sparse_formats::UpdateBatch::<f64>::empty();
+    for r in (0..m.rows()).step_by(4).filter(|&r| m.row_nnz(r) >= 2) {
+        let (cols, _) = m.row(r);
+        let fresh = (0..m.cols() as u32)
+            .find(|c| cols.binary_search(c).is_err())
+            .unwrap();
+        batch.rows.push(r as u32);
+        batch.delete_cols.push(cols[0]);
+        batch.delete_offsets.push(batch.delete_cols.len() as u32);
+        batch.insert_cols.push(fresh);
+        batch.insert_vals.push(0.75);
+        batch.insert_offsets.push(batch.insert_cols.len() as u32);
+    }
+    assert!(batch.rows.len() >= 8, "need a batch of some width");
+    let host = batch.apply_to_csr(&m);
+    let report = eng.apply_batch(&dev, &batch);
+    assert_eq!(report.in_place_rows, batch.rows.len());
+    assert_eq!(report.migrated_rows, 0);
+    assert_eq!(report.relocated_rows, 0);
+    assert!(!report.buffer_grown);
+    let live: usize = batch.rows.iter().map(|&r| host.row_nnz(r as usize)).sum();
+    assert_eq!(report.bytes_rewritten, live as u64 * (4 + 8));
+    assert_bit_identical(&dev, &eng, &StreamEngine::build(&dev, &host, cfg));
 }
 
 #[test]
