@@ -44,7 +44,9 @@ pub struct SolveResult<T> {
     /// the scores and the device is idle. PageRank and RWR overlap each
     /// wave with the previous wave's partials readback, so theirs is
     /// below `report.time_s`; the other solvers are serial, and theirs
-    /// equals it.
+    /// equals it. A trace ledger lays every span end to end, so a
+    /// traced PageRank or RWR solve shows each partials readback
+    /// between two waves and ends at `report.time_s`, not here.
     pub wall_s: f64,
 }
 

@@ -498,6 +498,10 @@ mod tests {
             ("baselines/PROFILE_fig5_ci_inflated.json", "profile report"),
             ("baselines/SELECTOR_ci.json", "selector report"),
             (
+                "crates/bench/tests/golden/METRICS_serve_deadline.json",
+                "metrics snapshot",
+            ),
+            (
                 "crates/bench/tests/golden/METRICS_serve_small.json",
                 "metrics snapshot",
             ),

@@ -37,7 +37,8 @@
 //!   metrics <experiment> [opts]   run with the telemetry registry armed;
 //!                                 writes results/METRICS_<experiment>.json
 //!                                 (byte-stable acsr-metrics-v1 snapshot,
-//!                                 reconciled against the run's reports)
+//!                                 each count folded once from its run's
+//!                                 own records)
 //!   timeline <experiment> [opts]  metrics plus the correlated
 //!                                 request/kernel chrome-trace export
 //!                                 results/TIMELINE_<experiment>.json
@@ -366,7 +367,7 @@ fn print_usage() {
          profile derives per-kernel SIMT metrics (warp efficiency, coalescing,\n\
          occupancy, roofline verdicts) and writes results/PROFILE_<experiment>.json\n\
          metrics captures the telemetry registry (counters/gauges/histograms,\n\
-         reconciled integer-exactly against the run's own reports) as\n\
+         each count folded once from its run's own records) as\n\
          results/METRICS_<experiment>.json; timeline additionally joins serve\n\
          request spans to kernel spans by wave id in results/TIMELINE_<experiment>.json\n\
          bench-diff compares two JSON reports; exit 1 if any metric regressed\n\

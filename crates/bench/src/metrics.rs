@@ -16,10 +16,9 @@
 //! query admitted into an unknown wave, is a hard failure, not a
 //! cosmetic gap.
 //!
-//! Each count has one bookkeeper. Serving records its request trace
-//! live (the wave-id join needs it) and `ServeScope::finish` reconciles
-//! that scope against the `ServeReport` before merging it. Engines that
-//! already keep an exact record are read once, after the run:
+//! Each count has one bookkeeper, read once after the run. A serve run
+//! keeps only its request trace while it runs (the wave-id join needs
+//! it) and folds its `serve.*` metrics from that trace when it ends.
 //! `record_plan_cache` folds a `PlanCache`'s hits, misses and
 //! invalidations (`repro metrics selector` and `fig7`), the selector
 //! folds its decisions from its report rows, and the kernel plane is

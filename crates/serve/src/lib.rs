@@ -45,7 +45,7 @@ pub mod query;
 pub mod queue;
 pub mod scheduler;
 pub mod slo;
-pub mod telemetry;
+mod telemetry;
 pub mod tenant;
 
 pub use churn::{
@@ -57,5 +57,4 @@ pub use query::{Query, QueryOutcome};
 pub use queue::SubmissionQueue;
 pub use scheduler::{ServeConfig, ServeEngine, ServeReport};
 pub use slo::{BatchPolicy, SloPolicy};
-pub use telemetry::reconcile_serve;
 pub use tenant::{FairShare, TenantSpec, TenantTable};

@@ -241,8 +241,9 @@ pub struct ServeEngine<T: Scalar> {
     rows: usize,
     nnz: usize,
     config: ServeConfig,
-    /// Serving-plane telemetry (metrics + request tracing); `None`
-    /// means every record site is a single skipped branch.
+    /// Serving-plane telemetry (request tracing, and the metrics folded
+    /// from it); `None` means every record site is a single skipped
+    /// branch.
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -300,18 +301,13 @@ impl<T: Scalar> ServeEngine<T> {
         ledger
     }
 
-    /// Attach serving-plane telemetry: subsequent serve runs record
-    /// metrics and per-query request spans into `tel` (and reconcile
-    /// them against their [`ServeReport`] before publishing).
+    /// Attach serving-plane telemetry: each subsequent serve run keeps
+    /// its per-query request trace and, when it ends, appends the trace
+    /// to `tel` and merges the `serve.*` metrics folded from it.
     /// [`Self::new`] picks up [`acsr_telemetry::global`] automatically
     /// while [`acsr_telemetry::enable_global_capture`] is armed.
     pub fn attach_telemetry(&mut self, tel: Arc<Telemetry>) {
         self.telemetry = Some(tel);
-    }
-
-    /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
     }
 
     /// Serve a query stream to completion with the closed-loop policy
@@ -382,10 +378,9 @@ impl<T: Scalar> ServeEngine<T> {
                 );
                 if next_arrival < stream.len() && stream[next_arrival].arrival_s <= clock {
                     let q = stream[next_arrival];
-                    let depth = queue.len();
-                    let admitted = queue.offer(q);
+                    let accepted = queue.offer(q);
                     if let Some(s) = scope.as_mut() {
-                        s.on_offer(&q, depth, admitted);
+                        s.on_offer(&q, accepted);
                     }
                     next_arrival += 1;
                 } else {
@@ -443,17 +438,16 @@ impl<T: Scalar> ServeEngine<T> {
             //    exactly — shed attribution never uses boundary state.
             while next_arrival < stream.len() && stream[next_arrival].arrival_s <= wave_end {
                 let q = stream[next_arrival];
-                let depth = queue.len();
-                let admitted = queue.offer(q);
+                let accepted = queue.offer(q);
                 if let Some(s) = scope.as_mut() {
-                    s.on_offer(&q, depth, admitted);
+                    s.on_offer(&q, accepted);
                 }
                 next_arrival += 1;
             }
             clock = wave_end;
 
             // 4. retire converged queries, keep the rest
-            active = self.retire(active, &verdicts, clock, &mut outcomes, policy, &mut scope);
+            active = self.retire(active, &verdicts, clock, &mut outcomes, &mut scope);
         }
 
         let report = ServeReport {
@@ -468,9 +462,7 @@ impl<T: Scalar> ServeEngine<T> {
             nnz: self.nnz(),
         };
         if let Some(s) = scope {
-            // Hard accounting check, then publish into the shared
-            // telemetry — a snapshot can never disagree with the report.
-            s.finish(&report);
+            s.finish(&report, policy);
         }
         report
     }
@@ -593,7 +585,6 @@ impl<T: Scalar> ServeEngine<T> {
         verdicts: &[Option<bool>],
         clock: f64,
         outcomes: &mut Vec<QueryOutcome<T>>,
-        policy: &SloPolicy,
         scope: &mut Option<ServeScope>,
     ) -> Vec<Active<T>> {
         let mut survivors = Vec::with_capacity(active.len());
@@ -601,13 +592,7 @@ impl<T: Scalar> ServeEngine<T> {
             a.iterations += 1;
             if let Some(converged) = verdict {
                 if let Some(s) = scope.as_mut() {
-                    s.on_completed(
-                        clock,
-                        &a.q,
-                        a.iterations,
-                        converged,
-                        policy.tenants.spec(a.q.tenant).slo_s,
-                    );
+                    s.on_completed(clock, &a.q, a.iterations, converged);
                 }
                 outcomes.push(QueryOutcome {
                     id: a.q.id,
@@ -1055,8 +1040,8 @@ mod tests {
         let tel = Arc::new(acsr_telemetry::Telemetry::new());
         engine.attach_telemetry(tel.clone());
         // 6 simultaneous arrivals into 2 slots + 2 queue places: some
-        // capacity shed, everything else completes. serve_slo panics if
-        // the scoped registry disagrees with the report.
+        // capacity shed, everything else completes. The metrics folded
+        // from the run's trace agree with the report.
         let queries: Vec<Query> = (0..6)
             .map(|id| query(id, (id as usize * 17) % 300, 0.0))
             .collect();
@@ -1118,7 +1103,7 @@ mod tests {
         let tel = Arc::new(acsr_telemetry::Telemetry::new());
         engine.attach_telemetry(tel.clone());
         // Tight SLO + deep backlog: late waiters deadline-shed at pop
-        // time. The scoped registry must agree with the report exactly.
+        // time. The folded counter must agree with the report exactly.
         let queries: Vec<Query> = (0..12)
             .map(|id| query(id, (id as usize * 11) % 200, 0.0))
             .collect();

@@ -47,8 +47,8 @@ impl<T: Scalar> ChurnSource<T> for ChurnedStream<T> {
     }
 
     fn apply_next(&mut self, dev: &Device) -> f64 {
-        let batch = self.stream[self.cursor].batch.clone();
+        let batch = &self.stream[self.cursor].batch;
         self.cursor += 1;
-        self.engine.apply_batch(dev, &batch).total_seconds
+        self.engine.apply_batch(dev, batch).total_seconds
     }
 }

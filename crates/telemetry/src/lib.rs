@@ -8,15 +8,16 @@
 //!   histograms ([`LogHistogram`]), snapshotting to a
 //!   [`MetricsSnapshot`] that serializes to an `acsr-metrics-v1`
 //!   document's body. Counters are integer-exact. Each count has one
-//!   bookkeeper: the serving scheduler records here live (its scope is
-//!   reconciled against the `ServeReport` it builds separately), and
-//!   every other count is read from its own record — a plan cache's
-//!   fields, the trace ledger's merged [`gpu_sim::RunReport`] — once,
-//!   by the bench harness that writes the snapshot. `acsr-serve` and
-//!   the bench harness are this crate's only dependents.
+//!   bookkeeper and is read from it once, after the run: a serve run's
+//!   `serve.*` metrics are folded from its request trace when it ends,
+//!   and every other count is read by the bench harness that writes the
+//!   snapshot — a plan cache's fields, the trace ledger's merged
+//!   [`gpu_sim::RunReport`]. No metric is written while a run is in
+//!   flight. `acsr-serve` and the bench harness are this crate's only
+//!   dependents.
 //! * [`RequestTrace`] — per-query lifecycle events through `serve_slo`
 //!   (arrival, shed, admission, completion) plus one [`WaveRecord`] per
-//!   executed batch wave.
+//!   executed batch wave, appended one run at a time.
 //! * [`timeline()`] — a chrome-trace export that lays the trace
 //!   ledger's kernel spans and the request spans side by side, joined by
 //!   the wave ids this crate allocates ([`Telemetry::next_wave_id`]) and
@@ -28,9 +29,9 @@
 //! Everything here is driven by the *model* clock and by data already
 //! bit-identical across `ACSR_SIM_THREADS` worker widths, so metric
 //! snapshots, request-event streams, and timeline exports are themselves
-//! bit-identical across widths (pinned by cross-width proptests and a
-//! golden `METRICS_serve_small.json`). No host wall-clock, no host RNG,
-//! no iteration over unordered maps.
+//! bit-identical across widths (pinned by cross-width proptests and the
+//! goldens `METRICS_serve_small.json` and `METRICS_serve_deadline.json`).
+//! No host wall-clock, no host RNG, no iteration over unordered maps.
 //!
 //! # Zero cost when disabled
 //!

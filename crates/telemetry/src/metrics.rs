@@ -2,9 +2,9 @@
 //! histograms behind one mutex, snapshotting to a [`MetricsSnapshot`]
 //! that serializes to the body of an `acsr-metrics-v1` document.
 //!
-//! Counters are `u64` and integer-exact — they are what the
-//! reconciliation checks compare against `ServeReport` / maintenance
-//! -ledger fields. Gauges are last-write-wins `f64`. Histograms are
+//! Counters are `u64` and integer-exact, so tests can check them
+//! against the `ServeReport` and trace-ledger totals they are folded
+//! beside. Gauges are last-write-wins `f64`. Histograms are
 //! [`LogHistogram`]s. Names sort the snapshot (`BTreeMap`), so the same
 //! run serializes to the same value, and renders to the same bytes, on
 //! every `ACSR_SIM_THREADS` width — the golden and proptests rely on
@@ -82,9 +82,8 @@ impl MetricsRegistry {
     }
 
     /// Fold a snapshot into this registry: counters add, gauges take the
-    /// snapshot's value, histograms merge. This is how a scoped per-run
-    /// registry (already reconciled against its run's report) folds into
-    /// the shared process registry.
+    /// snapshot's value, histograms merge. This is how the metrics folded
+    /// from one serve run join the shared process registry.
     pub fn merge_snapshot(&self, snap: &MetricsSnapshot) {
         let mut inner = self.inner.lock();
         for (name, value) in &snap.entries {

@@ -1,8 +1,9 @@
 //! Per-query request spans: the serving plane's event stream.
 //!
-//! `acsr-serve`'s `serve_slo` appends one event per lifecycle edge —
+//! `acsr-serve`'s `serve_slo` records one event per lifecycle edge —
 //! arrival, capacity/deadline shed, admission (with the wave the query
-//! first rides), completion — plus one [`WaveRecord`] per executed wave.
+//! first rides), completion — plus one [`WaveRecord`] per executed wave,
+//! and appends the run's records here when it ends.
 //! Everything is keyed on the *virtual* serving clock and the
 //! process-unique wave ids handed out by
 //! [`crate::Telemetry::next_wave_id`], so the stream is a deterministic
@@ -111,14 +112,12 @@ impl RequestTrace {
         RequestTrace::default()
     }
 
-    /// Append one lifecycle event.
-    pub fn record(&self, event: RequestEvent) {
-        self.inner.lock().events.push(event);
-    }
-
-    /// Append one executed wave.
-    pub fn record_wave(&self, wave: WaveRecord) {
-        self.inner.lock().waves.push(wave);
+    /// Append one run's lifecycle events and executed waves, each in
+    /// record order.
+    pub fn append(&self, events: Vec<RequestEvent>, waves: Vec<WaveRecord>) {
+        let mut inner = self.inner.lock();
+        inner.events.extend(events);
+        inner.waves.extend(waves);
     }
 
     /// Snapshot of all events, in record order.
@@ -151,30 +150,33 @@ mod tests {
     #[test]
     fn events_and_waves_record_in_order() {
         let t = RequestTrace::new();
-        t.record(RequestEvent::Arrival {
+        let arrival = |query| RequestEvent::Arrival {
             t_s: 0.0,
-            query: 7,
+            query,
             tenant: 1,
-        });
-        t.record(RequestEvent::Admitted {
-            t_s: 0.5,
-            query: 7,
-            tenant: 1,
-            wave: 3,
-            queue_wait_s: 0.5,
-        });
-        t.record_wave(WaveRecord {
+        };
+        let wave = WaveRecord {
             wave: 3,
             t_start_s: 0.5,
             dur_s: 0.1,
             width: 1,
             devices: 1,
             queries: vec![7],
-        });
+        };
+        let admitted = RequestEvent::Admitted {
+            t_s: 0.5,
+            query: 7,
+            tenant: 1,
+            wave: 3,
+            queue_wait_s: 0.5,
+        };
+        t.append(vec![arrival(7), admitted], vec![wave]);
+        t.append(vec![arrival(8)], Vec::new());
         let events = t.events();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].query(), 7);
         assert_eq!(events[1].t_s(), 0.5);
+        assert_eq!(events[2].query(), 8, "a later run appends after");
         assert_eq!(t.waves().len(), 1);
         assert!(!t.is_empty());
         t.clear();

@@ -176,37 +176,40 @@ mod tests {
         let ledger = dev.enable_tracing();
         let tel = Telemetry::new();
         let wave = tel.next_wave_id();
-        tel.requests.record(RequestEvent::Arrival {
-            t_s: 0.0,
-            query: 11,
-            tenant: 0,
-        });
-        tel.requests.record(RequestEvent::Admitted {
-            t_s: 0.25,
-            query: 11,
-            tenant: 0,
-            wave,
-            queue_wait_s: 0.25,
-        });
         ledger.set_wave(Some(wave));
         dev.launch("spmv", 2, 32, &|_b| {});
         ledger.set_wave(None);
-        tel.requests.record_wave(WaveRecord {
+        let events = vec![
+            RequestEvent::Arrival {
+                t_s: 0.0,
+                query: 11,
+                tenant: 0,
+            },
+            RequestEvent::Admitted {
+                t_s: 0.25,
+                query: 11,
+                tenant: 0,
+                wave,
+                queue_wait_s: 0.25,
+            },
+            RequestEvent::Completed {
+                t_s: 0.75,
+                query: 11,
+                tenant: 0,
+                iterations: 3,
+                converged: true,
+                latency_s: 0.75,
+            },
+        ];
+        let record = WaveRecord {
             wave,
             t_start_s: 0.25,
             dur_s: 0.5,
             width: 1,
             devices: 1,
             queries: vec![11],
-        });
-        tel.requests.record(RequestEvent::Completed {
-            t_s: 0.75,
-            query: 11,
-            tenant: 0,
-            iterations: 3,
-            converged: true,
-            latency_s: 0.75,
-        });
+        };
+        tel.requests.append(events, vec![record]);
         (dev, ledger, tel)
     }
 
@@ -239,13 +242,14 @@ mod tests {
     #[test]
     fn unknown_admission_wave_is_an_error() {
         let tel = Telemetry::new();
-        tel.requests.record(RequestEvent::Admitted {
+        let admitted = RequestEvent::Admitted {
             t_s: 0.0,
             query: 5,
             tenant: 0,
             wave: 7,
             queue_wait_s: 0.0,
-        });
+        };
+        tel.requests.append(vec![admitted], Vec::new());
         let ledger = TraceLedger::new();
         let err = timeline(&ledger, &tel).unwrap_err();
         assert!(err.contains("unknown wave 7"), "unexpected error: {err}");
@@ -254,28 +258,31 @@ mod tests {
     #[test]
     fn shed_queries_emit_instants() {
         let tel = Telemetry::new();
-        tel.requests.record(RequestEvent::Arrival {
-            t_s: 0.0,
-            query: 3,
-            tenant: 1,
-        });
-        tel.requests.record(RequestEvent::Shed {
-            t_s: 0.0,
-            query: 3,
-            tenant: 1,
-            kind: ShedKind::Capacity,
-        });
-        tel.requests.record(RequestEvent::Arrival {
-            t_s: 0.1,
-            query: 4,
-            tenant: 1,
-        });
-        tel.requests.record(RequestEvent::Shed {
-            t_s: 0.9,
-            query: 4,
-            tenant: 1,
-            kind: ShedKind::Deadline,
-        });
+        let events = vec![
+            RequestEvent::Arrival {
+                t_s: 0.0,
+                query: 3,
+                tenant: 1,
+            },
+            RequestEvent::Shed {
+                t_s: 0.0,
+                query: 3,
+                tenant: 1,
+                kind: ShedKind::Capacity,
+            },
+            RequestEvent::Arrival {
+                t_s: 0.1,
+                query: 4,
+                tenant: 1,
+            },
+            RequestEvent::Shed {
+                t_s: 0.9,
+                query: 4,
+                tenant: 1,
+                kind: ShedKind::Deadline,
+            },
+        ];
+        tel.requests.append(events, Vec::new());
         let ledger = TraceLedger::new();
         let text = format!("{:?}", timeline(&ledger, &tel).expect("no waves needed"));
         assert!(text.contains(r#"Str("shed.capacity")"#));
