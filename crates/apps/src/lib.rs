@@ -133,11 +133,35 @@ pub(crate) fn solve_affine<T: Scalar>(
     }
 }
 
+/// A device's D2H copy engine on the model clock: it runs its copies
+/// first in, first out, each once its data is ready, beside the compute
+/// engine. [`pagerank::pagerank_gpu`], [`rwr::rwr_gpu`] and the serving
+/// scheduler overlap their readbacks with the next wave on it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CopyEngine {
+    end_s: f64,
+}
+
+impl CopyEngine {
+    /// Queue a copy of `seconds` whose data is ready at `ready_s`: it
+    /// starts at max(`ready_s`, the end of the previous copy). Returns
+    /// its end.
+    pub fn copy(&mut self, ready_s: f64, seconds: f64) -> f64 {
+        self.end_s = ready_s.max(self.end_s) + seconds;
+        self.end_s
+    }
+
+    /// End of the last copy (0 before the first).
+    pub fn end_s(&self) -> f64 {
+        self.end_s
+    }
+}
+
 /// The two engines of [`solve_affine`] on the model clock: the compute
-/// engine runs the waves in launch order, and a D2H copy engine runs
-/// the readbacks first in, first out. The host launches wave k only
-/// once it holds wave k − 2's partials, the last readback before that
-/// launch, so start(w_k) = max(end(w_{k−1}), end(r_{k−2})) and
+/// engine runs the waves in launch order, and the [`CopyEngine`] runs
+/// the readbacks. The host launches wave k only once it holds wave
+/// k − 2's partials, the last readback before that launch, so
+/// start(w_k) = max(end(w_{k−1}), end(r_{k−2})) and
 /// start(r_k) = max(end(w_k), end(r_{k−1})).
 #[derive(Default)]
 struct Engines {
@@ -145,27 +169,25 @@ struct Engines {
     waves: Vec<f64>,
     /// Partials readbacks so far; the next reads `waves[read]`'s.
     read: usize,
-    /// End of the last readback.
-    copy: f64,
+    copy: CopyEngine,
 }
 
 impl Engines {
     fn wave(&mut self, seconds: f64) {
-        let start = self.waves.last().copied().unwrap_or(0.0).max(self.copy);
-        self.waves.push(start + seconds);
+        let last = self.waves.last().copied().unwrap_or(0.0);
+        self.waves.push(last.max(self.copy.end_s()) + seconds);
     }
 
     /// The partials readback of the oldest wave not read back yet.
     fn partials(&mut self, seconds: f64) {
-        let start = self.waves[self.read].max(self.copy);
+        self.copy.copy(self.waves[self.read], seconds);
         self.read += 1;
-        self.copy = start + seconds;
     }
 
-    /// The scores readback, behind the last partials readback. Returns
-    /// the wall time: the later of its end and the last wave's.
+    /// The scores readback, issued once the last partials are read.
+    /// Returns the wall time: the later of its end and the last wave's.
     fn scores(mut self, seconds: f64) -> f64 {
-        self.copy += seconds;
-        self.waves.last().copied().unwrap_or(0.0).max(self.copy)
+        let end = self.copy.copy(self.copy.end_s(), seconds);
+        self.waves.last().copied().unwrap_or(0.0).max(end)
     }
 }

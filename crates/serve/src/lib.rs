@@ -17,9 +17,9 @@
 //!   Each query is pinned at admission to one device, which holds a
 //!   full-graph plan, and its iterate stays there until it retires: a
 //!   wave reads back only convergence partials and the retiring
-//!   queries' scores. Admission is event-driven — arrivals are offered
-//!   at their true arrival times, never batch-admitted at wave
-//!   boundaries;
+//!   queries' scores, on each device's copy engine while the next wave
+//!   runs. Admission is event-driven — arrivals are offered at their
+//!   true arrival times, never batch-admitted at wave boundaries;
 //! * [`slo`] — open-loop serving policy: SLO targets, deadline
 //!   shedding and queue-depth-adaptive batch sizing
 //!   ([`ServeEngine::serve_slo`](scheduler::ServeEngine::serve_slo));

@@ -6,9 +6,9 @@
 //! ([`GpuSpmv::spmm_affine`]). On ACSR (the default format, in every
 //! mode) that is one launch group whose kernels write the next iterates
 //! and convergence partials themselves; every other plan runs the SpMM
-//! and then one batched update kernel. Converged queries retire at the
-//! end of a wave and their batch slots are refilled from the queue —
-//! continuous batching, not gang scheduling.
+//! and then one batched update kernel. Converged queries retire and
+//! their batch slots are refilled from the queue — continuous batching,
+//! not gang scheduling.
 //!
 //! Admission is **event-driven**: every arrival is offered to the queue
 //! at its true arrival time — mid-wave arrivals queue (or shed) against
@@ -42,7 +42,7 @@
 //! functions of modeled time, pinned across host worker widths in
 //! `tests/slo_serving.rs`.
 //!
-//! Each admitted query is pinned to the device with the fewest active
+//! Each admitted query is pinned to the device with the fewest riding
 //! queries, and its iterate stays in a buffer on that device until it
 //! retires: a wave moves only the convergence partials over PCIe (one
 //! per block of the fused launch group, or one per 32 rows from the
@@ -50,6 +50,20 @@
 //! from its own device. A wave that ran on more than one device
 //! closes with the §VIII completion hand-off ([`multi_gpu::handoff`]),
 //! the exchange the fleet charges a replicated SpMV.
+//!
+//! Waves are **pipelined** on two engines per device, as
+//! `graph_apps`' PageRank and RWR solvers are. The host launches wave
+//! k + 1, on every device together, once wave k has ended and it holds
+//! wave k − 1's partials; each device's D2H [`CopyEngine`] reads wave
+//! k's partials back while wave k + 1 runs. So wave k + 1 carries every
+//! query that holds a slot, those whose wave-k verdict is still unread
+//! included: a query that converged at wave k rides wave k + 1 as a
+//! *discarded column*, and its answer is wave k's iterate, kept until
+//! the verdict is read. A query whose wave k was its `max_iters`-th
+//! rides no further wave and gives up its slot. The queries a verdict
+//! retires come back on the copy engine too, one batched scores
+//! readback per device queued as the verdict arrives, and each
+//! completes when that readback ends.
 
 use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
@@ -63,9 +77,10 @@ use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
 use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport};
 use graph_apps::rwr::{rwr_init_multi, rwr_operator, sum_partials};
-use graph_apps::IterParams;
+use graph_apps::{CopyEngine, IterParams};
 use multi_gpu::{handoff, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
+use spmv_kernels::epilogue::Partials;
 use spmv_kernels::{Affine, GpuSpmv};
 use spmv_pipeline::SpmvPlan;
 use std::sync::Arc;
@@ -114,16 +129,36 @@ impl Default for ServeConfig {
     }
 }
 
-/// A query currently riding in the wave.
+/// A query between admission and retirement.
 struct Active<T> {
     q: Query,
+    /// Admission order within the run: names the query's column in
+    /// the waves it rides.
+    ticket: usize,
     admitted_s: f64,
+    /// Verdicts read: the iterations it computed and checked.
     iterations: usize,
+    /// Waves it rode, a discarded one included.
+    rode: usize,
     /// The device the query was pinned to at admission.
     device: usize,
-    /// Current relevance iterate, resident on `device` from admission to
+    /// Latest relevance iterate, resident on `device` from admission to
     /// retirement (the query's first wave writes r⁰).
     r: DeviceBuffer<T>,
+    /// The iterate whose verdict is still unread, once a later wave has
+    /// replaced `r`: the answer if that verdict retires the query.
+    prev: Option<DeviceBuffer<T>>,
+}
+
+/// A launched wave whose convergence partials the host has not read.
+struct InFlight {
+    /// Correlation id of a traced run.
+    id: Option<u64>,
+    /// When the wave ended: its last device, or the hand-off.
+    end_s: f64,
+    /// Each device that ran it, the tickets of its queries there in
+    /// column order, and their partials.
+    parts: Vec<(usize, Vec<usize>, Partials)>,
 }
 
 /// Result of serving one query stream.
@@ -140,12 +175,16 @@ pub struct ServeReport<T> {
     pub deadline_shed: Vec<u64>,
     /// Queries in the offered stream (completed + shed).
     pub offered: usize,
-    /// Virtual-clock span from start to the last retirement, seconds.
+    /// Virtual-clock span from start until the last answer is on the
+    /// host and the compute engines are idle, seconds: the later of the
+    /// last completion and the end of the last wave, a discarded one
+    /// included. The serving counterpart of `graph_apps`'
+    /// `SolveResult::wall_s`.
     pub makespan_s: f64,
     /// Batched iteration waves executed.
     pub waves: usize,
-    /// Batch width of every executed wave, in order (the adaptive
-    /// policy's decisions are observable here).
+    /// Batch width of every executed wave, in order, discarded columns
+    /// included (the adaptive policy's decisions are observable here).
     pub wave_widths: Vec<usize>,
     /// Accumulated per-device kernel/transfer accounting.
     pub device_reports: Vec<RunReport>,
@@ -164,7 +203,8 @@ impl<T> ServeReport<T> {
         self.outcomes.len() as f64 / self.makespan_s
     }
 
-    /// Total RWR iterations executed across all completed queries.
+    /// Total RWR iterations of all completed queries: the iterates they
+    /// computed and checked, not the discarded columns they rode.
     pub fn total_iterations(&self) -> usize {
         self.outcomes.iter().map(|o| o.iterations).sum()
     }
@@ -254,6 +294,7 @@ impl<T: Scalar> ServeEngine<T> {
     pub fn new(adjacency: &CsrMatrix<T>, config: ServeConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.n_devices >= 1, "need at least one device");
+        assert!(config.iter.max_iters >= 1, "max_iters must be at least 1");
         let w = rwr_operator(adjacency);
         let (devices, plans) = (0..config.n_devices)
             .map(|d| {
@@ -349,12 +390,17 @@ impl<T: Scalar> ServeEngine<T> {
         let mut queue = SubmissionQueue::new(policy.queue_capacity);
         let mut fair = FairShare::default();
         let mut active: Vec<Active<T>> = Vec::new();
+        let mut admitted = 0usize;
         let mut outcomes: Vec<QueryOutcome<T>> = Vec::new();
         let mut deadline_shed: Vec<u64> = Vec::new();
         let mut device_reports = vec![RunReport::default(); self.n_devices()];
+        let mut copy = vec![CopyEngine::default(); self.n_devices()];
         let mut wave_widths: Vec<usize> = Vec::new();
         let mut next_arrival = 0usize;
-        let mut clock = 0.0f64;
+        // When the next wave may launch, when the host last held a wave's
+        // partials, and when the last wave ended.
+        let (mut clock, mut held, mut last_wave_end) = (0.0f64, 0.0f64, 0.0f64);
+        let mut in_flight: Option<InFlight> = None;
         let mut scope: Option<ServeScope> = self
             .telemetry
             .as_ref()
@@ -373,6 +419,7 @@ impl<T: Scalar> ServeEngine<T> {
                     &mut queue,
                     &mut fair,
                     &mut active,
+                    &mut admitted,
                     &mut deadline_shed,
                     &mut scope,
                 );
@@ -387,56 +434,75 @@ impl<T: Scalar> ServeEngine<T> {
                     break;
                 }
             }
-            self.refill(
-                clock,
-                policy,
-                &mut queue,
-                &mut fair,
-                &mut active,
-                &mut deadline_shed,
-                &mut scope,
-            );
-            if active.is_empty() {
-                debug_assert!(queue.is_empty(), "refill must drain an idle engine's queue");
+
+            // 2. Launch the next wave at `clock` with every query that
+            //    holds a slot, each on the device it is pinned to.
+            let riders: Vec<u64> = active
+                .iter()
+                .filter(|a| self.rides(a))
+                .map(|a| a.q.id)
+                .collect();
+            let launched = if riders.is_empty() {
+                None
+            } else {
+                wave_widths.push(riders.len());
+                // Stamp the wave's correlation id onto every span it
+                // issues, so the timeline export can join request spans
+                // to device work.
+                let id = scope.as_mut().map(|s| s.take_wave_id());
+                self.set_wave_context(id);
+                let (parts, wave_s) = self.launch(&mut active, &mut device_reports);
+                self.set_wave_context(None);
+                if let (Some(s), Some(wave)) = (scope.as_mut(), id) {
+                    s.on_wave(WaveRecord {
+                        wave,
+                        t_start_s: clock,
+                        dur_s: wave_s,
+                        width: riders.len(),
+                        devices: parts.len(),
+                        queries: riders,
+                    });
+                }
+                Some(InFlight {
+                    id,
+                    end_s: clock + wave_s,
+                    parts,
+                })
+            };
+
+            // 3. While it runs, read back the previous wave's partials
+            //    and retire the queries their verdicts settle.
+            if let Some(wave) = in_flight.take() {
+                self.set_wave_context(wave.id);
+                let (verdicts, read) =
+                    self.read_back(wave, &mut active, &mut copy, &mut device_reports);
+                self.set_wave_context(None);
+                held = held.max(read);
+                active = self.retire(active, &verdicts, &mut outcomes, &mut scope);
+            }
+
+            let Some(wave) = launched else {
+                debug_assert!(active.is_empty() && queue.is_empty(), "an idle engine");
                 if next_arrival >= stream.len() {
                     break; // drained
                 }
                 // idle until the next arrival
                 clock = clock.max(stream[next_arrival].arrival_s);
                 continue;
-            }
+            };
+            // 4. The next wave launches once this one has ended and the
+            //    host holds the previous one's partials.
+            last_wave_end = wave.end_s;
+            clock = wave.end_s.max(held);
+            in_flight = Some(wave);
 
-            // 2. one batched RWR iteration for the whole wave, each query
-            //    on the device it is pinned to
-            wave_widths.push(active.len());
-            // Stamp the wave's correlation id onto every kernel span it
-            // launches, so the timeline export can join request spans
-            // to device work.
-            let wave_id = scope.as_mut().map(|s| s.take_wave_id());
-            if wave_id.is_some() {
-                self.set_wave_context(wave_id);
-            }
-            let (verdicts, wave_time, devices) = self.wave(&mut active, &mut device_reports);
-            if wave_id.is_some() {
-                self.set_wave_context(None);
-            }
-            let wave_end = clock + wave_time;
-            if let (Some(s), Some(wave)) = (scope.as_mut(), wave_id) {
-                s.on_wave(WaveRecord {
-                    wave,
-                    t_start_s: clock,
-                    dur_s: wave_time,
-                    width: active.len(),
-                    devices,
-                    queries: active.iter().map(|a| a.q.id).collect(),
-                });
-            }
-            // 3. Arrivals landing mid-wave queue (or capacity-shed) at
-            //    their true arrival times. No pops happen while a wave
-            //    is in flight, so offering them in arrival order here
-            //    reproduces each query's arrival-instant occupancy
-            //    exactly — shed attribution never uses boundary state.
-            while next_arrival < stream.len() && stream[next_arrival].arrival_s <= wave_end {
+            // 5. Arrivals landing before the next launch queue (or
+            //    capacity-shed) at their true arrival times. No pops
+            //    happen between launches, so offering them in arrival
+            //    order here reproduces each query's arrival-instant
+            //    occupancy exactly — shed attribution never uses
+            //    boundary state.
+            while next_arrival < stream.len() && stream[next_arrival].arrival_s <= clock {
                 let q = stream[next_arrival];
                 let accepted = queue.offer(q);
                 if let Some(s) = scope.as_mut() {
@@ -444,18 +510,17 @@ impl<T: Scalar> ServeEngine<T> {
                 }
                 next_arrival += 1;
             }
-            clock = wave_end;
-
-            // 4. retire converged queries, keep the rest
-            active = self.retire(active, &verdicts, clock, &mut outcomes, &mut scope);
         }
 
+        let makespan_s = outcomes
+            .iter()
+            .fold(last_wave_end, |end, o| end.max(o.completed_s));
         let report = ServeReport {
             outcomes,
             rejected: queue.rejected().to_vec(),
             deadline_shed,
             offered: stream.len(),
-            makespan_s: clock,
+            makespan_s,
             waves: wave_widths.len(),
             wave_widths,
             device_reports,
@@ -476,11 +541,17 @@ impl<T: Scalar> ServeEngine<T> {
         }
     }
 
+    /// Whether `a` rides the next wave, and so holds a batch slot: every
+    /// query does until it has ridden its `max_iters`-th wave.
+    fn rides(&self, a: &Active<T>) -> bool {
+        a.rode < self.config.iter.max_iters
+    }
+
     /// Pop waiting queries into free batch slots at virtual time `now`:
     /// fair-share/priority selection, deadline-shedding waiters whose
     /// queue wait already exceeds their tenant's SLO budget, up to the
     /// batch policy's width for the current demand. Each admitted query
-    /// is pinned to the device with the fewest active queries (the
+    /// is pinned to the device with the fewest riding queries (the
     /// lowest index on a tie) until it retires.
     #[allow(clippy::too_many_arguments)]
     fn refill(
@@ -490,12 +561,13 @@ impl<T: Scalar> ServeEngine<T> {
         queue: &mut SubmissionQueue,
         fair: &mut FairShare,
         active: &mut Vec<Active<T>>,
+        admitted: &mut usize,
         deadline_shed: &mut Vec<u64>,
         scope: &mut Option<ServeScope>,
     ) {
         loop {
-            let cap = policy.batch.cap(active.len() + queue.len());
-            if active.len() >= cap {
+            let riders = active.iter().filter(|a| self.rides(a)).count();
+            if riders >= policy.batch.cap(riders + queue.len()) {
                 return;
             }
             let Some(q) = queue.pop_min_by(|a, b| fair.order(&policy.tenants, a, b)) else {
@@ -516,97 +588,142 @@ impl<T: Scalar> ServeEngine<T> {
                 s.on_admitted(now, &q);
             }
             let device = (0..self.n_devices())
-                .min_by_key(|&d| active.iter().filter(|a| a.device == d).count())
+                .min_by_key(|&d| {
+                    active
+                        .iter()
+                        .filter(|a| a.device == d && self.rides(a))
+                        .count()
+                })
                 .expect("an engine has at least one device");
             active.push(Active {
                 q,
+                ticket: *admitted,
                 admitted_s: now,
                 iterations: 0,
+                rode: 0,
                 device,
                 r: DeviceBuffer::zeroed(self.rows),
+                prev: None,
             });
+            *admitted += 1;
         }
     }
 
-    /// Execute one batched RWR iteration for `active`: every device
-    /// holding queries runs [`resident_step`] over them and reads back
-    /// the final scores of the ones that retire, and the wave closes
-    /// with the completion [`handoff`] (none when one device ran).
-    /// Returns each query's verdict (`None` rides on, `Some(converged)`
-    /// retires), the wave's modeled time (the last device finish or the
-    /// last hand-off, whichever lands later) and how many devices ran.
-    fn wave(
+    /// Launch one wave: every device holding queries that ride it runs
+    /// [`launch_step`] over them, all starting together. Returns each
+    /// device's part of the wave (device, tickets, unread partials) and
+    /// the wave's modeled time: the last device finish or the last
+    /// hand-off, whichever lands later (none when one device ran).
+    fn launch(
         &self,
         active: &mut [Active<T>],
         device_reports: &mut [RunReport],
-    ) -> (Vec<Option<bool>>, f64, usize) {
-        let mut verdicts = vec![None; active.len()];
+    ) -> (Vec<(usize, Vec<usize>, Partials)>, f64) {
+        let mut parts = Vec::new();
         let mut finishes = vec![None; self.n_devices()];
         for (d, (dev, plan)) in self.devices.iter().zip(&self.plans).enumerate() {
-            let (idx, mut mine): (Vec<usize>, Vec<&mut Active<T>>) = active
+            let mut riders: Vec<&mut Active<T>> = active
                 .iter_mut()
-                .enumerate()
-                .filter(|(_, a)| a.device == d)
-                .unzip();
-            if mine.is_empty() {
+                .filter(|a| a.device == d && self.rides(a))
+                .collect();
+            if riders.is_empty() {
                 continue;
             }
-            let (dist2, step) = resident_step(dev, plan, &mut mine);
+            let (partials, step) = launch_step(dev, plan, &mut riders);
             device_reports[d] = device_reports[d].clone().then(&step);
-            let mut retiring = 0;
-            for ((&i, a), d2) in idx.iter().zip(&mine).zip(dist2) {
-                let converged = d2.sqrt() < self.config.iter.epsilon;
-                if converged || a.iterations + 1 >= self.config.iter.max_iters {
-                    verdicts[i] = Some(converged);
-                    retiring += 1;
-                }
-            }
-            // The retiring queries' answers are still on this device:
-            // one batched readback, part of this wave.
-            let mut finish = step.time_s;
-            if retiring > 0 {
-                let bytes = retiring * self.rows * std::mem::size_of::<T>();
-                let rep = dev.record_dtoh("serve_scores_d2h", bytes as u64);
-                device_reports[d] = device_reports[d].clone().then(&rep);
-                finish += rep.time_s;
-            }
-            finishes[d] = Some(finish);
+            finishes[d] = Some(step.time_s);
+            parts.push((d, riders.iter().map(|a| a.ticket).collect(), partials));
         }
         let last = finishes.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
-        let devices = finishes.iter().flatten().count();
-        (verdicts, last.max(handoff(&finishes).end_s()), devices)
+        (parts, last.max(handoff(&finishes).end_s()))
     }
 
-    /// Retire the queries whose `verdicts` entry is `Some(converged)`
-    /// at wave end `clock`; returns the survivors.
+    /// Read back `wave`'s partials and return each active query's
+    /// verdict (`None` rides on, `Some((converged, completed_s))`
+    /// retires) and when the host held the last of them (0 when none
+    /// was read). A device reads its partials once the wave has ended,
+    /// on its copy engine, unless every column it ran was discarded;
+    /// the queries a device's verdicts retire come back in one batched
+    /// scores readback queued behind it, and complete when it ends.
+    fn read_back(
+        &self,
+        wave: InFlight,
+        active: &mut [Active<T>],
+        copy: &mut [CopyEngine],
+        device_reports: &mut [RunReport],
+    ) -> (Vec<Option<(bool, f64)>>, f64) {
+        let mut verdicts = vec![None; active.len()];
+        let mut held = 0.0f64;
+        for (d, tickets, partials) in wave.parts {
+            let waiting: Vec<(usize, usize)> = active
+                .iter()
+                .enumerate()
+                .filter_map(|(i, a)| Some((i, tickets.iter().position(|&t| t == a.ticket)?)))
+                .collect();
+            if waiting.is_empty() {
+                continue;
+            }
+            let dev = &self.devices[d];
+            let rep = dev.record_dtoh("serve_partials_d2h", partials.buf.bytes());
+            device_reports[d] = device_reports[d].clone().then(&rep);
+            let read = copy[d].copy(wave.end_s, rep.time_s);
+            held = held.max(read);
+            let mut retiring = Vec::new();
+            for (i, col) in waiting {
+                let a = &mut active[i];
+                a.iterations += 1;
+                let converged = sum_partials(partials.query(col)).sqrt() < self.config.iter.epsilon;
+                if converged || a.iterations >= self.config.iter.max_iters {
+                    retiring.push((i, converged));
+                } else {
+                    a.prev = None;
+                }
+            }
+            if retiring.is_empty() {
+                continue;
+            }
+            // The retiring queries' answers are still on this device:
+            // one batched readback, issued as their verdicts arrive.
+            let bytes = retiring.len() * self.rows * std::mem::size_of::<T>();
+            let rep = dev.record_dtoh("serve_scores_d2h", bytes as u64);
+            device_reports[d] = device_reports[d].clone().then(&rep);
+            let done = copy[d].copy(read, rep.time_s);
+            for (i, converged) in retiring {
+                verdicts[i] = Some((converged, done));
+            }
+        }
+        (verdicts, held)
+    }
+
+    /// Retire the queries whose `verdicts` entry is
+    /// `Some((converged, completed_s))`; returns the rest.
     fn retire(
         &self,
         active: Vec<Active<T>>,
-        verdicts: &[Option<bool>],
-        clock: f64,
+        verdicts: &[Option<(bool, f64)>],
         outcomes: &mut Vec<QueryOutcome<T>>,
         scope: &mut Option<ServeScope>,
     ) -> Vec<Active<T>> {
         let mut survivors = Vec::with_capacity(active.len());
-        for (mut a, &verdict) in active.into_iter().zip(verdicts) {
-            a.iterations += 1;
-            if let Some(converged) = verdict {
-                if let Some(s) = scope.as_mut() {
-                    s.on_completed(clock, &a.q, a.iterations, converged);
-                }
-                outcomes.push(QueryOutcome {
-                    id: a.q.id,
-                    seed: a.q.seed,
-                    arrival_s: a.q.arrival_s,
-                    admitted_s: a.admitted_s,
-                    completed_s: clock,
-                    iterations: a.iterations,
-                    converged,
-                    scores: self.config.keep_scores.then(|| a.r.into_vec()),
-                });
-            } else {
+        for (a, &verdict) in active.into_iter().zip(verdicts) {
+            let Some((converged, completed_s)) = verdict else {
                 survivors.push(a);
+                continue;
+            };
+            if let Some(s) = scope.as_mut() {
+                s.on_completed(completed_s, &a.q, a.iterations, converged);
             }
+            let answer = a.prev.unwrap_or(a.r);
+            outcomes.push(QueryOutcome {
+                id: a.q.id,
+                seed: a.q.seed,
+                arrival_s: a.q.arrival_s,
+                admitted_s: a.admitted_s,
+                completed_s,
+                iterations: a.iterations,
+                converged,
+                scores: self.config.keep_scores.then(|| answer.into_vec()),
+            });
         }
         survivors
     }
@@ -625,42 +742,40 @@ impl<T: Scalar> ServeEngine<T> {
     }
 }
 
-/// One batched RWR iteration on one device, whose iterates stay on it
-/// from admission to retirement: an init launch writes r⁰ = e_seed for
-/// the queries admitted this wave, then the plan's
-/// [`GpuSpmv::spmm_affine`] wave reads the resident iterates, writes
-/// the next ones and each query's convergence partials — one fused
-/// launch group on ACSR, SpMM plus update elsewhere — and only those
-/// partials cross PCIe. Replaces each query's iterate with the next;
-/// returns each query's `‖next − r‖²`, summed on the host in ascending
-/// partial order.
-fn resident_step<T: Scalar>(
+/// Launch one batched RWR iteration on one device, whose iterates stay
+/// on it from admission to retirement: an init launch writes r⁰ = e_seed
+/// for the queries riding their first wave, then the plan's
+/// [`GpuSpmv::spmm_affine`] wave reads the resident iterates, writes the
+/// next ones and each query's convergence partials — one fused launch
+/// group on ACSR, SpMM plus update elsewhere. Replaces each query's
+/// iterate with the next, keeping the one it replaces when its verdict
+/// is unread; returns the partials, not read back yet, and the launches'
+/// report.
+fn launch_step<T: Scalar>(
     dev: &Device,
     plan: &SpmvPlan<T>,
-    active: &mut [&mut Active<T>],
-) -> (Vec<f64>, RunReport) {
-    let (fresh_seeds, fresh): (Vec<usize>, Vec<&DeviceBuffer<T>>) = active
+    riders: &mut [&mut Active<T>],
+) -> (Partials, RunReport) {
+    let (fresh_seeds, fresh): (Vec<usize>, Vec<&DeviceBuffer<T>>) = riders
         .iter()
-        .filter(|a| a.iterations == 0)
+        .filter(|a| a.rode == 0)
         .map(|a| (a.q.seed, &a.r))
         .unzip();
     let init = rwr_init_multi(dev, &fresh_seeds, &fresh);
-    let xs: Vec<&DeviceBuffer<T>> = active.iter().map(|a| &a.r).collect();
-    let (c, restart) = rwr_coefficients(active.iter().map(|a| &a.q));
+    let xs: Vec<&DeviceBuffer<T>> = riders.iter().map(|a| &a.r).collect();
+    let (c, restart) = rwr_coefficients(riders.iter().map(|a| &a.q));
     let affine = Affine {
         c: &c,
         restart: &restart,
     };
     let wave = plan.spmm_affine(dev, &xs, &affine, true);
-    let partials = wave.partials.expect("the wave was asked for partials");
-    let readback = dev.record_dtoh("serve_partials_d2h", partials.buf.bytes());
-    let dist2 = (0..active.len())
-        .map(|v| sum_partials(partials.query(v)))
-        .collect();
-    for (a, next) in active.iter_mut().zip(wave.outs) {
-        a.r = next;
+    for (a, next) in riders.iter_mut().zip(wave.outs) {
+        let r = std::mem::replace(&mut a.r, next);
+        a.prev = (a.rode > 0).then_some(r);
+        a.rode += 1;
     }
-    (dist2, init.then(&wave.report).then(&readback))
+    let partials = wave.partials.expect("the wave was asked for partials");
+    (partials, init.then(&wave.report))
 }
 
 #[cfg(test)]
@@ -924,7 +1039,7 @@ mod tests {
     }
 
     /// Fresh queries with the given seeds, query `i` pinned to device
-    /// `devices[i]`: a wave to hand straight to [`ServeEngine::wave`].
+    /// `devices[i]`: a wave to hand straight to [`ServeEngine::launch`].
     fn pinned(engine: &ServeEngine<f64>, seeds: &[usize], devices: &[usize]) -> Vec<Active<f64>> {
         seeds
             .iter()
@@ -932,10 +1047,13 @@ mod tests {
             .enumerate()
             .map(|(i, (&seed, &device))| Active {
                 q: query(i as u64, seed, 0.0),
+                ticket: i,
                 admitted_s: 0.0,
                 iterations: 0,
+                rode: 0,
                 device,
                 r: DeviceBuffer::zeroed(engine.rows()),
+                prev: None,
             })
             .collect()
     }
@@ -956,8 +1074,8 @@ mod tests {
         let mut reports = vec![RunReport::default(); 2];
         // two queries on device 0 and one on device 1: unequal finishes
         let mut wave = pinned(&engine, &[3, 17, 40], &[0, 0, 1]);
-        let (_, wave_s, devices) = engine.wave(&mut wave, &mut reports);
-        assert_eq!(devices, 2);
+        let (parts, wave_s) = engine.launch(&mut wave, &mut reports);
+        assert_eq!(parts.len(), 2);
         let finishes: Vec<Option<f64>> = reports.iter().map(|r| Some(r.time_s)).collect();
         let slowest = reports.iter().fold(0.0f64, |a, r| a.max(r.time_s));
         let exchange = handoff(&finishes);
@@ -1012,8 +1130,8 @@ mod tests {
         // reproduces the engine's wave time exactly.
         let mut reports = vec![RunReport::default(); 8];
         let mut wave = pinned(&engine, &[0, 1, 2], &[0, 1, 2]);
-        let (_, wave_s, devices) = engine.wave(&mut wave, &mut reports);
-        assert_eq!(devices, 3);
+        let (parts, wave_s) = engine.launch(&mut wave, &mut reports);
+        assert_eq!(parts.len(), 3);
         let finishes: Vec<Option<f64>> = reports
             .iter()
             .map(|r| (r.launches > 0).then_some(r.time_s))
@@ -1132,11 +1250,14 @@ mod tests {
     }
 
     /// On any number of devices every iterate stays on the device its
-    /// query is pinned to: no per-wave upload or readback, one partials
-    /// readback per wave from each device holding queries, and one
-    /// batched readback of the final iterates from each device that
-    /// retires queries in the wave, charged whether or not the engine
-    /// keeps scores.
+    /// query is pinned to: no per-wave upload or readback. A wave's
+    /// partials come back at most once per device that ran it, and only
+    /// while one of its queries there still waits for that verdict, each
+    /// carrying every column the device ran. The queries a wave's
+    /// verdicts retire — the wave of each query's last checked iterate,
+    /// after which it rides at most one discarded wave — come back in at
+    /// most one batched scores readback per device, charged whether or
+    /// not the engine keeps scores.
     #[test]
     fn waves_move_only_partials_and_final_scores() {
         let g = graph(400, 217);
@@ -1150,6 +1271,7 @@ mod tests {
                     ..ServeConfig::default()
                 },
             );
+            let per_query = partials_per_query(&engine);
             let ledger = engine.enable_tracing();
             let tel = Arc::new(acsr_telemetry::Telemetry::new());
             engine.attach_telemetry(tel.clone());
@@ -1165,31 +1287,52 @@ mod tests {
             };
             assert_eq!(transfers("serve_x_upload").count(), 0, "{what}");
             assert_eq!(transfers("serve_y_readback").count(), 0, "{what}");
-            let score_bytes = (engine.rows() * std::mem::size_of::<f64>()) as u64;
+            let elt = std::mem::size_of::<f64>() as u64;
+            let score_bytes = engine.rows() as u64 * elt;
             let waves = tel.requests.waves();
             assert_eq!(waves.len(), report.waves);
+            // The wave each query's last checked iterate came from.
+            let mut settled = Vec::new();
+            for o in &report.outcomes {
+                let rode: Vec<u64> = waves
+                    .iter()
+                    .filter(|w| w.queries.contains(&o.id))
+                    .map(|w| w.wave)
+                    .collect();
+                assert_eq!(rode.len(), o.iterations + 1, "{what}: query {}", o.id);
+                settled.push(rode[o.iterations - 1]);
+            }
             for w in &waves {
                 let in_wave = |name| transfers(name).filter(|s| s.wave == Some(w.wave));
-                // one partials readback per device holding queries
-                let partials: Vec<&str> = in_wave("serve_partials_d2h")
-                    .map(|s| s.device.as_str())
+                let partials: Vec<(&str, u64)> = in_wave("serve_partials_d2h")
+                    .map(|s| (s.device.as_str(), s.counters.dtoh_bytes))
                     .collect();
-                let holding: BTreeSet<&str> = partials.iter().copied().collect();
-                assert_eq!((partials.len(), holding.len()), (w.devices, w.devices));
-                // at most one scores readback per device, only where
-                // queries retire, carrying exactly the retired answers
+                let read: BTreeSet<&str> = partials.iter().map(|&(d, _)| d).collect();
+                assert_eq!(read.len(), partials.len(), "{what}: wave {}", w.wave);
+                assert!(read.len() <= w.devices, "{what}: wave {}", w.wave);
+                // Waiting for this verdict: every rider not settled
+                // before it.
+                let waiting = report
+                    .outcomes
+                    .iter()
+                    .zip(&settled)
+                    .filter(|&(o, &at)| w.queries.contains(&o.id) && at >= w.wave)
+                    .count();
+                assert_eq!(read.is_empty(), waiting == 0, "{what}: wave {}", w.wave);
+                if n_devices == 1 && waiting > 0 {
+                    let bytes = (w.width * per_query) as u64 * elt;
+                    assert_eq!(partials, [("GTX Titan", bytes)], "{what}");
+                }
+                // at most one scores readback per device, only where the
+                // partials came back, carrying exactly the settled answers
                 let scores: Vec<(&str, u64)> = in_wave("serve_scores_d2h")
                     .map(|s| (s.device.as_str(), s.counters.dtoh_bytes))
                     .collect();
                 let scored: BTreeSet<&str> = scores.iter().map(|&(d, _)| d).collect();
                 assert_eq!(scored.len(), scores.len(), "{what}");
-                assert!(scored.is_subset(&holding), "{what}");
+                assert!(scored.is_subset(&read), "{what}");
                 assert!(scores.iter().all(|&(_, b)| b > 0 && b % score_bytes == 0));
-                let retired = report
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.completed_s == w.t_start_s + w.dur_s)
-                    .count() as u64;
+                let retired = settled.iter().filter(|&&at| at == w.wave).count() as u64;
                 let bytes: u64 = scores.iter().map(|&(_, b)| b).sum();
                 assert_eq!(bytes, retired * score_bytes, "{what}: wave {}", w.wave);
             }
@@ -1309,21 +1452,35 @@ mod tests {
         assert!(four.device_reports[1..].iter().all(|r| r.launches == 0));
     }
 
-    /// The resident wave charges the retirement readback to the wave
-    /// that retires the query, so it is part of `completed_s`: a single
-    /// query's latency is its waves' device time, readback included.
+    /// A lone query rides one discarded wave past its last checked
+    /// iterate, whose partials are never read: it reads back one set of
+    /// partials per iteration and its scores once, and the copy engine
+    /// runs those readbacks beside its waves, so its latency is below
+    /// the device's busy time.
     #[test]
-    fn final_scores_readback_counts_in_the_retiring_wave() {
+    fn a_lone_query_rides_one_discarded_wave() {
         let g = graph(300, 218);
-        let engine = ServeEngine::new(&g, ServeConfig::default());
+        let mut engine = ServeEngine::new(&g, ServeConfig::default());
+        let ledger = engine.enable_tracing();
         let report = engine.serve(&[query(0, 5, 0.0)]);
         let o = &report.outcomes[0];
         let dev = &report.device_reports[0];
-        assert_eq!(o.completed_s, report.makespan_s);
-        assert!((o.latency_s() - dev.time_s).abs() < 1e-15);
+        assert_eq!(report.wave_widths, vec![1; o.iterations + 1]);
+        let waves = launches_since(&ledger, 0)
+            .iter()
+            .filter(|name| *name == "acsr_spmm")
+            .count();
+        assert_eq!(waves, o.iterations + 1);
         let elt = std::mem::size_of::<f64>();
         let partials = o.iterations * partials_per_query(&engine) * elt;
         assert_eq!(dev.counters.dtoh_bytes, (partials + 300 * elt) as u64);
+        assert!(
+            o.latency_s() < dev.time_s,
+            "{} vs {}",
+            o.latency_s(),
+            dev.time_s
+        );
+        assert!(report.makespan_s >= o.completed_s);
     }
 
     /// Names of the top-level launches `ledger` recorded since span
@@ -1362,11 +1519,8 @@ mod tests {
             let ledger = engine.enable_tracing();
             let mut reports = vec![RunReport::default()];
             let mut wave = pinned(&engine, &[3, 17, 250], &[0, 0, 0]);
-            engine.wave(&mut wave, &mut reports);
+            engine.launch(&mut wave, &mut reports);
             let admission = launches_since(&ledger, 0);
-            for a in &mut wave {
-                a.iterations = 1;
-            }
 
             // The next wave, and the same iteration run directly.
             let (dev, plan, n) = (&engine.devices[0], &engine.plans[0], engine.rows());
@@ -1390,23 +1544,13 @@ mod tests {
             };
             let update =
                 spmv_kernels::epilogue::rwr_update_multi(dev, &tr, &affine, &or, Some(&conv));
-            let direct = direct
-                .then(&update)
-                .then(&dev.record_dtoh("serve_partials_d2h", partials.bytes()));
+            let direct = direct.then(&update);
             let direct_launches = launches_since(&ledger, mark);
             drop(xs);
             let mark = ledger.spans().len();
             let mut step = vec![RunReport::default()];
-            let (verdicts, _, _) = engine.wave(&mut wave, &mut step);
+            engine.launch(&mut wave, &mut step);
             let steady = launches_since(&ledger, mark);
-            // A query that converges here also reads its scores back.
-            let retiring = verdicts.iter().flatten().count();
-            let direct = if retiring > 0 {
-                let bytes = retiring * n * std::mem::size_of::<f64>();
-                direct.then(&dev.record_dtoh("serve_scores_d2h", bytes as u64))
-            } else {
-                direct
-            };
 
             let what = format!("{format:?}");
             if fused {
@@ -1426,6 +1570,24 @@ mod tests {
                 assert_eq!(a.r.as_slice(), out.as_slice(), "{what}: query {}", a.q.id);
             }
         }
+    }
+
+    /// A query rides waves until its `max_iters`-th, so a cap of zero
+    /// would admit queries that never ride one.
+    #[test]
+    #[should_panic(expected = "max_iters must be at least 1")]
+    fn zero_iteration_cap_is_rejected_at_construction() {
+        let iter = IterParams {
+            max_iters: 0,
+            ..IterParams::default()
+        };
+        ServeEngine::new(
+            &graph(100, 222),
+            ServeConfig {
+                iter,
+                ..ServeConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl ServeScope {
         self.waves.push(record);
     }
 
-    /// A query retired at wave end `now`.
+    /// A query retired: its answer reached the host at `now`.
     pub(crate) fn on_completed(&mut self, now: f64, q: &Query, iterations: usize, converged: bool) {
         self.events.push(RequestEvent::Completed {
             t_s: now,
@@ -169,11 +169,13 @@ fn fold<T>(
             }
             RequestEvent::Completed {
                 tenant: t,
+                iterations,
                 converged,
                 latency_s,
                 ..
             } => {
                 m.add("serve.completed", 1);
+                m.add("serve.iterations", iterations as u64);
                 if converged {
                     m.add("serve.converged", 1);
                 }
@@ -187,8 +189,15 @@ fn fold<T>(
     }
     for w in waves {
         m.add("serve.waves", 1);
-        m.add("serve.iterations", w.width as u64);
         m.observe("serve.wave_width", w.width as f64);
+    }
+    // Every admitted query completes within the run, so the columns the
+    // waves ran beyond the iterations the queries checked are the ones
+    // launched before a verdict that retired their query was read.
+    let columns: u64 = waves.iter().map(|w| w.width as u64).sum();
+    let discarded = columns - m.counter("serve.iterations");
+    if discarded > 0 {
+        m.add("serve.discarded_columns", discarded);
     }
 
     m.set_gauge("serve.makespan_s", report.makespan_s);
@@ -206,13 +215,15 @@ fn fold<T>(
 }
 
 /// Per-device utilization gauges from the run's accumulated device
-/// reports and its makespan: `serve.device.<d>.busy_s` (modeled device
-/// time), `serve.device.<d>.idle_s` (makespan minus busy, clamped at 0)
-/// and `serve.device.<d>.utilization` (busy over makespan; 0 when the
+/// reports and its makespan: `serve.device.<d>.busy_s` (the compute
+/// engine's modeled time: the report's launches, without the readbacks
+/// the copy engine runs beside them), `serve.device.<d>.idle_s`
+/// (makespan minus busy, clamped at 0) and
+/// `serve.device.<d>.utilization` (busy over makespan; 0 when the
 /// makespan is empty).
 fn record_device_gauges(metrics: &MetricsRegistry, reports: &[RunReport], wall_s: f64) {
     for (d, rep) in reports.iter().enumerate() {
-        let busy = rep.time_s;
+        let busy = rep.time_s - rep.breakdown.transfer_s;
         metrics.set_gauge(&format!("serve.device.{d}.busy_s"), busy);
         metrics.set_gauge(
             &format!("serve.device.{d}.idle_s"),
@@ -238,13 +249,26 @@ mod tests {
             time_s: 1.0,
             ..Default::default()
         };
-        record_device_gauges(&metrics, &[fast, slow], 1.0);
+        // Launches for 0.5 s and readbacks for 0.75 s, which the copy
+        // engine ran beside them: only the launches keep it busy.
+        let copying = RunReport {
+            time_s: 1.25,
+            breakdown: gpu_sim::TimeBreakdown {
+                transfer_s: 0.75,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        record_device_gauges(&metrics, &[fast, slow, copying], 1.0);
         let snap = metrics.snapshot();
         assert_eq!(snap.gauge("serve.device.0.busy_s"), Some(0.25));
         assert_eq!(snap.gauge("serve.device.0.idle_s"), Some(0.75));
         assert_eq!(snap.gauge("serve.device.0.utilization"), Some(0.25));
         assert_eq!(snap.gauge("serve.device.1.utilization"), Some(1.0));
         assert_eq!(snap.gauge("serve.device.1.idle_s"), Some(0.0));
+        assert_eq!(snap.gauge("serve.device.2.busy_s"), Some(0.5));
+        assert_eq!(snap.gauge("serve.device.2.idle_s"), Some(0.5));
+        assert_eq!(snap.gauge("serve.device.2.utilization"), Some(0.5));
         // degenerate wall never divides by zero
         record_device_gauges(&metrics, &[RunReport::default()], 0.0);
         assert_eq!(

@@ -42,7 +42,8 @@ pub enum RequestEvent {
         wave: u64,
         queue_wait_s: f64,
     },
-    /// The query retired at the end of a wave.
+    /// The query retired: `t_s` is when its answer reached the host,
+    /// the end of the scores readback its last verdict issued.
     Completed {
         t_s: f64,
         query: u64,
@@ -84,9 +85,11 @@ pub struct WaveRecord {
     pub wave: u64,
     /// Wave start on the serving clock, seconds.
     pub t_start_s: f64,
-    /// Modeled wave duration, seconds.
+    /// Modeled wave duration, seconds: its launches and, across
+    /// devices, the hand-off; its readbacks run beside the next wave.
     pub dur_s: f64,
-    /// Batch width (queries riding the wave).
+    /// Batch width (queries riding the wave, a query that has converged
+    /// but whose verdict was still unread at launch included).
     pub width: usize,
     /// Devices that held a query of the wave (each runs the queries
     /// pinned to it).
