@@ -25,10 +25,6 @@ use spmv_kernels::GpuSpmv;
 use spmv_pipeline::selector::projected_spmv_seconds;
 use spmv_pipeline::{FormatRegistry, PlanBudget};
 
-/// Row cap for the BCCOO tuning sample (cost extrapolated to full size;
-/// DESIGN.md §1).
-pub const BCCOO_TUNE_SAMPLE_ROWS: usize = 8192;
-
 /// Cost profile of one format on one matrix.
 #[derive(Clone, Debug, Serialize)]
 pub struct FormatCost {
@@ -105,8 +101,7 @@ pub fn compare_matrix(
     let xd = dev.alloc(x);
 
     let reg = FormatRegistry::<f32>::with_all();
-    let mut budget = PlanBudget::for_device(dev.config());
-    budget.bccoo_sample_rows = BCCOO_TUNE_SAMPLE_ROWS;
+    let budget = PlanBudget::for_device(dev.config());
     let cost_of = |name: &'static str| -> FormatCost {
         match reg.plan(name, &dev, m, &budget) {
             Ok(plan) => {

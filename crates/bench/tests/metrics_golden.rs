@@ -116,7 +116,7 @@ fn deadline_shed_metrics_match_golden_file() {
         .collect();
     let policy = SloPolicy {
         queue_capacity: 6,
-        batch: BatchPolicy::Adaptive { min: 1, max: 4 },
+        batch: BatchPolicy::Adaptive { max: 4 },
         tenants: TenantTable::new(vec![
             TenantSpec {
                 tenant: 0,

@@ -29,7 +29,7 @@
 //! in any order, so this partition is semantically faithful — and it
 //! makes the host-side worker count ([`sim_threads`]) pure mechanism:
 //! whether one thread walks the shards in order or eight threads claim
-//! them from a pool, every shard computes the same numbers and the
+//! them one at a time, every shard computes the same numbers and the
 //! SM-ordered merge in `assemble_report` produces a bit-identical
 //! [`RunReport`].
 //!
@@ -148,16 +148,16 @@ pub fn host_cores() -> usize {
 }
 
 /// Grids below this many threads run their shards sequentially even when
-/// more workers are requested: the pool round-trip (wake, claim, park)
-/// costs more host time than the work it distributes.
+/// more workers are requested: starting and joining the wave's host
+/// threads costs more host time than the work it distributes.
 const PAR_MIN_GRID_THREADS: usize = 16 * 1024;
 
 /// Host workers a wave actually fans out to. Requesting more workers
 /// than can help is where the historical `workers>1` *slowdown* came
-/// from: on a single-core host, or for a small grid, the pool round-trip
-/// is pure overhead, so those cases short-circuit to the sequential
-/// path. Worker count never affects results (see the module docs), so
-/// this is purely a wall-clock policy.
+/// from: on a single-core host, or for a small grid, starting and
+/// joining threads is pure overhead, so those cases short-circuit to
+/// the sequential path. Worker count never affects results (see the
+/// module docs), so this is purely a wall-clock policy.
 pub fn effective_workers(requested: usize, active_shards: usize, grid_threads: usize) -> usize {
     if requested <= 1
         || active_shards <= 1
@@ -394,9 +394,12 @@ fn first_block(home_sm: usize, offset: usize, sms: usize) -> usize {
 }
 
 /// Run one wave: every SM in `active` runs `slice` on its own shard and
-/// pending-child queue, on up to `width` host workers (in ascending SM
-/// order when `width` is 1). Shards are independent, so the result is
-/// identical at any width.
+/// pending-child queue. The caller and up to `width - 1` scoped threads
+/// claim the SMs one at a time from a shared iterator, so an SM with
+/// skewed work does not idle the others; at width 1 the caller runs them
+/// in ascending SM order. Shards are independent, so the result is
+/// identical at any width, and a shard's panic reaches the caller with
+/// its own payload.
 fn run_wave<'k>(
     shards: &mut [ShardState],
     pending: &mut [Vec<PendingChild<'k>>],
@@ -411,20 +414,40 @@ fn run_wave<'k>(
                 .is_none_or(|&sm| sm < shards.len() && sm < pending.len()),
         "a wave's SMs must be ascending and in range"
     );
-    let shards_at = shards.as_mut_ptr() as usize;
-    let pending_at = pending.as_mut_ptr() as usize;
-    par_runtime::par_shards(width, active.len(), |i| {
-        let sm = active[i];
-        // SAFETY: the assert above makes every `sm` a distinct in-range
-        // index, so each invocation gets its own shard and queue, and
-        // both slices stay mutably borrowed for the whole call.
-        let (shard, queued) = unsafe {
-            (
-                &mut *(shards_at as *mut ShardState).add(sm),
-                &mut *(pending_at as *mut Vec<PendingChild<'k>>).add(sm),
-            )
-        };
-        slice(shard, queued);
+    let pairs = shards
+        .iter_mut()
+        .zip(pending.iter_mut())
+        .enumerate()
+        .filter(|(sm, _)| active.binary_search(sm).is_ok())
+        .map(|(_, pair)| pair);
+    if width <= 1 {
+        pairs.for_each(|(shard, queued)| slice(shard, queued));
+        return;
+    }
+    let pairs = Mutex::new(pairs.peekable());
+    let drain = || loop {
+        let claimed = pairs.lock().next();
+        match claimed {
+            Some((shard, queued)) => slice(shard, queued),
+            None => return,
+        }
+    };
+    std::thread::scope(|scope| {
+        // Started helpers claim SMs while the caller starts the next one,
+        // so stop starting threads once no SM is left for them to claim.
+        let mut helpers = Vec::with_capacity(width - 1);
+        for _ in 1..width {
+            if pairs.lock().peek().is_none() {
+                break;
+            }
+            helpers.push(scope.spawn(drain));
+        }
+        drain();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
 }
 

@@ -1,14 +1,17 @@
 //! `workers > 1` must never be a *slowdown*: requesting more host
-//! workers than can help historically cost wall-clock (pool round-trips
-//! with nothing to distribute). [`gpu_sim::effective_workers`] now
-//! short-circuits those cases to the sequential path, and this suite
-//! pins both the policy (deterministically, via
+//! workers than can help historically cost wall-clock (threads started
+//! and joined with nothing to distribute). [`gpu_sim::effective_workers`]
+//! now short-circuits those cases to the sequential path, and this
+//! suite pins both the policy (deterministically, via
 //! [`gpu_sim::override_host_cores`]) and the end-to-end wall-clock
-//! parity `speedup_vs_seq >= 1 - ε`.
+//! parity `speedup_vs_seq >= 1 - ε`. It also pins that a kernel's panic
+//! in a fanned-out wave reaches the caller with its own payload.
 
 use gpu_sim::{
-    effective_workers, lane_mask, override_host_cores, presets, set_sim_threads, Device, WARP,
+    effective_workers, lane_mask, override_host_cores, presets, set_sim_threads, sim_threads,
+    Device, FULL_MASK, WARP,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -30,7 +33,7 @@ fn single_core_host_never_fans_out() {
 fn small_grids_stay_sequential_even_on_big_hosts() {
     let _guard = KNOB_LOCK.lock().unwrap();
     override_host_cores(32);
-    // Below the fan-out threshold the pool round-trip outweighs the work.
+    // Below the fan-out threshold starting threads outweighs the work.
     assert_eq!(effective_workers(8, 14, 1024), 1);
     // At or above it, fan out to min(requested, shards).
     assert_eq!(effective_workers(8, 14, 1 << 20), 8);
@@ -105,4 +108,44 @@ fn multi_worker_wall_clock_is_not_a_slowdown() {
              (speedup {speedup:.2})"
         );
     }
+}
+
+/// A panic in one block of a wave that fans out to two host workers
+/// reaches the caller with the block's own payload, and the device's
+/// next launch at that width still reports what the sequential run does.
+#[test]
+fn panicking_block_in_a_fanned_out_wave_reaches_the_caller() {
+    let _guard = KNOB_LOCK.lock().unwrap();
+    override_host_cores(4);
+    set_sim_threads(2);
+    let dev = Device::new(presets::gtx_titan());
+    let sms = dev.config().sm_count;
+    let (blocks, block_dim) = (256, 256);
+    let n = blocks * block_dim;
+    assert_eq!(
+        effective_workers(sim_threads(), sms, n),
+        2,
+        "the 64 K-thread grid must fan out"
+    );
+    let src = dev.alloc((0..n).map(|i| i as f64).collect::<Vec<_>>());
+    let launch = |failing: Option<usize>| {
+        dev.launch("panic_probe", blocks, block_dim, &|blk| {
+            if Some(blk.block_idx()) == failing {
+                panic!("block 37 failed");
+            }
+            blk.for_each_warp(&mut |warp| {
+                warp.read_coalesced(&src, warp.first_thread(), FULL_MASK);
+            });
+        })
+    };
+    let err = catch_unwind(AssertUnwindSafe(|| launch(Some(37))))
+        .expect_err("the block's panic must reach the caller");
+    assert_eq!(err.downcast_ref::<&str>(), Some(&"block 37 failed"));
+
+    let fanned_out = launch(None);
+    set_sim_threads(1);
+    let sequential = launch(None);
+    set_sim_threads(0);
+    override_host_cores(0);
+    assert_eq!(fanned_out, sequential);
 }

@@ -99,7 +99,8 @@ pub struct PlanBudget {
     /// Host cost model used to convert [`PreprocessCost`] into seconds.
     pub host: HostModel,
     /// Row-sample cap for the BCCOO tuner (`usize::MAX` = full-size
-    /// trials; the default keeps planning tractable on big operators).
+    /// trials; the default, 8192 rows, keeps planning tractable on big
+    /// operators: DESIGN.md §8 item 9).
     pub bccoo_sample_rows: usize,
     /// Full-scale projection factor for the selector's probes: the
     /// bench suite's analog matrices are generated `scale` times

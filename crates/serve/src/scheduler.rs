@@ -69,7 +69,7 @@ use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
 use crate::query::{rwr_coefficients, Query, QueryOutcome};
 use crate::queue::SubmissionQueue;
-use crate::slo::{BatchPolicy, SloPolicy};
+use crate::slo::SloPolicy;
 use crate::telemetry::ServeScope;
 use crate::tenant::FairShare;
 use acsr::AcsrConfig;
@@ -370,12 +370,6 @@ impl<T: Scalar> ServeEngine<T> {
             policy.batch.max_width() >= 1,
             "batch policy must allow at least one query per wave"
         );
-        if let BatchPolicy::Adaptive { min, max } = policy.batch {
-            assert!(
-                min <= max,
-                "BatchPolicy::Adaptive needs min <= max (min = {min}, max = {max})"
-            );
-        }
         let mut stream: Vec<Query> = queries.to_vec();
         stream.sort_by(|a, b| {
             a.arrival_s
@@ -1588,16 +1582,6 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "BatchPolicy::Adaptive needs min <= max (min = 8, max = 4)")]
-    fn inverted_adaptive_batch_policy_is_rejected_at_entry() {
-        let g = graph(100, 219);
-        let engine = ServeEngine::new(&g, ServeConfig::default());
-        let mut policy = SloPolicy::open_loop(1e-3, 4, 16);
-        policy.batch = BatchPolicy::Adaptive { min: 8, max: 4 };
-        engine.serve_slo(&[query(0, 1, 0.0)], &policy);
     }
 
     #[test]

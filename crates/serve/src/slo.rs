@@ -32,12 +32,10 @@ pub enum BatchPolicy {
     /// Every wave admits up to `k` queries (the closed-loop behavior).
     Fixed(usize),
     /// Width tracks demand: the next power of two covering the queries
-    /// currently in the system (active + queued), clamped to
-    /// `[min, max]`. Light load stays at `min` for the best per-query
-    /// latency; a backlog ramps to `max` for the best drain rate.
+    /// currently in the system (active + queued), capped at `max`.
+    /// Light load runs narrow waves for the best per-query latency; a
+    /// backlog ramps to `max` for the best drain rate.
     Adaptive {
-        /// Narrowest wave (≥ 1).
-        min: usize,
         /// Widest wave (the SpMM batch cap).
         max: usize,
     },
@@ -48,7 +46,7 @@ impl BatchPolicy {
     pub fn cap(&self, demand: usize) -> usize {
         match *self {
             BatchPolicy::Fixed(k) => k,
-            BatchPolicy::Adaptive { min, max } => demand.max(1).next_power_of_two().clamp(min, max),
+            BatchPolicy::Adaptive { max } => demand.max(1).next_power_of_two().min(max),
         }
     }
 
@@ -56,7 +54,7 @@ impl BatchPolicy {
     pub fn max_width(&self) -> usize {
         match *self {
             BatchPolicy::Fixed(k) => k,
-            BatchPolicy::Adaptive { max, .. } => max,
+            BatchPolicy::Adaptive { max } => max,
         }
     }
 }
@@ -83,10 +81,7 @@ impl SloPolicy {
     pub fn open_loop(p99_target_s: f64, max_batch: usize, queue_capacity: usize) -> SloPolicy {
         SloPolicy {
             queue_capacity,
-            batch: BatchPolicy::Adaptive {
-                min: 1,
-                max: max_batch,
-            },
+            batch: BatchPolicy::Adaptive { max: max_batch },
             tenants: TenantTable::single(p99_target_s),
         }
     }
@@ -109,13 +104,14 @@ mod tests {
 
     #[test]
     fn adaptive_cap_tracks_demand_within_bounds() {
-        let p = BatchPolicy::Adaptive { min: 2, max: 64 };
-        assert_eq!(p.cap(0), 2, "idle stays at min");
-        assert_eq!(p.cap(1), 2);
+        let p = BatchPolicy::Adaptive { max: 64 };
+        assert_eq!(p.cap(0), 1, "idle runs one query wide");
+        assert_eq!(p.cap(1), 1);
+        assert_eq!(p.cap(2), 2);
         assert_eq!(p.cap(3), 4, "next power of two");
         assert_eq!(p.cap(9), 16);
         assert_eq!(p.cap(64), 64);
-        assert_eq!(p.cap(500), 64, "backlog clamps to max");
+        assert_eq!(p.cap(500), 64, "backlog caps at max");
         assert_eq!(p.max_width(), 64);
     }
 
@@ -130,7 +126,7 @@ mod tests {
     #[test]
     fn policy_constructors_wire_the_knobs() {
         let open = SloPolicy::open_loop(0.25, 32, 128);
-        assert_eq!(open.batch, BatchPolicy::Adaptive { min: 1, max: 32 });
+        assert_eq!(open.batch, BatchPolicy::Adaptive { max: 32 });
         assert_eq!(open.tenants.spec(0).slo_s, 0.25);
         let closed = SloPolicy::closed_loop(16, 64);
         assert_eq!(closed.batch, BatchPolicy::Fixed(16));

@@ -53,7 +53,7 @@ fn stream(n_nodes: usize, n: usize) -> Vec<Query> {
 fn policy() -> SloPolicy {
     SloPolicy {
         queue_capacity: 6,
-        batch: BatchPolicy::Adaptive { min: 1, max: 4 },
+        batch: BatchPolicy::Adaptive { max: 4 },
         tenants: TenantTable::new(vec![
             TenantSpec {
                 tenant: 0,

@@ -35,7 +35,7 @@ step() {
   if [ $# -gt 0 ]; then echo "==> $1"; fi
 }
 
-step "unused dependencies (every [dependencies] and [dev-dependencies] name occurs in its package's sources)"
+step "unused dependencies (every [dependencies] and [dev-dependencies] name occurs in its package's sources, every [workspace.dependencies] name is inherited)"
 # A dependency edge must be named, as a word with '-' read as '_', in
 # the package's src/ (plus tests/ and examples/ for the root package);
 # a dev-dependency edge in whichever of its src/, tests/, examples/ and
@@ -56,6 +56,17 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
       fi
     done
   done
+done
+# A [workspace.dependencies] entry must be inherited by some member, as
+# `<name>.workspace = true` or `<name> = { workspace = true, ... }`;
+# otherwise the crate it points at keeps building with no user.
+for dep in $(awk '/^\[/ { deps = ($0 == "[workspace.dependencies]") }
+                  deps && /^[A-Za-z0-9_-]+ *=/ { sub(/ *=.*/, ""); print }' Cargo.toml); do
+  if ! grep -qE "^$dep(\.workspace *= *true| *= *\{ *workspace *= *true)" \
+      Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then
+    echo "Cargo.toml: [workspace.dependencies] '$dep' is inherited by no member" >&2
+    unused=1
+  fi
 done
 [ "$unused" = 0 ]
 

@@ -2,13 +2,11 @@
 //!
 //! This workspace vendors minimal API-compatible shims for its external
 //! dependencies so it builds hermetically (no registry access). Only the
-//! surface the repo actually uses is provided: `Mutex`, `MutexGuard`,
-//! `Condvar`, and `RwLock`. Unlike `std`, poisoning is unwrapped away —
-//! matching parking_lot's panic-propagation-free semantics closely
-//! enough for this codebase (a poisoned lock here means a worker already
-//! panicked, and the test harness will surface that panic anyway).
-
-use std::sync::TryLockError;
+//! surface the repo actually uses is provided: `Mutex` and its
+//! `MutexGuard`. Unlike `std`, poisoning is unwrapped away — matching
+//! parking_lot's panic-propagation-free semantics closely enough for
+//! this codebase (a poisoned lock here means a worker already panicked,
+//! and the test harness will surface that panic anyway).
 
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
@@ -24,13 +22,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poison) => poison.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -40,23 +31,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(poison) => MutexGuard {
                 inner: poison.into_inner(),
             },
-        }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(TryLockError::Poisoned(poison)) => Some(MutexGuard {
-                inner: poison.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poison) => poison.into_inner(),
         }
     }
 }
@@ -80,151 +54,14 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // Temporarily move the std guard out to satisfy the std condvar
-        // signature, then put the re-acquired guard back.
-        replace_with(&mut guard.inner, |g| match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(poison) => poison.into_inner(),
-        });
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-/// Move-out/move-in helper for `Condvar::wait`: std's `Condvar::wait`
-/// consumes the guard by value while parking_lot's borrows it mutably.
-fn replace_with<G>(slot: &mut G, f: impl FnOnce(G) -> G) {
-    unsafe {
-        let old = std::ptr::read(slot);
-        // If `f` panics we must not drop the moved-out guard twice;
-        // abort-on-double-panic is acceptable for a lock shim, but we
-        // still write a valid value back before unwinding continues.
-        let new = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(old))).unwrap_or_else(
-            |payload| {
-                // Re-acquiring is impossible here; propagate the panic.
-                std::panic::resume_unwind(payload)
-            },
-        );
-        std::ptr::write(slot, new);
-    }
-}
-
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(g) => RwLockReadGuard { inner: g },
-            Err(poison) => RwLockReadGuard {
-                inner: poison.into_inner(),
-            },
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
-            Ok(g) => RwLockWriteGuard { inner: g },
-            Err(poison) => RwLockWriteGuard {
-                inner: poison.into_inner(),
-            },
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_round_trip() {
         let m = Mutex::new(3usize);
         *m.lock() += 4;
         assert_eq!(*m.lock(), 7);
-        assert_eq!(m.into_inner(), 7);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (lock, cv) = &*p2;
-            let mut done = lock.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(1);
-        assert_eq!(*l.read(), 1);
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
     }
 }
