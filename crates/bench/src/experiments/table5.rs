@@ -1,5 +1,6 @@
-//! Table V — the number of bin-specific (BS) and row-specific (RS) grids
-//! ACSR launches per matrix on the GTX Titan.
+//! Table V — ACSR's bin-specific segments (BS: the non-empty G2 bins,
+//! which share one grid, plus the `RowMax` overflow grid) and the
+//! row-specific grids (RS) it launches per matrix on the GTX Titan.
 
 use crate::common::{selected_specs, Options, Table};
 use acsr::{AcsrConfig, AcsrEngine, BinStats};
@@ -54,7 +55,7 @@ pub fn render(rows: &[Table5Row]) -> String {
         ]);
     }
     format!(
-        "Table V: bin-specific (BS) and row-specific (RS) grids per SpMV, GTX Titan:\n{}",
+        "Table V: bin-specific segments (BS) and row-specific grids (RS) per SpMV, GTX Titan:\n{}",
         t.render()
     )
 }

@@ -105,10 +105,9 @@ fn write_trace(name: &str, ledger: &TraceLedger, spans: &[Span]) -> Result<(), S
             b.counters.htod_bytes + b.counters.dtoh_bytes,
         );
     }
-    if rollup.bin_grid_launches() > 0 || rollup.row_grid_launches() > 0 {
+    if rollup.row_grid_launches() > 0 {
         eprintln!(
-            "trace[{name}]:   Table V view: BS={} bin grids, RS={} row grids",
-            rollup.bin_grid_launches(),
+            "trace[{name}]:   Table V view: RS={} row grids",
             rollup.row_grid_launches()
         );
     }

@@ -78,18 +78,14 @@ fn acsr_bins_beat_csr_vector_warp_efficiency() {
     let csr_weff = weff_of(&csr_row.counters);
 
     let acsr = profiled_spmv(presets::gtx_titan(), &m, "acsr");
-    let mut bin_counters = Counters::default();
-    let mut bins = 0;
-    for row in acsr
+    let bins: Vec<_> = acsr
         .rows
         .iter()
         .filter(|r| r.is_counted() && r.name.starts_with("acsr_bin"))
-    {
-        bin_counters.merge(&row.counters);
-        bins += 1;
-    }
-    assert!(bins >= 2, "power-law matrix should populate several bins");
-    let bin_weff = weff_of(&bin_counters);
+        .collect();
+    assert_eq!(bins.len(), 1, "the G2 bins launch as one grid");
+    assert_eq!(bins[0].name, "acsr_bins");
+    let bin_weff = weff_of(&bins[0].counters);
     assert!(
         bin_weff > csr_weff,
         "binned kernels must waste fewer lanes: ACSR bins {bin_weff:.4} \

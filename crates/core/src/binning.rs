@@ -20,8 +20,8 @@ pub struct Binning {
     bins: Vec<Vec<u32>>,
     /// Rows handed to row-specific grids (group G1), in row order.
     g1_rows: Vec<u32>,
-    /// Bin indices served by bin-specific kernels (group G2, non-empty
-    /// bins only, ascending).
+    /// Bin indices served by bin-specific thread groups (group G2,
+    /// non-empty bins only, ascending).
     g2_bins: Vec<usize>,
     /// Rows that belong to G1 bins but overflowed `RowMax` and fall back
     /// to the widest bin kernel.
@@ -30,11 +30,13 @@ pub struct Binning {
     nonempty_rows: usize,
 }
 
-/// Counters for the paper's Table V (BS = bin-specific grids, RS =
+/// Counters for the paper's Table V (BS = bin-specific segments, RS =
 /// row-specific grids).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinStats {
-    /// Bin-specific grids launched per SpMV (Table V's "BS").
+    /// Bin-specific segments per SpMV (Table V's "BS"): the non-empty G2
+    /// bins, plus one for the `RowMax` overflow rows. A binning
+    /// statistic, not a launch count: the G2 bins share one grid.
     pub bin_grids: usize,
     /// Row-specific grids launched per SpMV (Table V's "RS").
     pub row_grids: usize,
@@ -178,7 +180,8 @@ impl Binning {
         self.bins.len()
     }
 
-    /// Bin indices served by bin-specific kernels (G2).
+    /// Bin indices served by bin-specific thread groups (G2), ascending:
+    /// the segments, in order, of the engine's one `acsr_bins` grid.
     pub fn g2_bins(&self) -> &[usize] {
         &self.g2_bins
     }

@@ -8,10 +8,16 @@
 //! of `spmv_multi`):
 //!
 //! 1. a zero-scatter over empty rows and atomically-accumulated rows,
-//! 2. one bin-specific kernel per non-empty G2 bin,
+//! 2. `acsr_bins`, one grid holding every non-empty G2 bin's
+//!    bin-specific kernel: the bins' grids end to end, each block running
+//!    its own bin's thread-group width (Algorithm 2),
 //! 3. the fallback wide-bin kernel for `RowMax` overflow rows,
 //! 4. the long-tail pass — DP parent (Alg. 3) or §VIII static kernel,
 //!    plus, in a fused DP wave, the kernel that finalizes the G1 rows.
+//!
+//! Algorithm 1 launches one kernel per G2 bin on its own stream; the one
+//! grid does the same work, block for block and SM for SM, for one
+//! launch instead of one per bin (DESIGN §8 item 11).
 //!
 //! After a dynamic update ([`crate::update`]) only the cheap re-binning
 //! scan repeats — the matrix data never moves, which is the paper's whole
@@ -21,7 +27,8 @@ use crate::binning::{BinStats, Binning, RowMove};
 use crate::config::{AcsrConfig, AcsrMode};
 use crate::dynpar::{dp_finalize_grid, dp_finalize_kernel, dp_parent_kernel};
 use crate::kernels::{
-    bin_grid, bin_kernel, static_long_tail_kernel, zero_rows_grid, zero_rows_kernel, Epilogue,
+    bin_grid, bins_kernel, static_long_tail_kernel, zero_rows_grid, zero_rows_kernel, Epilogue,
+    Segment,
 };
 use crate::matrix::AcsrMatrix;
 use gpu_sim::{Device, DeviceBuffer, RunReport};
@@ -233,7 +240,7 @@ impl<T: Scalar> AcsrEngine<T> {
 
     /// The one launch sequence behind [`GpuSpmv::spmv`] (k = 1),
     /// [`GpuSpmv::spmv_multi`] and the fused [`GpuSpmv::spmm_affine`]:
-    /// zero-scatter, one kernel per G2 bin, overflow, long tail, each
+    /// zero-scatter, the G2 bins' one grid, overflow, long tail, each
     /// serving all k vectors, and with `epi` each applying the epilogue
     /// to the rows it finalizes (in DP mode, one more kernel finalizes
     /// the G1 rows). `group_name` names the launch group in reports and
@@ -278,34 +285,45 @@ impl<T: Scalar> AcsrEngine<T> {
             let empty = self.binning.bin_rows(0).len();
             zero_rows_kernel(&mut group, zl, empty, ys, e.as_ref(), "acsr_zero");
         }
-        // Bin-specific kernels (ascending bin id, as the driver launches
-        // them)
-        for &bin in self.binning.g2_bins() {
-            let list = self.bin_lists[bin]
-                .as_ref()
-                .expect("g2 bin must have an uploaded row list");
-            let lanes = Binning::group_for_bin(bin);
-            let e = at(bin_grid(list.len(), lanes));
-            bin_kernel(
-                &mut group,
-                &self.mat,
-                list,
-                lanes,
-                self.cfg.texture_x,
-                xs,
-                ys,
-                e.as_ref(),
-                &format!("acsr_bin{bin}"),
-            );
-        }
-        // RowMax-overflow rows: widest bin kernel (one warp per row).
+        // The G2 bins' kernels as one grid, the bins' grids end to end in
+        // ascending bin id.
+        let segments: Vec<Segment> = self
+            .binning
+            .g2_bins()
+            .iter()
+            .map(|&bin| Segment {
+                rows: self.bin_lists[bin]
+                    .as_ref()
+                    .expect("g2 bin must have an uploaded row list"),
+                lanes: Binning::group_for_bin(bin),
+            })
+            .collect();
+        let bins_grid = segments
+            .iter()
+            .map(|s| bin_grid(s.rows.len(), s.lanes))
+            .sum();
+        let e = at(bins_grid);
+        bins_kernel(
+            &mut group,
+            &self.mat,
+            &segments,
+            self.cfg.texture_x,
+            xs,
+            ys,
+            e.as_ref(),
+            "acsr_bins",
+        );
+        // RowMax-overflow rows: widest bin kernel (one warp per row), a
+        // grid of its own.
         if let Some(ol) = &self.overflow_list {
             let e = at(bin_grid(ol.len(), 32));
-            bin_kernel(
+            bins_kernel(
                 &mut group,
                 &self.mat,
-                ol,
-                32,
+                &[Segment {
+                    rows: ol,
+                    lanes: 32,
+                }],
                 self.cfg.texture_x,
                 xs,
                 ys,

@@ -4,6 +4,9 @@
 //! Each bin's kernel gives every row a thread group of
 //! `2^(bin-1)` lanes (capped at one warp), so rows run at most two
 //! strided iterations — the divergence-free execution binning buys.
+//! The bins' kernels launch as one grid (`bins_kernel`) whose blocks
+//! each serve one bin, so the lane groups stay bin-specific while the
+//! SpMV pays one launch for all of them.
 //!
 //! Every kernel here is batched: it computes `ys[v] = A * xs[v]` for a
 //! batch of k vectors, gathering row lists, row bounds, columns and
@@ -15,7 +18,7 @@
 //!
 //! With an `Epilogue` (a fused PageRank or RWR wave), each kernel writes
 //! `affine.apply(v, row, y)` instead of `y` for the rows it finalizes —
-//! the zero-scatter its empty rows, a bin kernel its rows, the static
+//! the zero-scatter its empty rows, a bin's blocks its rows, the static
 //! tail its row once the row's atomics have landed (in DP mode the G1
 //! rows are finalized by `crate::dynpar`'s finalize kernel) — and each
 //! block writes one convergence partial per query.
@@ -333,37 +336,62 @@ pub(crate) fn atomic_row_partials<T: Scalar>(
     }
 }
 
-/// Blocks of a [`bin_kernel`] launch over `n` listed rows, `group`
+/// Blocks of one [`bins_kernel`] segment over `n` listed rows, `group`
 /// lanes per row.
 pub(crate) fn bin_grid(n: usize, group: usize) -> usize {
     let warps = n.div_ceil(WARP / group).max(1);
     (warps * WARP).div_ceil(256).max(1)
 }
 
-/// Launch the bin-specific kernel for one bin (Algorithm 2). The batch
-/// dimension rides inside each warp's body, so the grid shape does not
-/// depend on k. Returns the grid size.
+/// One segment of a [`bins_kernel`] grid: a row list served `lanes`
+/// lanes per row, in [`bin_grid`] blocks.
+#[derive(Clone, Copy)]
+pub(crate) struct Segment<'a> {
+    pub rows: &'a DeviceBuffer<u32>,
+    pub lanes: usize,
+}
+
+/// Launch the bin-specific kernels (Algorithm 2) of `segments` as one
+/// grid: the segments' grids laid end to end in the given order. Each
+/// block finds its segment by a binary search over the segments' first
+/// blocks (kernel parameters), charged as ⌈log₂ S⌉ ALU instructions per
+/// warp for S segments (none for one), and runs that segment's lane
+/// group on its rows. Block `b` of a segment does exactly what block `b`
+/// of the segment's own grid would, and in a launch group the rotated
+/// block→SM placement puts it on the same SM. The batch dimension rides
+/// inside each warp's body, so the grid shape does not depend on k.
+/// Returns the grid size (0, launching nothing, without segments).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bin_kernel<T: Scalar>(
+pub(crate) fn bins_kernel<T: Scalar>(
     launch_group: &mut ConcurrentGroup,
     mat: &AcsrMatrix<T>,
-    rows_list: &DeviceBuffer<u32>,
-    group: usize,
+    segments: &[Segment],
     texture_x: bool,
     xs: &[&DeviceBuffer<T>],
     ys: &[&DeviceBuffer<T>],
     epi: Option<&Epilogue<T>>,
     name: &str,
 ) -> usize {
-    assert!(group.is_power_of_two() && group <= WARP);
-    let groups_per_warp = WARP / group;
-    let block = 256;
-    let grid = bin_grid(rows_list.len(), group);
-    launch_group.add(name, grid, block, &|blk| {
+    let mut firsts = Vec::with_capacity(segments.len());
+    let mut grid = 0;
+    for s in segments {
+        assert!(s.lanes.is_power_of_two() && s.lanes <= WARP);
+        firsts.push(grid);
+        grid += bin_grid(s.rows.len(), s.lanes);
+    }
+    if grid == 0 {
+        return 0;
+    }
+    let lookup = u64::from(segments.len().next_power_of_two().trailing_zeros());
+    launch_group.add(name, grid, 256, &|blk| {
+        let seg = firsts.partition_point(|&f| f <= blk.block_idx()) - 1;
+        let Segment { rows, lanes } = segments[seg];
+        let first_warp = (blk.block_idx() - firsts[seg]) * blk.warp_count();
         for_each_warp_with_partials(blk, epi, |warp, partials| {
-            let list_base = warp.global_warp_id() * groups_per_warp;
+            warp.charge_alu(lookup);
+            let list_base = (first_warp + warp.warp_in_block()) * (WARP / lanes);
             warp_rows_body(
-                warp, mat, rows_list, list_base, group, texture_x, xs, ys, epi, partials,
+                warp, mat, rows, list_base, lanes, texture_x, xs, ys, epi, partials,
             );
         });
     });
@@ -448,9 +476,10 @@ mod tests {
     use super::*;
     use crate::binning::Binning;
     use crate::config::AcsrConfig;
-    use gpu_sim::{presets, Device};
+    use gpu_sim::{presets, Counters, Device};
     use graphgen::{generate_power_law, PowerLawConfig};
     use sparse_formats::CsrMatrix;
+    use spmv_kernels::Restart;
 
     fn matrix(rows: usize, max: usize, seed: u64) -> CsrMatrix<f64> {
         generate_power_law(&PowerLawConfig {
@@ -476,40 +505,134 @@ mod tests {
         assert_eq!(y.as_slice(), &[9.0, 0.0, 9.0, 0.0, 9.0]);
     }
 
-    #[test]
-    fn bin_kernel_computes_its_rows() {
-        let m = matrix(600, 64, 91);
-        let dev = Device::new(presets::gtx_titan());
-        let cfg = AcsrConfig::for_device(dev.config());
-        let a = AcsrMatrix::from_csr(&dev, &m, &cfg);
-        let (binning, _) = Binning::build((0..m.rows()).map(|r| m.row_nnz(r)), &cfg);
-        let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 5) as f64).collect();
-        let xd = dev.alloc(x.clone());
-        let want = m.spmv(&x);
-        for &bin in binning.g2_bins() {
-            let rows = binning.bin_rows(bin).to_vec();
-            let list = dev.alloc(rows.clone());
-            let y = dev.alloc(vec![-1.0f64; m.rows()]);
-            let mut g = dev.launch_group("t");
-            bin_kernel(
-                &mut g,
-                &a,
-                &list,
-                Binning::group_for_bin(bin),
-                true,
-                &[&xd],
-                &[&y],
-                None,
-                "bin",
-            );
-            g.finish();
-            for &r in &rows {
-                let got = y.as_slice()[r as usize];
-                assert!(
-                    (got - want[r as usize]).abs() < 1e-9,
-                    "bin {bin} row {r}: {got} vs {}",
-                    want[r as usize]
+    /// The G2 bins of `m` launched with [`bins_kernel`] in one launch
+    /// group: as one grid of every bin's segment (`one_grid`), or as one
+    /// one-segment grid per bin, in ascending bin order (Algorithm 1's
+    /// launch sequence). With `epi`, each grid's first partials slot
+    /// follows the previous grid's.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_bins(
+        dev: &Device,
+        a: &AcsrMatrix<f64>,
+        segments: &[Segment],
+        one_grid: bool,
+        xs: &[&DeviceBuffer<f64>],
+        ys: &[&DeviceBuffer<f64>],
+        epi: Option<Epilogue<f64>>,
+    ) -> gpu_sim::RunReport {
+        let mut g = dev.launch_group("t");
+        if one_grid {
+            bins_kernel(&mut g, a, segments, true, xs, ys, epi.as_ref(), "bins");
+        } else {
+            let mut first_slot = 0;
+            for s in segments {
+                let e = epi.map(|e| Epilogue { first_slot, ..e });
+                first_slot += bins_kernel(&mut g, a, &[*s], true, xs, ys, e.as_ref(), "bin");
+            }
+        }
+        g.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// One grid of S bin segments computes what S per-bin grids
+        /// compute, bit for bit, with and without the epilogue and its
+        /// partials, and costs S − 1 fewer launches plus the
+        /// ⌈log₂ S⌉-instruction segment lookup in every warp.
+        #[test]
+        fn one_grid_matches_per_bin_grids(
+            rows in 200usize..900,
+            max in 40usize..1000,
+            seed in 0u64..5000,
+            k in proptest::sample::select(vec![1usize, 3]),
+        ) {
+            let m = matrix(rows, max, seed);
+            let dev = Device::new(presets::gtx_titan());
+            let cfg = AcsrConfig::for_device(dev.config());
+            let a = AcsrMatrix::from_csr(&dev, &m, &cfg);
+            let (binning, _) = Binning::build((0..m.rows()).map(|r| m.row_nnz(r)), &cfg);
+            let lists: Vec<_> = binning
+                .g2_bins()
+                .iter()
+                .map(|&bin| (dev.alloc(binning.bin_rows(bin).to_vec()), Binning::group_for_bin(bin)))
+                .collect();
+            let segments: Vec<Segment> =
+                lists.iter().map(|(rows, lanes)| Segment { rows, lanes: *lanes }).collect();
+            let n_seg = segments.len();
+            proptest::prop_assume!(n_seg > 1);
+            let per_query: usize = segments.iter().map(|s| bin_grid(s.rows.len(), s.lanes)).sum();
+
+            let xs: Vec<Vec<f64>> = (0..k)
+                .map(|v| (0..m.cols()).map(|i| 1.0 + ((i + v) % 5) as f64).collect())
+                .collect();
+            let xd: Vec<_> = xs.iter().map(|x| dev.alloc(x.clone())).collect();
+            let xr: Vec<_> = xd.iter().collect();
+            let c: Vec<f64> = (0..k).map(|v| 0.85 - 0.05 * v as f64).collect();
+            let restart: Vec<_> = (0..k)
+                .map(|v| Restart::Seed { row: (v * 397) % rows, mass: 0.15 + 0.05 * v as f64 })
+                .collect();
+            let affine = Affine { c: &c, restart: &restart };
+            for partials in [false, true] {
+                let run = |one_grid: bool| {
+                    let ys: Vec<_> = (0..k).map(|_| dev.alloc(vec![-1.0f64; rows])).collect();
+                    let yr: Vec<_> = ys.iter().collect();
+                    let buf = dev.alloc(vec![f64::NAN; k * per_query]);
+                    let epi = partials.then(|| Epilogue {
+                        affine: &affine,
+                        prev: &xr,
+                        texture_x: true,
+                        partials: Some(&buf),
+                        per_query,
+                        first_slot: 0,
+                    });
+                    let report = launch_bins(&dev, &a, &segments, one_grid, &xr, &yr, epi);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let ys: Vec<_> = ys.iter().map(|y| bits(y.as_slice())).collect();
+                    (ys, bits(buf.as_slice()), report)
+                };
+                let (per_ys, per_partials, per) = run(false);
+                let (one_ys, one_partials, one) = run(true);
+                proptest::prop_assert_eq!(&one_ys, &per_ys);
+                proptest::prop_assert_eq!(&one_partials, &per_partials);
+
+                // Every listed row holds its SpMV (or, with the epilogue,
+                // the epilogue of it).
+                for (v, y) in one_ys.iter().enumerate() {
+                    let want = m.spmv(&xs[v]);
+                    for s in &segments {
+                        for r in s.rows.as_slice().iter().map(|&r| r as usize) {
+                            let want = if partials { affine.apply(v, r, want[r]) } else { want[r] };
+                            let got = f64::from_bits(y[r]);
+                            proptest::prop_assert!((got - want).abs() < 1e-9, "row {r}: {got} vs {want}");
+                        }
+                    }
+                }
+
+                let lookup = u64::from(n_seg.next_power_of_two().trailing_zeros());
+                let warps = per.counters.warps;
+                proptest::prop_assert_eq!(one.counters.warps, warps);
+                proptest::prop_assert_eq!(
+                    one.counters.warp_instructions,
+                    per.counters.warp_instructions + lookup * warps
                 );
+                proptest::prop_assert_eq!(
+                    one.counters.lane_ops,
+                    per.counters.lane_ops + WARP as u64 * lookup * warps
+                );
+                let rest = Counters {
+                    warp_instructions: per.counters.warp_instructions,
+                    lane_ops: per.counters.lane_ops,
+                    ..one.counters
+                };
+                proptest::prop_assert_eq!(rest, per.counters);
+                proptest::prop_assert_eq!((one.launches, per.launches), (1, n_seg as u32));
+                let kernel_launch_s = dev.config().kernel_launch_s;
+                proptest::prop_assert_eq!(
+                    per.breakdown.launch_s,
+                    one.breakdown.launch_s + (n_seg - 1) as f64 * 0.25 * kernel_launch_s
+                );
+                proptest::prop_assert_eq!(one.breakdown.memory_s, per.breakdown.memory_s);
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! [`AcsrEngine::spmv`](crate::engine::AcsrEngine) launches its kernels
 //! under stable
-//! names — `acsr_zero`, `acsr_bin{i}`, `acsr_overflow`, `acsr_dp_parent`
+//! names — `acsr_zero`, `acsr_bins`, `acsr_overflow`, `acsr_dp_parent`
 //! (and a fused wave's `acsr_dp_finalize`) / `acsr_static_tail`,
 //! `acsr_update` — so a [`gpu_sim::trace`] span
 //! stream can be folded into a [`PhaseRollup`]: one bucket per pipeline
@@ -18,7 +18,7 @@ use gpu_sim::Counters;
 pub enum Phase {
     /// `y`-zeroing scatter over the non-empty rows (`acsr_zero`).
     ZeroScatter,
-    /// G2 bin-specific kernels (`acsr_bin{i}`).
+    /// The G2 bins' bin-specific grid (`acsr_bins`).
     BinKernels,
     /// `RowMax`-overflow rows served by the widest bin kernel
     /// (`acsr_overflow`).
@@ -152,12 +152,6 @@ impl PhaseRollup {
         self.buckets.iter().map(|b| b.seconds).sum()
     }
 
-    /// Table V's "BS": bin-specific grids per run (bin + overflow
-    /// kernel launches).
-    pub fn bin_grid_launches(&self) -> u64 {
-        self.bucket(Phase::BinKernels).launches + self.bucket(Phase::Overflow).launches
-    }
-
     /// Table V's "RS": row-specific grids per run (dynamic child grids
     /// launched from the long-tail parent).
     pub fn row_grid_launches(&self) -> u64 {
@@ -190,7 +184,7 @@ mod tests {
     fn classify_covers_engine_kernel_names() {
         use SpanKind::*;
         assert_eq!(classify(Stream, "acsr_zero"), Phase::ZeroScatter);
-        assert_eq!(classify(Stream, "acsr_bin3"), Phase::BinKernels);
+        assert_eq!(classify(Stream, "acsr_bins"), Phase::BinKernels);
         assert_eq!(classify(Stream, "acsr_overflow"), Phase::Overflow);
         assert_eq!(classify(Stream, "acsr_dp_parent"), Phase::LongTail);
         assert_eq!(
@@ -228,11 +222,19 @@ mod tests {
         // every counter increment lands in exactly one bucket
         assert_eq!(rollup.total_counters(), total.counters);
         // a power-law matrix with a pinned huge row exercises the G2
-        // bins and the dynamic-parallelism long tail
+        // bins, all in one `acsr_bins` grid, and the dynamic-parallelism
+        // long tail
+        assert!(engine.binning().g2_bins().len() > 1);
         assert!(rollup.bucket(Phase::ZeroScatter).spans > 0);
-        assert!(rollup.bucket(Phase::BinKernels).spans > 1);
+        let bins: Vec<_> = ledger
+            .spans()
+            .into_iter()
+            .filter(|s| classify(s.kind, &s.name) == Phase::BinKernels)
+            .collect();
+        assert_eq!(bins.len(), 1);
+        assert_eq!(bins[0].name, "acsr_bins");
+        assert_eq!(rollup.bucket(Phase::BinKernels).spans, 1);
         assert!(rollup.bucket(Phase::LongTail).spans > 0);
-        assert!(rollup.bin_grid_launches() > 0);
         assert!(rollup.row_grid_launches() > 0);
         assert!(rollup.total_seconds() > 0.0);
     }

@@ -15,8 +15,9 @@
 //! auto-tuned winner, so both directions of the bound are exercised.
 //! With every format registered, HYB or COO is at least as fast per
 //! SpMV as TCOO and BCCOO on these small inputs, so that case registers
-//! only ACSR and the two tuned formats: TCOO's column tiles then win
-//! from n = 100 on, while BCCOO's sweep is pruned at n = 100 and 1000.
+//! only ACSR and the two tuned formats, on a 1000-row power-law matrix:
+//! TCOO's column tiles then win at n = 1000 and 10⁶ at probe scale 1,
+//! while BCCOO's sweep is pruned at n = 100 and 1000 at both scales.
 
 use gpu_sim::{presets, Device, RunReport};
 use graphgen::{generate_power_law, generate_regular, generate_uniform, PowerLawConfig};
@@ -325,7 +326,7 @@ fn uniform_sparse_rows_select_as_with_full_sweeps() {
 
 #[test]
 fn a_tuned_winner_is_never_pruned() {
-    let seen = check_against_full_sweeps(&tuned_registry(), &power_law(400, 8.0, 31), FULL_SIZE);
+    let seen = check_against_full_sweeps(&tuned_registry(), &power_law(1000, 8.0, 31), FULL_SIZE);
     assert!(
         !seen.tuned_winners.is_empty(),
         "no auto-tuned format won, so no winner's sweep was checked: pruned {:?}",
